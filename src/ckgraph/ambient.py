@@ -34,7 +34,6 @@ __all__ = [
     "leaf_mean_curvature",
     "r_of_t",
     "t_of_r",
-    "theta_of_r",
     "preset_ambient",
     "PRESET_NAMES",
     "flat_metric",
@@ -209,11 +208,6 @@ def _invert_r(ambient: AmbientSpace, r: float) -> float:
     else:
         raise DomainError(f"r = {r} outside the range of r(t)")
     return optimize.brentq(f, lo, 0.0, xtol=1e-14, rtol=8.9e-16)
-
-
-def theta_of_r(ambient: AmbientSpace, r):
-    """Twisted-product warping function ``theta(r) = lambda(t(r))``."""
-    return np.asarray(ambient.lam(t_of_r(ambient, r)))
 
 
 # -- leaf metrics -----------------------------------------------------------

@@ -314,37 +314,17 @@ def annulus_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> 
 
 def _dijkstra_distance(vertices, triangles, sources, ambient):
     """Multi-source shortest edge-path distance in the sigma metric."""
-    import heapq
+    from scipy.sparse import csgraph, csr_matrix
+    # unique edges: a sparse matrix would sum the two copies of interior edges
+    edges = np.unique(np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                              axis=1), axis=0)
+    i, j = edges[:, 0], edges[:, 1]
+    e = vertices[j] - vertices[i]
+    S = ambient.base_metric(0.5 * (vertices[i] + vertices[j]))
+    length = np.sqrt(np.einsum("ei,eij,ej->e", e, S, e))
     nv = len(vertices)
-    adj = [[] for _ in range(nv)]
-    seen = set()
-    for a, b, c in triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            key = (min(i, j), max(i, j))
-            if key in seen:
-                continue
-            seen.add(key)
-            e = vertices[j] - vertices[i]
-            mid = 0.5 * (vertices[i] + vertices[j])
-            S = ambient.base_metric(mid)
-            l = float(np.sqrt(e @ S @ e))
-            adj[i].append((j, l))
-            adj[j].append((i, l))
-    dist = np.full(nv, np.inf)
-    heap = []
-    for s in sources:
-        dist[s] = 0.0
-        heapq.heappush(heap, (0.0, int(s)))
-    while heap:
-        d, v = heapq.heappop(heap)
-        if d > dist[v]:
-            continue
-        for w, l in adj[v]:
-            nd = d + l
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(heap, (nd, w))
-    return dist
+    graph = csr_matrix((length, (i, j)), shape=(nv, nv))
+    return csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
 
 
 def _eikonal_sweep(vertices, triangles, dist, ambient, sweeps=2):

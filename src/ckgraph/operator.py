@@ -51,7 +51,6 @@ class Problem:
     mesh: DomainMesh
     H: ScalarField
     phi: np.ndarray          # (nv,) array; meaningful on boundary vertices
-    options: Optional[object] = None
     _assembly: Optional["_Assembly"] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -67,20 +66,17 @@ class Problem:
             raise ParameterError("boundary data must stay below the interval end")
 
     @classmethod
-    def create(cls, ambient, mesh, H, phi, options=None) -> "Problem":
+    def create(cls, ambient, mesh, H, phi) -> "Problem":
         if np.isscalar(H):
             H = ScalarField.constant(mesh, float(H))
         if np.isscalar(phi):
             phi = np.full(mesh.n_vertices, float(phi))
-        return cls(ambient, mesh, H, np.asarray(phi, dtype=float), options)
+        return cls(ambient, mesh, H, np.asarray(phi, dtype=float))
 
     def assembly(self) -> "_Assembly":
         if self._assembly is None:
             self._assembly = _Assembly(self)
         return self._assembly
-
-    def boundary_values(self, tau: float) -> np.ndarray:
-        return tau * self.phi
 
 
 @dataclass
@@ -90,12 +86,6 @@ class SparseSystem:
     residual: np.ndarray       # (ni,)
     jacobian: sp.csr_matrix    # (ni, ni)
     interior: np.ndarray       # interior vertex indices
-
-    def dump_jacobian(self, path):
-        coo = self.jacobian.tocoo()
-        with open(path, "w", encoding="utf-8") as fh:
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v!r}\n")
 
 
 # -- assembly ---------------------------------------------------------------
@@ -113,25 +103,34 @@ class _Assembly:
         self.n = amb.base_dim
         self.G, self.A = _hat_gradients(mesh.vertices, mesh.triangles)
         p = mesh.vertices[self.tri]
-        self.cent = p.mean(axis=1)
-        S_c = amb.base_metric(self.cent)
+        cent = p.mean(axis=1)
+        S_c = amb.base_metric(cent)
         self.Sinv_c = np.linalg.inv(S_c)
-        self.sd_c = np.sqrt(np.linalg.det(S_c))
-        self.gam_c = np.asarray(amb.gamma(self.cent))
+        self.gam_c = np.asarray(amb.gamma(cent))
         qp = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite 0,1,2
-        self.qp = qp
         S_q = amb.base_metric(qp)
         self.Sinv_q = np.linalg.inv(S_q)
-        self.sd_q = np.sqrt(np.linalg.det(S_q))
         self.gam_q = np.asarray(amb.gamma(qp))
-        self.dgam_q = np.asarray(amb.grad_gamma(qp))
+        dgam_q = np.asarray(amb.grad_gamma(qp))
         Hv = problem.H.values[self.tri]                    # (nt, 3)
         self.H_q = 0.5 * (Hv.sum(axis=1, keepdims=True) - Hv)
+        # quadrature weights and the z-independent contractions
+        self.w_c = self.A * np.sqrt(np.linalg.det(S_c))
+        self.w_q = (self.A[:, None] / 3.0) * np.sqrt(np.linalg.det(S_q))
+        self.GS_c = np.einsum("eai,eij->eaj", self.G, self.Sinv_c)
+        self.K1 = np.einsum("eaj,ebj->eab", self.GS_c, self.G)
+        self.dgS_q = np.einsum("eqi,eqij->eqj", dgam_q, self.Sinv_q)
+        self.dgg = np.einsum("eqj,ebj->eqb", self.dgS_q, self.G)
+        self.lumped_mass = np.zeros(mesh.n_vertices)
+        np.add.at(self.lumped_mass, self.tri, self.w_q @ _HATS)
+        # interior numbering and the element entries of the interior block
         self.interior = mesh.interior_vertices
-        mass = np.zeros(mesh.n_vertices)
-        w = (self.A[:, None] / 3.0) * self.sd_q            # (nt, 3)
-        np.add.at(mass, self.tri, np.einsum("eq,qa->ea", w, _HATS))
-        self.lumped_mass = mass
+        pos = np.full(mesh.n_vertices, -1)
+        pos[self.interior] = np.arange(len(self.interior))
+        rows = np.repeat(pos[self.tri], 3, axis=1).ravel()  # a index
+        cols = np.tile(pos[self.tri], (1, 3)).ravel()       # b index
+        self._keep = (rows >= 0) & (cols >= 0)
+        self._rows, self._cols = rows[self._keep], cols[self._keep]
 
     # -- pointwise data -----------------------------------------------------
 
@@ -155,97 +154,78 @@ class _Assembly:
         norm2 = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
         return float(np.sqrt(norm2.max()))
 
-    # -- residual and Jacobian ---------------------------------------------
+    def _scatter(self, val):
+        R = np.zeros(self.problem.mesh.n_vertices)
+        np.add.at(R, self.tri, val)
+        return R
 
-    def residual_full(self, z, tau: float, check=True):
-        """Weak residual tested against every hat function (boundary ones
-        included); the interior slice is the Newton residual."""
-        if check:
-            self._check_interval(z)
+    # -- element kernel ------------------------------------------------------
+
+    def _divergence(self, gz):
+        """Centroid divergence term: ``U_c``, ``G Sinv_c grad z`` and its
+        weak values against the three hats."""
+        w2c = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
+        U_c = np.sqrt(self.gam_c + w2c)
+        Pc = np.einsum("eaj,ej->ea", self.GS_c, gz)
+        return U_c, Pc, -self.w_c[:, None] * (Pc / U_c[:, None])
+
+    def _local(self, z, tau: float, jacobian=False):
+        """Per-element weak residual (nt, 3) and, with ``jacobian``, its
+        exact derivative (nt, 3, 3) with respect to the element values."""
+        self._check_interval(z)
         amb = self.problem.ambient
         n = self.n
         _, gz, zmid = self._element_state(z)
         lam_m = np.asarray(amb.lam(zmid))
-        rho_m = np.asarray(amb.lam_t(zmid)) / lam_m
+        lamt_m = np.asarray(amb.lam_t(zmid))
+        rho_m = lamt_m / lam_m
+        U_c, Pc, val = self._divergence(gz)
 
-        w2c = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
-        U_c = np.sqrt(self.gam_c + w2c)
-        flux = np.einsum("eai,eij,ej->ea", self.G, self.Sinv_c, gz) / U_c[:, None]
-        val = -(self.A * self.sd_c)[:, None] * flux
-
-        w2q = np.einsum("ei,eqij,ej->eq", gz, self.Sinv_q, gz)
-        U_q = np.sqrt(self.gam_q + w2q)
-        gg_q = np.einsum("eqi,eqij,ej->eq", self.dgam_q, self.Sinv_q, gz)
+        Sgz_q = np.einsum("eqij,ej->eqi", self.Sinv_q, gz)
+        U_q = np.sqrt(self.gam_q + np.einsum("eqi,ei->eq", Sgz_q, gz))
+        gg_q = np.einsum("eqj,ej->eq", self.dgS_q, gz)
         P_q = gg_q / (2.0 * self.gam_q) + tau * n * self.gam_q * rho_m[:, None]
         L_q = P_q / U_q + tau * n * lam_m[:, None] * self.H_q
-        wq = (self.A[:, None] / 3.0) * self.sd_q
-        val -= np.einsum("eq,qa->ea", wq * L_q, _HATS)
+        val -= (self.w_q * L_q) @ _HATS
+        if not jacobian:
+            return val
 
-        R = np.zeros(len(z))
-        np.add.at(R, self.tri, val)
-        return R
+        rhot_m = np.asarray(amb.lam_tt(zmid)) / lam_m - rho_m**2
+        local = -self.w_c[:, None, None] * (
+            self.K1 / U_c[:, None, None]
+            - np.einsum("ea,eb->eab", Pc, Pc) / (U_c**3)[:, None, None]
+        )
+        zdb = np.einsum("eqi,ebi->eqb", Sgz_q, self.G)
+        dP = self.dgg / (2.0 * self.gam_q)[..., None] \
+            + (tau * n / 3.0) * (self.gam_q * rhot_m[:, None])[..., None]
+        dL = dP / U_q[..., None] - P_q[..., None] * zdb / (U_q**3)[..., None] \
+            + (tau * n / 3.0) * (lamt_m[:, None] * self.H_q)[..., None]
+        local -= _HATS @ (self.w_q[..., None] * dL)   # _HATS is symmetric
+        return val, local
+
+    # -- residual and Jacobian ---------------------------------------------
+
+    def residual_full(self, z, tau: float):
+        """Weak residual tested against every hat function (boundary ones
+        included); the interior slice is the Newton residual."""
+        return self._scatter(self._local(z, tau))
 
     def flux_residual_full(self, z):
         """Only the integrated-by-parts divergence term (for flux balance)."""
         self._check_interval(z)
         _, gz, _ = self._element_state(z)
-        w2c = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
-        U_c = np.sqrt(self.gam_c + w2c)
-        flux = np.einsum("eai,eij,ej->ea", self.G, self.Sinv_c, gz) / U_c[:, None]
-        val = -(self.A * self.sd_c)[:, None] * flux
-        R = np.zeros(len(z))
-        np.add.at(R, self.tri, val)
-        return R
+        return self._scatter(self._divergence(gz)[2])
 
     def residual(self, z, tau: float):
         return self.residual_full(z, tau)[self.interior]
 
-    def jacobian_full(self, z, tau: float):
-        amb = self.problem.ambient
-        n = self.n
-        self._check_interval(z)
-        _, gz, zmid = self._element_state(z)
-        lam_m = np.asarray(amb.lam(zmid))
-        lamt_m = np.asarray(amb.lam_t(zmid))
-        lamtt_m = np.asarray(amb.lam_tt(zmid))
-        rho_m = lamt_m / lam_m
-        rhot_m = lamtt_m / lam_m - rho_m**2
-
-        w2c = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
-        U_c = np.sqrt(self.gam_c + w2c)
-        K1 = np.einsum("eai,eij,ebj->eab", self.G, self.Sinv_c, self.G)
-        Pc = np.einsum("eai,eij,ej->ea", self.G, self.Sinv_c, gz)
-        local = -(self.A * self.sd_c)[:, None, None] * (
-            K1 / U_c[:, None, None]
-            - np.einsum("ea,eb->eab", Pc, Pc) / (U_c**3)[:, None, None]
-        )
-
-        w2q = np.einsum("ei,eqij,ej->eq", gz, self.Sinv_q, gz)
-        U_q = np.sqrt(self.gam_q + w2q)
-        gg_q = np.einsum("eqi,eqij,ej->eq", self.dgam_q, self.Sinv_q, gz)
-        P_q = gg_q / (2.0 * self.gam_q) + tau * n * self.gam_q * rho_m[:, None]
-        dgg = np.einsum("eqi,eqij,ebj->eqb", self.dgam_q, self.Sinv_q, self.G)
-        zdb = np.einsum("ei,eqij,ebj->eqb", gz, self.Sinv_q, self.G)
-        dP = dgg / (2.0 * self.gam_q)[..., None] \
-            + (tau * n / 3.0) * (self.gam_q * rhot_m[:, None])[..., None]
-        dL = dP / U_q[..., None] - P_q[..., None] * zdb / (U_q**3)[..., None] \
-            + (tau * n / 3.0) * (lamt_m[:, None] * self.H_q)[..., None]
-        wq = (self.A[:, None] / 3.0) * self.sd_q
-        local -= np.einsum("eq,qa,eqb->eab", wq, _HATS, dL)
-
-        nv = self.problem.mesh.n_vertices
-        rows = np.repeat(self.tri, 3, axis=1).ravel()           # a index
-        cols = np.tile(self.tri, (1, 3)).ravel()                # b index
-        # local[e, a, b]: rows vary a within blocks of 3
-        data = local.transpose(0, 1, 2).ravel()
-        J = sp.coo_matrix((data, (rows, cols)), shape=(nv, nv)).tocsr()
-        return J
-
     def system(self, z, tau: float) -> SparseSystem:
-        R = self.residual(z, tau)
-        J = self.jacobian_full(z, tau)
-        ii = self.interior
-        return SparseSystem(R, J[ii][:, ii].tocsr(), ii)
+        val, local = self._local(z, tau, jacobian=True)
+        ni = len(self.interior)
+        # local[e, a, b] flattens with a (the row) varying slowest
+        J = sp.coo_matrix((local.ravel()[self._keep], (self._rows, self._cols)),
+                          shape=(ni, ni)).tocsr()
+        return SparseSystem(self._scatter(val)[self.interior], J, self.interior)
 
 
 # -- public operator API ----------------------------------------------------

@@ -53,7 +53,8 @@ PROBLEM_SCHEMA = {
                         "lam": {"type": "string"},
                         "lam_t": {"type": "string"},
                         "lam_tt": {"type": "string"},
-                        "interval_end": {"type": ["number", "string"]},
+                        "interval_end": {"anyOf": [{"type": "number"},
+                                                   {"const": "inf"}]},
                         "gamma": {"type": "string"},
                         "base_metric": {"enum": ["flat", "round_sphere"]},
                         "curvature": {
@@ -64,6 +65,10 @@ PROBLEM_SCHEMA = {
                                                   "unavailable"]},
                                 "kappa0": {"type": "number"},
                             },
+                            "if": {"properties": {
+                                "kind": {"const": "constant_curvature"}},
+                                "required": ["kind"]},
+                            "then": {"required": ["kappa0"]},
                         },
                     },
                 },
@@ -136,17 +141,6 @@ def validate_document(doc):
         raise SchemaError("$.resolution: required with a preset domain")
 
 
-def _fd_pair(fn, step=1e-6):
-    def d1(t):
-        return (fn(np.asarray(t) + step) - fn(np.asarray(t) - step)) / (2 * step)
-
-    def d2(t):
-        t = np.asarray(t)
-        return (fn(t + step) - 2 * fn(t) + fn(t - step)) / step**2
-
-    return d1, d2
-
-
 def _build_ambient(doc) -> AmbientSpace:
     spec = doc["ambient"]
     if "preset" in spec:
@@ -155,8 +149,9 @@ def _build_ambient(doc) -> AmbientSpace:
     lam = compile_univariate(cu["lam"])
     lam_t = compile_univariate(cu["lam_t"]) if "lam_t" in cu else None
     lam_tt = compile_univariate(cu["lam_tt"]) if "lam_tt" in cu else None
-    if lam_t is None or lam_tt is None:
-        d1, d2 = _fd_pair(lam)
+    fd = lam_t is None or lam_tt is None
+    if fd:
+        d1, d2 = ambient_mod.fd_ambient_derivatives(lam)
         lam_t = lam_t or d1
         lam_tt = lam_tt or d2
     end = cu.get("interval_end", "inf")
@@ -177,12 +172,11 @@ def _build_ambient(doc) -> AmbientSpace:
     metric = ambient_mod.round_sphere_metric \
         if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
     curv = cu.get("curvature", {"kind": "unavailable"})
-    model = CurvatureModel(curv.get("kind", "unavailable"),
-                           curv.get("kappa0", 0.0))
+    model = CurvatureModel(curv.get("kind", "unavailable"), curv.get("kappa0"))
     return AmbientSpace(
         name="custom", lam=lam, lam_t=lam_t, lam_tt=lam_tt,
         interval_end=end, gamma=gfun, grad_gamma=grad_gamma,
-        base_metric=metric, curvature_model=model)
+        base_metric=metric, curvature_model=model, fd_derivatives=fd)
 
 
 def _build_mesh(doc, ambient, base_dir: Path):

@@ -28,7 +28,6 @@ class SolverOptions:
     damping_factor: float = 0.5
     max_damping_halvings: int = 20
     clamp_margin: float = 1e-6
-    linear_residual_rtol: float = 1e-12
 
 
 @dataclass
@@ -119,7 +118,6 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     best = (rnorm, z.copy())
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
-            rec = NewtonRecord(tau, it - 1, rnorm, 0.0, 0)
             return z, records, clamped
         system = asm.system(z, tau)
         step = linear_solve(system.jacobian, -system.residual)

@@ -176,6 +176,62 @@ def test_verify_wrong_H(solved_run, tmp_path):
     assert main(["verify", bad, str(out / "solution.csv")]) != 0
 
 
+def _with_cell(lines, row, col, text):
+    cells = lines[row].split(",")
+    cells[col] = text
+    return lines[:row] + [",".join(cells)] + lines[row + 1:]
+
+
+# name -> (edit of the solution.csv lines, expected message after the path)
+_CSV_CORRUPTIONS = {
+    "missing_column": (lambda L: ["vertex,x,y,val"] + L[1:],
+                       ":1: missing column 'value'"),
+    "vertex_not_integer": (lambda L: _with_cell(L, 3, 0, "two"),
+                           ":4: vertex 'two' is not an integer"),
+    "vertex_out_of_range": (lambda L: _with_cell(L, 3, 0, str(len(L) - 1)),
+                            ":4: vertex"),
+    "vertex_duplicated": (lambda L: L[:3] + [L[2]] + L[4:],
+                          ":4: vertex 1 appears twice"),
+    "value_not_numeric": (lambda L: _with_cell(L, 5, 3, "abc"),
+                          ":6: value 'abc' is not a finite number"),
+    "xy_other_mesh": (lambda L: _with_cell(L, 5, 1, "0.123"), ":6: x,y"),
+    "missing_rows": (lambda L: L[:7] + L[9:], ": no row for vertex 6"),
+}
+
+
+def _assert_clean_exit_1(argv, capsys, fragment):
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert fragment in err
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+@pytest.mark.parametrize("corruption", sorted(_CSV_CORRUPTIONS))
+def test_malformed_solution_csv_exit_1(solved_run, tmp_path, capsys,
+                                       command, corruption):
+    _, prob, out = solved_run
+    edit, fragment = _CSV_CORRUPTIONS[corruption]
+    lines = (out / "solution.csv").read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    _assert_clean_exit_1([command, prob, str(bad)], capsys, f"{bad}{fragment}")
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_unreadable_solution_exit_1(solved_run, tmp_path, capsys, command):
+    _, prob, _ = solved_run
+    missing = tmp_path / "missing.csv"
+    _assert_clean_exit_1([command, prob, str(missing)], capsys,
+                         f"cannot read {missing}")
+    binary = tmp_path / "binary.csv"
+    binary.write_bytes(b"vertex,x,y,value\n\xff\xfe\n")
+    _assert_clean_exit_1([command, prob, str(binary)], capsys,
+                         f"cannot read {binary}")
+
+
 def _ckgraph_installed():
     try:
         metadata.distribution("ckgraph")
@@ -202,15 +258,32 @@ def test_console_script_installed():
     assert "solve" in proc.stdout
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
 def test_thread_cap_env(tmp_path):
+    # No inherited *_NUM_THREADS, so only CKG_THREADS can set the cap;
+    # PYTHONPATH points the child at the package this test imported.
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin",
+           "PYTHONPATH": os.path.dirname(
+               os.path.dirname(os.path.abspath(ck.__file__)))}
     prob = _write(tmp_path, "cap.json", _cap_doc(h=0.1))
     out = tmp_path / "run"
     proc = subprocess.run(
         [sys.executable, "-m", "ckgraph.cli", "solve", prob, "--out", str(out)],
-        capture_output=True, text=True,
-        # No inherited *_NUM_THREADS, so only CKG_THREADS can set the cap;
-        # PYTHONPATH points the child at the package this test imported.
-        env={"PATH": "/usr/bin:/bin:/usr/local/bin", "CKG_THREADS": "1",
-             "PYTHONPATH": os.path.dirname(
-                 os.path.dirname(os.path.abspath(ck.__file__)))})
+        capture_output=True, text=True, env={**env, "CKG_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
+
+    def derived(extra):
+        code = ("import os, ckgraph; "
+                f"print(','.join(os.environ.get(k, '-') for k in {_THREAD_VARS!r}))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**env, **extra})
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip().split(",")
+
+    assert derived({"CKG_THREADS": "3"}) == ["3"] * 4
+    # the cap only fills in variables that are not already set
+    assert derived({"CKG_THREADS": "3", "OMP_NUM_THREADS": "2"}) == ["2", "3", "3", "3"]
+    assert derived({}) == ["-"] * 4

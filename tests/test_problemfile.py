@@ -100,6 +100,7 @@ def test_custom_ambient_with_derivatives():
     amb = loaded.problem.ambient
     assert float(np.asarray(amb.lam(0.5))) == pytest.approx(math.exp(0.5))
     assert math.isinf(amb.interval_end)
+    assert amb.fd_derivatives is False
 
 
 def test_custom_ambient_fd_fallback():
@@ -107,6 +108,35 @@ def test_custom_ambient_fd_fallback():
     doc["ambient"] = {"custom": {"lam": "exp(t)"}}
     amb = load_problem_document(doc).problem.ambient
     assert float(np.asarray(amb.lam_t(0.2))) == pytest.approx(math.exp(0.2), rel=1e-8)
+    assert amb.fd_derivatives is True
+    # one missing derivative is enough to flag the ambient
+    doc["ambient"] = {"custom": {"lam": "exp(t)", "lam_t": "exp(t)"}}
+    assert load_problem_document(doc).problem.ambient.fd_derivatives is True
+
+
+@pytest.mark.parametrize("end", ["abc", "Infinity", None])
+def test_custom_interval_end_number_or_inf(end):
+    doc = _base_doc()
+    doc["ambient"] = {"custom": {"lam": "exp(t)", "interval_end": end}}
+    with pytest.raises(SchemaError, match=r"\$\.ambient\.custom\.interval_end"):
+        validate_document(doc)
+    for ok in ("inf", 2.5):
+        doc["ambient"]["custom"]["interval_end"] = ok
+        validate_document(doc)
+
+
+def test_constant_curvature_needs_kappa0():
+    doc = _base_doc()
+    doc["ambient"] = {"custom": {"lam": "exp(t)",
+                                 "curvature": {"kind": "constant_curvature"}}}
+    with pytest.raises(SchemaError,
+                       match=r"\$\.ambient\.custom\.curvature: 'kappa0'"):
+        validate_document(doc)
+    doc["ambient"]["custom"]["curvature"]["kappa0"] = 1.0
+    model = load_problem_document(doc).problem.ambient.curvature_model
+    assert model.kind == "constant_curvature" and model.kappa0 == 1.0
+    doc["ambient"]["custom"]["curvature"] = {"kind": "flat"}
+    validate_document(doc)
 
 
 def test_solver_overrides():
