@@ -38,6 +38,7 @@ __all__ = [
     "PRESET_NAMES",
     "flat_metric",
     "round_sphere_metric",
+    "central_gradient",
 ]
 
 _SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -367,3 +368,15 @@ def fd_ambient_derivatives(lam, step=1e-6):
                 + np.asarray(lam(t - step))) / step**2
 
     return lam_t, lam_tt
+
+
+def central_gradient(f, pts, step):
+    """Chart gradient of ``f`` (points ``(..., 2)`` to values ``(..., *s)``)
+    by central differences, shape ``(..., 2, *s)``."""
+    pts = np.asarray(pts, dtype=float)
+    parts = []
+    for i in range(pts.shape[-1]):
+        e = np.zeros(pts.shape[-1])
+        e[i] = step
+        parts.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2 * step))
+    return np.stack(parts, axis=pts.ndim - 1)

@@ -11,21 +11,22 @@ certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace
-from .cylinder import inf_boundary_cylinder_curvature
+from .ambient import AmbientSpace, rho_t
+from .cylinder import cylinder_mean_curvature, inf_boundary_cylinder_curvature
 from .errors import ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh
-from .operator import Problem, recover_gradient_hessian, _hat_gradients
+from .mesh import DomainMesh, closed_polyline_geometry
+from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
+                       _hat_gradients)
 
 __all__ = [
     "ConditionEntry", "HypothesisReport", "BarrierCertificate",
-    "check_hypotheses", "strong_form_Q",
+    "check_hypotheses", "strong_form_Q", "flow_time_range",
     "height_barrier", "search_height_barrier",
     "boundary_barrier", "upper_barrier_check", "search_boundary_barrier",
     "comparison_check", "ComparisonResult",
@@ -85,12 +86,15 @@ class HypothesisReport:
         }
 
 
-def _t_grid(ambient: AmbientSpace, phi_min: float, samples=512):
+def flow_time_range(problem: Problem):
+    """Flow times on which the conformal-factor conditions are sampled: from
+    one below the lowest boundary value (or 0) to just above the base leaf."""
+    phi_min = float(problem.phi[problem.mesh.boundary_vertices].min())
     lo = min(phi_min, 0.0) - 1.0
     hi = 0.01
-    if math.isfinite(ambient.interval_end):
-        hi = min(hi, 0.5 * ambient.interval_end)
-    return np.linspace(lo, hi, samples)
+    if math.isfinite(problem.ambient.interval_end):
+        hi = min(hi, 0.5 * problem.ambient.interval_end)
+    return lo, hi
 
 
 def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
@@ -99,11 +103,9 @@ def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
     amb, mesh = problem.ambient, problem.mesh
     n = amb.base_dim
     phi_b = problem.phi[mesh.boundary_vertices]
-    ts = _t_grid(amb, float(phi_b.min()), samples)
-    lam = np.asarray(amb.lam(ts))
+    ts = np.linspace(*flow_time_range(problem), samples)
     lam_t = np.asarray(amb.lam_t(ts))
-    lam_tt = np.asarray(amb.lam_tt(ts))
-    rho_t = lam_tt / lam - (lam_t / lam) ** 2
+    rt = rho_t(amb, ts)
 
     inf_hk, inf_hg = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
     sup_h = float(problem.H.values.max())
@@ -114,7 +116,7 @@ def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
         ConditionEntry("lambda_t_nonneg", "lambda_t >= 0",
                        float(lam_t.min()), bool(lam_t.min() >= 0)),
         ConditionEntry("rho_t_nonneg", "(lambda_t/lambda)_t >= 0",
-                       float(rho_t.min()), bool(rho_t.min() >= -1e-12)),
+                       float(rt.min()), bool(rt.min() >= -1e-12)),
         ConditionEntry("phi_nonpos", "phi <= 0 on the boundary",
                        float(-phi_b.max()), bool(phi_b.max() <= 0)),
         ConditionEntry("H_nonneg", "H >= 0", min_h, bool(min_h >= 0)),
@@ -149,8 +151,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     sg = math.sqrt(float(gam[0]))
     lam_t0 = float(amb.lam_t(0.0))
     lam0 = float(amb.lam(0.0))
-    rho0 = lam_t0 / lam0
-    rho_t0 = float(amb.lam_tt(0.0)) / lam0 - rho0**2
+    rho_t0 = float(rho_t(amb, 0.0))
     k0 = -lam_t0 * sg / lam0**2
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
 
@@ -188,46 +189,18 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     return entries
 
 
-# -- pointwise strong form --------------------------------------------------
-
-
-def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
-    """Strong-form operator value from pointwise derivatives, vectorized.
-
-    ``hess`` must be the covariant Hessian in the leaf metric.
-    """
-    pts = np.asarray(pts, dtype=float)
-    vals = np.asarray(vals, dtype=float)
-    grads = np.asarray(grads, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    H = np.asarray(H, dtype=float)
-    g = np.asarray(ambient.gamma(pts))
-    dg = np.asarray(ambient.grad_gamma(pts))
-    Sinv = np.linalg.inv(np.asarray(ambient.base_metric(pts)))
-    pup = np.einsum("...ij,...j->...i", Sinv, grads)
-    v2 = np.einsum("...i,...i->...", grads, pup)
-    U = np.sqrt(g + v2)
-    tr1 = np.einsum("...ij,...ij->...", Sinv, hess) \
-        - np.einsum("...i,...j,...ij->...", pup, pup, hess) / U**2
-    gz = np.einsum("...i,...i->...", dg, pup)
-    lam = np.asarray(ambient.lam(vals))
-    rr = np.asarray(ambient.lam_t(vals)) / lam
-    n = ambient.base_dim
-    return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
-        - n * lam * H
-
-
-def _distance_geometry(mesh: DomainMesh, ambient: AmbientSpace, pts, d_pts):
+def _distance_geometry(problem: Problem, elements: bool):
     """Gradient covector and covariant Hessian of the boundary distance at
-    the given points.  Presets use closed forms; otherwise recovered
-    derivatives of the discrete distance field (then pts must be vertices).
+    the element centroids (``elements``) or at the vertices.  Presets use
+    closed forms; generic meshes the recovered vertex derivatives, averaged
+    over each element and usable where all three vertices are confident.
 
     Returns (grad (m,2), hess (m,2,2), usable (m,))."""
-    pts = np.asarray(pts, dtype=float)
-    m = len(pts)
+    ambient, mesh = problem.ambient, problem.mesh
     preset = mesh.preset or {}
     kind = preset.get("kind")
     if kind in ("disk", "cap", "annulus"):
+        pts = mesh.vertices[mesh.triangles].mean(axis=1) if elements else mesh.vertices
         r = np.linalg.norm(pts, axis=1)
         r = np.maximum(r, 1e-30)
         rhat = pts / r[:, None]
@@ -251,10 +224,11 @@ def _distance_geometry(mesh: DomainMesh, ambient: AmbientSpace, pts, d_pts):
             # the equidistant circle is the cut locus of d
             usable = usable & (np.abs(r - mid) > 0.75 * mesh.h)
         return grad, hess, usable
-    grad, hess, conf = recover_gradient_hessian(mesh, ambient, mesh.dist_to_boundary)
-    if len(pts) != mesh.n_vertices or not np.allclose(pts, mesh.vertices):
-        raise ParameterError("generic distance geometry is vertex-based")
-    return grad, hess, conf
+    grad, hess, conf = problem.distance_recovery()
+    if not elements:
+        return grad, hess, conf
+    tri = mesh.triangles
+    return grad[tri].mean(axis=1), hess[tri].mean(axis=1), conf[tri].all(axis=1)
 
 
 # -- barrier certificates ---------------------------------------------------
@@ -331,7 +305,7 @@ def height_barrier(problem: Problem, D: float, B: float,
     if D <= 0:
         raise ParameterError("D must be positive")
     if D * B > 200:      # keep U^3 = (gamma + f'^2)^(3/2) representable
-        raise ParameterError(f"exp(D*B) overflows for D*B = {D * B:.3g}")
+        raise ParameterError("exp(D*B) overflows: D*B > 200")
     phi_inf = float(problem.phi[mesh.boundary_vertices].min())
     d = mesh.dist_to_boundary
 
@@ -346,7 +320,7 @@ def height_barrier(problem: Problem, D: float, B: float,
     tri = mesh.triangles
     cent = mesh.vertices[tri].mean(axis=1)
     d_c = d[tri].mean(axis=1)
-    gd, hd, usable = _distance_geometry(mesh, amb, cent, d_c)
+    gd, hd, usable = _distance_geometry(problem, elements=True)
     keep = usable.copy()
     keep[mesh.suspect_elements] = False
     vals = phi_inf + f(d_c)
@@ -390,13 +364,35 @@ def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None,
         try:
             barrier, cert = height_barrier(problem, D, B, z)
         except ParameterError as exc:
-            failures.append({"D": D, "error": str(exc)})
+            failures.append((f"D = {D:g}", str(exc), None))
             continue
         if cert.valid:
             cert.note = f"search: {len(failures)} rejected candidates"
             return barrier, cert
-        failures.append({"D": D, "min_margin": cert.min_margin})
-    raise ParameterError(f"height barrier search exhausted: {failures[-3:]}")
+        failures.append((f"D = {D:g}", _rejection(cert), cert.min_margin))
+    raise _exhausted("height barrier", failures)
+
+
+def _rejection(cert: BarrierCertificate) -> str:
+    if cert.min_margin <= 0:
+        return "min_margin <= 0"
+    return "solution not ordered with the barrier"
+
+
+def _exhausted(what: str, failures) -> ParameterError:
+    """The search error: each distinct rejection reason once, with the
+    candidates it rejected, and the largest operator margin seen."""
+    reasons = {}
+    for label, reason, _ in failures:
+        reasons.setdefault(reason, []).append(label)
+    parts = [f"{reason} [{len(labels)} candidates, {labels[0]}"
+             + (f" .. {labels[-1]}]" if len(labels) > 1 else "]")
+             for reason, labels in reasons.items()]
+    margins = [m for _, _, m in failures if m is not None]
+    if margins:
+        parts.append(f"largest min_margin {max(margins):.6g}")
+    return ParameterError(f"{what} search exhausted after {len(failures)} "
+                          f"candidates: " + "; ".join(parts))
 
 
 def _boundary_transfer(mesh: DomainMesh, values_on_boundary: np.ndarray):
@@ -437,7 +433,7 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
         raise ParameterError("barrier leaves the flow interval on the strip")
     barrier = ScalarField(mesh, values)
 
-    gd, hd, usable = _distance_geometry(mesh, amb, mesh.vertices, d)
+    gd, hd, usable = _distance_geometry(problem, elements=False)
     const_phi = float(np.ptp(problem.phi[mesh.boundary_vertices])) < 1e-14
     if const_phi:
         gphi = np.zeros((mesh.n_vertices, 2))
@@ -451,7 +447,7 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     bad[mesh.triangles[mesh.suspect_elements].ravel()] = True
     check &= ~bad
     if not np.any(check):
-        raise ParameterError("no checkable strip vertices; decrease eps or h")
+        raise ParameterError("no checkable strip vertices; increase eps or decrease h")
     idx = np.nonzero(check)[0]
     grads = wp[idx, None] * gd[idx] + gphi[idx]
     hess = wpp[idx, None, None] * np.einsum("mi,mj->mij", gd[idx], gd[idx]) \
@@ -511,16 +507,17 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
     for mu in (10.0**j for j in range(7)):
         for cf in (0.25, 0.5, 1.0, 2.0, 4.0):
             c = cf * scale
+            label = f"mu = {mu:g}, c = {c:g}"
             try:
                 barrier, cert = fn(problem, mu, c, eps, z)
             except ParameterError as exc:
-                failures.append({"mu": mu, "c": c, "error": str(exc)})
+                failures.append((label, str(exc), None))
                 continue
             if cert.valid:
                 cert.note = f"search: {len(failures)} rejected candidates"
                 return barrier, cert
-            failures.append({"mu": mu, "c": c, "min_margin": cert.min_margin})
-    raise ParameterError(f"boundary barrier search exhausted: {failures[-3:]}")
+            failures.append((label, _rejection(cert), cert.min_margin))
+    raise _exhausted("boundary barrier", failures)
 
 
 # -- comparison and probes --------------------------------------------------
@@ -572,55 +569,60 @@ def comparison_check(problem1: Problem, problem2: Problem,
 
 
 def _level_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
-    """Curvature of the extracted distance level set on a generic mesh."""
+    """Infimum of the cylinder curvature over each component of the distance
+    level set ``d = eps`` on a generic mesh, one value per closed loop.
+
+    The level set crosses every edge whose ends lie on different sides of
+    ``d > eps``.  In each cut element the crossing on the edge that leaves
+    that region is followed by the one on the edge that enters it, which
+    keeps the region on the left (elements are positively oriented).
+    Crossings closer than h/4 in the chart are merged.
+    """
     d = mesh.dist_to_boundary
-    segs = []
-    for tri in mesh.triangles:
-        pts = []
-        for a, b in ((0, 1), (1, 2), (2, 0)):
-            da, db = d[tri[a]] - eps, d[tri[b]] - eps
-            if da * db < 0:
-                s = da / (da - db)
-                pts.append(mesh.vertices[tri[a]]
-                           + s * (mesh.vertices[tri[b]] - mesh.vertices[tri[a]]))
-        if len(pts) == 2:
-            segs.append(pts)
-    if len(segs) < 8:
+    edges, inverse, _ = mesh.edge_table()
+    inside = d > eps
+    cut = inside[edges[:, 0]] != inside[edges[:, 1]]
+    if np.count_nonzero(cut) < 8:
         raise ParameterError(f"level set extraction failed at depth {eps}")
-    # chain segments into a loop by nearest endpoints
-    segs = [list(map(np.asarray, s)) for s in segs]
-    chain = [segs.pop()[0]]
-    cur = chain[0]
-    while segs:
-        dists = [min(np.linalg.norm(cur - s[0]), np.linalg.norm(cur - s[1]))
-                 for s in segs]
-        k = int(np.argmin(dists))
-        s = segs.pop(k)
-        nxt = s[1] if np.linalg.norm(cur - s[0]) <= np.linalg.norm(cur - s[1]) else s[0]
-        chain.append(nxt)
-        cur = nxt
-    pts = np.asarray(chain)
+    i, j = edges[cut, 0], edges[cut, 1]
+    s = ((d[i] - eps) / (d[i] - d[j]))[:, None]
+    cross = np.zeros((len(edges), 2))
+    cross[cut] = mesh.vertices[i] + s * (mesh.vertices[j] - mesh.vertices[i])
+    ins = inside[mesh.triangles]
+    ahead = np.roll(ins, -1, axis=1)              # far end of local edge k
+    nxt = np.full(len(edges), -1)
+    nxt[inverse[ins & ~ahead]] = inverse[~ins & ahead]
+    nxt = nxt.tolist()
+    seen = ~cut
     hks = []
-    for i in range(len(pts)):
-        p0, p1, p2 = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-        S = np.asarray(ambient.base_metric(p1))
-        e1, e2 = p1 - p0, p2 - p1
-        l1 = math.sqrt(e1 @ S @ e1)
-        l2 = math.sqrt(e2 @ S @ e2)
-        if l1 < 1e-12 or l2 < 1e-12:
+    for start in np.nonzero(cut)[0].tolist():
+        if seen[start]:
             continue
-        cosb = float(np.clip((e1 @ S @ e2) / (l1 * l2), -1, 1))
-        sign = 1.0 if (e1[0] * e2[1] - e1[1] * e2[0]) >= 0 else -1.0
-        hg = sign * math.acos(cosb) / (0.5 * (l1 + l2))
-        # inward normal of the level curve: rotate tangent
-        eta = np.array([-e2[1], e2[0]])
-        eta /= math.sqrt(eta @ S @ eta)
-        g = float(ambient.gamma(p1))
-        dg = np.asarray(ambient.grad_gamma(p1))
-        kap = float(dg @ eta) / (2 * g)
-        n = ambient.base_dim
-        hks.append((kap + (n - 1) * hg) / n)
-    return min(hks)
+        loop, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            loop.append(k)
+            k = nxt[k]      # defined: no cut edge is a boundary edge (d = 0 there)
+        pts = _merge_close(cross[loop], 0.25 * mesh.h)
+        if len(pts) < 3:
+            continue
+        normal, hg, _ = closed_polyline_geometry(pts, ambient)
+        hks.append(float(np.min(cylinder_mean_curvature(ambient, 0.0, pts, normal, hg))))
+    if not hks:
+        raise ParameterError(f"level set extraction failed at depth {eps}")
+    return hks
+
+
+def _merge_close(pts, tol):
+    """Drop the points of a closed chart polyline that lie within ``tol`` of
+    the last point kept (the first point is always kept)."""
+    keep = [0]
+    for k in range(1, len(pts)):
+        if math.dist(pts[k], pts[keep[-1]]) >= tol:
+            keep.append(k)
+    if len(keep) > 1 and math.dist(pts[keep[-1]], pts[0]) < tol:
+        keep.pop()
+    return pts[keep]
 
 
 def cylinder_monotonicity_probe(problem: Problem, depths):
@@ -652,7 +654,8 @@ def cylinder_monotonicity_probe(problem: Problem, depths):
                     raise ParameterError("depth reaches the equidistant set")
                 hk = min(1.0 / (n * (r_out - eps)), -1.0 / (n * (r_in + eps)))
             else:
-                hk = _level_curve_hk(mesh, amb, float(eps))
+                row["components"] = _level_curve_hk(mesh, amb, float(eps))
+                hk = min(row["components"])
             row["H_K"] = float(hk)
         except ParameterError as exc:
             row["skipped"] = True

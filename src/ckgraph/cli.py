@@ -15,8 +15,9 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (boundary_normal_slope, check_hypotheses,
-                       cylinder_monotonicity_probe, height_barrier,
-                       search_boundary_barrier, search_height_barrier)
+                       cylinder_monotonicity_probe, flow_time_range,
+                       height_barrier, search_boundary_barrier,
+                       search_height_barrier)
 from .errors import DomainError, MeshError, ParameterError, SchemaError
 from .fields import ScalarField
 from .mesh import mesh_to_json
@@ -47,9 +48,8 @@ def _run_checks(loaded: LoadedProblem, report: dict):
     if "hypotheses" in loaded.checks:
         report["hypotheses"] = check_hypotheses(problem).to_json()
     if "max_principle" in loaded.checks:
-        phi_min = float(problem.phi[problem.mesh.boundary_vertices].min())
         report["max_principle"] = max_principle_conditions(
-            problem.ambient, problem.H, (min(phi_min, 0.0) - 1.0, 0.01)).to_json()
+            problem.ambient, problem.H, flow_time_range(problem)).to_json()
     if "monotonicity" in loaded.checks:
         h = problem.mesh.h
         depths = [2 * h, 4 * h, 6 * h]
@@ -119,15 +119,10 @@ def cmd_check(args) -> int:
     return 0 if hyp.passed else 1
 
 
-def _load_solution(loaded: LoadedProblem, csv_path) -> ScalarField:
-    z = ScalarField.from_csv(loaded.problem.mesh, csv_path)
-    return z
-
-
 def cmd_certify(args) -> int:
     try:
         loaded = load_problem(args.problem)
-        z = _load_solution(loaded, args.solution)
+        z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
     except (SchemaError, ParameterError, MeshError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -163,7 +158,7 @@ def cmd_certify(args) -> int:
 def cmd_verify(args) -> int:
     try:
         loaded = load_problem(args.problem)
-        z = _load_solution(loaded, args.solution)
+        z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
     except (SchemaError, ParameterError, MeshError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,7 @@ import numpy as np
 
 from .ambient import AmbientSpace
 from .errors import MeshError
-from .mesh import DomainMesh
+from .mesh import DomainMesh, closed_polyline_geometry
 
 __all__ = [
     "cylinder_kappa",
@@ -47,15 +47,26 @@ def cylinder_mean_curvature(ambient: AmbientSpace, t, u, eta, H_Gamma):
     return (kap + (n - 1) * np.asarray(H_Gamma) / np.asarray(ambient.lam(t))) / n
 
 
-def _loop_neighbors(mesh: DomainMesh, vertex: int):
-    for loop in mesh.boundary_loops:
-        loop = np.asarray(loop)
-        where = np.nonzero(loop == vertex)[0]
-        if len(where):
-            k = int(where[0])
-            n = len(loop)
-            return int(loop[(k - 1) % n]), int(loop[(k + 1) % n])
-    raise MeshError(f"vertex {vertex} is not on a boundary loop")
+def _loop_curvatures(mesh: DomainMesh, ambient: AmbientSpace):
+    """Boundary curvature at every loop vertex, in loop order: the vertices,
+    the values and the confidence flags."""
+    verts = np.concatenate([np.asarray(l) for l in mesh.boundary_loops])
+    preset = mesh.preset or {}
+    kind = preset.get("kind")
+    if kind in ("disk", "cap", "annulus"):
+        if kind == "disk":
+            vals = np.full(len(verts), 1.0 / preset["radius"])
+        elif kind == "cap":
+            vals = np.full(len(verts), 1.0 / math.tan(preset["theta0"]))
+        else:
+            r = np.linalg.norm(mesh.vertices[verts], axis=1)
+            mid = 0.5 * (preset["r_in"] + preset["r_out"])
+            vals = np.where(r > mid, 1.0 / preset["r_out"], -1.0 / preset["r_in"])
+        return verts, vals, np.ones(len(verts), dtype=bool)
+    parts = [closed_polyline_geometry(mesh.vertices[l], ambient)[1:]
+             for l in mesh.boundary_loops]
+    return (verts, np.concatenate([c for c, _ in parts]),
+            np.concatenate([ok for _, ok in parts]))
 
 
 def boundary_mean_curvature(mesh: DomainMesh, ambient: AmbientSpace, vertex: int):
@@ -66,44 +77,17 @@ def boundary_mean_curvature(mesh: DomainMesh, ambient: AmbientSpace, vertex: int
     measured in the leaf metric, with a low-confidence flag on degenerate
     stencils.
     """
-    preset = mesh.preset or {}
-    kind = preset.get("kind")
-    if kind == "disk":
-        return 1.0 / preset["radius"], True
-    if kind == "cap":
-        return 1.0 / math.tan(preset["theta0"]), True
-    if kind == "annulus":
-        r = float(np.linalg.norm(mesh.vertices[vertex]))
-        mid = 0.5 * (preset["r_in"] + preset["r_out"])
-        if r > mid:
-            return 1.0 / preset["r_out"], True
-        return -1.0 / preset["r_in"], True
-    prv, nxt = _loop_neighbors(mesh, vertex)
-    v = mesh.vertices[vertex]
-    S = ambient.base_metric(v)
-    e1 = v - mesh.vertices[prv]
-    e2 = mesh.vertices[nxt] - v
-    l1 = math.sqrt(e1 @ S @ e1)
-    l2 = math.sqrt(e2 @ S @ e2)
-    if l1 == 0 or l2 == 0:
-        return 0.0, False
-    cosb = float(np.clip((e1 @ S @ e2) / (l1 * l2), -1.0, 1.0))
-    beta = math.acos(cosb)
-    # interior on the left: positive chart cross product = convex corner
-    sign = 1.0 if (e1[0] * e2[1] - e1[1] * e2[0]) >= 0 else -1.0
-    value = sign * beta / (0.5 * (l1 + l2))
-    confident = beta < math.pi / 2  # sharp corners are unreliable
-    return value, confident
+    verts, vals, confident = _loop_curvatures(mesh, ambient)
+    where = np.nonzero(verts == vertex)[0]
+    if not len(where):
+        raise MeshError(f"vertex {vertex} is not on a boundary loop")
+    return float(vals[where[0]]), bool(confident[where[0]])
 
 
 def inf_boundary_cylinder_curvature(mesh: DomainMesh, ambient: AmbientSpace, t: float = 0.0):
     """Infimum over boundary vertices of the inward cylinder curvature at the
     given flow time; also returns the infimum of the boundary curvature."""
-    hks, hgs = [], []
-    for v in mesh.boundary_vertices:
-        hg, _ = boundary_mean_curvature(mesh, ambient, int(v))
-        hk = cylinder_mean_curvature(
-            ambient, t, mesh.vertices[v], mesh.boundary_normal[v], hg)
-        hks.append(float(hk))
-        hgs.append(float(hg))
-    return min(hks), min(hgs)
+    verts, hg, _ = _loop_curvatures(mesh, ambient)
+    hk = cylinder_mean_curvature(ambient, t, mesh.vertices[verts],
+                                 mesh.boundary_normal[verts], hg)
+    return float(np.min(hk)), float(np.min(hg))

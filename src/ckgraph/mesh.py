@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,7 +25,8 @@ from .ambient import AmbientSpace
 from .errors import MeshError, ParameterError
 
 __all__ = ["DomainMesh", "disk_mesh", "annulus_mesh", "cap_mesh",
-           "mesh_from_arrays", "mesh_from_json", "mesh_to_json"]
+           "mesh_from_arrays", "mesh_from_json", "mesh_to_json",
+           "closed_polyline_geometry"]
 
 
 @dataclass
@@ -37,7 +39,8 @@ class DomainMesh:
     h: float                      # mesh size (max sigma edge length)
     preset: Optional[dict] = None
     suspect_elements: np.ndarray = None  # (nt,) bool, cut-locus suspects
-    _rings: Optional[list] = field(default=None, repr=False)
+    _edges: Optional[tuple] = field(default=None, repr=False)
+    _rings: dict = field(default_factory=dict, repr=False)
 
     # -- basic derived data -------------------------------------------------
 
@@ -63,41 +66,43 @@ class DomainMesh:
     def interior_vertices(self) -> np.ndarray:
         return np.nonzero(~self.is_boundary)[0]
 
+    def edge_table(self):
+        """Unique edges as sorted vertex pairs ``(ne, 2)``, the edge of each
+        local edge ``(a, b), (b, c), (c, a)`` of every element ``(nt, 3)``,
+        and the number of elements sharing each edge ``(ne,)``."""
+        if self._edges is None:
+            self._edges = _edge_table(self.triangles)
+        return self._edges
+
     def vertex_rings(self, depth: int = 2) -> list:
-        """Vertex neighborhoods (unique indices, excluding the vertex) up to
-        ``depth`` edge hops; used by patch recovery."""
-        if self._rings is None:
-            adj = [set() for _ in range(self.n_vertices)]
-            for a, b, c in self.triangles:
-                adj[a].update((b, c)); adj[b].update((a, c)); adj[c].update((a, b))
-            self._rings = adj
-        if depth == 1:
-            return [sorted(s) for s in self._rings]
-        out = []
-        for v, one in enumerate(self._rings):
-            ring = set(one)
-            for w in one:
-                ring.update(self._rings[w])
-            ring.discard(v)
-            out.append(sorted(ring))
-        return out
+        """Sorted vertex neighborhoods (excluding the vertex) up to ``depth``
+        edge hops; used by patch recovery."""
+        if depth not in self._rings:
+            from scipy.sparse import coo_matrix, identity
+            edges = self.edge_table()[0]
+            nv = self.n_vertices
+            adj = coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(nv, nv))
+            step = (adj + adj.T + identity(nv)).tocsr()   # one hop or stay
+            reach = step
+            for _ in range(depth - 1):
+                reach = reach @ step
+            reach.setdiag(0)
+            reach.eliminate_zeros()
+            reach.sort_indices()
+            self._rings[depth] = np.split(reach.indices, reach.indptr[1:-1])
+        return self._rings[depth]
 
     def boundary_edges(self):
         """(edge endpoints, adjacent element) for every boundary edge."""
-        owner = {}
-        for e, (a, b, c) in enumerate(self.triangles):
-            for i, j in ((a, b), (b, c), (c, a)):
-                owner.setdefault(frozenset((i, j)), []).append(e)
-        edges = []
-        for loop in self.boundary_loops:
-            loop = np.asarray(loop)
-            for k in range(len(loop)):
-                i, j = int(loop[k]), int(loop[(k + 1) % len(loop)])
-                owners = owner.get(frozenset((i, j)))
-                if owners is None or len(owners) != 1:
-                    raise MeshError(f"boundary edge ({i},{j}) not matched to one element")
-                edges.append((i, j, owners[0]))
-        return edges
+        edges, inverse, counts = self.edge_table()
+        i, j, ids = _loop_edges(self)
+        bad = (ids < 0) | (counts[ids] != 1)
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise MeshError(f"boundary edge ({i[k]},{j[k]}) not matched to one element")
+        owner = np.empty(len(edges), dtype=int)
+        owner[inverse.ravel()] = np.repeat(np.arange(self.n_triangles), 3)
+        return list(zip(i.tolist(), j.tolist(), owner[ids].tolist()))
 
 
 # -- validation -------------------------------------------------------------
@@ -112,23 +117,37 @@ def _chart_areas(vertices, triangles):
     return 0.5 * _cross2(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
 
 
+def _edge_table(triangles):
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
+                                       return_counts=True)
+    return edges, inverse.reshape(-1, 3), counts
+
+
+def _loop_edges(mesh: DomainMesh):
+    """Endpoints ``i, j`` of every loop edge (each loop closed) and its index
+    in the edge table, -1 where the pair is no mesh edge."""
+    loops = [np.asarray(l) for l in mesh.boundary_loops]
+    i = np.concatenate(loops)
+    j = np.concatenate([np.roll(l, -1) for l in loops])
+    edges = mesh.edge_table()[0]
+    nv = mesh.n_vertices
+    keys = edges[:, 0] * nv + edges[:, 1]     # ascending: edges are sorted
+    want = np.minimum(i, j) * nv + np.maximum(i, j)
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    return i, j, np.where(keys[pos] == want, pos, -1)
+
+
 def _validate(mesh: DomainMesh):
     areas = _chart_areas(mesh.vertices, mesh.triangles)
     if not np.all(areas > 0):
         raise MeshError("triangles must be positively oriented in the chart")
-    counts = {}
-    for a, b, c in mesh.triangles:
-        for i, j in ((a, b), (b, c), (c, a)):
-            counts[frozenset((i, j))] = counts.get(frozenset((i, j)), 0) + 1
-    if any(c > 2 for c in counts.values()):
+    counts = mesh.edge_table()[2]
+    if np.any(counts > 2):
         raise MeshError("non-conforming mesh: an edge is shared by more than 2 elements")
-    bdry_edges = {k for k, c in counts.items() if c == 1}
-    loop_edges = set()
-    for loop in mesh.boundary_loops:
-        loop = np.asarray(loop)
-        for k in range(len(loop)):
-            loop_edges.add(frozenset((int(loop[k]), int(loop[(k + 1) % len(loop)]))))
-    if bdry_edges != loop_edges:
+    _, _, ids = _loop_edges(mesh)
+    if np.any(ids < 0) or np.any(counts[ids] != 1) \
+            or len(np.unique(ids)) != np.count_nonzero(counts == 1):
         raise MeshError("boundary loops do not cover the one-sided edges exactly")
     d = mesh.dist_to_boundary
     if np.any(d[mesh.boundary_vertices] != 0.0):
@@ -140,15 +159,45 @@ def _validate(mesh: DomainMesh):
 # -- sigma-aware helpers ----------------------------------------------------
 
 
-def _sigma_edge_lengths(mesh_vertices, triangles, ambient: AmbientSpace):
-    p = mesh_vertices[triangles]
-    lens = []
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        e = p[:, b] - p[:, a]
-        mid = 0.5 * (p[:, a] + p[:, b])
-        S = ambient.base_metric(mid)
-        lens.append(np.sqrt(np.einsum("ei,eij,ej->e", e, S, e)))
-    return np.stack(lens, axis=1)  # (nt, 3)
+def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
+    """Edge table and the leaf-metric length of each edge (metric at the
+    edge midpoint)."""
+    table = _edge_table(triangles)
+    i, j = table[0][:, 0], table[0][:, 1]
+    e = vertices[j] - vertices[i]
+    S = ambient.base_metric(0.5 * (vertices[i] + vertices[j]))
+    return table, np.sqrt(np.einsum("ei,eij,ej->e", e, S, e))
+
+
+def closed_polyline_geometry(points, ambient: AmbientSpace):
+    """Leaf-metric geometry of a closed chart polyline, point k joined to
+    k + 1 and the last to the first, at every point.
+
+    Returns the unit normal rotated +90 degrees from the chord of the two
+    neighbours (it points into the region on the left; rows are not finite
+    where the neighbours coincide), the turning-angle curvature
+    ``sign * beta / ((l1 + l2) / 2)`` (positive where the polyline turns
+    left, 0 at a zero-length edge), and a confidence flag (``beta < pi/2``).
+    The metric is taken at the point itself.
+    """
+    p = np.asarray(points, dtype=float)
+    prv, nxt = np.roll(p, 1, axis=0), np.roll(p, -1, axis=0)
+    S = np.asarray(ambient.base_metric(p))
+
+    def form(a, b):
+        return (a[:, None, :] @ S @ b[:, :, None])[:, 0, 0]
+
+    tang = nxt - prv
+    raw = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
+    e1, e2 = p - prv, nxt - p
+    l1, l2 = np.sqrt(form(e1, e1)), np.sqrt(form(e2, e2))
+    ok = (l1 > 0) & (l2 > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normal = raw / np.sqrt(form(raw, raw))[:, None]
+        beta = np.arccos(np.clip(form(e1, e2) / (l1 * l2), -1.0, 1.0))
+        sign = np.where(_cross2(e1, e2) >= 0, 1.0, -1.0)
+        curvature = np.where(ok, sign * beta / (0.5 * (l1 + l2)), 0.0)
+    return normal, curvature, ok & (beta < math.pi / 2)
 
 
 def _hat_gradients(vertices, triangles):
@@ -234,12 +283,15 @@ def _polar_disk(radius: float, h: float):
             np.asarray(ring_idx[-1], dtype=int))
 
 
-def _finalize(vertices, triangles, loops, normals, dist, preset, ambient):
-    lens = _sigma_edge_lengths(vertices, triangles, ambient)
+def _finalize(vertices, triangles, loops, normals, dist, preset, ambient,
+              edges=None):
+    """Assemble and validate a mesh; ``edges`` is ``_sigma_edges`` when the
+    caller already has it."""
+    table, lengths = edges or _sigma_edges(vertices, triangles, ambient)
     mesh = DomainMesh(
         vertices=vertices, triangles=triangles, boundary_loops=loops,
         boundary_normal=normals, dist_to_boundary=dist,
-        h=float(lens.max()), preset=preset,
+        h=float(lengths.max()), preset=preset, _edges=table,
     )
     _validate(mesh)
     _mark_suspects(mesh, ambient)
@@ -312,21 +364,6 @@ def annulus_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> 
 # -- generic meshes ---------------------------------------------------------
 
 
-def _dijkstra_distance(vertices, triangles, sources, ambient):
-    """Multi-source shortest edge-path distance in the sigma metric."""
-    from scipy.sparse import csgraph, csr_matrix
-    # unique edges: a sparse matrix would sum the two copies of interior edges
-    edges = np.unique(np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                              axis=1), axis=0)
-    i, j = edges[:, 0], edges[:, 1]
-    e = vertices[j] - vertices[i]
-    S = ambient.base_metric(0.5 * (vertices[i] + vertices[j]))
-    length = np.sqrt(np.einsum("ei,eij,ej->e", e, S, e))
-    nv = len(vertices)
-    graph = csr_matrix((length, (i, j)), shape=(nv, nv))
-    return csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
-
-
 def _eikonal_sweep(vertices, triangles, dist, ambient, sweeps=2):
     """Gauss-Seidel refinement of the Dijkstra field by local triangle
     updates (straight-segment travel in the centroid metric)."""
@@ -369,6 +406,51 @@ def _loop_orientation_area(vertices, loop):
     return 0.5 * np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))
 
 
+def _index_array(obj, what: str, n_vertices: int) -> np.ndarray:
+    try:
+        a = np.asarray(obj)
+    except ValueError:
+        raise MeshError(f"{what}: rows of different lengths") from None
+    if a.size and a.dtype.kind not in "iu":
+        raise MeshError(f"{what}: vertex indices must be integers")
+    a = a.astype(int)
+    bad = (a < 0) | (a >= n_vertices)
+    if np.any(bad):
+        raise MeshError(f"{what}: vertex index {a[bad][0]} out of range "
+                        f"(the mesh has {n_vertices} vertices)")
+    return a
+
+
+def _checked_arrays(vertices, triangles, boundary_loops):
+    """Vertices as finite ``(nv, 2)`` floats, triangles as ``(nt, 3)`` and
+    loops as lists of at least three vertex indices in range; MeshError
+    otherwise."""
+    try:
+        vertices = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError):
+        raise MeshError("vertices must be rows of two numbers") from None
+    if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.all(np.isfinite(vertices)):
+        raise MeshError("vertices must be rows of two finite numbers")
+    nv = len(vertices)
+    triangles = _index_array(triangles, "triangles", nv)
+    if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
+        raise MeshError("triangles must be rows of three vertex indices")
+    unused = np.bincount(triangles.ravel(), minlength=nv) == 0
+    if np.any(unused):
+        raise MeshError(f"vertex {int(np.argmax(unused))} is in no triangle")
+    if isinstance(boundary_loops, np.ndarray):
+        boundary_loops = list(boundary_loops)
+    if not isinstance(boundary_loops, (list, tuple)) or len(boundary_loops) == 0:
+        raise MeshError("mesh needs at least one boundary loop")
+    loops = []
+    for k, loop in enumerate(boundary_loops):
+        loop = _index_array(loop, f"boundary loop {k}", nv)
+        if loop.ndim != 1 or len(loop) < 3:
+            raise MeshError(f"boundary loop {k} must list at least 3 vertex indices")
+        loops.append(loop)
+    return vertices, triangles, loops
+
+
 def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
                      preset: Optional[dict] = None) -> DomainMesh:
     """Build a mesh from raw arrays, computing normals and boundary distance.
@@ -376,39 +458,32 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
     Outer loops are re-ordered counterclockwise and inner loops clockwise so
     the interior is on the left everywhere.
     """
-    vertices = np.asarray(vertices, dtype=float)
-    triangles = np.asarray(triangles, dtype=int)
-    if len(boundary_loops) == 0:
-        raise MeshError("mesh needs at least one boundary loop")
-    loops = []
-    areas = [_loop_orientation_area(vertices, l) for l in boundary_loops]
+    vertices, triangles, loops = _checked_arrays(vertices, triangles, boundary_loops)
+    areas = [_loop_orientation_area(vertices, l) for l in loops]
     outer = int(np.argmax(np.abs(areas)))
-    for k, loop in enumerate(boundary_loops):
-        loop = np.asarray(loop, dtype=int)
-        want_ccw = (k == outer)
-        if (areas[k] > 0) != want_ccw:
-            loop = loop[::-1].copy()
-        loops.append(loop)
+    for k, loop in enumerate(loops):
+        if (areas[k] > 0) != (k == outer):
+            loops[k] = loop[::-1].copy()
 
     normals = np.zeros_like(vertices)
     for loop in loops:
-        n = len(loop)
-        for k in range(n):
-            v = loop[k]
-            prv, nxt = loop[(k - 1) % n], loop[(k + 1) % n]
-            tang = vertices[nxt] - vertices[prv]
-            raw = np.array([-tang[1], tang[0]])  # +90deg: inward, interior on left
-            S = ambient.base_metric(vertices[v])
-            nrm = math.sqrt(raw @ S @ raw)
-            if nrm == 0:
-                raise MeshError(f"degenerate boundary tangent at vertex {v}")
-            normals[v] = raw / nrm
+        nrm = closed_polyline_geometry(vertices[loop], ambient)[0]
+        bad = ~np.all(np.isfinite(nrm), axis=1)
+        if np.any(bad):
+            raise MeshError(f"degenerate boundary tangent at vertex {loop[np.argmax(bad)]}")
+        normals[loop] = nrm
 
+    # multi-source shortest edge paths in the leaf metric, then refined
+    from scipy.sparse import csgraph, csr_matrix
+    edges = _sigma_edges(vertices, triangles, ambient)
+    (pairs, _, _), lengths = edges
+    nv = len(vertices)
     sources = np.unique(np.concatenate(loops))
-    dist = _dijkstra_distance(vertices, triangles, sources, ambient)
+    graph = csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(nv, nv))
+    dist = csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
     dist = _eikonal_sweep(vertices, triangles, dist, ambient)
     dist[sources] = 0.0
-    return _finalize(vertices, triangles, loops, normals, dist, preset, ambient)
+    return _finalize(vertices, triangles, loops, normals, dist, preset, ambient, edges)
 
 
 # -- JSON exchange ----------------------------------------------------------
@@ -424,7 +499,23 @@ def mesh_to_json(mesh: DomainMesh) -> dict:
 
 
 def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
-    if isinstance(doc, str):
-        with open(doc, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    return mesh_from_arrays(doc["vertices"], doc["triangles"], doc["boundary"], ambient)
+    """Mesh from an exchange document or from the path of a JSON file
+    holding one; a malformed one raises MeshError naming the file."""
+    where = "mesh document"
+    if isinstance(doc, (str, os.PathLike)):
+        where = str(doc)
+        try:
+            with open(doc, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise MeshError(f"cannot read {where}: {exc}") from exc
+    try:
+        if not isinstance(doc, dict):
+            raise MeshError("not a JSON object")
+        for key in ("vertices", "triangles", "boundary"):
+            if key not in doc:
+                raise MeshError(f"missing key {key!r}")
+        return mesh_from_arrays(doc["vertices"], doc["triangles"], doc["boundary"],
+                                ambient)
+    except MeshError as exc:
+        raise MeshError(f"{where}: {exc}") from exc

@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .ambient import AmbientSpace
+from .ambient import AmbientSpace, central_gradient, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients
@@ -34,7 +34,7 @@ from .mesh import DomainMesh, _hat_gradients
 __all__ = [
     "Problem", "SparseSystem", "GraphEvaluation",
     "residual_Q", "residual_Qtau", "jacobian_Qtau",
-    "strong_form_values", "graph_normal", "tangent_frame",
+    "strong_form_values", "strong_form_Q", "graph_normal", "tangent_frame",
     "ambient_frame_inner", "induced_metric",
     "second_fundamental_form", "mean_curvature_of_graph",
     "max_principle_conditions", "MaxPrincipleReport",
@@ -52,6 +52,7 @@ class Problem:
     H: ScalarField
     phi: np.ndarray          # (nv,) array; meaningful on boundary vertices
     _assembly: Optional["_Assembly"] = field(default=None, repr=False)
+    _distance: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.H.mesh is not self.mesh:
@@ -77,6 +78,14 @@ class Problem:
         if self._assembly is None:
             self._assembly = _Assembly(self)
         return self._assembly
+
+    def distance_recovery(self):
+        """Recovered gradient, covariant Hessian and confidence of the
+        boundary distance field (see ``recover_gradient_hessian``)."""
+        if self._distance is None:
+            self._distance = recover_gradient_hessian(
+                self.mesh, self.ambient, self.mesh.dist_to_boundary)
+        return self._distance
 
 
 @dataclass
@@ -190,7 +199,7 @@ class _Assembly:
         if not jacobian:
             return val
 
-        rhot_m = np.asarray(amb.lam_tt(zmid)) / lam_m - rho_m**2
+        rhot_m = rho_t(amb, zmid)
         local = -self.w_c[:, None, None] * (
             self.K1 / U_c[:, None, None]
             - np.einsum("ea,eb->eab", Pc, Pc) / (U_c**3)[:, None, None]
@@ -290,14 +299,8 @@ def christoffel_symbols(ambient: AmbientSpace, pts, step=1e-5):
     """Christoffel symbols of the leaf metric by central differences,
     shape (..., k, i, j) for Gamma^k_ij."""
     pts = np.asarray(pts, dtype=float)
-    S = np.asarray(ambient.base_metric(pts))
-    Sinv = np.linalg.inv(S)
-    dS = np.empty(pts.shape[:-1] + (2, 2, 2))  # dS[..., l, i, j] = d_l S_ij
-    for l in range(2):
-        ee = np.zeros(2)
-        ee[l] = step
-        dS[..., l, :, :] = (np.asarray(ambient.base_metric(pts + ee))
-                            - np.asarray(ambient.base_metric(pts - ee))) / (2 * step)
+    Sinv = np.linalg.inv(np.asarray(ambient.base_metric(pts)))
+    dS = central_gradient(ambient.base_metric, pts, step)  # dS[..., l, i, j] = d_l S_ij
     # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
     term = (np.einsum("...ilj->...lij", dS)
             + np.einsum("...jli->...lij", dS)
@@ -486,32 +489,43 @@ def second_fundamental_form(problem: Problem, z: ScalarField, vertex: int,
     return a, shape, bool(conf[vertex])
 
 
+def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
+    """Strong-form operator value from pointwise derivatives, vectorized.
+
+    ``hess`` must be the covariant Hessian in the leaf metric.
+    """
+    pts = np.asarray(pts, dtype=float)
+    vals = np.asarray(vals, dtype=float)
+    grads = np.asarray(grads, dtype=float)
+    hess = np.asarray(hess, dtype=float)
+    H = np.asarray(H, dtype=float)
+    g = np.asarray(ambient.gamma(pts))
+    dg = np.asarray(ambient.grad_gamma(pts))
+    Sinv = np.linalg.inv(np.asarray(ambient.base_metric(pts)))
+    pup = np.einsum("...ij,...j->...i", Sinv, grads)
+    v2 = np.einsum("...i,...i->...", grads, pup)
+    U = np.sqrt(g + v2)                   # U = lambda W
+    # (sigma^{ij} - z^i z^j / U^2) z_{j;i} / U - gamma_i z^i / (2 U^3)
+    #   - (gamma_i z^i / (2 gamma) + n gamma rho) / U - n lambda H
+    tr1 = np.einsum("...ij,...ij->...", Sinv, hess) \
+        - np.einsum("...i,...j,...ij->...", pup, pup, hess) / U**2
+    gz = np.einsum("...i,...i->...", dg, pup)
+    lam = np.asarray(ambient.lam(vals))
+    rr = np.asarray(ambient.lam_t(vals)) / lam
+    n = ambient.base_dim
+    return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
+        - n * lam * H
+
+
 def mean_curvature_of_graph(problem: Problem, z: ScalarField):
-    """Mean curvature recovered from the trace formula; for verification.
+    """Mean curvature recovered from the trace formula, ``strong_form_Q`` at
+    ``H = 0`` divided by ``n lambda``; for verification.
 
     Returns (ScalarField, confidence flags)."""
     amb, mesh = problem.ambient, problem.mesh
     grad, hess, conf = recover_gradient_hessian(mesh, amb, z.values)
-    pts = mesh.vertices
-    g = np.asarray(amb.gamma(pts))
-    dg = np.asarray(amb.grad_gamma(pts))
-    S = np.asarray(amb.base_metric(pts))
-    Sinv = np.linalg.inv(S)
-    lam = np.asarray(amb.lam(z.values))
-    rr = np.asarray(amb.lam_t(z.values)) / lam
-    zup = np.einsum("vij,vj->vi", Sinv, grad)
-    v2 = np.einsum("vi,vi->v", grad, zup)
-    U = np.sqrt(g + v2)                   # U = lambda W
-    W = U / lam
-    # n lambda H = (1/(lam W)) (sigma^{ij} - z^i z^j/(lam W)^2) z_{j;i}
-    #              - gamma_i z^i / (2 (lam W)^3)
-    #              - (1/(lam W)) (gamma_i z^i/(2 gamma) + n gamma rho)
-    tr1 = np.einsum("vij,vij->v", Sinv, hess) \
-        - np.einsum("vi,vj,vij->v", zup, zup, hess) / U**2
-    gz = np.einsum("vi,vi->v", dg, zup)
-    n = amb.base_dim
-    nlamH = tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U
-    H = nlamH / (n * lam)
+    nlamH = strong_form_Q(amb, mesh.vertices, z.values, grad, hess, 0.0)
+    H = nlamH / (amb.base_dim * np.asarray(amb.lam(z.values)))
     return ScalarField(mesh, H), conf
 
 
@@ -562,10 +576,8 @@ def max_principle_conditions(ambient: AmbientSpace, H: ScalarField,
     hi = min(hi, ambient.interval_end - 1e-9 * max(1.0, abs(ambient.interval_end))
              if math.isfinite(ambient.interval_end) else hi)
     ts = np.linspace(lo, hi, samples)
-    lam = np.asarray(ambient.lam(ts))
     lam_t = np.asarray(ambient.lam_t(ts))
-    lam_tt = np.asarray(ambient.lam_tt(ts))
-    rt = lam_tt / lam - (lam_t / lam) ** 2
+    rt = rho_t(ambient, ts)
     hmin, hmax = float(H.values.min()), float(H.values.max())
     prod = np.minimum(lam_t * hmin, lam_t * hmax)
     return MaxPrincipleReport(float(rt.min()), float(prod.min()),

@@ -5,15 +5,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
 import jsonschema
-import numpy as np
 
 from . import ambient as ambient_mod
 from .ambient import AmbientSpace, CurvatureModel, preset_ambient, PRESET_NAMES
-from .errors import ParameterError, SchemaError
+from .errors import SchemaError
 from .expressions import compile_expression, compile_univariate
 from .fields import ScalarField
 from .mesh import annulus_mesh, cap_mesh, disk_mesh, mesh_from_json
@@ -107,8 +107,7 @@ PROBLEM_SCHEMA = {
         },
         "checks": {
             "type": "array",
-            "items": {"enum": ["hypotheses", "barriers", "monotonicity",
-                               "max_principle"]},
+            "items": {"enum": ["hypotheses", "monotonicity", "max_principle"]},
         },
         "verify_tolerance": {"type": "number", "exclusiveMinimum": 0},
     },
@@ -158,15 +157,7 @@ def _build_ambient(doc) -> AmbientSpace:
     end = math.inf if end == "inf" else float(end)
     if "gamma" in cu:
         gfun = compile_expression(cu["gamma"])
-
-        def grad_gamma(pts, _g=gfun, _s=1e-6):
-            pts = np.asarray(pts, dtype=float)
-            out = np.empty(pts.shape)
-            for i in range(2):
-                e = np.zeros(2)
-                e[i] = _s
-                out[..., i] = (_g(pts + e) - _g(pts - e)) / (2 * _s)
-            return out
+        grad_gamma = partial(ambient_mod.central_gradient, gfun, step=1e-6)
     else:
         gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
     metric = ambient_mod.round_sphere_metric \
@@ -182,9 +173,7 @@ def _build_ambient(doc) -> AmbientSpace:
 def _build_mesh(doc, ambient, base_dir: Path):
     dom = doc["domain"]
     if "mesh" in dom:
-        path = base_dir / dom["mesh"]
-        with open(path, "r", encoding="utf-8") as fh:
-            return mesh_from_json(json.load(fh), ambient)
+        return mesh_from_json(base_dir / dom["mesh"], ambient)
     h = float(doc["resolution"])
     params = dom.get("params", {})
     kind = dom["preset"]

@@ -255,6 +255,64 @@ def test_probe_skips_excessive_depth(cmc_problem):
     assert out["rows"][1]["skipped"]
 
 
+# -- generic meshes -----------------------------------------------------------
+
+
+def _generic(mesh, amb):
+    return ck.mesh_from_arrays(mesh.vertices, mesh.triangles,
+                               mesh.boundary_loops, amb)
+
+
+@pytest.fixture(scope="module")
+def generic_disk():
+    """The cap problem on a generic copy of disk_mesh(0.4, 0.04), solved."""
+    amb = ck.preset_ambient("killing_flat")
+    mesh = _generic(ck.disk_mesh(0.4, 0.04, amb), amb)
+    prob = ck.Problem.create(amb, mesh, 1.0, -math.sqrt(0.84))
+    report = ck.continuation_solve(prob)
+    assert report.status == "converged"
+    return prob, report.solution
+
+
+def test_probe_generic_disk(generic_disk):
+    prob, _ = generic_disk
+    depths = [0.08, 0.16]                         # 2h and 4h at h = 0.04
+    out = cylinder_monotonicity_probe(prob, depths)
+    assert out["monotone"]
+    for row, eps in zip(out["rows"], depths):
+        assert not row["skipped"]
+        assert len(row["components"]) == 1
+        assert row["H_K"] == pytest.approx(1.0 / (2.0 * (0.4 - eps)), rel=0.1)
+
+
+def test_probe_generic_annulus():
+    amb = ck.preset_ambient("killing_flat")
+    mesh = _generic(ck.annulus_mesh(0.3, 0.7, 0.05, amb), amb)
+    prob = ck.Problem.create(amb, mesh, 0.0, -0.1)
+    row = cylinder_monotonicity_probe(prob, [0.1])["rows"][0]
+    inner, outer = sorted(row["components"])
+    assert inner < 0
+    assert outer == pytest.approx(1.0 / (2.0 * (0.7 - 0.1)), rel=0.1)
+    assert row["H_K"] == inner
+
+
+def test_height_barrier_search_generic(generic_disk):
+    prob, z = generic_disk
+    barrier, cert = search_height_barrier(prob, z)
+    assert cert.valid and cert.ordering_ok
+    assert cert.min_margin > 0
+    # the recovered distance derivatives are computed once per problem
+    assert prob.distance_recovery() is prob.distance_recovery()
+
+
+def test_search_error_names_each_reason_once(cmc_problem):
+    with pytest.raises(ParameterError) as info:
+        search_boundary_barrier(cmc_problem, eps=1e-6)
+    msg = str(info.value)
+    assert msg.count("tubular strip is empty") == 1
+    assert "35 candidates" in msg
+
+
 # -- helpers ----------------------------------------------------------------
 
 

@@ -232,6 +232,65 @@ def test_unreadable_solution_exit_1(solved_run, tmp_path, capsys, command):
                          f"cannot read {binary}")
 
 
+def _mesh_file_doc():
+    return {"ambient": {"preset": "killing_flat"},
+            "domain": {"mesh": "mesh.json"},
+            "H": {"constant": 1.0}, "phi": {"constant": -math.sqrt(0.84)}}
+
+
+def _set(keys, value):
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+# name -> (edit of the mesh document, or the raw file text; expected message)
+_MESH_CORRUPTIONS = {
+    "missing_file": (None, "cannot read"),
+    "not_json": ("{not json", "cannot read"),
+    "not_an_object": ("[1, 2]", "not a JSON object"),
+    "no_vertices": (lambda d: d.pop("vertices"), "missing key 'vertices'"),
+    "no_triangles": (lambda d: d.pop("triangles"), "missing key 'triangles'"),
+    "no_boundary": (lambda d: d.pop("boundary"), "missing key 'boundary'"),
+    "ragged_rows": (_set(["triangles", 3], [0, 1]), "rows of different lengths"),
+    "non_numeric_row": (_set(["vertices", 2], ["a", "b"]), "vertices must be rows"),
+    "non_integer_index": (_set(["triangles", 0, 1], 1.5), "must be integers"),
+    "index_out_of_range": (_set(["boundary", 0, 2], 999), "out of range"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_MESH_CORRUPTIONS))
+def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
+    edit, fragment = _MESH_CORRUPTIONS[corruption]
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    mesh_path = tmp_path / "mesh.json"
+    if isinstance(edit, str):
+        mesh_path.write_text(edit, encoding="utf-8")
+    elif edit is not None:
+        amb = ck.preset_ambient("killing_flat")
+        doc = ck.mesh_to_json(ck.disk_mesh(0.4, 0.2, amb))
+        edit(doc)
+        _write(tmp_path, "mesh.json", doc)
+    _assert_clean_exit_1(["check", prob], capsys, str(mesh_path))
+    _assert_clean_exit_1(["check", prob], capsys, fragment)
+
+
+def test_certify_generic_disk(tmp_path, capsys):
+    amb = ck.preset_ambient("killing_flat")
+    _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.06, amb)))
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    out = tmp_path / "run"
+    assert main(["solve", prob, "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["certify", prob, str(out / "solution.csv"), "--eps", "0.12"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for kind in ("height", "boundary_lower", "boundary_upper"):
+        assert doc["certificates"][kind]["valid"]
+
+
 def _ckgraph_installed():
     try:
         metadata.distribution("ckgraph")

@@ -7,7 +7,7 @@ import ckgraph as ck
 from ckgraph.cylinder import (boundary_mean_curvature, cylinder_kappa,
                               cylinder_mean_curvature,
                               inf_boundary_cylinder_curvature)
-from ckgraph.mesh import mesh_from_arrays
+from ckgraph.mesh import closed_polyline_geometry, mesh_from_arrays
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
@@ -74,3 +74,30 @@ def test_generic_polyline_estimate():
         assert confident
         vals.append(val)
     assert np.abs(np.asarray(vals) - 1.0 / 0.3).max() < 0.2
+
+
+def _turning_angle_reference(points, ambient, k):
+    """Scalar turning-angle curvature and inward normal at point k."""
+    p0, p1, p2 = points[k - 1], points[k], points[(k + 1) % len(points)]
+    S = np.asarray(ambient.base_metric(p1))
+    e1, e2 = p1 - p0, p2 - p1
+    l1, l2 = math.sqrt(e1 @ S @ e1), math.sqrt(e2 @ S @ e2)
+    beta = math.acos(float(np.clip((e1 @ S @ e2) / (l1 * l2), -1.0, 1.0)))
+    sign = 1.0 if (e1[0] * e2[1] - e1[1] * e2[0]) >= 0 else -1.0
+    tang = p2 - p0
+    raw = np.array([-tang[1], tang[0]])
+    return sign * beta / (0.5 * (l1 + l2)), raw / math.sqrt(raw @ S @ raw)
+
+
+@pytest.mark.parametrize("amb", [FLAT, ROUND], ids=["flat", "round"])
+def test_closed_polyline_matches_scalar_reference(amb):
+    rng = np.random.default_rng(1)
+    ang = np.sort(rng.uniform(0, 2 * math.pi, 40))
+    rad = 0.6 + 0.1 * rng.standard_normal(40)
+    pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
+    normal, curvature, confident = closed_polyline_geometry(pts, amb)
+    for k in range(len(pts)):
+        ref, ref_normal = _turning_angle_reference(pts, amb, k)
+        assert curvature[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert np.allclose(normal[k], ref_normal, rtol=0, atol=1e-14)
+    assert confident.dtype == bool

@@ -1,5 +1,9 @@
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.errors import MeshError
@@ -121,3 +125,100 @@ def test_vertex_rings():
         assert v not in one[v] and v not in two[v]
         assert set(one[v]) <= set(two[v])
         assert len(two[v]) >= 5 or v in mesh.boundary_vertices
+
+
+# -- edge table (property tests against a brute-force reference) -----------
+
+
+def _preset(kind, size, h):
+    if kind == "disk":
+        return disk_mesh(size, h, FLAT), FLAT
+    if kind == "annulus":
+        return annulus_mesh(size, size + 0.3, h, FLAT), FLAT
+    return cap_mesh(size, h, ROUND), ROUND
+
+
+_PRESETS = st.tuples(st.sampled_from(["disk", "annulus", "cap"]),
+                     st.floats(0.2, 0.8), st.floats(0.08, 0.2))
+
+
+def _brute_force(mesh):
+    counts = Counter()
+    for t in mesh.triangles.tolist():
+        for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            counts[(min(a, b), max(a, b))] += 1
+    adj = [set() for _ in range(mesh.n_vertices)]
+    for a, b in counts:
+        adj[a].add(b)
+        adj[b].add(a)
+    two = [sorted(adj[v].union(*(adj[w] for w in adj[v])) - {v})
+           for v in range(mesh.n_vertices)]
+    bedges = []
+    for loop in mesh.boundary_loops:
+        loop = [int(v) for v in loop]
+        for i, j in zip(loop, loop[1:] + loop[:1]):
+            owners = [e for e, t in enumerate(mesh.triangles.tolist())
+                      if i in t and j in t]
+            bedges.append((i, j, owners))
+    return counts, [sorted(s) for s in adj], two, bedges
+
+
+@settings(max_examples=25, deadline=None)
+@given(_PRESETS)
+def test_edge_table_matches_brute_force(spec):
+    mesh, _ = _preset(*spec)
+    counts, one, two, bedges = _brute_force(mesh)
+    edges, inverse, ecounts = mesh.edge_table()
+    assert dict(zip(map(tuple, edges.tolist()), ecounts.tolist())) == counts
+    for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
+        local = np.sort(mesh.triangles[:, [a, b]], axis=1)
+        assert np.array_equal(edges[inverse[:, k]], local)
+    assert [list(map(int, r)) for r in mesh.vertex_rings(1)] == one
+    assert [list(map(int, r)) for r in mesh.vertex_rings(2)] == two
+    assert mesh.boundary_edges() == [(i, j, o[0]) for i, j, o in bedges]
+    assert all(len(o) == 1 for _, _, o in bedges)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.tuples(st.sampled_from(["disk", "annulus", "cap"]),
+                 st.floats(0.2, 0.4), st.floats(0.1, 0.2)))
+def test_json_roundtrip_exact(spec):
+    mesh, amb = _preset(*spec)
+    back = mesh_from_json(json.loads(json.dumps(mesh_to_json(mesh))), amb)
+    assert np.array_equal(back.vertices, mesh.vertices)
+    assert np.array_equal(back.triangles, mesh.triangles)
+    assert len(back.boundary_loops) == len(mesh.boundary_loops)
+    for a, b in zip(back.boundary_loops, mesh.boundary_loops):
+        assert np.array_equal(a, b)
+
+
+# -- malformed arrays ---------------------------------------------------------
+
+def _small_doc():
+    return mesh_to_json(disk_mesh(0.3, 0.15, FLAT))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["vertices"].__setitem__(2, ["a", 0.1]), "vertices must be rows"),
+    (lambda d: d["vertices"].__setitem__(2, [0.1]), "vertices must be rows"),
+    (lambda d: d["triangles"].__setitem__(3, [0, 1]), "rows of different lengths"),
+    (lambda d: d["triangles"][0].__setitem__(1, 1.5), "must be integers"),
+    (lambda d: d["triangles"][0].__setitem__(1, 10**6), "out of range"),
+    (lambda d: d["boundary"][0].__setitem__(2, -1), "out of range"),
+    (lambda d: d.__setitem__("boundary", []), "at least one boundary loop"),
+    (lambda d: d.__setitem__("boundary", [[0, 1]]), "at least 3 vertex indices"),
+    (lambda d: d.__setitem__("boundary", 5), "at least one boundary loop"),
+    (lambda d: d.pop("triangles"), "missing key 'triangles'"),
+])
+def test_malformed_arrays_rejected(edit, message):
+    doc = _small_doc()
+    edit(doc)
+    with pytest.raises(MeshError, match=message):
+        mesh_from_json(doc, FLAT)
+
+
+def test_unused_vertex_rejected():
+    doc = _small_doc()
+    doc["vertices"].append([5.0, 5.0])
+    with pytest.raises(MeshError, match="in no triangle"):
+        mesh_from_json(doc, FLAT)

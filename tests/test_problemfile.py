@@ -146,3 +146,10 @@ def test_solver_overrides():
     assert loaded.options.initial_tau_step == 0.5
     assert loaded.options.max_newton_iters == 30
     assert loaded.options.newton_tol == 1e-10     # untouched default
+
+
+def test_barriers_check_is_a_schema_error():
+    doc = _base_doc()
+    doc["checks"] = ["hypotheses", "barriers"]
+    with pytest.raises(SchemaError, match=r"\$\.checks"):
+        validate_document(doc)
