@@ -68,6 +68,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     problem = loaded.problem
+    report["fd_derivatives"] = problem.ambient.fd_derivatives
     hyp = check_hypotheses(problem)
     report["hypotheses"] = hyp.to_json()
     if not hyp.passed:

@@ -95,6 +95,9 @@ class SparseSystem:
     residual: np.ndarray       # (ni,)
     jacobian: sp.csr_matrix    # (ni, ni)
     interior: np.ndarray       # interior vertex indices
+    # (ni,) tau-derivative of the residual along the continuation path
+    # (interior held, boundary at tau * phi); only from system(tangent=True)
+    path_rate: Optional[np.ndarray] = None
 
 
 # -- assembly ---------------------------------------------------------------
@@ -140,6 +143,10 @@ class _Assembly:
         cols = np.tile(pos[self.tri], (1, 3)).ravel()       # b index
         self._keep = (rows >= 0) & (cols >= 0)
         self._rows, self._cols = rows[self._keep], cols[self._keep]
+        # boundary data per element, zero at interior vertices
+        phi_b = np.zeros(mesh.n_vertices)
+        phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
+        self._phi_b = phi_b[self.tri]
 
     # -- pointwise data -----------------------------------------------------
 
@@ -180,7 +187,8 @@ class _Assembly:
 
     def _local(self, z, tau: float, jacobian=False):
         """Per-element weak residual (nt, 3) and, with ``jacobian``, its
-        exact derivative (nt, 3, 3) with respect to the element values."""
+        exact derivatives with respect to the element values (nt, 3, 3) and
+        to ``tau`` (nt, 3)."""
         self._check_interval(z)
         amb = self.problem.ambient
         n = self.n
@@ -210,7 +218,9 @@ class _Assembly:
         dL = dP / U_q[..., None] - P_q[..., None] * zdb / (U_q**3)[..., None] \
             + (tau * n / 3.0) * (lamt_m[:, None] * self.H_q)[..., None]
         local -= _HATS @ (self.w_q[..., None] * dL)   # _HATS is symmetric
-        return val, local
+        # L_q is affine in tau, so this rate is exact
+        L_tau = n * (self.gam_q * rho_m[:, None] / U_q + lam_m[:, None] * self.H_q)
+        return val, local, -(self.w_q * L_tau) @ _HATS
 
     # -- residual and Jacobian ---------------------------------------------
 
@@ -228,13 +238,20 @@ class _Assembly:
     def residual(self, z, tau: float):
         return self.residual_full(z, tau)[self.interior]
 
-    def system(self, z, tau: float) -> SparseSystem:
-        val, local = self._local(z, tau, jacobian=True)
+    def system(self, z, tau: float, tangent=False) -> SparseSystem:
+        """Interior residual and Jacobian; with ``tangent`` also the path
+        rate ``dR_i/dtau + J_ib phi_b`` from the same element pass."""
+        val, local, rate = self._local(z, tau, jacobian=True)
         ni = len(self.interior)
         # local[e, a, b] flattens with a (the row) varying slowest
         J = sp.coo_matrix((local.ravel()[self._keep], (self._rows, self._cols)),
                           shape=(ni, ni)).tocsr()
-        return SparseSystem(self._scatter(val)[self.interior], J, self.interior)
+        path_rate = None
+        if tangent:
+            rate = rate + np.einsum("eab,eb->ea", local, self._phi_b)
+            path_rate = self._scatter(rate)[self.interior]
+        return SparseSystem(self._scatter(val)[self.interior], J, self.interior,
+                            path_rate)
 
 
 # -- public operator API ----------------------------------------------------

@@ -158,30 +158,54 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         residual_norm=best[0])
 
 
+def _path_tangent(problem: Problem, z: np.ndarray, tau: float):
+    """Interior tangent ``dz/dtau`` of the solution path at a converged
+    ``(z, tau)``: ``J_ii dz = -(dR_i/dtau + J_ib phi_b)``.  None when the
+    tangent system cannot be assembled or solved."""
+    try:
+        system = problem.assembly().system(z, tau, tangent=True)
+        return linear_solve(system.jacobian, -system.path_rate)
+    except (SingularSystemError, DomainError):
+        return None
+
+
 def continuation_solve(problem: Problem,
                        options: Optional[SolverOptions] = None,
                        on_iteration: Optional[Callable] = None) -> SolveReport:
     """March ``tau`` from 0 to 1 with step halving on Newton failure.
 
     ``z = 0`` solves the ``tau = 0`` problem exactly, so the march starts
-    there and warm-starts each stage from the previous solution.  The step
-    never grows back; statuses are ``converged``, ``stalled`` (step underflow)
-    and ``left_interval`` (iterates pushed to the interval end).
+    there.  Each stage starts Newton from the Euler predictor
+    ``z + dtau * dz/dtau``, with the tangent computed once at the last
+    accepted solution; it starts from that solution itself when the tangent
+    is unavailable or the guess would reach the clamp level, so a guess
+    never clamps.  The step never grows back; statuses are ``converged``,
+    ``stalled`` (step underflow) and ``left_interval`` (iterates pushed to
+    the interval end).
     """
     options = options or SolverOptions()
     asm = problem.assembly()
     mesh = problem.mesh
+    ii = asm.interior
+    clamp_level = problem.ambient.interval_end - options.clamp_margin
     z = np.zeros(mesh.n_vertices)
     report = SolveReport(status="converged", solution=None, tau_reached=0.0)
     report.tau_path.append(0.0)
     report.grad_sup_history.append(asm.grad_sup(z))
 
     tau, step = 0.0, options.initial_tau_step
+    tangent = _path_tangent(problem, z, tau)
     while tau < 1.0:
         target = min(1.0, tau + step)
+        start = z
+        if tangent is not None:
+            guess = z.copy()
+            guess[ii] += (target - tau) * tangent
+            if not np.any(guess[ii] >= clamp_level):
+                start = guess
         try:
             z_new, records, clamped = newton_solve(
-                problem, target, z, options, on_iteration)
+                problem, target, start, options, on_iteration)
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             step *= 0.5
             if step < options.min_tau_step:
@@ -203,6 +227,8 @@ def continuation_solve(problem: Problem,
         tau, z = target, z_new
         report.tau_path.append(tau)
         report.grad_sup_history.append(asm.grad_sup(z))
+        if tau < 1.0:
+            tangent = _path_tangent(problem, z, tau)
     report.tau_reached = 1.0
     report.solution = ScalarField(mesh, z)
     if report.clamped:

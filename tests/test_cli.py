@@ -61,7 +61,16 @@ def test_report_content(solved_run):
     assert rep["tau_reached"] == 1.0
     assert rep["hypotheses"]["passed"]
     assert rep["monotonicity"]["monotone"]
+    assert rep["fd_derivatives"] is False
     assert "timestamp" in rep
+
+
+def test_report_flags_fd_derivatives(tmp_path):
+    doc = _cap_doc(h=0.1, H=0.5, phi=-0.3)
+    doc["ambient"] = {"custom": {"lam": "exp(t)"}}
+    out = tmp_path / "run"
+    assert main(["solve", _write(tmp_path, "fd.json", doc), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["fd_derivatives"] is True
 
 
 def test_log_jsonl_fields(solved_run):

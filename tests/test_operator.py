@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.errors import DomainError
@@ -13,6 +14,7 @@ from ckgraph.operator import (boundary_flux, evaluate_graph,
                               residual_Qtau, second_fundamental_form,
                               strong_form_values, tangent_frame,
                               ambient_frame_inner)
+from ckgraph.problemfile import load_problem_document
 
 
 def _random_state(problem, rng, scale=0.3):
@@ -43,6 +45,59 @@ def test_tau_affinity(problems):
         for tau in (0.25, 0.6, 0.9):
             rt = residual_Qtau(prob, z, tau)
             assert np.abs(rt - ((1 - tau) * r0 + tau * r1)).max() < 1e-13
+
+
+@pytest.fixture(scope="module")
+def affine_problems(cmc_problem, radial_problem):
+    doc = {
+        "ambient": {"custom": {"lam": "cosh(t) + 0.5*t",
+                               "curvature": {"kind": "constant_curvature",
+                                             "kappa0": 0.5}}},
+        "domain": {"preset": "disk", "params": {"radius": 0.4}},
+        "resolution": 0.1,
+        "H": {"expression": "0.5 + x*y"},
+        "phi": {"constant": -0.3},
+    }
+    return [cmc_problem, radial_problem, load_problem_document(doc).problem]
+
+
+@settings(max_examples=30, deadline=None)
+@given(which=st.integers(0, 2),
+       coef=st.lists(st.floats(-0.5, 0.5), min_size=6, max_size=6),
+       tau=st.floats(0.0, 1.0))
+def test_residual_affine_in_tau_property(affine_problems, which, coef, tau):
+    # the Euler predictor's exactness rests on this affinity
+    prob = affine_problems[which]
+    x, y = prob.mesh.vertices.T
+    z = (coef[0] + coef[1] * x + coef[2] * y + coef[3] * x**2
+         + coef[4] * x * y + coef[5] * y**2)
+    z = ScalarField(prob.mesh, z)
+    r0 = residual_Qtau(prob, z, 0.0)
+    r1 = residual_Qtau(prob, z, 1.0)
+    rt = residual_Qtau(prob, z, tau)
+    scale = max(np.abs(r0).max(), np.abs(r1).max())
+    assert np.abs(rt - ((1 - tau) * r0 + tau * r1)).max() <= 1e-12 * scale
+
+
+def test_path_rate_matches_finite_differences(problems):
+    # d/dtau of the interior residual with the boundary moving as tau * phi
+    rng = np.random.default_rng(3)
+    for prob in problems:
+        asm = prob.assembly()
+        bv = prob.mesh.boundary_vertices
+        z = _random_state(prob, rng)
+        tau, eps = rng.uniform(0.2, 0.8), 1e-6
+
+        def res(t):
+            zt = z.copy()
+            zt[bv] = t * prob.phi[bv]
+            return asm.residual(zt, t)
+
+        z[bv] = tau * prob.phi[bv]
+        rate = asm.system(z, tau, tangent=True).path_rate
+        fd = (res(tau + eps) - res(tau - eps)) / (2 * eps)
+        assert np.abs(fd - rate).max() < 1e-6 * max(np.abs(rate).max(), 1.0)
+        assert asm.system(z, tau).path_rate is None
 
 
 def test_tau_range_enforced(problems):

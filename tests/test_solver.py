@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 import ckgraph as ck
 from ckgraph.errors import NewtonStallError, SingularSystemError
-from ckgraph.solver import (SolverOptions, continuation_solve, linear_solve,
-                            newton_solve)
+import ckgraph.solver as solver
+from ckgraph.solver import (SolverOptions, _path_tangent, continuation_solve,
+                            linear_solve, newton_solve)
 
 
 def test_linear_solve_contract():
@@ -99,3 +100,91 @@ def test_options_respected(cmc_problem):
     assert steps.max() <= 0.5 + 1e-15
     # the step never grows after a halving
     assert all(b <= a + 1e-15 for a, b in zip(steps, steps[1:]))
+
+
+def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
+    # dz/dtau at a converged stage against secants of two converged solves
+    ii = cmc_problem.mesh.interior_vertices
+    z_half, _, _ = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
+    dz = _path_tangent(cmc_problem, z_half, 0.5)
+    errs = []
+    for d in (0.04, 0.02, 0.01):
+        z_d, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
+        errs.append(np.abs((z_d[ii] - z_half[ii]) / d - dz).max())
+    assert errs[0] < 1e-3 * np.abs(dz).max()
+    # first order in d: halving d halves the secant error
+    for a, b in zip(errs, errs[1:]):
+        assert 0.4 < b / a < 0.6
+
+
+def test_stage_count_mesh_independent(cmc_solution):
+    # the Euler predictor removes the boundary layer that forced halvings
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.02, amb)
+    fine = continuation_solve(ck.Problem.create(amb, mesh, 1.0, -np.sqrt(0.84)))
+    for rep in (cmc_solution, fine):
+        assert rep.status == "converged"
+        assert rep.tau_path == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert sum(r.damping_halvings for r in rep.newton_history) == 0
+
+
+def _without_tangent(monkeypatch, problem):
+    """Make the tangent system of ``problem`` fail to solve."""
+    asm = problem.assembly()
+    system = asm.system
+
+    def no_tangent(z, tau, tangent=False):
+        if tangent:
+            raise SingularSystemError("tangent system unavailable")
+        return system(z, tau)
+    monkeypatch.setattr(asm, "system", no_tangent)
+
+
+def test_tangent_failure_starts_from_previous_solution(monkeypatch):
+    # without a tangent every stage starts from the last accepted solution,
+    # which on this mesh takes 16 stages, 91 Newton iterations, 41 halvings
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
+                             -np.sqrt(0.84))
+    _without_tangent(monkeypatch, prob)
+    rep = continuation_solve(prob)
+    assert rep.status == "converged"
+    assert len(rep.tau_path) - 1 == 16
+    assert len(rep.newton_history) == 91
+    assert sum(r.damping_halvings for r in rep.newton_history) == 41
+
+
+@pytest.mark.parametrize("step", [0.25, 1.0])
+def test_guess_never_clamps_or_changes_outcome(monkeypatch, step):
+    # finite interval end at 1: a guess that would reach the clamp level is
+    # not used, so clamping and the failure status come from Newton alone
+    newton = solver.newton_solve
+    amb = ck.preset_ambient("example_b")
+    opts = SolverOptions(initial_tau_step=step, min_tau_step=1e-3)
+    level = amb.interval_end - opts.clamp_margin
+
+    def run(with_tangent):
+        prob = ck.Problem.create(amb, ck.disk_mesh(0.3, 0.1, amb), -20.0, 0.9)
+        ii = prob.mesh.interior_vertices
+        starts = []
+
+        def spy(problem, tau, z0, options=None, on_iteration=None):
+            starts.append(z0[ii].copy())
+            return newton(problem, tau, z0, options, on_iteration)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "newton_solve", spy)
+            if not with_tangent:
+                _without_tangent(mp, prob)
+            return continuation_solve(prob, opts), starts
+
+    rep, starts = run(True)
+    base, _ = run(False)
+    assert all(s.max() < level for s in starts)
+    assert (rep.status, rep.clamped, rep.tau_reached) == \
+        (base.status, base.clamped, base.tau_reached)
+    assert rep.status == "stalled" and not rep.clamped
+    if step == 1.0:
+        # dtau * dz reaches past the interval end: the first attempt starts
+        # at 0, the halved one from the guess
+        assert np.all(starts[0] == 0.0)
+        assert np.any(starts[1] != 0.0)
