@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import DomainError, ParameterError
 
@@ -156,6 +155,7 @@ def r_of_t(ambient: AmbientSpace, t):
     t = ambient.check_t(t)
     if ambient.r_closed is not None:
         return np.asarray(ambient.r_closed(t))
+    from scipy import integrate   # imported here: no ckg command needs it
     scal = np.isscalar(t) or np.asarray(t).ndim == 0
     ts = np.atleast_1d(t)
     out = np.empty_like(ts, dtype=float)
@@ -181,6 +181,7 @@ def t_of_r(ambient: AmbientSpace, r):
 
 
 def _invert_r(ambient: AmbientSpace, r: float) -> float:
+    from scipy import optimize
     if r == 0.0:
         return 0.0
     f = lambda t: float(r_of_t(ambient, t)) - r

@@ -364,40 +364,63 @@ def annulus_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> 
 # -- generic meshes ---------------------------------------------------------
 
 
-def _eikonal_sweep(vertices, triangles, dist, ambient, sweeps=2):
-    """Gauss-Seidel refinement of the Dijkstra field by local triangle
-    updates (straight-segment travel in the centroid metric)."""
-    cent = vertices[triangles].mean(axis=1)
-    S = ambient.base_metric(cent)
-    for _ in range(sweeps):
-        order = np.argsort(dist[triangles].min(axis=1))
-        for e in order:
-            tri = triangles[e]
-            Se = S[e]
-            for k in range(3):
-                c = tri[k]
-                a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
-                if not np.isfinite(dist[a]) or not np.isfinite(dist[b]):
-                    continue
-                pa, pb, pc = vertices[a], vertices[b], vertices[c]
+def _corner_update(d_a, d_b, A, B, D, l_a, l_b):
+    """Least travel time to a corner ``c`` across its opposite edge ``(a, b)``:
+    the minimum over ``theta`` in [0, 1] of
+    ``theta d_a + (1 - theta) d_b + |w - theta e|_S`` with ``e = p_a - p_b``,
+    ``w = p_c - p_b``, ``A = e.S.e``, ``B = e.S.w``, ``D = A w.S.w - B^2``
+    and the endpoint lengths ``l_a = |w - e|_S``, ``l_b = |w|_S``.
 
-                def travel(th):
-                    p = th * pa + (1 - th) * pb
-                    v = pc - p
-                    return th * dist[a] + (1 - th) * dist[b] + math.sqrt(v @ Se @ v)
+    The objective is convex.  With ``delta = d_a - d_b`` it is stationary
+    only when ``delta^2 < A``, at ``theta = (B + s) / A`` with
+    ``s = -sign(delta) sqrt(delta^2 D / (A - delta^2))``, where
+    ``|w - theta e|_S^2 = D / (A - delta^2)``.  Otherwise, or when that
+    ``theta`` lies outside [0, 1], the minimum is an endpoint value.
+    Entries with a non-finite ``d_a`` or ``d_b`` are meaningless.
+    """
+    delta = d_a - d_b
+    ends = np.minimum(d_a + l_a, d_b + l_b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = D / (A - delta**2)
+        theta = (B - delta * np.sqrt(q)) / A
+        inner = d_b + theta * delta + np.sqrt(q)
+        stationary = (delta**2 < A) & (theta > 0.0) & (theta < 1.0)
+    return np.where(stationary, np.minimum(inner, ends), ends)
 
-                lo, hi = 0.0, 1.0
-                for _ in range(40):  # ternary search, unimodal objective
-                    m1 = lo + (hi - lo) / 3
-                    m2 = hi - (hi - lo) / 3
-                    if travel(m1) <= travel(m2):
-                        hi = m2
-                    else:
-                        lo = m1
-                cand = travel(0.5 * (lo + hi))
-                if cand < dist[c]:
-                    dist[c] = cand
-    return dist
+
+def _eikonal_sweep(vertices, triangles, dist, ambient):
+    """Lower the Dijkstra field ``dist`` to the fixed point of the triangle
+    update (straight-segment travel across each element in its centroid
+    metric, :func:`_corner_update`).
+
+    Every sweep updates all ``3 nt`` corners from the previous field (Jacobi),
+    so the result does not depend on the vertex or triangle order.  Values
+    only decrease; the sweeps stop when one changes nothing, and MeshError is
+    raised if ``nv`` sweeps do not get there.  Corners with a non-finite
+    neighbour are skipped.
+    """
+    S = ambient.base_metric(vertices[triangles].mean(axis=1))
+    corner = np.concatenate([np.roll(triangles, -k, axis=1) for k in range(3)])
+    c, a, b = corner.T
+    S = np.concatenate([S] * 3)
+
+    def form(u, v):
+        return np.einsum("ni,nij,nj->n", u, S, v)
+
+    e, w = vertices[a] - vertices[b], vertices[c] - vertices[b]
+    A, B = form(e, e), form(e, w)
+    D = np.linalg.det(S) * _cross2(e, w)**2     # A C - B^2 without cancellation
+    l_a, l_b = np.sqrt(form(w - e, w - e)), np.sqrt(form(w, w))
+    for _ in range(len(vertices)):
+        ok = np.isfinite(dist[a]) & np.isfinite(dist[b])
+        cand = _corner_update(dist[a], dist[b], A, B, D, l_a, l_b)
+        new = dist.copy()
+        np.minimum.at(new, c[ok], cand[ok])
+        if np.array_equal(new, dist):
+            return dist
+        dist = new
+    raise MeshError(f"distance to the boundary did not converge in "
+                    f"{len(vertices)} sweeps")
 
 
 def _loop_orientation_area(vertices, loop):
@@ -473,7 +496,8 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
             raise MeshError(f"degenerate boundary tangent at vertex {loop[np.argmax(bad)]}")
         normals[loop] = nrm
 
-    # multi-source shortest edge paths in the leaf metric, then refined
+    # shortest edge paths in the leaf metric bound the distance from above;
+    # the triangle update lowers that bound to its fixed point
     from scipy.sparse import csgraph, csr_matrix
     edges = _sigma_edges(vertices, triangles, ambient)
     (pairs, _, _), lengths = edges

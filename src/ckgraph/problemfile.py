@@ -44,7 +44,9 @@ PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "preset": {"enum": list(PRESET_NAMES)},
-                "params": {"type": "object"},
+                "params": {"type": "object", "additionalProperties": False,
+                           "properties": {"b": {"type": "number"},
+                                          "c": {"type": "number"}}},
                 "custom": {
                     "type": "object",
                     "additionalProperties": False,
@@ -133,6 +135,8 @@ def validate_document(doc):
     amb = doc["ambient"]
     if ("preset" in amb) == ("custom" in amb):
         raise SchemaError("$.ambient: exactly one of 'preset' or 'custom' required")
+    if "params" in amb and amb.get("preset") != "example_c":
+        raise SchemaError("$.ambient.params: only the example_c preset takes parameters")
     dom = doc["domain"]
     if ("preset" in dom) == ("mesh" in dom):
         raise SchemaError("$.domain: exactly one of 'preset' or 'mesh' required")
@@ -219,7 +223,11 @@ def load_problem_document(doc, base_dir=".", path=None) -> LoadedProblem:
     problem = Problem(amb, mesh, H, phi_field.values)
     options = SolverOptions()
     if "solver" in doc:
-        options = replace(options, **doc["solver"])
+        # JSON Schema counts 30.0 as an integer; the solver needs an int
+        spec = PROBLEM_SCHEMA["properties"]["solver"]["properties"]
+        options = replace(options, **{
+            k: int(v) if spec[k]["type"] == "integer" else v
+            for k, v in doc["solver"].items()})
     checks = doc.get("checks", ["hypotheses"])
     return LoadedProblem(problem, options, checks,
                          float(doc.get("verify_tolerance", 0.05)),

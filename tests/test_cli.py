@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,10 +10,12 @@ from importlib import metadata
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.cli import main
 from ckgraph.fields import ScalarField
+from ckgraph.problemfile import PROBLEM_SCHEMA
 
 
 def _write(tmp_path, name, doc):
@@ -355,3 +358,165 @@ def test_thread_cap_env(tmp_path):
     # the cap only fills in variables that are not already set
     assert derived({"CKG_THREADS": "3", "OMP_NUM_THREADS": "2"}) == ["2", "3", "3", "3"]
     assert derived({}) == ["-"] * 4
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    # Every command imports ckgraph.cli; scipy.integrate, scipy.optimize and
+    # scipy.spatial are imported only by the functions that use them.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(os.path.abspath(ck.__file__)))}
+    code = ("import sys, ckgraph.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.integrate', 'scipy.optimize', 'scipy.spatial')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# -- malformed problem documents (property test) ------------------------------
+
+# Valid documents that together reach every key of the schema.
+_VALID_DOCS = [
+    {"ambient": {"preset": "killing_flat"},
+     "domain": {"preset": "disk", "params": {"radius": 0.4}},
+     "resolution": 0.2, "H": {"constant": 1.0}, "phi": {"constant": -0.9},
+     "solver": {"newton_tol": 1e-10, "max_newton_iters": 30,
+                "initial_tau_step": 0.25, "min_tau_step": 1e-4,
+                "damping_factor": 0.5, "max_damping_halvings": 12,
+                "clamp_margin": 1e-6},
+     "checks": ["hypotheses", "max_principle"], "verify_tolerance": 0.05},
+    {"ambient": {"preset": "euclidean_radial"},
+     "domain": {"preset": "cap", "params": {"theta0": 1.0}},
+     "resolution": 0.3, "H": {"expression": "0*x"},
+     "phi": {"expression": "x**2 + y**2"}, "checks": ["monotonicity"]},
+    {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
+                            "interval_end": "inf", "gamma": "1 + 0*x",
+                            "base_metric": "flat", "curvature": {"kind": "flat"}}},
+     "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
+     "resolution": 0.15, "H": {"constant": 0.0}, "phi": {"csv": "phi.csv"}},
+    {"ambient": {"preset": "example_c", "params": {"b": 1.0, "c": 2.0}},
+     "domain": {"mesh": "mesh.json"}, "H": {"csv": "H.csv"},
+     "phi": {"constant": -0.1}},
+    {"ambient": {"custom": {"lam": "1/(1 - t)", "interval_end": 1.0,
+                            "base_metric": "round_sphere",
+                            "curvature": {"kind": "constant_curvature",
+                                          "kappa0": 1.0}}},
+     "domain": {"preset": "cap", "params": {"theta0": 0.8}},
+     "resolution": 0.3, "H": {"constant": 0.0}, "phi": {"constant": -0.2}},
+]
+
+_SAMPLE_VALUES = {"null": None, "boolean": True, "integer": 3, "number": 2.5,
+                  "string": "x", "array": [], "object": {}}
+
+
+def _json_type(value):
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
+
+
+def _schema_at(path):
+    node = PROBLEM_SCHEMA
+    for key in path:
+        node = node["items"] if isinstance(key, int) else node["properties"][key]
+    return node
+
+
+def _allowed_types(schema):
+    if "type" in schema:
+        return {"number": {"number", "integer"}}.get(schema["type"], {schema["type"]})
+    if "anyOf" in schema:
+        return {t for s in schema["anyOf"] for t in _allowed_types(s)}
+    values = schema["enum"] if "enum" in schema else [schema["const"]]
+    return {_json_type(v) for v in values}
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    children = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in children:
+        yield from _nodes(value, path + (key,))
+
+
+def _required(path, node, doc):
+    """Keys of the object ``node`` at ``path`` that a valid document needs."""
+    need = set(_schema_at(path).get("required", ()))
+    if path == () and "preset" in doc["domain"]:
+        need.add("resolution")
+    if path in (("ambient",), ("domain",)):
+        need |= {"preset", "custom", "mesh"}          # the one choice made
+    if path == ("domain",):
+        need.add("params")
+    if path in (("domain", "params"), ("H",), ("phi",)):
+        need |= set(node)
+    if path[-1:] == ("curvature",) and node.get("kind") == "constant_curvature":
+        need.add("kappa0")
+    return sorted(need & set(node))
+
+
+@st.composite
+def _mutated_documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(_VALID_DOCS))))
+    nodes = list(_nodes(doc))
+    kind = draw(st.sampled_from(["wrong_type", "unknown_key", "missing_key"]))
+    if kind == "wrong_type":
+        path, value = draw(st.sampled_from(nodes[1:]))
+        wrong = sorted(set(_SAMPLE_VALUES) - set(_allowed_types(_schema_at(path))))
+        new = _SAMPLE_VALUES[draw(st.sampled_from(wrong))]
+    else:
+        objects = [(p, n) for p, n in nodes if isinstance(n, dict)]
+        if kind == "missing_key":
+            objects = [(p, n) for p, n in objects if _required(p, n, doc)]
+        parent, node = draw(st.sampled_from(objects))
+        if kind == "unknown_key":
+            known = set(_schema_at(parent).get("properties", ()))
+            key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in known))
+            node[key] = draw(st.sampled_from(list(_SAMPLE_VALUES.values())))
+            return kind, doc
+        del node[draw(st.sampled_from(_required(parent, node, doc)))]
+        return kind, doc
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = new
+    return kind, doc
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    """Directory holding the mesh and CSV files that the valid documents name."""
+    tmp = tmp_path_factory.mktemp("mutations")
+    amb = ck.preset_ambient("killing_flat")
+    disk = ck.disk_mesh(0.3, 0.15, amb)
+    _write(tmp, "mesh.json", ck.mesh_to_json(disk))
+    ScalarField.constant(disk, 0.5).to_csv(tmp / "H.csv")
+    annulus = ck.annulus_mesh(0.2, 0.5, 0.15, amb)
+    ScalarField.constant(annulus, -0.3).to_csv(tmp / "phi.csv")
+    return tmp
+
+
+@pytest.mark.parametrize("index", range(len(_VALID_DOCS)))
+def test_mutation_base_documents_are_valid(mutation_dir, index):
+    path = _write(mutation_dir, f"valid{index}.json", _VALID_DOCS[index])
+    ck.load_problem(path)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutated_documents())
+def test_malformed_problem_document_exit_1(mutation_dir, capsys, mutation):
+    kind, doc = mutation
+    prob = _write(mutation_dir, "mutated.json", doc)
+    for argv in (["check", prob], ["solve", prob, "--out", str(mutation_dir / "run")]):
+        capsys.readouterr()
+        assert main(argv) == 1, (kind, doc)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert re.search(r"\$[.:\[]", err), (kind, err)

@@ -1,4 +1,5 @@
 import json
+import math
 from collections import Counter
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.errors import MeshError
-from ckgraph.mesh import (_chart_areas, annulus_mesh, cap_mesh, disk_mesh,
-                          mesh_from_arrays, mesh_from_json, mesh_to_json)
+from ckgraph.mesh import (_chart_areas, _corner_update, _sigma_edges,
+                          annulus_mesh, cap_mesh, disk_mesh, mesh_from_arrays,
+                          mesh_from_json, mesh_to_json)
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
@@ -221,4 +223,157 @@ def test_unused_vertex_rejected():
     doc = _small_doc()
     doc["vertices"].append([5.0, 5.0])
     with pytest.raises(MeshError, match="in no triangle"):
+        mesh_from_json(doc, FLAT)
+
+
+# -- generic distance field (closed-form corner update, Jacobi sweeps) --------
+
+
+def _brute_corner(pa, pb, pc, S, da, db):
+    """min over theta in [0, 1] of theta da + (1 - theta) db + |p_c - p|_S,
+    p = theta pa + (1 - theta) pb: dense sampling, then ternary search in
+    the bracket around the best sample (the objective is convex)."""
+    def travel(th):
+        v = pc[:, None, :] - (th[..., None] * pa[:, None, :]
+                              + (1 - th[..., None]) * pb[:, None, :])
+        q = np.einsum("nki,nij,nkj->nk", v, S, v)
+        return th * da[:, None] + (1 - th) * db[:, None] + np.sqrt(q)
+
+    n, m = len(da), 2001
+    grid = np.broadcast_to(np.linspace(0.0, 1.0, m), (n, m))
+    k = np.argmin(travel(grid), axis=1)
+    lo = np.maximum(k - 1, 0) / (m - 1)
+    hi = np.minimum(k + 1, m - 1) / (m - 1)
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        left = travel(np.stack([m1, m2], axis=1))
+        keep = left[:, 0] <= left[:, 1]
+        hi, lo = np.where(keep, m2, hi), np.where(keep, lo, m1)
+    return travel(np.stack([lo, hi, 0.5 * (lo + hi)], axis=1)).min(axis=1)
+
+
+def test_corner_update_matches_brute_force():
+    rng = np.random.default_rng(20261018)
+    n = 600
+    pa, pb, pc = (rng.uniform(-1.0, 1.0, (n, 2)) for _ in range(3))
+    L = rng.normal(size=(n, 2, 2))
+    S = L @ L.transpose(0, 2, 1) + 0.05 * np.eye(2)
+    e, w = pa - pb, pc - pb
+
+    def form(u, v):
+        return np.einsum("ni,nij,nj->n", u, S, v)
+
+    A, B, C = form(e, e), form(e, w), form(w, w)
+    db = rng.uniform(0.0, 1.0, n)
+    da = db + rng.uniform(-1.5, 1.5, n) * np.sqrt(A)
+    D = np.linalg.det(S) * (e[:, 0] * w[:, 1] - e[:, 1] * w[:, 0])**2
+    new = _corner_update(da, db, A, B, D, np.sqrt(form(w - e, w - e)), np.sqrt(C))
+    ref = _brute_corner(pa, pb, pc, S, da, db)
+    assert np.all(np.abs(new - ref) <= 1e-12 * np.abs(ref))
+
+    # every branch of the update is exercised by the draw
+    delta = da - db
+    inside = delta**2 < A
+    s = -np.sign(delta) * np.sqrt(delta**2 * (A * C - B**2)
+                                  / np.where(inside, A - delta**2, 1.0))
+    theta = (B + s) / A
+    interior = inside & (theta > 0) & (theta < 1)
+    obtuse = form(pa - pc, pb - pc) < 0       # angle at the updated corner
+    for branch in (interior, inside & (theta <= 0), inside & (theta >= 1),
+                   ~inside, obtuse & interior):
+        assert np.count_nonzero(branch) >= 20
+
+
+def _reference_sweep(vertices, triangles, dist, ambient, sweeps=2):
+    """The former generic distance refinement, kept as a reference:
+    Gauss-Seidel passes in order of increasing distance, each corner
+    minimised by a 40-step ternary search."""
+    cent = vertices[triangles].mean(axis=1)
+    S = ambient.base_metric(cent)
+    for _ in range(sweeps):
+        order = np.argsort(dist[triangles].min(axis=1))
+        for e in order:
+            tri = triangles[e]
+            Se = S[e]
+            for k in range(3):
+                c = tri[k]
+                a, b = tri[(k + 1) % 3], tri[(k + 2) % 3]
+                if not np.isfinite(dist[a]) or not np.isfinite(dist[b]):
+                    continue
+                pa, pb, pc = vertices[a], vertices[b], vertices[c]
+
+                def travel(th):
+                    p = th * pa + (1 - th) * pb
+                    v = pc - p
+                    return th * dist[a] + (1 - th) * dist[b] + math.sqrt(v @ Se @ v)
+
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    m1 = lo + (hi - lo) / 3
+                    m2 = hi - (hi - lo) / 3
+                    if travel(m1) <= travel(m2):
+                        hi = m2
+                    else:
+                        lo = m1
+                cand = travel(0.5 * (lo + hi))
+                if cand < dist[c]:
+                    dist[c] = cand
+    return dist
+
+
+def _dijkstra(mesh, ambient):
+    from scipy.sparse import csgraph, csr_matrix
+    (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, ambient)
+    nv = mesh.n_vertices
+    graph = csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(nv, nv))
+    return csgraph.dijkstra(graph, directed=False, indices=mesh.boundary_vertices,
+                            min_only=True)
+
+
+# coarse enough for the reference to take well under a second
+@pytest.mark.parametrize("mesh, ambient", [
+    (disk_mesh(0.4, 0.1, FLAT), FLAT),
+    (cap_mesh(1.0, 0.25, ROUND), ROUND),
+    (annulus_mesh(0.3, 0.7, 0.12, FLAT), FLAT),
+], ids=["disk", "cap", "annulus"])
+def test_generic_distance_matches_reference(mesh, ambient):
+    ref = _reference_sweep(mesh.vertices, mesh.triangles,
+                           _dijkstra(mesh, ambient), ambient)
+    new = mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.boundary_loops,
+                           ambient).dist_to_boundary
+    assert np.all(new <= ref + 1e-15)
+    assert np.abs(new - ref).max() <= 1e-9
+
+
+def _relabelled(mesh, rng):
+    """The same mesh with shuffled vertex labels, shuffled triangles, each
+    triangle's vertices rotated and each loop started elsewhere."""
+    perm = rng.permutation(mesh.n_vertices)          # old label -> new label
+    verts = np.empty_like(mesh.vertices)
+    verts[perm] = mesh.vertices
+    tris = perm[mesh.triangles][rng.permutation(mesh.n_triangles)]
+    roll = rng.integers(0, 3, len(tris))
+    tris = np.take_along_axis(tris, (np.arange(3) + roll[:, None]) % 3, axis=1)
+    loops = [np.roll(perm[l], rng.integers(len(l))) for l in mesh.boundary_loops]
+    return perm, verts, tris, loops
+
+
+@settings(max_examples=10, deadline=None)
+@given(_PRESETS, st.integers(0, 2**32 - 1))
+def test_generic_distance_independent_of_labels(spec, seed):
+    mesh, amb = _preset(*spec)
+    base = mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.boundary_loops, amb)
+    perm, verts, tris, loops = _relabelled(mesh, np.random.default_rng(seed))
+    moved = mesh_from_arrays(verts, tris, loops, amb)
+    assert np.abs(moved.dist_to_boundary[perm] - base.dist_to_boundary).max() <= 1e-15
+
+
+def test_generic_distance_unconverged_is_an_error(monkeypatch):
+    import ckgraph.mesh as mesh_mod
+    update = mesh_mod._corner_update
+    monkeypatch.setattr(mesh_mod, "_corner_update",
+                        lambda *args: update(*args) - 1.0)   # never settles
+    doc = _small_doc()
+    with pytest.raises(MeshError, match=r"^mesh document: distance to the boundary "
+                                        rf"did not converge in {len(doc['vertices'])} sweeps"):
         mesh_from_json(doc, FLAT)

@@ -148,6 +148,14 @@ def test_solver_overrides():
     assert loaded.options.newton_tol == 1e-10     # untouched default
 
 
+def test_integral_float_for_integer_option():
+    doc = _base_doc()
+    doc["solver"] = {"max_newton_iters": 30.0, "max_damping_halvings": 12.0}
+    options = load_problem_document(doc).options
+    assert type(options.max_newton_iters) is int and options.max_newton_iters == 30
+    assert type(options.max_damping_halvings) is int
+
+
 def test_barriers_check_is_a_schema_error():
     doc = _base_doc()
     doc["checks"] = ["hypotheses", "barriers"]
