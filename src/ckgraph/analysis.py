@@ -395,63 +395,83 @@ def _exhausted(what: str, failures) -> ParameterError:
                           f"candidates: " + "; ".join(parts))
 
 
-def _boundary_transfer(mesh: DomainMesh, values_on_boundary: np.ndarray):
-    """Extend boundary data into the domain, constant along the distance
-    direction (closest boundary vertex in the chart)."""
-    from scipy.spatial import cKDTree
-    bv = mesh.boundary_vertices
-    tree = cKDTree(mesh.vertices[bv])
-    _, nearest = tree.query(mesh.vertices)
-    return values_on_boundary[nearest]
+class _StripRejected(ParameterError):
+    """A boundary-strip rejection that does not depend on ``(mu, c)``."""
 
 
-def _boundary_barrier_field(problem: Problem, mu, c, eps, sign):
-    amb, mesh = problem.ambient, problem.mesh
-    if mu <= 0 or c <= 0 or eps <= 0:
-        raise ParameterError("mu, c, eps must be positive")
-    d = mesh.dist_to_boundary
-    strip = d <= eps + 1e-12
-    if not np.any(strip & ~mesh.is_boundary):
-        raise ParameterError(f"tubular strip is empty at eps = {eps}")
-    mut = c / math.log1p(mu)
-    phi_ext = _boundary_transfer(mesh, problem.phi[mesh.boundary_vertices])
+@dataclass
+class _BoundaryStrip:
+    """What a boundary-barrier check needs that does not depend on the
+    candidate ``(mu, c)``: the strip ``d <= eps``, the extended boundary
+    data, the checkable strip vertices ``idx`` with the distance gradient,
+    its square and Hessian and the recovered derivatives of the extended
+    data there, and the two strip boundary components of the ordering
+    check."""
 
-    w = -mut * np.log1p(mu * d)
-    wp = -mut * mu / (1.0 + mu * d)
-    wpp = mut * mu**2 / (1.0 + mu * d) ** 2
-    values = phi_ext + sign * w
-    return d, strip, phi_ext, values, sign * wp, sign * wpp, mut
+    strip: np.ndarray
+    phi_ext: np.ndarray
+    idx: np.ndarray
+    gd: np.ndarray
+    gd2: np.ndarray
+    hd: np.ndarray
+    gphi: np.ndarray
+    hphi: np.ndarray
+    comps: np.ndarray
+
+
+def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
+    """The candidate-independent part of both boundary barriers, built once
+    per problem and strip width; _StripRejected if no candidate can pass."""
+    def build():
+        mesh = problem.mesh
+        if eps <= 0:
+            raise _StripRejected("eps must be positive")
+        d = mesh.dist_to_boundary
+        strip = d <= eps + 1e-12
+        if not np.any(strip & ~mesh.is_boundary):
+            raise _StripRejected(f"tubular strip is empty at eps = {eps}")
+        phi_ext = problem.boundary_extension()
+        gd, hd, usable = _distance_geometry(problem, elements=False)
+        const_phi = float(np.ptp(problem.phi[mesh.boundary_vertices])) < 1e-14
+        if const_phi:
+            gphi = np.zeros((mesh.n_vertices, 2))
+            hphi = np.zeros((mesh.n_vertices, 2, 2))
+            conf_phi = np.ones(mesh.n_vertices, dtype=bool)
+        else:
+            gphi, hphi, conf_phi = recover_gradient_hessian(mesh, problem.ambient,
+                                                            phi_ext)
+        check = strip & ~mesh.is_boundary & usable & conf_phi & (d > 1e-12)
+        check[mesh.triangles[mesh.suspect_elements].ravel()] = False
+        if not np.any(check):
+            raise _StripRejected(
+                "no checkable strip vertices; increase eps or decrease h")
+        idx = np.nonzero(check)[0]
+        comps = mesh.is_boundary | (strip & (d >= eps - 1.5 * mesh.h))
+        return _BoundaryStrip(strip, phi_ext, idx, gd[idx],
+                              np.einsum("mi,mj->mij", gd[idx], gd[idx]), hd[idx],
+                              gphi[idx], hphi[idx], comps)
+    return problem.derived(("boundary_strip", eps), build)
 
 
 def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     """Shared machinery for the lower (sign=+1) and upper (sign=-1) strips."""
     amb, mesh = problem.ambient, problem.mesh
-    d, strip, phi_ext, values, wp, wpp, mut = \
-        _boundary_barrier_field(problem, mu, c, eps, sign)
+    if mu <= 0 or c <= 0:
+        raise ParameterError("mu and c must be positive")
+    s = _boundary_strip(problem, eps)
+    d = mesh.dist_to_boundary
+    mut = c / math.log1p(mu)
+    values = s.phi_ext + sign * (-mut * np.log1p(mu * d))
     if math.isfinite(amb.interval_end) and np.any(
-            values[strip] >= amb.interval_end):
+            values[s.strip] >= amb.interval_end):
         raise ParameterError("barrier leaves the flow interval on the strip")
     barrier = ScalarField(mesh, values)
 
-    gd, hd, usable = _distance_geometry(problem, elements=False)
-    const_phi = float(np.ptp(problem.phi[mesh.boundary_vertices])) < 1e-14
-    if const_phi:
-        gphi = np.zeros((mesh.n_vertices, 2))
-        hphi = np.zeros((mesh.n_vertices, 2, 2))
-        conf_phi = np.ones(mesh.n_vertices, dtype=bool)
-    else:
-        gphi, hphi, conf_phi = recover_gradient_hessian(mesh, amb, phi_ext)
-
-    check = strip & ~mesh.is_boundary & usable & conf_phi & (d > 1e-12)
-    bad = np.zeros(mesh.n_vertices, dtype=bool)
-    bad[mesh.triangles[mesh.suspect_elements].ravel()] = True
-    check &= ~bad
-    if not np.any(check):
-        raise ParameterError("no checkable strip vertices; increase eps or decrease h")
-    idx = np.nonzero(check)[0]
-    grads = wp[idx, None] * gd[idx] + gphi[idx]
-    hess = wpp[idx, None, None] * np.einsum("mi,mj->mij", gd[idx], gd[idx]) \
-        + wp[idx, None, None] * hd[idx] + hphi[idx]
+    idx, di = s.idx, d[s.idx]
+    wp = sign * (-mut * mu / (1.0 + mu * di))
+    wpp = sign * (mut * mu**2 / (1.0 + mu * di) ** 2)
+    grads = wp[:, None] * s.gd + s.gphi
+    hess = wpp[:, None, None] * s.gd2 + wp[:, None, None] * s.hd + s.hphi
     Q = strong_form_Q(amb, mesh.vertices[idx], values[idx], grads, hess,
                       problem.H.values[idx])
     Qs = sign * Q                       # lower barrier needs Q > 0, upper Q < 0
@@ -460,19 +480,16 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
 
     ordering_ok, worst = None, 0.0
     if z is not None:
-        h = mesh.h
-        inner = strip & (d >= eps - 1.5 * h)
-        comps = mesh.is_boundary | inner
         diff = sign * (z.values - values)   # must be >= 0 on both components
-        worst = float(min(diff[comps].min(), 0.0))
-        ordering_ok = bool(worst >= -10.0 * h**2)
+        worst = float(min(diff[s.comps].min(), 0.0))
+        ordering_ok = bool(worst >= -10.0 * mesh.h**2)
     grad_bound = c * mu / math.log1p(mu)
     valid = min_margin > 0 and (ordering_ok is not False)
     name = "boundary_lower" if sign > 0 else "boundary_upper"
     cert = BarrierCertificate(
         name, {"mu": mu, "mu_tilde": mut, "c": c, "eps": eps},
         min_margin, loc, ordering_ok, worst,
-        int(len(np.nonzero(strip)[0]) - len(idx)), valid,
+        int(np.count_nonzero(s.strip) - len(idx)), valid,
         gradient_bound=grad_bound)
     return barrier, cert
 
@@ -497,7 +514,9 @@ def upper_barrier_check(problem: Problem, mu: float, c: float, eps: float,
 
 def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
                             eps: float = 0.05, upper: bool = False):
-    """Logarithmic grid search over (mu, c); first valid certificate wins."""
+    """Logarithmic grid search over (mu, c); first valid certificate wins.
+    A strip that no candidate can pass (empty, or without a checkable
+    vertex) ends the search at the first candidate."""
     span = float(np.ptp(problem.phi[problem.mesh.boundary_vertices]))
     if z is not None:
         span = max(span, float(np.ptp(z.values)))
@@ -510,6 +529,10 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
             label = f"mu = {mu:g}, c = {c:g}"
             try:
                 barrier, cert = fn(problem, mu, c, eps, z)
+            except _StripRejected as exc:
+                raise ParameterError(
+                    f"boundary barrier search stopped at its first candidate "
+                    f"({label}): {exc}; this does not depend on (mu, c)") from None
             except ParameterError as exc:
                 failures.append((label, str(exc), None))
                 continue

@@ -74,22 +74,26 @@ class DomainMesh:
             self._edges = _edge_table(self.triangles)
         return self._edges
 
-    def vertex_rings(self, depth: int = 2) -> list:
-        """Sorted vertex neighborhoods (excluding the vertex) up to ``depth``
-        edge hops; used by patch recovery."""
+    def vertex_rings(self, depth: int = 2):
+        """Vertex neighbourhoods up to ``depth`` edge hops as CSR rows
+        ``(indptr, indices)``: the neighbours of ``v``, in ascending order
+        and without ``v`` itself, are ``indices[indptr[v]:indptr[v + 1]]``.
+        Used by patch recovery."""
         if depth not in self._rings:
-            from scipy.sparse import coo_matrix, identity
-            edges = self.edge_table()[0]
             nv = self.n_vertices
-            adj = coo_matrix((np.ones(len(edges)), tuple(edges.T)), shape=(nv, nv))
-            step = (adj + adj.T + identity(nv)).tocsr()   # one hop or stay
-            reach = step
+            edges = self.edge_table()[0]
+            # pairs (v, w) as keys v nv + w, ascending: one hop either way,
+            # then each further hop adds the one-hop rows of every w reached
+            keys = np.unique(np.concatenate([edges @ [nv, 1], edges @ [1, nv]]))
+            ptr, one = _csr(keys, nv)
             for _ in range(depth - 1):
-                reach = reach @ step
-            reach.setdiag(0)
-            reach.eliminate_zeros()
-            reach.sort_indices()
-            self._rings[depth] = np.split(reach.indices, reach.indptr[1:-1])
+                v, w = np.divmod(keys, nv)
+                count = ptr[w + 1] - ptr[w]
+                start = np.repeat(ptr[w] - np.cumsum(count) + count, count)
+                far = one[np.arange(len(start)) + start]
+                keys = np.union1d(keys, np.repeat(v, count) * nv + far)
+            v, w = np.divmod(keys, nv)
+            self._rings[depth] = _csr(keys[v != w], nv)
         return self._rings[depth]
 
     def boundary_edges(self):
@@ -122,6 +126,12 @@ def _edge_table(triangles):
     edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
                                        return_counts=True)
     return edges, inverse.reshape(-1, 3), counts
+
+
+def _csr(keys, nv):
+    """CSR rows ``(indptr, indices)`` of ascending pair keys ``v nv + w``."""
+    v, w = np.divmod(keys, nv)
+    return np.concatenate([[0], np.cumsum(np.bincount(v, minlength=nv))]), w
 
 
 def _loop_edges(mesh: DomainMesh):
@@ -167,6 +177,17 @@ def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
     e = vertices[j] - vertices[i]
     S = ambient.base_metric(0.5 * (vertices[i] + vertices[j]))
     return table, np.sqrt(np.einsum("ei,eij,ej->e", e, S, e))
+
+
+def _nearest(points, targets):
+    """Index of the target closest to each point in the chart; a tie goes to
+    the lowest index.  About 2^20 distances are held at a time."""
+    rows = max(1, 2**20 // len(targets))
+    out = np.empty(len(points), dtype=np.intp)
+    for s in range(0, len(points), rows):
+        diff = points[s:s + rows, None, :] - targets[None, :, :]
+        out[s:s + rows] = np.argmin(diff[..., 0]**2 + diff[..., 1]**2, axis=1)
+    return out
 
 
 def closed_polyline_geometry(points, ambient: AmbientSpace):
@@ -388,16 +409,37 @@ def _corner_update(d_a, d_b, A, B, D, l_a, l_b):
     return np.where(stationary, np.minimum(inner, ends), ends)
 
 
-def _eikonal_sweep(vertices, triangles, dist, ambient):
-    """Lower the Dijkstra field ``dist`` to the fixed point of the triangle
-    update (straight-segment travel across each element in its centroid
-    metric, :func:`_corner_update`).
+def _jacobi_min(dist, update, what: str):
+    """Fixed point of ``dist <- min(dist, candidates)``, where ``update(dist)``
+    returns the vertices and candidate values of one sweep, all computed
+    from the previous field (Jacobi), so the result does not depend on the
+    vertex or triangle order.  Values only decrease; the sweeps stop when
+    one changes nothing, and MeshError is raised if ``nv`` sweeps do not get
+    there."""
+    for _ in range(len(dist)):
+        new = dist.copy()
+        np.minimum.at(new, *update(dist))
+        if np.array_equal(new, dist):
+            return dist
+        dist = new
+    raise MeshError(f"{what} did not converge in {len(dist)} sweeps")
 
-    Every sweep updates all ``3 nt`` corners from the previous field (Jacobi),
-    so the result does not depend on the vertex or triangle order.  Values
-    only decrease; the sweeps stop when one changes nothing, and MeshError is
-    raised if ``nv`` sweeps do not get there.  Corners with a non-finite
-    neighbour are skipped.
+
+def _edge_relaxation(pairs, lengths, dist):
+    """Shortest edge paths from the finite entries of ``dist`` (Bellman-Ford
+    over both directions of every edge)."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    to, frm = np.concatenate([j, i]), np.concatenate([i, j])
+    both = np.concatenate([lengths, lengths])
+    return _jacobi_min(dist, lambda d: (to, d[frm] + both),
+                       "shortest edge paths to the boundary")
+
+
+def _eikonal_sweep(vertices, triangles, dist, ambient):
+    """Lower the edge-path field ``dist`` to the fixed point of the triangle
+    update (straight-segment travel across each element in its centroid
+    metric, :func:`_corner_update`), updating all ``3 nt`` corners per
+    sweep.  Corners with a non-finite neighbour are skipped.
     """
     S = ambient.base_metric(vertices[triangles].mean(axis=1))
     corner = np.concatenate([np.roll(triangles, -k, axis=1) for k in range(3)])
@@ -411,16 +453,12 @@ def _eikonal_sweep(vertices, triangles, dist, ambient):
     A, B = form(e, e), form(e, w)
     D = np.linalg.det(S) * _cross2(e, w)**2     # A C - B^2 without cancellation
     l_a, l_b = np.sqrt(form(w - e, w - e)), np.sqrt(form(w, w))
-    for _ in range(len(vertices)):
+
+    def update(dist):
         ok = np.isfinite(dist[a]) & np.isfinite(dist[b])
         cand = _corner_update(dist[a], dist[b], A, B, D, l_a, l_b)
-        new = dist.copy()
-        np.minimum.at(new, c[ok], cand[ok])
-        if np.array_equal(new, dist):
-            return dist
-        dist = new
-    raise MeshError(f"distance to the boundary did not converge in "
-                    f"{len(vertices)} sweeps")
+        return c[ok], cand[ok]
+    return _jacobi_min(dist, update, "distance to the boundary")
 
 
 def _loop_orientation_area(vertices, loop):
@@ -498,13 +536,12 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
 
     # shortest edge paths in the leaf metric bound the distance from above;
     # the triangle update lowers that bound to its fixed point
-    from scipy.sparse import csgraph, csr_matrix
     edges = _sigma_edges(vertices, triangles, ambient)
     (pairs, _, _), lengths = edges
-    nv = len(vertices)
     sources = np.unique(np.concatenate(loops))
-    graph = csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(nv, nv))
-    dist = csgraph.dijkstra(graph, directed=False, indices=sources, min_only=True)
+    dist = np.full(len(vertices), np.inf)
+    dist[sources] = 0.0
+    dist = _edge_relaxation(pairs, lengths, dist)
     dist = _eikonal_sweep(vertices, triangles, dist, ambient)
     dist[sources] = 0.0
     return _finalize(vertices, triangles, loops, normals, dist, preset, ambient, edges)

@@ -24,12 +24,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .ambient import AmbientSpace, central_gradient, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _hat_gradients
+from .mesh import DomainMesh, _hat_gradients, _nearest
 
 __all__ = [
     "Problem", "SparseSystem", "GraphEvaluation",
@@ -52,7 +51,7 @@ class Problem:
     H: ScalarField
     phi: np.ndarray          # (nv,) array; meaningful on boundary vertices
     _assembly: Optional["_Assembly"] = field(default=None, repr=False)
-    _distance: Optional[tuple] = field(default=None, repr=False)
+    _derived: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.H.mesh is not self.mesh:
@@ -79,13 +78,27 @@ class Problem:
             self._assembly = _Assembly(self)
         return self._assembly
 
+    def derived(self, key, build):
+        """Data that depends on the problem alone, built once per ``key``:
+        ``build()`` on the first call, the same object afterwards."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
+
     def distance_recovery(self):
         """Recovered gradient, covariant Hessian and confidence of the
         boundary distance field (see ``recover_gradient_hessian``)."""
-        if self._distance is None:
-            self._distance = recover_gradient_hessian(
-                self.mesh, self.ambient, self.mesh.dist_to_boundary)
-        return self._distance
+        return self.derived("distance_recovery", lambda: recover_gradient_hessian(
+            self.mesh, self.ambient, self.mesh.dist_to_boundary))
+
+    def boundary_extension(self) -> np.ndarray:
+        """Boundary data extended into the domain, constant along the
+        distance direction: each vertex takes the value of the closest
+        boundary vertex in the chart."""
+        def build():
+            bv = self.mesh.boundary_vertices
+            return self.phi[bv][_nearest(self.mesh.vertices, self.mesh.vertices[bv])]
+        return self.derived("boundary_extension", build)
 
 
 @dataclass
@@ -93,7 +106,7 @@ class SparseSystem:
     """Interior residual and Jacobian of the weak operator."""
 
     residual: np.ndarray       # (ni,)
-    jacobian: sp.csr_matrix    # (ni, ni)
+    jacobian: "scipy.sparse.csr_matrix"    # (ni, ni)
     interior: np.ndarray       # interior vertex indices
     # (ni,) tau-derivative of the residual along the continuation path
     # (interior held, boundary at tau * phi); only from system(tangent=True)
@@ -241,6 +254,7 @@ class _Assembly:
     def system(self, z, tau: float, tangent=False) -> SparseSystem:
         """Interior residual and Jacobian; with ``tangent`` also the path
         rate ``dR_i/dtau + J_ib phi_b`` from the same element pass."""
+        import scipy.sparse as sp    # here: of the ckg commands only solve needs it
         val, local, rate = self._local(z, tau, jacobian=True)
         ni = len(self.interior)
         # local[e, a, b] flattens with a (the row) varying slowest
@@ -332,37 +346,39 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     The Hessian is corrected by the Christoffel symbols of the leaf metric.
     Vertices with deficient stencils or touching the boundary 1-ring are
     flagged as low confidence.
+
+    Every vertex is fitted at once: the stencils are padded with zero rows
+    to the largest 2-ring, which leaves each least-squares problem as it
+    is.  Columns are scaled to unit norm and the minimum-norm solution is
+    taken, with the singular-value cutoff of ``np.linalg.lstsq``.
     """
     values = np.asarray(values, dtype=float)
-    nv = mesh.n_vertices
-    rings = mesh.vertex_rings(depth=2)
-    one_rings = mesh.vertex_rings(depth=1)
-    is_b = mesh.is_boundary
-    grad = np.zeros((nv, 2))
-    hess = np.zeros((nv, 2, 2))
-    confident = np.ones(nv, dtype=bool)
+    ptr, nbr = mesh.vertex_rings(depth=2)
+    count = np.diff(ptr)
+    slot = np.arange(count.max())
+    used = slot < count[:, None]                              # (nv, k)
+    idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
+    pts = np.where(used[..., None], mesh.vertices[idx] - mesh.vertices[:, None], 0.0)
+    rhs = np.where(used, values[idx] - values[:, None], 0.0)
+    x, y = pts[..., 0], pts[..., 1]
+    M = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=2)
+    # scale columns for conditioning
+    scale = np.linalg.norm(M, axis=1)
+    scale[scale == 0] = 1.0
+    rtol = np.finfo(float).eps * np.maximum(count, 5)
+    coef = np.einsum("vcr,vr->vc", np.linalg.pinv(M / scale[:, None], rtol=rtol), rhs)
+    coef /= scale
+    grad = coef[:, :2]
+    Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
     Gam = christoffel_symbols(ambient, mesh.vertices)
-    for v in range(nv):
-        nbrs = rings[v]
-        if len(nbrs) < 5:
-            confident[v] = False
-        pts = mesh.vertices[nbrs] - mesh.vertices[v]
-        rhs = values[nbrs] - values[v]
-        cols = [pts[:, 0], pts[:, 1], 0.5 * pts[:, 0] ** 2,
-                pts[:, 0] * pts[:, 1], 0.5 * pts[:, 1] ** 2]
-        M = np.stack(cols, axis=1)
-        # scale columns for conditioning
-        scale = np.linalg.norm(M, axis=0)
-        scale[scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(M / scale, rhs, rcond=None)
-        coef /= scale
-        g = coef[:2]
-        Hc = np.array([[coef[2], coef[3]], [coef[3], coef[4]]])
-        grad[v] = g
-        hess[v] = Hc - np.einsum("kij,k->ij", Gam[v], g)
-        if is_b[v] or any(is_b[w] for w in one_rings[v]):
-            confident[v] = False
-    return grad, hess, confident
+    hess = Hc - np.einsum("vkij,vk->vij", Gam, grad)
+    # a boundary vertex or one of its 1-ring neighbours
+    edges = mesh.edge_table()[0]
+    is_b = mesh.is_boundary
+    near_b = is_b.copy()
+    near_b[edges[is_b[edges[:, 0]], 1]] = True
+    near_b[edges[is_b[edges[:, 1]], 0]] = True
+    return grad, hess, (count >= 5) & ~near_b
 
 
 @dataclass

@@ -83,10 +83,11 @@ PROBLEM_SCHEMA = {
                 "preset": {"enum": ["disk", "annulus", "cap"]},
                 "params": {"type": "object", "additionalProperties": False,
                            "properties": {
-                               "radius": {"type": "number"},
-                               "theta0": {"type": "number"},
-                               "r_in": {"type": "number"},
-                               "r_out": {"type": "number"},
+                               "radius": {"type": "number", "exclusiveMinimum": 0},
+                               "theta0": {"type": "number", "exclusiveMinimum": 0,
+                                          "exclusiveMaximum": math.pi},
+                               "r_in": {"type": "number", "exclusiveMinimum": 0},
+                               "r_out": {"type": "number", "exclusiveMinimum": 0},
                            }},
                 "mesh": {"type": "string"},
             },
@@ -126,6 +127,11 @@ class LoadedProblem:
     path: Optional[str] = None
 
 
+# the parameters each preset domain takes
+_PRESET_PARAMS = {"disk": ("radius",), "cap": ("theta0",),
+                  "annulus": ("r_in", "r_out")}
+
+
 def validate_document(doc):
     validator = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
     errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
@@ -137,11 +143,32 @@ def validate_document(doc):
         raise SchemaError("$.ambient: exactly one of 'preset' or 'custom' required")
     if "params" in amb and amb.get("preset") != "example_c":
         raise SchemaError("$.ambient.params: only the example_c preset takes parameters")
+    curv = amb.get("custom", {}).get("curvature", {})
+    if "kappa0" in curv and curv.get("kind") != "constant_curvature":
+        raise SchemaError("$.ambient.custom.curvature.kappa0: only used with "
+                          "kind 'constant_curvature'")
     dom = doc["domain"]
     if ("preset" in dom) == ("mesh" in dom):
         raise SchemaError("$.domain: exactly one of 'preset' or 'mesh' required")
-    if "preset" in dom and "resolution" not in doc:
+    if "mesh" in dom:
+        if "params" in dom:
+            raise SchemaError("$.domain.params: not used with a mesh domain")
+        if "resolution" in doc:
+            raise SchemaError("$.resolution: not used with a mesh domain")
+        return
+    if "resolution" not in doc:
         raise SchemaError("$.resolution: required with a preset domain")
+    params = dom.get("params", {})
+    wanted = _PRESET_PARAMS[dom["preset"]]
+    for key in sorted(set(wanted) | set(params)):
+        if key not in params:
+            raise SchemaError(f"$.domain.params.{key}: required for the "
+                              f"'{dom['preset']}' preset")
+        if key not in wanted:
+            raise SchemaError(f"$.domain.params.{key}: not used by the "
+                              f"'{dom['preset']}' preset")
+    if dom["preset"] == "annulus" and not params["r_in"] < params["r_out"]:
+        raise SchemaError("$.domain.params.r_out: must exceed r_in")
 
 
 def _build_ambient(doc) -> AmbientSpace:
@@ -179,19 +206,12 @@ def _build_mesh(doc, ambient, base_dir: Path):
     if "mesh" in dom:
         return mesh_from_json(base_dir / dom["mesh"], ambient)
     h = float(doc["resolution"])
-    params = dom.get("params", {})
+    params = dom["params"]
     kind = dom["preset"]
     if kind == "disk":
-        if "radius" not in params:
-            raise SchemaError("$.domain.params.radius: required for a disk")
         return disk_mesh(params["radius"], h, ambient)
     if kind == "cap":
-        if "theta0" not in params:
-            raise SchemaError("$.domain.params.theta0: required for a cap")
         return cap_mesh(params["theta0"], h, ambient)
-    for key in ("r_in", "r_out"):
-        if key not in params:
-            raise SchemaError(f"$.domain.params.{key}: required for an annulus")
     return annulus_mesh(params["r_in"], params["r_out"], h, ambient)
 
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .errors import DomainError, NewtonStallError, SingularSystemError
 from .fields import ScalarField
@@ -67,6 +66,7 @@ class SolveReport:
 def linear_solve(system, rhs) -> np.ndarray:
     """Sparse LU solve with a residual check of 1e-12 relative to the
     right-hand side; raises on singular or badly conditioned systems."""
+    import scipy.sparse.linalg as spla   # only the solver factors a matrix
     rhs = np.asarray(rhs, dtype=float)
     try:
         lu = spla.splu(system.tocsc())

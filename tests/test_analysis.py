@@ -310,7 +310,50 @@ def test_search_error_names_each_reason_once(cmc_problem):
         search_boundary_barrier(cmc_problem, eps=1e-6)
     msg = str(info.value)
     assert msg.count("tubular strip is empty") == 1
-    assert "35 candidates" in msg
+    # the strip does not depend on (mu, c): the search stops at once
+    assert "stopped at its first candidate (mu = 1, c = 0.25)" in msg
+    assert "does not depend on (mu, c)" in msg
+
+
+def test_geometric_rejection_stops_after_one_candidate(generic_disk, monkeypatch):
+    # on the generic disk every strip vertex at the default width touches
+    # the boundary 1-ring, so no (mu, c) can pass
+    import ckgraph.analysis as analysis
+    prob, z = generic_disk
+    calls, lower = [], analysis.boundary_barrier
+    monkeypatch.setattr(analysis, "boundary_barrier",
+                        lambda *args: calls.append(args) or lower(*args))
+    with pytest.raises(ParameterError) as info:
+        search_boundary_barrier(prob, z, eps=0.05)
+    msg = str(info.value)
+    assert msg.count("no checkable strip vertices") == 1
+    assert "does not depend on (mu, c)" in msg
+    assert len(calls) == 1
+
+
+def test_candidate_independent_work_done_once(monkeypatch):
+    import ckgraph.analysis as analysis
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.04, amb)
+    x, y = mesh.vertices.T
+    prob = ck.Problem.create(amb, mesh, 1.0, -0.9 + 0.2 * x * y)
+    recoveries, candidates = [], []
+    recover = analysis.recover_gradient_hessian
+    monkeypatch.setattr(analysis, "recover_gradient_hessian",
+                        lambda *args: recoveries.append(1) or recover(*args))
+    for name in ("boundary_barrier", "upper_barrier_check"):
+        monkeypatch.setattr(analysis, name, lambda *args, fn=getattr(analysis, name):
+                            candidates.append(1) or fn(*args))
+    # a large z span makes the first candidates too weak
+    z = ScalarField(mesh, -0.9 + 2.0 * (0.16 - x**2 - y**2))
+    for upper in (False, True):
+        try:
+            search_boundary_barrier(prob, z, eps=0.12, upper=upper)
+        except ParameterError:
+            pass
+    assert len(candidates) > 2
+    assert len(recoveries) == 1          # phi_ext's derivatives, once
+    assert prob.boundary_extension() is prob.boundary_extension()
 
 
 # -- helpers ----------------------------------------------------------------

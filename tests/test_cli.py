@@ -289,6 +289,59 @@ def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
     _assert_clean_exit_1(["check", prob], capsys, fragment)
 
 
+def _preset_domain(preset, **params):
+    return _set(["domain"], {"preset": preset, "params": params})
+
+
+def _custom_curvature(**curvature):
+    return _set(["ambient"], {"custom": {"lam": "exp(t)", "curvature": curvature}})
+
+
+# name -> (edit of a valid preset document; the JSON path the error names)
+_BAD_PARAMETERS = {
+    "disk_radius_negative": (_preset_domain("disk", radius=-0.4),
+                             "$.domain.params.radius"),
+    "disk_radius_zero": (_preset_domain("disk", radius=0.0), "$.domain.params.radius"),
+    "cap_theta0_zero": (_preset_domain("cap", theta0=0.0), "$.domain.params.theta0"),
+    "cap_theta0_pi": (_preset_domain("cap", theta0=math.pi), "$.domain.params.theta0"),
+    "cap_theta0_above_pi": (_preset_domain("cap", theta0=4.0),
+                            "$.domain.params.theta0"),
+    "annulus_r_in_negative": (_preset_domain("annulus", r_in=-0.1, r_out=0.5),
+                              "$.domain.params.r_in"),
+    "annulus_r_out_zero": (_preset_domain("annulus", r_in=0.2, r_out=0.0),
+                           "$.domain.params.r_out"),
+    "annulus_reversed": (_preset_domain("annulus", r_in=0.5, r_out=0.3),
+                         "$.domain.params.r_out"),
+    "annulus_empty": (_preset_domain("annulus", r_in=0.3, r_out=0.3),
+                      "$.domain.params.r_out"),
+    "annulus_no_r_out": (_preset_domain("annulus", r_in=0.3), "$.domain.params.r_out"),
+    "disk_with_theta0": (_preset_domain("disk", radius=0.4, theta0=1.0),
+                         "$.domain.params.theta0"),
+    "cap_with_r_in": (_preset_domain("cap", theta0=1.0, r_in=0.2),
+                      "$.domain.params.r_in"),
+    "mesh_with_params": (_set(["domain"], {"mesh": "mesh.json",
+                                           "params": {"radius": 0.4}}),
+                         "$.domain.params"),
+    "mesh_with_resolution": (_set(["domain"], {"mesh": "mesh.json"}), "$.resolution"),
+    "kappa0_without_kind": (_custom_curvature(kappa0=2.0),
+                            "$.ambient.custom.curvature.kappa0"),
+    "kappa0_with_flat": (_custom_curvature(kind="flat", kappa0=2.0),
+                         "$.ambient.custom.curvature.kappa0"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("case", sorted(_BAD_PARAMETERS))
+def test_bad_parameter_exit_1_with_path(tmp_path, capsys, command, case):
+    edit, path = _BAD_PARAMETERS[case]
+    doc = _cap_doc(h=0.2)
+    edit(doc)
+    prob = _write(tmp_path, "problem.json", doc)
+    argv = [command, prob] + (["--out", str(tmp_path / "run")]
+                              if command == "solve" else [])
+    _assert_clean_exit_1(argv, capsys, path + ":")
+
+
 def test_certify_generic_disk(tmp_path, capsys):
     amb = ck.preset_ambient("killing_flat")
     _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.06, amb)))
@@ -360,17 +413,56 @@ def test_thread_cap_env(tmp_path):
     assert derived({}) == ["-"] * 4
 
 
-def test_cli_import_leaves_unused_scipy_out():
-    # Every command imports ckgraph.cli; scipy.integrate, scipy.optimize and
-    # scipy.spatial are imported only by the functions that use them.
+# prints the scipy modules a child has loaded, after running ``main`` on
+# the arguments when it is given any
+_SCIPY_PROBE = (
+    "import io, sys, contextlib; from ckgraph.cli import main\n"
+    "if sys.argv[1:]:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(sys.argv[1:])\n"
+    "    print(code)\n"
+    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+
+
+def _scipy_modules_after(argv):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(
         os.path.dirname(os.path.abspath(ck.__file__)))}
-    code = ("import sys, ckgraph.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.integrate', 'scipy.optimize', 'scipy.spatial')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()
+
+
+def test_cli_import_leaves_unused_scipy_out():
+    # Every command imports ckgraph.cli; scipy is imported only by the
+    # functions that use it, and of the ckg commands only solve does.
+    assert _scipy_modules_after([]) == ["[]"]
+
+
+@pytest.fixture(scope="module")
+def solved_mesh_file_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("mesh_file")
+    amb = ck.preset_ambient("killing_flat")
+    # fine enough for the default strip width to hold checkable vertices
+    _write(tmp, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.02, amb)))
+    prob = _write(tmp, "problem.json", _mesh_file_doc())
+    out = tmp / "run"
+    assert main(["solve", prob, "--out", str(out)]) == 0
+    return prob, str(out / "solution.csv")
+
+
+@pytest.mark.parametrize("run", ["preset", "mesh_file"])
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_certify_and_verify_run_without_scipy(solved_run, solved_mesh_file_run,
+                                              run, command):
+    if run == "preset":
+        _, prob, out = solved_run
+        solution = str(out / "solution.csv")
+    else:
+        prob, solution = solved_mesh_file_run
+    code, modules = _scipy_modules_after([command, prob, solution])
+    assert code == "0"
+    assert modules == "[]"
 
 
 # -- malformed problem documents (property test) ------------------------------

@@ -4,13 +4,14 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.errors import MeshError
-from ckgraph.mesh import (_chart_areas, _corner_update, _sigma_edges,
-                          annulus_mesh, cap_mesh, disk_mesh, mesh_from_arrays,
-                          mesh_from_json, mesh_to_json)
+from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
+                          _nearest, _sigma_edges, annulus_mesh, cap_mesh,
+                          disk_mesh, mesh_from_arrays, mesh_from_json,
+                          mesh_to_json)
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
@@ -119,10 +120,16 @@ def test_annulus_suspects_near_cut_locus():
     assert np.all(np.abs(rc[sus] - 0.5) < 3 * mesh.h)
 
 
+def _rows(csr):
+    """CSR rows ``(indptr, indices)`` as lists of ints."""
+    ptr, idx = csr
+    return [idx[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
+
+
 def test_vertex_rings():
     mesh = disk_mesh(0.3, 0.1, FLAT)
-    one = mesh.vertex_rings(depth=1)
-    two = mesh.vertex_rings(depth=2)
+    one = _rows(mesh.vertex_rings(depth=1))
+    two = _rows(mesh.vertex_rings(depth=2))
     for v in range(mesh.n_vertices):
         assert v not in one[v] and v not in two[v]
         assert set(one[v]) <= set(two[v])
@@ -155,6 +162,8 @@ def _brute_force(mesh):
         adj[b].add(a)
     two = [sorted(adj[v].union(*(adj[w] for w in adj[v])) - {v})
            for v in range(mesh.n_vertices)]
+    three = [sorted(set(two[v]).union(*(adj[w] for w in two[v])) - {v})
+             for v in range(mesh.n_vertices)]
     bedges = []
     for loop in mesh.boundary_loops:
         loop = [int(v) for v in loop]
@@ -162,21 +171,22 @@ def _brute_force(mesh):
             owners = [e for e, t in enumerate(mesh.triangles.tolist())
                       if i in t and j in t]
             bedges.append((i, j, owners))
-    return counts, [sorted(s) for s in adj], two, bedges
+    return counts, [sorted(s) for s in adj], two, three, bedges
 
 
 @settings(max_examples=25, deadline=None)
 @given(_PRESETS)
 def test_edge_table_matches_brute_force(spec):
     mesh, _ = _preset(*spec)
-    counts, one, two, bedges = _brute_force(mesh)
+    counts, one, two, three, bedges = _brute_force(mesh)
     edges, inverse, ecounts = mesh.edge_table()
     assert dict(zip(map(tuple, edges.tolist()), ecounts.tolist())) == counts
     for k, (a, b) in enumerate(((0, 1), (1, 2), (2, 0))):
         local = np.sort(mesh.triangles[:, [a, b]], axis=1)
         assert np.array_equal(edges[inverse[:, k]], local)
-    assert [list(map(int, r)) for r in mesh.vertex_rings(1)] == one
-    assert [list(map(int, r)) for r in mesh.vertex_rings(2)] == two
+    assert _rows(mesh.vertex_rings(1)) == one
+    assert _rows(mesh.vertex_rings(2)) == two
+    assert _rows(mesh.vertex_rings(3)) == three
     assert mesh.boundary_edges() == [(i, j, o[0]) for i, j, o in bedges]
     assert all(len(o) == 1 for _, _, o in bedges)
 
@@ -322,6 +332,7 @@ def _reference_sweep(vertices, triangles, dist, ambient, sweeps=2):
 
 
 def _dijkstra(mesh, ambient):
+    """The former upper bound of the generic distance, kept as a reference."""
     from scipy.sparse import csgraph, csr_matrix
     (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, ambient)
     nv = mesh.n_vertices
@@ -366,6 +377,48 @@ def test_generic_distance_independent_of_labels(spec, seed):
     perm, verts, tris, loops = _relabelled(mesh, np.random.default_rng(seed))
     moved = mesh_from_arrays(verts, tris, loops, amb)
     assert np.abs(moved.dist_to_boundary[perm] - base.dist_to_boundary).max() <= 1e-15
+
+
+@settings(max_examples=15, deadline=None)
+@given(_PRESETS, st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@example(("disk", 0.4, 0.04), None)
+@example(("disk", 0.4, 0.04), 2026)        # relabelled, as the benchmark's file
+@example(("cap", 1.0, 0.05), None)
+@example(("annulus", 0.3, 0.05), None)
+def test_edge_relaxation_equals_dijkstra(spec, seed):
+    mesh, amb = _preset(*spec)
+    if seed is not None:
+        _, verts, tris, loops = _relabelled(mesh, np.random.default_rng(seed))
+        mesh = mesh_from_arrays(verts, tris, loops, amb)
+    (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, amb)
+    start = np.full(mesh.n_vertices, np.inf)
+    start[mesh.boundary_vertices] = 0.0
+    assert np.array_equal(_edge_relaxation(pairs, lengths, start),
+                          _dijkstra(mesh, amb))
+
+
+def test_edge_relaxation_unconverged_is_an_error():
+    mesh = disk_mesh(0.3, 0.15, FLAT)
+    (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, FLAT)
+    start = np.full(mesh.n_vertices, np.inf)
+    start[mesh.boundary_vertices] = 0.0
+    with pytest.raises(MeshError, match="shortest edge paths to the boundary did "
+                                        rf"not converge in {mesh.n_vertices} sweeps"):
+        _edge_relaxation(pairs, -lengths, start)      # never settles
+
+
+def test_nearest_matches_kd_tree():
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(7)
+    # 3 chunks of 2^20 // 300 points
+    points, targets = rng.uniform(-1, 1, (8000, 2)), rng.uniform(-1, 1, (300, 2))
+    assert np.array_equal(_nearest(points, targets), cKDTree(targets).query(points)[1])
+
+
+def test_nearest_tie_goes_to_lowest_index():
+    targets = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    assert _nearest(np.zeros((1, 2)), targets).tolist() == [1]
+    assert _nearest(np.zeros((1, 2)), targets[::-1]).tolist() == [0]
 
 
 def test_generic_distance_unconverged_is_an_error(monkeypatch):

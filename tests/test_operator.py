@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
-from ckgraph.operator import (boundary_flux, evaluate_graph,
+from ckgraph.operator import (boundary_flux, christoffel_symbols, evaluate_graph,
                               flux_differential_eigenvalues, graph_normal,
                               induced_metric, max_principle_conditions,
-                              mean_curvature_of_graph, residual_Q,
-                              residual_Qtau, second_fundamental_form,
+                              mean_curvature_of_graph, recover_gradient_hessian,
+                              residual_Q, residual_Qtau, second_fundamental_form,
                               strong_form_values, tangent_frame,
                               ambient_frame_inner)
 from ckgraph.problemfile import load_problem_document
@@ -257,6 +257,70 @@ def test_mean_curvature_recovery_constant_graph():
     z = ScalarField.constant(mesh, -0.2)
     Hf, conf = mean_curvature_of_graph(prob, z)
     assert np.abs(Hf.values[conf]).max() < 1e-8
+
+
+def _recovery_loop(mesh, ambient, values):
+    """The former per-vertex patch recovery, kept as a reference: one
+    column-scaled ``lstsq`` fit over each 2-ring."""
+    rings = np.split(mesh.vertex_rings(2)[1], mesh.vertex_rings(2)[0][1:-1])
+    one_rings = np.split(mesh.vertex_rings(1)[1], mesh.vertex_rings(1)[0][1:-1])
+    is_b = mesh.is_boundary
+    nv = mesh.n_vertices
+    grad, hess = np.zeros((nv, 2)), np.zeros((nv, 2, 2))
+    confident = np.ones(nv, dtype=bool)
+    Gam = christoffel_symbols(ambient, mesh.vertices)
+    for v in range(nv):
+        nbrs = rings[v]
+        if len(nbrs) < 5:
+            confident[v] = False
+        pts = mesh.vertices[nbrs] - mesh.vertices[v]
+        rhs = values[nbrs] - values[v]
+        M = np.stack([pts[:, 0], pts[:, 1], 0.5 * pts[:, 0] ** 2,
+                      pts[:, 0] * pts[:, 1], 0.5 * pts[:, 1] ** 2], axis=1)
+        scale = np.linalg.norm(M, axis=0)
+        scale[scale == 0] = 1.0
+        coef, *_ = np.linalg.lstsq(M / scale, rhs, rcond=None)
+        coef /= scale
+        grad[v] = coef[:2]
+        Hc = np.array([[coef[2], coef[3]], [coef[3], coef[4]]])
+        hess[v] = Hc - np.einsum("kij,k->ij", Gam[v], coef[:2])
+        if is_b[v] or any(is_b[w] for w in one_rings[v]):
+            confident[v] = False
+    return grad, hess, confident
+
+
+def _jittered_disk(amb):
+    """A generic mesh: disk_mesh(0.4, 0.05) with every interior vertex moved
+    by up to a fifth of the ring spacing."""
+    mesh = ck.disk_mesh(0.4, 0.05, amb)
+    verts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    verts[inner] += np.random.default_rng(3).uniform(-0.01, 0.01, (len(inner), 2))
+    return ck.mesh_from_arrays(verts, mesh.triangles, mesh.boundary_loops, amb)
+
+
+def _two_triangles(amb):
+    """Four vertices: every 2-ring has fewer than 5 points."""
+    verts = np.array([[0.0, 0.0], [0.3, 0.0], [0.3, 0.2], [0.0, 0.25]])
+    return ck.mesh_from_arrays(verts, [[0, 1, 2], [0, 2, 3]], [[0, 1, 2, 3]], amb)
+
+
+@pytest.mark.parametrize("ambient, build", [
+    ("killing_flat", lambda a: ck.disk_mesh(0.4, 0.04, a)),
+    ("euclidean_radial", lambda a: ck.cap_mesh(1.0, 0.05, a)),
+    ("killing_flat", _jittered_disk),
+    ("euclidean_radial", _two_triangles),
+], ids=["disk", "round_cap", "generic", "deficient"])
+def test_batched_recovery_matches_loop(ambient, build):
+    amb = ck.preset_ambient(ambient)
+    mesh = build(amb)
+    x, y = mesh.vertices.T
+    values = np.cos(3 * x) + y**3 - np.sqrt(1.5 - x**2 - y**2)
+    grad, hess, conf = recover_gradient_hessian(mesh, amb, values)
+    ref_grad, ref_hess, ref_conf = _recovery_loop(mesh, amb, values)
+    assert np.array_equal(conf, ref_conf)
+    for new, ref in ((grad, ref_grad), (hess, ref_hess)):
+        assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_graph_evaluation(cmc_problem, cmc_solution):
