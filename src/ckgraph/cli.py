@@ -28,8 +28,8 @@ from .solver import continuation_solve
 _STATUS_EXIT = {"converged": 0, "stalled": 2, "left_interval": 3}
 
 
-def _dump_json(doc, path=None):
-    text = json.dumps(doc, sort_keys=True, indent=2)
+def _dump_json(doc, path=None, indent=2):
+    text = json.dumps(doc, sort_keys=True, indent=indent)
     if path is None:
         print(text)
     else:
@@ -81,7 +81,8 @@ def cmd_solve(args) -> int:
             return 1
         print(f"warning: failing conditions: {names}", file=sys.stderr)
 
-    _dump_json(mesh_to_json(problem.mesh), out / "mesh.json")
+    # no indent: json's C encoder, about twice as fast and half the size
+    _dump_json(mesh_to_json(problem.mesh), out / "mesh.json", indent=None)
     log_path = out / "log.jsonl"
     with open(log_path, "w", encoding="utf-8") as log:
         def on_iteration(rec):

@@ -123,8 +123,11 @@ def _chart_areas(vertices, triangles):
 
 def _edge_table(triangles):
     pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    edges, inverse, counts = np.unique(pairs, axis=0, return_inverse=True,
-                                       return_counts=True)
+    # keys i nv + j sort as the pairs (i, j) do
+    nv = int(triangles.max()) + 1 if triangles.size else 1
+    keys, inverse, counts = np.unique(pairs[:, 0].astype(np.int64) * nv + pairs[:, 1],
+                                      return_inverse=True, return_counts=True)
+    edges = np.stack(np.divmod(keys, nv), axis=1).astype(triangles.dtype, copy=False)
     return edges, inverse.reshape(-1, 3), counts
 
 

@@ -106,7 +106,7 @@ class SparseSystem:
     """Interior residual and Jacobian of the weak operator."""
 
     residual: np.ndarray       # (ni,)
-    jacobian: "scipy.sparse.csr_matrix"    # (ni, ni)
+    jacobian: "scipy.sparse.csc_matrix"    # (ni, ni)
     interior: np.ndarray       # interior vertex indices
     # (ni,) tau-derivative of the residual along the continuation path
     # (interior held, boundary at tau * phi); only from system(tangent=True)
@@ -120,46 +120,99 @@ class SparseSystem:
 _HATS = 0.5 * (1.0 - np.eye(3))
 
 
+def _rows(a):
+    """Per-element data ``(nt, 3, ...)`` as contiguous rows ``(3, nt, ...)``,
+    one row per local vertex or quadrature point."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(a), 1, 0))
+
+
+def _parts(M):
+    """Components ``(M_11, M_12, M_22)`` of symmetric 2x2 matrices."""
+    return (np.ascontiguousarray(M[..., 0, 0]), np.ascontiguousarray(M[..., 0, 1]),
+            np.ascontiguousarray(M[..., 1, 1]))
+
+
+@dataclass
+class _Evaluation:
+    """The residual pass of the element kernel at one ``(z, tau)``: the
+    element residual ``val`` and the intermediates its Jacobian reuses.
+    Arrays are ``(nt,)`` per element or ``(3, nt)`` per local vertex or
+    quadrature point."""
+
+    tau: float
+    zmid: np.ndarray
+    lam_m: np.ndarray
+    lamt_m: np.ndarray
+    rho_m: np.ndarray
+    U_c: np.ndarray
+    Pc: np.ndarray             # G Sinv_c grad z
+    qx: np.ndarray             # Sinv_q grad z, by component
+    qy: np.ndarray
+    U_q: np.ndarray
+    P_q: np.ndarray
+    val: np.ndarray
+
+
 class _Assembly:
+    """Element kernel of the weak operator.  Per-element data is stored
+    component by component, each component a contiguous row over the
+    elements, so every 2x2 metric contraction is a few vector operations."""
+
     def __init__(self, problem: Problem):
         amb, mesh = problem.ambient, problem.mesh
         self.problem = problem
         self.tri = mesh.triangles
+        self._triT = _rows(self.tri)                     # (3, nt)
         self.n = amb.base_dim
         self.G, self.A = _hat_gradients(mesh.vertices, mesh.triangles)
+        self.Gx, self.Gy = _rows(self.G[..., 0]), _rows(self.G[..., 1])
         p = mesh.vertices[self.tri]
         cent = p.mean(axis=1)
         S_c = amb.base_metric(cent)
         self.Sinv_c = np.linalg.inv(S_c)
+        self.Sc = _parts(self.Sinv_c)
         self.gam_c = np.asarray(amb.gamma(cent))
         qp = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite 0,1,2
-        S_q = amb.base_metric(qp)
-        self.Sinv_q = np.linalg.inv(S_q)
-        self.gam_q = np.asarray(amb.gamma(qp))
-        dgam_q = np.asarray(amb.grad_gamma(qp))
-        Hv = problem.H.values[self.tri]                    # (nt, 3)
-        self.H_q = 0.5 * (Hv.sum(axis=1, keepdims=True) - Hv)
+        S_q = _rows(amb.base_metric(qp))
+        Sinv_q = np.linalg.inv(S_q)
+        self.Sq = _parts(Sinv_q)
+        self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
+        dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
+        Hv = problem.H.values[self._triT]                # (3, nt)
+        self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
         self.w_c = self.A * np.sqrt(np.linalg.det(S_c))
-        self.w_q = (self.A[:, None] / 3.0) * np.sqrt(np.linalg.det(S_q))
-        self.GS_c = np.einsum("eai,eij->eaj", self.G, self.Sinv_c)
-        self.K1 = np.einsum("eaj,ebj->eab", self.GS_c, self.G)
-        self.dgS_q = np.einsum("eqi,eqij->eqj", dgam_q, self.Sinv_q)
-        self.dgg = np.einsum("eqj,ebj->eqb", self.dgS_q, self.G)
-        self.lumped_mass = np.zeros(mesh.n_vertices)
-        np.add.at(self.lumped_mass, self.tri, self.w_q @ _HATS)
-        # interior numbering and the element entries of the interior block
+        self.w_q = (self.A / 3.0) * np.sqrt(np.linalg.det(S_q))
+        c11, c12, c22 = self.Sc
+        self.GSx = self.Gx * c11 + self.Gy * c12         # rows of G Sinv_c
+        self.GSy = self.Gx * c12 + self.Gy * c22
+        q11, q12, q22 = self.Sq
+        self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
+        self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
+        self.lumped_mass = self._scatter(_HATS @ self.w_q)
+        # interior numbering and the CSC pattern of the interior block
         self.interior = mesh.interior_vertices
+        ni = len(self.interior)
         pos = np.full(mesh.n_vertices, -1)
-        pos[self.interior] = np.arange(len(self.interior))
-        rows = np.repeat(pos[self.tri], 3, axis=1).ravel()  # a index
-        cols = np.tile(pos[self.tri], (1, 3)).ravel()       # b index
-        self._keep = (rows >= 0) & (cols >= 0)
-        self._rows, self._cols = rows[self._keep], cols[self._keep]
+        pos[self.interior] = np.arange(ni)
+        # entry (a, b, e) couples the element's vertex a (row) to b (column);
+        # keys col ni + row sort in CSC order
+        local_pos = pos[self._triT]
+        shape = (3, 3, len(self.tri))
+        rows = np.broadcast_to(local_pos[:, None], shape).ravel()
+        cols = np.broadcast_to(local_pos[None], shape).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        keys, slot = np.unique(cols[keep] * ni + rows[keep], return_inverse=True)
+        self._nnz = len(keys)
+        self._slot = np.full(rows.size, self._nnz)      # boundary entries: spare slot
+        self._slot[keep] = slot
+        index = np.int32 if max(ni, self._nnz) < 2**31 else np.int64
+        self._indices = (keys % ni).astype(index)
+        self._indptr = np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index)
         # boundary data per element, zero at interior vertices
         phi_b = np.zeros(mesh.n_vertices)
         phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
-        self._phi_b = phi_b[self.tri]
+        self._phi_b = phi_b[self._triT]
 
     # -- pointwise data -----------------------------------------------------
 
@@ -173,98 +226,125 @@ class _Assembly:
             )
 
     def _element_state(self, z):
-        zt = z[self.tri]
-        gz = np.einsum("eai,ea->ei", self.G, zt)
-        zmid = zt.mean(axis=1)
-        return zt, gz, zmid
+        """Chart gradient ``(gx, gy)`` and mean value of ``z`` per element."""
+        zt = z[self._triT]
+        return (self.Gx * zt).sum(axis=0), (self.Gy * zt).sum(axis=0), zt.mean(axis=0)
+
+    def _sharp(self, gx, gy):
+        """``Sinv_c grad z`` by components and ``|grad z|^2`` at centroids."""
+        c11, c12, c22 = self.Sc
+        sx = c11 * gx + c12 * gy
+        sy = c12 * gx + c22 * gy
+        return sx, sy, gx * sx + gy * sy
 
     def grad_sup(self, z) -> float:
-        _, gz, _ = self._element_state(z)
-        norm2 = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
-        return float(np.sqrt(norm2.max()))
+        gx, gy, _ = self._element_state(z)
+        return float(np.sqrt(self._sharp(gx, gy)[2].max()))
 
     def _scatter(self, val):
-        R = np.zeros(self.problem.mesh.n_vertices)
-        np.add.at(R, self.tri, val)
-        return R
+        return np.bincount(self._triT.ravel(), weights=val.ravel(),
+                           minlength=self.problem.mesh.n_vertices)
 
     # -- element kernel ------------------------------------------------------
 
-    def _divergence(self, gz):
+    def _divergence(self, gx, gy):
         """Centroid divergence term: ``U_c``, ``G Sinv_c grad z`` and its
         weak values against the three hats."""
-        w2c = np.einsum("ei,eij,ej->e", gz, self.Sinv_c, gz)
+        sx, sy, w2c = self._sharp(gx, gy)
         U_c = np.sqrt(self.gam_c + w2c)
-        Pc = np.einsum("eaj,ej->ea", self.GS_c, gz)
-        return U_c, Pc, -self.w_c[:, None] * (Pc / U_c[:, None])
+        Pc = self.Gx * sx + self.Gy * sy
+        return U_c, Pc, Pc * (-self.w_c / U_c)
 
-    def _local(self, z, tau: float, jacobian=False):
-        """Per-element weak residual (nt, 3) and, with ``jacobian``, its
-        exact derivatives with respect to the element values (nt, 3, 3) and
-        to ``tau`` (nt, 3)."""
+    def _evaluate(self, z, tau: float) -> _Evaluation:
+        """Residual pass: the per-element weak residual ``(3, nt)`` with the
+        intermediates that ``_local`` reuses."""
         self._check_interval(z)
         amb = self.problem.ambient
         n = self.n
-        _, gz, zmid = self._element_state(z)
+        gx, gy, zmid = self._element_state(z)
         lam_m = np.asarray(amb.lam(zmid))
         lamt_m = np.asarray(amb.lam_t(zmid))
         rho_m = lamt_m / lam_m
-        U_c, Pc, val = self._divergence(gz)
+        U_c, Pc, val = self._divergence(gx, gy)
 
-        Sgz_q = np.einsum("eqij,ej->eqi", self.Sinv_q, gz)
-        U_q = np.sqrt(self.gam_q + np.einsum("eqi,ei->eq", Sgz_q, gz))
-        gg_q = np.einsum("eqj,ej->eq", self.dgS_q, gz)
-        P_q = gg_q / (2.0 * self.gam_q) + tau * n * self.gam_q * rho_m[:, None]
-        L_q = P_q / U_q + tau * n * lam_m[:, None] * self.H_q
-        val -= (self.w_q * L_q) @ _HATS
-        if not jacobian:
-            return val
+        q11, q12, q22 = self.Sq
+        qx = q11 * gx + q12 * gy
+        qy = q12 * gx + q22 * gy
+        U_q = np.sqrt(self.gam_q + qx * gx + qy * gy)
+        P_q = (self.dgSx * gx + self.dgSy * gy) / (2.0 * self.gam_q) \
+            + tau * n * self.gam_q * rho_m
+        L_q = P_q / U_q + tau * n * lam_m * self.H_q
+        val -= _HATS @ (self.w_q * L_q)
+        return _Evaluation(tau, zmid, lam_m, lamt_m, rho_m, U_c, Pc, qx, qy,
+                           U_q, P_q, val)
 
-        rhot_m = rho_t(amb, zmid)
-        local = -self.w_c[:, None, None] * (
-            self.K1 / U_c[:, None, None]
-            - np.einsum("ea,eb->eab", Pc, Pc) / (U_c**3)[:, None, None]
-        )
-        zdb = np.einsum("eqi,ebi->eqb", Sgz_q, self.G)
-        dP = self.dgg / (2.0 * self.gam_q)[..., None] \
-            + (tau * n / 3.0) * (self.gam_q * rhot_m[:, None])[..., None]
-        dL = dP / U_q[..., None] - P_q[..., None] * zdb / (U_q**3)[..., None] \
-            + (tau * n / 3.0) * (lamt_m[:, None] * self.H_q)[..., None]
-        local -= _HATS @ (self.w_q[..., None] * dL)   # _HATS is symmetric
+    def _local(self, ev: _Evaluation):
+        """Exact derivatives of the element residual of ``ev`` with respect
+        to the element values, ``local[a, b, e]`` for row vertex ``a`` and
+        column vertex ``b`` (3, 3, nt), and to ``tau`` (3, nt).
+
+        Each term is a sum of outer products over the local vertices: the
+        centroid flux gives ``G Sinv_c G^T`` and ``Pc Pc^T``; the midpoint
+        terms, whose ``z`` dependence enters through ``grad z`` (rows of
+        ``G``) and ``zmid`` (1/3 at every vertex), give rows times ``Gx``,
+        ``Gy`` and a constant."""
+        amb = self.problem.ambient
+        n, tau = self.n, ev.tau
+        rhot_m = rho_t(amb, ev.zmid)
+        k = self.w_c / ev.U_c
+        a1 = self.w_q / (2.0 * self.gam_q * ev.U_q)
+        a2 = self.w_q * ev.P_q / ev.U_q**3
+        X = _HATS @ (a1 * self.dgSx - a2 * ev.qx) + k * self.GSx
+        Y = _HATS @ (a1 * self.dgSy - a2 * ev.qy) + k * self.GSy
+        C = _HATS @ (self.w_q * (tau * n / 3.0)
+                     * (self.gam_q * rhot_m / ev.U_q + ev.lamt_m * self.H_q))
+        Pk = ev.Pc * (k / ev.U_c**2)
+        local = Pk[:, None] * ev.Pc[None]
+        local -= X[:, None] * self.Gx[None]
+        local -= Y[:, None] * self.Gy[None]
+        local -= C[:, None]
         # L_q is affine in tau, so this rate is exact
-        L_tau = n * (self.gam_q * rho_m[:, None] / U_q + lam_m[:, None] * self.H_q)
-        return val, local, -(self.w_q * L_tau) @ _HATS
+        L_tau = n * (self.gam_q * ev.rho_m / ev.U_q + ev.lam_m * self.H_q)
+        return local, -(_HATS @ (self.w_q * L_tau))
 
     # -- residual and Jacobian ---------------------------------------------
 
     def residual_full(self, z, tau: float):
         """Weak residual tested against every hat function (boundary ones
         included); the interior slice is the Newton residual."""
-        return self._scatter(self._local(z, tau))
+        return self._scatter(self._evaluate(z, tau).val)
 
     def flux_residual_full(self, z):
         """Only the integrated-by-parts divergence term (for flux balance)."""
         self._check_interval(z)
-        _, gz, _ = self._element_state(z)
-        return self._scatter(self._divergence(gz)[2])
+        gx, gy, _ = self._element_state(z)
+        return self._scatter(self._divergence(gx, gy)[2])
 
-    def residual(self, z, tau: float):
-        return self.residual_full(z, tau)[self.interior]
+    def residual(self, z, tau: float, keep=False):
+        """Interior Newton residual; with ``keep`` also its element pass, for
+        ``system`` at the same ``(z, tau)``."""
+        ev = self._evaluate(z, tau)
+        r = self._scatter(ev.val)[self.interior]
+        return (r, ev) if keep else r
 
-    def system(self, z, tau: float, tangent=False) -> SparseSystem:
+    def system(self, z, tau: float, tangent=False,
+               evaluation: Optional[_Evaluation] = None) -> SparseSystem:
         """Interior residual and Jacobian; with ``tangent`` also the path
-        rate ``dR_i/dtau + J_ib phi_b`` from the same element pass."""
+        rate ``dR_i/dtau + J_ib phi_b`` from the same element pass.  An
+        ``evaluation`` from ``residual(z, tau, keep=True)`` spares the
+        residual pass."""
         import scipy.sparse as sp    # here: of the ckg commands only solve needs it
-        val, local, rate = self._local(z, tau, jacobian=True)
+        ev = evaluation if evaluation is not None else self._evaluate(z, tau)
+        local, rate = self._local(ev)
+        data = np.bincount(self._slot, weights=local.ravel(),
+                           minlength=self._nnz + 1)[:-1]
         ni = len(self.interior)
-        # local[e, a, b] flattens with a (the row) varying slowest
-        J = sp.coo_matrix((local.ravel()[self._keep], (self._rows, self._cols)),
-                          shape=(ni, ni)).tocsr()
+        J = sp.csc_matrix((data, self._indices, self._indptr), shape=(ni, ni))
         path_rate = None
         if tangent:
-            rate = rate + np.einsum("eab,eb->ea", local, self._phi_b)
+            rate += np.einsum("abe,be->ae", local, self._phi_b)
             path_rate = self._scatter(rate)[self.interior]
-        return SparseSystem(self._scatter(val)[self.interior], J, self.interior,
+        return SparseSystem(self._scatter(ev.val)[self.interior], J, self.interior,
                             path_rate)
 
 
@@ -398,8 +478,8 @@ def evaluate_graph(problem: Problem, z: ScalarField) -> GraphEvaluation:
     asm = problem.assembly()
     amb = problem.ambient
     zv = z.values
-    _, gz, zmid = asm._element_state(zv)
-    w2 = np.einsum("ei,eij,ej->e", gz, asm.Sinv_c, gz)
+    gx, gy, zmid = asm._element_state(zv)
+    w2 = asm._sharp(gx, gy)[2]
     lam_m = np.asarray(amb.lam(zmid))
     W = np.sqrt(asm.gam_c + w2) / lam_m
     flux_norm = np.sqrt(w2 / (asm.gam_c + w2))

@@ -69,7 +69,9 @@ def linear_solve(system, rhs) -> np.ndarray:
     import scipy.sparse.linalg as spla   # only the solver factors a matrix
     rhs = np.asarray(rhs, dtype=float)
     try:
-        lu = spla.splu(system.tocsc())
+        # P1 element matrices are structurally symmetric: order A + A^T
+        lu = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       options={"SymmetricMode": True})
         x = lu.solve(rhs)
     except (RuntimeError, ValueError) as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
@@ -112,14 +114,16 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     records = []
 
     def res_norm(zz):
-        return float(np.abs(asm.residual(zz, tau)).max())
+        # the element pass goes on to the Jacobian if zz is accepted
+        r, ev = asm.residual(zz, tau, keep=True)
+        return float(np.abs(r).max()), ev
 
-    rnorm = res_norm(z)
+    rnorm, ev = res_norm(z)
     best = (rnorm, z.copy())
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
             return z, records, clamped
-        system = asm.system(z, tau)
+        system = asm.system(z, tau, evaluation=ev)
         step = linear_solve(system.jacobian, -system.residual)
         alpha, halvings = 1.0, 0
         while True:
@@ -127,9 +131,9 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
             trial[ii] += alpha * step
             trial, was_clamped = _clamp(trial, problem, options)
             try:
-                trial_norm = res_norm(trial)
+                trial_norm, trial_ev = res_norm(trial)
             except DomainError:
-                trial_norm = math.inf
+                trial_norm, trial_ev = math.inf, None
                 was_clamped = False
             if trial_norm < rnorm or halvings >= options.max_damping_halvings:
                 break
@@ -140,7 +144,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
                 f"Newton stalled at tau={tau} after {it} iterations "
                 f"(residual {best[0]:.3e})",
                 best_iterate=best[1], iterations=it, residual_norm=best[0])
-        z, rnorm = trial, trial_norm
+        z, rnorm, ev = trial, trial_norm, trial_ev
         clamped = clamped or was_clamped
         rec = NewtonRecord(tau, it, rnorm, float(alpha * np.abs(step).max()),
                            halvings)

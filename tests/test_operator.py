@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
+from ckgraph.mesh import mesh_from_arrays
 from ckgraph.operator import (boundary_flux, christoffel_symbols, evaluate_graph,
                               flux_differential_eigenvalues, graph_normal,
                               induced_metric, max_principle_conditions,
@@ -24,13 +25,27 @@ def _random_state(problem, rng, scale=0.3):
     return z
 
 
+def _gamma(u):
+    u = np.asarray(u, dtype=float)
+    return 1.0 + 0.3 * u[..., 0] + 0.2 * u[..., 1] ** 2
+
+
+def _grad_gamma(u):
+    u = np.asarray(u, dtype=float)
+    return np.stack([np.full(u.shape[:-1], 0.3), 0.4 * u[..., 1]], axis=-1)
+
+
 @pytest.fixture(scope="module")
 def problems():
     out = []
-    for name, builder in [("killing_flat", lambda a: ck.disk_mesh(0.4, 0.1, a)),
-                          ("euclidean_radial", lambda a: ck.cap_mesh(1.0, 0.15, a)),
-                          ("example_a", lambda a: ck.disk_mesh(0.4, 0.1, a))]:
-        amb = ck.preset_ambient(name)
+    for amb, builder in [
+            (ck.preset_ambient("killing_flat"), lambda a: ck.disk_mesh(0.4, 0.1, a)),
+            (ck.preset_ambient("euclidean_radial"), lambda a: ck.cap_mesh(1.0, 0.15, a)),
+            (ck.preset_ambient("example_a"), lambda a: ck.disk_mesh(0.4, 0.1, a)),
+            # non-constant gamma with its exact gradient on the round-sphere
+            # metric: the only fixture whose grad-gamma terms are not zero
+            (ck.preset_ambient("euclidean_radial", gamma=_gamma, grad_gamma=_grad_gamma),
+             lambda a: ck.cap_mesh(1.0, 0.15, a))]:
         mesh = builder(amb)
         out.append(ck.Problem.create(amb, mesh, 0.7, -0.3))
     return out
@@ -137,6 +152,35 @@ def test_jacobian_matches_finite_differences(problems):
                 col = J[:, pos[int(j)]]
                 rel = np.abs(fd - col).max() / max(np.abs(col).max(), 1e-12)
                 assert rel < 1e-6
+
+
+def test_jacobian_whole_matrix_matches_element_sum():
+    # every entry of the fixed CSC pattern, on a mesh with shuffled vertex
+    # and triangle labels, against a dense sum of the element matrices
+    amb = ck.preset_ambient("example_a")
+    base = ck.disk_mesh(0.4, 0.08, amb)
+    rng = np.random.default_rng(2024)
+    perm = rng.permutation(base.n_vertices)          # old label -> new label
+    verts = np.empty_like(base.vertices)
+    verts[perm] = base.vertices
+    tris = perm[base.triangles][rng.permutation(base.n_triangles)]
+    roll = rng.integers(0, 3, len(tris))
+    tris = np.take_along_axis(tris, (np.arange(3) + roll[:, None]) % 3, axis=1)
+    mesh = mesh_from_arrays(verts, tris, [perm[l] for l in base.boundary_loops], amb)
+    x, y = mesh.vertices.T
+    prob = ck.Problem.create(amb, mesh, ScalarField(mesh, 0.5 + x * y), -0.2)
+    asm = prob.assembly()
+    z = _random_state(prob, rng)
+    z[mesh.boundary_vertices] = 0.7 * prob.phi[mesh.boundary_vertices]
+    local, _ = asm._local(asm._evaluate(z, 0.7))
+    dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
+    for a in range(3):
+        for b in range(3):
+            np.add.at(dense, (mesh.triangles[:, a], mesh.triangles[:, b]), local[a, b])
+    ref = dense[np.ix_(asm.interior, asm.interior)]
+    J = asm.system(z, 0.7).jacobian
+    assert J.format == "csc"
+    assert np.abs(J.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_flux_partition_of_unity(problems):

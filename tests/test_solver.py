@@ -133,10 +133,10 @@ def _without_tangent(monkeypatch, problem):
     asm = problem.assembly()
     system = asm.system
 
-    def no_tangent(z, tau, tangent=False):
+    def no_tangent(z, tau, tangent=False, **kwargs):
         if tangent:
             raise SingularSystemError("tangent system unavailable")
-        return system(z, tau)
+        return system(z, tau, **kwargs)
     monkeypatch.setattr(asm, "system", no_tangent)
 
 
@@ -188,3 +188,32 @@ def test_guess_never_clamps_or_changes_outcome(monkeypatch, step):
         # at 0, the halved one from the guess
         assert np.all(starts[0] == 0.0)
         assert np.any(starts[1] != 0.0)
+
+
+def _ladder_problem(ladder, h):
+    if ladder == "cap":
+        amb = ck.preset_ambient("killing_flat")
+        mesh = ck.disk_mesh(0.4, h, amb)
+        r = np.linalg.norm(mesh.vertices, axis=1)
+        return ck.Problem.create(amb, mesh, 1.0, -np.sqrt(0.84)), -np.sqrt(1.0 - r**2)
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = ck.cap_mesh(1.0, h, amb)
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    exact = -np.log(np.cos(r)) + np.log(np.cos(1.0))
+    return ck.Problem.create(amb, mesh, 0.0, exact), exact
+
+
+@pytest.mark.parametrize("ladder, sizes", [("cap", (0.04, 0.02, 0.01)),
+                                           ("radial", (0.1, 0.05, 0.025))],
+                         ids=["cap", "radial"])
+def test_convergence_order_ladder(ladder, sizes):
+    # second order at each halving of h, so a change that keeps every
+    # max-error bound but loses an order of accuracy fails here
+    errors = []
+    for h in sizes:
+        prob, exact = _ladder_problem(ladder, h)
+        rep = continuation_solve(prob)
+        assert rep.status == "converged"
+        errors.append(np.abs(rep.solution.values - exact).max())
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8), orders
