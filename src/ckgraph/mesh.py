@@ -556,9 +556,9 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
 def mesh_to_json(mesh: DomainMesh) -> dict:
     """Exchange document: vertices, triangles, boundary loops."""
     return {
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "triangles": [[int(i) for i in t] for t in mesh.triangles],
-        "boundary": [[int(i) for i in loop] for loop in mesh.boundary_loops],
+        "vertices": mesh.vertices.tolist(),
+        "triangles": mesh.triangles.tolist(),
+        "boundary": [loop.tolist() for loop in mesh.boundary_loops],
     }
 
 

@@ -9,8 +9,6 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
-import jsonschema
-
 from . import ambient as ambient_mod
 from .ambient import AmbientSpace, CurvatureModel, preset_ambient, PRESET_NAMES
 from .errors import SchemaError
@@ -132,11 +130,123 @@ _PRESET_PARAMS = {"disk": ("radius",), "cap": ("theta0",),
                   "annulus": ("r_in", "r_out")}
 
 
+# JSON Schema 2020-12 types as they appear in json.load output: a bool is
+# not a number, and a float with no fractional part is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _equal(a, b):
+    """JSON equality: ``true`` is not ``1``."""
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _type(value, name, schema, path):
+    if not _TYPES[name](value):
+        yield path, f"{value!r} is not of type {name!r}"
+
+
+def _enum(value, options, schema, path):
+    if not any(_equal(value, option) for option in options):
+        yield path, f"{value!r} is not one of {options!r}"
+
+
+def _const(value, const, schema, path):
+    if not _equal(value, const):
+        yield path, f"{const!r} was expected"
+
+
+def _any_of(value, subschemas, schema, path):
+    if all(any(_schema_errors(value, sub, path)) for sub in subschemas):
+        yield path, f"{value!r} is not valid under any of the given schemas"
+
+
+def _properties(value, properties, schema, path):
+    if isinstance(value, dict):
+        for key, sub in properties.items():
+            if key in value:
+                yield from _schema_errors(value[key], sub, f"{path}.{key}")
+
+
+def _required(value, keys, schema, path):
+    if isinstance(value, dict):
+        for key in keys:
+            if key not in value:
+                yield path, f"{key!r} is a required property"
+
+
+def _additional_properties(value, allowed, schema, path):
+    # only ``false`` is interpreted: no key outside ``properties``
+    if isinstance(value, dict) and allowed is False:
+        extras = sorted(set(value) - set(schema.get("properties", ())))
+        if extras:
+            verb = "was" if len(extras) == 1 else "were"
+            names = ", ".join(repr(key) for key in extras)
+            yield path, ("Additional properties are not allowed "
+                         f"({names} {verb} unexpected)")
+
+
+def _min_properties(value, least, schema, path):
+    if isinstance(value, dict) and len(value) < least:
+        yield path, (f"{value!r} should be non-empty" if least == 1
+                     else f"{value!r} does not have enough properties")
+
+
+def _max_properties(value, most, schema, path):
+    if isinstance(value, dict) and len(value) > most:
+        yield path, f"{value!r} has too many properties"
+
+
+def _exclusive_minimum(value, bound, schema, path):
+    if _TYPES["number"](value) and value <= bound:
+        yield path, f"{value!r} is less than or equal to the minimum of {bound!r}"
+
+
+def _exclusive_maximum(value, bound, schema, path):
+    if _TYPES["number"](value) and value >= bound:
+        yield path, f"{value!r} is greater than or equal to the maximum of {bound!r}"
+
+
+def _items(value, sub, schema, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _schema_errors(item, sub, f"{path}[{i}]")
+
+
+def _if(value, condition, schema, path):
+    if "then" in schema and not any(_schema_errors(value, condition, path)):
+        yield from _schema_errors(value, schema["then"], path)
+
+
+# keyword -> check yielding (path, message) pairs; these are all the
+# keywords PROBLEM_SCHEMA may use ("then" is read by "if")
+_KEYWORDS = {
+    "type": _type, "enum": _enum, "const": _const, "anyOf": _any_of,
+    "properties": _properties, "required": _required,
+    "additionalProperties": _additional_properties,
+    "minProperties": _min_properties, "maxProperties": _max_properties,
+    "exclusiveMinimum": _exclusive_minimum, "exclusiveMaximum": _exclusive_maximum,
+    "items": _items, "if": _if, "then": lambda *args: (),
+}
+
+
+def _schema_errors(value, schema, path="$"):
+    """Every ``(path, message)`` by which ``value`` fails ``schema``, with
+    JSON Schema 2020-12 semantics for the keywords in ``_KEYWORDS``."""
+    for keyword, arg in schema.items():
+        yield from _KEYWORDS[keyword](value, arg, schema, path)
+
+
 def validate_document(doc):
-    validator = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: e.json_path)
+    errors = sorted(_schema_errors(doc, PROBLEM_SCHEMA), key=lambda e: e[0])
     if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
+        lines = [f"{path}: {message}" for path, message in errors]
         raise SchemaError("problem file rejected:\n  " + "\n  ".join(lines))
     amb = doc["ambient"]
     if ("preset" in amb) == ("custom" in amb):

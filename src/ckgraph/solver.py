@@ -102,7 +102,9 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     """Damped Newton iteration at fixed ``tau``.
 
     Boundary values are imposed strongly as ``tau * phi``.  Returns
-    ``(z, records)`` or raises ``NewtonStallError`` with the best iterate.
+    ``(z, records, clamped, evaluation)``, the last being the element pass
+    at the returned ``z``, or raises ``NewtonStallError`` with the best
+    iterate.
     """
     options = options or SolverOptions()
     asm = problem.assembly()
@@ -122,7 +124,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     best = (rnorm, z.copy())
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
-            return z, records, clamped
+            return z, records, clamped, ev
         system = asm.system(z, tau, evaluation=ev)
         step = linear_solve(system.jacobian, -system.residual)
         alpha, halvings = 1.0, 0
@@ -154,7 +156,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         if rnorm < best[0]:
             best = (rnorm, z.copy())
     if rnorm <= options.newton_tol:
-        return z, records, clamped
+        return z, records, clamped, ev
     raise NewtonStallError(
         f"Newton did not reach tolerance at tau={tau} "
         f"(residual {rnorm:.3e} after {options.max_newton_iters} iterations)",
@@ -162,12 +164,14 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         residual_norm=best[0])
 
 
-def _path_tangent(problem: Problem, z: np.ndarray, tau: float):
+def _path_tangent(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
     """Interior tangent ``dz/dtau`` of the solution path at a converged
     ``(z, tau)``: ``J_ii dz = -(dR_i/dtau + J_ib phi_b)``.  None when the
-    tangent system cannot be assembled or solved."""
+    tangent system cannot be assembled or solved.  ``evaluation`` is the
+    element pass at ``(z, tau)`` when the caller has it."""
     try:
-        system = problem.assembly().system(z, tau, tangent=True)
+        system = problem.assembly().system(z, tau, tangent=True,
+                                           evaluation=evaluation)
         return linear_solve(system.jacobian, -system.path_rate)
     except (SingularSystemError, DomainError):
         return None
@@ -208,7 +212,7 @@ def continuation_solve(problem: Problem,
             if not np.any(guess[ii] >= clamp_level):
                 start = guess
         try:
-            z_new, records, clamped = newton_solve(
+            z_new, records, clamped, evaluation = newton_solve(
                 problem, target, start, options, on_iteration)
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             step *= 0.5
@@ -232,7 +236,8 @@ def continuation_solve(problem: Problem,
         report.tau_path.append(tau)
         report.grad_sup_history.append(asm.grad_sup(z))
         if tau < 1.0:
-            tangent = _path_tangent(problem, z, tau)
+            tangent = _path_tangent(problem, z, tau, evaluation)
+        del evaluation    # not held through the next stage: peak memory
     report.tau_reached = 1.0
     report.solution = ScalarField(mesh, z)
     if report.clamped:

@@ -92,7 +92,7 @@ def test_criterion_3_continuation_fidelity(cap_sequence, radial_sequence):
     for _, _, _, reports in (cap_sequence, radial_sequence):
         for prob, rep in reports:
             path_ok &= rep.tau_path[-1] == 1.0
-            _, records, _ = newton_solve(prob, 0.0,
+            _, records, _, _ = newton_solve(prob, 0.0,
                                          np.zeros(prob.mesh.n_vertices))
             path_ok &= len(records) <= 1
     # Jacobian against directional finite differences on random states
@@ -140,8 +140,8 @@ def test_criterion_5_comparison_shadow(cap_sequence):
     res = comparison_check(prob, prob2, rep.solution, rep2.solution,
                            C * mesh.h**2)
     barrier, _ = search_height_barrier(prob)
-    za, _, _ = newton_solve(prob, 1.0, prob.phi.copy())
-    zb, _, _ = newton_solve(prob, 1.0, barrier.values.copy())
+    za, _, _, _ = newton_solve(prob, 1.0, prob.phi.copy())
+    zb, _, _, _ = newton_solve(prob, 1.0, barrier.values.copy())
     agree = float(np.abs(za - zb).max())
     ok = res.ordered and res.direction == "z1<=z2" and agree <= 1e-8
     _verdict(5, ok, f"shifted data ordered ({res.direction}, worst violation "

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.cli import main
 from ckgraph.fields import ScalarField
-from ckgraph.problemfile import PROBLEM_SCHEMA
+from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors
 
 
 def _write(tmp_path, name, doc):
@@ -413,21 +413,22 @@ def test_thread_cap_env(tmp_path):
     assert derived({}) == ["-"] * 4
 
 
-# prints the scipy modules a child has loaded, after running ``main`` on
-# the arguments when it is given any
-_SCIPY_PROBE = (
+# prints the scipy and jsonschema modules a child has loaded, after running
+# ``main`` on the arguments when it is given any
+_MODULE_PROBE = (
     "import io, sys, contextlib; from ckgraph.cli import main\n"
     "if sys.argv[1:]:\n"
     "    with contextlib.redirect_stdout(io.StringIO()):\n"
     "        code = main(sys.argv[1:])\n"
     "    print(code)\n"
-    "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    "print(sorted(m for m in sys.modules\n"
+    "             if m.split('.')[0] == 'scipy' or m.startswith('jsonschema')))\n")
 
 
-def _scipy_modules_after(argv):
+def _probed_modules_after(argv):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(
         os.path.dirname(os.path.abspath(ck.__file__)))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()
@@ -436,7 +437,14 @@ def _scipy_modules_after(argv):
 def test_cli_import_leaves_unused_scipy_out():
     # Every command imports ckgraph.cli; scipy is imported only by the
     # functions that use it, and of the ckg commands only solve does.
-    assert _scipy_modules_after([]) == ["[]"]
+    # Problem files are validated without jsonschema.
+    assert _probed_modules_after([]) == ["[]"]
+
+
+def test_check_loads_problem_without_jsonschema(solved_run):
+    # check runs load_problem on a valid document, as every command does
+    _, prob, _ = solved_run
+    assert _probed_modules_after(["check", prob]) == ["0", "[]"]
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +468,7 @@ def test_certify_and_verify_run_without_scipy(solved_run, solved_mesh_file_run,
         solution = str(out / "solution.csv")
     else:
         prob, solution = solved_mesh_file_run
-    code, modules = _scipy_modules_after([command, prob, solution])
+    code, modules = _probed_modules_after([command, prob, solution])
     assert code == "0"
     assert modules == "[]"
 
@@ -598,6 +606,20 @@ def mutation_dir(tmp_path_factory):
 def test_mutation_base_documents_are_valid(mutation_dir, index):
     path = _write(mutation_dir, f"valid{index}.json", _VALID_DOCS[index])
     ck.load_problem(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_documents())
+def test_schema_errors_match_jsonschema(mutation):
+    # the in-package interpreter of PROBLEM_SCHEMA against the reference
+    # implementation: the same decision and the same error paths
+    jsonschema = pytest.importorskip("jsonschema")
+    _, doc = mutation
+    validator = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+    expected = {e.json_path for e in validator.iter_errors(doc)}
+    found = {path for path, _ in _schema_errors(doc, PROBLEM_SCHEMA)}
+    assert bool(found) == (not validator.is_valid(doc))
+    assert found == expected, doc
 
 
 @settings(max_examples=150, deadline=None,

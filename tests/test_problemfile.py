@@ -7,8 +7,8 @@ import pytest
 import ckgraph as ck
 from ckgraph.errors import SchemaError
 from ckgraph.fields import ScalarField
-from ckgraph.problemfile import (load_problem, load_problem_document,
-                                 validate_document)
+from ckgraph.problemfile import (PROBLEM_SCHEMA, _KEYWORDS, load_problem,
+                                 load_problem_document, validate_document)
 
 
 def _base_doc():
@@ -37,6 +37,42 @@ def test_unknown_key_rejected_with_path():
     doc["solver"] = {"not_an_option": 3}
     with pytest.raises(SchemaError, match="solver"):
         validate_document(doc)
+
+
+def test_every_schema_error_one_line_sorted_by_path():
+    doc = _base_doc()
+    doc["zzz"] = 1
+    del doc["H"]
+    doc["domain"]["params"]["radius"] = -1
+    doc["resolution"] = True
+    doc["solver"] = {"max_newton_iters": 2.5}
+    with pytest.raises(SchemaError) as info:
+        validate_document(doc)
+    assert str(info.value).splitlines() == [
+        "problem file rejected:",
+        "  $: Additional properties are not allowed ('zzz' was unexpected)",
+        "  $: 'H' is a required property",
+        "  $.domain.params.radius: -1 is less than or equal to the minimum of 0",
+        "  $.resolution: True is not of type 'number'",
+        "  $.solver.max_newton_iters: 2.5 is not of type 'integer'",
+    ]
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for key, arg in schema.items():
+        children = (arg.values() if key == "properties" else arg if key == "anyOf"
+                    else [arg] if key in ("items", "if", "then") else ())
+        for child in children:
+            yield from _subschemas(child)
+
+
+def test_schema_uses_only_interpreted_keywords():
+    # a keyword the validator does not interpret would be silently ignored
+    for schema in _subschemas(PROBLEM_SCHEMA):
+        assert set(schema) <= set(_KEYWORDS), sorted(set(schema) - set(_KEYWORDS))
+        assert schema.get("additionalProperties", False) is False
 
 
 def test_ambient_exclusive_choice():

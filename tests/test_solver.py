@@ -27,7 +27,7 @@ def test_linear_solve_singular():
 def test_trivial_stage_needs_no_iteration(cmc_problem, radial_problem):
     # z = 0 solves the tau = 0 problem exactly
     for prob in (cmc_problem, radial_problem):
-        z, records, clamped = newton_solve(prob, 0.0,
+        z, records, clamped, _ = newton_solve(prob, 0.0,
                                            np.zeros(prob.mesh.n_vertices))
         assert len(records) <= 1
         assert not clamped
@@ -64,8 +64,8 @@ def test_uniqueness_two_initializations(cmc_problem):
     from ckgraph.analysis import search_height_barrier
     phi_ext = cmc_problem.phi.copy()
     barrier, _ = search_height_barrier(cmc_problem)
-    za, _, _ = newton_solve(cmc_problem, 1.0, phi_ext)
-    zb, _, _ = newton_solve(cmc_problem, 1.0, barrier.values.copy())
+    za, _, _, _ = newton_solve(cmc_problem, 1.0, phi_ext)
+    zb, _, _, _ = newton_solve(cmc_problem, 1.0, barrier.values.copy())
     assert np.abs(za - zb).max() < 1e-8
 
 
@@ -105,11 +105,13 @@ def test_options_respected(cmc_problem):
 def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
     # dz/dtau at a converged stage against secants of two converged solves
     ii = cmc_problem.mesh.interior_vertices
-    z_half, _, _ = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
+    z_half, _, _, ev = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
     dz = _path_tangent(cmc_problem, z_half, 0.5)
+    # Newton's last element pass gives the same tangent without a new pass
+    assert np.array_equal(_path_tangent(cmc_problem, z_half, 0.5, ev), dz)
     errs = []
     for d in (0.04, 0.02, 0.01):
-        z_d, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
+        z_d, _, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
         errs.append(np.abs((z_d[ii] - z_half[ii]) / d - dz).max())
     assert errs[0] < 1e-3 * np.abs(dz).max()
     # first order in d: halving d halves the secant error
@@ -126,6 +128,28 @@ def test_stage_count_mesh_independent(cmc_solution):
         assert rep.status == "converged"
         assert rep.tau_path == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert sum(r.damping_halvings for r in rep.newton_history) == 0
+
+
+def test_continuation_element_passes_are_line_search_residuals(monkeypatch):
+    # Newton hands its last element pass to the next Jacobian or tangent, so
+    # the only pass outside the line search is the tangent at tau = 0
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.08, amb), 1.0, -np.sqrt(0.84))
+    asm = prob.assembly()
+    calls = {"_evaluate": 0, "residual": 0}
+
+    def counted(name):
+        method = getattr(asm, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        monkeypatch.setattr(asm, name, wrapper)
+    counted("_evaluate")
+    counted("residual")
+    rep = continuation_solve(prob)
+    assert rep.status == "converged" and len(rep.tau_path) > 2
+    assert calls["_evaluate"] == calls["residual"] + 1
 
 
 def _without_tangent(monkeypatch, problem):
