@@ -106,7 +106,7 @@ class SparseSystem:
     """Interior residual and Jacobian of the weak operator."""
 
     residual: np.ndarray       # (ni,)
-    jacobian: "scipy.sparse.csc_matrix"    # (ni, ni)
+    jacobian: "FrontMatrix"    # (ni, ni), from ckgraph.frontal
     interior: np.ndarray       # interior vertex indices
     # (ni,) tau-derivative of the residual along the continuation path
     # (interior held, boundary at tau * phi); only from system(tangent=True)
@@ -159,6 +159,7 @@ class _Assembly:
     elements, so every 2x2 metric contraction is a few vector operations."""
 
     def __init__(self, problem: Problem):
+        from .frontal import FrontTree   # here: of the ckg commands only solve needs it
         amb, mesh = problem.ambient, problem.mesh
         self.problem = problem
         self.tri = mesh.triangles
@@ -207,8 +208,9 @@ class _Assembly:
         self._slot = np.full(rows.size, self._nnz)      # boundary entries: spare slot
         self._slot[keep] = slot
         index = np.int32 if max(ni, self._nnz) < 2**31 else np.int64
-        self._indices = (keys % ni).astype(index)
-        self._indptr = np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index)
+        # the pattern and its elimination tree hold for every Jacobian
+        self.tree = FrontTree(np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index),
+                              (keys % ni).astype(index), mesh.vertices[self.interior])
         # boundary data per element, zero at interior vertices
         phi_b = np.zeros(mesh.n_vertices)
         phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
@@ -333,13 +335,11 @@ class _Assembly:
         rate ``dR_i/dtau + J_ib phi_b`` from the same element pass.  An
         ``evaluation`` from ``residual(z, tau, keep=True)`` spares the
         residual pass."""
-        import scipy.sparse as sp    # here: of the ckg commands only solve needs it
+        from .frontal import FrontMatrix
         ev = evaluation if evaluation is not None else self._evaluate(z, tau)
         local, rate = self._local(ev)
-        data = np.bincount(self._slot, weights=local.ravel(),
-                           minlength=self._nnz + 1)[:-1]
-        ni = len(self.interior)
-        J = sp.csc_matrix((data, self._indices, self._indptr), shape=(ni, ni))
+        J = FrontMatrix(self.tree, np.bincount(self._slot, weights=local.ravel(),
+                                               minlength=self._nnz + 1)[:-1])
         path_rate = None
         if tangent:
             rate += np.einsum("abe,be->ae", local, self._phi_b)
@@ -648,7 +648,6 @@ def mean_curvature_of_graph(problem: Problem, z: ScalarField):
 def flux_differential_eigenvalues(problem: Problem, z: ScalarField, element: int):
     """Eigenvalues of the flux differential relative to the leaf metric; they
     must lie in ``[gamma/U^3, 1/U]`` with ``U^2 = gamma + |grad z|^2``."""
-    import scipy.linalg as la
     asm = problem.assembly()
     zt = z.values[problem.mesh.triangles[element]]
     gz = np.einsum("ai,a->i", asm.G[element], zt)
@@ -657,8 +656,22 @@ def flux_differential_eigenvalues(problem: Problem, z: ScalarField, element: int
     zup = Sinv @ gz
     U = math.sqrt(g + gz @ zup)
     M = Sinv / U - np.outer(zup, zup) / U**3
-    vals = la.eigh(M, Sinv, eigvals_only=True)
-    return np.sort(vals), g / U**3, 1.0 / U
+    return _pencil_eigenvalues(M, Sinv), g / U**3, 1.0 / U
+
+
+def _pencil_eigenvalues(M, B):
+    """Ascending eigenvalues of the symmetric 2x2 pencil ``M v = lam B v``,
+    ``B`` positive definite: those of ``K M K^T``, ``K`` the inverse of the
+    Cholesky factor of ``B``, in closed form."""
+    l11 = math.sqrt(B[0, 0])
+    l21 = B[1, 0] / l11
+    l22 = math.sqrt(B[1, 1] - l21 * l21)
+    k11, k21, k22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
+    c11 = k11 * k11 * M[0, 0]
+    c12 = k11 * (k21 * M[0, 0] + k22 * M[0, 1])
+    c22 = k21 * k21 * M[0, 0] + 2.0 * k21 * k22 * M[0, 1] + k22 * k22 * M[1, 1]
+    mid, rad = 0.5 * (c11 + c22), math.hypot(0.5 * (c11 - c22), c12)
+    return np.array([mid - rad, mid + rad])
 
 
 @dataclass

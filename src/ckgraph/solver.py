@@ -64,17 +64,15 @@ class SolveReport:
 
 
 def linear_solve(system, rhs) -> np.ndarray:
-    """Sparse LU solve with a residual check of 1e-12 relative to the
-    right-hand side; raises on singular or badly conditioned systems."""
-    import scipy.sparse.linalg as spla   # only the solver factors a matrix
+    """Multifrontal LU solve of a ``FrontMatrix`` with a residual check of
+    1e-12 relative to the right-hand side; raises on singular or badly
+    conditioned systems."""
     rhs = np.asarray(rhs, dtype=float)
     try:
-        # P1 element matrices are structurally symmetric: order A + A^T
-        lu = spla.splu(system.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
-        x = lu.solve(rhs)
-    except (RuntimeError, ValueError) as exc:
+        lu = system.factor()
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite entries")
     res = np.linalg.norm(system @ x - rhs)

@@ -413,8 +413,8 @@ def test_thread_cap_env(tmp_path):
     assert derived({}) == ["-"] * 4
 
 
-# prints the scipy and jsonschema modules a child has loaded, after running
-# ``main`` on the arguments when it is given any
+# prints the scipy, jsonschema and numpy.ma modules a child has loaded, after
+# running ``main`` on the arguments when it is given any
 _MODULE_PROBE = (
     "import io, sys, contextlib; from ckgraph.cli import main\n"
     "if sys.argv[1:]:\n"
@@ -422,7 +422,8 @@ _MODULE_PROBE = (
     "        code = main(sys.argv[1:])\n"
     "    print(code)\n"
     "print(sorted(m for m in sys.modules\n"
-    "             if m.split('.')[0] == 'scipy' or m.startswith('jsonschema')))\n")
+    "             if m.split('.')[0] == 'scipy' or m.startswith('jsonschema')\n"
+    "             or m == 'numpy.ma'))\n")
 
 
 def _probed_modules_after(argv):
@@ -436,8 +437,9 @@ def _probed_modules_after(argv):
 
 def test_cli_import_leaves_unused_scipy_out():
     # Every command imports ckgraph.cli; scipy is imported only by the
-    # functions that use it, and of the ckg commands only solve does.
-    # Problem files are validated without jsonschema.
+    # functions that use it, and no ckg command calls them.  Problem files
+    # are validated without jsonschema, and integer keys are made unique by
+    # sorting, so numpy.ma stays out too.
     assert _probed_modules_after([]) == ["[]"]
 
 
@@ -469,6 +471,15 @@ def test_certify_and_verify_run_without_scipy(solved_run, solved_mesh_file_run,
     else:
         prob, solution = solved_mesh_file_run
     code, modules = _probed_modules_after([command, prob, solution])
+    assert code == "0"
+    assert modules == "[]"
+
+
+@pytest.mark.parametrize("run", ["preset", "mesh_file"])
+def test_solve_runs_without_scipy(solved_run, solved_mesh_file_run, tmp_path, run):
+    # the Newton systems are factored by ckgraph.frontal, on NumPy alone
+    prob = solved_run[1] if run == "preset" else solved_mesh_file_run[0]
+    code, modules = _probed_modules_after(["solve", prob, "--out", str(tmp_path / "out")])
     assert code == "0"
     assert modules == "[]"
 

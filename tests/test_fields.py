@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,46 @@ def test_csv_format(tmp_path):
     lines = raw.decode("utf-8").splitlines()
     assert lines[0] == "vertex,x,y,value"
     assert len(lines) == mesh.n_vertices + 1
+
+
+def test_csv_bytes_match_row_writer(tmp_path):
+    # the one-write output against the csv-module loop it replaced
+    mesh = ck.disk_mesh(0.3, 0.05, FLAT)
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.uniform(
+        -20, 20, mesh.n_vertices)
+    values[:3] = (0.0, -0.0, 1e300)
+    field = ScalarField(mesh, values)
+    field.to_csv(tmp_path / "new.csv")
+    with open(tmp_path / "ref.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(("vertex", "x", "y", "value"))
+        for i, ((x, y), v) in enumerate(zip(mesh.vertices, values)):
+            w.writerow([i, repr(float(x)), repr(float(y)), repr(float(v))])
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("layout", ["shuffled", "crlf", "columns", "quoted", "blank"])
+def test_csv_layouts_read_alike(tmp_path, layout):
+    # files the bulk parse declines go through the row walk; both give the
+    # same values
+    mesh = ck.disk_mesh(0.3, 0.1, FLAT)
+    field = ScalarField(mesh, np.random.default_rng(5).standard_normal(mesh.n_vertices))
+    path = tmp_path / "field.csv"
+    field.to_csv(path)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    if layout == "shuffled":
+        rows = [rows[i] for i in np.random.default_rng(1).permutation(len(rows))]
+    elif layout == "columns":
+        header = "value,vertex,x,y"
+        rows = [",".join(r.split(",")[3:] + r.split(",")[:3]) for r in rows]
+    elif layout == "quoted":
+        rows = ['"' + r.replace(",", '","') + '"' for r in rows]
+    elif layout == "blank":
+        rows = rows[:5] + [""] + rows[5:]
+    end = "\r\n" if layout == "crlf" else "\n"
+    path.write_bytes((end.join([header, *rows]) + end).encode("utf-8"))
+    assert np.array_equal(ScalarField.from_csv(mesh, path).values, field.values)
 
 
 def test_length_mismatch_rejected():

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.errors import MeshError
 from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
-                          _nearest, _sigma_edges, annulus_mesh, cap_mesh,
-                          disk_mesh, mesh_from_arrays, mesh_from_json,
-                          mesh_to_json)
+                          _nearest, _sigma_edges, _unique, annulus_mesh,
+                          cap_mesh, disk_mesh, mesh_from_arrays,
+                          mesh_from_json, mesh_to_json)
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
@@ -430,3 +430,21 @@ def test_generic_distance_unconverged_is_an_error(monkeypatch):
     with pytest.raises(MeshError, match=r"^mesh document: distance to the boundary "
                                         rf"did not converge in {len(doc['vertices'])} sweeps"):
         mesh_from_json(doc, FLAT)
+
+
+def test_sorted_unique_matches_numpy():
+    rng = np.random.default_rng(6)
+    for size in (0, 1, 2, 50, 5000):
+        keys = rng.integers(-20, 3 * size + 1, size=size)
+        assert np.array_equal(_unique(keys), np.unique(keys))
+        assert _unique(keys).dtype == np.unique(keys).dtype
+
+
+def test_boundary_vertices_built_once():
+    mesh = annulus_mesh(0.2, 0.5, 0.1, FLAT)
+    bv = mesh.boundary_vertices
+    assert bv is mesh.boundary_vertices
+    assert np.array_equal(bv, np.unique(np.concatenate(mesh.boundary_loops)))
+    with pytest.raises(ValueError):
+        bv[0] = 1
+

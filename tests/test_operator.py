@@ -14,7 +14,7 @@ from ckgraph.operator import (boundary_flux, christoffel_symbols, evaluate_graph
                               mean_curvature_of_graph, recover_gradient_hessian,
                               residual_Q, residual_Qtau, second_fundamental_form,
                               strong_form_values, tangent_frame,
-                              ambient_frame_inner)
+                              ambient_frame_inner, _pencil_eigenvalues)
 from ckgraph.problemfile import load_problem_document
 
 
@@ -232,6 +232,51 @@ def test_ellipticity_bracket(problems):
         for e in rng.integers(0, prob.mesh.n_triangles, size=10):
             vals, lo, hi = flux_differential_eigenvalues(prob, z, int(e))
             assert lo - 1e-12 <= vals[0] <= vals[-1] <= hi + 1e-12
+
+
+def test_pencil_eigenvalues_match_eigh():
+    # the closed form against LAPACK on random symmetric pencils, SPD B
+    la = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(17)
+    for _ in range(500):
+        A = rng.standard_normal((2, 2))
+        B = A @ A.T + rng.uniform(0.01, 1.0) * np.eye(2)
+        M = rng.standard_normal((2, 2))
+        M = (M + M.T) * 10.0 ** rng.uniform(-3, 3)
+        ref = la.eigh(M, B, eigvals_only=True)
+        got = _pencil_eigenvalues(M, B)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def front_problems():
+    # the non-constant-gamma ambient over each kind of mesh, one of them
+    # read back from a relabelled mesh.json document
+    amb = ck.preset_ambient("euclidean_radial", gamma=_gamma, grad_gamma=_grad_gamma)
+    disk = ck.disk_mesh(0.4, 0.05, amb)
+    rng = np.random.default_rng(8)
+    perm = rng.permutation(disk.n_vertices)          # old label -> new label
+    verts = np.empty_like(disk.vertices)
+    verts[perm] = disk.vertices
+    doc = {"vertices": verts.tolist(),
+           "triangles": perm[disk.triangles][rng.permutation(disk.n_triangles)].tolist(),
+           "boundary": [perm[l].tolist() for l in disk.boundary_loops]}
+    meshes = [disk, ck.cap_mesh(1.0, 0.08, amb), ck.annulus_mesh(0.2, 0.6, 0.05, amb),
+              ck.mesh_from_json(doc, amb)]
+    return [ck.Problem.create(amb, mesh, 0.7, -0.3) for mesh in meshes]
+
+
+@settings(max_examples=25, deadline=None)
+@given(which=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+       tau=st.floats(0.0, 1.0))
+def test_front_solve_matches_dense_solve(front_problems, which, seed, tau):
+    prob = front_problems[which]
+    rng = np.random.default_rng(seed)
+    J = prob.assembly().system(_random_state(prob, rng), tau).jacobian
+    b = rng.standard_normal(J.shape[0])
+    ref = np.linalg.solve(J.toarray(), b)
+    x = J.factor().solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_normal_unit_and_orthogonal(cmc_problem, cmc_solution):

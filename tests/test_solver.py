@@ -1,27 +1,68 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import ckgraph as ck
 from ckgraph.errors import NewtonStallError, SingularSystemError
+import ckgraph.frontal as frontal
 import ckgraph.solver as solver
+from ckgraph.frontal import FrontMatrix, FrontTree
 from ckgraph.solver import (SolverOptions, _path_tangent, continuation_solve,
                             linear_solve, newton_solve)
 
 
+def _front_matrix(dense, coords):
+    """``dense`` on its own nonzero pattern (CSC order), as a FrontMatrix."""
+    cols, rows = np.nonzero(dense.T)
+    indptr = np.searchsorted(cols, np.arange(len(dense) + 1))
+    return FrontMatrix(FrontTree(indptr, rows, coords), dense[rows, cols])
+
+
 def test_linear_solve_contract():
+    # 200 points in the plane coupled to their six nearest neighbours, a
+    # pattern deep enough for several tree heights, nonsymmetric values
     rng = np.random.default_rng(0)
-    A = sp.random(80, 80, density=0.1, random_state=0) + 10 * sp.eye(80)
-    x = rng.standard_normal(80)
-    b = A @ x
-    sol = linear_solve(A.tocsr(), b)
-    assert np.linalg.norm(A @ sol - b) <= 1e-12 * np.linalg.norm(b)
+    coords = rng.uniform(size=(200, 2))
+    d2 = ((coords[:, None] - coords[None]) ** 2).sum(axis=2)
+    near = np.argsort(d2, axis=1)[:, :7]
+    dense = np.zeros((200, 200))
+    dense[np.arange(200)[:, None], near] = rng.standard_normal(near.shape)
+    dense[near, np.arange(200)[:, None]] += rng.standard_normal(near.shape)
+    dense += 10 * np.eye(200)
+    A = _front_matrix(dense, coords)
+    assert len(A.tree.heights) > 2
+    x = rng.standard_normal(200)
+    b = dense @ x
+    assert np.abs(A @ x - b).max() <= 1e-13 * np.abs(b).max()
+    sol = linear_solve(A, b)
+    assert np.linalg.norm(dense @ sol - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_linear_solve_singular():
-    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    A = _front_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.0],
+                                                                   [1.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         linear_solve(A, np.array([1.0, 0.0]))
+
+
+def test_front_tree_built_once_per_solve(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(FrontTree(*args))
+        return built[-1]
+    monkeypatch.setattr(frontal, "FrontTree", counted)
+    solves = []
+
+    def counted_solve(system, rhs):
+        solves.append(system.tree)
+        return linear_solve(system, rhs)
+    monkeypatch.setattr(solver, "linear_solve", counted_solve)
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.08, amb), 1.0, -np.sqrt(0.84))
+    rep = continuation_solve(prob)
+    assert rep.status == "converged"
+    assert len(built) == 1
+    assert len(solves) > 4 and all(t is built[0] for t in solves)
 
 
 def test_trivial_stage_needs_no_iteration(cmc_problem, radial_problem):
