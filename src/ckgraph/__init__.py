@@ -12,24 +12,21 @@ if "CKG_THREADS" in _os.environ:
 
 from .ambient import (AmbientSpace, CurvatureModel, PRESET_NAMES,
                       flat_metric, leaf_mean_curvature, preset_ambient,
-                      r_of_t, rho, rho_t, round_sphere_metric, t_of_r)
-from .analysis import (BarrierCertificate, ComparisonResult, HypothesisReport,
-                       boundary_barrier, check_hypotheses, comparison_check,
+                      rho_t, round_sphere_metric)
+from .analysis import (BarrierCertificate, HypothesisReport,
+                       boundary_barrier, check_hypotheses,
                        cylinder_monotonicity_probe, height_barrier,
                        search_boundary_barrier, search_height_barrier,
                        upper_barrier_check)
-from .cylinder import (boundary_mean_curvature, cylinder_kappa,
-                       cylinder_mean_curvature,
+from .cylinder import (cylinder_kappa, cylinder_mean_curvature,
                        inf_boundary_cylinder_curvature)
 from .errors import (DomainError, MeshError, NewtonStallError, ParameterError,
                      SchemaError, SingularSystemError)
-from .fields import ScalarField, distance_to_boundary
+from .fields import ScalarField
 from .mesh import (DomainMesh, annulus_mesh, cap_mesh, disk_mesh,
                    mesh_from_arrays, mesh_from_json, mesh_to_json)
-from .operator import (GraphEvaluation, Problem, SparseSystem, evaluate_graph,
-                       graph_normal, induced_metric, jacobian_Qtau,
-                       max_principle_conditions, mean_curvature_of_graph,
-                       residual_Q, residual_Qtau, second_fundamental_form)
+from .operator import (Problem, SparseSystem, max_principle_conditions,
+                       mean_curvature_of_graph)
 from .problemfile import LoadedProblem, load_problem
 from .solver import (NewtonRecord, SolveReport, SolverOptions,
                      continuation_solve, linear_solve, newton_solve)

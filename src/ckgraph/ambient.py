@@ -28,11 +28,9 @@ from .errors import DomainError, ParameterError
 __all__ = [
     "CurvatureModel",
     "AmbientSpace",
-    "rho",
+    "n",
     "rho_t",
     "leaf_mean_curvature",
-    "r_of_t",
-    "t_of_r",
     "preset_ambient",
     "PRESET_NAMES",
     "flat_metric",
@@ -42,21 +40,22 @@ __all__ = [
 
 _SQRT2M1 = math.sqrt(2.0) - 1.0
 
+# dimension of the base leaf: every mesh is a 2-D chart
+n = 2
+
 
 @dataclass(frozen=True)
 class CurvatureModel:
     """How the Ricci curvature of the base leaf can be evaluated.
 
-    kind is one of ``flat``, ``constant_curvature``, ``ricci`` (user-supplied
-    evaluator) or ``unavailable``.
+    kind is one of ``flat``, ``constant_curvature`` or ``unavailable``.
     """
 
     kind: str
     kappa0: Optional[float] = None
-    evaluator: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in ("flat", "constant_curvature", "ricci", "unavailable"):
+        if self.kind not in ("flat", "constant_curvature", "unavailable"):
             raise ParameterError(f"unknown curvature model kind {self.kind!r}")
         if self.kind == "constant_curvature" and self.kappa0 is None:
             raise ParameterError("constant_curvature model needs kappa0")
@@ -83,15 +82,10 @@ class AmbientSpace:
     gamma: Callable
     grad_gamma: Callable
     base_metric: Callable
-    base_dim: int = 2
     curvature_model: CurvatureModel = field(default_factory=lambda: CurvatureModel("flat"))
-    r_closed: Optional[Callable] = None
-    t_closed: Optional[Callable] = None
     fd_derivatives: bool = False
 
     def __post_init__(self):
-        if self.base_dim < 1:
-            raise ParameterError("base_dim must be >= 1")
         if not self.interval_end > 0:
             raise ParameterError("interval_end must be positive")
         lam0 = float(np.asarray(self.lam(0.0)))
@@ -116,15 +110,6 @@ class AmbientSpace:
             )
         return t
 
-    def contains(self, t) -> bool:
-        return bool(np.all(_as_t(t) < self.interval_end))
-
-
-def rho(ambient: AmbientSpace, t):
-    """Conformal rate ``lambda_t / lambda`` at flow time ``t``."""
-    t = ambient.check_t(t)
-    return np.asarray(ambient.lam_t(t)) / np.asarray(ambient.lam(t))
-
 
 def rho_t(ambient: AmbientSpace, t):
     """Derivative of ``lambda_t / lambda``; enters the maximum principle check."""
@@ -145,71 +130,6 @@ def leaf_mean_curvature(ambient: AmbientSpace, t, u):
     g = np.asarray(ambient.gamma(u))
     lam = np.asarray(ambient.lam(t))
     return -np.asarray(ambient.lam_t(t)) * np.sqrt(g) / lam**2
-
-
-# -- change of variable r(t) = int_0^t lambda -------------------------------
-
-
-def r_of_t(ambient: AmbientSpace, t):
-    """Arc-length reparametrization of the flow, ``r(t) = int_0^t lambda``."""
-    t = ambient.check_t(t)
-    if ambient.r_closed is not None:
-        return np.asarray(ambient.r_closed(t))
-    from scipy import integrate   # imported here: no ckg command needs it
-    scal = np.isscalar(t) or np.asarray(t).ndim == 0
-    ts = np.atleast_1d(t)
-    out = np.empty_like(ts, dtype=float)
-    for i, ti in enumerate(ts):
-        val, _ = integrate.quad(lambda s: float(ambient.lam(s)), 0.0, float(ti),
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-        out[i] = val
-    return float(out[0]) if scal else out
-
-
-def t_of_r(ambient: AmbientSpace, r):
-    """Inverse of :func:`r_of_t` by monotone root finding."""
-    if ambient.t_closed is not None:
-        out = np.asarray(ambient.t_closed(np.asarray(r, dtype=float)))
-        ambient.check_t(out)
-        return out if out.ndim else float(out)
-    scal = np.isscalar(r) or np.asarray(r).ndim == 0
-    rs = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.empty_like(rs)
-    for i, ri in enumerate(rs):
-        out[i] = _invert_r(ambient, float(ri))
-    return float(out[0]) if scal else out
-
-
-def _invert_r(ambient: AmbientSpace, r: float) -> float:
-    from scipy import optimize
-    if r == 0.0:
-        return 0.0
-    f = lambda t: float(r_of_t(ambient, t)) - r
-    if r > 0:
-        lo = 0.0
-        hi = 1.0 if not math.isfinite(ambient.interval_end) else ambient.interval_end / 2.0
-        for _ in range(200):
-            if not ambient.contains(hi):
-                hi = 0.5 * (hi + ambient.interval_end)
-            if f(hi) >= 0:
-                break
-            if math.isfinite(ambient.interval_end):
-                hi = 0.5 * (hi + ambient.interval_end)
-                if ambient.interval_end - hi < 1e-14 * max(1.0, abs(ambient.interval_end)):
-                    raise DomainError(f"r = {r} outside the range of r(t)")
-            else:
-                hi *= 2.0
-        else:
-            raise DomainError(f"r = {r} outside the range of r(t)")
-        return optimize.brentq(f, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    lo = -1.0
-    for _ in range(200):
-        if f(lo) <= 0:
-            break
-        lo *= 2.0
-    else:
-        raise DomainError(f"r = {r} outside the range of r(t)")
-    return optimize.brentq(f, lo, 0.0, xtol=1e-14, rtol=8.9e-16)
 
 
 # -- leaf metrics -----------------------------------------------------------
@@ -259,17 +179,12 @@ PRESET_NAMES = ("example_a", "example_b", "example_c", "killing_flat", "euclidea
 
 
 def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
-                   curvature_model: Optional[CurvatureModel] = None,
-                   params: Optional[dict] = None) -> AmbientSpace:
+                   curvature_model: Optional[CurvatureModel] = None) -> AmbientSpace:
     """Build one of the documented ambient presets.
 
     ``gamma``/``grad_gamma``/``base_metric`` override the default trivial
-    choices (``gamma == 1``, flat leaf).  ``params`` carries preset-specific
-    parameters (currently only ``example_c`` accepts ``b`` and ``c``; they
-    amount to a shift of the flow coordinate and are absorbed by the
-    ``lambda(0) = 1`` normalization).
+    choices (``gamma == 1``, flat leaf).
     """
-    params = dict(params or {})
     if gamma is None:
         gamma = _ones_field
         if grad_gamma is None:
@@ -287,8 +202,6 @@ def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
             gamma=gamma, grad_gamma=grad_gamma,
             base_metric=base_metric or flat_metric,
             curvature_model=curvature_model or CurvatureModel("flat"),
-            r_closed=lambda t: _as_t(t).copy(),
-            t_closed=lambda r: _as_t(r).copy(),
         )
     if name in ("example_a", "euclidean_radial"):
         if name == "euclidean_radial":
@@ -303,8 +216,6 @@ def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
             gamma=gamma, grad_gamma=grad_gamma,
             base_metric=base_metric or flat_metric,
             curvature_model=curvature_model or CurvatureModel("flat"),
-            r_closed=lambda t: np.exp(_as_t(t)) - 1.0,
-            t_closed=lambda r: np.log1p(_as_t(r)),
         )
     if name == "example_b":
         return AmbientSpace(
@@ -316,14 +227,11 @@ def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
             gamma=gamma, grad_gamma=grad_gamma,
             base_metric=base_metric or flat_metric,
             curvature_model=curvature_model or CurvatureModel("flat"),
-            r_closed=lambda t: -np.log1p(-_as_t(t)),
-            t_closed=lambda r: -np.expm1(-_as_t(r)),
         )
     if name == "example_c":
         # lambda(t) = sinh(2 artanh(s)) with s = (sqrt(2)-1) e^t; the flow
         # coordinate is shifted so that lambda(0) = 1, which fixes the
-        # interval end at log(1 + sqrt(2)) = arcsinh(1) independently of the
-        # (b, c) shift parameters.
+        # interval end at log(1 + sqrt(2)) = arcsinh(1).
         def _s(t):
             return _SQRT2M1 * np.exp(_as_t(t))
 
@@ -339,16 +247,13 @@ def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
             s = _s(t)
             return 2.0 * s * (1.0 + 6.0 * s**2 + s**4) / (1.0 - s**2) ** 3
 
-        arcsinh1 = math.asinh(1.0)
         return AmbientSpace(
             name=name,
             lam=lam, lam_t=lam_t, lam_tt=lam_tt,
-            interval_end=arcsinh1,
+            interval_end=math.asinh(1.0),
             gamma=gamma, grad_gamma=grad_gamma,
             base_metric=base_metric or flat_metric,
             curvature_model=curvature_model or CurvatureModel("flat"),
-            r_closed=lambda t: 2.0 * np.arctanh(_s(t)) - arcsinh1,
-            t_closed=lambda r: np.log(np.tanh((_as_t(r) + arcsinh1) / 2.0) / _SQRT2M1),
         )
     raise ParameterError(f"unknown ambient preset {name!r}")
 

@@ -16,7 +16,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, rho_t
+from .ambient import AmbientSpace, leaf_mean_curvature, n, rho_t
 from .cylinder import cylinder_mean_curvature, inf_boundary_cylinder_curvature
 from .errors import ParameterError
 from .fields import ScalarField
@@ -29,7 +29,6 @@ __all__ = [
     "check_hypotheses", "strong_form_Q", "flow_time_range",
     "height_barrier", "search_height_barrier",
     "boundary_barrier", "upper_barrier_check", "search_boundary_barrier",
-    "comparison_check", "ComparisonResult",
     "cylinder_monotonicity_probe", "boundary_normal_slope",
     "sigma_diameter",
 ]
@@ -101,7 +100,6 @@ def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
     """Evaluate the solvability conditions; everything is a report entry,
     nothing raises."""
     amb, mesh = problem.ambient, problem.mesh
-    n = amb.base_dim
     phi_b = problem.phi[mesh.boundary_vertices]
     ts = np.linspace(*flow_time_range(problem), samples)
     lam_t = np.asarray(amb.lam_t(ts))
@@ -139,7 +137,6 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     is reported as not evaluable rather than guessed.
     """
     amb, mesh = problem.ambient, problem.mesh
-    n = amb.base_dim
     model = amb.curvature_model
     entries = []
     gam = np.asarray(amb.gamma(mesh.vertices))
@@ -148,11 +145,8 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     ric_leaf = (n - 1) * model.kappa0 \
         if model.kind == "constant_curvature" else 0.0
 
-    sg = math.sqrt(float(gam[0]))
-    lam_t0 = float(amb.lam_t(0.0))
-    lam0 = float(amb.lam(0.0))
     rho_t0 = float(rho_t(amb, 0.0))
-    k0 = -lam_t0 * sg / lam0**2
+    k0 = float(leaf_mean_curvature(amb, 0.0, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
 
     if known and gconst:
@@ -543,52 +537,7 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
     raise _exhausted("boundary barrier", failures)
 
 
-# -- comparison and probes --------------------------------------------------
-
-
-@dataclass
-class ComparisonResult:
-    ordered: bool
-    direction: str                 # "z1<=z2", "z2<=z1", "equal", "incomparable"
-    worst_violation: float
-    worst_vertex: int
-
-    def to_json(self):
-        return {
-            "ordered": self.ordered,
-            "direction": self.direction,
-            "worst_violation": self.worst_violation,
-            "worst_vertex": self.worst_vertex,
-        }
-
-
-def comparison_check(problem1: Problem, problem2: Problem,
-                     z1: ScalarField, z2: ScalarField,
-                     tol: float) -> ComparisonResult:
-    """Pointwise ordering of two solutions whose boundary data are ordered
-    and whose curvature fields coincide."""
-    if problem1.mesh is not problem2.mesh and \
-            not np.array_equal(problem1.mesh.vertices, problem2.mesh.vertices):
-        raise ParameterError("comparison requires a common mesh")
-    if not np.allclose(problem1.H.values, problem2.H.values, atol=1e-14):
-        return ComparisonResult(False, "incomparable", math.nan, -1)
-    bv = problem1.mesh.boundary_vertices
-    p1, p2 = problem1.phi[bv], problem2.phi[bv]
-    if np.all(np.abs(p1 - p2) < 1e-14):
-        direction = "equal"
-        diff = -np.abs(z1.values - z2.values)
-    elif np.all(p1 <= p2 + 1e-14):
-        direction = "z1<=z2"
-        diff = z2.values - z1.values
-    elif np.all(p2 <= p1 + 1e-14):
-        direction = "z2<=z1"
-        diff = z1.values - z2.values
-    else:
-        return ComparisonResult(False, "incomparable", math.nan, -1)
-    worst_vertex = int(np.argmin(diff))
-    worst = float(min(diff[worst_vertex], 0.0))
-    return ComparisonResult(bool(diff.min() >= -tol), direction, worst,
-                            worst_vertex)
+# -- probes -----------------------------------------------------------------
 
 
 def _level_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
@@ -648,6 +597,32 @@ def _merge_close(pts, tol):
     return pts[keep]
 
 
+def _parallel_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
+    """Infimum of the cylinder curvature over the level set ``d = eps`` of a
+    preset domain: the boundary vertices moved inward by ``eps`` along their
+    normals (a concentric circle), with the closed-form curvature there."""
+    preset = mesh.preset
+    kind = preset["kind"]
+    verts = mesh.boundary_vertices
+    normal = mesh.boundary_normal[verts]
+    pts = mesh.vertices[verts] + eps * normal
+    if kind == "disk":
+        if eps >= preset["radius"]:
+            raise ParameterError("depth exceeds the inradius")
+        hg = np.full(len(verts), 1.0 / (preset["radius"] - eps))
+    elif kind == "cap":
+        if eps >= preset["theta0"]:
+            raise ParameterError("depth exceeds the inradius")
+        hg = np.full(len(verts), 1.0 / math.tan(preset["theta0"] - eps))
+    else:
+        r_in, r_out = preset["r_in"], preset["r_out"]
+        if eps >= 0.5 * (r_out - r_in):
+            raise ParameterError("depth reaches the equidistant set")
+        outer = np.linalg.norm(mesh.vertices[verts], axis=1) > 0.5 * (r_in + r_out)
+        hg = np.where(outer, 1.0 / (r_out - eps), -1.0 / (r_in + eps))
+    return float(np.min(cylinder_mean_curvature(ambient, 0.0, pts, normal, hg)))
+
+
 def cylinder_monotonicity_probe(problem: Problem, depths):
     """Curvature of the flow cylinders over inner distance level sets.
 
@@ -655,27 +630,14 @@ def cylinder_monotonicity_probe(problem: Problem, depths):
     stay above the boundary value (the expected monotone behaviour).
     """
     amb, mesh = problem.ambient, problem.mesh
-    n = amb.base_dim
     preset = mesh.preset or {}
-    kind = preset.get("kind")
     inf_hk, _ = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
     rows = []
     for eps in depths:
         row = {"eps": float(eps), "skipped": False, "H_K": None}
         try:
-            if kind == "disk":
-                if eps >= preset["radius"]:
-                    raise ParameterError("depth exceeds the inradius")
-                hk = 1.0 / (n * (preset["radius"] - eps))
-            elif kind == "cap":
-                if eps >= preset["theta0"]:
-                    raise ParameterError("depth exceeds the inradius")
-                hk = 1.0 / (n * math.tan(preset["theta0"] - eps))
-            elif kind == "annulus":
-                r_in, r_out = preset["r_in"], preset["r_out"]
-                if eps >= 0.5 * (r_out - r_in):
-                    raise ParameterError("depth reaches the equidistant set")
-                hk = min(1.0 / (n * (r_out - eps)), -1.0 / (n * (r_in + eps)))
+            if preset.get("kind") in ("disk", "cap", "annulus"):
+                hk = _parallel_curve_hk(mesh, amb, float(eps))
             else:
                 row["components"] = _level_curve_hk(mesh, amb, float(eps))
                 hk = min(row["components"])

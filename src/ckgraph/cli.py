@@ -44,9 +44,9 @@ def _report_skeleton(status: str):
 
 
 def _run_checks(loaded: LoadedProblem, report: dict):
+    """The post-solve checks; ``report`` already holds the hypothesis
+    report of the check before the solve."""
     problem = loaded.problem
-    if "hypotheses" in loaded.checks:
-        report["hypotheses"] = check_hypotheses(problem).to_json()
     if "max_principle" in loaded.checks:
         report["max_principle"] = max_principle_conditions(
             problem.ambient, problem.H, flow_time_range(problem)).to_json()

@@ -12,14 +12,12 @@ import math
 
 import numpy as np
 
-from .ambient import AmbientSpace
-from .errors import MeshError
+from .ambient import AmbientSpace, n
 from .mesh import DomainMesh, closed_polyline_geometry
 
 __all__ = [
     "cylinder_kappa",
     "cylinder_mean_curvature",
-    "boundary_mean_curvature",
     "inf_boundary_cylinder_curvature",
 ]
 
@@ -42,14 +40,16 @@ def cylinder_kappa(ambient: AmbientSpace, t, u, eta):
 def cylinder_mean_curvature(ambient: AmbientSpace, t, u, eta, H_Gamma):
     """Inward mean curvature of the cylinder over the boundary:
     ``H_K = (kappa + (n-1) H_Gamma / lambda) / n``."""
-    n = ambient.base_dim
     kap = cylinder_kappa(ambient, t, u, eta)
     return (kap + (n - 1) * np.asarray(H_Gamma) / np.asarray(ambient.lam(t))) / n
 
 
 def _loop_curvatures(mesh: DomainMesh, ambient: AmbientSpace):
-    """Boundary curvature at every loop vertex, in loop order: the vertices,
-    the values and the confidence flags."""
+    """Mean (geodesic) curvature of the boundary, inward normal, at every
+    loop vertex, in loop order: the vertices, the values and the confidence
+    flags.  Preset domains use the classical closed forms; generic meshes
+    use the turning angle of the boundary polyline measured in the leaf
+    metric, with a low-confidence flag on degenerate stencils."""
     verts = np.concatenate([np.asarray(l) for l in mesh.boundary_loops])
     preset = mesh.preset or {}
     kind = preset.get("kind")
@@ -67,21 +67,6 @@ def _loop_curvatures(mesh: DomainMesh, ambient: AmbientSpace):
              for l in mesh.boundary_loops]
     return (verts, np.concatenate([c for c, _ in parts]),
             np.concatenate([ok for _, ok in parts]))
-
-
-def boundary_mean_curvature(mesh: DomainMesh, ambient: AmbientSpace, vertex: int):
-    """Mean (geodesic) curvature of the boundary at a vertex, inward normal.
-
-    Returns ``(value, confident)``.  Preset domains use the classical closed
-    forms; generic meshes use the turning angle of the boundary polyline
-    measured in the leaf metric, with a low-confidence flag on degenerate
-    stencils.
-    """
-    verts, vals, confident = _loop_curvatures(mesh, ambient)
-    where = np.nonzero(verts == vertex)[0]
-    if not len(where):
-        raise MeshError(f"vertex {vertex} is not on a boundary loop")
-    return float(vals[where[0]]), bool(confident[where[0]])
 
 
 def inf_boundary_cylinder_curvature(mesh: DomainMesh, ambient: AmbientSpace, t: float = 0.0):

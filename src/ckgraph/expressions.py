@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["compile_expression", "evaluate_expression", "compile_univariate"]
+__all__ = ["compile_expression", "compile_univariate"]
 
 _FUNCTIONS = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
@@ -103,10 +103,6 @@ def compile_expression(text: str):
                                pts.shape[:-1]).copy()
 
     return fn
-
-
-def evaluate_expression(text: str, pts):
-    return compile_expression(text)(pts)
 
 
 def compile_univariate(text: str, var: str = "t"):

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import MeshError
 from .mesh import DomainMesh
 
-__all__ = ["ScalarField", "distance_to_boundary"]
+__all__ = ["ScalarField"]
 
 _CSV_COLUMNS = ("vertex", "x", "y", "value")
 
@@ -35,10 +35,6 @@ class ScalarField:
     @classmethod
     def constant(cls, mesh: DomainMesh, value: float) -> "ScalarField":
         return cls(mesh, np.full(mesh.n_vertices, float(value)))
-
-    @classmethod
-    def from_function(cls, mesh: DomainMesh, fn) -> "ScalarField":
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.mesh, self.values.copy())
@@ -150,10 +146,3 @@ def _parse(row, key, kind, where):
     noun = "an integer" if kind is int else "a finite number"
     raise MeshError(f"{where}: {key} {row[key]!r} is not {noun}")
 
-
-def distance_to_boundary(mesh: DomainMesh) -> ScalarField:
-    """The sigma-geodesic distance to the boundary as a field (computed at
-    mesh construction; closed form for preset domains)."""
-    if not mesh.boundary_loops:
-        raise MeshError("mesh has no boundary")
-    return ScalarField(mesh, mesh.dist_to_boundary.copy())

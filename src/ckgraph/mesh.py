@@ -102,18 +102,6 @@ class DomainMesh:
             self._rings[depth] = _csr(keys[v != w], nv)
         return self._rings[depth]
 
-    def boundary_edges(self):
-        """(edge endpoints, adjacent element) for every boundary edge."""
-        edges, inverse, counts = self.edge_table()
-        i, j, ids = _loop_edges(self)
-        bad = (ids < 0) | (counts[ids] != 1)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise MeshError(f"boundary edge ({i[k]},{j[k]}) not matched to one element")
-        owner = np.empty(len(edges), dtype=int)
-        owner[inverse.ravel()] = np.repeat(np.arange(self.n_triangles), 3)
-        return list(zip(i.tolist(), j.tolist(), owner[ids].tolist()))
-
 
 # -- validation -------------------------------------------------------------
 

@@ -25,20 +25,15 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, central_gradient, rho_t
+from .ambient import AmbientSpace, central_gradient, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients, _nearest
 
 __all__ = [
-    "Problem", "SparseSystem", "GraphEvaluation",
-    "residual_Q", "residual_Qtau", "jacobian_Qtau",
-    "strong_form_values", "strong_form_Q", "graph_normal", "tangent_frame",
-    "ambient_frame_inner", "induced_metric",
-    "second_fundamental_form", "mean_curvature_of_graph",
+    "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
     "max_principle_conditions", "MaxPrincipleReport",
-    "evaluate_graph", "recover_gradient_hessian", "christoffel_symbols",
-    "flux_differential_eigenvalues", "boundary_flux",
+    "recover_gradient_hessian", "christoffel_symbols",
 ]
 
 
@@ -164,7 +159,7 @@ class _Assembly:
         self.problem = problem
         self.tri = mesh.triangles
         self._triT = _rows(self.tri)                     # (3, nt)
-        self.n = amb.base_dim
+        self.n = n
         self.G, self.A = _hat_gradients(mesh.vertices, mesh.triangles)
         self.Gx, self.Gy = _rows(self.G[..., 0]), _rows(self.G[..., 1])
         p = mesh.vertices[self.tri]
@@ -190,7 +185,6 @@ class _Assembly:
         q11, q12, q22 = self.Sq
         self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
         self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
-        self.lumped_mass = self._scatter(_HATS @ self.w_q)
         # interior numbering and the CSC pattern of the interior block
         self.interior = mesh.interior_vertices
         ni = len(self.interior)
@@ -348,61 +342,6 @@ class _Assembly:
                             path_rate)
 
 
-# -- public operator API ----------------------------------------------------
-
-
-def residual_Qtau(problem: Problem, z: ScalarField, tau: float) -> np.ndarray:
-    """Weak residual of the continuation operator; per-vertex (all hats)."""
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"continuation parameter {tau} outside [0, 1]")
-    return problem.assembly().residual_full(np.asarray(z.values, dtype=float), tau)
-
-
-def residual_Q(problem: Problem, z: ScalarField) -> np.ndarray:
-    """Weak residual of the full operator (``tau = 1``)."""
-    return residual_Qtau(problem, z, 1.0)
-
-
-def jacobian_Qtau(problem: Problem, z: ScalarField, tau: float) -> SparseSystem:
-    """Exact linearization of the interior weak residual."""
-    if not 0.0 <= tau <= 1.0:
-        raise DomainError(f"continuation parameter {tau} outside [0, 1]")
-    return problem.assembly().system(np.asarray(z.values, dtype=float), tau)
-
-
-def strong_form_values(problem: Problem, z: ScalarField, tau: float = 1.0) -> np.ndarray:
-    """Residual divided by the lumped vertex mass (pointwise strong form)."""
-    asm = problem.assembly()
-    return residual_Qtau(problem, z, tau) / asm.lumped_mass
-
-
-def boundary_flux(problem: Problem, z: ScalarField) -> float:
-    """Variationally consistent total boundary flux of ``grad z / U``.
-
-    Computed by an independent (non-vectorized) pass testing the divergence
-    term against the boundary hat functions; pairs with the vectorized
-    assembly in the flux-balance check.
-    """
-    amb, mesh = problem.ambient, problem.mesh
-    G, A = _hat_gradients(mesh.vertices, mesh.triangles)
-    is_b = mesh.is_boundary
-    zv = z.values
-    total = 0.0
-    for e, tri in enumerate(mesh.triangles):
-        if not is_b[tri].any():
-            continue
-        cent = mesh.vertices[tri].mean(axis=0)
-        S = amb.base_metric(cent)
-        Sinv = np.linalg.inv(S)
-        sd = math.sqrt(np.linalg.det(S))
-        gz = sum(zv[tri[a]] * G[e, a] for a in range(3))
-        U = math.sqrt(float(amb.gamma(cent)) + gz @ Sinv @ gz)
-        for a in range(3):
-            if is_b[tri[a]]:
-                total += A[e] * sd * (G[e, a] @ Sinv @ gz) / U
-    return float(total)
-
-
 # -- derivative recovery ----------------------------------------------------
 
 
@@ -461,145 +400,7 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     return grad, hess, (count >= 5) & ~near_b
 
 
-@dataclass
-class GraphEvaluation:
-    """Pointwise extrinsic state of a graph: per-element slope and tilt, and
-    per-vertex recovered derivatives."""
-
-    grad2: np.ndarray        # (nt,) |grad z|^2 at centroids
-    W: np.ndarray            # (nt,) tilt, lambda^2 W^2 = gamma + |grad z|^2
-    flux_norm: np.ndarray    # (nt,) sigma-norm of grad z / sqrt(gamma+|grad z|^2)
-    grad: np.ndarray         # (nv, 2) recovered gradient
-    hessian: np.ndarray      # (nv, 2, 2) recovered covariant Hessian
-    confident: np.ndarray    # (nv,) recovery confidence
-
-
-def evaluate_graph(problem: Problem, z: ScalarField) -> GraphEvaluation:
-    asm = problem.assembly()
-    amb = problem.ambient
-    zv = z.values
-    gx, gy, zmid = asm._element_state(zv)
-    w2 = asm._sharp(gx, gy)[2]
-    lam_m = np.asarray(amb.lam(zmid))
-    W = np.sqrt(asm.gam_c + w2) / lam_m
-    flux_norm = np.sqrt(w2 / (asm.gam_c + w2))
-    grad, hess, conf = recover_gradient_hessian(problem.mesh, amb, zv)
-    return GraphEvaluation(w2, W, flux_norm, grad, hess, conf)
-
-
-# -- extrinsic geometry -----------------------------------------------------
-
-
-def _locate(mesh: DomainMesh, u):
-    u = np.asarray(u, dtype=float)
-    p = mesh.vertices[mesh.triangles]
-    v0 = p[:, 1] - p[:, 0]
-    v1 = p[:, 2] - p[:, 0]
-    w = u - p[:, 0]
-    den = v0[:, 0] * v1[:, 1] - v0[:, 1] * v1[:, 0]
-    s = (w[:, 0] * v1[:, 1] - w[:, 1] * v1[:, 0]) / den
-    t = (v0[:, 0] * w[:, 1] - v0[:, 1] * w[:, 0]) / den
-    ok = (s >= -1e-12) & (t >= -1e-12) & (s + t <= 1 + 1e-12)
-    idx = np.nonzero(ok)[0]
-    if not len(idx):
-        raise DomainError(f"point {u} is outside the mesh")
-    e = int(idx[0])
-    bary = np.array([1 - s[e] - t[e], s[e], t[e]])
-    return e, bary
-
-
-def _point_state(problem: Problem, z: ScalarField, u):
-    asm = problem.assembly()
-    e, bary = _locate(problem.mesh, u)
-    zt = z.values[problem.mesh.triangles[e]]
-    zval = float(bary @ zt)
-    gz = np.einsum("ai,a->i", asm.G[e], zt)
-    return e, zval, gz
-
-
-def ambient_frame_inner(ambient: AmbientSpace, t: float, u, X, Z):
-    """Ambient inner product of vectors given in the flow frame
-    ``(d_0, d_1, ..., d_n)``: block diagonal ``lambda^2/gamma`` and
-    ``lambda^2 sigma``."""
-    u = np.asarray(u, dtype=float)
-    lam2 = float(ambient.lam(t)) ** 2
-    g = float(ambient.gamma(u))
-    S = np.asarray(ambient.base_metric(u))
-    X = np.asarray(X, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    return lam2 / g * X[0] * Z[0] + lam2 * (X[1:] @ S @ Z[1:])
-
-
-def tangent_frame(problem: Problem, z: ScalarField, u):
-    """Tangent vectors ``X_i = z_i d_0 + d_i`` of the graph at ``u`` in the
-    flow frame."""
-    _, zval, gz = _point_state(problem, z, u)
-    X1 = np.array([gz[0], 1.0, 0.0])
-    X2 = np.array([gz[1], 0.0, 1.0])
-    return zval, (X1, X2)
-
-
-def graph_normal(problem: Problem, z: ScalarField, u) -> np.ndarray:
-    """Upward unit normal of the graph in the flow frame,
-    ``N = (gamma d_0 - grad z) / (lambda^2 W)``; ``<N, Y> > 0``."""
-    amb = problem.ambient
-    u = np.asarray(u, dtype=float)
-    _, zval, gz = _point_state(problem, z, u)
-    g = float(amb.gamma(u))
-    S = np.asarray(amb.base_metric(u))
-    Sinv = np.linalg.inv(S)
-    zup = Sinv @ gz
-    lam = float(amb.lam(zval))
-    U = math.sqrt(g + gz @ zup)       # U = lambda W
-    return np.concatenate(([g], -zup)) / (lam * U)
-
-
-def induced_metric(problem: Problem, z: ScalarField, element: int):
-    """Induced metric and its closed-form inverse at the element centroid."""
-    asm = problem.assembly()
-    amb = problem.ambient
-    zt = z.values[problem.mesh.triangles[element]]
-    zmid = float(zt.mean())
-    gz = np.einsum("ai,a->i", asm.G[element], zt)
-    S = np.linalg.inv(asm.Sinv_c[element])
-    Sinv = asm.Sinv_c[element]
-    g = asm.gam_c[element]
-    lam2 = float(amb.lam(zmid)) ** 2
-    gi = lam2 * (S + np.outer(gz, gz) / g)
-    zup = Sinv @ gz
-    ginv = (Sinv - np.outer(zup, zup) / (g + gz @ zup)) / lam2
-    return gi, ginv
-
-
-def second_fundamental_form(problem: Problem, z: ScalarField, vertex: int,
-                            recovery=None):
-    """Second fundamental form (lower indices) and shape operator at a
-    vertex, from patch-recovered derivatives.  Returns (a_ij, shape, flag)."""
-    amb, mesh = problem.ambient, problem.mesh
-    if recovery is None:
-        grad, hess, conf = recover_gradient_hessian(mesh, amb, z.values)
-    else:
-        grad, hess, conf = recovery
-    u = mesh.vertices[vertex]
-    zval = float(z.values[vertex])
-    zi = grad[vertex]
-    zij = hess[vertex]
-    g = float(amb.gamma(u))
-    dg = np.asarray(amb.grad_gamma(u))
-    S = np.asarray(amb.base_metric(u))
-    Sinv = np.linalg.inv(S)
-    lam = float(amb.lam(zval))
-    rr = float(amb.lam_t(zval)) / lam
-    zup = Sinv @ zi
-    v2 = float(zi @ zup)
-    W = math.sqrt(g + v2) / lam
-    a = (zij - rr * np.outer(zi, zi) - rr * g * S
-         - np.outer(dg, zi) / (2 * g) - np.outer(zi, dg) / (2 * g)
-         - (dg @ zup) / (2 * g**2) * np.outer(zi, zi)) / W
-    gi = lam**2 * (S + np.outer(zi, zi) / g)
-    ginv = np.linalg.inv(gi)
-    shape = ginv @ a
-    return a, shape, bool(conf[vertex])
+# -- strong form ------------------------------------------------------------
 
 
 def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
@@ -625,7 +426,6 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     gz = np.einsum("...i,...i->...", dg, pup)
     lam = np.asarray(ambient.lam(vals))
     rr = np.asarray(ambient.lam_t(vals)) / lam
-    n = ambient.base_dim
     return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
         - n * lam * H
 
@@ -638,40 +438,11 @@ def mean_curvature_of_graph(problem: Problem, z: ScalarField):
     amb, mesh = problem.ambient, problem.mesh
     grad, hess, conf = recover_gradient_hessian(mesh, amb, z.values)
     nlamH = strong_form_Q(amb, mesh.vertices, z.values, grad, hess, 0.0)
-    H = nlamH / (amb.base_dim * np.asarray(amb.lam(z.values)))
+    H = nlamH / (n * np.asarray(amb.lam(z.values)))
     return ScalarField(mesh, H), conf
 
 
-# -- ellipticity and maximum principle --------------------------------------
-
-
-def flux_differential_eigenvalues(problem: Problem, z: ScalarField, element: int):
-    """Eigenvalues of the flux differential relative to the leaf metric; they
-    must lie in ``[gamma/U^3, 1/U]`` with ``U^2 = gamma + |grad z|^2``."""
-    asm = problem.assembly()
-    zt = z.values[problem.mesh.triangles[element]]
-    gz = np.einsum("ai,a->i", asm.G[element], zt)
-    Sinv = asm.Sinv_c[element]
-    g = asm.gam_c[element]
-    zup = Sinv @ gz
-    U = math.sqrt(g + gz @ zup)
-    M = Sinv / U - np.outer(zup, zup) / U**3
-    return _pencil_eigenvalues(M, Sinv), g / U**3, 1.0 / U
-
-
-def _pencil_eigenvalues(M, B):
-    """Ascending eigenvalues of the symmetric 2x2 pencil ``M v = lam B v``,
-    ``B`` positive definite: those of ``K M K^T``, ``K`` the inverse of the
-    Cholesky factor of ``B``, in closed form."""
-    l11 = math.sqrt(B[0, 0])
-    l21 = B[1, 0] / l11
-    l22 = math.sqrt(B[1, 1] - l21 * l21)
-    k11, k21, k22 = 1.0 / l11, -l21 / (l11 * l22), 1.0 / l22
-    c11 = k11 * k11 * M[0, 0]
-    c12 = k11 * (k21 * M[0, 0] + k22 * M[0, 1])
-    c22 = k21 * k21 * M[0, 0] + 2.0 * k21 * k22 * M[0, 1] + k22 * k22 * M[1, 1]
-    mid, rad = 0.5 * (c11 + c22), math.hypot(0.5 * (c11 - c22), c12)
-    return np.array([mid - rad, mid + rad])
+# -- maximum principle ------------------------------------------------------
 
 
 @dataclass

@@ -42,9 +42,6 @@ PROBLEM_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "preset": {"enum": list(PRESET_NAMES)},
-                "params": {"type": "object", "additionalProperties": False,
-                           "properties": {"b": {"type": "number"},
-                                          "c": {"type": "number"}}},
                 "custom": {
                     "type": "object",
                     "additionalProperties": False,
@@ -251,8 +248,6 @@ def validate_document(doc):
     amb = doc["ambient"]
     if ("preset" in amb) == ("custom" in amb):
         raise SchemaError("$.ambient: exactly one of 'preset' or 'custom' required")
-    if "params" in amb and amb.get("preset") != "example_c":
-        raise SchemaError("$.ambient.params: only the example_c preset takes parameters")
     curv = amb.get("custom", {}).get("curvature", {})
     if "kappa0" in curv and curv.get("kind") != "constant_curvature":
         raise SchemaError("$.ambient.custom.curvature.kappa0: only used with "
@@ -284,7 +279,7 @@ def validate_document(doc):
 def _build_ambient(doc) -> AmbientSpace:
     spec = doc["ambient"]
     if "preset" in spec:
-        return preset_ambient(spec["preset"], params=spec.get("params"))
+        return preset_ambient(spec["preset"])
     cu = spec["custom"]
     lam = compile_univariate(cu["lam"])
     lam_t = compile_univariate(cu["lam_t"]) if "lam_t" in cu else None

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 import ckgraph as ck
+from ckgraph.mesh import _hat_gradients
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +53,36 @@ def radial_solution(radial_problem):
     report = ck.continuation_solve(radial_problem)
     assert report.status == "converged"
     return report
+
+
+def _boundary_flux(problem, z):
+    """Variationally consistent total boundary flux of ``grad z / U``.
+
+    An independent (non-vectorized) pass testing the divergence term against
+    the boundary hat functions; the reference of the flux-balance checks,
+    which pair it with the vectorized assembly.
+    """
+    amb, mesh = problem.ambient, problem.mesh
+    G, A = _hat_gradients(mesh.vertices, mesh.triangles)
+    is_b = mesh.is_boundary
+    zv = z.values
+    total = 0.0
+    for e, tri in enumerate(mesh.triangles):
+        if not is_b[tri].any():
+            continue
+        cent = mesh.vertices[tri].mean(axis=0)
+        S = amb.base_metric(cent)
+        Sinv = np.linalg.inv(S)
+        sd = math.sqrt(np.linalg.det(S))
+        gz = sum(zv[tri[a]] * G[e, a] for a in range(3))
+        U = math.sqrt(float(amb.gamma(cent)) + gz @ Sinv @ gz)
+        for a in range(3):
+            if is_b[tri[a]]:
+                total += A[e] * sd * (G[e, a] @ Sinv @ gz) / U
+    return float(total)
+
+
+@pytest.fixture(scope="session")
+def boundary_flux():
+    """``boundary_flux(problem, z)``: the scalar-loop boundary flux."""
+    return _boundary_flux

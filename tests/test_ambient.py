@@ -5,8 +5,7 @@ import pytest
 
 import ckgraph as ck
 from ckgraph.ambient import (fd_ambient_derivatives, leaf_mean_curvature,
-                             preset_ambient, r_of_t, rho, rho_t,
-                             round_sphere_metric, t_of_r)
+                             preset_ambient, rho_t, round_sphere_metric)
 from ckgraph.errors import DomainError, ParameterError
 
 ALL_PRESETS = ["killing_flat", "example_a", "example_b", "example_c",
@@ -59,7 +58,6 @@ def test_example_b_rho_t_closed_form():
     ts = np.linspace(-3.0, 0.9, 50)
     expected = 1.0 / (1.0 - ts) ** 2
     assert np.allclose(np.asarray(rho_t(amb, ts)), expected, atol=1e-9)
-    assert np.allclose(np.asarray(rho(amb, ts)), 1.0 / (1.0 - ts), atol=1e-12)
 
 
 def test_example_c_interval_end():
@@ -76,26 +74,8 @@ def test_interval_enforced():
     with pytest.raises(DomainError):
         amb.check_t(1.0)
     with pytest.raises(DomainError):
-        rho(amb, 1.5)
-    assert amb.contains(0.999)
-    assert not amb.contains(1.0)
-
-
-@pytest.mark.parametrize("name", ALL_PRESETS)
-def test_r_t_roundtrip(name):
-    amb = preset_ambient(name)
-    hi = min(0.5, amb.interval_end - 0.05) if math.isfinite(amb.interval_end) else 0.5
-    ts = np.linspace(-1.5, hi, 11)
-    for t in ts:
-        r = float(np.asarray(r_of_t(amb, float(t))))
-        back = float(np.asarray(t_of_r(amb, r)))
-        assert abs(back - t) < 1e-9
-
-
-def test_t_of_r_out_of_range():
-    amb = preset_ambient("example_b")   # arc length bounded above
-    with pytest.raises(DomainError):
-        t_of_r(amb, 1e9)
+        rho_t(amb, 1.5)
+    assert amb.check_t(0.999) == 0.999
 
 
 def test_leaf_curvature_sign():

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -96,6 +97,19 @@ def test_report_byte_stable(tmp_path):
         del doc["timestamp"]
         outs.append(json.dumps(doc, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_solve_checks_hypotheses_once(tmp_path, monkeypatch):
+    # the report of the check before the solve is the one report.json keeps
+    import ckgraph.cli as cli
+    calls, check = [], cli.check_hypotheses
+    monkeypatch.setattr(cli, "check_hypotheses",
+                        lambda *args: calls.append(1) or check(*args))
+    prob = _write(tmp_path, "cap.json", _cap_doc(h=0.1))
+    assert main(["solve", prob, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["hypotheses"]["passed"]
 
 
 def test_trivial_problem(tmp_path):
@@ -327,6 +341,10 @@ _BAD_PARAMETERS = {
                             "$.ambient.custom.curvature.kappa0"),
     "kappa0_with_flat": (_custom_curvature(kind="flat", kappa0=2.0),
                          "$.ambient.custom.curvature.kappa0"),
+    # nothing read the shift parameters of example_c
+    "ambient_params": (_set(["ambient"], {"preset": "example_c",
+                                          "params": {"b": 1.0, "c": 2.0}}),
+                       "$.ambient"),
 }
 
 
@@ -436,11 +454,38 @@ def _probed_modules_after(argv):
 
 
 def test_cli_import_leaves_unused_scipy_out():
-    # Every command imports ckgraph.cli; scipy is imported only by the
-    # functions that use it, and no ckg command calls them.  Problem files
-    # are validated without jsonschema, and integer keys are made unique by
-    # sorting, so numpy.ma stays out too.
+    # Every command imports ckgraph.cli; the package imports neither scipy
+    # nor jsonschema (see test_numpy_is_the_only_runtime_dependency), and
+    # integer keys are made unique by sorting, so numpy.ma stays out too.
     assert _probed_modules_after([]) == ["[]"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
+             for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    # no module imports a test-only package, at module level or inside a
+    # function
+    package = os.path.dirname(os.path.abspath(ck.__file__))
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                assert module.split(".")[0] not in ("scipy", "jsonschema"), \
+                    f"{name}:{node.lineno} imports {module}"
 
 
 def test_check_loads_problem_without_jsonschema(solved_run):
@@ -505,7 +550,7 @@ _VALID_DOCS = [
                             "base_metric": "flat", "curvature": {"kind": "flat"}}},
      "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
      "resolution": 0.15, "H": {"constant": 0.0}, "phi": {"csv": "phi.csv"}},
-    {"ambient": {"preset": "example_c", "params": {"b": 1.0, "c": 2.0}},
+    {"ambient": {"preset": "example_c"},
      "domain": {"mesh": "mesh.json"}, "H": {"csv": "H.csv"},
      "phi": {"constant": -0.1}},
     {"ambient": {"custom": {"lam": "1/(1 - t)", "interval_end": 1.0,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.cylinder import (boundary_mean_curvature, cylinder_kappa,
+from ckgraph.cylinder import (_loop_curvatures, cylinder_kappa,
                               cylinder_mean_curvature,
                               inf_boundary_cylinder_curvature)
 from ckgraph.mesh import closed_polyline_geometry, mesh_from_arrays
@@ -68,12 +68,10 @@ def test_generic_polyline_estimate():
     mesh = ck.disk_mesh(0.3, 0.03, FLAT)
     generic = mesh_from_arrays(mesh.vertices, mesh.triangles,
                                mesh.boundary_loops, FLAT)
-    vals = []
-    for v in generic.boundary_vertices[:10]:
-        val, confident = boundary_mean_curvature(generic, FLAT, int(v))
-        assert confident
-        vals.append(val)
-    assert np.abs(np.asarray(vals) - 1.0 / 0.3).max() < 0.2
+    verts, vals, confident = _loop_curvatures(generic, FLAT)
+    assert sorted(verts.tolist()) == generic.boundary_vertices.tolist()
+    assert confident.all()
+    assert np.abs(vals - 1.0 / 0.3).max() < 0.2
 
 
 def _turning_angle_reference(points, ambient, k):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckgraph.errors import ParameterError
-from ckgraph.expressions import (compile_expression, compile_univariate,
-                                 evaluate_expression)
+from ckgraph.expressions import compile_expression, compile_univariate
 
 # expression corpus with independent reference evaluations
 CORPUS = [
@@ -34,7 +33,7 @@ CORPUS = [
 def test_corpus_matches_reference(text, ref):
     rng = np.random.default_rng(17)
     pts = rng.uniform(-0.9, 0.9, size=(200, 2))
-    got = evaluate_expression(text, pts)
+    got = compile_expression(text)(pts)
     want = ref(pts[:, 0], pts[:, 1])
     assert got.shape == (200,)
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())

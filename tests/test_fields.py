@@ -5,7 +5,7 @@ import pytest
 
 import ckgraph as ck
 from ckgraph.errors import MeshError
-from ckgraph.fields import ScalarField, distance_to_boundary
+from ckgraph.fields import ScalarField
 
 FLAT = ck.preset_ambient("killing_flat")
 
@@ -85,9 +85,3 @@ def test_nonfinite_rejected():
     with pytest.raises(MeshError):
         ScalarField(mesh, vals)
 
-
-def test_distance_field():
-    mesh = ck.disk_mesh(0.3, 0.1, FLAT)
-    d = distance_to_boundary(mesh)
-    r = np.linalg.norm(mesh.vertices, axis=1)
-    assert np.abs(d.values - (0.3 - r)).max() < 1e-10

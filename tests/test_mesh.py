@@ -9,8 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.errors import MeshError
 from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
-                          _nearest, _sigma_edges, _unique, annulus_mesh,
-                          cap_mesh, disk_mesh, mesh_from_arrays,
+                          _loop_edges, _nearest, _sigma_edges, _unique,
+                          annulus_mesh, cap_mesh, disk_mesh, mesh_from_arrays,
                           mesh_from_json, mesh_to_json)
 
 FLAT = ck.preset_ambient("killing_flat")
@@ -21,8 +21,11 @@ def test_disk_orientation_and_conformity():
     mesh = disk_mesh(0.4, 0.05, FLAT)
     areas = _chart_areas(mesh.vertices, mesh.triangles)
     assert np.all(areas > 0)
-    # each edge belongs to at most two triangles; boundary edges to one
-    mesh.boundary_edges()   # raises on non-conforming boundary
+    # each edge belongs to at most two triangles; the loop edges to one
+    counts = mesh.edge_table()[2]
+    assert counts.max() == 2
+    assert np.all(counts[_loop_edges(mesh)[2]] == 1)
+    assert np.count_nonzero(counts == 1) == len(mesh.boundary_vertices)
 
 
 def test_disk_distance_field():
@@ -187,7 +190,9 @@ def test_edge_table_matches_brute_force(spec):
     assert _rows(mesh.vertex_rings(1)) == one
     assert _rows(mesh.vertex_rings(2)) == two
     assert _rows(mesh.vertex_rings(3)) == three
-    assert mesh.boundary_edges() == [(i, j, o[0]) for i, j, o in bedges]
+    i, j, ids = _loop_edges(mesh)
+    assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in bedges]
+    assert np.array_equal(edges[ids], np.sort(np.stack([i, j], axis=1), axis=1))
     assert all(len(o) == 1 for _, _, o in bedges)
 
 
@@ -333,7 +338,8 @@ def _reference_sweep(vertices, triangles, dist, ambient, sweeps=2):
 
 def _dijkstra(mesh, ambient):
     """The former upper bound of the generic distance, kept as a reference."""
-    from scipy.sparse import csgraph, csr_matrix
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    csr_matrix = pytest.importorskip("scipy.sparse").csr_matrix
     (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, ambient)
     nv = mesh.n_vertices
     graph = csr_matrix((lengths, (pairs[:, 0], pairs[:, 1])), shape=(nv, nv))
@@ -408,7 +414,7 @@ def test_edge_relaxation_unconverged_is_an_error():
 
 
 def test_nearest_matches_kd_tree():
-    from scipy.spatial import cKDTree
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
     rng = np.random.default_rng(7)
     # 3 chunks of 2^20 // 300 points
     points, targets = rng.uniform(-1, 1, (8000, 2)), rng.uniform(-1, 1, (300, 2))

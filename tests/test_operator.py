@@ -8,13 +8,8 @@ import ckgraph as ck
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import mesh_from_arrays
-from ckgraph.operator import (boundary_flux, christoffel_symbols, evaluate_graph,
-                              flux_differential_eigenvalues, graph_normal,
-                              induced_metric, max_principle_conditions,
-                              mean_curvature_of_graph, recover_gradient_hessian,
-                              residual_Q, residual_Qtau, second_fundamental_form,
-                              strong_form_values, tangent_frame,
-                              ambient_frame_inner, _pencil_eigenvalues)
+from ckgraph.operator import (christoffel_symbols, max_principle_conditions,
+                              mean_curvature_of_graph, recover_gradient_hessian)
 from ckgraph.problemfile import load_problem_document
 
 
@@ -54,11 +49,12 @@ def problems():
 def test_tau_affinity(problems):
     rng = np.random.default_rng(11)
     for prob in problems:
-        z = ScalarField(prob.mesh, _random_state(prob, rng))
-        r0 = residual_Qtau(prob, z, 0.0)
-        r1 = residual_Qtau(prob, z, 1.0)
+        asm = prob.assembly()
+        z = _random_state(prob, rng)
+        r0 = asm.residual_full(z, 0.0)
+        r1 = asm.residual_full(z, 1.0)
         for tau in (0.25, 0.6, 0.9):
-            rt = residual_Qtau(prob, z, tau)
+            rt = asm.residual_full(z, tau)
             assert np.abs(rt - ((1 - tau) * r0 + tau * r1)).max() < 1e-13
 
 
@@ -86,10 +82,10 @@ def test_residual_affine_in_tau_property(affine_problems, which, coef, tau):
     x, y = prob.mesh.vertices.T
     z = (coef[0] + coef[1] * x + coef[2] * y + coef[3] * x**2
          + coef[4] * x * y + coef[5] * y**2)
-    z = ScalarField(prob.mesh, z)
-    r0 = residual_Qtau(prob, z, 0.0)
-    r1 = residual_Qtau(prob, z, 1.0)
-    rt = residual_Qtau(prob, z, tau)
+    asm = prob.assembly()
+    r0 = asm.residual_full(z, 0.0)
+    r1 = asm.residual_full(z, 1.0)
+    rt = asm.residual_full(z, tau)
     scale = max(np.abs(r0).max(), np.abs(r1).max())
     assert np.abs(rt - ((1 - tau) * r0 + tau * r1)).max() <= 1e-12 * scale
 
@@ -115,14 +111,6 @@ def test_path_rate_matches_finite_differences(problems):
         assert asm.system(z, tau).path_rate is None
 
 
-def test_tau_range_enforced(problems):
-    z = ScalarField.constant(problems[0].mesh, 0.0)
-    with pytest.raises(DomainError):
-        residual_Qtau(problems[0], z, -0.1)
-    with pytest.raises(DomainError):
-        residual_Qtau(problems[0], z, 1.1)
-
-
 def test_interval_violation_names_vertex():
     amb = ck.preset_ambient("example_b")      # interval end at 1
     mesh = ck.disk_mesh(0.3, 0.1, amb)
@@ -130,7 +118,7 @@ def test_interval_violation_names_vertex():
     z = np.zeros(mesh.n_vertices)
     z[7] = 1.5
     with pytest.raises(DomainError, match="vertex 7"):
-        residual_Q(prob, ScalarField(mesh, z))
+        prob.assembly().residual_full(z, 1.0)
 
 
 def test_jacobian_matches_finite_differences(problems):
@@ -192,7 +180,7 @@ def test_flux_partition_of_unity(problems):
         assert abs(asm.flux_residual_full(z).sum()) < 1e-13
 
 
-def test_boundary_flux_dual_route(cmc_problem, cmc_solution):
+def test_boundary_flux_dual_route(cmc_problem, cmc_solution, boundary_flux):
     # vectorized assembly against an independent scalar loop
     asm = cmc_problem.assembly()
     z = cmc_solution.solution
@@ -210,42 +198,11 @@ def test_weak_residual_consistency_at_exact():
         mesh = ck.disk_mesh(0.4, h, amb)
         r = np.linalg.norm(mesh.vertices, axis=1)
         prob = ck.Problem.create(amb, mesh, 1.0, -math.sqrt(0.84))
-        z = ScalarField(mesh, -np.sqrt(1.0 - r**2))
-        R = residual_Q(prob, z)
+        R = prob.assembly().residual_full(-np.sqrt(1.0 - r**2), 1.0)
         norms.append((mesh.h, np.abs(R[mesh.interior_vertices]).max()))
     (h1, n1), (h2, n2) = norms
     assert n1 / h1**2 < 1.0 and n2 / h2**2 < 1.0
     assert n2 < 0.3 * n1
-
-
-def test_strong_form_values_shape(cmc_problem, cmc_exact):
-    z = ScalarField(cmc_problem.mesh, cmc_exact)
-    vals = strong_form_values(cmc_problem, z)
-    assert vals.shape == (cmc_problem.mesh.n_vertices,)
-    assert np.all(np.isfinite(vals))
-
-
-def test_ellipticity_bracket(problems):
-    rng = np.random.default_rng(13)
-    for prob in problems:
-        z = ScalarField(prob.mesh, _random_state(prob, rng))
-        for e in rng.integers(0, prob.mesh.n_triangles, size=10):
-            vals, lo, hi = flux_differential_eigenvalues(prob, z, int(e))
-            assert lo - 1e-12 <= vals[0] <= vals[-1] <= hi + 1e-12
-
-
-def test_pencil_eigenvalues_match_eigh():
-    # the closed form against LAPACK on random symmetric pencils, SPD B
-    la = pytest.importorskip("scipy.linalg")
-    rng = np.random.default_rng(17)
-    for _ in range(500):
-        A = rng.standard_normal((2, 2))
-        B = A @ A.T + rng.uniform(0.01, 1.0) * np.eye(2)
-        M = rng.standard_normal((2, 2))
-        M = (M + M.T) * 10.0 ** rng.uniform(-3, 3)
-        ref = la.eigh(M, B, eigvals_only=True)
-        got = _pencil_eigenvalues(M, B)
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 @pytest.fixture(scope="module")
@@ -277,56 +234,6 @@ def test_front_solve_matches_dense_solve(front_problems, which, seed, tau):
     ref = np.linalg.solve(J.toarray(), b)
     x = J.factor().solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_normal_unit_and_orthogonal(cmc_problem, cmc_solution):
-    amb = cmc_problem.ambient
-    z = cmc_solution.solution
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        u = rng.uniform(-0.25, 0.25, size=2)
-        N = graph_normal(cmc_problem, z, u)
-        zval, (X1, X2) = tangent_frame(cmc_problem, z, u)
-        assert ambient_frame_inner(amb, zval, u, N, N) == pytest.approx(1.0, abs=1e-12)
-        assert abs(ambient_frame_inner(amb, zval, u, N, X1)) < 1e-12
-        assert abs(ambient_frame_inner(amb, zval, u, N, X2)) < 1e-12
-        assert N[0] > 0     # points along the flow
-
-
-def test_induced_metric_determinant(problems):
-    # det g = lambda^(2n) W^2 det sigma with lambda^2 W^2 = gamma + |grad z|^2
-    rng = np.random.default_rng(23)
-    for prob in problems:
-        amb = prob.ambient
-        z = ScalarField(prob.mesh, _random_state(prob, rng, scale=0.2))
-        asm = prob.assembly()
-        for e in rng.integers(0, prob.mesh.n_triangles, size=5):
-            e = int(e)
-            gi, ginv = induced_metric(prob, z, e)
-            assert np.abs(gi @ ginv - np.eye(2)).max() < 1e-12
-            zt = z.values[prob.mesh.triangles[e]]
-            gz = np.einsum("ai,a->i", asm.G[e], zt)
-            Sinv = asm.Sinv_c[e]
-            lam = float(np.asarray(amb.lam(zt.mean())))
-            U2 = asm.gam_c[e] + gz @ Sinv @ gz
-            det_sigma = 1.0 / np.linalg.det(Sinv)
-            expected = lam**4 * (U2 / lam**2) * det_sigma / asm.gam_c[e] * lam**2
-            # det(sigma + gz gz^T / gamma) = det sigma * (1 + |gz|^2/gamma)
-            expected = lam**4 * det_sigma * (U2 / asm.gam_c[e])
-            assert np.linalg.det(gi) == pytest.approx(expected, rel=1e-10)
-
-
-def test_shape_operator_cmc(cmc_problem, cmc_solution):
-    mesh = cmc_problem.mesh
-    deep = mesh.interior_vertices[mesh.dist_to_boundary[mesh.interior_vertices]
-                                  > 0.1]
-    v = int(deep[len(deep) // 2])
-    a, shape, confident = second_fundamental_form(cmc_problem, cmc_solution.solution, v)
-    assert confident
-    assert np.trace(shape) / 2.0 == pytest.approx(1.0, abs=0.05)
-    # a sphere is umbilical: both principal curvatures equal 1
-    eigs = np.linalg.eigvals(shape)
-    assert np.abs(np.sort(eigs.real) - 1.0).max() < 0.1
 
 
 def test_mean_curvature_recovery_exact_field(cmc_problem, cmc_exact):
@@ -410,13 +317,6 @@ def test_batched_recovery_matches_loop(ambient, build):
     assert np.array_equal(conf, ref_conf)
     for new, ref in ((grad, ref_grad), (hess, ref_hess)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_graph_evaluation(cmc_problem, cmc_solution):
-    ev = evaluate_graph(cmc_problem, cmc_solution.solution)
-    assert np.all(ev.W >= 1.0 - 1e-12)
-    assert np.all(ev.flux_norm < 1.0)
-    assert ev.grad.shape == (cmc_problem.mesh.n_vertices, 2)
 
 
 def test_max_principle_conditions():
