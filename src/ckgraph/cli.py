@@ -44,8 +44,8 @@ def _report_skeleton(status: str):
 
 
 def _run_checks(loaded: LoadedProblem, report: dict):
-    """The post-solve checks; ``report`` already holds the hypothesis
-    report of the check before the solve."""
+    """The post-solve checks; the hypothesis check, when asked for, ran
+    before the solve."""
     problem = loaded.problem
     if "max_principle" in loaded.checks:
         report["max_principle"] = max_principle_conditions(
@@ -69,17 +69,19 @@ def cmd_solve(args) -> int:
         return 1
     problem = loaded.problem
     report["fd_derivatives"] = problem.ambient.fd_derivatives
-    hyp = check_hypotheses(problem)
-    report["hypotheses"] = hyp.to_json()
-    if not hyp.passed:
-        names = ", ".join(hyp.failing())
-        if args.strict:
-            report["status"] = "hypotheses_failed"
-            report["error"] = f"failing conditions: {names}"
-            _dump_json(report, out / "report.json")
-            print(f"error: hypothesis check failed ({names})", file=sys.stderr)
-            return 1
-        print(f"warning: failing conditions: {names}", file=sys.stderr)
+    # --strict refuses to solve on a failed check, so it always runs it
+    if args.strict or "hypotheses" in loaded.checks:
+        hyp = check_hypotheses(problem)
+        report["hypotheses"] = hyp.to_json()
+        if not hyp.passed:
+            names = ", ".join(hyp.failing())
+            if args.strict:
+                report["status"] = "hypotheses_failed"
+                report["error"] = f"failing conditions: {names}"
+                _dump_json(report, out / "report.json")
+                print(f"error: hypothesis check failed ({names})", file=sys.stderr)
+                return 1
+            print(f"warning: failing conditions: {names}", file=sys.stderr)
 
     # no indent: json's C encoder, about twice as fast and half the size
     _dump_json(mesh_to_json(problem.mesh), out / "mesh.json", indent=None)
@@ -88,9 +90,11 @@ def cmd_solve(args) -> int:
         def on_iteration(rec):
             log.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
 
-        solve = continuation_solve(problem, loaded.options, on_iteration)
+        solve = continuation_solve(problem, loaded.options, on_iteration,
+                                   companion=loaded.companion)
 
     report["status"] = solve.status
+    report["path"] = solve.path
     report["tau_reached"] = solve.tau_reached
     report["tau_path"] = solve.tau_path
     report["grad_sup_history"] = solve.grad_sup_history

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MeshError
-from .mesh import DomainMesh
+from .mesh import DomainMesh, locate_points
 
 __all__ = ["ScalarField"]
 
@@ -38,6 +38,12 @@ class ScalarField:
 
     def copy(self) -> "ScalarField":
         return ScalarField(self.mesh, self.values.copy())
+
+    def at(self, points) -> np.ndarray:
+        """The piecewise-linear field at chart points; a point outside the
+        mesh takes the extrapolation documented by ``locate_points``."""
+        element, bary = locate_points(self.mesh, points)
+        return np.einsum("pk,pk->p", bary, self.values[self.mesh.triangles[element]])
 
     # CSV exchange format: header "vertex,x,y,value"
     def to_csv(self, path):

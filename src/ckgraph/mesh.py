@@ -26,7 +26,7 @@ from .errors import MeshError, ParameterError
 
 __all__ = ["DomainMesh", "disk_mesh", "annulus_mesh", "cap_mesh",
            "mesh_from_arrays", "mesh_from_json", "mesh_to_json",
-           "closed_polyline_geometry"]
+           "closed_polyline_geometry", "locate_points"]
 
 
 @dataclass
@@ -197,6 +197,82 @@ def _nearest(points, targets):
         diff = points[s:s + rows, None, :] - targets[None, :, :]
         out[s:s + rows] = np.argmin(diff[..., 0]**2 + diff[..., 1]**2, axis=1)
     return out
+
+
+def _barycentric(p, points):
+    """Barycentric coordinates ``(..., 3)`` of chart points ``(..., 2)`` in
+    the triangles with corners ``p`` ``(..., 3, 2)``, broadcast together."""
+    e1, e2 = p[..., 1, :] - p[..., 0, :], p[..., 2, :] - p[..., 0, :]
+    d = points - p[..., 0, :]
+    det = _cross2(e1, e2)
+    l1, l2 = _cross2(d, e2) / det, _cross2(e1, d) / det
+    return np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+
+
+def locate_points(mesh: DomainMesh, points):
+    """Element of ``mesh`` holding each chart point, and the point's
+    barycentric coordinates there: ``(element (n,), barycentric (n, 3))``.
+
+    A bucket grid of square cells, half as wide as the mean side of the
+    element bounding boxes, lists every element under each cell its box
+    overlaps (about nine cells an element; wider cells give each point
+    more candidates).  A point's candidates are the elements of its cell;
+    it goes to the one whose smallest barycentric coordinate is largest,
+    the lowest element index on a tie.  When that coordinate is below -1e-12, the point lies
+    in no element (outside the mesh, for example between a boundary chord
+    and the curve it approximates), and it goes to the element with the
+    largest smallest coordinate over the whole mesh.  The coordinates, some
+    of them negative there, then extrapolate the element's linear function,
+    so ``sum(barycentric * values[triangles[element]], axis=1)`` reproduces
+    every linear field exactly.
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    corners = mesh.vertices[mesh.triangles]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    origin, width = lo.min(axis=0), 0.5 * float(np.mean(hi - lo))
+    shape = np.floor((hi.max(axis=0) - origin) / width).astype(np.intp) + 1
+
+    def cell(q):
+        return np.clip(np.floor((q - origin) / width).astype(np.intp), 0, shape - 1)
+
+    # (cell, element) pairs, sorted by cell and then element, as CSR rows
+    c0, c1 = cell(lo), cell(hi)
+    span = c1 - c0 + 1
+    count = span[:, 0] * span[:, 1]
+    elem = np.repeat(np.arange(len(corners)), count)
+    k = np.arange(len(elem)) - np.repeat(np.cumsum(count) - count, count)
+    keys = (c0[elem, 0] + k % span[elem, 0]) * shape[1] + c0[elem, 1] + k // span[elem, 0]
+    order = np.argsort(keys, kind="stable")
+    listed = elem[order]
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=shape.prod()))])
+
+    pc = cell(points)
+    key = pc[:, 0] * shape[1] + pc[:, 1]
+    n_cand = ptr[key + 1] - ptr[key]
+    first = np.cumsum(n_cand) - n_cand
+    pt = np.repeat(np.arange(len(points)), n_cand)
+    cand = listed[np.repeat(ptr[key] - first, n_cand) + np.arange(len(pt))]
+    bary = _barycentric(corners[cand], points[pt])
+    score = bary.min(axis=1)
+    best = np.full(len(points), -np.inf)
+    np.maximum.at(best, pt, score)
+    # first (lowest-numbered) candidate of each point reaching its best score
+    hit = np.flatnonzero(score == best[pt])
+    keep = np.ones(len(hit), dtype=bool)
+    keep[1:] = pt[hit[1:]] != pt[hit[:-1]]
+    hit = hit[keep]
+    element = np.empty(len(points), dtype=np.intp)
+    out = np.empty((len(points), 3))
+    element[pt[hit]], out[pt[hit]] = cand[hit], bary[hit]
+
+    outside = np.flatnonzero(best < -1e-12)
+    rows = max(1, 2**16 // len(corners))
+    for s in range(0, len(outside), rows):
+        q = outside[s:s + rows]
+        b = _barycentric(corners, points[q, None])          # (rows, nt, 3)
+        e = np.argmax(b.min(axis=2), axis=1)
+        element[q], out[q] = e, b[np.arange(len(q)), e]
+    return element, out
 
 
 def closed_polyline_geometry(points, ambient: AmbientSpace):

@@ -57,6 +57,8 @@ class SolveReport:
     newton_history: List[NewtonRecord] = field(default_factory=list)
     clamped: bool = False
     message: str = ""
+    # which path produced the report (see ``continuation_solve``)
+    path: dict = field(default_factory=lambda: {"kind": "continuation"})
 
     @property
     def converged(self) -> bool:
@@ -177,7 +179,78 @@ def _path_tangent(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
 
 def continuation_solve(problem: Problem,
                        options: Optional[SolverOptions] = None,
-                       on_iteration: Optional[Callable] = None) -> SolveReport:
+                       on_iteration: Optional[Callable] = None,
+                       companion: Optional[Callable[[], Optional[Problem]]] = None
+                       ) -> SolveReport:
+    """Solve at ``tau = 1``, by the continuation march below or, with a
+    ``companion``, by nested iteration (Bank & Rose, 1982).
+
+    ``companion()`` returns the same problem on a coarser mesh of the same
+    domain, or None.  The march then runs on the companion, its solution is
+    interpolated to this mesh (``ScalarField.at``; boundary vertices take
+    ``phi``), the companion is freed, and Newton at ``tau = 1`` starts from
+    there.  That report describes this mesh: ``tau_path`` is
+    ``[0.0, 1.0]``, one stage from the trivial solution, and
+    ``newton_history`` holds the iterations of that one Newton solve;
+    ``path`` is ``{"kind": "sequenced", "companion": ...}`` with the
+    companion's vertex count, ``tau_path`` and Newton iteration count.
+    If the companion's march does not converge, or that Newton raises, the
+    march runs on this mesh as it does without a companion, and ``path``
+    also gives the reason as ``fallback``.  ``on_iteration`` sees the
+    iterations on this mesh only.
+    """
+    options = options or SolverOptions()
+    built = companion() if companion is not None else None
+    if built is None:
+        return _march(problem, options, on_iteration)
+    start, summary, fallback = _companion_start(problem, built, options)
+    del built           # the companion's mesh, assembly and tree go here
+    if start is not None:
+        try:
+            z, records, clamped, _ = newton_solve(problem, 1.0, start, options,
+                                                  on_iteration)
+        except (NewtonStallError, SingularSystemError, DomainError) as exc:
+            fallback = str(exc)
+        else:
+            report = SolveReport(
+                status="converged", solution=ScalarField(problem.mesh, z),
+                tau_reached=1.0, tau_path=[0.0, 1.0],
+                # z = 0 at tau = 0
+                grad_sup_history=[0.0, problem.assembly().grad_sup(z)],
+                newton_history=records, clamped=clamped,
+                path={"kind": "sequenced", "companion": summary})
+            if clamped:
+                report.message = "iterates were clamped below the interval end"
+            return report
+    report = _march(problem, options, on_iteration)
+    report.path = {"kind": "continuation", "companion": summary,
+                   "fallback": fallback}
+    return report
+
+
+def _companion_start(problem: Problem, companion: Problem,
+                     options: SolverOptions):
+    """The companion's march: its solution interpolated to the interior of
+    ``problem`` (None if the march did not converge), a summary (companion
+    vertices, ``tau_path``, Newton iterations) and the reason it cannot
+    start ``problem`` ("" when it can)."""
+    solve = _march(companion, options, None)
+    summary = {"vertices": companion.mesh.n_vertices, "tau_path": solve.tau_path,
+               "newton_iterations": len(solve.newton_history)}
+    # the problem and its assembly refer to each other: part them so the
+    # companion's assembly and tree are freed without the cycle collector
+    companion._assembly = None
+    if not solve.converged:
+        return None, summary, f"companion continuation {solve.status}"
+    mesh = problem.mesh
+    start = np.zeros(mesh.n_vertices)
+    ii = mesh.interior_vertices
+    start[ii] = solve.solution.at(mesh.vertices[ii])
+    return start, summary, ""
+
+
+def _march(problem: Problem, options: SolverOptions,
+           on_iteration: Optional[Callable]) -> SolveReport:
     """March ``tau`` from 0 to 1 with step halving on Newton failure.
 
     ``z = 0`` solves the ``tau = 0`` problem exactly, so the march starts
@@ -189,7 +262,6 @@ def continuation_solve(problem: Problem,
     ``stalled`` (step underflow) and ``left_interval`` (iterates pushed to
     the interval end).
     """
-    options = options or SolverOptions()
     asm = problem.assembly()
     mesh = problem.mesh
     ii = asm.interior

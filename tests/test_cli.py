@@ -112,6 +112,71 @@ def test_solve_checks_hypotheses_once(tmp_path, monkeypatch):
     assert report["hypotheses"]["passed"]
 
 
+@pytest.mark.parametrize("checks, strict, runs", [
+    ([], False, False), (["hypotheses"], False, True), ([], True, True),
+    (["max_principle"], False, False)])
+def test_hypotheses_check_follows_checks(tmp_path, monkeypatch, capsys,
+                                         checks, strict, runs):
+    # phi > 0 fails phi_nonpos: a run of the check warns, --strict refuses
+    import ckgraph.cli as cli
+    calls, check = [], cli.check_hypotheses
+    monkeypatch.setattr(cli, "check_hypotheses",
+                        lambda *args: calls.append(1) or check(*args))
+    doc = dict(_cap_doc(h=0.1, phi=0.2), checks=checks)
+    out = tmp_path / "out"
+    code = main(["solve", _write(tmp_path, "cap.json", doc), "--out", str(out)]
+                + ["--strict"] * strict)
+    report = json.loads((out / "report.json").read_text())
+    assert len(calls) == runs and ("hypotheses" in report) == runs
+    assert ("phi_nonpos" in capsys.readouterr().err) == runs
+    if strict:
+        assert code == 1 and report["status"] == "hypotheses_failed"
+    else:
+        assert code == 0 and report["status"] == "converged"
+    assert ("max_principle" in report) == ("max_principle" in checks)
+
+
+def test_report_records_the_solve_path(tmp_path, solved_run):
+    _, _, out = solved_run
+    rep = json.loads((out / "report.json").read_text())
+    # cap at h = 0.02: the march on the h = 0.08 companion, then Newton
+    assert rep["path"]["kind"] == "sequenced"
+    assert rep["path"]["companion"]["vertices"] == 91
+    assert rep["path"]["companion"]["tau_path"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert rep["tau_path"] == [0.0, 1.0]
+    log = (out / "log.jsonl").read_text().splitlines()
+    assert len(log) == rep["newton_iterations"] <= 5
+    # a mesh file has no companion
+    amb = ck.preset_ambient("killing_flat")
+    _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.05, amb)))
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    assert main(["solve", prob, "--out", str(tmp_path / "m")]) == 0
+    rep = json.loads((tmp_path / "m" / "report.json").read_text())
+    assert rep["path"] == {"kind": "continuation"}
+    assert rep["tau_path"] == [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_failed_solve_exit_code_with_companion(tmp_path):
+    # the companion's march stalls too; the march on the target mesh then
+    # decides the status and exit code, as it does without a companion
+    from ckgraph.cli import _STATUS_EXIT
+    from ckgraph.problemfile import load_problem
+    doc = {"ambient": {"preset": "example_b"},
+           "domain": {"preset": "disk", "params": {"radius": 0.3}},
+           "resolution": 0.05, "H": {"constant": -20.0},
+           "phi": {"constant": 0.9}, "solver": {"min_tau_step": 1e-3}}
+    prob = _write(tmp_path, "fail.json", doc)
+    loaded = load_problem(prob)
+    plain = ck.continuation_solve(loaded.problem, loaded.options)
+    assert plain.status in ("stalled", "left_interval")
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out", str(out)]) == _STATUS_EXIT[plain.status]
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["path"]["kind"] == "continuation"
+    assert rep["path"]["fallback"].startswith("companion continuation ")
+    assert rep["tau_path"] == plain.tau_path
+
+
 def test_trivial_problem(tmp_path):
     doc = _cap_doc(h=0.1, H=0.0, phi=0.0)
     prob = _write(tmp_path, "trivial.json", doc)

@@ -8,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import ckgraph as ck
 from ckgraph.errors import MeshError
+from ckgraph.fields import ScalarField
 from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
                           _loop_edges, _nearest, _sigma_edges, _unique,
-                          annulus_mesh, cap_mesh, disk_mesh, mesh_from_arrays,
-                          mesh_from_json, mesh_to_json)
+                          annulus_mesh, cap_mesh, disk_mesh, locate_points,
+                          mesh_from_arrays, mesh_from_json, mesh_to_json)
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
@@ -454,3 +455,92 @@ def test_boundary_vertices_built_once():
     with pytest.raises(ValueError):
         bv[0] = 1
 
+
+
+# -- point location (against an all-elements search) ------------------------
+
+
+def _all_elements_search(mesh, points):
+    """Barycentric coordinates of every point in every element, one element
+    and point at a time, and the largest smallest coordinate per point."""
+    bary = np.empty((len(points), mesh.n_triangles, 3))
+    for e, tri in enumerate(mesh.triangles):
+        a, b, c = mesh.vertices[tri]
+        M = np.array([b - a, c - a]).T
+        for k, p in enumerate(points):
+            l1, l2 = np.linalg.solve(M, p - a)
+            bary[k, e] = (1.0 - l1 - l2, l1, l2)
+    return bary, bary.min(axis=2).max(axis=1)
+
+
+def _located_meshes():
+    disk = disk_mesh(0.4, 0.08, FLAT)
+    _, verts, tris, loops = _relabelled(disk, np.random.default_rng(7))
+    return {"disk": disk, "cap": cap_mesh(1.0, 0.2, ROUND),
+            "annulus": annulus_mesh(0.2, 0.5, 0.1, FLAT),
+            "generic": mesh_from_json(mesh_to_json(
+                mesh_from_arrays(verts, tris, loops, FLAT)), FLAT)}
+
+
+@pytest.mark.parametrize("kind", ["disk", "cap", "annulus", "generic"])
+def test_locate_points_matches_all_elements_search(kind):
+    mesh = _located_meshes()[kind]
+    rng = np.random.default_rng(1)
+    r_out = np.linalg.norm(mesh.vertices, axis=1).max()
+    r_in = 0.2 if kind == "annulus" else 0.0
+    # random points inside the disk of the boundary vertices, mesh vertices
+    # and edge midpoints (ties on shared edges and corners)
+    r = np.sqrt(rng.uniform(r_in**2, (0.95 * r_out)**2, 300))
+    t = rng.uniform(0, 2 * math.pi, 300)
+    edges = mesh.edge_table()[0]
+    points = np.concatenate([np.stack([r * np.cos(t), r * np.sin(t)], axis=1),
+                             mesh.vertices[:40],
+                             mesh.vertices[edges[:40]].mean(axis=1)])
+    element, bary = locate_points(mesh, points)
+    ref, best = _all_elements_search(mesh, points)
+    inside = best >= -1e-12
+    assert np.all(inside)
+    # the same element up to ties: the chosen one contains the point too
+    k = np.arange(len(points))
+    assert np.all(ref[k, element].min(axis=1) >= -1e-12)
+    assert np.abs(bary - ref[k, element]).max() <= 1e-13
+    plain = np.argmax(ref.min(axis=2), axis=1)
+    tie = element != plain                  # on an edge or corner of both
+    assert np.abs(bary[tie].min(axis=1)).max(initial=0.0) <= 1e-12
+    values = np.sin(3 * mesh.vertices[:, 0]) + mesh.vertices[:, 1] ** 2
+    field = ScalarField(mesh, values)
+    expected = (ref[k, plain] * values[mesh.triangles[plain]]).sum(axis=1)
+    assert np.abs(field.at(points) - expected).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["disk", "cap", "annulus"])
+def test_points_outside_take_the_best_element_extrapolation(kind):
+    # between each boundary chord and the circle it approximates
+    mesh = _located_meshes()[kind]
+    outer = mesh.boundary_loops[0]
+    p, q = mesh.vertices[outer], mesh.vertices[np.roll(outer, -1)]
+    radius = np.linalg.norm(p, axis=1).max()
+    mid = 0.5 * (p + q)
+    points = mid / np.linalg.norm(mid, axis=1)[:, None] * (
+        0.5 * radius + 0.5 * np.linalg.norm(mid, axis=1))[:, None]
+    element, bary = locate_points(mesh, points)
+    ref, best = _all_elements_search(mesh, points)
+    assert np.all(best < -1e-12)                     # outside every element
+    k = np.arange(len(points))
+    assert np.array_equal(element, np.argmax(ref.min(axis=2), axis=1))
+    assert np.abs(bary - ref[k, element]).max() <= 1e-13
+    # linear extrapolation from that element
+    a = mesh.vertices[:, 0] - 2 * mesh.vertices[:, 1] + 0.5
+    assert np.abs(ScalarField(mesh, a).at(points)
+                  - (points[:, 0] - 2 * points[:, 1] + 0.5)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["disk", "cap", "annulus", "generic"])
+def test_locate_points_reproduces_linear_fields(kind):
+    mesh = _located_meshes()[kind]
+    points = np.random.default_rng(2).uniform(-1.2, 1.2, (500, 2))
+    coef = np.array([0.7, -1.3])
+    field = ScalarField(mesh, mesh.vertices @ coef - 0.25)
+    assert np.abs(field.at(points) - (points @ coef - 0.25)).max() <= 1e-12
+    element, bary = locate_points(mesh, points)
+    assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-14

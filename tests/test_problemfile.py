@@ -197,3 +197,19 @@ def test_barriers_check_is_a_schema_error():
     doc["checks"] = ["hypotheses", "barriers"]
     with pytest.raises(SchemaError, match=r"\$\.checks"):
         validate_document(doc)
+
+
+def test_companion_only_where_admissible():
+    doc = dict(_base_doc(), resolution=0.04)
+    companion = load_problem_document(doc).companion()
+    assert companion.mesh.preset == {"kind": "disk", "radius": 0.4}
+    assert 4 * companion.mesh.n_vertices <= 331 and companion.phi.max() == -0.5
+    # boundary data that pass at the target's boundary vertices but exceed
+    # the interval end (1 for example_b) at a boundary vertex only the
+    # companion has, (0.4 cos 10deg, 0.4 sin 10deg): no companion, no error
+    doc["ambient"] = {"preset": "example_b"}
+    doc["phi"] = {"expression":
+                  "0.5 + 0.6*exp(-((x - 0.393923)**2 + (y - 0.069459)**2)/0.0001)"}
+    loaded = load_problem_document(doc)
+    assert loaded.problem.phi[loaded.problem.mesh.boundary_vertices].max() < 1.0
+    assert loaded.companion() is None

@@ -1,3 +1,7 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,7 @@ from ckgraph.errors import NewtonStallError, SingularSystemError
 import ckgraph.frontal as frontal
 import ckgraph.solver as solver
 from ckgraph.frontal import FrontMatrix, FrontTree
+from ckgraph.problemfile import load_problem, load_problem_document
 from ckgraph.solver import (SolverOptions, _path_tangent, continuation_solve,
                             linear_solve, newton_solve)
 
@@ -282,3 +287,176 @@ def test_convergence_order_ladder(ladder, sizes):
         errors.append(np.abs(rep.solution.values - exact).max())
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders >= 1.8), orders
+
+
+# -- sequenced solve: continuation on a companion, Newton on the target -------
+
+_SEQUENCED = {
+    "cap": {"ambient": {"preset": "killing_flat"},
+            "domain": {"preset": "disk", "params": {"radius": 0.4}},
+            "resolution": 0.02, "H": {"constant": 1.0},
+            "phi": {"constant": -float(np.sqrt(0.84))}},
+    "radial_sphere": {"ambient": {"preset": "euclidean_radial"},
+                      "domain": {"preset": "cap", "params": {"theta0": 1.0}},
+                      "resolution": 0.025, "H": {"constant": 0.0},
+                      "phi": {"expression":
+                              "-log(cos(sqrt(x*x + y*y))) + log(cos(1))"}},
+    "annulus": {"ambient": {"preset": "example_a"},
+                "domain": {"preset": "annulus",
+                           "params": {"r_in": 0.2, "r_out": 0.5}},
+                "resolution": 0.03, "H": {"constant": 0.3},
+                "phi": {"expression": "-0.5 + 0.1*x"}},
+}
+
+
+def _loaded(name):
+    return load_problem_document(_SEQUENCED[name])
+
+
+@pytest.fixture(scope="module")
+def plain_solutions():
+    """Today's continuation on the target mesh, per problem."""
+    out = {}
+    for name in _SEQUENCED:
+        loaded = _loaded(name)
+        out[name] = continuation_solve(loaded.problem, loaded.options)
+        assert out[name].converged and out[name].path == {"kind": "continuation"}
+    return out
+
+
+def _fine_linear_solves(monkeypatch, n_interior):
+    sizes = []
+
+    def counted(system, rhs):
+        sizes.append(len(rhs))
+        return linear_solve(system, rhs)
+    monkeypatch.setattr(solver, "linear_solve", counted)
+    return lambda: sum(n == n_interior for n in sizes)
+
+
+@pytest.mark.parametrize("name", list(_SEQUENCED))
+def test_sequenced_matches_continuation(name, plain_solutions, monkeypatch):
+    loaded = _loaded(name)
+    fine = _fine_linear_solves(monkeypatch,
+                               len(loaded.problem.mesh.interior_vertices))
+    seen = []
+    rep = continuation_solve(loaded.problem, loaded.options, seen.append,
+                             companion=loaded.companion)
+    plain = plain_solutions[name]
+    assert rep.converged and rep.path["kind"] == "sequenced"
+    assert np.abs(rep.solution.values - plain.solution.values).max() <= 1e-9
+    companion = rep.path["companion"]
+    assert companion["tau_path"] == plain.tau_path
+    assert 4 * companion["vertices"] <= loaded.problem.mesh.n_vertices
+    # the report describes the target mesh: one stage, its Newton iterations
+    assert rep.tau_path == [0.0, 1.0] and len(rep.grad_sup_history) == 2
+    assert seen == rep.newton_history and all(r.tau == 1.0 for r in seen)
+    assert rep.newton_history[-1].residual_norm <= 1e-10
+    if name != "annulus":
+        # today 12 (cap) and 15 (radial_sphere) target-mesh linear solves
+        assert fine() <= 5
+
+
+def _forced_fallback(monkeypatch, loaded, fail):
+    """Run the sequenced solve with ``newton_solve`` failing as ``fail``
+    says; return the report and the iterations it logged."""
+    newton = solver.newton_solve
+
+    def failing(problem, tau, z0, options=None, on_iteration=None):
+        exc = fail(problem is not loaded.problem, tau)
+        if exc is not None:
+            raise exc
+        return newton(problem, tau, z0, options, on_iteration)
+    monkeypatch.setattr(solver, "newton_solve", failing)
+    seen = []
+    rep = continuation_solve(loaded.problem, loaded.options, seen.append,
+                             companion=loaded.companion)
+    return rep, seen
+
+
+def test_companion_stall_falls_back(plain_solutions, monkeypatch):
+    loaded = _loaded("cap")
+    rep, seen = _forced_fallback(monkeypatch, loaded, lambda on_companion, tau: (
+        NewtonStallError("forced", best_iterate=np.zeros(1), iterations=1,
+                         residual_norm=1.0) if on_companion and tau > 0 else None))
+    plain = plain_solutions["cap"]
+    assert rep.converged
+    assert np.array_equal(rep.solution.values, plain.solution.values)
+    assert (rep.tau_path, rep.newton_history) == (plain.tau_path, plain.newton_history)
+    assert rep.path["kind"] == "continuation"
+    assert rep.path["fallback"] == "companion continuation stalled"
+    assert rep.path["companion"]["tau_path"] == [0.0]
+    assert seen == plain.newton_history
+
+
+@pytest.mark.parametrize("error", [
+    NewtonStallError("forced stall", best_iterate=np.zeros(1), iterations=1,
+                     residual_norm=1.0),
+    SingularSystemError("forced singular system"),
+    ck.DomainError("forced domain error")], ids=["stall", "singular", "domain"])
+def test_target_newton_failure_falls_back(plain_solutions, monkeypatch, error):
+    loaded = _loaded("cap")
+    first = []
+
+    def fail(on_companion, tau):
+        # only the one Newton solve from the interpolated companion solution
+        if not on_companion and not first:
+            first.append(tau)
+            return error
+        return None
+    rep, seen = _forced_fallback(monkeypatch, loaded, fail)
+    plain = plain_solutions["cap"]
+    assert first == [1.0]
+    assert rep.converged
+    assert np.array_equal(rep.solution.values, plain.solution.values)
+    assert (rep.tau_path, rep.newton_history) == (plain.tau_path, plain.newton_history)
+    assert rep.path["kind"] == "continuation"
+    assert rep.path["fallback"] == str(error)
+    assert rep.path["companion"]["tau_path"] == plain.tau_path
+    assert seen == plain.newton_history
+
+
+def test_no_companion_keeps_the_plain_path(tmp_path):
+    loaded = _loaded("cap")
+    mesh = loaded.problem.mesh
+    ck.ScalarField(mesh, loaded.problem.phi).to_csv(tmp_path / "phi.csv")
+    (tmp_path / "mesh.json").write_text(json.dumps(ck.mesh_to_json(mesh)))
+    csv_doc = dict(_SEQUENCED["cap"], phi={"csv": "phi.csv"})
+    mesh_doc = {k: v for k, v in _SEQUENCED["cap"].items() if k != "resolution"}
+    mesh_doc["domain"] = {"mesh": "mesh.json"}
+    for doc in (csv_doc, mesh_doc):
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        other = load_problem(tmp_path / "p.json")
+        assert other.companion() is None
+        rep = continuation_solve(other.problem, other.options,
+                                 companion=other.companion)
+        assert rep.path == {"kind": "continuation"} and len(rep.tau_path) == 5
+    # a target of few rings: the two-ring floor leaves no 4x smaller companion
+    small = load_problem_document(dict(_SEQUENCED["cap"], resolution=0.1))
+    assert small.companion() is None
+
+
+def test_companion_freed_before_target_newton(monkeypatch):
+    loaded = load_problem_document(dict(_SEQUENCED["cap"], resolution=0.04))
+    refs, alive = [], []
+    newton = solver.newton_solve
+
+    def built():
+        companion = loaded.companion()
+        refs.append(weakref.ref(companion))
+        refs.append(weakref.ref(companion.assembly()))
+        return companion
+
+    def spy(problem, tau, z0, options=None, on_iteration=None):
+        if problem is loaded.problem:
+            alive.append([r() is not None for r in refs])
+        return newton(problem, tau, z0, options, on_iteration)
+    monkeypatch.setattr(solver, "newton_solve", spy)
+    gc.disable()            # freed by reference counts, not the collector
+    try:
+        rep = continuation_solve(loaded.problem, loaded.options,
+                                 companion=built)
+    finally:
+        gc.enable()
+    assert rep.path["kind"] == "sequenced"
+    assert alive == [[False, False]]
