@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,6 +42,21 @@ def _report_skeleton(status: str):
         "status": status,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _option_error(args, names, nonnegative=False):
+    """The message for the first of the numeric options ``names`` that is
+    given but not finite (or, with ``nonnegative``, negative); None when all
+    are usable."""
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if not math.isfinite(value):
+            return f"--{name} must be a finite number, got {value}"
+        if nonnegative and value < 0:
+            return f"--{name} must not be negative, got {value}"
+    return None
 
 
 def _run_checks(loaded: LoadedProblem, report: dict):
@@ -126,6 +142,10 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    bad = _option_error(args, ("D", "B", "eps"))
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 1
     try:
         loaded = load_problem(args.problem)
         z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
@@ -162,6 +182,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    bad = _option_error(args, ("tol",), nonnegative=True)
+    if bad:
+        print(f"error: {bad}", file=sys.stderr)
+        return 1
     try:
         loaded = load_problem(args.problem)
         z = ScalarField.from_csv(loaded.problem.mesh, args.solution)

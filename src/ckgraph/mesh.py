@@ -38,7 +38,8 @@ class DomainMesh:
     dist_to_boundary: np.ndarray  # (nv,) sigma-geodesic distance to the boundary
     h: float                      # mesh size (max sigma edge length)
     preset: Optional[dict] = None
-    suspect_elements: np.ndarray = None  # (nt,) bool, cut-locus suspects
+    _ambient: Optional[AmbientSpace] = field(default=None, repr=False)
+    _suspects: Optional[np.ndarray] = field(default=None, repr=False)
     _edges: Optional[tuple] = field(default=None, repr=False)
     _rings: dict = field(default_factory=dict, repr=False)
     _boundary: Optional[np.ndarray] = field(default=None, repr=False)
@@ -61,6 +62,14 @@ class DomainMesh:
                 [np.asarray(l) for l in self.boundary_loops]))
             self._boundary.flags.writeable = False
         return self._boundary
+
+    @property
+    def suspect_elements(self) -> np.ndarray:
+        """Cut-locus suspects ``(nt,)`` bool (see ``_suspect_elements``),
+        built on first read: only the barrier searches use them."""
+        if self._suspects is None:
+            self._suspects = _suspect_elements(self, self._ambient)
+        return self._suspects
 
     @property
     def is_boundary(self) -> np.ndarray:
@@ -178,6 +187,16 @@ def _validate(mesh: DomainMesh):
 # -- sigma-aware helpers ----------------------------------------------------
 
 
+def _spd_inverse(S):
+    """Inverse components ``(i11, i12, i22)`` and determinants of symmetric
+    2x2 matrices ``S`` ``(..., 2, 2)``, in closed form: ``(d, -b, a) / det``
+    with ``det = a d - b^2``."""
+    S = np.asarray(S)
+    a, b, d = S[..., 0, 0], S[..., 0, 1], S[..., 1, 1]
+    det = a * d - b * b
+    return (d / det, -b / det, a / det), det
+
+
 def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
     """Edge table and the leaf-metric length of each edge (metric at the
     edge midpoint)."""
@@ -190,12 +209,14 @@ def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
 
 def _nearest(points, targets):
     """Index of the target closest to each point in the chart; a tie goes to
-    the lowest index.  About 2^20 distances are held at a time."""
-    rows = max(1, 2**20 // len(targets))
+    the lowest index.  About 2^14 distances are held at a time."""
+    rows = max(1, 2**14 // len(targets))
+    tx, ty = targets[:, 0], targets[:, 1]
     out = np.empty(len(points), dtype=np.intp)
     for s in range(0, len(points), rows):
-        diff = points[s:s + rows, None, :] - targets[None, :, :]
-        out[s:s + rows] = np.argmin(diff[..., 0]**2 + diff[..., 1]**2, axis=1)
+        dx = points[s:s + rows, 0, None] - tx
+        dy = points[s:s + rows, 1, None] - ty
+        out[s:s + rows] = np.argmin(dx * dx + dy * dy, axis=1)
     return out
 
 
@@ -321,72 +342,108 @@ def _hat_gradients(vertices, triangles):
     return g, areas
 
 
-def _mark_suspects(mesh: DomainMesh, ambient: AmbientSpace):
-    """Flag elements where the discrete |grad d|_sigma deviates from 1 by
-    more than 10 h (cut-locus suspects)."""
+def _suspect_elements(mesh: DomainMesh, ambient: AmbientSpace):
+    """Elements where the discrete |grad d|_sigma deviates from 1 by more
+    than 10 h (cut-locus suspects)."""
     G, _ = _hat_gradients(mesh.vertices, mesh.triangles)
-    gd = np.einsum("eai,ea->ei", G, mesh.dist_to_boundary[mesh.triangles])
+    gx, gy = np.einsum("eai,ea->ie", G, mesh.dist_to_boundary[mesh.triangles])
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
-    S = ambient.base_metric(cent)
-    Sinv = np.linalg.inv(S)
-    norm = np.sqrt(np.einsum("ei,eij,ej->e", gd, Sinv, gd))
-    mesh.suspect_elements = np.abs(norm - 1.0) > 10.0 * mesh.h
+    (i11, i12, i22), _ = _spd_inverse(ambient.base_metric(cent))
+    norm = np.sqrt(i11 * gx * gx + 2.0 * i12 * gx * gy + i22 * gy * gy)
+    return np.abs(norm - 1.0) > 10.0 * mesh.h
 
 
 # -- structured builders ----------------------------------------------------
 
 
-def _band(tris, inner_idx, inner_ang, outer_idx, outer_ang):
-    """Triangulate the annular band between two concentric rings by merging
-    the two angle sequences; emits p + q positively oriented triangles."""
-    p, q = len(inner_idx), len(outer_idx)
-    a = np.asarray(inner_ang, dtype=float)
-    b = np.asarray(outer_ang, dtype=float)
-    rel = (b - a[0] + math.pi) % (2 * math.pi) - math.pi
-    j0 = int(np.argmin(np.abs(rel)))
-    order = (j0 + np.arange(q)) % q
-    b_un = (b[order] - a[0] + math.pi) % (2 * math.pi) - math.pi
-    for k in range(1, q):
-        while b_un[k] < b_un[k - 1]:
-            b_un[k] += 2 * math.pi
-    a_un = (a - a[0]) % (2 * math.pi)
-    for k in range(1, p):
-        while a_un[k] < a_un[k - 1]:
-            a_un[k] += 2 * math.pi
-    a_ext = np.append(a_un, a_un[0] + 2 * math.pi)
-    b_ext = np.append(b_un, b_un[0] + 2 * math.pi)
-    i = j = 0
-    while i < p or j < q:
-        take_inner = (j == q) or (i < p and a_ext[i + 1] <= b_ext[j + 1])
-        oj = int(outer_idx[order[j % q]])
-        if take_inner:
-            tris.append((int(inner_idx[i % p]), oj, int(inner_idx[(i + 1) % p])))
-            i += 1
-        else:
-            tris.append((int(inner_idx[i % p]), oj, int(outer_idx[order[(j + 1) % q]])))
-            j += 1
+def _segment_cumsum(x, start, seg):
+    """Inclusive cumulative sums of ``x`` restarted at each segment
+    ``start``; ``seg`` is the segment of every entry."""
+    c = np.cumsum(x)
+    return c - (c[start] - x[start])[seg]
+
+
+def _spider_web(numbers, radii, counts, first):
+    """Concentric chart rings and the triangles of the bands between
+    neighbouring rings.
+
+    Ring ``k`` holds ``counts[k]`` vertices, numbered on from ``first``, at
+    radius ``radii[k]`` and angles ``2 pi (j + (numbers[k] % 2) / 2) /
+    counts[k]``.  The band between rings ``k`` and ``k + 1`` (``p`` and
+    ``q`` vertices) gets ``p + q`` positively oriented triangles by merging
+    the two angle sequences, both unwrapped from the inner ring's first
+    vertex and the outer one started at its vertex nearest that angle.
+    Each step of the merge emits (inner vertex, outer vertex, next vertex
+    of the ring that advances), the inner ring advancing on a tie.  Every
+    band is merged at once by one stable sort, and the step counters are
+    cumulative sums of its result.
+
+    Returns the vertices ``(nv, 2)``, the band triangles and the ring
+    pointers ``ptr`` (ring ``k`` is vertices ``ptr[k]:ptr[k + 1]``).
+    """
+    two_pi = 2 * math.pi
+    counts = np.asarray(counts)
+    nb = len(counts) - 1
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    ring = np.repeat(np.arange(len(counts)), counts)
+    local = np.arange(ptr[-1]) - ptr[ring]
+    ang = two_pi * (local + 0.5 * (np.asarray(numbers)[ring] % 2)) / counts[ring]
+    r = np.asarray(radii)[ring]
+    verts = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
+
+    # band k: inner ring k, outer ring k + 1; both sequences in band order
+    p, q = counts[:-1], counts[1:]
+    band_a, band_b = ring[:ptr[nb]], ring[ptr[1]:] - 1
+    start_a, start_b = ptr[:nb], ptr[1:-1] - ptr[1]
+    k_a, k_b = local[:ptr[nb]], local[ptr[1]:]
+    a0 = ang[start_a]
+    rel = (ang[ptr[1]:] - a0[band_b] + math.pi) % two_pi - math.pi
+    # j0: the outer vertex nearest a0, the first one on a tie
+    dist = np.abs(rel)
+    hit = np.flatnonzero(dist == np.minimum.reduceat(dist, start_b)[band_b])
+    j0 = hit[np.searchsorted(band_b[hit], np.arange(nb))] - start_b
+    b_un = rel[start_b[band_b] + (j0[band_b] + k_b) % q[band_b]]
+    a_un = (ang[:ptr[nb]] - a0[band_a]) % two_pi
+
+    def successors(x, band, start, size, k):
+        """``x[k + 1]`` in each band after adding 2 pi from every descent
+        of ``x`` on; the last entry is the band's first plus 2 pi."""
+        down = np.zeros(len(x), dtype=np.intp)
+        down[1:] = x[1:] < x[:-1]
+        down[start] = 0
+        x = x + two_pi * _segment_cumsum(down, start, band)
+        last = k == size[band] - 1
+        nxt = np.arange(1, len(x) + 1)
+        nxt[last] = start[band[last]]
+        out = x[nxt]
+        out[last] += two_pi
+        return out
+
+    band = np.concatenate([band_a, band_b])
+    order = np.lexsort((np.concatenate([successors(a_un, band_a, start_a, p, k_a),
+                                        successors(b_un, band_b, start_b, q, k_b)]),
+                        band))
+    inner = order < len(band_a)
+    band = band[order]
+    start = np.concatenate([[0], np.cumsum(p + q)[:-1]])
+    i = _segment_cumsum(inner.astype(np.intp), start, band) - inner
+    j = j0[band] + np.arange(len(band)) - start[band] - i
+    pb, qb, lo, hi = p[band], q[band], ptr[band], ptr[band + 1]
+    tris = np.stack([lo + i % pb, hi + j % qb,
+                     np.where(inner, lo + (i + 1) % pb, hi + (j + 1) % qb)], axis=1)
+    return verts, tris + first, ptr + first
 
 
 def _polar_disk(radius: float, h: float):
-    """Spider-web triangulation of a chart disk; ring i holds 6 i vertices."""
+    """Spider-web triangulation of a chart disk; ring i holds 6 i vertices.
+    Returns the vertices, the triangles and the outer ring."""
     m = max(2, int(math.ceil(radius / h)))
-    verts = [(0.0, 0.0)]
-    ring_idx, ring_ang = [[0]], [[0.0]]
-    for i in range(1, m + 1):
-        r = radius * i / m
-        cnt = 6 * i
-        ang = 2 * math.pi * (np.arange(cnt) + 0.5 * (i % 2)) / cnt
-        idx = list(range(len(verts), len(verts) + cnt))
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-        ring_idx.append(idx)
-        ring_ang.append(list(ang))
-    tris = []
-    for j in range(6):
-        tris.append((0, ring_idx[1][j], ring_idx[1][(j + 1) % 6]))
-    for i in range(1, m):
-        _band(tris, ring_idx[i], ring_ang[i], ring_idx[i + 1], ring_ang[i + 1])
-    return (np.asarray(verts), np.asarray(tris, dtype=int),
-            np.asarray(ring_idx[-1], dtype=int))
+    rings = np.arange(1, m + 1)
+    verts, tris, ptr = _spider_web(rings, radius * rings / m, 6 * rings, 1)
+    fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
+                    1 + np.arange(1, 7) % 6], axis=1)
+    return (np.concatenate([[[0.0, 0.0]], verts]), np.concatenate([fan, tris]),
+            np.arange(ptr[-2], ptr[-1]))
 
 
 def _finalize(vertices, triangles, loops, normals, dist, preset, ambient,
@@ -397,10 +454,9 @@ def _finalize(vertices, triangles, loops, normals, dist, preset, ambient,
     mesh = DomainMesh(
         vertices=vertices, triangles=triangles, boundary_loops=loops,
         boundary_normal=normals, dist_to_boundary=dist,
-        h=float(lengths.max()), preset=preset, _edges=table,
+        h=float(lengths.max()), preset=preset, _ambient=ambient, _edges=table,
     )
     _validate(mesh)
-    _mark_suspects(mesh, ambient)
     return mesh
 
 
@@ -438,22 +494,11 @@ def annulus_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> 
     if not 0 < r_in < r_out:
         raise ParameterError("annulus_mesh needs 0 < r_in < r_out")
     m = max(2, int(math.ceil((r_out - r_in) / h)))
-    verts, ring_idx, ring_ang = [], [], []
-    for i in range(m + 1):
-        r = r_in + (r_out - r_in) * i / m
-        cnt = max(8, int(round(2 * math.pi * r / h)))
-        ang = 2 * math.pi * (np.arange(cnt) + 0.5 * (i % 2)) / cnt
-        idx = list(range(len(verts), len(verts) + cnt))
-        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
-        ring_idx.append(idx)
-        ring_ang.append(list(ang))
-    tris = []
-    for i in range(m):
-        _band(tris, ring_idx[i], ring_ang[i], ring_idx[i + 1], ring_ang[i + 1])
-    verts = np.asarray(verts)
-    tris = np.asarray(tris, dtype=int)
-    inner = np.asarray(ring_idx[0], dtype=int)
-    outer = np.asarray(ring_idx[-1], dtype=int)
+    rings = np.arange(m + 1)
+    radii = r_in + (r_out - r_in) * rings / m
+    counts = np.maximum(8, np.rint(2 * math.pi * radii / h).astype(int))
+    verts, tris, ptr = _spider_web(rings, radii, counts, 0)
+    inner, outer = np.arange(ptr[1]), np.arange(ptr[-2], ptr[-1])
     rr = np.linalg.norm(verts, axis=1)
     normals = np.zeros_like(verts)
     normals[outer] = -verts[outer] / rr[outer, None]
@@ -536,7 +581,7 @@ def _eikonal_sweep(vertices, triangles, dist, ambient):
 
     e, w = vertices[a] - vertices[b], vertices[c] - vertices[b]
     A, B = form(e, e), form(e, w)
-    D = np.linalg.det(S) * _cross2(e, w)**2     # A C - B^2 without cancellation
+    D = _spd_inverse(S)[1] * _cross2(e, w)**2   # A C - B^2 without cancellation
     l_a, l_b = np.sqrt(form(w - e, w - e)), np.sqrt(form(w, w))
 
     def update(dist):

@@ -28,7 +28,7 @@ import numpy as np
 from .ambient import AmbientSpace, central_gradient, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _hat_gradients, _nearest
+from .mesh import DomainMesh, _hat_gradients, _nearest, _spd_inverse
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
@@ -121,12 +121,6 @@ def _rows(a):
     return np.ascontiguousarray(np.moveaxis(np.asarray(a), 1, 0))
 
 
-def _parts(M):
-    """Components ``(M_11, M_12, M_22)`` of symmetric 2x2 matrices."""
-    return (np.ascontiguousarray(M[..., 0, 0]), np.ascontiguousarray(M[..., 0, 1]),
-            np.ascontiguousarray(M[..., 1, 1]))
-
-
 @dataclass
 class _Evaluation:
     """The residual pass of the element kernel at one ``(z, tau)``: the
@@ -164,21 +158,17 @@ class _Assembly:
         self.Gx, self.Gy = _rows(self.G[..., 0]), _rows(self.G[..., 1])
         p = mesh.vertices[self.tri]
         cent = p.mean(axis=1)
-        S_c = amb.base_metric(cent)
-        self.Sinv_c = np.linalg.inv(S_c)
-        self.Sc = _parts(self.Sinv_c)
+        self.Sc, det_c = _spd_inverse(amb.base_metric(cent))
         self.gam_c = np.asarray(amb.gamma(cent))
         qp = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite 0,1,2
-        S_q = _rows(amb.base_metric(qp))
-        Sinv_q = np.linalg.inv(S_q)
-        self.Sq = _parts(Sinv_q)
+        self.Sq, det_q = _spd_inverse(_rows(amb.base_metric(qp)))
         self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
         dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
         Hv = problem.H.values[self._triT]                # (3, nt)
         self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
-        self.w_c = self.A * np.sqrt(np.linalg.det(S_c))
-        self.w_q = (self.A / 3.0) * np.sqrt(np.linalg.det(S_q))
+        self.w_c = self.A * np.sqrt(det_c)
+        self.w_q = (self.A / 3.0) * np.sqrt(det_q)
         c11, c12, c22 = self.Sc
         self.GSx = self.Gx * c11 + self.Gy * c12         # rows of G Sinv_c
         self.GSy = self.Gx * c12 + self.Gy * c22
@@ -349,13 +339,15 @@ def christoffel_symbols(ambient: AmbientSpace, pts, step=1e-5):
     """Christoffel symbols of the leaf metric by central differences,
     shape (..., k, i, j) for Gamma^k_ij."""
     pts = np.asarray(pts, dtype=float)
-    Sinv = np.linalg.inv(np.asarray(ambient.base_metric(pts)))
+    i11, i12, i22 = (c[..., None, None] for c in
+                     _spd_inverse(ambient.base_metric(pts))[0])
     dS = central_gradient(ambient.base_metric, pts, step)  # dS[..., l, i, j] = d_l S_ij
     # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
     term = (np.einsum("...ilj->...lij", dS)
             + np.einsum("...jli->...lij", dS)
-            - np.einsum("...lij->...lij", dS))
-    return 0.5 * np.einsum("...kl,...lij->...kij", Sinv, term)
+            - dS)
+    t0, t1 = term[..., 0, :, :], term[..., 1, :, :]
+    return 0.5 * np.stack([i11 * t0 + i12 * t1, i12 * t0 + i22 * t1], axis=-3)
 
 
 def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
@@ -368,8 +360,13 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
 
     Every vertex is fitted at once: the stencils are padded with zero rows
     to the largest 2-ring, which leaves each least-squares problem as it
-    is.  Columns are scaled to unit norm and the minimum-norm solution is
-    taken, with the singular-value cutoff of ``np.linalg.lstsq``.
+    is, and their columns are scaled to unit norm.  A stencil of at least 5
+    points is solved by its normal equations, all of them in one batched
+    solve; the scaled stencils are well conditioned (condition numbers up
+    to about 13 on the preset meshes), so this agrees with the SVD to
+    rounding.  Smaller stencils, never confident, get the minimum-norm
+    solution with the singular-value cutoff of ``np.linalg.lstsq``, as do
+    all stencils if one normal matrix is exactly singular.
     """
     values = np.asarray(values, dtype=float)
     ptr, nbr = mesh.vertex_rings(depth=2)
@@ -377,15 +374,28 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     slot = np.arange(count.max())
     used = slot < count[:, None]                              # (nv, k)
     idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
-    pts = np.where(used[..., None], mesh.vertices[idx] - mesh.vertices[:, None], 0.0)
+    vx, vy = mesh.vertices.T
+    x = np.where(used, vx[idx] - vx[:, None], 0.0)
+    y = np.where(used, vy[idx] - vy[:, None], 0.0)
     rhs = np.where(used, values[idx] - values[:, None], 0.0)
-    x, y = pts[..., 0], pts[..., 1]
     M = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=2)
-    # scale columns for conditioning
-    scale = np.linalg.norm(M, axis=1)
+    Mt = M.transpose(0, 2, 1)
+    N, b = Mt @ M, (Mt @ rhs[..., None])[..., 0]
+    # scale columns to unit norm for conditioning
+    scale = np.sqrt(np.diagonal(N, axis1=1, axis2=2))
     scale[scale == 0] = 1.0
-    rtol = np.finfo(float).eps * np.maximum(count, 5)
-    coef = np.einsum("vcr,vr->vc", np.linalg.pinv(M / scale[:, None], rtol=rtol), rhs)
+    coef = np.empty((len(count), 5))
+    full = count >= 5
+    try:
+        coef[full] = np.linalg.solve(
+            N[full] / (scale[full, :, None] * scale[full, None, :]),
+            (b[full] / scale[full])[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        full[:] = False
+    few = ~full
+    rtol = np.finfo(float).eps * np.maximum(count[few], 5)
+    coef[few] = (np.linalg.pinv(M[few] / scale[few, None], rtol=rtol)
+                 @ rhs[few, :, None])[..., 0]
     coef /= scale
     grad = coef[:, :2]
     Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
@@ -415,15 +425,16 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     H = np.asarray(H, dtype=float)
     g = np.asarray(ambient.gamma(pts))
     dg = np.asarray(ambient.grad_gamma(pts))
-    Sinv = np.linalg.inv(np.asarray(ambient.base_metric(pts)))
-    pup = np.einsum("...ij,...j->...i", Sinv, grads)
-    v2 = np.einsum("...i,...i->...", grads, pup)
-    U = np.sqrt(g + v2)                   # U = lambda W
+    (i11, i12, i22), _ = _spd_inverse(ambient.base_metric(pts))
+    gx, gy = grads[..., 0], grads[..., 1]
+    px, py = i11 * gx + i12 * gy, i12 * gx + i22 * gy      # z^i
+    U = np.sqrt(g + gx * px + gy * py)    # U = lambda W
     # (sigma^{ij} - z^i z^j / U^2) z_{j;i} / U - gamma_i z^i / (2 U^3)
     #   - (gamma_i z^i / (2 gamma) + n gamma rho) / U - n lambda H
-    tr1 = np.einsum("...ij,...ij->...", Sinv, hess) \
-        - np.einsum("...i,...j,...ij->...", pup, pup, hess) / U**2
-    gz = np.einsum("...i,...i->...", dg, pup)
+    h11, h12, h22 = hess[..., 0, 0], hess[..., 0, 1] + hess[..., 1, 0], hess[..., 1, 1]
+    tr1 = i11 * h11 + i12 * h12 + i22 * h22 \
+        - (px * px * h11 + px * py * h12 + py * py * h22) / U**2
+    gz = dg[..., 0] * px + dg[..., 1] * py
     lam = np.asarray(ambient.lam(vals))
     rr = np.asarray(ambient.lam_t(vals)) / lam
     return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \

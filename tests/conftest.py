@@ -86,3 +86,19 @@ def _boundary_flux(problem, z):
 def boundary_flux():
     """``boundary_flux(problem, z)``: the scalar-loop boundary flux."""
     return _boundary_flux
+
+
+def _former_suspects(mesh, ambient):
+    """The former eager cut-locus flags, kept as a reference: |grad d| in
+    the inverse centroid metric from ``np.linalg.inv``."""
+    G, _ = _hat_gradients(mesh.vertices, mesh.triangles)
+    gd = np.einsum("eai,ea->ei", G, mesh.dist_to_boundary[mesh.triangles])
+    Sinv = np.linalg.inv(ambient.base_metric(mesh.vertices[mesh.triangles].mean(axis=1)))
+    norm = np.sqrt(np.einsum("ei,eij,ej->e", gd, Sinv, gd))
+    return np.abs(norm - 1.0) > 10.0 * mesh.h
+
+
+@pytest.fixture(scope="session")
+def former_suspects():
+    """``former_suspects(mesh, ambient)``: the former eager suspect flags."""
+    return _former_suspects

@@ -252,6 +252,47 @@ def test_certify_bad_B(solved_run):
     assert code == 1
 
 
+@pytest.mark.parametrize("options, name", [
+    (["--D", "nan", "--B", "1"], "--D"),
+    (["--D", "1", "--B", "nan"], "--B"),
+    (["--D", "inf", "--B", "1"], "--D"),
+    (["--D", "1", "--B=-inf"], "--B"),
+    (["--eps", "nan"], "--eps"),
+    (["--eps", "inf"], "--eps"),
+])
+def test_certify_non_finite_option_exit_1(solved_run, capsys, options, name):
+    _, prob, out = solved_run
+    _assert_clean_exit_1(["certify", prob, str(out / "solution.csv"), *options],
+                         capsys, f"{name} must be a finite number")
+
+
+@pytest.mark.parametrize("value, fragment", [
+    ("nan", "must be a finite number"), ("inf", "must be a finite number"),
+    ("-1", "must not be negative"),
+])
+def test_verify_bad_tolerance_exit_1(solved_run, capsys, value, fragment):
+    _, prob, out = solved_run
+    _assert_clean_exit_1(["verify", prob, str(out / "solution.csv"), "--tol", value],
+                         capsys, f"--tol {fragment}")
+
+
+def test_suspect_flags_built_only_by_certify(tmp_path, monkeypatch, former_suspects):
+    from ckgraph import mesh as mesh_module
+    built = []
+    former = mesh_module._suspect_elements
+    monkeypatch.setattr(mesh_module, "_suspect_elements",
+                        lambda mesh, amb: built.append((mesh, amb)) or former(mesh, amb))
+    prob = _write(tmp_path, "cap.json", _cap_doc())
+    out = tmp_path / "run"
+    assert main(["solve", prob, "--out", str(out)]) == 0
+    assert main(["verify", prob, str(out / "solution.csv")]) == 0
+    assert built == []
+    main(["certify", prob, str(out / "solution.csv")])
+    assert len(built) == 1
+    mesh, amb = built[0]
+    assert np.array_equal(mesh.suspect_elements, former_suspects(mesh, amb))
+
+
 def test_verify_roundtrip(solved_run, capsys):
     tmp, prob, out = solved_run
     assert main(["verify", prob, str(out / "solution.csv")]) == 0

@@ -1,6 +1,8 @@
 import json
 import math
+import types
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +11,17 @@ from hypothesis import example, given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.errors import MeshError
 from ckgraph.fields import ScalarField
+from ckgraph import mesh as mesh_module
 from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
-                          _loop_edges, _nearest, _sigma_edges, _unique,
+                          _loop_edges, _nearest, _sigma_edges, _spd_inverse,
+                          _unique,
                           annulus_mesh, cap_mesh, disk_mesh, locate_points,
                           mesh_from_arrays, mesh_from_json, mesh_to_json)
+from ckgraph.problemfile import load_problem
 
 FLAT = ck.preset_ambient("killing_flat")
 ROUND = ck.preset_ambient("euclidean_radial")
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def test_disk_orientation_and_conformity():
@@ -124,6 +130,44 @@ def test_annulus_suspects_near_cut_locus():
     assert np.all(np.abs(rc[sus] - 0.5) < 3 * mesh.h)
 
 
+# at h = 0.045 the annulus has no ring on its cut locus r = 0.5, so the
+# elements of the band across it are suspects
+@pytest.mark.parametrize("build, ambient, suspects", [
+    (lambda: disk_mesh(0.4, 0.05, FLAT), FLAT, 0),
+    (lambda: cap_mesh(1.0, 0.05, ROUND), ROUND, 0),
+    (lambda: annulus_mesh(0.3, 0.7, 0.045, FLAT), FLAT, 140),
+    (lambda: mesh_from_json(mesh_to_json(annulus_mesh(0.3, 0.7, 0.045, FLAT)), FLAT),
+     FLAT, 140),
+    (lambda: mesh_from_json(mesh_to_json(cap_mesh(0.8, 0.1, ROUND)), ROUND), ROUND, 0),
+], ids=["disk", "cap", "annulus", "generic_annulus", "generic_cap"])
+def test_suspects_built_on_first_read(monkeypatch, former_suspects, build, ambient,
+                                      suspects):
+    mesh = build()
+    calls = []
+    former = mesh_module._suspect_elements
+    monkeypatch.setattr(mesh_module, "_suspect_elements",
+                        lambda *args: calls.append(1) or former(*args))
+    first = mesh.suspect_elements
+    assert mesh.suspect_elements is first and len(calls) == 1
+    assert np.array_equal(first, former_suspects(mesh, ambient))
+    assert np.count_nonzero(first) == suspects
+
+
+@pytest.mark.parametrize("name", ck.PRESET_NAMES)
+def test_spd_inverse_matches_linalg(name):
+    amb = ck.preset_ambient(name)
+    mesh = cap_mesh(1.0, 0.05, amb)
+    edges = mesh.edge_table()[0]
+    pts = np.concatenate([mesh.vertices[mesh.triangles].mean(axis=1),
+                          mesh.vertices[edges].mean(axis=1)])
+    S = amb.base_metric(pts)
+    (i11, i12, i22), det = _spd_inverse(S)
+    inv = np.linalg.inv(S)
+    for got, want in ((i11, inv[:, 0, 0]), (i12, inv[:, 0, 1]), (i12, inv[:, 1, 0]),
+                      (i22, inv[:, 1, 1]), (det, np.linalg.det(S))):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+
+
 def _rows(csr):
     """CSR rows ``(indptr, indices)`` as lists of ints."""
     ptr, idx = csr
@@ -153,6 +197,145 @@ def _preset(kind, size, h):
 
 _PRESETS = st.tuples(st.sampled_from(["disk", "annulus", "cap"]),
                      st.floats(0.2, 0.8), st.floats(0.08, 0.2))
+
+
+# -- preset generator (against the former ring-merge loop) -----------------
+
+
+def _band_loop(tris, inner_idx, inner_ang, outer_idx, outer_ang):
+    """The former band triangulation, kept as a reference: merge the two
+    angle sequences one triangle at a time."""
+    p, q = len(inner_idx), len(outer_idx)
+    a = np.asarray(inner_ang, dtype=float)
+    b = np.asarray(outer_ang, dtype=float)
+    rel = (b - a[0] + math.pi) % (2 * math.pi) - math.pi
+    j0 = int(np.argmin(np.abs(rel)))
+    order = (j0 + np.arange(q)) % q
+    b_un = (b[order] - a[0] + math.pi) % (2 * math.pi) - math.pi
+    for k in range(1, q):
+        while b_un[k] < b_un[k - 1]:
+            b_un[k] += 2 * math.pi
+    a_un = (a - a[0]) % (2 * math.pi)
+    for k in range(1, p):
+        while a_un[k] < a_un[k - 1]:
+            a_un[k] += 2 * math.pi
+    a_ext = np.append(a_un, a_un[0] + 2 * math.pi)
+    b_ext = np.append(b_un, b_un[0] + 2 * math.pi)
+    i = j = 0
+    while i < p or j < q:
+        take_inner = (j == q) or (i < p and a_ext[i + 1] <= b_ext[j + 1])
+        oj = int(outer_idx[order[j % q]])
+        if take_inner:
+            tris.append((int(inner_idx[i % p]), oj, int(inner_idx[(i + 1) % p])))
+            i += 1
+        else:
+            tris.append((int(inner_idx[i % p]), oj, int(outer_idx[order[(j + 1) % q]])))
+            j += 1
+
+
+def _rings_loop(verts, numbers, radius_of, count_of):
+    """Ring vertices appended to ``verts``, one ring per number, and the
+    ring indices and angles (the former per-ring loop)."""
+    ring_idx, ring_ang = [], []
+    for i in numbers:
+        r, cnt = radius_of(i), count_of(i)
+        ang = 2 * math.pi * (np.arange(cnt) + 0.5 * (i % 2)) / cnt
+        ring_idx.append(list(range(len(verts), len(verts) + cnt)))
+        verts.extend(zip(r * np.cos(ang), r * np.sin(ang)))
+        ring_ang.append(list(ang))
+    return ring_idx, ring_ang
+
+
+def _disk_loop(radius, h):
+    """Vertices, triangles and boundary loop of the former ``_polar_disk``."""
+    m = max(2, int(math.ceil(radius / h)))
+    verts = [(0.0, 0.0)]
+    idx, ang = _rings_loop(verts, range(1, m + 1), lambda i: radius * i / m,
+                           lambda i: 6 * i)
+    tris = [(0, idx[0][j], idx[0][(j + 1) % 6]) for j in range(6)]
+    for i in range(m - 1):
+        _band_loop(tris, idx[i], ang[i], idx[i + 1], ang[i + 1])
+    return np.asarray(verts), np.asarray(tris, dtype=int), [np.asarray(idx[-1], dtype=int)]
+
+
+def _annulus_loop(r_in, r_out, h):
+    """Vertices, triangles and boundary loops of the former annulus builder."""
+    m = max(2, int(math.ceil((r_out - r_in) / h)))
+    verts = []
+
+    def radius_of(i):
+        return r_in + (r_out - r_in) * i / m
+
+    idx, ang = _rings_loop(verts, range(m + 1), radius_of,
+                           lambda i: max(8, int(round(2 * math.pi * radius_of(i) / h))))
+    tris = []
+    for i in range(m):
+        _band_loop(tris, idx[i], ang[i], idx[i + 1], ang[i + 1])
+    inner = np.asarray(idx[0], dtype=int)
+    return (np.asarray(verts), np.asarray(tris, dtype=int),
+            [np.asarray(idx[-1], dtype=int), inner[::-1].copy()])
+
+
+def _assert_same_arrays(mesh, reference):
+    verts, tris, loops = reference
+    assert mesh.vertices.dtype == verts.dtype and np.array_equal(mesh.vertices, verts)
+    assert mesh.triangles.dtype == tris.dtype and np.array_equal(mesh.triangles, tris)
+    assert len(mesh.boundary_loops) == len(loops)
+    for got, want in zip(mesh.boundary_loops, loops):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# radius over h: whole and fractional ring counts, odd and even outer rings,
+# and the 4h companion sizes of the benchmark's preset workloads
+@pytest.mark.parametrize("radius", [0.3, 0.4, 0.77, 1.0, 1.3])
+@pytest.mark.parametrize("h", [0.02, 0.025, 0.04, 0.05, 0.08, 0.1, 0.1 / 3, 0.15, 0.3])
+def test_disk_and_cap_arrays_match_loop(radius, h):
+    _assert_same_arrays(disk_mesh(radius, h, FLAT), _disk_loop(radius, h))
+    _assert_same_arrays(cap_mesh(radius, h, ROUND), _disk_loop(radius, h))
+
+
+@pytest.mark.parametrize("r_in, r_out, h", [
+    (0.3, 0.7, 0.05), (0.3, 0.7, 0.07), (0.3, 0.7, 0.1), (0.3, 0.7, 0.12),
+    (0.2, 0.5, 0.1), (0.2, 0.5, 0.15), (0.2, 0.6, 0.02), (0.1, 1.0, 0.04),
+    (0.5, 0.55, 0.01), (1.0, 2.0, 0.03)])
+def test_annulus_arrays_match_loop(r_in, r_out, h):
+    _assert_same_arrays(annulus_mesh(r_in, r_out, h, FLAT), _annulus_loop(r_in, r_out, h))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_PRESETS)
+def test_preset_arrays_match_loop(spec):
+    kind, size, h = spec
+    mesh, _ = _preset(kind, size, h)
+    ref = _annulus_loop(size, size + 0.3, h) if kind == "annulus" else _disk_loop(size, h)
+    _assert_same_arrays(mesh, ref)
+
+
+def _workload_inputs(tmp_path, name):
+    """Problem file (and mesh file) of a benchmark workload, as
+    ``perfbench/workloads.py`` writes them."""
+    module = types.ModuleType("perfbench_workloads")
+    exec(compile(WORKLOADS.read_text(encoding="utf-8"), str(WORKLOADS), "exec"),
+         module.__dict__)
+    module.write_inputs(name, 0, tmp_path)
+    return tmp_path / "problem.json"
+
+
+@pytest.mark.parametrize("name", ["cap_continuation", "radial_sphere", "meshfile_disk"])
+def test_benchmark_meshes_match_loop(tmp_path, name):
+    loaded = load_problem(_workload_inputs(tmp_path, name))
+    doc = json.loads((tmp_path / "problem.json").read_text(encoding="utf-8"))
+    if name == "meshfile_disk":
+        mesh_doc = json.loads((tmp_path / "mesh.json").read_text(encoding="utf-8"))
+        ref = (np.asarray(mesh_doc["vertices"], dtype=float),
+               np.asarray(mesh_doc["triangles"]),
+               [np.asarray(l) for l in mesh_doc["boundary"]])
+        _assert_same_arrays(loaded.problem.mesh, ref)
+        return
+    size = next(iter(doc["domain"]["params"].values()))
+    h = doc["resolution"]
+    _assert_same_arrays(loaded.problem.mesh, _disk_loop(size, h))
+    _assert_same_arrays(loaded.companion().mesh, _disk_loop(size, 4 * h))
 
 
 def _brute_force(mesh):
@@ -417,7 +600,7 @@ def test_edge_relaxation_unconverged_is_an_error():
 def test_nearest_matches_kd_tree():
     cKDTree = pytest.importorskip("scipy.spatial").cKDTree
     rng = np.random.default_rng(7)
-    # 3 chunks of 2^20 // 300 points
+    # many chunks of 2^14 // 300 points
     points, targets = rng.uniform(-1, 1, (8000, 2)), rng.uniform(-1, 1, (300, 2))
     assert np.array_equal(_nearest(points, targets), cKDTree(targets).query(points)[1])
 

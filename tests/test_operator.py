@@ -301,12 +301,21 @@ def _two_triangles(amb):
     return ck.mesh_from_arrays(verts, [[0, 1, 2], [0, 2, 3]], [[0, 1, 2, 3]], amb)
 
 
+def _strip(amb):
+    """Two rows of eight vertices: every 2-ring lies on the two lines of
+    the conic y (y - 0.1) = 0, so every normal matrix is singular."""
+    verts = np.array([[0.1 * i, 0.1 * j] for j in range(2) for i in range(8)])
+    tris = [t for i in range(7) for t in ([i, i + 1, i + 9], [i, i + 9, i + 8])]
+    return ck.mesh_from_arrays(verts, tris, [list(range(8)) + list(range(15, 7, -1))], amb)
+
+
 @pytest.mark.parametrize("ambient, build", [
     ("killing_flat", lambda a: ck.disk_mesh(0.4, 0.04, a)),
     ("euclidean_radial", lambda a: ck.cap_mesh(1.0, 0.05, a)),
     ("killing_flat", _jittered_disk),
     ("euclidean_radial", _two_triangles),
-], ids=["disk", "round_cap", "generic", "deficient"])
+    ("killing_flat", _strip),
+], ids=["disk", "round_cap", "generic", "deficient", "strip"])
 def test_batched_recovery_matches_loop(ambient, build):
     amb = ck.preset_ambient(ambient)
     mesh = build(amb)
