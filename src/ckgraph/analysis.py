@@ -190,34 +190,10 @@ def _distance_geometry(problem: Problem, elements: bool):
     over each element and usable where all three vertices are confident.
 
     Returns (grad (m,2), hess (m,2,2), usable (m,))."""
-    ambient, mesh = problem.ambient, problem.mesh
-    preset = mesh.preset or {}
-    kind = preset.get("kind")
-    if kind in ("disk", "cap", "annulus"):
+    mesh = problem.mesh
+    if mesh.polar is not None:
         pts = mesh.vertices[mesh.triangles].mean(axis=1) if elements else mesh.vertices
-        r = np.linalg.norm(pts, axis=1)
-        r = np.maximum(r, 1e-30)
-        rhat = pts / r[:, None]
-        proj = np.eye(2) - np.einsum("mi,mj->mij", rhat, rhat)
-        usable = r > 1e-12
-        if kind == "disk":
-            grad = -rhat
-            hess = -proj / r[:, None, None]
-        elif kind == "cap":
-            grad = -rhat
-            S = np.asarray(ambient.base_metric(pts))
-            sigma_proj = S - np.einsum("mi,mj->mij", rhat, rhat)
-            hess = -(np.cos(r) / np.sin(r))[:, None, None] * sigma_proj
-        else:
-            r_in, r_out = preset["r_in"], preset["r_out"]
-            mid = 0.5 * (r_in + r_out)
-            inner = r <= mid
-            sgn = np.where(inner, 1.0, -1.0)
-            grad = sgn[:, None] * rhat
-            hess = sgn[:, None, None] * proj / r[:, None, None]
-            # the equidistant circle is the cut locus of d
-            usable = usable & (np.abs(r - mid) > 0.75 * mesh.h)
-        return grad, hess, usable
+        return mesh.polar.distance_derivatives(pts, mesh.h)
     grad, hess, conf = problem.distance_recovery()
     if not elements:
         return grad, hess, conf
@@ -257,15 +233,10 @@ class BarrierCertificate:
 
 
 def sigma_diameter(mesh: DomainMesh, ambient: AmbientSpace, max_samples=64) -> float:
-    """Chart-segment estimate of the diameter in the leaf metric."""
-    preset = mesh.preset or {}
-    kind = preset.get("kind")
-    if kind == "disk":
-        return 2.0 * preset["radius"]
-    if kind == "cap":
-        return 2.0 * preset["theta0"]
-    if kind == "annulus":
-        return 2.0 * preset["r_out"]
+    """Chart-segment estimate of the diameter in the leaf metric; twice the
+    outer radius on a preset domain."""
+    if mesh.polar is not None:
+        return mesh.polar.diameter
     bv = mesh.boundary_vertices
     if len(bv) > max_samples:
         bv = bv[np.linspace(0, len(bv) - 1, max_samples).astype(int)]
@@ -601,25 +572,12 @@ def _parallel_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
     """Infimum of the cylinder curvature over the level set ``d = eps`` of a
     preset domain: the boundary vertices moved inward by ``eps`` along their
     normals (a concentric circle), with the closed-form curvature there."""
-    preset = mesh.preset
-    kind = preset["kind"]
+    if eps >= mesh.polar.inradius:
+        raise ParameterError(f"depth reaches the inradius {mesh.polar.inradius:g}")
     verts = mesh.boundary_vertices
     normal = mesh.boundary_normal[verts]
     pts = mesh.vertices[verts] + eps * normal
-    if kind == "disk":
-        if eps >= preset["radius"]:
-            raise ParameterError("depth exceeds the inradius")
-        hg = np.full(len(verts), 1.0 / (preset["radius"] - eps))
-    elif kind == "cap":
-        if eps >= preset["theta0"]:
-            raise ParameterError("depth exceeds the inradius")
-        hg = np.full(len(verts), 1.0 / math.tan(preset["theta0"] - eps))
-    else:
-        r_in, r_out = preset["r_in"], preset["r_out"]
-        if eps >= 0.5 * (r_out - r_in):
-            raise ParameterError("depth reaches the equidistant set")
-        outer = np.linalg.norm(mesh.vertices[verts], axis=1) > 0.5 * (r_in + r_out)
-        hg = np.where(outer, 1.0 / (r_out - eps), -1.0 / (r_in + eps))
+    hg = mesh.polar.circle_curvature(np.linalg.norm(mesh.vertices[verts], axis=1), eps)
     return float(np.min(cylinder_mean_curvature(ambient, 0.0, pts, normal, hg)))
 
 
@@ -630,13 +588,12 @@ def cylinder_monotonicity_probe(problem: Problem, depths):
     stay above the boundary value (the expected monotone behaviour).
     """
     amb, mesh = problem.ambient, problem.mesh
-    preset = mesh.preset or {}
     inf_hk, _ = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
     rows = []
     for eps in depths:
         row = {"eps": float(eps), "skipped": False, "H_K": None}
         try:
-            if preset.get("kind") in ("disk", "cap", "annulus"):
+            if mesh.polar is not None:
                 hk = _parallel_curve_hk(mesh, amb, float(eps))
             else:
                 row["components"] = _level_curve_hk(mesh, amb, float(eps))

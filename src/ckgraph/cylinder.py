@@ -8,8 +8,6 @@ curve at least as strongly as the prescribed field).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .ambient import AmbientSpace, n
@@ -47,22 +45,13 @@ def cylinder_mean_curvature(ambient: AmbientSpace, t, u, eta, H_Gamma):
 def _loop_curvatures(mesh: DomainMesh, ambient: AmbientSpace):
     """Mean (geodesic) curvature of the boundary, inward normal, at every
     loop vertex, in loop order: the vertices, the values and the confidence
-    flags.  Preset domains use the classical closed forms; generic meshes
-    use the turning angle of the boundary polyline measured in the leaf
-    metric, with a low-confidence flag on degenerate stencils."""
+    flags.  Preset domains use the closed form of their boundary circles;
+    generic meshes the geodesic curvature of the boundary polyline, with a
+    low-confidence flag on degenerate stencils."""
     verts = np.concatenate([np.asarray(l) for l in mesh.boundary_loops])
-    preset = mesh.preset or {}
-    kind = preset.get("kind")
-    if kind in ("disk", "cap", "annulus"):
-        if kind == "disk":
-            vals = np.full(len(verts), 1.0 / preset["radius"])
-        elif kind == "cap":
-            vals = np.full(len(verts), 1.0 / math.tan(preset["theta0"]))
-        else:
-            r = np.linalg.norm(mesh.vertices[verts], axis=1)
-            mid = 0.5 * (preset["r_in"] + preset["r_out"])
-            vals = np.where(r > mid, 1.0 / preset["r_out"], -1.0 / preset["r_in"])
-        return verts, vals, np.ones(len(verts), dtype=bool)
+    if mesh.polar is not None:
+        r = np.linalg.norm(mesh.vertices[verts], axis=1)
+        return verts, mesh.polar.circle_curvature(r), np.ones(len(verts), dtype=bool)
     parts = [closed_polyline_geometry(mesh.vertices[l], ambient)[1:]
              for l in mesh.boundary_loops]
     return (verts, np.concatenate([c for c, _ in parts]),

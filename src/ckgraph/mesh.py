@@ -3,9 +3,14 @@
 A :class:`DomainMesh` is a conforming triangulation of a bounded domain in a
 single chart of the base leaf, together with ordered boundary loops, inward
 unit normals (with respect to the leaf metric), and the distance-to-boundary
-field.  Preset constructors (disk, annulus, spherical cap) carry closed forms
-for the distance and the boundary curvature; generic meshes fall back to
-discrete estimates.
+field.  The preset domains (disk, spherical cap, annulus) are one kind of
+domain, a :class:`PolarDomain`: the chart points between two concentric
+circles, in a chart whose radial lines are unit-speed geodesics of the leaf
+metric.  It carries the closed forms of the distance, its derivatives and
+the curvature of the concentric circles, taken from the leaf metric the mesh
+is built with (``1/r`` on a flat metric, ``cot r`` on a round one), not from
+the domain's name; a disk and a cap differ only in the name of their
+parameter.  Generic meshes fall back to discrete estimates.
 
 Boundary loops are ordered with the interior on the left, so rotating the
 tangent by +90 degrees in the chart points inward.
@@ -17,16 +22,81 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace
+from .ambient import (AmbientSpace, central_gradient, flat_metric,
+                      round_sphere_metric)
 from .errors import MeshError, ParameterError
 
-__all__ = ["DomainMesh", "disk_mesh", "annulus_mesh", "cap_mesh",
+__all__ = ["DomainMesh", "PolarDomain", "disk_mesh", "annulus_mesh", "cap_mesh",
            "mesh_from_arrays", "mesh_from_json", "mesh_to_json",
-           "closed_polyline_geometry", "locate_points"]
+           "closed_polyline_geometry", "christoffel_symbols", "locate_points"]
+
+
+# radius of curvature 1/k(r) of the chart circle |u| = r on each leaf metric
+# a polar domain may be built with: k = 1/r (flat), cot r (round)
+_CIRCLE_RADIUS = {flat_metric: lambda r: r, round_sphere_metric: np.tan}
+
+
+@dataclass(frozen=True)
+class PolarDomain:
+    """The chart points with ``r_in <= |u| <= r_out`` (``r_in = 0``: a disk
+    or cap) on a leaf ``metric`` whose chart radial lines are unit-speed
+    geodesics, so the distance to the boundary is ``r_out - r``, or
+    ``min(r - r_in, r_out - r)`` on an annulus.  A point's side ``s`` is +1
+    where the outer circle is the nearer boundary, -1 where the inner is."""
+
+    r_in: float
+    r_out: float
+    metric: Callable
+
+    def __post_init__(self):
+        if self.metric not in _CIRCLE_RADIUS:
+            raise ParameterError("a polar domain needs the flat or the round sphere metric")
+        if not 0 <= self.r_in < self.r_out:
+            raise ParameterError(f"chart radii need 0 <= r_in < r_out, got "
+                                 f"{self.r_in!r} and {self.r_out!r}")
+        if self.metric is round_sphere_metric and self.r_out >= math.pi:
+            raise ParameterError(f"radius {self.r_out!r} reaches the antipode (pi) "
+                                 "of the round sphere metric")
+
+    @property
+    def diameter(self) -> float:
+        return 2.0 * self.r_out
+
+    @property
+    def inradius(self) -> float:
+        """Largest depth of a parallel circle."""
+        return self.r_out if self.r_in == 0 else 0.5 * (self.r_out - self.r_in)
+
+    def _outer(self, r):
+        return (self.r_in == 0) | (r > 0.5 * (self.r_in + self.r_out))
+
+    def circle_curvature(self, r, depth=0.0):
+        """Geodesic curvature, toward the domain, of the circle ``depth``
+        inside the boundary circle nearest each chart radius ``r``."""
+        rho = _CIRCLE_RADIUS[self.metric]
+        outer = 1.0 / rho(self.r_out - depth)
+        if self.r_in == 0:
+            return np.full(np.shape(r), outer)
+        return np.where(self._outer(r), outer, -1.0 / rho(self.r_in + depth))
+
+    def distance_derivatives(self, pts, h):
+        """Gradient covector ``-s r_hat`` and covariant Hessian
+        ``-s k(r) (S - r_hat r_hat^T)`` of the distance at chart points
+        ``(m, 2)``, and where they are usable: off the centre and, on an
+        annulus, more than 0.75 h from the cut locus, the equidistant circle."""
+        r = np.maximum(np.linalg.norm(pts, axis=1), 1e-30)
+        rhat = pts / r[:, None]
+        minus_s = np.where(self._outer(r), -1.0, 1.0)
+        proj = np.asarray(self.metric(pts)) - np.einsum("mi,mj->mij", rhat, rhat)
+        hess = minus_s[:, None, None] * proj / _CIRCLE_RADIUS[self.metric](r)[:, None, None]
+        usable = r > 1e-12
+        if self.r_in > 0:
+            usable &= np.abs(r - 0.5 * (self.r_in + self.r_out)) > 0.75 * h
+        return minus_s[:, None] * rhat, hess, usable
 
 
 @dataclass
@@ -37,7 +107,7 @@ class DomainMesh:
     boundary_normal: np.ndarray   # (nv, 2); valid rows only at boundary vertices
     dist_to_boundary: np.ndarray  # (nv,) sigma-geodesic distance to the boundary
     h: float                      # mesh size (max sigma edge length)
-    preset: Optional[dict] = None
+    polar: Optional[PolarDomain] = None   # the preset domain's closed forms
     _ambient: Optional[AmbientSpace] = field(default=None, repr=False)
     _suspects: Optional[np.ndarray] = field(default=None, repr=False)
     _edges: Optional[tuple] = field(default=None, repr=False)
@@ -197,6 +267,21 @@ def _spd_inverse(S):
     return (d / det, -b / det, a / det), det
 
 
+def christoffel_symbols(ambient: AmbientSpace, pts, step=1e-5):
+    """Christoffel symbols of the leaf metric by central differences,
+    shape (..., k, i, j) for Gamma^k_ij."""
+    pts = np.asarray(pts, dtype=float)
+    i11, i12, i22 = (c[..., None, None] for c in
+                     _spd_inverse(ambient.base_metric(pts))[0])
+    dS = central_gradient(ambient.base_metric, pts, step)  # dS[..., l, i, j] = d_l S_ij
+    # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
+    term = (np.einsum("...ilj->...lij", dS)
+            + np.einsum("...jli->...lij", dS)
+            - dS)
+    t0, t1 = term[..., 0, :, :], term[..., 1, :, :]
+    return 0.5 * np.stack([i11 * t0 + i12 * t1, i12 * t0 + i22 * t1], axis=-3)
+
+
 def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
     """Edge table and the leaf-metric length of each edge (metric at the
     edge midpoint)."""
@@ -300,12 +385,14 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
     """Leaf-metric geometry of a closed chart polyline, point k joined to
     k + 1 and the last to the first, at every point.
 
-    Returns the unit normal rotated +90 degrees from the chord of the two
-    neighbours (it points into the region on the left; rows are not finite
-    where the neighbours coincide), the turning-angle curvature
-    ``sign * beta / ((l1 + l2) / 2)`` (positive where the polyline turns
-    left, 0 at a zero-length edge), and a confidence flag (``beta < pi/2``).
-    The metric is taken at the point itself.
+    Returns the unit normal ``N`` rotated +90 degrees from the chord of the
+    two neighbours (it points into the region on the left; rows are not
+    finite where the neighbours coincide), the geodesic curvature toward
+    ``N`` (positive where the polyline turns left, 0 at a zero-length edge)
+    and a confidence flag (``beta < pi/2``).  The curvature is the
+    turning angle ``sign * beta / ((l1 + l2) / 2)`` in the metric at the
+    point, plus the connection term ``<Gamma(v, v), N> / |v|^2`` with
+    ``v = (next - prev) / 2``, which vanishes on a flat metric.
     """
     p = np.asarray(points, dtype=float)
     prv, nxt = np.roll(p, 1, axis=0), np.roll(p, -1, axis=0)
@@ -319,11 +406,14 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
     e1, e2 = p - prv, nxt - p
     l1, l2 = np.sqrt(form(e1, e1)), np.sqrt(form(e2, e2))
     ok = (l1 > 0) & (l2 > 0)
+    gamma_vv = np.einsum("pkij,pi,pj->pk", christoffel_symbols(ambient, p), tang, tang)
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = raw / np.sqrt(form(raw, raw))[:, None]
         beta = np.arccos(np.clip(form(e1, e2) / (l1 * l2), -1.0, 1.0))
         sign = np.where(_cross2(e1, e2) >= 0, 1.0, -1.0)
-        curvature = np.where(ok, sign * beta / (0.5 * (l1 + l2)), 0.0)
+        # the connection term is quadratic over quadratic in v: tang = 2 v will do
+        geodesic = sign * beta / (0.5 * (l1 + l2)) + form(gamma_vv, normal) / form(tang, tang)
+        curvature = np.where(ok, geodesic, 0.0)
     return normal, curvature, ok & (beta < math.pi / 2)
 
 
@@ -434,19 +524,7 @@ def _spider_web(numbers, radii, counts, first):
     return verts, tris + first, ptr + first
 
 
-def _polar_disk(radius: float, h: float):
-    """Spider-web triangulation of a chart disk; ring i holds 6 i vertices.
-    Returns the vertices, the triangles and the outer ring."""
-    m = max(2, int(math.ceil(radius / h)))
-    rings = np.arange(1, m + 1)
-    verts, tris, ptr = _spider_web(rings, radius * rings / m, 6 * rings, 1)
-    fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
-                    1 + np.arange(1, 7) % 6], axis=1)
-    return (np.concatenate([[[0.0, 0.0]], verts]), np.concatenate([fan, tris]),
-            np.arange(ptr[-2], ptr[-1]))
-
-
-def _finalize(vertices, triangles, loops, normals, dist, preset, ambient,
+def _finalize(vertices, triangles, loops, normals, dist, polar, ambient,
               edges=None):
     """Assemble and validate a mesh; ``edges`` is ``_sigma_edges`` when the
     caller already has it."""
@@ -454,62 +532,58 @@ def _finalize(vertices, triangles, loops, normals, dist, preset, ambient,
     mesh = DomainMesh(
         vertices=vertices, triangles=triangles, boundary_loops=loops,
         boundary_normal=normals, dist_to_boundary=dist,
-        h=float(lengths.max()), preset=preset, _ambient=ambient, _edges=table,
+        h=float(lengths.max()), polar=polar, _ambient=ambient, _edges=table,
     )
     _validate(mesh)
     return mesh
 
 
-def disk_mesh(radius: float, h: float, ambient: AmbientSpace) -> DomainMesh:
-    """Flat chart disk of the given radius; closed-form distance r0 - |u|."""
-    if radius <= 0 or h <= 0:
-        raise ParameterError("disk_mesh needs positive radius and mesh size")
-    verts, tris, outer = _polar_disk(radius, h)
+def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> DomainMesh:
+    """Spider-web mesh of a :class:`PolarDomain` on the ambient's leaf
+    metric, with closed-form normals and distance: around a centre vertex,
+    ring i holds 6 i vertices; on an annulus, a ring holds about 2 pi r / h
+    and the inner loop runs clockwise, so the interior is on the left."""
+    polar = PolarDomain(r_in, r_out, ambient.base_metric)
+    if not h > 0:
+        raise ParameterError("a polar mesh needs a positive mesh size")
+    centre = int(r_in == 0)
+    m = max(2, int(math.ceil((r_out - r_in) / h)))
+    rings = np.arange(centre, m + 1)
+    radii = r_in + (r_out - r_in) * rings / m
+    counts = 6 * rings if centre else np.maximum(8, np.rint(2 * math.pi * radii / h).astype(int))
+    verts, tris, ptr = _spider_web(rings, radii, counts, centre)
+    loops = [np.arange(ptr[-2], ptr[-1])]
+    if centre:
+        fan = np.stack([np.zeros(6, dtype=int), 1 + np.arange(6),
+                        1 + np.arange(1, 7) % 6], axis=1)
+        verts, tris = np.concatenate([[[0.0, 0.0]], verts]), np.concatenate([fan, tris])
+    else:
+        loops.append(np.arange(ptr[1])[::-1].copy())
     rr = np.linalg.norm(verts, axis=1)
+    dist = r_out - rr if centre else np.minimum(rr - r_in, r_out - rr)
+    b = np.concatenate(loops)
+    dist[b] = 0.0
     normals = np.zeros_like(verts)
-    normals[outer] = -verts[outer] / rr[outer, None]
-    dist = radius - rr
-    dist[outer] = 0.0
-    return _finalize(verts, tris, [outer], normals, dist,
-                     {"kind": "disk", "radius": radius}, ambient)
+    # radial lines are unit-speed: the chart radial direction is a unit normal
+    normals[b] = np.where(polar._outer(rr[b]), -1.0, 1.0)[:, None] * verts[b] / rr[b, None]
+    return _finalize(verts, tris, loops, normals, dist, polar, ambient)
+
+
+def disk_mesh(radius: float, h: float, ambient: AmbientSpace) -> DomainMesh:
+    """Chart disk ``|u| <= radius`` (a :class:`PolarDomain`)."""
+    return _polar_mesh(0.0, radius, h, ambient)
 
 
 def cap_mesh(theta0: float, h: float, ambient: AmbientSpace) -> DomainMesh:
-    """Geodesic cap of colatitude theta0 in the polar chart of the round
-    sphere; chart radii are geodesic distances, so d = theta0 - |u|."""
-    if not 0 < theta0 < math.pi:
-        raise ParameterError("cap_mesh needs 0 < theta0 < pi")
-    verts, tris, outer = _polar_disk(theta0, h)
-    rr = np.linalg.norm(verts, axis=1)
-    normals = np.zeros_like(verts)
-    normals[outer] = -verts[outer] / rr[outer, None]  # radial is sigma-unit
-    dist = theta0 - rr
-    dist[outer] = 0.0
-    return _finalize(verts, tris, [outer], normals, dist,
-                     {"kind": "cap", "theta0": theta0}, ambient)
+    """Geodesic cap of colatitude ``theta0``: the chart disk of that radius
+    in the geodesic polar chart of the round sphere."""
+    return _polar_mesh(0.0, theta0, h, ambient)
 
 
 def annulus_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> DomainMesh:
-    """Flat chart annulus; distance is the closed form min(r - r_in, r_out - r)."""
-    if not 0 < r_in < r_out:
-        raise ParameterError("annulus_mesh needs 0 < r_in < r_out")
-    m = max(2, int(math.ceil((r_out - r_in) / h)))
-    rings = np.arange(m + 1)
-    radii = r_in + (r_out - r_in) * rings / m
-    counts = np.maximum(8, np.rint(2 * math.pi * radii / h).astype(int))
-    verts, tris, ptr = _spider_web(rings, radii, counts, 0)
-    inner, outer = np.arange(ptr[1]), np.arange(ptr[-2], ptr[-1])
-    rr = np.linalg.norm(verts, axis=1)
-    normals = np.zeros_like(verts)
-    normals[outer] = -verts[outer] / rr[outer, None]
-    normals[inner] = verts[inner] / rr[inner, None]
-    dist = np.minimum(rr - r_in, r_out - rr)
-    dist[inner] = 0.0
-    dist[outer] = 0.0
-    # inner loop reversed so the interior stays on the left
-    loops = [outer, inner[::-1].copy()]
-    return _finalize(verts, tris, loops, normals, dist,
-                     {"kind": "annulus", "r_in": r_in, "r_out": r_out}, ambient)
+    """Chart annulus ``r_in <= |u| <= r_out``, a disk if ``r_in = 0`` (a
+    :class:`PolarDomain`)."""
+    return _polar_mesh(r_in, r_out, h, ambient)
 
 
 # -- generic meshes ---------------------------------------------------------
@@ -642,8 +716,7 @@ def _checked_arrays(vertices, triangles, boundary_loops):
     return vertices, triangles, loops
 
 
-def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
-                     preset: Optional[dict] = None) -> DomainMesh:
+def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace) -> DomainMesh:
     """Build a mesh from raw arrays, computing normals and boundary distance.
 
     Outer loops are re-ordered counterclockwise and inner loops clockwise so
@@ -674,7 +747,7 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace,
     dist = _edge_relaxation(pairs, lengths, dist)
     dist = _eikonal_sweep(vertices, triangles, dist, ambient)
     dist[sources] = 0.0
-    return _finalize(vertices, triangles, loops, normals, dist, preset, ambient, edges)
+    return _finalize(vertices, triangles, loops, normals, dist, None, ambient, edges)
 
 
 # -- JSON exchange ----------------------------------------------------------

@@ -25,10 +25,11 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, central_gradient, n, rho_t
+from .ambient import AmbientSpace, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _hat_gradients, _nearest, _spd_inverse
+from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
+                   christoffel_symbols)
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
@@ -333,21 +334,6 @@ class _Assembly:
 
 
 # -- derivative recovery ----------------------------------------------------
-
-
-def christoffel_symbols(ambient: AmbientSpace, pts, step=1e-5):
-    """Christoffel symbols of the leaf metric by central differences,
-    shape (..., k, i, j) for Gamma^k_ij."""
-    pts = np.asarray(pts, dtype=float)
-    i11, i12, i22 = (c[..., None, None] for c in
-                     _spd_inverse(ambient.base_metric(pts))[0])
-    dS = central_gradient(ambient.base_metric, pts, step)  # dS[..., l, i, j] = d_l S_ij
-    # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
-    term = (np.einsum("...ilj->...lij", dS)
-            + np.einsum("...jli->...lij", dS)
-            - dS)
-    t0, t1 = term[..., 0, :, :], term[..., 1, :, :]
-    return 0.5 * np.stack([i11 * t0 + i12 * t1, i12 * t0 + i22 * t1], axis=-3)
 
 
 def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):

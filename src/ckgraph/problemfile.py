@@ -301,8 +301,6 @@ def validate_document(doc):
         if key not in wanted:
             raise SchemaError(f"$.domain.params.{key}: not used by the "
                               f"'{dom['preset']}' preset")
-    if dom["preset"] == "annulus" and not params["r_in"] < params["r_out"]:
-        raise SchemaError("$.domain.params.r_out: must exceed r_in")
 
 
 def _build_ambient(doc) -> AmbientSpace:
@@ -342,13 +340,14 @@ def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
     if "mesh" in dom:
         return mesh_from_json(base_dir / dom["mesh"], ambient)
     h = float(doc["resolution"]) if h is None else h
-    params = dom["params"]
-    kind = dom["preset"]
-    if kind == "disk":
-        return disk_mesh(params["radius"], h, ambient)
-    if kind == "cap":
-        return cap_mesh(params["theta0"], h, ambient)
-    return annulus_mesh(params["r_in"], params["r_out"], h, ambient)
+    names = _PRESET_PARAMS[dom["preset"]]
+    # the module's builder names, read at each call
+    build = {"disk": disk_mesh, "cap": cap_mesh, "annulus": annulus_mesh}[dom["preset"]]
+    try:
+        return build(*(dom["params"][key] for key in names), h, ambient)
+    except ParameterError as exc:
+        # the outer radius, or r_in >= r_out: the last parameter is at fault
+        raise ParameterError(f"$.domain.params.{names[-1]}: {exc}") from None
 
 
 def _build_field(spec, mesh, base_dir: Path) -> ScalarField:

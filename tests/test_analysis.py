@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (boundary_barrier, boundary_normal_slope,
-                              check_hypotheses,
+from ckgraph.analysis import (_distance_geometry, _level_curve_hk,
+                              _parallel_curve_hk, boundary_barrier,
+                              boundary_normal_slope, check_hypotheses,
                               cylinder_monotonicity_probe, height_barrier,
                               search_boundary_barrier, search_height_barrier,
                               sigma_diameter, upper_barrier_check)
+from ckgraph.cylinder import _loop_curvatures
 from ckgraph.errors import ParameterError
 from ckgraph.fields import ScalarField
 
@@ -353,6 +355,45 @@ def test_candidate_independent_work_done_once(monkeypatch):
     assert len(candidates) > 2
     assert len(recoveries) == 1          # phi_ext's derivatives, once
     assert prob.boundary_extension() is prob.boundary_extension()
+
+
+# -- preset closed forms against the generic estimates ------------------------
+
+
+_POLAR_BUILDS = {"disk": lambda h, a: ck.disk_mesh(0.8, h, a),
+                 "cap": lambda h, a: ck.cap_mesh(0.8, h, a),
+                 "annulus": lambda h, a: ck.annulus_mesh(0.3, 0.9, h, a)}
+
+
+@pytest.mark.parametrize("ambient", ["killing_flat", "euclidean_radial"])
+@pytest.mark.parametrize("kind", sorted(_POLAR_BUILDS))
+def test_preset_closed_forms_match_generic_estimates(kind, ambient):
+    amb = ck.preset_ambient(ambient)
+    h = 0.02
+    mesh = _POLAR_BUILDS[kind](h, amb)
+    generic = _generic(mesh, amb)
+    # boundary circles: closed form against the polyline's geodesic curvature
+    verts, closed, _ = _loop_curvatures(mesh, amb)
+    verts_g, estimate, confident = _loop_curvatures(generic, amb)
+    assert np.array_equal(verts, verts_g) and confident.all()
+    assert np.abs(closed - estimate).max() <= 1e-3
+    # parallel circle at depth 4h, a ring of the spider web, against the
+    # discrete level curve (10-12% off on the annulus, whose inner circle
+    # is concave; the flat and round closed forms of the disk differ by 22%)
+    assert min(_level_curve_hk(generic, amb, 4 * h)) == pytest.approx(
+        _parallel_curve_hk(mesh, amb, 4 * h), rel=0.15)
+    # distance derivatives in the strip d < 8h the barriers use, 3h or more
+    # from the cut locus, where the recovery is confident: about 6% of the
+    # Hessian's size on the disk and 9% on the annulus
+    grad, hess, usable = _distance_geometry(ck.Problem.create(amb, mesh, 0.0, 0.0), False)
+    grad_g, hess_g, conf = _distance_geometry(ck.Problem.create(amb, generic, 0.0, 0.0),
+                                              False)
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    cut = np.abs(r - 0.6) if kind == "annulus" else r
+    sel = usable & conf & (cut > 3 * h) & (mesh.dist_to_boundary < 8 * h)
+    assert np.count_nonzero(sel) > 1000
+    assert np.abs(grad - grad_g)[sel].max() <= 1e-2
+    assert np.abs(hess - hess_g)[sel].max() <= 0.15 * np.abs(hess[sel]).max()
 
 
 # -- helpers ----------------------------------------------------------------

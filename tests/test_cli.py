@@ -417,6 +417,17 @@ def _custom_curvature(**curvature):
     return _set(["ambient"], {"custom": {"lam": "exp(t)", "curvature": curvature}})
 
 
+def _on_round_leaf(ambient, edit):
+    """``edit``, on an ambient whose leaf metric is the round sphere's."""
+    def both(doc):
+        doc["ambient"] = ambient
+        edit(doc)
+    return both
+
+
+_RADIAL = {"preset": "euclidean_radial"}
+
+
 # name -> (edit of a valid preset document; the JSON path the error names)
 _BAD_PARAMETERS = {
     "disk_radius_negative": (_preset_domain("disk", radius=-0.4),
@@ -435,6 +446,14 @@ _BAD_PARAMETERS = {
     "annulus_empty": (_preset_domain("annulus", r_in=0.3, r_out=0.3),
                       "$.domain.params.r_out"),
     "annulus_no_r_out": (_preset_domain("annulus", r_in=0.3), "$.domain.params.r_out"),
+    # polar domains on the round metric end below the antipode r = pi
+    "disk_radius_antipode": (_on_round_leaf(_RADIAL, _preset_domain("disk", radius=3.3)),
+                             "$.domain.params.radius"),
+    "disk_radius_pi_custom": (_on_round_leaf(
+        {"custom": {"lam": "exp(t)", "base_metric": "round_sphere"}},
+        _preset_domain("disk", radius=math.pi)), "$.domain.params.radius"),
+    "annulus_r_out_antipode": (_on_round_leaf(
+        _RADIAL, _preset_domain("annulus", r_in=0.3, r_out=3.2)), "$.domain.params.r_out"),
     "disk_with_theta0": (_preset_domain("disk", radius=0.4, theta0=1.0),
                          "$.domain.params.theta0"),
     "cap_with_r_in": (_preset_domain("cap", theta0=1.0, r_in=0.2),
@@ -464,6 +483,32 @@ def test_bad_parameter_exit_1_with_path(tmp_path, capsys, command, case):
     argv = [command, prob] + (["--out", str(tmp_path / "run")]
                               if command == "solve" else [])
     _assert_clean_exit_1(argv, capsys, path + ":")
+
+
+def test_disk_and_cap_agree_on_the_round_leaf(tmp_path, capsys):
+    # the same chart disk under two names: the closed forms come from the
+    # leaf metric (cot r), so every report agrees
+    outputs = {}
+    for kind, param in (("disk", "radius"), ("cap", "theta0")):
+        doc = {"ambient": {"preset": "euclidean_radial"},
+               "domain": {"preset": kind, "params": {param: 0.8}},
+               "resolution": 0.04, "H": {"constant": 0.55}, "phi": {"constant": 0.0}}
+        prob = _write(tmp_path, f"{kind}.json", doc)
+        out = tmp_path / kind
+        main(["solve", prob, "--out", str(out)])
+        capsys.readouterr()
+        main(["check", prob])
+        check = json.loads(capsys.readouterr().out)
+        assert main(["certify", prob, str(out / "solution.csv")]) == 0
+        certify = json.loads(capsys.readouterr().out)
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        for record in (certify, report):
+            record.pop("timestamp")
+        outputs[kind] = (check, certify, report,
+                         (out / "solution.csv").read_text(encoding="utf-8"))
+    assert outputs["disk"] == outputs["cap"]
+    check = outputs["disk"][0]
+    assert check["inf_HK"] == pytest.approx(0.5 / math.tan(0.8), rel=1e-12)
 
 
 def test_certify_generic_disk(tmp_path, capsys):

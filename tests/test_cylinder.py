@@ -74,8 +74,11 @@ def test_generic_polyline_estimate():
     assert np.abs(vals - 1.0 / 0.3).max() < 0.2
 
 
-def _turning_angle_reference(points, ambient, k):
-    """Scalar turning-angle curvature and inward normal at point k."""
+def _turning_angle_reference(points, ambient, k, step=1e-5):
+    """Scalar geodesic curvature and inward normal at point k: the turning
+    angle plus ``<Gamma(v, v), N> / |v|^2``, ``v = p2 - p0``, with the
+    Christoffel symbols from central differences of the metric, one index
+    at a time."""
     p0, p1, p2 = points[k - 1], points[k], points[(k + 1) % len(points)]
     S = np.asarray(ambient.base_metric(p1))
     e1, e2 = p1 - p0, p2 - p1
@@ -84,7 +87,20 @@ def _turning_angle_reference(points, ambient, k):
     sign = 1.0 if (e1[0] * e2[1] - e1[1] * e2[0]) >= 0 else -1.0
     tang = p2 - p0
     raw = np.array([-tang[1], tang[0]])
-    return sign * beta / (0.5 * (l1 + l2)), raw / math.sqrt(raw @ S @ raw)
+    normal = raw / math.sqrt(raw @ S @ raw)
+    Sinv = np.linalg.inv(S)
+    dS = [(np.asarray(ambient.base_metric(p1 + step * e))
+           - np.asarray(ambient.base_metric(p1 - step * e))) / (2 * step)
+          for e in np.eye(2)]
+    gvv = np.zeros(2)
+    for c in range(2):
+        for l in range(2):
+            for i in range(2):
+                for j in range(2):
+                    gvv[c] += 0.5 * Sinv[c, l] * (dS[i][l, j] + dS[j][l, i]
+                                                  - dS[l][i, j]) * tang[i] * tang[j]
+    turning = sign * beta / (0.5 * (l1 + l2))
+    return turning + (gvv @ S @ normal) / (tang @ S @ tang), normal
 
 
 @pytest.mark.parametrize("amb", [FLAT, ROUND], ids=["flat", "round"])

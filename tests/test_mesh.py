@@ -122,10 +122,13 @@ def test_nonconforming_rejected():
 
 
 def test_annulus_suspects_near_cut_locus():
-    mesh = annulus_mesh(0.3, 0.7, 0.05, FLAT)
+    # at h = 0.045 no ring lies on the cut locus r = 0.5 (at 0.05 one does,
+    # and there are no suspects at all)
+    mesh = annulus_mesh(0.3, 0.7, 0.045, FLAT)
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     rc = np.linalg.norm(cent, axis=1)
     sus = mesh.suspect_elements
+    assert sus.any()
     # every suspect sits near the equidistant circle r = 0.5
     assert np.all(np.abs(rc[sus] - 0.5) < 3 * mesh.h)
 

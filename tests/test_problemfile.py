@@ -7,6 +7,7 @@ import pytest
 import ckgraph as ck
 from ckgraph.errors import SchemaError
 from ckgraph.fields import ScalarField
+from ckgraph.mesh import PolarDomain
 from ckgraph.problemfile import (PROBLEM_SCHEMA, _KEYWORDS, load_problem,
                                  load_problem_document, validate_document)
 
@@ -202,7 +203,7 @@ def test_barriers_check_is_a_schema_error():
 def test_companion_only_where_admissible():
     doc = dict(_base_doc(), resolution=0.04)
     companion = load_problem_document(doc).companion()
-    assert companion.mesh.preset == {"kind": "disk", "radius": 0.4}
+    assert companion.mesh.polar == PolarDomain(0.0, 0.4, ck.flat_metric)
     assert 4 * companion.mesh.n_vertices <= 331 and companion.phi.max() == -0.5
     # boundary data that pass at the target's boundary vertices but exceed
     # the interval end (1 for example_b) at a boundary vertex only the

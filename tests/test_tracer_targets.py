@@ -3,6 +3,10 @@
 report that layer as not measured, so every binding it lists must resolve."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -11,7 +15,8 @@ import pytest
 
 import ckgraph as ck
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _tracer():
@@ -54,3 +59,24 @@ def test_tracer_assembly_method_resolves(name, method):
     amb = ck.preset_ambient("killing_flat")
     problem = owner.create(amb, ck.disk_mesh(0.4, 0.2, amb), 1.0, -np.sqrt(0.84))
     assert callable(getattr(type(problem.assembly()), method, None)), name
+
+
+@pytest.mark.parametrize("ambient, domain", [
+    ("killing_flat", {"preset": "disk", "params": {"radius": 0.4}}),
+    ("euclidean_radial", {"preset": "cap", "params": {"theta0": 1.0}}),
+], ids=["disk", "cap"])
+def test_tracer_records_the_preset_mesh_build(tmp_path, ambient, domain):
+    # the layer metric mesh.build_s comes from the builder names that
+    # problemfile calls; a build that bypassed them would read as not measured
+    doc = {"ambient": {"preset": ambient}, "domain": domain, "resolution": 0.2,
+           "H": {"constant": 0.0}, "phi": {"constant": -0.1}}
+    (tmp_path / "problem.json").write_text(json.dumps(doc), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(TRACER), "spans.json", "0.check", "check",
+                    "problem.json"], cwd=tmp_path, env=env, capture_output=True,
+                   timeout=120, check=False)
+    record = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    assert record["exit"] == 0
+    assert "mesh.build" not in record["missing"]
+    builds = [span for span in record["spans"] if span["name"] == "mesh.build"]
+    assert len(builds) == 1 and builds[0]["ok"]
