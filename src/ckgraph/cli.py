@@ -72,9 +72,17 @@ def _run_checks(loaded: LoadedProblem, report: dict):
         report["monotonicity"] = cylinder_monotonicity_probe(problem, depths)
 
 
+def _os_error(what: str, path, exc: OSError) -> int:
+    print(f"error: cannot {what} {path}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_solve(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _os_error("create the output directory", out, exc)
     report = _report_skeleton("input_error")
     try:
         loaded = load_problem(args.problem)
@@ -175,7 +183,10 @@ def cmd_certify(args) -> int:
     ok = all(c.valid for c in certs.values())
     report["status"] = "certified" if ok else "certificate_failed"
     if args.out:
-        _dump_json(report, Path(args.out))
+        try:
+            _dump_json(report, Path(args.out))
+        except OSError as exc:
+            return _os_error("write", args.out, exc)
     else:
         _dump_json(report)
     return 0 if ok else 1

@@ -16,11 +16,16 @@ children.  A front is the node's own matrix entries plus the Schur
 complements of its children (extend-add); eliminating its pivots leaves the
 Schur complement that goes to the parent.  Fronts of one tree height are
 padded to one shape (identity on padded pivots, zeros on padded updates), so
-each height is one batched inverse, a few batched matrix products and one
-extend-add through flat index maps made with the tree.  The elimination
-pivots only inside a node's pivot block, which suits the elliptic
-linearizations this package solves; a singular pivot block raises
-``numpy.linalg.LinAlgError``.
+each height is one batched inverse and a few batched matrix products.  The
+fronts of a height exist only while it is eliminated: its buffer is filled
+with the padding, its own matrix entries and then the Schur blocks of its
+children, lower child heights first, through ``int32`` index maps made with
+the tree, and a Schur block is dropped once the highest height that reads it
+is assembled.  A factorization thus holds its factor blocks, one
+height's fronts and the Schur blocks still waiting for their parents (Liu,
+1992), not the fronts of the whole tree.  The elimination pivots only
+inside a node's pivot block, which suits the elliptic linearizations this
+package solves; a singular pivot block raises ``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -98,18 +103,27 @@ def _dissect(coords, ei, ej):
     return owner, np.concatenate(parent), np.concatenate(depth)
 
 
+def _offsets(counts):
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
 @dataclass
 class _Height:
     """Index maps of the fronts of one tree height, ``k`` fronts of ``P``
-    padded pivots and ``U`` padded updates."""
+    padded pivots and ``U`` padded updates.  The fronts live in a buffer of
+    their own, front ``s`` at ``s * (P + U)**2``, which the int32 maps
+    index."""
 
-    offset: int               # first slot of these fronts in the front buffer
     k: int
     P: int
     U: int
     pivots: np.ndarray        # (k, P) unknowns, padding -> n
     updates: np.ndarray       # (k, U) unknowns, padding -> n
-    extend: list              # [(source in the Schur block, target slot)] per sibling rank
+    pad: np.ndarray           # buffer slots of the padded pivots' diagonal
+    source: np.ndarray        # CSC entries of this height
+    target: np.ndarray        # their buffer slots
+    extend: list              # [(child height, Schur block entries, buffer slots)]
+    release: list             # child heights whose Schur blocks are read last here
 
 
 class FrontTree:
@@ -121,10 +135,11 @@ class FrontTree:
     def __init__(self, indptr, indices, coords):
         self.indices = np.asarray(indices)
         n = self.n = len(indptr) - 1
-        self.cols = np.repeat(np.arange(n), np.diff(indptr))
+        self.cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         rows = self.indices.astype(np.intp)
-        off = rows != self.cols
-        ei, ej = rows[off], self.cols[off]
+        cols = self.cols.astype(np.intp)
+        off = rows != cols
+        ei, ej = rows[off], cols[off]
         owner, parent, depth = _dissect(np.asarray(coords, dtype=float), ei, ej)
         nodes = len(parent)
         height = np.zeros(nodes, dtype=np.intp)
@@ -166,19 +181,20 @@ class FrontTree:
         sibling = np.zeros(nodes, dtype=np.intp)
         sibling[child] = np.arange(len(child)) - np.searchsorted(parent[child],
                                                                  parent[child])
-        P_h = np.zeros(height.max() + 1, dtype=np.intp)
+        H = int(height.max()) + 1
+        P_h = np.zeros(H, dtype=np.intp)
         U_h = np.zeros_like(P_h)
         np.maximum.at(P_h, height, p_count)
         np.maximum.at(U_h, height, u_count)
         M_h = P_h + U_h
         k_h = np.bincount(height)
+        if max((k_h * M_h * M_h).max(), len(rows)) >= 2**31:   # the int32 index maps
+            raise MemoryError("the pattern or one tree height's fronts exceed 2**31 entries")
         gorder = np.argsort(height, kind="stable")
         slot = np.empty(nodes, dtype=np.intp)     # index within its height
         slot[gorder] = np.arange(nodes) - (np.cumsum(k_h) - k_h)[height[gorder]]
-        h_off = np.concatenate([[0], np.cumsum(k_h * M_h * M_h)])
-        self.size = int(h_off[-1])
         M = M_h[height]
-        front = h_off[height] + slot * M * M      # first slot of each front
+        front = slot * M * M                      # first slot of each front
 
         def local(f, v):
             """Position of vertex ``v`` in the front of node ``f``."""
@@ -188,61 +204,85 @@ class FrontTree:
             out[up] = P_h[height[f[up]]] + urank[at]
             return out
 
-        # each entry goes to the front of the deeper of its two owners
-        r, c = rows, self.cols
-        f = np.where(depth[owner[c]] >= depth[owner[r]], owner[c], owner[r])
-        self._entries = front[f] + local(f, r) * M[f] + local(f, c)
-        # position of each update vertex in the parent's front (the root
-        # has no update set)
-        up_pos = local(parent[unode], uvert)
+        # each entry goes to the front of the deeper of its two owners,
+        # entries grouped by height
+        f = np.where(depth[owner[cols]] >= depth[owner[rows]], owner[cols], owner[rows])
+        source = np.argsort(height[f], kind="stable")
+        f = f[source]
+        target = front[f] + local(f, rows[source]) * M[f] + local(f, cols[source])
+        cut = _offsets(np.bincount(height[f], minlength=H)).tolist()
+        source, target = source.astype(np.int32), target.astype(np.int32)
 
-        self.heights, pad = [], []
+        # per height: the unknowns of the fronts, the identity on their
+        # padded pivots, and the extend-add of their Schur blocks (k, U, U)
+        # into the parents' fronts: the real entries of the children run by
+        # (parent height, sibling rank), each run hitting distinct slots
+        up_pos = local(parent[unode], uvert)      # the root has no update set
+        last = np.full(H, -1)                     # highest height reading a Schur block
+        np.maximum.at(last, height[child], height[parent[child]])
+        runs = [[] for _ in range(H)]
+        rank = np.empty(nodes, dtype=np.intp)
+        self.heights = []
         for h, (k, P, U) in enumerate(zip(k_h.tolist(), P_h.tolist(), U_h.tolist())):
             mine = height[owner] == h
             piv = np.full((k, P), n)
             piv[slot[owner[mine]], prank[mine]] = np.nonzero(mine)[0]
+            s, i = np.nonzero(piv == n)
             mine = height[unode] == h
-            at = slot[unode[mine]], urank[mine]
             upd = np.full((k, U), n)
-            upd[at] = uvert[mine]
-            node = np.empty(k, dtype=np.intp)
-            node[slot[height == h]] = np.nonzero(height == h)[0]
-            # identity on the padded pivots
-            s = np.arange(P)
-            diag = front[node][:, None] + s * (P + U + 1)
-            pad.append(diag[s >= p_count[node][:, None]])
-            # extend-add of the Schur blocks (k, U, U): the real entries of
-            # first and of second children, each set hitting distinct slots
-            pos = np.full((k, U), -1)
-            pos[at] = up_pos[mine]
-            real = (pos[:, :, None] >= 0) & (pos[:, None, :] >= 0)
-            Mp = M[parent[node]][:, None, None]
-            target = front[parent[node]][:, None, None] + pos[:, :, None] * Mp \
-                + pos[:, None, :]
-            first = sibling[node] == 0
-            extend = []
-            for part in (first, ~first):
-                take = real & part[:, None, None]
-                if take.any():
-                    extend.append((np.flatnonzero(take), target[take]))
-            self.heights.append(_Height(int(h_off[h]), k, P, U, piv, upd, extend))
-        self._pad = np.concatenate(pad)
+            upd[slot[unode[mine]], urank[mine]] = uvert[mine]
+
+            kids = np.nonzero((height == h) & (parent >= 0))[0]
+            key = height[parent[kids]] * 2 + sibling[kids]
+            order = np.argsort(key, kind="stable")
+            kids, key = kids[order], key[order]
+            rank[kids] = np.arange(len(kids))
+            pos = np.full((len(kids), U), -1, dtype=np.int32)
+            pos[rank[unode[mine]], urank[mine]] = up_pos[mine]
+            real = pos >= 0
+            real = real[:, :, None] & real[:, None, :]
+            p = parent[kids]
+            row = (front[p][:, None] + pos * M[p][:, None]).astype(np.int32)
+            into = (row[:, :, None] + pos[:, None, :])[real]
+            cell = np.arange(U * U, dtype=np.int32).reshape(U, U)
+            out = ((slot[kids] * U * U).astype(np.int32)[:, None, None] + cell)[real]
+            groups, first = np.unique(key, return_index=True)
+            bounds = _offsets(u_count[kids] ** 2)[np.append(first, len(key))].tolist()
+            for g, lo, hi in zip(groups.tolist(), bounds, bounds[1:]):
+                runs[g // 2].append((h, out[lo:hi], into[lo:hi]))
+            self.heights.append(_Height(
+                k, P, U, piv, upd, (s * (P + U) ** 2 + i * (P + U + 1)).astype(np.int32),
+                source[cut[h]:cut[h + 1]], target[cut[h]:cut[h + 1]], runs[h],
+                np.nonzero(last == h)[0].tolist()))
 
     def factor(self, data) -> "FrontFactors":
-        """Eliminate every front of the matrix with CSC values ``data``."""
-        buf = np.zeros(self.size)
-        buf[self._pad] = 1.0
-        buf[self._entries] = data
-        blocks = []
-        for g in self.heights:
+        """Eliminate every front of the matrix with CSC values ``data``, one
+        tree height at a time: only that height's fronts and the Schur
+        blocks still waiting for their parents are held."""
+        data = np.asarray(data)
+        blocks, schur = [], {}
+        for h, g in enumerate(self.heights):
             M = g.P + g.U
-            F = buf[g.offset:g.offset + g.k * M * M].reshape(g.k, M, M)
+            # take and put: NumPy's fancy indexing is slower on int32 maps
+            buf = np.zeros(g.k * M * M)
+            buf.put(g.pad, 1.0)
+            buf.put(g.target, data.take(g.source))
+            for c, source, target in g.extend:
+                add = buf.take(target)
+                add += schur[c].take(source)
+                buf.put(target, add)
+                del add
+            for c in g.release:
+                del schur[c]
+            F = buf.reshape(g.k, M, M)
             inv = np.linalg.inv(F[:, :g.P, :g.P])
             upper = inv @ F[:, :g.P, g.P:]
             lower = F[:, g.P:, :g.P].copy()
-            schur = (F[:, g.P:, g.P:] - lower @ upper).ravel()
-            for source, target in g.extend:
-                buf[target] += schur[source]
+            S = lower @ upper
+            schur[h] = np.subtract(F[:, g.P:, g.P:], S, out=S).ravel()
+            # free the fronts before the next height's, and let a released
+            # Schur block go with its dict entry
+            del buf, F, S
             blocks.append((inv, lower, upper))
         return FrontFactors(self, blocks)
 

@@ -338,7 +338,12 @@ def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
     the document's resolution."""
     dom = doc["domain"]
     if "mesh" in dom:
-        return mesh_from_json(base_dir / dom["mesh"], ambient)
+        where = base_dir / dom["mesh"]
+        mesh = mesh_from_json(where, ambient)
+        if not len(mesh.interior_vertices):
+            raise MeshError(f"{where}: no interior vertex, so the Dirichlet "
+                            "problem has no unknown")
+        return mesh
     h = float(doc["resolution"]) if h is None else h
     names = _PRESET_PARAMS[dom["preset"]]
     # the module's builder names, read at each call

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,3 +103,26 @@ def _former_suspects(mesh, ambient):
 def former_suspects():
     """``former_suspects(mesh, ambient)``: the former eager suspect flags."""
     return _former_suspects
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it held beyond what was allocated
+    before the call, as tracemalloc sees them (NumPy reports its buffers)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)``: the result of the call and its peak of
+    traced memory in bytes."""
+    return _traced_peak

@@ -409,6 +409,31 @@ def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
     _assert_clean_exit_1(["check", prob], capsys, fragment)
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_mesh_without_interior_vertex_exit_1(tmp_path, capsys, command):
+    # one triangle, all three vertices on the boundary: nothing to solve for
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    mesh_path = _write(tmp_path, "mesh.json", {
+        "vertices": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.3]],
+        "triangles": [[0, 1, 2]], "boundary": [[0, 1, 2]]})
+    argv = [command, prob] + (["--out", str(tmp_path / "out")] if command == "solve" else [])
+    _assert_clean_exit_1(argv, capsys, f"{mesh_path}: no interior vertex")
+
+
+def test_solve_out_is_a_file_exit_1(tmp_path, capsys):
+    prob = _write(tmp_path, "problem.json", _cap_doc(h=0.1))
+    _assert_clean_exit_1(["solve", prob, "--out", prob], capsys,
+                         f"cannot create the output directory {prob}")
+
+
+def test_certify_out_in_missing_directory_exit_1(solved_run, tmp_path, capsys):
+    _, prob, out = solved_run
+    cert = tmp_path / "nodir" / "x" / "cert.json"
+    _assert_clean_exit_1(["certify", prob, str(out / "solution.csv"), "--out", str(cert)],
+                         capsys, f"cannot write {cert}")
+    assert not cert.parent.exists()
+
+
 def _preset_domain(preset, **params):
     return _set(["domain"], {"preset": preset, "params": params})
 
