@@ -14,6 +14,7 @@ from ckgraph.analysis import (_distance_geometry, _level_curve_hk,
 from ckgraph.cylinder import _loop_curvatures
 from ckgraph.errors import ParameterError
 from ckgraph.fields import ScalarField
+from ckgraph.operator import max_principle_conditions
 
 
 # -- hypothesis checker -----------------------------------------------------
@@ -402,3 +403,31 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
 def test_sigma_diameter_presets(cmc_problem, radial_problem):
     assert sigma_diameter(cmc_problem.mesh, cmc_problem.ambient) == 0.8
     assert sigma_diameter(radial_problem.mesh, radial_problem.ambient) == 2.0
+
+
+# -- report records -------------------------------------------------------------
+
+
+def test_record_json_keys(cmc_problem, cmc_solution):
+    # the keys of every record's to_json are a contract of the reports
+    rep = check_hypotheses(cmc_problem).to_json()
+    assert set(rep) == {"conditions", "inf_HK", "inf_HGamma", "passed"}
+    for cond in rep["conditions"]:
+        assert set(cond) == {"name", "inequality", "margin", "passed",
+                             "evaluable", "note"}
+    cert_keys = {"kind", "params", "min_margin", "margin_location", "ordering_ok",
+                 "worst_ordering_violation", "skipped", "valid", "gradient_bound",
+                 "note"}
+    z = cmc_solution.solution
+    _, height = search_height_barrier(cmc_problem, z)
+    _, lower = search_boundary_barrier(cmc_problem, z, eps=0.05)
+    for cert in (height, lower):
+        assert set(cert.to_json()) == cert_keys
+    assert set(height.to_json()["params"]) == {"D", "B"}
+    assert set(lower.to_json()["params"]) == {"mu", "mu_tilde", "c", "eps"}
+    mp = max_principle_conditions(cmc_problem.ambient, cmc_problem.H, (-1.0, 0.01))
+    assert set(mp.to_json()) == {"rho_t_margin", "lambda_t_H_margin", "t_range",
+                                 "samples", "passed"}
+    assert set(cmc_solution.newton_history[0].to_json()) == {
+        "tau", "iter", "residual_norm", "step_norm", "damping_halvings"}
+    json.dumps([rep, height.to_json(), lower.to_json(), mp.to_json()])

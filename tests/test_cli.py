@@ -16,7 +16,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import ckgraph as ck
 from ckgraph.cli import main
 from ckgraph.fields import ScalarField
-from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors
+from ckgraph.analysis import search_boundary_barrier
+from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors, load_problem
 
 
 def _write(tmp_path, name, doc):
@@ -243,6 +244,39 @@ def test_certify_detects_corruption(solved_run, tmp_path, capsys):
     bad = tmp_path / "corrupt.csv"
     z.to_csv(bad)
     assert main(["certify", prob, str(bad)]) != 0
+
+
+def test_certify_height_search_exhausted(solved_run, tmp_path, capsys):
+    # lifted by 0.5 at vertex 0, the solution rises above the boundary sup,
+    # so no height barrier brackets it; from D = 256 on exp(D B) overflows
+    _, prob, out = solved_run
+    z = ScalarField.from_csv(load_problem(prob).problem.mesh, out / "solution.csv")
+    z.values[0] += 0.5
+    lifted = tmp_path / "lifted.csv"
+    z.to_csv(lifted)
+    capsys.readouterr()
+    assert main(["certify", prob, str(lifted)]) == 1
+    assert capsys.readouterr().err == (
+        "error: height barrier search exhausted after 21 candidates: solution "
+        "not ordered with the barrier [8 candidates, D = 1 .. D = 128]; "
+        "exp(D*B) overflows: D*B > 200 [13 candidates, D = 256 .. "
+        "D = 1.04858e+06]; largest min_margin 0.569326\n")
+
+
+def test_boundary_search_exhausted(solved_run):
+    # boundary values lowered by 0.1 put the solution below the lower
+    # barrier, which equals the data on the boundary
+    _, prob, out = solved_run
+    problem = load_problem(prob).problem
+    z = ScalarField.from_csv(problem.mesh, out / "solution.csv")
+    z.values[problem.mesh.boundary_vertices] -= 0.1
+    with pytest.raises(ck.ParameterError) as info:
+        search_boundary_barrier(problem, z, eps=0.12)
+    assert str(info.value).endswith(
+        "boundary barrier search exhausted after 35 candidates: min_margin <= 0 "
+        "[3 candidates, mu = 1, c = 0.25 .. mu = 1e+06, c = 0.25]; solution not "
+        "ordered with the barrier [32 candidates, mu = 1, c = 1 .. mu = 1e+06, "
+        "c = 4]; largest min_margin 3.01873")
 
 
 def test_certify_bad_B(solved_run):
