@@ -11,7 +11,7 @@ certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -47,14 +47,7 @@ class ConditionEntry:
     note: str = ""
 
     def to_json(self):
-        return {
-            "name": self.name,
-            "inequality": self.inequality,
-            "margin": self.margin,
-            "passed": self.passed,
-            "evaluable": self.evaluable,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -77,12 +70,7 @@ class HypothesisReport:
         return [c.name for c in self.conditions if c.evaluable and not c.passed]
 
     def to_json(self):
-        return {
-            "conditions": [c.to_json() for c in self.conditions],
-            "inf_HK": self.inf_HK,
-            "inf_HGamma": self.inf_HGamma,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def flow_time_range(problem: Problem):
@@ -138,7 +126,6 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     """
     amb, mesh = problem.ambient, problem.mesh
     model = amb.curvature_model
-    entries = []
     gam = np.asarray(amb.gamma(mesh.vertices))
     gconst = float(gam.max() - gam.min()) <= 1e-10 * max(1.0, float(np.abs(gam).max()))
     known = model.kind in ("flat", "constant_curvature")
@@ -148,39 +135,30 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     rho_t0 = float(rho_t(amb, 0.0))
     k0 = float(leaf_mean_curvature(amb, 0.0, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
+    ric_amb = ric_leaf - x_term
 
-    if known and gconst:
-        ric_amb = ric_leaf - x_term
-        entries.append(ConditionEntry(
-            "ricci_simple", "Ric_amb_rad >= -n (inf H_K)^2",
-            ric_amb + n * inf_hk**2, bool(ric_amb + n * inf_hk**2 >= 0),
-            note=f"Ric_amb_rad={ric_amb!r}"))
-        m_ref = ric_amb + x_term + n * inf_hk**2
-        entries.append(ConditionEntry(
-            "ricci_refined",
-            "Ric_amb_rad + (n k^2 - sqrt(gamma) k_t) >= -n (inf H_K)^2",
-            m_ref, bool(m_ref >= 0)))
-    else:
-        why = ("non-constant gamma: radial direction field not computable"
-               if known else f"curvature model '{model.kind}' has no radial Ricci")
-        entries.append(ConditionEntry(
-            "ricci_simple", "Ric_amb_rad >= -n (inf H_K)^2",
-            math.nan, False, evaluable=False, note=why))
-        entries.append(ConditionEntry(
-            "ricci_refined",
-            "Ric_amb_rad + (n k^2 - sqrt(gamma) k_t) >= -n (inf H_K)^2",
-            math.nan, False, evaluable=False, note=why))
-    if known:
-        m_c3 = ric_leaf + (n - 1) ** 2 / n * inf_hg**2
-        entries.append(ConditionEntry(
-            "ricci_corollary3", "n Ric_leaf_rad >= -(n-1)^2 (inf H_Gamma)^2",
-            m_c3, bool(m_c3 >= 0), note=f"Ric_leaf_rad={ric_leaf!r}"))
-    else:
-        entries.append(ConditionEntry(
-            "ricci_corollary3", "n Ric_leaf_rad >= -(n-1)^2 (inf H_Gamma)^2",
-            math.nan, False, evaluable=False,
-            note=f"curvature model '{model.kind}' has no radial Ricci"))
-    return entries
+    # why a margin is not evaluable; None where it is
+    no_model = None if known else f"curvature model '{model.kind}' has no radial Ricci"
+    no_amb = no_model
+    if known and not gconst:
+        no_amb = "non-constant gamma: radial direction field not computable"
+
+    def entry(name, inequality, margin, why, note=""):
+        if why is not None:
+            return ConditionEntry(name, inequality, math.nan, False,
+                                  evaluable=False, note=why)
+        return ConditionEntry(name, inequality, margin, bool(margin >= 0), note=note)
+
+    return [
+        entry("ricci_simple", "Ric_amb_rad >= -n (inf H_K)^2",
+              ric_amb + n * inf_hk**2, no_amb, note=f"Ric_amb_rad={ric_amb!r}"),
+        entry("ricci_refined",
+              "Ric_amb_rad + (n k^2 - sqrt(gamma) k_t) >= -n (inf H_K)^2",
+              ric_amb + x_term + n * inf_hk**2, no_amb),
+        entry("ricci_corollary3", "n Ric_leaf_rad >= -(n-1)^2 (inf H_Gamma)^2",
+              ric_leaf + (n - 1) ** 2 / n * inf_hg**2, no_model,
+              note=f"Ric_leaf_rad={ric_leaf!r}"),
+    ]
 
 
 def _distance_geometry(problem: Problem, elements: bool):
@@ -218,18 +196,75 @@ class BarrierCertificate:
     note: str = ""
 
     def to_json(self):
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "min_margin": self.min_margin,
-            "margin_location": self.margin_location,
-            "ordering_ok": self.ordering_ok,
-            "worst_ordering_violation": self.worst_ordering_violation,
-            "skipped": self.skipped,
-            "valid": self.valid,
-            "gradient_bound": self.gradient_bound,
-            "note": self.note,
-        }
+        return asdict(self)
+
+
+def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
+                 skipped: int, gradient_bound=None) -> BarrierCertificate:
+    """The acceptance rule of every barrier certificate.
+
+    ``jet`` holds the barrier's chart points, values, gradients, covariant
+    Hessians and the prescribed ``H`` at the checked points ``where``
+    (element or vertex indices).  The margin is the strong-form operator
+    value there, negated for the upper barrier, which needs ``Q < 0``.
+    ``gap`` is the ordering slack of the solution against the barrier,
+    ``>= 0`` where they are in order, or None without a solution.  The
+    certificate is valid iff the least margin is positive and the gap stays
+    above ``-10 h^2``; a rejected one gives the reason in its ``note``.
+    """
+    mesh = problem.mesh
+    sign = -1.0 if kind == "boundary_upper" else 1.0
+    margin = sign * strong_form_Q(problem.ambient, *jet)
+    min_margin = float(margin.min())
+    ordering_ok, worst = None, 0.0
+    if gap is not None:
+        worst = float(min(gap.min(), 0.0))
+        ordering_ok = bool(worst >= -10.0 * mesh.h**2)
+    note = ""
+    if not (min_margin > 0 and ordering_ok is not False):
+        note = "min_margin <= 0" if min_margin <= 0 \
+            else "solution not ordered with the barrier"
+    return BarrierCertificate(kind, params, min_margin, int(where[np.argmin(margin)]),
+                              ordering_ok, worst, skipped, not note,
+                              gradient_bound, note)
+
+
+def _search(what: str, candidates, build):
+    """The first valid certificate among ``candidates``, parameter dicts
+    passed to ``build``, which returns ``(barrier, certificate)``.
+
+    A candidate is rejected by the ParameterError it raises or by its
+    certificate's note.  A strip that no candidate can pass ends the search
+    at the first one.  An exhausted search raises one ParameterError that
+    names each distinct reason once, with the candidates it rejected, and
+    the largest margin seen."""
+    failures, margins = [], []          # (label, reason); certificate margins
+    for params in candidates:
+        label = ", ".join(f"{key} = {value:g}" for key, value in params.items())
+        try:
+            barrier, cert = build(**params)
+        except _StripRejected as exc:
+            raise ParameterError(
+                f"{what} search stopped at its first candidate ({label}): {exc}; "
+                "this does not depend on (mu, c)") from None
+        except ParameterError as exc:
+            failures.append((label, str(exc)))
+            continue
+        if cert.valid:
+            cert.note = f"search: {len(failures)} rejected candidates"
+            return barrier, cert
+        failures.append((label, cert.note))
+        margins.append(cert.min_margin)
+    reasons = {}
+    for label, reason in failures:
+        reasons.setdefault(reason, []).append(label)
+    parts = [f"{reason} [{len(labels)} candidates, {labels[0]}"
+             + (f" .. {labels[-1]}]" if len(labels) > 1 else "]")
+             for reason, labels in reasons.items()]
+    if margins:
+        parts.append(f"largest min_margin {max(margins):.6g}")
+    raise ParameterError(f"{what} search exhausted after {len(failures)} "
+                         "candidates: " + "; ".join(parts))
 
 
 def sigma_diameter(mesh: DomainMesh, ambient: AmbientSpace, max_samples=64) -> float:
@@ -261,7 +296,8 @@ def height_barrier(problem: Problem, D: float, B: float,
 
     ``phi_bar = inf phi + (e^(DB)/D)(e^(-Dd) - 1)``; the certificate holds
     iff the strong-form operator value is positive at every checked element
-    centroid.  Returns ``(ScalarField, BarrierCertificate)``.
+    centroid and, given ``z``, the solution lies between the barrier and the
+    boundary sup.  Returns ``(ScalarField, BarrierCertificate)``.
     """
     amb, mesh = problem.ambient, problem.mesh
     diam = sigma_diameter(mesh, amb)
@@ -271,93 +307,42 @@ def height_barrier(problem: Problem, D: float, B: float,
         raise ParameterError("D must be positive")
     if D * B > 200:      # keep U^3 = (gamma + f'^2)^(3/2) representable
         raise ParameterError("exp(D*B) overflows: D*B > 200")
-    phi_inf = float(problem.phi[mesh.boundary_vertices].min())
+    phi_b = problem.phi[mesh.boundary_vertices]
+    phi_inf = float(phi_b.min())
     d = mesh.dist_to_boundary
 
     def f(dd):
         return (math.exp(D * B) / D) * (np.exp(-D * dd) - 1.0)
 
-    def fp(dd):
-        return -np.exp(D * (B - dd))
-
     barrier = ScalarField(mesh, phi_inf + f(d))
 
-    tri = mesh.triangles
-    cent = mesh.vertices[tri].mean(axis=1)
-    d_c = d[tri].mean(axis=1)
     gd, hd, usable = _distance_geometry(problem, elements=True)
     keep = usable.copy()
     keep[mesh.suspect_elements] = False
-    vals = phi_inf + f(d_c)
-    fpv = fp(d_c)
-    grads = fpv[:, None] * gd
-    hess = (-D * fpv)[:, None, None] * np.einsum("mi,mj->mij", gd, gd) \
-        + fpv[:, None, None] * hd
-    H_c = problem.H.values[tri].mean(axis=1)
-    Q = strong_form_Q(amb, cent, vals, grads, hess, H_c)
-    Qk = Q[keep]
-    if len(Qk) == 0:
+    where = np.nonzero(keep)[0]
+    if len(where) == 0:
         raise ParameterError("no usable elements for the height barrier")
-    loc_local = int(np.argmin(Qk))
-    loc = int(np.nonzero(keep)[0][loc_local])
-    min_margin = float(Qk.min())
-
-    ordering_ok, worst = None, 0.0
-    if z is not None:
-        # two-sided height bound: above the barrier, below the boundary sup
-        phi_sup = float(problem.phi[mesh.boundary_vertices].max())
-        diff = np.minimum(z.values - barrier.values, phi_sup - z.values)
-        worst = float(min(diff.min(), 0.0))
-        tol = 10.0 * mesh.h**2
-        ordering_ok = bool(diff.min() >= -tol)
-    valid = min_margin > 0 and (ordering_ok is not False)
-    cert = BarrierCertificate(
-        "height", {"D": D, "B": B}, min_margin, loc, ordering_ok, worst,
-        int((~keep).sum()), valid)
-    return barrier, cert
+    tri = mesh.triangles[where]
+    d_c = d[tri].mean(axis=1)
+    gd, hd = gd[where], hd[where]
+    fp = -np.exp(D * (B - d_c))
+    hess = (-D * fp)[:, None, None] * np.einsum("mi,mj->mij", gd, gd) \
+        + fp[:, None, None] * hd
+    jet = (mesh.vertices[tri].mean(axis=1), phi_inf + f(d_c), fp[:, None] * gd, hess,
+           problem.H.values[tri].mean(axis=1))
+    # two-sided height bound: above the barrier, below the boundary sup
+    gap = None if z is None else np.minimum(z.values - barrier.values,
+                                            float(phi_b.max()) - z.values)
+    return barrier, _certificate(problem, "height", {"D": D, "B": B}, where, jet, gap,
+                                 len(keep) - len(where))
 
 
-def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None,
-                          B: Optional[float] = None):
-    """Doubling search over the exponent rate; first valid certificate wins."""
-    amb, mesh = problem.ambient, problem.mesh
-    if B is None:
-        B = 1.01 * sigma_diameter(mesh, amb)
-    failures = []
-    for j in range(21):
-        D = float(2**j)
-        try:
-            barrier, cert = height_barrier(problem, D, B, z)
-        except ParameterError as exc:
-            failures.append((f"D = {D:g}", str(exc), None))
-            continue
-        if cert.valid:
-            cert.note = f"search: {len(failures)} rejected candidates"
-            return barrier, cert
-        failures.append((f"D = {D:g}", _rejection(cert), cert.min_margin))
-    raise _exhausted("height barrier", failures)
-
-
-def _rejection(cert: BarrierCertificate) -> str:
-    if cert.min_margin <= 0:
-        return "min_margin <= 0"
-    return "solution not ordered with the barrier"
-
-
-def _exhausted(what: str, failures) -> ParameterError:
-    """The search error: each distinct rejection reason once, with the
-    candidates it rejected, and the largest operator margin seen."""
-    reasons = {}
-    for label, reason, _ in failures:
-        reasons.setdefault(reason, []).append(label)
-    parts = [f"{reason} [{len(labels)} candidates, {labels[0]}"
-             + (f" .. {labels[-1]}]" if len(labels) > 1 else "]")
-             for reason, labels in reasons.items()]
-    margins = [m for _, _, m in failures if m is not None]
-    if margins:
-        parts.append(f"largest min_margin {max(margins):.6g}")
-    return ParameterError(f"{what} search exhausted after {len(failures)} "
-                          f"candidates: " + "; ".join(parts))
+def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None):
+    """Doubling search over the exponent rate ``D = 1 .. 2^20`` at ``B``
+    1.01 times the diameter; the first valid certificate wins."""
+    B = 1.01 * sigma_diameter(problem.mesh, problem.ambient)
+    return _search("height barrier", ({"D": 2.0**j} for j in range(21)),
+                   lambda D: height_barrier(problem, D, B, z))
 
 
 class _StripRejected(ParameterError):
@@ -435,28 +420,17 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     idx, di = s.idx, d[s.idx]
     wp = sign * (-mut * mu / (1.0 + mu * di))
     wpp = sign * (mut * mu**2 / (1.0 + mu * di) ** 2)
-    grads = wp[:, None] * s.gd + s.gphi
-    hess = wpp[:, None, None] * s.gd2 + wp[:, None, None] * s.hd + s.hphi
-    Q = strong_form_Q(amb, mesh.vertices[idx], values[idx], grads, hess,
-                      problem.H.values[idx])
-    Qs = sign * Q                       # lower barrier needs Q > 0, upper Q < 0
-    loc = int(idx[np.argmin(Qs)])
-    min_margin = float(Qs.min())
-
-    ordering_ok, worst = None, 0.0
-    if z is not None:
-        diff = sign * (z.values - values)   # must be >= 0 on both components
-        worst = float(min(diff[s.comps].min(), 0.0))
-        ordering_ok = bool(worst >= -10.0 * mesh.h**2)
-    grad_bound = c * mu / math.log1p(mu)
-    valid = min_margin > 0 and (ordering_ok is not False)
-    name = "boundary_lower" if sign > 0 else "boundary_upper"
-    cert = BarrierCertificate(
-        name, {"mu": mu, "mu_tilde": mut, "c": c, "eps": eps},
-        min_margin, loc, ordering_ok, worst,
-        int(np.count_nonzero(s.strip) - len(idx)), valid,
-        gradient_bound=grad_bound)
-    return barrier, cert
+    jet = (mesh.vertices[idx], values[idx], wp[:, None] * s.gd + s.gphi,
+           wpp[:, None, None] * s.gd2 + wp[:, None, None] * s.hd + s.hphi,
+           problem.H.values[idx])
+    # the barrier below the solution (lower) or above it (upper) on both
+    # strip boundary components
+    gap = None if z is None else (sign * (z.values - values))[s.comps]
+    return barrier, _certificate(
+        problem, "boundary_lower" if sign > 0 else "boundary_upper",
+        {"mu": mu, "mu_tilde": mut, "c": c, "eps": eps}, idx, jet, gap,
+        int(np.count_nonzero(s.strip) - len(idx)),
+        gradient_bound=c * mu / math.log1p(mu))
 
 
 def boundary_barrier(problem: Problem, mu: float, c: float, eps: float,
@@ -487,25 +461,10 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
         span = max(span, float(np.ptp(z.values)))
     scale = max(1.0, 2.0 * span)
     fn = upper_barrier_check if upper else boundary_barrier
-    failures = []
-    for mu in (10.0**j for j in range(7)):
-        for cf in (0.25, 0.5, 1.0, 2.0, 4.0):
-            c = cf * scale
-            label = f"mu = {mu:g}, c = {c:g}"
-            try:
-                barrier, cert = fn(problem, mu, c, eps, z)
-            except _StripRejected as exc:
-                raise ParameterError(
-                    f"boundary barrier search stopped at its first candidate "
-                    f"({label}): {exc}; this does not depend on (mu, c)") from None
-            except ParameterError as exc:
-                failures.append((label, str(exc), None))
-                continue
-            if cert.valid:
-                cert.note = f"search: {len(failures)} rejected candidates"
-                return barrier, cert
-            failures.append((label, _rejection(cert), cert.min_margin))
-    raise _exhausted("boundary barrier", failures)
+    grid = ({"mu": 10.0**j, "c": cf * scale}
+            for j in range(7) for cf in (0.25, 0.5, 1.0, 2.0, 4.0))
+    return _search("boundary barrier", grid,
+                   lambda mu, c: fn(problem, mu, c, eps, z))
 
 
 # -- probes -----------------------------------------------------------------

@@ -20,7 +20,7 @@ evaluated at the element-midpoint value of ``z``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -454,13 +454,7 @@ class MaxPrincipleReport:
         return self.rho_t_margin >= 0 and self.lambda_t_H_margin >= 0
 
     def to_json(self):
-        return {
-            "rho_t_margin": self.rho_t_margin,
-            "lambda_t_H_margin": self.lambda_t_H_margin,
-            "t_range": list(self.t_range),
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def max_principle_conditions(ambient: AmbientSpace, H: ScalarField,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -32,19 +32,13 @@ class SolverOptions:
 @dataclass
 class NewtonRecord:
     tau: float
-    iteration: int
+    iter: int
     residual_norm: float
     step_norm: float
     damping_halvings: int
 
     def to_json(self):
-        return {
-            "tau": self.tau,
-            "iter": self.iteration,
-            "residual_norm": self.residual_norm,
-            "step_norm": self.step_norm,
-            "damping_halvings": self.damping_halvings,
-        }
+        return asdict(self)
 
 
 @dataclass
