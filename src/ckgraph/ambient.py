@@ -33,6 +33,7 @@ __all__ = [
     "leaf_mean_curvature",
     "preset_ambient",
     "PRESET_NAMES",
+    "fd_rho_t_tolerance",
     "flat_metric",
     "round_sphere_metric",
     "central_gradient",
@@ -175,105 +176,117 @@ def _zero_grad(u):
 
 # -- presets ----------------------------------------------------------------
 
-PRESET_NAMES = ("example_a", "example_b", "example_c", "killing_flat", "euclidean_radial")
+
+def _one(t):
+    return np.ones_like(_as_t(t))
 
 
-def preset_ambient(name: str, *, gamma=None, grad_gamma=None, base_metric=None,
-                   curvature_model: Optional[CurvatureModel] = None) -> AmbientSpace:
-    """Build one of the documented ambient presets.
-
-    ``gamma``/``grad_gamma``/``base_metric`` override the default trivial
-    choices (``gamma == 1``, flat leaf).
-    """
-    if gamma is None:
-        gamma = _ones_field
-        if grad_gamma is None:
-            grad_gamma = _zero_grad
-    elif grad_gamma is None:
-        raise ParameterError("custom gamma requires a grad_gamma evaluator")
-
-    if name == "killing_flat":
-        return AmbientSpace(
-            name=name,
-            lam=lambda t: np.ones_like(_as_t(t)),
-            lam_t=lambda t: np.zeros_like(_as_t(t)),
-            lam_tt=lambda t: np.zeros_like(_as_t(t)),
-            interval_end=math.inf,
-            gamma=gamma, grad_gamma=grad_gamma,
-            base_metric=base_metric or flat_metric,
-            curvature_model=curvature_model or CurvatureModel("flat"),
-        )
-    if name in ("example_a", "euclidean_radial"):
-        if name == "euclidean_radial":
-            base_metric = base_metric or round_sphere_metric
-            curvature_model = curvature_model or CurvatureModel("constant_curvature", kappa0=1.0)
-        return AmbientSpace(
-            name=name,
-            lam=lambda t: np.exp(_as_t(t)),
-            lam_t=lambda t: np.exp(_as_t(t)),
-            lam_tt=lambda t: np.exp(_as_t(t)),
-            interval_end=math.inf,
-            gamma=gamma, grad_gamma=grad_gamma,
-            base_metric=base_metric or flat_metric,
-            curvature_model=curvature_model or CurvatureModel("flat"),
-        )
-    if name == "example_b":
-        return AmbientSpace(
-            name=name,
-            lam=lambda t: 1.0 / (1.0 - _as_t(t)),
-            lam_t=lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
-            lam_tt=lambda t: 2.0 / (1.0 - _as_t(t)) ** 3,
-            interval_end=1.0,
-            gamma=gamma, grad_gamma=grad_gamma,
-            base_metric=base_metric or flat_metric,
-            curvature_model=curvature_model or CurvatureModel("flat"),
-        )
-    if name == "example_c":
-        # lambda(t) = sinh(2 artanh(s)) with s = (sqrt(2)-1) e^t; the flow
-        # coordinate is shifted so that lambda(0) = 1, which fixes the
-        # interval end at log(1 + sqrt(2)) = arcsinh(1).
-        def _s(t):
-            return _SQRT2M1 * np.exp(_as_t(t))
-
-        def lam(t):
-            s = _s(t)
-            return 2.0 * s / (1.0 - s**2)
-
-        def lam_t(t):
-            s = _s(t)
-            return 2.0 * s * (1.0 + s**2) / (1.0 - s**2) ** 2
-
-        def lam_tt(t):
-            s = _s(t)
-            return 2.0 * s * (1.0 + 6.0 * s**2 + s**4) / (1.0 - s**2) ** 3
-
-        return AmbientSpace(
-            name=name,
-            lam=lam, lam_t=lam_t, lam_tt=lam_tt,
-            interval_end=math.asinh(1.0),
-            gamma=gamma, grad_gamma=grad_gamma,
-            base_metric=base_metric or flat_metric,
-            curvature_model=curvature_model or CurvatureModel("flat"),
-        )
-    raise ParameterError(f"unknown ambient preset {name!r}")
+def _zero(t):
+    return np.zeros_like(_as_t(t))
 
 
-def fd_ambient_derivatives(lam, step=1e-6):
+def _exp(t):
+    return np.exp(_as_t(t))
+
+
+# example_c: lambda(t) = sinh(2 artanh(s)) with s = (sqrt(2)-1) e^t; the flow
+# coordinate is shifted so that lambda(0) = 1, which fixes the interval end
+# at log(1 + sqrt(2)) = arcsinh(1).
+def _s(t):
+    return _SQRT2M1 * np.exp(_as_t(t))
+
+
+def _sinh_lam(t):
+    s = _s(t)
+    return 2.0 * s / (1.0 - s**2)
+
+
+def _sinh_lam_t(t):
+    s = _s(t)
+    return 2.0 * s * (1.0 + s**2) / (1.0 - s**2) ** 2
+
+
+def _sinh_lam_tt(t):
+    s = _s(t)
+    return 2.0 * s * (1.0 + 6.0 * s**2 + s**4) / (1.0 - s**2) ** 3
+
+
+_FLAT = CurvatureModel("flat")
+
+# name -> (lam, lam_t, lam_tt, interval_end, base_metric, curvature_model);
+# every preset has gamma == 1
+_PRESETS = {
+    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _FLAT),
+    "example_b": (lambda t: 1.0 / (1.0 - _as_t(t)),
+                  lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
+                  lambda t: 2.0 / (1.0 - _as_t(t)) ** 3,
+                  1.0, flat_metric, _FLAT),
+    "example_c": (_sinh_lam, _sinh_lam_t, _sinh_lam_tt, math.asinh(1.0),
+                  flat_metric, _FLAT),
+    "killing_flat": (_one, _zero, _zero, math.inf, flat_metric, _FLAT),
+    "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric,
+                         CurvatureModel("constant_curvature", kappa0=1.0)),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
+def preset_ambient(name: str) -> AmbientSpace:
+    """Build one of the documented ambient presets (``gamma == 1``); other
+    fields can be swapped with ``dataclasses.replace``."""
+    if name not in _PRESETS:
+        raise ParameterError(f"unknown ambient preset {name!r}")
+    lam, lam_t, lam_tt, end, metric, model = _PRESETS[name]
+    return AmbientSpace(name, lam, lam_t, lam_tt, end, _ones_field, _zero_grad,
+                        metric, model)
+
+
+# Steps of the finite-difference fallbacks.  A central difference with step
+# s loses about u/s (first derivative) or 4u/s^2 (second) to rounding,
+# relative to lambda (u = 2.2e-16), and gains s^2/6 or s^2/12 times a higher
+# derivative from truncation; 1e-4 balances the second difference, where
+# 1e-6 left rounding errors of 4e-4 relative.
+_FD_STEP_T = 1e-6
+_FD_STEP_TT = 1e-4
+
+# Error bound of rho_t = lambda_tt/lambda - (lambda_t/lambda)^2 from the
+# fallbacks, relative to the largest |lambda_tt/lambda| + (lambda_t/lambda)^2
+# over the sampled flow times (rho_t is the difference of those two terms).
+# On t in [-12, 0.01] the largest errors measured are 1/13 of the bound or
+# less for exp(t), cosh(t), 1/(1 - t), exp(t - t^2/2) and 1 + t + t^2.
+FD_RHO_T_ERROR = 1e-6
+
+
+def fd_ambient_derivatives(lam):
     """Finite-difference fallbacks for missing lambda derivatives.
 
-    Uses a central difference with the documented step; ambients built this
-    way carry ``fd_derivatives=True`` so reports can flag them.
+    Central differences with the steps ``_FD_STEP_T`` and ``_FD_STEP_TT``;
+    ambients built this way carry ``fd_derivatives=True`` so reports can flag
+    them and the ``rho_t`` checks allow for ``fd_rho_t_tolerance``.
     """
     def lam_t(t):
         t = _as_t(t)
-        return (np.asarray(lam(t + step)) - np.asarray(lam(t - step))) / (2.0 * step)
+        return (np.asarray(lam(t + _FD_STEP_T)) - np.asarray(lam(t - _FD_STEP_T))) \
+            / (2.0 * _FD_STEP_T)
 
     def lam_tt(t):
         t = _as_t(t)
-        return (np.asarray(lam(t + step)) - 2.0 * np.asarray(lam(t))
-                + np.asarray(lam(t - step))) / step**2
+        return (np.asarray(lam(t + _FD_STEP_TT)) - 2.0 * np.asarray(lam(t))
+                + np.asarray(lam(t - _FD_STEP_TT))) / _FD_STEP_TT**2
 
     return lam_t, lam_tt
+
+
+def fd_rho_t_tolerance(ambient: AmbientSpace, t) -> float:
+    """How far below 0 ``rho_t`` may fall on the flow times ``t`` and still
+    pass: ``FD_RHO_T_ERROR`` times the largest ``|lambda_tt/lambda| +
+    (lambda_t/lambda)^2`` when the derivatives come from finite differences,
+    0 when they are exact."""
+    if not ambient.fd_derivatives:
+        return 0.0
+    lam = np.asarray(ambient.lam(t))
+    scale = np.abs(np.asarray(ambient.lam_tt(t)) / lam) \
+        + (np.asarray(ambient.lam_t(t)) / lam) ** 2
+    return FD_RHO_T_ERROR * float(scale.max())
 
 
 def central_gradient(f, pts, step):

@@ -6,6 +6,12 @@ sign conditions on the data, the boundary cylinder condition, and the radial
 Ricci bounds), and explicit sub/supersolution constructions whose defining
 inequalities are verified pointwise on the mesh, yielding machine-checkable
 certificates.
+
+One rule, ``_certificate``, decides every barrier certificate: the
+strong-form operator margin must be finite and positive at every checked
+point, and a given solution must lie in order with the barrier within
+``10 h^2``.  Both parameter searches run through one loop, ``_search``,
+which returns the first valid candidate or names why each one failed.
 """
 
 from __future__ import annotations
@@ -16,13 +22,14 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, leaf_mean_curvature, n, rho_t
+from .ambient import (AmbientSpace, fd_rho_t_tolerance, leaf_mean_curvature, n,
+                      rho_t)
 from .cylinder import cylinder_mean_curvature, inf_boundary_cylinder_curvature
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
-from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
-                       _hat_gradients)
+from .operator import (FLOW_TIME_SAMPLES, Problem, recover_gradient_hessian,
+                       strong_form_Q, _hat_gradients)
 
 __all__ = [
     "ConditionEntry", "HypothesisReport", "BarrierCertificate",
@@ -84,14 +91,19 @@ def flow_time_range(problem: Problem):
     return lo, hi
 
 
-def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
+def check_hypotheses(problem: Problem) -> HypothesisReport:
     """Evaluate the solvability conditions; everything is a report entry,
     nothing raises."""
     amb, mesh = problem.ambient, problem.mesh
     phi_b = problem.phi[mesh.boundary_vertices]
-    ts = np.linspace(*flow_time_range(problem), samples)
+    ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
     lam_t = np.asarray(amb.lam_t(ts))
     rt = rho_t(amb, ts)
+    rt_tol, rt_note = 1e-12, ""
+    if amb.fd_derivatives:
+        rt_tol = fd_rho_t_tolerance(amb, ts)
+        rt_note = (f"finite-difference lambda derivatives: passes down to "
+                   f"-{rt_tol:.3g}, their error bound")
 
     inf_hk, inf_hg = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
     sup_h = float(problem.H.values.max())
@@ -102,7 +114,7 @@ def check_hypotheses(problem: Problem, samples: int = 512) -> HypothesisReport:
         ConditionEntry("lambda_t_nonneg", "lambda_t >= 0",
                        float(lam_t.min()), bool(lam_t.min() >= 0)),
         ConditionEntry("rho_t_nonneg", "(lambda_t/lambda)_t >= 0",
-                       float(rt.min()), bool(rt.min() >= -1e-12)),
+                       float(rt.min()), bool(rt.min() >= -rt_tol), note=rt_note),
         ConditionEntry("phi_nonpos", "phi <= 0 on the boundary",
                        float(-phi_b.max()), bool(phi_b.max() <= 0)),
         ConditionEntry("H_nonneg", "H >= 0", min_h, bool(min_h >= 0)),
@@ -143,7 +155,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     if known and not gconst:
         no_amb = "non-constant gamma: radial direction field not computable"
 
-    def entry(name, inequality, margin, why, note=""):
+    def entry(name, inequality, margin, why, note):
         if why is not None:
             return ConditionEntry(name, inequality, math.nan, False,
                                   evaluable=False, note=why)
@@ -151,13 +163,13 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
 
     return [
         entry("ricci_simple", "Ric_amb_rad >= -n (inf H_K)^2",
-              ric_amb + n * inf_hk**2, no_amb, note=f"Ric_amb_rad={ric_amb!r}"),
+              ric_amb + n * inf_hk**2, no_amb, f"Ric_amb_rad={ric_amb!r}"),
         entry("ricci_refined",
               "Ric_amb_rad + (n k^2 - sqrt(gamma) k_t) >= -n (inf H_K)^2",
-              ric_amb + x_term + n * inf_hk**2, no_amb),
+              ric_amb + x_term + n * inf_hk**2, no_amb, ""),
         entry("ricci_corollary3", "n Ric_leaf_rad >= -(n-1)^2 (inf H_Gamma)^2",
               ric_leaf + (n - 1) ** 2 / n * inf_hg**2, no_model,
-              note=f"Ric_leaf_rad={ric_leaf!r}"),
+              f"Ric_leaf_rad={ric_leaf!r}"),
     ]
 
 
@@ -200,7 +212,7 @@ class BarrierCertificate:
 
 
 def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
-                 skipped: int, gradient_bound=None) -> BarrierCertificate:
+                 skipped: int, gradient_bound) -> BarrierCertificate:
     """The acceptance rule of every barrier certificate.
 
     ``jet`` holds the barrier's chart points, values, gradients, covariant
@@ -209,21 +221,28 @@ def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
     value there, negated for the upper barrier, which needs ``Q < 0``.
     ``gap`` is the ordering slack of the solution against the barrier,
     ``>= 0`` where they are in order, or None without a solution.  The
-    certificate is valid iff the least margin is positive and the gap stays
-    above ``-10 h^2``; a rejected one gives the reason in its ``note``.
+    certificate is valid iff every margin is finite, the least one is
+    positive and the gap stays above ``-10 h^2``; a rejected one gives the
+    reason in its ``note``.
     """
     mesh = problem.mesh
     sign = -1.0 if kind == "boundary_upper" else 1.0
-    margin = sign * strong_form_Q(problem.ambient, *jet)
+    # lambda underflows under a steep barrier, and lambda_t/lambda is 0/0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = sign * strong_form_Q(problem.ambient, *jet)
     min_margin = float(margin.min())
     ordering_ok, worst = None, 0.0
     if gap is not None:
         worst = float(min(gap.min(), 0.0))
         ordering_ok = bool(worst >= -10.0 * mesh.h**2)
     note = ""
-    if not (min_margin > 0 and ordering_ok is not False):
-        note = "min_margin <= 0" if min_margin <= 0 \
-            else "solution not ordered with the barrier"
+    nonfinite = int(np.count_nonzero(~np.isfinite(margin)))
+    if nonfinite:
+        note = f"margin not finite at {nonfinite} of {len(margin)} checked points"
+    elif not min_margin > 0:
+        note = "min_margin <= 0"
+    elif ordering_ok is False:
+        note = "solution not ordered with the barrier"
     return BarrierCertificate(kind, params, min_margin, int(where[np.argmin(margin)]),
                               ordering_ok, worst, skipped, not note,
                               gradient_bound, note)
@@ -237,8 +256,8 @@ def _search(what: str, candidates, build):
     certificate's note.  A strip that no candidate can pass ends the search
     at the first one.  An exhausted search raises one ParameterError that
     names each distinct reason once, with the candidates it rejected, and
-    the largest margin seen."""
-    failures, margins = [], []          # (label, reason); certificate margins
+    the largest finite margin seen."""
+    failures, margins = [], []          # (label, reason); finite margins
     for params in candidates:
         label = ", ".join(f"{key} = {value:g}" for key, value in params.items())
         try:
@@ -254,7 +273,8 @@ def _search(what: str, candidates, build):
             cert.note = f"search: {len(failures)} rejected candidates"
             return barrier, cert
         failures.append((label, cert.note))
-        margins.append(cert.min_margin)
+        if math.isfinite(cert.min_margin):
+            margins.append(cert.min_margin)
     reasons = {}
     for label, reason in failures:
         reasons.setdefault(reason, []).append(label)
@@ -267,14 +287,14 @@ def _search(what: str, candidates, build):
                          "candidates: " + "; ".join(parts))
 
 
-def sigma_diameter(mesh: DomainMesh, ambient: AmbientSpace, max_samples=64) -> float:
-    """Chart-segment estimate of the diameter in the leaf metric; twice the
-    outer radius on a preset domain."""
+def sigma_diameter(mesh: DomainMesh, ambient: AmbientSpace) -> float:
+    """Chart-segment estimate of the diameter in the leaf metric over at
+    most 64 boundary vertices; twice the outer radius on a preset domain."""
     if mesh.polar is not None:
         return mesh.polar.diameter
     bv = mesh.boundary_vertices
-    if len(bv) > max_samples:
-        bv = bv[np.linspace(0, len(bv) - 1, max_samples).astype(int)]
+    if len(bv) > 64:
+        bv = bv[np.linspace(0, len(bv) - 1, 64).astype(int)]
     pts = mesh.vertices[bv]
     best = 0.0
     qs = np.linspace(0.0, 1.0, 9)
@@ -334,7 +354,7 @@ def height_barrier(problem: Problem, D: float, B: float,
     gap = None if z is None else np.minimum(z.values - barrier.values,
                                             float(phi_b.max()) - z.values)
     return barrier, _certificate(problem, "height", {"D": D, "B": B}, where, jet, gap,
-                                 len(keep) - len(where))
+                                 len(keep) - len(where), None)
 
 
 def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None):
@@ -429,8 +449,7 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     return barrier, _certificate(
         problem, "boundary_lower" if sign > 0 else "boundary_upper",
         {"mu": mu, "mu_tilde": mut, "c": c, "eps": eps}, idx, jet, gap,
-        int(np.count_nonzero(s.strip) - len(idx)),
-        gradient_bound=c * mu / math.log1p(mu))
+        int(np.count_nonzero(s.strip) - len(idx)), c * mu / math.log1p(mu))
 
 
 def boundary_barrier(problem: Problem, mu: float, c: float, eps: float,

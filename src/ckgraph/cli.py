@@ -72,6 +72,20 @@ def _run_checks(loaded: LoadedProblem, report: dict):
         report["monotonicity"] = cylinder_monotonicity_probe(problem, depths)
 
 
+def _load_solution(args):
+    """The problem and the solution CSV that certify and verify read; a
+    value at or above the end of the flow interval is refused."""
+    loaded = load_problem(args.problem)
+    z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
+    end = loaded.problem.ambient.interval_end
+    bad = np.nonzero(z.values >= end)[0]
+    if len(bad):
+        v = int(bad[0])
+        raise DomainError(f"{args.solution}: vertex {v} value {float(z.values[v])} "
+                          f"reaches the interval end {end}")
+    return loaded, z
+
+
 def _os_error(what: str, path, exc: OSError) -> int:
     print(f"error: cannot {what} {path}: {exc.strerror or exc}", file=sys.stderr)
     return 1
@@ -155,8 +169,7 @@ def cmd_certify(args) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 1
     try:
-        loaded = load_problem(args.problem)
-        z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
+        loaded, z = _load_solution(args)
     except (SchemaError, ParameterError, MeshError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -198,8 +211,7 @@ def cmd_verify(args) -> int:
         print(f"error: {bad}", file=sys.stderr)
         return 1
     try:
-        loaded = load_problem(args.problem)
-        z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
+        loaded, z = _load_solution(args)
     except (SchemaError, ParameterError, MeshError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

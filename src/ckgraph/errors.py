@@ -20,10 +20,6 @@ class SchemaError(ValueError):
 class SingularSystemError(RuntimeError):
     """The sparse linear system is structurally or numerically singular."""
 
-    def __init__(self, message, vertex=None):
-        super().__init__(message)
-        self.vertex = vertex
-
 
 class NewtonStallError(RuntimeError):
     """Newton failed to converge; carries the best iterate seen."""

@@ -105,17 +105,18 @@ def compile_expression(text: str):
     return fn
 
 
-def compile_univariate(text: str, var: str = "t"):
-    """A one-variable variant (used for custom conformal factors)."""
+def compile_univariate(text: str):
+    """A variant in the flow time ``t`` alone (used for custom conformal
+    factors)."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParameterError(f"bad expression: {exc}") from exc
-    _check(tree, names=(var,))
+    _check(tree, names=("t",))
 
     def fn(v):
         v = np.asarray(v, dtype=float)
-        out = _eval(tree, {var: v})
+        out = _eval(tree, {"t": v})
         return np.broadcast_to(np.asarray(out, dtype=float), v.shape).copy() \
             if v.shape else float(np.asarray(out))
 

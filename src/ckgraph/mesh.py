@@ -267,13 +267,13 @@ def _spd_inverse(S):
     return (d / det, -b / det, a / det), det
 
 
-def christoffel_symbols(ambient: AmbientSpace, pts, step=1e-5):
-    """Christoffel symbols of the leaf metric by central differences,
-    shape (..., k, i, j) for Gamma^k_ij."""
+def christoffel_symbols(ambient: AmbientSpace, pts):
+    """Christoffel symbols of the leaf metric by central differences with
+    step 1e-5, shape (..., k, i, j) for Gamma^k_ij."""
     pts = np.asarray(pts, dtype=float)
     i11, i12, i22 = (c[..., None, None] for c in
                      _spd_inverse(ambient.base_metric(pts))[0])
-    dS = central_gradient(ambient.base_metric, pts, step)  # dS[..., l, i, j] = d_l S_ij
+    dS = central_gradient(ambient.base_metric, pts, 1e-5)  # dS[..., l, i, j] = d_l S_ij
     # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
     term = (np.einsum("...ilj->...lij", dS)
             + np.einsum("...jli->...lij", dS)

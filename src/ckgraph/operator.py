@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, n, rho_t
+from .ambient import AmbientSpace, fd_rho_t_tolerance, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
@@ -33,7 +33,7 @@ from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
-    "max_principle_conditions", "MaxPrincipleReport",
+    "max_principle_conditions", "MaxPrincipleReport", "FLOW_TIME_SAMPLES",
     "recover_gradient_hessian", "christoffel_symbols",
 ]
 
@@ -103,7 +103,6 @@ class SparseSystem:
 
     residual: np.ndarray       # (ni,)
     jacobian: "FrontMatrix"    # (ni, ni), from ckgraph.frontal
-    interior: np.ndarray       # interior vertex indices
     # (ni,) tau-derivative of the residual along the continuation path
     # (interior held, boundary at tau * phi); only from system(tangent=True)
     path_rate: Optional[np.ndarray] = None
@@ -329,8 +328,7 @@ class _Assembly:
         if tangent:
             rate += np.einsum("abe,be->ae", local, self._phi_b)
             path_rate = self._scatter(rate)[self.interior]
-        return SparseSystem(self._scatter(ev.val)[self.interior], J, self.interior,
-                            path_rate)
+        return SparseSystem(self._scatter(ev.val)[self.interior], J, path_rate)
 
 
 # -- derivative recovery ----------------------------------------------------
@@ -448,25 +446,29 @@ class MaxPrincipleReport:
     lambda_t_H_margin: float
     t_range: tuple
     samples: int
-
-    @property
-    def passed(self) -> bool:
-        return self.rho_t_margin >= 0 and self.lambda_t_H_margin >= 0
+    passed: bool
 
     def to_json(self):
-        return {**asdict(self), "passed": self.passed}
+        return asdict(self)
+
+
+# flow times at which the conditions on lambda are sampled
+FLOW_TIME_SAMPLES = 512
 
 
 def max_principle_conditions(ambient: AmbientSpace, H: ScalarField,
-                             t_range, samples: int = 512) -> MaxPrincipleReport:
-    """Check ``rho_t >= 0`` and ``lambda_t * H >= 0`` on a flow-time grid."""
+                             t_range) -> MaxPrincipleReport:
+    """Check ``rho_t >= 0`` and ``lambda_t * H >= 0`` on a flow-time grid;
+    finite-difference derivatives of lambda pass ``rho_t`` down to
+    ``-fd_rho_t_tolerance``."""
     lo, hi = t_range
     hi = min(hi, ambient.interval_end - 1e-9 * max(1.0, abs(ambient.interval_end))
              if math.isfinite(ambient.interval_end) else hi)
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, FLOW_TIME_SAMPLES)
     lam_t = np.asarray(ambient.lam_t(ts))
-    rt = rho_t(ambient, ts)
+    rt = float(rho_t(ambient, ts).min())
     hmin, hmax = float(H.values.min()), float(H.values.max())
-    prod = np.minimum(lam_t * hmin, lam_t * hmax)
-    return MaxPrincipleReport(float(rt.min()), float(prod.min()),
-                              (float(ts[0]), float(ts[-1])), samples)
+    prod = float(np.minimum(lam_t * hmin, lam_t * hmax).min())
+    return MaxPrincipleReport(rt, prod, (float(ts[0]), float(ts[-1])),
+                              FLOW_TIME_SAMPLES,
+                              rt >= -fd_rho_t_tolerance(ambient, ts) and prod >= 0)

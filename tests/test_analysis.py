@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (_distance_geometry, _level_curve_hk,
+from ckgraph.analysis import (_distance_geometry, _level_curve_hk, flow_time_range,
                               _parallel_curve_hk, boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
                               cylinder_monotonicity_probe, height_barrier,
@@ -87,8 +88,8 @@ def test_ricci_agreement_constant_curvature(radial_problem, cmc_problem):
 
 
 def test_ricci_not_evaluable_for_unknown_model():
-    amb = ck.preset_ambient("killing_flat",
-                            curvature_model=ck.CurvatureModel("unavailable"))
+    amb = replace(ck.preset_ambient("killing_flat"),
+                  curvature_model=ck.CurvatureModel("unavailable"))
     mesh = ck.disk_mesh(0.4, 0.08, amb)
     prob = ck.Problem.create(amb, mesh, 1.0, -0.5)
     rep = check_hypotheses(prob)
@@ -234,8 +235,8 @@ def test_probe_cap_constant_curvature(radial_problem):
 def test_probe_preset_includes_flow_curvature():
     # with gamma = 1 + 0.8 x the flow contributes kappa to H_K: as the depth
     # goes to 0 the probe tends to the boundary infimum, which includes it
-    amb = ck.preset_ambient(
-        "killing_flat",
+    amb = replace(
+        ck.preset_ambient("killing_flat"),
         gamma=lambda u: 1.0 + 0.8 * np.asarray(u, dtype=float)[..., 0],
         grad_gamma=lambda u: np.stack(
             [np.full(np.asarray(u).shape[:-1], 0.8),
@@ -431,3 +432,74 @@ def test_record_json_keys(cmc_problem, cmc_solution):
     assert set(cmc_solution.newton_history[0].to_json()) == {
         "tau", "iter", "residual_norm", "step_norm", "damping_halvings"}
     json.dumps([rep, height.to_json(), lower.to_json(), mp.to_json()])
+
+
+# -- non-finite margins -----------------------------------------------------------
+
+
+def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
+    # lambda = e^t underflows under a steep height barrier on the cap, so
+    # lambda_t/lambda is 0/0 there: the candidate is rejected for that, not
+    # for the ordering, which holds
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = ck.cap_mesh(1.0, 0.05, amb)
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    zex = -np.log(np.cos(r)) + np.log(np.cos(1.0))
+    prob = ck.Problem.create(amb, mesh, 0.0, zex)
+    B = 1.01 * sigma_diameter(mesh, amb)
+    _, cert = height_barrier(prob, 8.0, B, ScalarField(mesh, zex))
+    assert not cert.valid and cert.ordering_ok
+    assert math.isnan(cert.min_margin)
+    checked = mesh.triangles.shape[0] - cert.skipped
+    assert cert.note == f"margin not finite at {checked} of {checked} checked points"
+    assert len(recwarn) == 0
+
+
+def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
+    from ckgraph.problemfile import load_problem_document
+    doc = {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
+                                  "gamma": "1 + 0.2*x*x", "curvature": {"kind": "flat"}}},
+           "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
+           "resolution": 0.03, "H": {"constant": 0.3},
+           "phi": {"expression": "-0.5 + 0.1*x"}}
+    prob = load_problem_document(doc).problem
+    with pytest.raises(ParameterError) as info:
+        search_height_barrier(prob)
+    msg = str(info.value)
+    assert "min_margin <= 0 [4 candidates, D = 1 .. D = 8]; margin not finite at " in msg
+    assert "checked points [4 candidates, D = 16 .. D = 128]; exp(D*B)" in msg
+    # the largest finite margin, D = 8's, whatever the order of the candidates
+    assert msg.endswith("; largest min_margin -4.77339")
+    assert len(recwarn) == 0
+
+
+# -- finite-difference derivatives of lambda ----------------------------------------
+
+_LAMBDA_DERIVATIVES = {
+    "exp(t)": ("exp(t)", "exp(t)"),
+    "exp(t - t**2/2)": ("(1 - t)*exp(t - t**2/2)", "((1 - t)**2 - 1)*exp(t - t**2/2)"),
+}
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "fd"])
+@pytest.mark.parametrize("lam, passes", [("exp(t)", True), ("exp(t - t**2/2)", False)])
+def test_rho_t_checks_with_and_without_derivatives(lam, passes, exact):
+    # rho_t is 0 for exp(t) and -1 for exp(t - t^2/2); finite differences
+    # of lambda'' must neither fail the first nor pass the second
+    from ckgraph.problemfile import load_problem_document
+    custom = {"lam": lam}
+    if exact:
+        custom["lam_t"], custom["lam_tt"] = _LAMBDA_DERIVATIVES[lam]
+    doc = {"ambient": {"custom": custom},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}},
+           "resolution": 0.08, "H": {"constant": 1.0}, "phi": {"constant": -0.5}}
+    prob = load_problem_document(doc).problem
+    assert prob.ambient.fd_derivatives is not exact
+    cond = check_hypotheses(prob).get("rho_t_nonneg")
+    assert cond.passed is passes
+    if passes:
+        assert abs(cond.margin) <= ck.ambient.fd_rho_t_tolerance(
+            prob.ambient, np.linspace(*flow_time_range(prob), 512))
+    assert cond.note.startswith("finite-difference") is not exact
+    report = max_principle_conditions(prob.ambient, prob.H, flow_time_range(prob))
+    assert report.passed is passes

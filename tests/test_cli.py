@@ -900,3 +900,20 @@ def test_malformed_problem_document_exit_1(mutation_dir, capsys, mutation):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert re.search(r"\$[.:\[]", err), (kind, err)
+
+
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_solution_beyond_interval_end_exit_1(tmp_path, capsys, command):
+    # example_b's flow interval ends at t = 1, where lambda = 1/(1 - t) blows up
+    doc = _cap_doc(h=0.1, H=0.5, phi=-0.5)
+    doc["ambient"] = {"preset": "example_b"}
+    prob = _write(tmp_path, "b.json", doc)
+    out = tmp_path / "run"
+    assert main(["solve", prob, "--out", str(out)]) == 0
+    lines = (out / "solution.csv").read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / "beyond.csv"
+    bad.write_text("\n".join(_with_cell(lines, 1, 3, "2.0")) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, prob, str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: vertex 0 value 2.0 reaches the interval end 1.0\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def test_kappa_vanishes_for_constant_gamma():
 
 def test_kappa_directional_derivative():
     # gamma = 1 + x: eta(log sqrt(gamma)) = eta_x / (2(1+x))
-    amb = ck.preset_ambient(
-        "killing_flat",
+    amb = replace(
+        ck.preset_ambient("killing_flat"),
         gamma=lambda u: 1.0 + np.asarray(u, dtype=float)[..., 0],
         grad_gamma=lambda u: np.stack(
             [np.ones(np.asarray(u).shape[:-1]),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ def problems():
             (ck.preset_ambient("example_a"), lambda a: ck.disk_mesh(0.4, 0.1, a)),
             # non-constant gamma with its exact gradient on the round-sphere
             # metric: the only fixture whose grad-gamma terms are not zero
-            (ck.preset_ambient("euclidean_radial", gamma=_gamma, grad_gamma=_grad_gamma),
+            (replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma,
+                     grad_gamma=_grad_gamma),
              lambda a: ck.cap_mesh(1.0, 0.15, a))]:
         mesh = builder(amb)
         out.append(ck.Problem.create(amb, mesh, 0.7, -0.3))
@@ -209,7 +211,8 @@ def test_weak_residual_consistency_at_exact():
 def front_problems():
     # the non-constant-gamma ambient over each kind of mesh, one of them
     # read back from a relabelled mesh.json document
-    amb = ck.preset_ambient("euclidean_radial", gamma=_gamma, grad_gamma=_grad_gamma)
+    amb = replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma,
+                  grad_gamma=_grad_gamma)
     disk = ck.disk_mesh(0.4, 0.05, amb)
     rng = np.random.default_rng(8)
     perm = rng.permutation(disk.n_vertices)          # old label -> new label
