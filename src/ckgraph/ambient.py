@@ -177,14 +177,6 @@ def _zero_grad(u):
 # -- presets ----------------------------------------------------------------
 
 
-def _one(t):
-    return np.ones_like(_as_t(t))
-
-
-def _zero(t):
-    return np.zeros_like(_as_t(t))
-
-
 def _exp(t):
     return np.exp(_as_t(t))
 
@@ -223,7 +215,8 @@ _PRESETS = {
                   1.0, flat_metric, _FLAT),
     "example_c": (_sinh_lam, _sinh_lam_t, _sinh_lam_tt, math.asinh(1.0),
                   flat_metric, _FLAT),
-    "killing_flat": (_one, _zero, _zero, math.inf, flat_metric, _FLAT),
+    "killing_flat": (lambda t: np.ones_like(_as_t(t)), lambda t: np.zeros_like(_as_t(t)),
+                     lambda t: np.zeros_like(_as_t(t)), math.inf, flat_metric, _FLAT),
     "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric,
                          CurvatureModel("constant_curvature", kappa0=1.0)),
 }
@@ -243,8 +236,8 @@ def preset_ambient(name: str) -> AmbientSpace:
 # Steps of the finite-difference fallbacks.  A central difference with step
 # s loses about u/s (first derivative) or 4u/s^2 (second) to rounding,
 # relative to lambda (u = 2.2e-16), and gains s^2/6 or s^2/12 times a higher
-# derivative from truncation; 1e-4 balances the second difference, where
-# 1e-6 left rounding errors of 4e-4 relative.
+# derivative from truncation.  1e-4 balances the two for the second
+# difference; a step of 1e-6 there gives rounding errors up to 4e-4.
 _FD_STEP_T = 1e-6
 _FD_STEP_TT = 1e-4
 
