@@ -16,17 +16,16 @@ from .ambient import (AmbientSpace, CurvatureModel, PRESET_NAMES,
 from .analysis import (BarrierCertificate, HypothesisReport,
                        boundary_barrier, check_hypotheses,
                        cylinder_monotonicity_probe, height_barrier,
+                       inf_boundary_cylinder_curvature, max_principle_conditions,
                        search_boundary_barrier, search_height_barrier,
                        upper_barrier_check)
-from .cylinder import (cylinder_kappa, cylinder_mean_curvature,
-                       inf_boundary_cylinder_curvature)
+from .cylinder import cylinder_kappa, cylinder_mean_curvature
 from .errors import (DomainError, MeshError, NewtonStallError, ParameterError,
                      SchemaError, SingularSystemError)
 from .fields import ScalarField
 from .mesh import (DomainMesh, annulus_mesh, cap_mesh, disk_mesh,
                    mesh_from_arrays, mesh_from_json, mesh_to_json)
-from .operator import (Problem, SparseSystem, max_principle_conditions,
-                       mean_curvature_of_graph)
+from .operator import Problem, SparseSystem, mean_curvature_of_graph
 from .problemfile import LoadedProblem, load_problem
 from .solver import (NewtonRecord, SolveReport, SolverOptions,
                      continuation_solve, linear_solve, newton_solve)

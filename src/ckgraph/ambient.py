@@ -121,16 +121,13 @@ def rho_t(ambient: AmbientSpace, t):
     return lam_tt / lam - (lam_t / lam) ** 2
 
 
-def leaf_mean_curvature(ambient: AmbientSpace, t, u):
-    """Mean curvature of the leaf at flow time ``t``, normal ``Y/|Y|``.
-
-    ``k = -lambda_t sqrt(gamma) / lambda**2``.
+def leaf_mean_curvature(ambient: AmbientSpace, u):
+    """Mean curvature of the base leaf, normal ``Y/|Y|``:
+    ``k = -lambda_t(0) sqrt(gamma)``; ``-lambda_t sqrt(gamma) / lambda**2``
+    at the leaf ``t``.
     """
-    t = ambient.check_t(t)
     u = np.asarray(u, dtype=float)
-    g = np.asarray(ambient.gamma(u))
-    lam = np.asarray(ambient.lam(t))
-    return -np.asarray(ambient.lam_t(t)) * np.sqrt(g) / lam**2
+    return -np.asarray(ambient.lam_t(0.0)) * np.sqrt(np.asarray(ambient.gamma(u)))
 
 
 # -- leaf metrics -----------------------------------------------------------

@@ -24,16 +24,18 @@ import numpy as np
 
 from .ambient import (AmbientSpace, fd_rho_t_tolerance, leaf_mean_curvature, n,
                       rho_t)
-from .cylinder import cylinder_mean_curvature, inf_boundary_cylinder_curvature
+from .cylinder import cylinder_mean_curvature
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
-from .operator import (FLOW_TIME_SAMPLES, Problem, recover_gradient_hessian,
-                       strong_form_Q, _hat_gradients)
+from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
+                       _hat_gradients)
 
 __all__ = [
-    "ConditionEntry", "HypothesisReport", "BarrierCertificate",
-    "check_hypotheses", "strong_form_Q", "flow_time_range",
+    "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",
+    "check_hypotheses", "max_principle_conditions", "FLOW_TIME_SAMPLES",
+    "strong_form_Q", "flow_time_range", "level_curves",
+    "inf_boundary_cylinder_curvature",
     "height_barrier", "search_height_barrier",
     "boundary_barrier", "upper_barrier_check", "search_boundary_barrier",
     "cylinder_monotonicity_probe", "boundary_normal_slope",
@@ -80,6 +82,22 @@ class HypothesisReport:
         return {**asdict(self), "passed": self.passed}
 
 
+@dataclass
+class MaxPrincipleReport:
+    rho_t_margin: float
+    lambda_t_H_margin: float
+    t_range: tuple
+    samples: int
+    passed: bool
+
+    def to_json(self):
+        return asdict(self)
+
+
+# flow times at which the conditions on lambda are sampled
+FLOW_TIME_SAMPLES = 512
+
+
 def flow_time_range(problem: Problem):
     """Flow times on which the conformal-factor conditions are sampled: from
     one below the lowest boundary value (or 0) to just above the base leaf."""
@@ -91,21 +109,30 @@ def flow_time_range(problem: Problem):
     return lo, hi
 
 
+def _lambda_samples(problem: Problem):
+    """The ``FLOW_TIME_SAMPLES`` flow times spanning ``flow_time_range``
+    with ``lambda_t`` and ``rho_t`` there and ``fd_rho_t_tolerance`` over
+    them; sampled once per problem, read by both conformal-factor checks."""
+    def build():
+        amb = problem.ambient
+        ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
+        return ts, np.asarray(amb.lam_t(ts)), rho_t(amb, ts), fd_rho_t_tolerance(amb, ts)
+    return problem.derived("lambda_samples", build)
+
+
 def check_hypotheses(problem: Problem) -> HypothesisReport:
     """Evaluate the solvability conditions; everything is a report entry,
     nothing raises."""
     amb, mesh = problem.ambient, problem.mesh
     phi_b = problem.phi[mesh.boundary_vertices]
-    ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
-    lam_t = np.asarray(amb.lam_t(ts))
-    rt = rho_t(amb, ts)
+    _, lam_t, rt, fd_tol = _lambda_samples(problem)
     rt_tol, rt_note = 1e-12, ""
     if amb.fd_derivatives:
-        rt_tol = fd_rho_t_tolerance(amb, ts)
+        rt_tol = fd_tol
         rt_note = (f"finite-difference lambda derivatives: passes down to "
                    f"-{rt_tol:.3g}, their error bound")
 
-    inf_hk, inf_hg = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
+    inf_hk, inf_hg = inf_boundary_cylinder_curvature(mesh, amb)
     sup_h = float(problem.H.values.max())
     min_h = float(problem.H.values.min())
     serrin = inf_hk - sup_h
@@ -124,6 +151,18 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
     ]
     conds.extend(_ricci_conditions(problem, inf_hk, inf_hg))
     return HypothesisReport(conds, inf_hk, inf_hg)
+
+
+def max_principle_conditions(problem: Problem) -> MaxPrincipleReport:
+    """Check ``rho_t >= 0`` and ``lambda_t * H >= 0`` at the flow times of
+    ``check_hypotheses``; finite-difference derivatives of lambda pass
+    ``rho_t`` down to ``-fd_rho_t_tolerance``."""
+    ts, lam_t, rt, fd_tol = _lambda_samples(problem)
+    rt_min = float(rt.min())
+    hmin, hmax = float(problem.H.values.min()), float(problem.H.values.max())
+    prod = float(np.minimum(lam_t * hmin, lam_t * hmax).min())
+    return MaxPrincipleReport(rt_min, prod, (float(ts[0]), float(ts[-1])),
+                              FLOW_TIME_SAMPLES, rt_min >= -fd_tol and prod >= 0)
 
 
 def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
@@ -145,7 +184,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
         if model.kind == "constant_curvature" else 0.0
 
     rho_t0 = float(rho_t(amb, 0.0))
-    k0 = float(leaf_mean_curvature(amb, 0.0, mesh.vertices[0]))
+    k0 = float(leaf_mean_curvature(amb, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
     ric_amb = ric_leaf - x_term
 
@@ -486,27 +525,52 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
                    lambda mu, c: fn(problem, mu, c, eps, z))
 
 
-# -- probes -----------------------------------------------------------------
+# -- level curves of the boundary distance and probes ----------------------
 
 
-def _level_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
-    """Infimum of the cylinder curvature over each component of the distance
-    level set ``d = eps`` on a generic mesh, one value per closed loop.
+def level_curves(mesh: DomainMesh, ambient: AmbientSpace, depth: float):
+    """The level set ``d = depth`` of the boundary distance as closed
+    curves, one ``(points, inward unit normals, geodesic curvature toward
+    the normals)`` per component; depth 0 gives the boundary loops.
+
+    A preset domain moves each boundary loop inward by ``depth`` along its
+    normals (a concentric circle) and takes the closed-form curvature
+    there.  A generic mesh takes the geodesic curvature of the boundary
+    polylines, or of the discrete level curves (``_level_polylines``)."""
+    if mesh.polar is not None:
+        if depth >= mesh.polar.inradius:
+            raise ParameterError(f"depth reaches the inradius {mesh.polar.inradius:g}")
+        curves = []
+        for loop in mesh.boundary_loops:
+            normal = mesh.boundary_normal[loop]
+            r = np.linalg.norm(mesh.vertices[loop], axis=1)
+            curves.append((mesh.vertices[loop] + depth * normal, normal,
+                           mesh.polar.circle_curvature(r, depth)))
+        return curves
+    polylines = ([mesh.vertices[loop] for loop in mesh.boundary_loops] if depth == 0
+                 else _level_polylines(mesh, depth))
+    return [(pts, *closed_polyline_geometry(pts, ambient)[:2]) for pts in polylines]
+
+
+def _level_polylines(mesh: DomainMesh, depth: float):
+    """The components of the level set ``d = depth > 0`` of a generic mesh
+    as closed chart polylines.
 
     The level set crosses every edge whose ends lie on different sides of
-    ``d > eps``.  In each cut element the crossing on the edge that leaves
-    that region is followed by the one on the edge that enters it, which
-    keeps the region on the left (elements are positively oriented).
-    Crossings closer than h/4 in the chart are merged.
+    ``d > depth``.  In each cut element the crossing on the edge that
+    leaves that region is followed by the one on the edge that enters it,
+    which keeps the region on the left (elements are positively oriented).
+    Crossings closer than h/4 in the chart are merged, and components left
+    with fewer than three points are dropped.
     """
     d = mesh.dist_to_boundary
     edges, inverse, _ = mesh.edge_table()
-    inside = d > eps
+    inside = d > depth
     cut = inside[edges[:, 0]] != inside[edges[:, 1]]
     if np.count_nonzero(cut) < 8:
-        raise ParameterError(f"level set extraction failed at depth {eps}")
+        raise ParameterError(f"level set extraction failed at depth {depth}")
     i, j = edges[cut, 0], edges[cut, 1]
-    s = ((d[i] - eps) / (d[i] - d[j]))[:, None]
+    s = ((d[i] - depth) / (d[i] - d[j]))[:, None]
     cross = np.zeros((len(edges), 2))
     cross[cut] = mesh.vertices[i] + s * (mesh.vertices[j] - mesh.vertices[i])
     ins = inside[mesh.triangles]
@@ -515,7 +579,7 @@ def _level_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
     nxt[inverse[ins & ~ahead]] = inverse[~ins & ahead]
     nxt = nxt.tolist()
     seen = ~cut
-    hks = []
+    polylines = []
     for start in np.nonzero(cut)[0].tolist():
         if seen[start]:
             continue
@@ -525,13 +589,11 @@ def _level_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
             loop.append(k)
             k = nxt[k]      # defined: no cut edge is a boundary edge (d = 0 there)
         pts = _merge_close(cross[loop], 0.25 * mesh.h)
-        if len(pts) < 3:
-            continue
-        normal, hg, _ = closed_polyline_geometry(pts, ambient)
-        hks.append(float(np.min(cylinder_mean_curvature(ambient, 0.0, pts, normal, hg))))
-    if not hks:
-        raise ParameterError(f"level set extraction failed at depth {eps}")
-    return hks
+        if len(pts) >= 3:
+            polylines.append(pts)
+    if not polylines:
+        raise ParameterError(f"level set extraction failed at depth {depth}")
+    return polylines
 
 
 def _merge_close(pts, tol):
@@ -546,37 +608,33 @@ def _merge_close(pts, tol):
     return pts[keep]
 
 
-def _parallel_curve_hk(mesh: DomainMesh, ambient: AmbientSpace, eps: float):
-    """Infimum of the cylinder curvature over the level set ``d = eps`` of a
-    preset domain: the boundary vertices moved inward by ``eps`` along their
-    normals (a concentric circle), with the closed-form curvature there."""
-    if eps >= mesh.polar.inradius:
-        raise ParameterError(f"depth reaches the inradius {mesh.polar.inradius:g}")
-    verts = mesh.boundary_vertices
-    normal = mesh.boundary_normal[verts]
-    pts = mesh.vertices[verts] + eps * normal
-    hg = mesh.polar.circle_curvature(np.linalg.norm(mesh.vertices[verts], axis=1), eps)
-    return float(np.min(cylinder_mean_curvature(ambient, 0.0, pts, normal, hg)))
+def inf_boundary_cylinder_curvature(mesh: DomainMesh, ambient: AmbientSpace):
+    """Infimum over the boundary vertices of the inward cylinder curvature
+    ``H_K`` at the base leaf (``H_K / lambda(t)`` at the leaf ``t``), and of
+    the boundary curvature."""
+    curves = level_curves(mesh, ambient, 0.0)
+    hk = np.concatenate([cylinder_mean_curvature(ambient, *curve) for curve in curves])
+    return float(np.min(hk)), float(np.min(np.concatenate([hg for *_, hg in curves])))
 
 
 def cylinder_monotonicity_probe(problem: Problem, depths):
     """Curvature of the flow cylinders over inner distance level sets.
 
     Returns a dict with per-depth entries and whether the probed curvatures
-    stay above the boundary value (the expected monotone behaviour).
+    stay above the boundary value (the expected monotone behaviour); on a
+    generic mesh each entry also lists the infimum on each component.
     """
     amb, mesh = problem.ambient, problem.mesh
-    inf_hk, _ = inf_boundary_cylinder_curvature(mesh, amb, t=0.0)
+    inf_hk, _ = inf_boundary_cylinder_curvature(mesh, amb)
     rows = []
     for eps in depths:
         row = {"eps": float(eps), "skipped": False, "H_K": None}
         try:
-            if mesh.polar is not None:
-                hk = _parallel_curve_hk(mesh, amb, float(eps))
-            else:
-                row["components"] = _level_curve_hk(mesh, amb, float(eps))
-                hk = min(row["components"])
-            row["H_K"] = float(hk)
+            hks = [float(np.min(cylinder_mean_curvature(amb, *curve)))
+                   for curve in level_curves(mesh, amb, float(eps))]
+            if mesh.polar is None:
+                row["components"] = hks
+            row["H_K"] = min(hks)
         except ParameterError as exc:
             row["skipped"] = True
             row["reason"] = str(exc)

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (boundary_normal_slope, check_hypotheses,
-                       cylinder_monotonicity_probe, flow_time_range,
-                       height_barrier, search_boundary_barrier,
+                       cylinder_monotonicity_probe, height_barrier,
+                       max_principle_conditions, search_boundary_barrier,
                        search_height_barrier)
 from .errors import DomainError, MeshError, ParameterError, SchemaError
 from .fields import ScalarField
 from .mesh import mesh_to_json
-from .operator import max_principle_conditions, mean_curvature_of_graph
+from .operator import mean_curvature_of_graph
 from .problemfile import LoadedProblem, load_problem
 from .solver import continuation_solve
 
@@ -64,8 +64,7 @@ def _run_checks(loaded: LoadedProblem, report: dict):
     before the solve."""
     problem = loaded.problem
     if "max_principle" in loaded.checks:
-        report["max_principle"] = max_principle_conditions(
-            problem.ambient, problem.H, flow_time_range(problem)).to_json()
+        report["max_principle"] = max_principle_conditions(problem).to_json()
     if "monotonicity" in loaded.checks:
         h = problem.mesh.h
         depths = [2 * h, 4 * h, 6 * h]

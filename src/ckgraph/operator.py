@@ -19,13 +19,12 @@ evaluated at the element-midpoint value of ``z``.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, fd_rho_t_tolerance, n, rho_t
+from .ambient import AmbientSpace, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
@@ -33,7 +32,6 @@ from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
-    "max_principle_conditions", "MaxPrincipleReport", "FLOW_TIME_SAMPLES",
     "recover_gradient_hessian", "christoffel_symbols",
 ]
 
@@ -435,40 +433,3 @@ def mean_curvature_of_graph(problem: Problem, z: ScalarField):
     nlamH = strong_form_Q(amb, mesh.vertices, z.values, grad, hess, 0.0)
     H = nlamH / (n * np.asarray(amb.lam(z.values)))
     return ScalarField(mesh, H), conf
-
-
-# -- maximum principle ------------------------------------------------------
-
-
-@dataclass
-class MaxPrincipleReport:
-    rho_t_margin: float
-    lambda_t_H_margin: float
-    t_range: tuple
-    samples: int
-    passed: bool
-
-    def to_json(self):
-        return asdict(self)
-
-
-# flow times at which the conditions on lambda are sampled
-FLOW_TIME_SAMPLES = 512
-
-
-def max_principle_conditions(ambient: AmbientSpace, H: ScalarField,
-                             t_range) -> MaxPrincipleReport:
-    """Check ``rho_t >= 0`` and ``lambda_t * H >= 0`` on a flow-time grid;
-    finite-difference derivatives of lambda pass ``rho_t`` down to
-    ``-fd_rho_t_tolerance``."""
-    lo, hi = t_range
-    hi = min(hi, ambient.interval_end - 1e-9 * max(1.0, abs(ambient.interval_end))
-             if math.isfinite(ambient.interval_end) else hi)
-    ts = np.linspace(lo, hi, FLOW_TIME_SAMPLES)
-    lam_t = np.asarray(ambient.lam_t(ts))
-    rt = float(rho_t(ambient, ts).min())
-    hmin, hmax = float(H.values.min()), float(H.values.max())
-    prod = float(np.minimum(lam_t * hmin, lam_t * hmax).min())
-    return MaxPrincipleReport(rt, prod, (float(ts[0]), float(ts[-1])),
-                              FLOW_TIME_SAMPLES,
-                              rt >= -fd_rho_t_tolerance(ambient, ts) and prod >= 0)

@@ -79,13 +79,13 @@ def test_interval_enforced():
 
 
 def test_leaf_curvature_sign():
-    # k = -lambda_t sqrt(gamma) / lambda^2: zero for the Killing case,
-    # negative when the factor grows
+    # k = -lambda_t(0) sqrt(gamma) at the base leaf: zero for the Killing
+    # case, negative when the factor grows
     flat = preset_ambient("killing_flat")
     grow = preset_ambient("example_a")
     u = np.zeros(2)
-    assert float(np.asarray(leaf_mean_curvature(flat, 0.0, u))) == 0.0
-    assert float(np.asarray(leaf_mean_curvature(grow, 0.0, u))) == pytest.approx(-1.0)
+    assert float(np.asarray(leaf_mean_curvature(flat, u))) == 0.0
+    assert float(np.asarray(leaf_mean_curvature(grow, u))) == pytest.approx(-1.0)
 
 
 def test_round_sphere_metric_radial_unit():

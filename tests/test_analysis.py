@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (_distance_geometry, _level_curve_hk, flow_time_range,
-                              _parallel_curve_hk, boundary_barrier,
+from ckgraph.analysis import (_distance_geometry, boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
-                              cylinder_monotonicity_probe, height_barrier,
-                              search_boundary_barrier, search_height_barrier,
-                              sigma_diameter, upper_barrier_check)
-from ckgraph.cylinder import _loop_curvatures
+                              cylinder_monotonicity_probe, flow_time_range,
+                              height_barrier, level_curves,
+                              max_principle_conditions, search_boundary_barrier,
+                              search_height_barrier, sigma_diameter,
+                              upper_barrier_check)
+from ckgraph.cylinder import cylinder_mean_curvature
 from ckgraph.errors import ParameterError
 from ckgraph.fields import ScalarField
-from ckgraph.operator import max_principle_conditions
+from ckgraph.mesh import closed_polyline_geometry
 
 
 # -- hypothesis checker -----------------------------------------------------
@@ -359,6 +360,20 @@ def test_candidate_independent_work_done_once(monkeypatch):
     assert prob.boundary_extension() is prob.boundary_extension()
 
 
+def test_max_principle_conditions():
+    amb = ck.preset_ambient("example_b")
+    mesh = ck.disk_mesh(0.3, 0.1, amb)
+    prob = ck.Problem.create(amb, mesh, 0.5, -1.0)
+    rep = max_principle_conditions(prob)
+    assert rep.passed
+    assert rep.rho_t_margin > 0
+    # the flow times and rho_t values of the hypothesis check
+    assert rep.t_range == (-2.0, 0.01) == flow_time_range(prob)
+    assert rep.rho_t_margin == check_hypotheses(prob).get("rho_t_nonneg").margin
+    neg = max_principle_conditions(ck.Problem.create(amb, mesh, -0.5, -1.0))
+    assert not neg.passed
+
+
 # -- preset closed forms against the generic estimates ------------------------
 
 
@@ -375,15 +390,19 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
     mesh = _POLAR_BUILDS[kind](h, amb)
     generic = _generic(mesh, amb)
     # boundary circles: closed form against the polyline's geodesic curvature
-    verts, closed, _ = _loop_curvatures(mesh, amb)
-    verts_g, estimate, confident = _loop_curvatures(generic, amb)
-    assert np.array_equal(verts, verts_g) and confident.all()
-    assert np.abs(closed - estimate).max() <= 1e-3
+    closed = level_curves(mesh, amb, 0.0)
+    estimate = level_curves(generic, amb, 0.0)
+    for (pts, _, hg), (pts_g, _, hg_g) in zip(closed, estimate, strict=True):
+        assert np.array_equal(pts, pts_g)
+        assert closed_polyline_geometry(pts_g, amb)[2].all()
+        assert np.abs(hg - hg_g).max() <= 1e-3
     # parallel circle at depth 4h, a ring of the spider web, against the
     # discrete level curve (10-12% off on the annulus, whose inner circle
     # is concave; the flat and round closed forms of the disk differ by 22%)
-    assert min(_level_curve_hk(generic, amb, 4 * h)) == pytest.approx(
-        _parallel_curve_hk(mesh, amb, 4 * h), rel=0.15)
+    def inf_hk(curves):
+        return min(float(np.min(cylinder_mean_curvature(amb, *curve))) for curve in curves)
+    assert inf_hk(level_curves(generic, amb, 4 * h)) == pytest.approx(
+        inf_hk(level_curves(mesh, amb, 4 * h)), rel=0.15)
     # distance derivatives in the strip d < 8h the barriers use, 3h or more
     # from the cut locus, where the recovery is confident: about 6% of the
     # Hessian's size on the disk and 9% on the annulus
@@ -426,7 +445,7 @@ def test_record_json_keys(cmc_problem, cmc_solution):
         assert set(cert.to_json()) == cert_keys
     assert set(height.to_json()["params"]) == {"D", "B"}
     assert set(lower.to_json()["params"]) == {"mu", "mu_tilde", "c", "eps"}
-    mp = max_principle_conditions(cmc_problem.ambient, cmc_problem.H, (-1.0, 0.01))
+    mp = max_principle_conditions(cmc_problem)
     assert set(mp.to_json()) == {"rho_t_margin", "lambda_t_H_margin", "t_range",
                                  "samples", "passed"}
     assert set(cmc_solution.newton_history[0].to_json()) == {
@@ -501,5 +520,5 @@ def test_rho_t_checks_with_and_without_derivatives(lam, passes, exact):
         assert abs(cond.margin) <= ck.ambient.fd_rho_t_tolerance(
             prob.ambient, np.linspace(*flow_time_range(prob), 512))
     assert cond.note.startswith("finite-difference") is not exact
-    report = max_principle_conditions(prob.ambient, prob.H, flow_time_range(prob))
+    report = max_principle_conditions(prob)
     assert report.passed is passes

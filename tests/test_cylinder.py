@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.cylinder import (_loop_curvatures, cylinder_kappa,
-                              cylinder_mean_curvature,
-                              inf_boundary_cylinder_curvature)
+from ckgraph.analysis import inf_boundary_cylinder_curvature, level_curves
+from ckgraph.cylinder import cylinder_kappa, cylinder_mean_curvature
 from ckgraph.mesh import closed_polyline_geometry, mesh_from_arrays
 
 FLAT = ck.preset_ambient("killing_flat")
@@ -39,7 +38,7 @@ def test_annulus_signs():
 def test_kappa_vanishes_for_constant_gamma():
     u = np.array([0.2, 0.1])
     eta = np.array([1.0, 0.0])
-    assert float(np.asarray(cylinder_kappa(FLAT, 0.0, u, eta))) == 0.0
+    assert float(np.asarray(cylinder_kappa(FLAT, u, eta))) == 0.0
 
 
 def test_kappa_directional_derivative():
@@ -52,26 +51,34 @@ def test_kappa_directional_derivative():
              np.zeros(np.asarray(u).shape[:-1])], axis=-1))
     u = np.array([0.5, 0.0])
     eta = np.array([1.0, 0.0])
-    val = float(np.asarray(cylinder_kappa(amb, 0.0, u, eta)))
+    val = float(np.asarray(cylinder_kappa(amb, u, eta)))
     assert val == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_cylinder_mean_curvature_combination():
-    # H_K = (kappa + (n-1) H_Gamma / lambda) / n with lambda(t) scaling
-    amb = ck.preset_ambient("example_a")     # lambda = e^t
-    u = np.array([0.4, 0.0])
-    eta = np.array([-1.0, 0.0])
-    hk = float(np.asarray(cylinder_mean_curvature(amb, 1.0, u, eta, 2.5)))
-    assert hk == pytest.approx((0.0 + 2.5 * math.exp(-1.0)) / 2.0, abs=1e-12)
+    # H_K = (kappa + (n-1) H_Gamma) / n at the base leaf, whatever lambda
+    # does elsewhere; kappa = 1/3 for gamma = 1 + x at x = 0.5
+    amb = replace(
+        ck.preset_ambient("example_a"),     # lambda = e^t
+        gamma=lambda u: 1.0 + np.asarray(u, dtype=float)[..., 0],
+        grad_gamma=lambda u: np.stack(
+            [np.ones(np.asarray(u).shape[:-1]),
+             np.zeros(np.asarray(u).shape[:-1])], axis=-1))
+    u = np.array([0.5, 0.0])
+    eta = np.array([1.0, 0.0])
+    hk = float(np.asarray(cylinder_mean_curvature(amb, u, eta, 2.5)))
+    assert hk == pytest.approx((1.0 / 3.0 + 2.5) / 2.0, abs=1e-12)
 
 
 def test_generic_polyline_estimate():
     mesh = ck.disk_mesh(0.3, 0.03, FLAT)
     generic = mesh_from_arrays(mesh.vertices, mesh.triangles,
                                mesh.boundary_loops, FLAT)
-    verts, vals, confident = _loop_curvatures(generic, FLAT)
-    assert sorted(verts.tolist()) == generic.boundary_vertices.tolist()
-    assert confident.all()
+    [(pts, normal, vals)] = level_curves(generic, FLAT, 0.0)
+    loop = generic.boundary_loops[0]
+    assert np.array_equal(pts, generic.vertices[loop])
+    assert np.array_equal(normal, generic.boundary_normal[loop])
+    assert closed_polyline_geometry(pts, FLAT)[2].all()
     assert np.abs(vals - 1.0 / 0.3).max() < 0.2
 
 

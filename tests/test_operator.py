@@ -9,8 +9,8 @@ import ckgraph as ck
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import mesh_from_arrays
-from ckgraph.operator import (christoffel_symbols, max_principle_conditions,
-                              mean_curvature_of_graph, recover_gradient_hessian)
+from ckgraph.operator import (christoffel_symbols, mean_curvature_of_graph,
+                              recover_gradient_hessian)
 from ckgraph.problemfile import load_problem_document
 
 
@@ -329,15 +329,3 @@ def test_batched_recovery_matches_loop(ambient, build):
     assert np.array_equal(conf, ref_conf)
     for new, ref in ((grad, ref_grad), (hess, ref_hess)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-def test_max_principle_conditions():
-    amb = ck.preset_ambient("example_b")
-    mesh = ck.disk_mesh(0.3, 0.1, amb)
-    H = ScalarField.constant(mesh, 0.5)
-    rep = max_principle_conditions(amb, H, (-2.0, 0.5))
-    assert rep.passed
-    assert rep.rho_t_margin > 0
-    neg = max_principle_conditions(amb, ScalarField.constant(mesh, -0.5),
-                                   (-2.0, 0.5))
-    assert not neg.passed
