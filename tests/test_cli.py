@@ -610,6 +610,27 @@ def test_console_script_installed():
     assert "solve" in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["check", "certify", "verify"])
+def test_closed_stdout_exits_cleanly(solved_run, command):
+    # the read end of the child's stdout is closed before it writes, as
+    # when `ckg certify ... | head -1` stops reading
+    _, prob, out = solved_run
+    argv = [sys.executable, "-m", "ckgraph.cli", command, prob]
+    if command != "check":
+        argv.append(str(out / "solution.csv"))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(os.path.abspath(ck.__file__)))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 1
+
+
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
