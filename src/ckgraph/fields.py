@@ -36,9 +36,6 @@ class ScalarField:
     def constant(cls, mesh: DomainMesh, value: float) -> "ScalarField":
         return cls(mesh, np.full(mesh.n_vertices, float(value)))
 
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.mesh, self.values.copy())
-
     def at(self, points) -> np.ndarray:
         """The piecewise-linear field at chart points; a point outside the
         mesh takes the extrapolation documented by ``locate_points``."""

@@ -127,7 +127,6 @@ class LoadedProblem:
     checks: List[str]
     verify_tolerance: float
     document: dict
-    path: Optional[str] = None
 
     def companion(self) -> Optional[Problem]:
         """The same problem with its preset domain meshed at ``COARSE_RATIO``
@@ -370,10 +369,10 @@ def load_problem(path) -> LoadedProblem:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read problem file: {exc}") from exc
-    return load_problem_document(doc, base_dir=path.parent, path=str(path))
+    return load_problem_document(doc, base_dir=path.parent)
 
 
-def load_problem_document(doc, base_dir=".", path=None) -> LoadedProblem:
+def load_problem_document(doc, base_dir=".") -> LoadedProblem:
     validate_document(doc)
     base_dir = Path(base_dir)
     amb = _build_ambient(doc)
@@ -391,4 +390,4 @@ def load_problem_document(doc, base_dir=".", path=None) -> LoadedProblem:
     checks = doc.get("checks", ["hypotheses"])
     return LoadedProblem(problem, options, checks,
                          float(doc.get("verify_tolerance", 0.05)),
-                         doc, path)
+                         doc)
