@@ -97,9 +97,9 @@ class Problem:
 
 @dataclass
 class SparseSystem:
-    """Interior residual and Jacobian of the weak operator."""
+    """Interior Jacobian of the weak operator; the residual at the same
+    ``(z, tau)`` comes from ``_Assembly.residual``."""
 
-    residual: np.ndarray       # (ni,)
     jacobian: "FrontMatrix"    # (ni, ni), from ckgraph.frontal
     # (ni,) tau-derivative of the residual along the continuation path
     # (interior held, boundary at tau * phi); only from system(tangent=True)
@@ -313,8 +313,8 @@ class _Assembly:
 
     def system(self, z, tau: float, tangent=False,
                evaluation: Optional[_Evaluation] = None) -> SparseSystem:
-        """Interior residual and Jacobian; with ``tangent`` also the path
-        rate ``dR_i/dtau + J_ib phi_b`` from the same element pass.  An
+        """Interior Jacobian; with ``tangent`` also the path rate
+        ``dR_i/dtau + J_ib phi_b`` from the same element pass.  An
         ``evaluation`` from ``residual(z, tau, keep=True)`` spares the
         residual pass."""
         from .frontal import FrontMatrix
@@ -326,7 +326,7 @@ class _Assembly:
         if tangent:
             rate += np.einsum("abe,be->ae", local, self._phi_b)
             path_rate = self._scatter(rate)[self.interior]
-        return SparseSystem(self._scatter(ev.val)[self.interior], J, path_rate)
+        return SparseSystem(J, path_rate)
 
 
 # -- derivative recovery ----------------------------------------------------

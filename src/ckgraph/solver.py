@@ -110,26 +110,26 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     records = []
 
     def res_norm(zz):
-        # the element pass goes on to the Jacobian if zz is accepted
+        # the residual and its element pass go on to the Newton step if zz
+        # is accepted
         r, ev = asm.residual(zz, tau, keep=True)
-        return float(np.abs(r).max()), ev
+        return float(np.abs(r).max()), r, ev
 
-    rnorm, ev = res_norm(z)
+    rnorm, r, ev = res_norm(z)
     best = (rnorm, z.copy())
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
             return z, records, clamped, ev
-        system = asm.system(z, tau, evaluation=ev)
-        step = linear_solve(system.jacobian, -system.residual)
+        step = linear_solve(asm.system(z, tau, evaluation=ev).jacobian, -r)
         alpha, halvings = 1.0, 0
         while True:
             trial = z.copy()
             trial[ii] += alpha * step
             trial, was_clamped = _clamp(trial, problem, options)
             try:
-                trial_norm, trial_ev = res_norm(trial)
+                trial_norm, trial_r, trial_ev = res_norm(trial)
             except DomainError:
-                trial_norm, trial_ev = math.inf, None
+                trial_norm, trial_r, trial_ev = math.inf, None, None
                 was_clamped = False
             if trial_norm < rnorm or halvings >= options.max_damping_halvings:
                 break
@@ -140,7 +140,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
                 f"Newton stalled at tau={tau} after {it} iterations "
                 f"(residual {best[0]:.3e})",
                 best_iterate=best[1], iterations=it, residual_norm=best[0])
-        z, rnorm, ev = trial, trial_norm, trial_ev
+        z, rnorm, r, ev = trial, trial_norm, trial_r, trial_ev
         clamped = clamped or was_clamped
         rec = NewtonRecord(tau, it, rnorm, float(alpha * np.abs(step).max()),
                            halvings)
