@@ -1,8 +1,9 @@
 """Safe arithmetic expressions over the chart coordinates ``x`` and ``y``.
 
-A restricted AST walk: binary arithmetic, powers, a fixed function table,
-and the two coordinate names.  Anything else (attributes, calls by value,
-subscripts, names like ``t``) is rejected at parse time.
+Each expression is parsed once and compiled into closures, node by node:
+binary arithmetic, powers, a fixed function table, and the variable names.
+Anything else (attributes, calls by value, subscripts, names like ``t``) is
+rejected while the closures are built, before any value is computed.
 """
 
 from __future__ import annotations
@@ -32,73 +33,67 @@ _BINOPS = {
 }
 
 
-def _check(node, names=("x", "y")):
-    if isinstance(node, ast.Expression):
-        _check(node.body, names)
-    elif isinstance(node, ast.BinOp):
+def _compile(node, names):
+    """A closure of the variable environment (a dict over ``names``) that
+    evaluates ``node``; ParameterError for any construct outside the
+    grammar."""
+    if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ParameterError(f"operator {type(node.op).__name__} not allowed")
-        _check(node.left, names)
-        _check(node.right, names)
-    elif isinstance(node, ast.UnaryOp):
+        op = _BINOPS[type(node.op)]
+        left, right = _compile(node.left, names), _compile(node.right, names)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             raise ParameterError("only unary +/- allowed")
-        _check(node.operand, names)
-    elif isinstance(node, ast.Call):
+        operand = _compile(node.operand, names)
+        if isinstance(node.op, ast.USub):
+            return lambda env: -operand(env)
+        return lambda env: +operand(env)
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
             raise ParameterError("unknown function in expression")
         if node.keywords:
             raise ParameterError("keyword arguments not allowed")
-        for arg in node.args:
-            _check(arg, names)
-    elif isinstance(node, ast.Name):
-        if node.id == "t" and "t" not in names:
+        fn = _FUNCTIONS[node.func.id]
+        args = [_compile(arg, names) for arg in node.args]
+        return lambda env: fn(*[arg(env) for arg in args])
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in names:
+            return lambda env: env[name]
+        if name == "t":
             raise ParameterError(
                 "expressions are functions of the chart coordinates only; "
                 "flow-time dependence is not part of the data model")
-        if node.id not in names and node.id not in _CONSTANTS:
-            raise ParameterError(f"unknown name '{node.id}' in expression")
-    elif isinstance(node, ast.Constant):
+        if name not in _CONSTANTS:
+            raise ParameterError(f"unknown name '{name}' in expression")
+        value = _CONSTANTS[name]
+        return lambda env: value
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ParameterError("only numeric constants allowed")
-    else:
-        raise ParameterError(
-            f"construct {type(node).__name__} not allowed in expressions")
+        value = node.value
+        return lambda env: value
+    raise ParameterError(
+        f"construct {type(node).__name__} not allowed in expressions")
 
 
-def _eval(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval(node.body, env)
-    if isinstance(node, ast.BinOp):
-        return _BINOPS[type(node.op)](_eval(node.left, env),
-                                      _eval(node.right, env))
-    if isinstance(node, ast.UnaryOp):
-        v = _eval(node.operand, env)
-        return -v if isinstance(node.op, ast.USub) else +v
-    if isinstance(node, ast.Call):
-        args = [_eval(a, env) for a in node.args]
-        return _FUNCTIONS[node.func.id](*args)
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        return _CONSTANTS[node.id]
-    if isinstance(node, ast.Constant):
-        return node.value
-    raise ParameterError(f"unexpected node {type(node).__name__}")
-
-
-def compile_expression(text: str):
-    """Parse and validate; returns a vectorized callable of points (..., 2)."""
+def _parse(text: str, names):
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ParameterError(f"bad expression: {exc}") from exc
-    _check(tree)
+    return _compile(tree.body, names)
+
+
+def compile_expression(text: str):
+    """Parse and validate; returns a vectorized callable of points (..., 2)."""
+    expr = _parse(text, ("x", "y"))
 
     def fn(pts):
         pts = np.asarray(pts, dtype=float)
-        env = {"x": pts[..., 0], "y": pts[..., 1]}
-        out = _eval(tree, env)
+        out = expr({"x": pts[..., 0], "y": pts[..., 1]})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                pts.shape[:-1]).copy()
 
@@ -108,15 +103,11 @@ def compile_expression(text: str):
 def compile_univariate(text: str):
     """A variant in the flow time ``t`` alone (used for custom conformal
     factors)."""
-    try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
-        raise ParameterError(f"bad expression: {exc}") from exc
-    _check(tree, names=("t",))
+    expr = _parse(text, ("t",))
 
     def fn(v):
         v = np.asarray(v, dtype=float)
-        out = _eval(tree, {"t": v})
+        out = expr({"t": v})
         return np.broadcast_to(np.asarray(out, dtype=float), v.shape).copy() \
             if v.shape else float(np.asarray(out))
 
