@@ -7,6 +7,11 @@ Ricci bounds), and explicit sub/supersolution constructions whose defining
 inequalities are verified pointwise on the mesh, yielding machine-checkable
 certificates.
 
+The hypotheses are checked at the base leaf ``t = 0``.  The conditions on
+the conformal factor, here and in ``max_principle_conditions``, read one
+sampling of ``lambda`` per problem; the boundary cylinder condition and the
+monotonicity probe read the level curves of ``level_curves``.
+
 One rule, ``_certificate``, decides every barrier certificate: the
 strong-form operator margin must be finite and positive at every checked
 point, and a given solution must lie in order with the barrier within
