@@ -14,18 +14,26 @@ Each matrix on the pattern is then factored by the multifrontal method (Duff
 not yet eliminated neighbours of its pivots and the update sets of its
 children.  A front is the node's own matrix entries plus the Schur
 complements of its children (extend-add); eliminating its pivots leaves the
-Schur complement that goes to the parent.  Fronts of one tree height are
-padded to one shape (identity on padded pivots, zeros on padded updates), so
-each height is one batched inverse and a few batched matrix products.  The
-fronts of a height exist only while it is eliminated: its buffer is filled
-with the padding, its own matrix entries and then the Schur blocks of its
-children, lower child heights first, through ``int32`` index maps made with
-the tree, and a Schur block is dropped once the highest height that reads it
-is assembled.  A factorization thus holds its factor blocks, one
-height's fronts and the Schur blocks still waiting for their parents (Liu,
-1992), not the fronts of the whole tree.  The elimination pivots only
-inside a node's pivot block, which suits the elliptic linearizations this
-package solves; a singular pivot block raises ``numpy.linalg.LinAlgError``.
+Schur complement that goes to the parent.  The fronts of one tree height are
+grouped into shape classes by their pivot counts, in bands ``LEAF_SIZE // 4``
+wide, and each class is padded to the largest pivot and update counts of its
+fronts (identity on padded pivots, zeros on padded updates), so fronts,
+inverses and factor blocks hold mostly real entries and each class is one
+batched inverse and a few batched matrix products.  The fronts of a class
+exist only while it is eliminated: its buffer is filled with the padding,
+its own matrix entries and then the Schur blocks of its children, child
+classes in elimination order, and a Schur block is dropped once the last
+class that reads it is assembled.  The extend-add uses relative indices
+(Liu, 1992): per child front the tree keeps only where each update row
+starts in the parent's buffer and which column each update is there, two
+``int32`` arrays of shape (k, U), and expands them into the positions of
+the Schur block entries when the parent is assembled.  The tree thus keeps
+O(nnz + sum of k U) indices, not one per Schur block entry, and a
+factorization holds its factor blocks, one class's fronts and the Schur
+blocks still waiting for their parents, not the fronts of the whole tree.
+The elimination pivots only inside a node's pivot block, which suits the
+elliptic linearizations this package solves; a singular pivot block raises
+``numpy.linalg.LinAlgError``.
 """
 
 from __future__ import annotations
@@ -48,6 +56,10 @@ def _dissect(coords, ei, ej):
     of each node (-1 at the root) and its depth; node numbers grow with
     depth, children of one parent are numbered together."""
     n = len(coords)
+    # rank of each vertex along each chart coordinate, ties by vertex number
+    crank = np.empty((2, n), dtype=np.intp)
+    for axis in (0, 1):
+        crank[axis, np.argsort(coords[:, axis], kind="stable")] = np.arange(n)
     owner = np.full(n, -1)
     label = np.zeros(n, dtype=np.intp)        # node of each undecided vertex
     parent, depth = [np.array([-1])], [np.array([0])]
@@ -71,18 +83,19 @@ def _dissect(coords, ei, ej):
             np.minimum.at(bot, loc, c)
             ext[axis] = top - bot
         wide = (ext[1] > ext[0]).astype(np.intp)
-        order = np.lexsort((coords[v, wide[loc]], loc))
+        order = np.argsort(loc * n + crank[wide[loc], v])
         first = np.cumsum(size) - size
         rank = np.empty(len(v), dtype=np.intp)
         rank[order] = np.arange(len(v)) - first[loc[order]]
-        side = np.full(n, -1)
+        side = np.full(n, -1, dtype=np.int8)
         side[v] = rank >= size[loc] // 2
         # separator: the vertices of one side with a neighbour on the other
-        # (the smaller of the two candidates); edges that leave a node or
-        # touch a decided vertex are dropped for good
-        live = (side[ei] >= 0) & (side[ej] >= 0) & (label[ei] == label[ej])
-        ei, ej = ei[live], ej[live]
-        cross = side[ei] != side[ej]
+        # (the smaller of the two candidates); edges that touch a decided
+        # vertex are dropped for good, which leaves no edge between two
+        # nodes, as a separator takes one end of every crossing edge
+        si, sj = side[ei], side[ej]
+        live = (si >= 0) & (sj >= 0)
+        ei, ej, cross = ei[live], ej[live], (si != sj)[live]
         on = np.zeros((2, n), dtype=bool)
         for end in (ei[cross], ej[cross]):
             on[side[end], end] = True
@@ -107,23 +120,36 @@ def _offsets(counts):
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-@dataclass
-class _Height:
-    """Index maps of the fronts of one tree height, ``k`` fronts of ``P``
-    padded pivots and ``U`` padded updates.  The fronts live in a buffer of
-    their own, front ``s`` at ``s * (P + U)**2``, which the int32 maps
-    index."""
+def _grouped(key, bound):
+    """Stable order of the non-negative integers ``key`` below ``bound``:
+    NumPy radix-sorts 16-bit keys, several times faster than 64-bit ones."""
+    return np.argsort(key.astype(np.int16) if bound < 2**15 else key, kind="stable")
 
+
+@dataclass
+class _Class:
+    """The fronts of one shape class: ``k`` fronts of one tree height whose
+    pivot counts share a band, padded to ``P`` pivots and ``U`` updates.
+    While the class is eliminated its fronts live in a buffer of their own,
+    front ``s`` at ``s * (P + U)**2``, with one spare slot at the end that
+    takes what the children's padded update rows and columns add."""
+
+    height: int
     k: int
     P: int
     U: int
     pivots: np.ndarray        # (k, P) unknowns, padding -> n
     updates: np.ndarray       # (k, U) unknowns, padding -> n
     pad: np.ndarray           # buffer slots of the padded pivots' diagonal
-    source: np.ndarray        # CSC entries of this height
+    source: np.ndarray        # CSC entries of this class
     target: np.ndarray        # their buffer slots
-    extend: list              # [(child height, Schur block entries, buffer slots)]
-    release: list             # child heights whose Schur blocks are read last here
+    # where the Schur blocks (k, U, U) go in the parents' buffers: entry
+    # (s, i, j) is added at min(row_at[s, i] + col_at[s, j], spare slot);
+    # a padded update row or column holds the parent's spare slot
+    row_at: np.ndarray        # (k, U) first slot of each update row in the parent front
+    col_at: np.ndarray        # (k, U) column of each update in the parent front
+    extend: list              # [(child class, first, end)]: its fronts first:end
+    release: list             # child classes whose Schur blocks are read last here
 
 
 class FrontTree:
@@ -138,8 +164,11 @@ class FrontTree:
         self.cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
         rows = self.indices.astype(np.intp)
         cols = self.cols.astype(np.intp)
+        # the edges of A + A^T, each once
         off = rows != cols
-        ei, ej = rows[off], cols[off]
+        ei, ej = np.divmod(_unique(np.minimum(rows, cols)[off] * n
+                                   + np.maximum(rows, cols)[off]), n)
+        del off
         owner, parent, depth = _dissect(np.asarray(coords, dtype=float), ei, ej)
         nodes = len(parent)
         height = np.zeros(nodes, dtype=np.intp)
@@ -165,35 +194,44 @@ class FrontTree:
             keys.append(carry)
         # (node, vertex) ascending: node numbers grow with depth
         ukeys = np.concatenate(keys[::-1])
+        del keys, carry
         unode, uvert = np.divmod(ukeys, n)
 
         # local position of each vertex in its fronts
         p_count = np.bincount(owner, minlength=nodes)
         u_count = np.bincount(unode, minlength=nodes)
-        order = np.argsort(owner, kind="stable")
+        order = _grouped(owner, nodes)
         prank = np.empty(n, dtype=np.intp)
         prank[order] = np.arange(n) - (np.cumsum(p_count) - p_count)[owner[order]]
         u_first = np.cumsum(u_count) - u_count
         urank = np.arange(len(ukeys)) - u_first[unode]
 
-        # fronts grouped by height, each group padded to one shape
+        # shape classes: the fronts of one height grouped by pivot count in
+        # bands LEAF_SIZE // 4 wide, classes in elimination order (heights
+        # ascending); within a class the fronts run by parent class, so the
+        # Schur blocks that go to one parent class are consecutive, and two
+        # siblings in one class are added first child first
         child = np.nonzero(parent >= 0)[0]
-        sibling = np.zeros(nodes, dtype=np.intp)
-        sibling[child] = np.arange(len(child)) - np.searchsorted(parent[child],
-                                                                 parent[child])
-        H = int(height.max()) + 1
-        P_h = np.zeros(H, dtype=np.intp)
-        U_h = np.zeros_like(P_h)
-        np.maximum.at(P_h, height, p_count)
-        np.maximum.at(U_h, height, u_count)
-        M_h = P_h + U_h
-        k_h = np.bincount(height)
-        if max((k_h * M_h * M_h).max(), len(rows)) >= 2**31:   # the int32 index maps
-            raise MemoryError("the pattern or one tree height's fronts exceed 2**31 entries")
-        gorder = np.argsort(height, kind="stable")
-        slot = np.empty(nodes, dtype=np.intp)     # index within its height
-        slot[gorder] = np.arange(nodes) - (np.cumsum(k_h) - k_h)[height[gorder]]
-        M = M_h[height]
+        band = -(-p_count // (LEAF_SIZE // 4))
+        _, klass = np.unique(height * (band.max() + 1) + band, return_inverse=True)
+        C = int(klass.max()) + 1
+        pclass = np.full(nodes, C)                # the root's: none
+        pclass[child] = klass[parent[child]]
+        corder = np.lexsort((pclass, klass))
+        k_c = np.bincount(klass, minlength=C)
+        c_first = _offsets(k_c)
+        slot = np.empty(nodes, dtype=np.intp)     # index within its class
+        slot[corder] = np.arange(nodes) - c_first[klass[corder]]
+        P_c = np.zeros(C, dtype=np.intp)
+        U_c = np.zeros_like(P_c)
+        np.maximum.at(P_c, klass, p_count)
+        np.maximum.at(U_c, klass, u_count)
+        M_c = P_c + U_c
+        size = k_c * M_c * M_c                    # the spare slot of each class's buffer
+        # int32 index maps; row_at + col_at reaches twice the spare slot
+        if max(2 * int(size.max()), len(rows)) >= 2**31:
+            raise MemoryError("the pattern or one class's fronts exceed 2**30 entries")
+        M = M_c[klass]
         front = slot * M * M                      # first slot of each front
 
         def local(f, v):
@@ -201,86 +239,87 @@ class FrontTree:
             out = prank[v]
             up = owner[v] != f
             at = np.searchsorted(ukeys, f[up].astype(np.int64) * n + v[up])
-            out[up] = P_h[height[f[up]]] + urank[at]
+            out[up] = P_c[klass[f[up]]] + urank[at]
             return out
 
         # each entry goes to the front of the deeper of its two owners,
-        # entries grouped by height
+        # entries grouped by class
         f = np.where(depth[owner[cols]] >= depth[owner[rows]], owner[cols], owner[rows])
-        source = np.argsort(height[f], kind="stable")
+        source = _grouped(klass[f], C)
         f = f[source]
         target = front[f] + local(f, rows[source]) * M[f] + local(f, cols[source])
-        cut = _offsets(np.bincount(height[f], minlength=H)).tolist()
+        cut = _offsets(np.bincount(klass[f], minlength=C)).tolist()
         source, target = source.astype(np.int32), target.astype(np.int32)
+        del f, rows, cols, ei, ej
 
-        # per height: the unknowns of the fronts, the identity on their
-        # padded pivots, and the extend-add of their Schur blocks (k, U, U)
-        # into the parents' fronts: the real entries of the children run by
-        # (parent height, sibling rank), each run hitting distinct slots
-        up_pos = local(parent[unode], uvert)      # the root has no update set
-        last = np.full(H, -1)                     # highest height reading a Schur block
-        np.maximum.at(last, height[child], height[parent[child]])
-        runs = [[] for _ in range(H)]
-        rank = np.empty(nodes, dtype=np.intp)
-        self.heights = []
-        for h, (k, P, U) in enumerate(zip(k_h.tolist(), P_h.tolist(), U_h.tolist())):
-            mine = height[owner] == h
+        # where each update goes in its parent's front (the root has none)
+        up_par = parent[unode]
+        up_col = local(up_par, uvert)
+        up_row = front[up_par] + up_col * M[up_par]
+        del up_par
+        by_class = _grouped(klass[owner], C)
+        v_cut = _offsets(np.bincount(klass[owner], minlength=C)).tolist()
+        u_order = _grouped(klass[unode], C)
+        u_cut = _offsets(np.bincount(klass[unode], minlength=C)).tolist()
+        spare = np.append(size, 0)                # the root has no parent
+        runs = [[] for _ in range(C)]             # extend-add runs, by parent class
+        drops = [[] for _ in range(C)]            # Schur blocks, by the last class reading them
+        self.classes = []
+        for c, (k, P, U) in enumerate(zip(k_c.tolist(), P_c.tolist(), U_c.tolist())):
+            v = by_class[v_cut[c]:v_cut[c + 1]]
             piv = np.full((k, P), n)
-            piv[slot[owner[mine]], prank[mine]] = np.nonzero(mine)[0]
+            piv[slot[owner[v]], prank[v]] = v
             s, i = np.nonzero(piv == n)
-            mine = height[unode] == h
+            e = u_order[u_cut[c]:u_cut[c + 1]]
+            at = slot[unode[e]], urank[e]
             upd = np.full((k, U), n)
-            upd[slot[unode[mine]], urank[mine]] = uvert[mine]
-
-            kids = np.nonzero((height == h) & (parent >= 0))[0]
-            key = height[parent[kids]] * 2 + sibling[kids]
-            order = np.argsort(key, kind="stable")
-            kids, key = kids[order], key[order]
-            rank[kids] = np.arange(len(kids))
-            pos = np.full((len(kids), U), -1, dtype=np.int32)
-            pos[rank[unode[mine]], urank[mine]] = up_pos[mine]
-            real = pos >= 0
-            real = real[:, :, None] & real[:, None, :]
-            p = parent[kids]
-            row = (front[p][:, None] + pos * M[p][:, None]).astype(np.int32)
-            into = (row[:, :, None] + pos[:, None, :])[real]
-            cell = np.arange(U * U, dtype=np.int32).reshape(U, U)
-            out = ((slot[kids] * U * U).astype(np.int32)[:, None, None] + cell)[real]
-            groups, first = np.unique(key, return_index=True)
-            bounds = _offsets(u_count[kids] ** 2)[np.append(first, len(key))].tolist()
-            for g, lo, hi in zip(groups.tolist(), bounds, bounds[1:]):
-                runs[g // 2].append((h, out[lo:hi], into[lo:hi]))
-            self.heights.append(_Height(
-                k, P, U, piv, upd, (s * (P + U) ** 2 + i * (P + U + 1)).astype(np.int32),
-                source[cut[h]:cut[h + 1]], target[cut[h]:cut[h + 1]], runs[h],
-                np.nonzero(last == h)[0].tolist()))
+            upd[at] = uvert[e]
+            mine = corder[c_first[c]:c_first[c + 1]]
+            row_at = np.repeat(spare[pclass[mine]].astype(np.int32), U).reshape(k, U)
+            col_at = row_at.copy()
+            row_at[at], col_at[at] = up_row[e], up_col[e]
+            self.classes.append(_Class(
+                int(height[mine[0]]), k, P, U, piv, upd,
+                (s * (P + U) ** 2 + i * (P + U + 1)).astype(np.int32),
+                source[cut[c]:cut[c + 1]], target[cut[c]:cut[c + 1]],
+                row_at, col_at, runs[c], drops[c]))
+            if U:
+                lo = np.flatnonzero(np.diff(pclass[mine], prepend=-1)).tolist()
+                for a, b in zip(lo, lo[1:] + [k]):
+                    runs[pclass[mine[a]]].append((c, a, b))
+                drops[pclass[mine[-1]]].append(c)
 
     def factor(self, data) -> "FrontFactors":
         """Eliminate every front of the matrix with CSC values ``data``, one
-        tree height at a time: only that height's fronts and the Schur
+        shape class at a time: only that class's fronts and the Schur
         blocks still waiting for their parents are held."""
         data = np.asarray(data)
         blocks, schur = [], {}
-        for h, g in enumerate(self.heights):
+        for c, g in enumerate(self.classes):
             M = g.P + g.U
+            spare = g.k * M * M
             # take and put: NumPy's fancy indexing is slower on int32 maps
-            buf = np.zeros(g.k * M * M)
+            buf = np.zeros(spare + 1)
             buf.put(g.pad, 1.0)
             buf.put(g.target, data.take(g.source))
-            for c, source, target in g.extend:
-                add = buf.take(target)
-                add += schur[c].take(source)
-                buf.put(target, add)
-                del add
-            for c in g.release:
-                del schur[c]
-            F = buf.reshape(g.k, M, M)
+            # extend-add: the positions of a run's Schur block entries are
+            # expanded here; np.add.at adds them in order, so two siblings
+            # in one run add first child first
+            for kid, lo, hi in g.extend:
+                t = self.classes[kid]
+                at = t.row_at[lo:hi, :, None] + t.col_at[lo:hi, None, :]
+                np.minimum(at, spare, out=at)
+                np.add.at(buf, at.ravel(), schur[kid][lo:hi].ravel())
+                del at
+            for kid in g.release:
+                del schur[kid]
+            F = buf[:spare].reshape(g.k, M, M)
             inv = np.linalg.inv(F[:, :g.P, :g.P])
             upper = inv @ F[:, :g.P, g.P:]
             lower = F[:, g.P:, :g.P].copy()
             S = lower @ upper
-            schur[h] = np.subtract(F[:, g.P:, g.P:], S, out=S).ravel()
-            # free the fronts before the next height's, and let a released
+            schur[c] = np.subtract(F[:, g.P:, g.P:], S, out=S)
+            # free the fronts before the next class's, and let a released
             # Schur block go with its dict entry
             del buf, F, S
             blocks.append((inv, lower, upper))
@@ -288,7 +327,7 @@ class FrontTree:
 
 
 class FrontFactors:
-    """Block LU of a :class:`FrontTree` matrix: per height the inverse
+    """Block LU of a :class:`FrontTree` matrix: per shape class the inverse
     pivot blocks, the blocks below them and the blocks right of them
     multiplied by the inverses."""
 
@@ -301,13 +340,13 @@ class FrontFactors:
         x = np.zeros(n + 1)                     # slot n: padding, kept 0
         x[:n] = rhs
         ws = []
-        for g, (inv, lower, _) in zip(self.tree.heights, self.blocks):
+        for g, (inv, lower, _) in zip(self.tree.classes, self.blocks):
             w = (inv @ x[g.pivots][..., None])[..., 0]
             x -= np.bincount(g.updates.ravel(), weights=(lower @ w[..., None]).ravel(),
                              minlength=n + 1)
             x[n] = 0.0
             ws.append(w)
-        for g, (_, _, upper), w in zip(reversed(self.tree.heights),
+        for g, (_, _, upper), w in zip(reversed(self.tree.classes),
                                        reversed(self.blocks), reversed(ws)):
             x[g.pivots] = w - (upper @ x[g.updates][..., None])[..., 0]
             x[n] = 0.0

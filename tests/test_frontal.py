@@ -1,25 +1,29 @@
-"""The per-height multifrontal factorization against the single-buffer one.
+"""The multifrontal factorization in shape classes against a single buffer.
 
-``SingleBufferTree`` keeps, as a reference only, the former layout of
-``ckgraph.frontal``: one buffer holding the fronts of every tree height at
-once, filled before the first height is eliminated, with global index maps.
-Both orders of operations add the same numbers in the same order, so the
-factor blocks and the solves must agree bit for bit.
+``SingleBufferTree`` is a reference layout for ``ckgraph.frontal``: the same
+dissection, shape classes and solve maps as ``FrontTree``, with the fronts
+of every class in one buffer, filled before the first class is eliminated,
+and global index maps holding one buffer position per Schur block entry.
+``FrontTree`` keeps only the positions of each child's update rows and
+columns in its parent's front and fills one class's buffer at a time; both
+add the same numbers in the same order, so the factor blocks and the solves
+must agree bit for bit.
 """
 
+import functools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.frontal import FrontFactors, FrontTree, _dissect
+from ckgraph.frontal import LEAF_SIZE, FrontFactors, FrontTree, _dissect
 from ckgraph.mesh import _unique
 
 
 class SingleBufferTree:
-    """The former ``FrontTree``: the same dissection, heights and solve
-    maps, with the fronts of all heights in one buffer of ``size`` slots."""
+    """The reference layout: ``FrontTree``'s classes with the fronts of all
+    classes in one buffer of ``size`` slots."""
 
     def __init__(self, indptr, indices, coords):
         self.indices = np.asarray(indices)
@@ -59,29 +63,37 @@ class SingleBufferTree:
         u_first = np.cumsum(u_count) - u_count
         urank = np.arange(len(ukeys)) - u_first[unode]
 
+        # the classes: one height, pivot counts in one band LEAF_SIZE // 4
+        # wide; fronts by parent class and node
         child = np.nonzero(parent >= 0)[0]
         sibling = np.zeros(nodes, dtype=np.intp)
         sibling[child] = np.arange(len(child)) - np.searchsorted(parent[child],
                                                                  parent[child])
-        P_h = np.zeros(height.max() + 1, dtype=np.intp)
-        U_h = np.zeros_like(P_h)
-        np.maximum.at(P_h, height, p_count)
-        np.maximum.at(U_h, height, u_count)
-        M_h = P_h + U_h
-        k_h = np.bincount(height)
-        gorder = np.argsort(height, kind="stable")
+        band = -(-p_count // (LEAF_SIZE // 4))
+        _, klass = np.unique(height * (band.max() + 1) + band, return_inverse=True)
+        C = klass.max() + 1
+        pclass = np.full(nodes, C)
+        pclass[child] = klass[parent[child]]
+        corder = np.lexsort((pclass, klass))
+        k_c = np.bincount(klass)
+        c_first = np.concatenate([[0], np.cumsum(k_c)])
         slot = np.empty(nodes, dtype=np.intp)
-        slot[gorder] = np.arange(nodes) - (np.cumsum(k_h) - k_h)[height[gorder]]
-        h_off = np.concatenate([[0], np.cumsum(k_h * M_h * M_h)])
-        self.size = int(h_off[-1])
-        M = M_h[height]
-        front = h_off[height] + slot * M * M
+        slot[corder] = np.arange(nodes) - c_first[klass[corder]]
+        P_c = np.zeros(C, dtype=np.intp)
+        U_c = np.zeros_like(P_c)
+        np.maximum.at(P_c, klass, p_count)
+        np.maximum.at(U_c, klass, u_count)
+        M_c = P_c + U_c
+        c_off = np.concatenate([[0], np.cumsum(k_c * M_c * M_c)])
+        self.size = int(c_off[-1])
+        M = M_c[klass]
+        front = c_off[klass] + slot * M * M
 
         def local(f, v):
             out = prank[v]
             up = owner[v] != f
             at = np.searchsorted(ukeys, f[up].astype(np.int64) * n + v[up])
-            out[up] = P_h[height[f[up]]] + urank[at]
+            out[up] = P_c[klass[f[up]]] + urank[at]
             return out
 
         r, c = rows, self.cols
@@ -89,17 +101,16 @@ class SingleBufferTree:
         self._entries = front[f] + local(f, r) * M[f] + local(f, c)
         up_pos = local(parent[unode], uvert)
 
-        self.heights, pad = [], []
-        for h, (k, P, U) in enumerate(zip(k_h.tolist(), P_h.tolist(), U_h.tolist())):
-            mine = height[owner] == h
+        self.classes, pad = [], []
+        for g, (k, P, U) in enumerate(zip(k_c.tolist(), P_c.tolist(), U_c.tolist())):
+            node = corder[c_first[g]:c_first[g + 1]]
+            mine = klass[owner] == g
             piv = np.full((k, P), n)
             piv[slot[owner[mine]], prank[mine]] = np.nonzero(mine)[0]
-            mine = height[unode] == h
+            mine = klass[unode] == g
             at = slot[unode[mine]], urank[mine]
             upd = np.full((k, U), n)
             upd[at] = uvert[mine]
-            node = np.empty(k, dtype=np.intp)
-            node[slot[height == h]] = np.nonzero(height == h)[0]
             s = np.arange(P)
             diag = front[node][:, None] + s * (P + U + 1)
             pad.append(diag[s >= p_count[node][:, None]])
@@ -109,14 +120,14 @@ class SingleBufferTree:
             Mp = M[parent[node]][:, None, None]
             target = front[parent[node]][:, None, None] + pos[:, :, None] * Mp \
                 + pos[:, None, :]
-            first = sibling[node] == 0
             extend = []
-            for part in (first, ~first):
-                take = real & part[:, None, None]
+            for rank in (0, 1):
+                take = real & (sibling[node] == rank)[:, None, None]
                 if take.any():
                     extend.append((np.flatnonzero(take), target[take]))
-            self.heights.append(SimpleNamespace(offset=int(h_off[h]), k=k, P=P, U=U,
-                                                pivots=piv, updates=upd, extend=extend))
+            self.classes.append(SimpleNamespace(
+                offset=int(c_off[g]), height=int(height[node[0]]), k=k, P=P, U=U,
+                pivots=piv, updates=upd, extend=extend))
         self._pad = np.concatenate(pad)
 
     def factor(self, data) -> FrontFactors:
@@ -124,7 +135,7 @@ class SingleBufferTree:
         buf[self._pad] = 1.0
         buf[self._entries] = data
         blocks = []
-        for g in self.heights:
+        for g in self.classes:
             M = g.P + g.U
             F = buf[g.offset:g.offset + g.k * M * M].reshape(g.k, M, M)
             inv = np.linalg.inv(F[:, :g.P, :g.P])
@@ -177,6 +188,7 @@ def _one_unknown():
     return np.zeros((1, 2)), np.array([[3.0]])
 
 
+@functools.lru_cache(maxsize=None)
 def _case(name):
     """``(indptr, rows, coords, data)`` of a named test matrix."""
     if name == "radial_sphere":
@@ -203,12 +215,14 @@ CASES = ["random_200", "radial_sphere", "two_row_strip", "one_unknown", "single_
 def test_factor_matches_single_buffer_reference(name):
     indptr, rows, coords, data = _case(name)
     tree, ref = FrontTree(indptr, rows, coords), SingleBufferTree(indptr, rows, coords)
-    assert [(g.k, g.P, g.U) for g in tree.heights] == \
-        [(g.k, g.P, g.U) for g in ref.heights]
+    assert [(g.height, g.k, g.P, g.U) for g in tree.classes] == \
+        [(g.height, g.k, g.P, g.U) for g in ref.classes]
+    for g, h in zip(tree.classes, ref.classes):
+        assert np.array_equal(g.pivots, h.pivots) and np.array_equal(g.updates, h.updates)
     if name == "single_leaf":
-        assert len(tree.heights) == 1 and tree.heights[0].k == 1
+        assert len(tree.classes) == 1 and tree.classes[0].k == 1
     elif name in ("random_200", "radial_sphere", "two_row_strip"):
-        assert len(tree.heights) > 2
+        assert len({g.height for g in tree.classes}) > 2
     got, want = tree.factor(data), ref.factor(data)
     for mine, theirs in zip(got.blocks, want.blocks):
         for a, b in zip(mine, theirs):
@@ -221,18 +235,72 @@ def test_factor_matches_single_buffer_reference(name):
     assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
+def test_classes_pad_to_their_own_fronts():
+    # every class is padded to its largest pivot and update counts, and a
+    # class spans one pivot band of one height
+    indptr, rows, coords, _ = _case("radial_sphere")
+    tree = FrontTree(indptr, rows, coords)
+    width = LEAF_SIZE // 4
+    for g in tree.classes:
+        p = (g.pivots < tree.n).sum(axis=1)
+        u = (g.updates < tree.n).sum(axis=1)
+        assert p.max() == g.P and u.max() == g.U
+        assert len(set((-(-p // width)).tolist())) == 1
+    heights = [g.height for g in tree.classes]
+    assert heights == sorted(heights) and len(heights) > len(set(heights))
+
+
+def test_class_without_pivots():
+    # height 2 of the radial_sphere tree has nodes with an empty separator:
+    # their class has no pivot block and passes its assembled fronts on as
+    # Schur blocks
+    indptr, rows, coords, data = _case("radial_sphere")
+    tree = FrontTree(indptr, rows, coords)
+    empty = [c for c, g in enumerate(tree.classes) if g.P == 0]
+    assert [tree.classes[c].height for c in empty] == [2]
+    g = tree.classes[empty[0]]
+    assert g.k > 0 and g.U > 0
+    inv, lower, upper = tree.factor(data).blocks[empty[0]]
+    assert inv.shape == (g.k, 0, 0) and lower.shape == (g.k, g.U, 0) \
+        and upper.shape == (g.k, 0, g.U)
+
+
+def _index_entries(value):
+    """Entries of the integer arrays that ``value`` keeps, in its attributes
+    and in the lists, tuples and objects those hold."""
+    if isinstance(value, np.ndarray):
+        return value.size if value.dtype.kind in "iu" else 0
+    if isinstance(value, (list, tuple)):
+        return sum(_index_entries(v) for v in value)
+    return sum(_index_entries(v) for v in getattr(value, "__dict__", {}).values())
+
+
+def test_index_maps_linear_in_front_sizes():
+    # one position per update row and column, not one per Schur block
+    # entry: on radial_sphere the former layout, fronts padded per height
+    # and two positions per Schur block entry, kept 827k entries against a
+    # bound of 204k
+    indptr, rows, coords, _ = _case("radial_sphere")
+    tree = FrontTree(indptr, rows, coords)
+    fronts = sum(g.k * (g.P + g.U) for g in tree.classes)
+    assert _index_entries(tree) <= 4 * (len(rows) + fronts)
+
+
 def _held_bytes(tree):
-    """The most a per-height factorization of ``tree`` holds at once: while
-    a height is eliminated, the factor blocks made so far and its own, its
-    fronts, its Schur block and the Schur blocks of lower heights that a
-    later height still reads."""
-    hs = tree.heights
-    last = {c: h for h, g in enumerate(hs) for c, _, _ in g.extend}
+    """The most a factorization of ``tree`` holds at once.  While a class
+    is assembled and eliminated: the factor blocks made so far, its fronts,
+    the Schur blocks still waiting for a parent (its children's included),
+    and the larger of one extend-add run's positions and sums (12 bytes an
+    entry) and its own factor and Schur blocks."""
+    cs = tree.classes
+    last = {kid: c for c, g in enumerate(cs) for kid in g.release}
     held, done = 0, 0
-    for h, g in enumerate(hs):
+    for c, g in enumerate(cs):
+        waiting = sum(cs[kid].k * cs[kid].U ** 2 for kid in range(c) if last.get(kid, c) >= c)
+        run = max([1.5 * (hi - lo) * cs[kid].U ** 2 for kid, lo, hi in g.extend], default=0)
         blocks = g.k * g.P * (g.P + 2 * g.U)
-        waiting = sum(hs[c].k * hs[c].U ** 2 for c in range(h) if last.get(c, -1) >= h)
-        held = max(held, done + blocks + g.k * (g.P + g.U) ** 2 + g.k * g.U ** 2 + waiting)
+        held = max(held, done + g.k * (g.P + g.U) ** 2 + 1 + waiting
+                   + max(run, blocks + g.k * g.U ** 2))
         done += blocks
     return 8 * held
 
