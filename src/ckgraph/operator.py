@@ -147,14 +147,28 @@ class _Assembly:
 
     def __init__(self, problem: Problem):
         from .frontal import FrontTree   # here: of the ckg commands only solve needs it
-        amb, mesh = problem.ambient, problem.mesh
+        mesh = problem.mesh
         self.problem = problem
-        self.tri = mesh.triangles
-        self._triT = _rows(self.tri)                     # (3, nt)
+        self._triT = _rows(mesh.triangles)               # (3, nt)
         self.n = n
-        self.G, self.A = _hat_gradients(mesh.vertices, mesh.triangles)
-        self.Gx, self.Gy = _rows(self.G[..., 0]), _rows(self.G[..., 1])
-        p = mesh.vertices[self.tri]
+        self._element_data()
+        self.interior = mesh.interior_vertices
+        # the pattern and its elimination tree hold for every Jacobian; the
+        # set-up temporaries are gone before the tree is built
+        indptr, indices = self._pattern()
+        self.tree = FrontTree(indptr, indices, mesh.vertices[self.interior])
+        # boundary data per element, zero at interior vertices
+        phi_b = np.zeros(mesh.n_vertices)
+        phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
+        self._phi_b = phi_b[self._triT]
+
+    def _element_data(self):
+        """Per-element metric data, quadrature weights and the
+        z-independent contractions of the kernel."""
+        amb, mesh = self.problem.ambient, self.problem.mesh
+        G, A = _hat_gradients(mesh.vertices, mesh.triangles)
+        self.Gx, self.Gy = _rows(G[..., 0]), _rows(G[..., 1])
+        p = mesh.vertices[mesh.triangles]
         cent = p.mean(axis=1)
         self.Sc, det_c = _spd_inverse(amb.base_metric(cent))
         self.gam_c = np.asarray(amb.gamma(cent))
@@ -162,26 +176,28 @@ class _Assembly:
         self.Sq, det_q = _spd_inverse(_rows(amb.base_metric(qp)))
         self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
         dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
-        Hv = problem.H.values[self._triT]                # (3, nt)
+        Hv = self.problem.H.values[self._triT]           # (3, nt)
         self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
-        self.w_c = self.A * np.sqrt(det_c)
-        self.w_q = (self.A / 3.0) * np.sqrt(det_q)
+        self.w_c = A * np.sqrt(det_c)
+        self.w_q = (A / 3.0) * np.sqrt(det_q)
         c11, c12, c22 = self.Sc
         self.GSx = self.Gx * c11 + self.Gy * c12         # rows of G Sinv_c
         self.GSy = self.Gx * c12 + self.Gy * c22
         q11, q12, q22 = self.Sq
         self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
         self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
-        # interior numbering and the CSC pattern of the interior block
-        self.interior = mesh.interior_vertices
+
+    def _pattern(self):
+        """CSC ``(indptr, indices)`` of the interior block, with the slot of
+        every element entry in it kept for ``system``."""
         ni = len(self.interior)
-        pos = np.full(mesh.n_vertices, -1)
+        pos = np.full(self.problem.mesh.n_vertices, -1)
         pos[self.interior] = np.arange(ni)
         # entry (a, b, e) couples the element's vertex a (row) to b (column);
         # keys col ni + row sort in CSC order
         local_pos = pos[self._triT]
-        shape = (3, 3, len(self.tri))
+        shape = (3, 3, local_pos.shape[1])
         rows = np.broadcast_to(local_pos[:, None], shape).ravel()
         cols = np.broadcast_to(local_pos[None], shape).ravel()
         keep = (rows >= 0) & (cols >= 0)
@@ -190,13 +206,8 @@ class _Assembly:
         self._slot = np.full(rows.size, self._nnz)      # boundary entries: spare slot
         self._slot[keep] = slot
         index = np.int32 if max(ni, self._nnz) < 2**31 else np.int64
-        # the pattern and its elimination tree hold for every Jacobian
-        self.tree = FrontTree(np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index),
-                              (keys % ni).astype(index), mesh.vertices[self.interior])
-        # boundary data per element, zero at interior vertices
-        phi_b = np.zeros(mesh.n_vertices)
-        phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
-        self._phi_b = phi_b[self._triT]
+        return (np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index),
+                (keys % ni).astype(index))
 
     # -- pointwise data -----------------------------------------------------
 

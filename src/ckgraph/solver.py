@@ -120,7 +120,10 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
             return z, records, clamped, ev
-        step = linear_solve(asm.system(z, tau, evaluation=ev).jacobian, -r)
+        jacobian = asm.system(z, tau, evaluation=ev).jacobian
+        ev = None       # the element pass is not held through the factorization
+        step = linear_solve(jacobian, -r)
+        del jacobian
         alpha, halvings = 1.0, 0
         while True:
             trial = z.copy()
@@ -141,6 +144,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
                 f"(residual {best[0]:.3e})",
                 best_iterate=best[1], iterations=it, residual_norm=best[0])
         z, rnorm, r, ev = trial, trial_norm, trial_r, trial_ev
+        del trial_ev
         clamped = clamped or was_clamped
         rec = NewtonRecord(tau, it, rnorm, float(alpha * np.abs(step).max()),
                            halvings)

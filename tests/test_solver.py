@@ -460,3 +460,34 @@ def test_companion_freed_before_target_newton(monkeypatch):
         gc.enable()
     assert rep.path["kind"] == "sequenced"
     assert alive == [[False, False]]
+
+
+def test_no_evaluation_held_through_linear_solve(monkeypatch):
+    # the target Newton of the sequenced path, from the interpolated
+    # companion solution; each factorization starts without an element pass
+    loaded = load_problem_document(dict(_SEQUENCED["cap"], resolution=0.04))
+    problem = loaded.problem
+    start, _, reason = solver._companion_start(problem, loaded.companion(),
+                                               loaded.options)
+    assert reason == ""
+    asm = problem.assembly()
+    evaluate, refs, alive = asm._evaluate, [], []
+
+    def kept(z, tau):
+        ev = evaluate(z, tau)
+        refs.append(weakref.ref(ev))
+        return ev
+
+    def spy(system, rhs):
+        alive.append(sum(r() is not None for r in refs))
+        return linear_solve(system, rhs)
+    monkeypatch.setattr(asm, "_evaluate", kept)
+    monkeypatch.setattr(solver, "linear_solve", spy)
+    gc.disable()            # freed by reference counts, not the collector
+    try:
+        *_, ev = newton_solve(problem, 1.0, start, loaded.options)
+    finally:
+        gc.enable()
+    assert len(alive) >= 2 and alive == [0] * len(alive)
+    # the final element pass is still returned, for the path tangent
+    assert refs[-1]() is ev
