@@ -47,8 +47,10 @@ class ScalarField:
         x, y = self.mesh.vertices.T
         rows = zip(map(str, range(len(self.values))), map(repr, x.tolist()),
                    map(repr, y.tolist()), map(repr, self.values.tolist()))
+        # row by row: the rows of a large mesh are not all held at once
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("\n".join(map(",".join, (_CSV_COLUMNS, *rows))) + "\n")
+            fh.write(",".join(_CSV_COLUMNS) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
 
     @classmethod
     def from_csv(cls, mesh: DomainMesh, path) -> "ScalarField":

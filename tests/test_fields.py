@@ -33,7 +33,7 @@ def test_csv_format(tmp_path):
 
 
 def test_csv_bytes_match_row_writer(tmp_path):
-    # the one-write output against the csv-module loop it replaced
+    # the output of to_csv against the csv-module loop it replaced
     mesh = ck.disk_mesh(0.3, 0.05, FLAT)
     rng = np.random.default_rng(9)
     values = rng.standard_normal(mesh.n_vertices) * 10.0 ** rng.uniform(
@@ -47,6 +47,16 @@ def test_csv_bytes_match_row_writer(tmp_path):
         for i, ((x, y), v) in enumerate(zip(mesh.vertices, values)):
             w.writerow([i, repr(float(x)), repr(float(y)), repr(float(v))])
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_csv_written_row_by_row(tmp_path, traced_peak):
+    # the writer holds the three value lists, not a table of formatted rows
+    # (that table peaked at about 8 times the file)
+    mesh = ck.disk_mesh(0.4, 0.005, FLAT)
+    field = ScalarField(mesh, np.linspace(-1.0, 1.0, mesh.n_vertices))
+    path = tmp_path / "big.csv"
+    _, peak = traced_peak(field.to_csv, path)
+    assert peak < 2 * path.stat().st_size
 
 
 @pytest.mark.parametrize("layout", ["shuffled", "crlf", "columns", "quoted", "blank"])
