@@ -184,6 +184,18 @@ def _single_leaf():
     return coords, _near_pattern(coords, rng)
 
 
+def _one_sided():
+    # a structurally nonsymmetric pattern: each point coupled to its six
+    # nearest neighbours in its own column only
+    rng = np.random.default_rng(6)
+    coords = rng.uniform(size=(150, 2))
+    d2 = ((coords[:, None] - coords[None]) ** 2).sum(axis=2)
+    near = np.argsort(d2, axis=1)[:, :7]
+    dense = np.zeros((150, 150))
+    dense[near, np.arange(150)[:, None]] = rng.standard_normal(near.shape)
+    return coords, dense + 10 * np.eye(150)
+
+
 def _one_unknown():
     return np.zeros((1, 2)), np.array([[3.0]])
 
@@ -203,12 +215,14 @@ def _case(name):
         indptr = np.searchsorted(t.cols, np.arange(t.n + 1))
         return indptr, t.indices, mesh.vertices[asm.interior], J.data
     coords, dense = {"random_200": _random_200, "two_row_strip": _two_row_strip,
-                     "single_leaf": _single_leaf, "one_unknown": _one_unknown}[name]()
+                     "one_sided": _one_sided, "single_leaf": _single_leaf,
+                     "one_unknown": _one_unknown}[name]()
     indptr, rows, data = _csc(dense)
     return indptr, rows, coords, data
 
 
-CASES = ["random_200", "radial_sphere", "two_row_strip", "one_unknown", "single_leaf"]
+CASES = ["random_200", "radial_sphere", "two_row_strip", "one_sided", "one_unknown",
+         "single_leaf"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -221,7 +235,7 @@ def test_factor_matches_single_buffer_reference(name):
         assert np.array_equal(g.pivots, h.pivots) and np.array_equal(g.updates, h.updates)
     if name == "single_leaf":
         assert len(tree.classes) == 1 and tree.classes[0].k == 1
-    elif name in ("random_200", "radial_sphere", "two_row_strip"):
+    elif name in ("random_200", "radial_sphere", "two_row_strip", "one_sided"):
         assert len({g.height for g in tree.classes}) > 2
     got, want = tree.factor(data), ref.factor(data)
     for mine, theirs in zip(got.blocks, want.blocks):
