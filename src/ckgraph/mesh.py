@@ -163,23 +163,41 @@ class DomainMesh:
         """Vertex neighbourhoods up to ``depth`` edge hops as CSR rows
         ``(indptr, indices)``: the neighbours of ``v``, in ascending order
         and without ``v`` itself, are ``indices[indptr[v]:indptr[v + 1]]``.
-        Used by patch recovery."""
+        Deeper rings are expanded from the 1-ring by ``_ring_rows``."""
         if depth not in self._rings:
             nv = self.n_vertices
-            edges = self.edge_table()[0]
-            # pairs (v, w) as keys v nv + w, ascending: one hop either way,
-            # then each further hop adds the one-hop rows of every w reached
-            keys = _unique(np.concatenate([edges @ [nv, 1], edges @ [1, nv]]))
-            ptr, one = _csr(keys, nv)
-            for _ in range(depth - 1):
-                v, w = np.divmod(keys, nv)
-                count = ptr[w + 1] - ptr[w]
-                start = np.repeat(ptr[w] - np.cumsum(count) + count, count)
-                far = one[np.arange(len(start)) + start]
-                keys = _unique(np.concatenate([keys, np.repeat(v, count) * nv + far]))
-            v, w = np.divmod(keys, nv)
-            self._rings[depth] = _csr(keys[v != w], nv)
+            if depth == 1:
+                edges = self.edge_table()[0]
+                # pairs (v, w) as keys v nv + w, ascending: one hop either way
+                v, w = np.divmod(_unique(np.concatenate([edges @ [nv, 1],
+                                                         edges @ [1, nv]])), nv)
+                self._rings[1] = _csr(v, w, nv)
+            else:
+                self._rings[depth] = _ring_rows(self.vertex_rings(1), 0, nv, depth)
         return self._rings[depth]
+
+
+def _ring_rows(one_ring, start: int, stop: int, depth: int):
+    """CSR rows ``(indptr, indices)`` of the vertices ``start`` to
+    ``stop - 1`` out to ``depth`` edge hops, expanded from the 1-ring rows
+    ``one_ring`` of the whole mesh: row ``i`` is the ring of vertex
+    ``start + i`` as ``vertex_rings(depth)`` gives it.  Only the block's
+    pairs are held, so a caller can walk the mesh a block at a time."""
+    ptr, one = one_ring
+    nv = len(ptr) - 1
+    # pairs (i, w) as keys i nv + w, ascending: each further hop adds the
+    # 1-ring of every w reached
+    count = np.diff(ptr[start:stop + 1])
+    keys = np.repeat(np.arange(stop - start) * nv, count) + one[ptr[start]:ptr[stop]]
+    for _ in range(depth - 1):
+        i, w = np.divmod(keys, nv)
+        count = ptr[w + 1] - ptr[w]
+        first = np.repeat(ptr[w] - np.cumsum(count) + count, count)
+        far = one[np.arange(len(first)) + first]
+        keys = _unique(np.concatenate([keys, np.repeat(i, count) * nv + far]))
+    i, w = np.divmod(keys, nv)
+    keep = i + start != w
+    return _csr(i[keep], w[keep], stop - start)
 
 
 # -- validation -------------------------------------------------------------
@@ -216,10 +234,10 @@ def _unique(keys):
     return keys[new]
 
 
-def _csr(keys, nv):
-    """CSR rows ``(indptr, indices)`` of ascending pair keys ``v nv + w``."""
-    v, w = np.divmod(keys, nv)
-    return np.concatenate([[0], np.cumsum(np.bincount(v, minlength=nv))]), w
+def _csr(v, w, rows):
+    """CSR rows ``(indptr, indices)`` of the pairs ``(v, w)``, sorted by
+    ``v``, with ``rows`` rows."""
+    return np.concatenate([[0], np.cumsum(np.bincount(v, minlength=rows))]), w
 
 
 def _loop_edges(mesh: DomainMesh):

@@ -27,8 +27,8 @@ import numpy as np
 from .ambient import AmbientSpace, n, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import (DomainMesh, _hat_gradients, _nearest, _spd_inverse,
-                   christoffel_symbols)
+from .mesh import (DomainMesh, _hat_gradients, _nearest, _ring_rows,
+                   _spd_inverse, christoffel_symbols)
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
@@ -351,26 +351,60 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     Vertices with deficient stencils or touching the boundary 1-ring are
     flagged as low confidence.
 
-    Every vertex is fitted at once: the stencils are padded with zero rows
-    to the largest 2-ring, which leaves each least-squares problem as it
-    is, and their columns are scaled to unit norm.  A stencil of at least 5
-    points is solved by its normal equations, all of them in one batched
+    The vertices are fitted in blocks of 512, each block's 2-rings expanded
+    from the mesh's 1-ring (``_ring_rows``), so the work arrays do not grow
+    with the mesh.  The stencils are padded with zero rows to the largest
+    2-ring of the mesh, which leaves each least-squares problem as it is,
+    and their columns are scaled to unit norm.  A stencil of at least 5
+    points is solved by its normal equations, the block's in one batched
     solve; the scaled stencils are well conditioned (condition numbers up
     to about 13 on the preset meshes), so this agrees with the SVD to
     rounding.  Smaller stencils, never confident, get the minimum-norm
     solution with the singular-value cutoff of ``np.linalg.lstsq``, as do
-    all stencils if one normal matrix is exactly singular.
+    all stencils of a block in which one normal matrix is exactly singular.
     """
     values = np.asarray(values, dtype=float)
-    ptr, nbr = mesh.vertex_rings(depth=2)
+    nv = mesh.n_vertices
+    one_ring = mesh.vertex_rings(1)
+    blocks = [(start, min(start + 512, nv)) for start in range(0, nv, 512)]
+    # the rounding of the batched products depends on the padded length: a
+    # first pass finds the largest 2-ring of the mesh, and every block pads
+    # to it, so no fit depends on the block it falls in
+    width = max(int(np.diff(_ring_rows(one_ring, *block, 2)[0]).max())
+                for block in blocks)
+    grad, hess = np.empty((nv, 2)), np.empty((nv, 2, 2))
+    confident = np.empty(nv, dtype=bool)
+    for start, stop in blocks:
+        ptr, nbr = _ring_rows(one_ring, start, stop, 2)
+        coef = _quadratic_fits(mesh.vertices, values, start, ptr, nbr, width)
+        grad[start:stop] = coef[:, :2]
+        Gam = christoffel_symbols(ambient, mesh.vertices[start:stop])
+        hess[start:stop] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2) \
+            - np.einsum("vkij,vk->vij", Gam, coef[:, :2])
+        confident[start:stop] = np.diff(ptr) >= 5
+    # not a boundary vertex or one of its 1-ring neighbours
+    edges = mesh.edge_table()[0]
+    is_b = mesh.is_boundary
+    confident[is_b] = False
+    confident[edges[is_b[edges[:, 0]], 1]] = False
+    confident[edges[is_b[edges[:, 1]], 0]] = False
+    return grad, hess, confident
+
+
+def _quadratic_fits(vertices, values, start, ptr, nbr, width):
+    """Coefficients ``(k, 5)`` of ``x, y, x^2/2, x y, y^2/2`` fitted to
+    ``values`` over the CSR stencils ``(ptr, nbr)`` of the vertices from
+    ``start`` on, relative to each vertex, each stencil padded to ``width``
+    points (see ``recover_gradient_hessian``)."""
     count = np.diff(ptr)
-    slot = np.arange(count.max())
-    used = slot < count[:, None]                              # (nv, k)
+    centre = slice(start, start + len(count))
+    slot = np.arange(width)
+    used = slot < count[:, None]                              # (k, width)
     idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
-    vx, vy = mesh.vertices.T
-    x = np.where(used, vx[idx] - vx[:, None], 0.0)
-    y = np.where(used, vy[idx] - vy[:, None], 0.0)
-    rhs = np.where(used, values[idx] - values[:, None], 0.0)
+    vx, vy = vertices.T
+    x = np.where(used, vx[idx] - vx[centre, None], 0.0)
+    y = np.where(used, vy[idx] - vy[centre, None], 0.0)
+    rhs = np.where(used, values[idx] - values[centre, None], 0.0)
     M = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=2)
     Mt = M.transpose(0, 2, 1)
     N, b = Mt @ M, (Mt @ rhs[..., None])[..., 0]
@@ -386,21 +420,11 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     except np.linalg.LinAlgError:
         full[:] = False
     few = ~full
-    rtol = np.finfo(float).eps * np.maximum(count[few], 5)
-    coef[few] = (np.linalg.pinv(M[few] / scale[few, None], rtol=rtol)
-                 @ rhs[few, :, None])[..., 0]
-    coef /= scale
-    grad = coef[:, :2]
-    Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
-    Gam = christoffel_symbols(ambient, mesh.vertices)
-    hess = Hc - np.einsum("vkij,vk->vij", Gam, grad)
-    # a boundary vertex or one of its 1-ring neighbours
-    edges = mesh.edge_table()[0]
-    is_b = mesh.is_boundary
-    near_b = is_b.copy()
-    near_b[edges[is_b[edges[:, 0]], 1]] = True
-    near_b[edges[is_b[edges[:, 1]], 0]] = True
-    return grad, hess, (count >= 5) & ~near_b
+    if np.any(few):
+        rtol = np.finfo(float).eps * np.maximum(count[few], 5)
+        coef[few] = (np.linalg.pinv(M[few] / scale[few, None], rtol=rtol)
+                     @ rhs[few, :, None])[..., 0]
+    return coef / scale
 
 
 # -- strong form ------------------------------------------------------------

@@ -329,3 +329,96 @@ def test_batched_recovery_matches_loop(ambient, build):
     assert np.array_equal(conf, ref_conf)
     for new, ref in ((grad, ref_grad), (hess, ref_hess)):
         assert np.abs(new - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _recovery_whole(mesh, ambient, values):
+    """The former whole-mesh patch recovery, kept as a reference: every
+    2-ring padded to the largest one and all stencils fitted in one batch."""
+    ptr, nbr = mesh.vertex_rings(depth=2)
+    count = np.diff(ptr)
+    slot = np.arange(count.max())
+    used = slot < count[:, None]
+    idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
+    vx, vy = mesh.vertices.T
+    x = np.where(used, vx[idx] - vx[:, None], 0.0)
+    y = np.where(used, vy[idx] - vy[:, None], 0.0)
+    rhs = np.where(used, values[idx] - values[:, None], 0.0)
+    M = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=2)
+    Mt = M.transpose(0, 2, 1)
+    N, b = Mt @ M, (Mt @ rhs[..., None])[..., 0]
+    scale = np.sqrt(np.diagonal(N, axis1=1, axis2=2))
+    scale[scale == 0] = 1.0
+    coef = np.empty((len(count), 5))
+    full = count >= 5
+    try:
+        coef[full] = np.linalg.solve(
+            N[full] / (scale[full, :, None] * scale[full, None, :]),
+            (b[full] / scale[full])[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        full[:] = False
+    few = ~full
+    rtol = np.finfo(float).eps * np.maximum(count[few], 5)
+    coef[few] = (np.linalg.pinv(M[few] / scale[few, None], rtol=rtol)
+                 @ rhs[few, :, None])[..., 0]
+    coef /= scale
+    grad = coef[:, :2]
+    Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+    Gam = christoffel_symbols(ambient, mesh.vertices)
+    hess = Hc - np.einsum("vkij,vk->vij", Gam, grad)
+    edges = mesh.edge_table()[0]
+    is_b = mesh.is_boundary
+    near_b = is_b.copy()
+    near_b[edges[is_b[edges[:, 0]], 1]] = True
+    near_b[edges[is_b[edges[:, 1]], 0]] = True
+    return grad, hess, (count >= 5) & ~near_b
+
+
+def _relabelled_disk(amb):
+    """disk_mesh(0.4, 0.02) read back from a mesh.json document with
+    shuffled vertex and triangle labels: a block of vertex numbers is
+    scattered over the disk."""
+    disk = ck.disk_mesh(0.4, 0.02, amb)
+    rng = np.random.default_rng(4)
+    perm = rng.permutation(disk.n_vertices)          # old label -> new label
+    verts = np.empty_like(disk.vertices)
+    verts[perm] = disk.vertices
+    return ck.mesh_from_json({
+        "vertices": verts.tolist(),
+        "triangles": perm[disk.triangles][rng.permutation(disk.n_triangles)].tolist(),
+        "boundary": [perm[l].tolist() for l in disk.boundary_loops]}, amb)
+
+
+# vertex counts 1261, 4921, 2639 and 1261, none a multiple of the block of
+# 512, and 331, less than one block
+@pytest.mark.parametrize("ambient, build", [
+    ("killing_flat", lambda a: ck.disk_mesh(0.4, 0.02, a)),
+    ("euclidean_radial", lambda a: ck.cap_mesh(1.0, 0.025, a)),
+    ("killing_flat", lambda a: ck.annulus_mesh(0.2, 0.6, 0.02, a)),
+    ("killing_flat", _relabelled_disk),
+    ("killing_flat", lambda a: ck.disk_mesh(0.4, 0.04, a)),
+], ids=["disk", "round_cap", "annulus", "generic", "one_block"])
+def test_blocked_recovery_matches_whole_mesh_fit(ambient, build):
+    # every block pads its stencils to the largest 2-ring of the mesh, so
+    # each fit is the one of a single batch, to the bit
+    amb = ck.preset_ambient(ambient)
+    mesh = build(amb)
+    x, y = mesh.vertices.T
+    values = np.cos(3 * x) + y**3 - np.sqrt(1.5 - x**2 - y**2)
+    got = recover_gradient_hessian(mesh, amb, values)
+    for new, ref in zip(got, _recovery_whole(mesh, amb, values)):
+        assert np.array_equal(new, ref)
+
+
+def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
+    # vertex blocks: the work arrays above the outputs stay put from 4921 to
+    # 19441 vertices (the whole-mesh fit grew with the mesh, 4-fold here)
+    amb = ck.preset_ambient("euclidean_radial")
+    above = []
+    for h in (0.025, 0.0125):
+        mesh = ck.cap_mesh(1.0, h, amb)
+        mesh.vertex_rings(1)                 # mesh data, cached with the mesh
+        x, y = mesh.vertices.T
+        out, peak = traced_peak(recover_gradient_hessian, mesh, amb,
+                                np.cos(3 * x) + y**3)
+        above.append(peak - sum(a.nbytes for a in out))
+    assert above[1] < 1.2 * above[0]
