@@ -157,10 +157,6 @@ class _Assembly:
         # set-up temporaries are gone before the tree is built
         indptr, indices = self._pattern()
         self.tree = FrontTree(indptr, indices, mesh.vertices[self.interior])
-        # boundary data per element, zero at interior vertices
-        phi_b = np.zeros(mesh.n_vertices)
-        phi_b[mesh.boundary_vertices] = problem.phi[mesh.boundary_vertices]
-        self._phi_b = phi_b[self._triT]
 
     def _element_data(self):
         """Per-element metric data, quadrature weights and the
@@ -181,9 +177,6 @@ class _Assembly:
         # quadrature weights and the z-independent contractions
         self.w_c = A * np.sqrt(det_c)
         self.w_q = (A / 3.0) * np.sqrt(det_q)
-        c11, c12, c22 = self.Sc
-        self.GSx = self.Gx * c11 + self.Gy * c12         # rows of G Sinv_c
-        self.GSy = self.Gx * c12 + self.Gy * c22
         q11, q12, q22 = self.Sq
         self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
         self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
@@ -194,18 +187,32 @@ class _Assembly:
         ni = len(self.interior)
         pos = np.full(self.problem.mesh.n_vertices, -1)
         pos[self.interior] = np.arange(ni)
-        # entry (a, b, e) couples the element's vertex a (row) to b (column);
-        # keys col ni + row sort in CSC order
         local_pos = pos[self._triT]
-        shape = (3, 3, local_pos.shape[1])
-        rows = np.broadcast_to(local_pos[:, None], shape).ravel()
-        cols = np.broadcast_to(local_pos[None], shape).ravel()
-        keep = (rows >= 0) & (cols >= 0)
-        keys, slot = np.unique(cols[keep] * ni + rows[keep], return_inverse=True)
-        self._nnz = len(keys)
-        self._slot = np.full(rows.size, self._nnz)      # boundary entries: spare slot
-        self._slot[keep] = slot
+        nt = local_pos.shape[1]
+        # entry (a, b, e) couples the element's vertex a (row) to b (column)
+        # under the key col ni + row, which sorts in CSC order; an entry with
+        # a boundary vertex gets the key ni^2, after every interior one
+        keys = np.empty((3, 3, nt), dtype=np.int64)
+        for a in range(3):
+            for b in range(3):
+                key = keys[a, b]
+                np.multiply(local_pos[b], ni, out=key)
+                key += local_pos[a]
+                key[(local_pos[a] < 0) | (local_pos[b] < 0)] = ni * ni
+        keys = keys.ravel()
+        order = np.argsort(keys, kind="stable")   # faster than quicksort here
+        keys = keys[order]
+        new = np.empty(len(keys), dtype=bool)
+        new[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        keys = keys[new]
+        # an entry's slot is the rank of its key: the boundary entries share
+        # the spare slot nnz
+        self._nnz = len(keys) - int(keys[-1] == ni * ni)
         index = np.int32 if max(ni, self._nnz) < 2**31 else np.int64
+        self._slot = np.empty(len(order), dtype=index)
+        self._slot[order] = np.cumsum(new, dtype=index) - 1
+        keys = keys[:self._nnz]
         return (np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index),
                 (keys % ni).astype(index))
 
@@ -289,8 +296,9 @@ class _Assembly:
         k = self.w_c / ev.U_c
         a1 = self.w_q / (2.0 * self.gam_q * ev.U_q)
         a2 = self.w_q * ev.P_q / ev.U_q**3
-        X = _HATS @ (a1 * self.dgSx - a2 * ev.qx) + k * self.GSx
-        Y = _HATS @ (a1 * self.dgSy - a2 * ev.qy) + k * self.GSy
+        c11, c12, c22 = self.Sc
+        X = _HATS @ (a1 * self.dgSx - a2 * ev.qx) + k * (self.Gx * c11 + self.Gy * c12)
+        Y = _HATS @ (a1 * self.dgSy - a2 * ev.qy) + k * (self.Gx * c12 + self.Gy * c22)
         C = _HATS @ (self.w_q * (tau * n / 3.0)
                      * (self.gam_q * rhot_m / ev.U_q + ev.lamt_m * self.H_q))
         Pk = ev.Pc * (k / ev.U_c**2)
@@ -335,7 +343,11 @@ class _Assembly:
                                                minlength=self._nnz + 1)[:-1])
         path_rate = None
         if tangent:
-            rate += np.einsum("abe,be->ae", local, self._phi_b)
+            # boundary data per element, zero at interior vertices
+            mesh = self.problem.mesh
+            phi_b = np.zeros(mesh.n_vertices)
+            phi_b[mesh.boundary_vertices] = self.problem.phi[mesh.boundary_vertices]
+            rate += np.einsum("abe,be->ae", local, phi_b[self._triT])
             path_rate = self._scatter(rate)[self.interior]
         return SparseSystem(J, path_rate)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ckgraph as ck
+import ckgraph.frontal as frontal
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import mesh_from_arrays
-from ckgraph.operator import (christoffel_symbols, mean_curvature_of_graph,
-                              recover_gradient_hessian)
+from ckgraph.operator import (_Assembly, christoffel_symbols,
+                              mean_curvature_of_graph, recover_gradient_hessian)
 from ckgraph.problemfile import load_problem_document
 
 
@@ -422,3 +424,27 @@ def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
                                 np.cos(3 * x) + y**3)
         above.append(peak - sum(a.nbytes for a in out))
     assert above[1] < 1.2 * above[0]
+
+
+def test_assembly_setup_peak_within_twice_kept(monkeypatch):
+    # element data and interior pattern, up to the tree build: the pattern's
+    # keys come one local pair at a time, without broadcast row and column
+    # copies, so the set-up never holds more than twice what it keeps (the
+    # broadcast keys and np.unique peaked at 2.25 times)
+    seen = []
+
+    def tree(indptr, indices, coords):
+        seen.append(tracemalloc.get_traced_memory())
+    monkeypatch.setattr(frontal, "FrontTree", tree)
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.005, amb)
+    problem = ck.Problem.create(amb, mesh, 1.0, -math.sqrt(0.84))
+    mesh.interior_vertices
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _Assembly(problem)
+    finally:
+        tracemalloc.stop()
+    kept, peak = (m - base for m in seen[0])
+    assert peak <= 2 * kept
