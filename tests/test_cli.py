@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ckgraph as ck
-from ckgraph.cli import main
+from ckgraph.cli import _write_mesh_json, main
 from ckgraph.fields import ScalarField
 from ckgraph.analysis import search_boundary_barrier
 from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors, load_problem
@@ -452,6 +452,41 @@ def test_mesh_without_interior_vertex_exit_1(tmp_path, capsys, command):
         "triangles": [[0, 1, 2]], "boundary": [[0, 1, 2]]})
     argv = [command, prob] + (["--out", str(tmp_path / "out")] if command == "solve" else [])
     _assert_clean_exit_1(argv, capsys, f"{mesh_path}: no interior vertex")
+
+
+def _jittered_disk():
+    """A generic mesh: disk_mesh(0.4, 0.05) with every interior vertex moved
+    by up to a fifth of the ring spacing, so coordinates take all 17 digits."""
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.05, amb)
+    verts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    verts[inner] += np.random.default_rng(3).uniform(-0.01, 0.01, (len(inner), 2))
+    return ck.mesh_from_arrays(verts, mesh.triangles, mesh.boundary_loops, amb)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ck.disk_mesh(0.4, 0.05, ck.preset_ambient("killing_flat")),
+    lambda: ck.cap_mesh(1.0, 0.1, ck.preset_ambient("euclidean_radial")),
+    lambda: ck.annulus_mesh(0.2, 0.6, 0.05, ck.preset_ambient("killing_flat")),
+    _jittered_disk,
+], ids=["disk", "round_cap", "annulus", "generic"])
+def test_mesh_json_bytes(tmp_path, build):
+    # the chunked writer gives the bytes of the one-string encoding
+    mesh = build()
+    path = tmp_path / "mesh.json"
+    _write_mesh_json(mesh, path)
+    ref = json.dumps(ck.mesh_to_json(mesh), sort_keys=True) + "\n"
+    assert path.read_bytes() == ref.encode("utf-8")
+
+
+def test_mesh_json_written_in_chunks(tmp_path, traced_peak):
+    # the writer holds one chunk of rows, not the document's lists and text
+    # (json.dumps of mesh_to_json peaked at about 8 times the file)
+    mesh = ck.disk_mesh(0.4, 0.005, ck.preset_ambient("killing_flat"))
+    path = tmp_path / "mesh.json"
+    _, peak = traced_peak(_write_mesh_json, mesh, path)
+    assert peak < path.stat().st_size / 10
 
 
 def test_solve_out_is_a_file_exit_1(tmp_path, capsys):
