@@ -162,16 +162,25 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         residual_norm=best[0])
 
 
-def _path_tangent(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
-    """Interior tangent ``dz/dtau`` of the solution path at a converged
-    ``(z, tau)``: ``J_ii dz = -(dR_i/dtau + J_ib phi_b)``.  None when the
-    tangent system cannot be assembled or solved.  ``evaluation`` is the
-    element pass at ``(z, tau)`` when the caller has it."""
+def _tangent_system(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
+    """The system ``J_ii dz = -(dR_i/dtau + J_ib phi_b)`` of the path
+    tangent ``dz/dtau`` at a converged ``(z, tau)``, or None when it cannot
+    be assembled.  ``evaluation`` is the element pass at ``(z, tau)`` when
+    the caller has it; drop it before ``_path_tangent`` factors the system."""
     try:
-        system = problem.assembly().system(z, tau, tangent=True,
-                                           evaluation=evaluation)
-        return linear_solve(system.jacobian, -system.path_rate)
+        return problem.assembly().system(z, tau, tangent=True, evaluation=evaluation)
     except (SingularSystemError, DomainError):
+        return None
+
+
+def _path_tangent(system) -> Optional[np.ndarray]:
+    """Interior tangent from a ``_tangent_system``; None when there is no
+    system or it cannot be solved."""
+    if system is None:
+        return None
+    try:
+        return linear_solve(system.jacobian, -system.path_rate)
+    except SingularSystemError:
         return None
 
 
@@ -270,7 +279,7 @@ def _march(problem: Problem, options: SolverOptions,
     report.grad_sup_history.append(asm.grad_sup(z))
 
     tau, step = 0.0, options.initial_tau_step
-    tangent = _path_tangent(problem, z, tau)
+    tangent = _path_tangent(_tangent_system(problem, z, tau))
     while tau < 1.0:
         target = min(1.0, tau + step)
         start = z
@@ -304,8 +313,12 @@ def _march(problem: Problem, options: SolverOptions,
         report.tau_path.append(tau)
         report.grad_sup_history.append(asm.grad_sup(z))
         if tau < 1.0:
-            tangent = _path_tangent(problem, z, tau, evaluation)
-        del evaluation    # not held through the next stage: peak memory
+            system = _tangent_system(problem, z, tau, evaluation)
+            # neither the element pass nor the system is held through a
+            # factorization they are not part of: peak memory
+            del evaluation
+            tangent = _path_tangent(system)
+            del system
     report.tau_reached = 1.0
     report.solution = ScalarField(mesh, z)
     if report.clamped:

@@ -11,8 +11,8 @@ import ckgraph.frontal as frontal
 import ckgraph.solver as solver
 from ckgraph.frontal import FrontMatrix, FrontTree
 from ckgraph.problemfile import load_problem, load_problem_document
-from ckgraph.solver import (SolverOptions, _path_tangent, continuation_solve,
-                            linear_solve, newton_solve)
+from ckgraph.solver import (SolverOptions, _path_tangent, _tangent_system,
+                            continuation_solve, linear_solve, newton_solve)
 
 
 def _front_matrix(dense, coords):
@@ -152,9 +152,9 @@ def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
     # dz/dtau at a converged stage against secants of two converged solves
     ii = cmc_problem.mesh.interior_vertices
     z_half, _, _, ev = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
-    dz = _path_tangent(cmc_problem, z_half, 0.5)
+    dz = _path_tangent(_tangent_system(cmc_problem, z_half, 0.5))
     # Newton's last element pass gives the same tangent without a new pass
-    assert np.array_equal(_path_tangent(cmc_problem, z_half, 0.5, ev), dz)
+    assert np.array_equal(_path_tangent(_tangent_system(cmc_problem, z_half, 0.5, ev)), dz)
     errs = []
     for d in (0.04, 0.02, 0.01):
         z_d, _, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
@@ -491,3 +491,31 @@ def test_no_evaluation_held_through_linear_solve(monkeypatch):
     assert len(alive) >= 2 and alive == [0] * len(alive)
     # the final element pass is still returned, for the path tangent
     assert refs[-1]() is ev
+
+
+def test_no_evaluation_held_through_march_tangent(monkeypatch):
+    # the plain march: each path tangent is assembled from Newton's last
+    # element pass, which is dropped before the tangent is factored
+    amb = ck.preset_ambient("killing_flat")
+    problem = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
+                                -np.sqrt(0.84))
+    asm = problem.assembly()
+    evaluate, refs, alive = asm._evaluate, [], []
+
+    def kept(z, tau):
+        ev = evaluate(z, tau)
+        refs.append(weakref.ref(ev))
+        return ev
+
+    def spy(system, rhs):
+        alive.append(sum(r() is not None for r in refs))
+        return linear_solve(system, rhs)
+    monkeypatch.setattr(asm, "_evaluate", kept)
+    monkeypatch.setattr(solver, "linear_solve", spy)
+    gc.disable()            # freed by reference counts, not the collector
+    try:
+        rep = continuation_solve(problem)
+    finally:
+        gc.enable()
+    assert rep.converged and len(rep.tau_path) > 2
+    assert len(alive) > len(rep.newton_history) and alive == [0] * len(alive)
