@@ -14,12 +14,11 @@ from .ambient import (AmbientSpace, CurvatureModel, PRESET_NAMES,
                       flat_metric, leaf_mean_curvature, preset_ambient,
                       rho_t, round_sphere_metric)
 from .analysis import (BarrierCertificate, HypothesisReport,
-                       boundary_barrier, check_hypotheses,
-                       cylinder_monotonicity_probe, height_barrier,
-                       inf_boundary_cylinder_curvature, max_principle_conditions,
-                       search_boundary_barrier, search_height_barrier,
-                       upper_barrier_check)
-from .cylinder import cylinder_kappa, cylinder_mean_curvature
+                       boundary_barrier, check_hypotheses, cylinder_kappa,
+                       cylinder_mean_curvature, cylinder_monotonicity_probe,
+                       height_barrier, inf_boundary_cylinder_curvature,
+                       max_principle_conditions, search_boundary_barrier,
+                       search_height_barrier, upper_barrier_check)
 from .errors import (DomainError, MeshError, NewtonStallError, ParameterError,
                      SchemaError, SingularSystemError)
 from .fields import ScalarField

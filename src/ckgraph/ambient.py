@@ -29,6 +29,7 @@ __all__ = [
     "CurvatureModel",
     "AmbientSpace",
     "n",
+    "rho",
     "rho_t",
     "leaf_mean_curvature",
     "preset_ambient",
@@ -72,7 +73,11 @@ class AmbientSpace:
 
     ``lam``, ``lam_t``, ``lam_tt`` are vectorized callables of the flow time,
     ``gamma``/``grad_gamma`` of chart points with shape ``(..., 2)``, and
-    ``base_metric`` returns SPD matrices with shape ``(..., 2, 2)``.
+    ``base_metric`` returns SPD matrices with shape ``(..., 2, 2)``.  ``rho``,
+    when given, is ``lambda_t / lambda`` in closed form, a callable of the
+    flow time that stays finite where ``lambda`` underflows; without it the
+    quotient is taken (see ``rho``).  A ``dataclasses.replace`` of ``lam``
+    should pass ``rho`` as well.
     """
 
     name: str
@@ -85,6 +90,7 @@ class AmbientSpace:
     base_metric: Callable
     curvature_model: CurvatureModel = field(default_factory=lambda: CurvatureModel("flat"))
     fd_derivatives: bool = False
+    rho: Optional[Callable] = None
 
     def __post_init__(self):
         if not self.interval_end > 0:
@@ -110,6 +116,15 @@ class AmbientSpace:
                 f"flow time {bad} outside the interval (-inf, {self.interval_end})"
             )
         return t
+
+
+def rho(ambient: AmbientSpace, t):
+    """``lambda_t / lambda`` at the flow times ``t``: the ambient's closed
+    form when it has one, else the quotient, which is 0/0 once ``lambda``
+    underflows."""
+    if ambient.rho is not None:
+        return np.asarray(ambient.rho(t))
+    return np.asarray(ambient.lam_t(t)) / np.asarray(ambient.lam(t))
 
 
 def rho_t(ambient: AmbientSpace, t):
@@ -200,22 +215,38 @@ def _sinh_lam_tt(t):
     return 2.0 * s * (1.0 + 6.0 * s**2 + s**4) / (1.0 - s**2) ** 3
 
 
+# example_b: lambda(t) = 1/(1 - t), which is also its rho
+def _recip(t):
+    return 1.0 / (1.0 - _as_t(t))
+
+
+def _sinh_rho(t):
+    s = _s(t)
+    return (1.0 + s**2) / (1.0 - s**2)
+
+
+def _ones(t):
+    return np.ones_like(_as_t(t))
+
+
+def _zeros(t):
+    return np.zeros_like(_as_t(t))
+
+
 _FLAT = CurvatureModel("flat")
 
-# name -> (lam, lam_t, lam_tt, interval_end, base_metric, curvature_model);
-# every preset has gamma == 1
+# name -> (lam, lam_t, lam_tt, interval_end, base_metric, curvature_model,
+# rho = lam_t / lam in closed form); every preset has gamma == 1
 _PRESETS = {
-    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _FLAT),
-    "example_b": (lambda t: 1.0 / (1.0 - _as_t(t)),
-                  lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
+    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _FLAT, _ones),
+    "example_b": (_recip, lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
                   lambda t: 2.0 / (1.0 - _as_t(t)) ** 3,
-                  1.0, flat_metric, _FLAT),
+                  1.0, flat_metric, _FLAT, _recip),
     "example_c": (_sinh_lam, _sinh_lam_t, _sinh_lam_tt, math.asinh(1.0),
-                  flat_metric, _FLAT),
-    "killing_flat": (lambda t: np.ones_like(_as_t(t)), lambda t: np.zeros_like(_as_t(t)),
-                     lambda t: np.zeros_like(_as_t(t)), math.inf, flat_metric, _FLAT),
+                  flat_metric, _FLAT, _sinh_rho),
+    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric, _FLAT, _zeros),
     "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric,
-                         CurvatureModel("constant_curvature", kappa0=1.0)),
+                         CurvatureModel("constant_curvature", kappa0=1.0), _ones),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -225,9 +256,9 @@ def preset_ambient(name: str) -> AmbientSpace:
     fields can be swapped with ``dataclasses.replace``."""
     if name not in _PRESETS:
         raise ParameterError(f"unknown ambient preset {name!r}")
-    lam, lam_t, lam_tt, end, metric, model = _PRESETS[name]
+    lam, lam_t, lam_tt, end, metric, model, closed_rho = _PRESETS[name]
     return AmbientSpace(name, lam, lam_t, lam_tt, end, _ones_field, _zero_grad,
-                        metric, model)
+                        metric, model, rho=closed_rho)
 
 
 # Steps of the finite-difference fallbacks.  A central difference with step

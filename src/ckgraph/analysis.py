@@ -12,6 +12,13 @@ the conformal factor, here and in ``max_principle_conditions``, read one
 sampling of ``lambda`` per problem; the boundary cylinder condition and the
 monotonicity probe read the level curves of ``level_curves``.
 
+The cylinder over a curve in the leaf is ruled by flow lines; its principal
+curvature along the flow direction (``cylinder_kappa``) and its inward mean
+curvature (``cylinder_mean_curvature``) enter the solvability condition, as
+the boundary cylinder must curve at least as strongly as the prescribed
+field.  Both are given at the base leaf ``t = 0``, where ``lambda = 1``; at
+the leaf ``t`` each is the base value divided by ``lambda(t)``.
+
 One rule, ``_certificate``, decides every barrier certificate: the
 strong-form operator margin must be finite and positive at every checked
 point, and a given solution must lie in order with the barrier within
@@ -22,14 +29,12 @@ which returns the first valid candidate or names why each one failed.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from .ambient import (AmbientSpace, fd_rho_t_tolerance, leaf_mean_curvature, n,
                       rho_t)
-from .cylinder import cylinder_mean_curvature
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
@@ -40,7 +45,7 @@ __all__ = [
     "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",
     "check_hypotheses", "max_principle_conditions", "FLOW_TIME_SAMPLES",
     "strong_form_Q", "flow_time_range", "level_curves",
-    "inf_boundary_cylinder_curvature",
+    "cylinder_kappa", "cylinder_mean_curvature", "inf_boundary_cylinder_curvature",
     "height_barrier", "search_height_barrier",
     "boundary_barrier", "upper_barrier_check", "search_boundary_barrier",
     "cylinder_monotonicity_probe", "boundary_normal_slope",
@@ -51,24 +56,22 @@ __all__ = [
 # -- hypothesis checks ------------------------------------------------------
 
 
-@dataclass
 class ConditionEntry:
-    name: str
-    inequality: str
-    margin: float
-    passed: bool
-    evaluable: bool = True
-    note: str = ""
+    def __init__(self, name: str, inequality: str, margin: float, passed: bool,
+                 evaluable: bool = True, note: str = ""):
+        self.name, self.inequality, self.margin = name, inequality, margin
+        self.passed, self.evaluable, self.note = passed, evaluable, note
 
     def to_json(self):
-        return asdict(self)
+        return {"name": self.name, "inequality": self.inequality,
+                "margin": self.margin, "passed": self.passed,
+                "evaluable": self.evaluable, "note": self.note}
 
 
-@dataclass
 class HypothesisReport:
-    conditions: List[ConditionEntry]
-    inf_HK: float
-    inf_HGamma: float
+    def __init__(self, conditions: List[ConditionEntry], inf_HK: float,
+                 inf_HGamma: float):
+        self.conditions, self.inf_HK, self.inf_HGamma = conditions, inf_HK, inf_HGamma
 
     def get(self, name: str) -> ConditionEntry:
         for c in self.conditions:
@@ -84,19 +87,22 @@ class HypothesisReport:
         return [c.name for c in self.conditions if c.evaluable and not c.passed]
 
     def to_json(self):
-        return {**asdict(self), "passed": self.passed}
+        return {"conditions": [c.to_json() for c in self.conditions],
+                "inf_HK": self.inf_HK, "inf_HGamma": self.inf_HGamma,
+                "passed": self.passed}
 
 
-@dataclass
 class MaxPrincipleReport:
-    rho_t_margin: float
-    lambda_t_H_margin: float
-    t_range: tuple
-    samples: int
-    passed: bool
+    def __init__(self, rho_t_margin: float, lambda_t_H_margin: float,
+                 t_range: tuple, samples: int, passed: bool):
+        self.rho_t_margin, self.lambda_t_H_margin = rho_t_margin, lambda_t_H_margin
+        self.t_range, self.samples, self.passed = t_range, samples, passed
 
     def to_json(self):
-        return asdict(self)
+        return {"rho_t_margin": self.rho_t_margin,
+                "lambda_t_H_margin": self.lambda_t_H_margin,
+                "t_range": self.t_range, "samples": self.samples,
+                "passed": self.passed}
 
 
 # flow times at which the conditions on lambda are sampled
@@ -238,21 +244,27 @@ def _distance_geometry(problem: Problem, elements: bool):
 # -- barrier certificates ---------------------------------------------------
 
 
-@dataclass
 class BarrierCertificate:
-    kind: str                      # height | boundary_lower | boundary_upper
-    params: dict
-    min_margin: float
-    margin_location: int           # element (height) or vertex (boundary)
-    ordering_ok: Optional[bool]
-    worst_ordering_violation: float
-    skipped: int
-    valid: bool
-    gradient_bound: Optional[float] = None
-    note: str = ""
+    def __init__(self, kind: str, params: dict, min_margin: float,
+                 margin_location: int, ordering_ok: Optional[bool],
+                 worst_ordering_violation: float, skipped: int, valid: bool,
+                 gradient_bound: Optional[float] = None, note: str = ""):
+        self.kind = kind                      # height | boundary_lower | boundary_upper
+        self.params, self.min_margin = params, min_margin
+        self.margin_location = margin_location    # element (height) or vertex (boundary)
+        self.ordering_ok = ordering_ok
+        self.worst_ordering_violation = worst_ordering_violation
+        self.skipped, self.valid = skipped, valid
+        self.gradient_bound, self.note = gradient_bound, note
 
     def to_json(self):
-        return asdict(self)
+        return {"kind": self.kind, "params": dict(self.params),
+                "min_margin": self.min_margin,
+                "margin_location": self.margin_location,
+                "ordering_ok": self.ordering_ok,
+                "worst_ordering_violation": self.worst_ordering_violation,
+                "skipped": self.skipped, "valid": self.valid,
+                "gradient_bound": self.gradient_bound, "note": self.note}
 
 
 def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
@@ -413,7 +425,6 @@ class _StripRejected(ParameterError):
     """A boundary-strip rejection that does not depend on ``(mu, c)``."""
 
 
-@dataclass
 class _BoundaryStrip:
     """What a boundary-barrier check needs that does not depend on the
     candidate ``(mu, c)``: the strip ``d <= eps``, the extended boundary
@@ -422,15 +433,10 @@ class _BoundaryStrip:
     data there, and the two strip boundary components of the ordering
     check."""
 
-    strip: np.ndarray
-    phi_ext: np.ndarray
-    idx: np.ndarray
-    gd: np.ndarray
-    gd2: np.ndarray
-    hd: np.ndarray
-    gphi: np.ndarray
-    hphi: np.ndarray
-    comps: np.ndarray
+    def __init__(self, strip, phi_ext, idx, gd, gd2, hd, gphi, hphi, comps):
+        self.strip, self.phi_ext, self.idx = strip, phi_ext, idx
+        self.gd, self.gd2, self.hd = gd, gd2, hd
+        self.gphi, self.hphi, self.comps = gphi, hphi, comps
 
 
 def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
@@ -611,6 +617,26 @@ def _merge_close(pts, tol):
     if len(keep) > 1 and math.dist(pts[keep[-1]], pts[0]) < tol:
         keep.pop()
     return pts[keep]
+
+
+def cylinder_kappa(ambient: AmbientSpace, u, eta):
+    """Principal curvature of the cylinder along the flow direction at the
+    base leaf, ``kappa = eta(log sqrt(gamma))``, where ``eta`` is the inward
+    unit normal of the curve in the leaf metric; ``kappa / lambda(t)`` at
+    the leaf ``t``.
+    """
+    u = np.asarray(u, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    g = np.asarray(ambient.gamma(u))
+    dg = np.asarray(ambient.grad_gamma(u))
+    return np.einsum("...i,...i->...", dg, eta) / (2.0 * g)
+
+
+def cylinder_mean_curvature(ambient: AmbientSpace, u, eta, H_Gamma):
+    """Inward mean curvature of the cylinder over a curve of geodesic
+    curvature ``H_Gamma`` at the base leaf, ``H_K = (kappa + (n-1) H_Gamma)
+    / n``; ``H_K / lambda(t)`` at the leaf ``t``."""
+    return (cylinder_kappa(ambient, u, eta) + (n - 1) * np.asarray(H_Gamma)) / n
 
 
 def inf_boundary_cylinder_curvature(mesh: DomainMesh, ambient: AmbientSpace):

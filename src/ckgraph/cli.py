@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 input or parameter error, 2 solver stalled,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import math
 import os
@@ -292,6 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At exit, the collector's final passes would traverse every live object
+    # of the process, only for the OS to reclaim the memory; frozen objects
+    # are skipped.  Atexit hooks registered before this one still run, after
+    # it, and the standard streams are flushed; only objects in reference
+    # cycles are left to the OS.  Every file a command writes is closed
+    # before it returns.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,13 +16,10 @@ __all__ = ["ScalarField"]
 _CSV_COLUMNS = ("vertex", "x", "y", "value")
 
 
-@dataclass
 class ScalarField:
-    mesh: DomainMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+    def __init__(self, mesh: DomainMesh, values: np.ndarray):
+        self.mesh = mesh
+        self.values = np.asarray(values, dtype=float)
         if self.values.shape != (self.mesh.n_vertices,):
             raise MeshError(
                 f"field length {self.values.shape} does not match "

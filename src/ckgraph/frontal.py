@@ -38,8 +38,6 @@ elliptic linearizations this package solves; a singular pivot block raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .mesh import _unique
@@ -126,7 +124,6 @@ def _grouped(key, bound):
     return np.argsort(key.astype(np.int16) if bound < 2**15 else key, kind="stable")
 
 
-@dataclass
 class _Class:
     """The fronts of one shape class: ``k`` fronts of one tree height whose
     pivot counts share a band, padded to ``P`` pivots and ``U`` updates.
@@ -134,22 +131,21 @@ class _Class:
     front ``s`` at ``s * (P + U)**2``, with one spare slot at the end that
     takes what the children's padded update rows and columns add."""
 
-    height: int
-    k: int
-    P: int
-    U: int
-    pivots: np.ndarray        # (k, P) unknowns, padding -> n
-    updates: np.ndarray       # (k, U) unknowns, padding -> n
-    pad: np.ndarray           # buffer slots of the padded pivots' diagonal
-    source: np.ndarray        # CSC entries of this class
-    target: np.ndarray        # their buffer slots
-    # where the Schur blocks (k, U, U) go in the parents' buffers: entry
-    # (s, i, j) is added at min(row_at[s, i] + col_at[s, j], spare slot);
-    # a padded update row or column holds the parent's spare slot
-    row_at: np.ndarray        # (k, U) first slot of each update row in the parent front
-    col_at: np.ndarray        # (k, U) column of each update in the parent front
-    extend: list              # [(child class, first, end)]: its fronts first:end
-    release: list             # child classes whose Schur blocks are read last here
+    def __init__(self, height: int, k: int, P: int, U: int, pivots, updates,
+                 pad, source, target, row_at, col_at, extend: list, release: list):
+        self.height, self.k, self.P, self.U = height, k, P, U
+        self.pivots = pivots      # (k, P) unknowns, padding -> n
+        self.updates = updates    # (k, U) unknowns, padding -> n
+        self.pad = pad            # buffer slots of the padded pivots' diagonal
+        self.source = source      # CSC entries of this class
+        self.target = target      # their buffer slots
+        # where the Schur blocks (k, U, U) go in the parents' buffers: entry
+        # (s, i, j) is added at min(row_at[s, i] + col_at[s, j], spare slot);
+        # a padded update row or column holds the parent's spare slot
+        self.row_at = row_at      # (k, U) first slot of each update row in the parent front
+        self.col_at = col_at      # (k, U) column of each update in the parent front
+        self.extend = extend      # [(child class, first, end)]: its fronts first:end
+        self.release = release    # child classes whose Schur blocks are read last here
 
 
 class FrontTree:

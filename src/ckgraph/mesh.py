@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -99,20 +99,27 @@ class PolarDomain:
         return minus_s[:, None] * rhat, hess, usable
 
 
-@dataclass
 class DomainMesh:
-    vertices: np.ndarray          # (nv, 2) chart coordinates
-    triangles: np.ndarray         # (nt, 3) positively oriented
-    boundary_loops: list          # list of int arrays, interior on the left
-    boundary_normal: np.ndarray   # (nv, 2); valid rows only at boundary vertices
-    dist_to_boundary: np.ndarray  # (nv,) sigma-geodesic distance to the boundary
-    h: float                      # mesh size (max sigma edge length)
-    polar: Optional[PolarDomain] = None   # the preset domain's closed forms
-    _ambient: Optional[AmbientSpace] = field(default=None, repr=False)
-    _suspects: Optional[np.ndarray] = field(default=None, repr=False)
-    _edges: Optional[tuple] = field(default=None, repr=False)
-    _rings: dict = field(default_factory=dict, repr=False)
-    _boundary: Optional[np.ndarray] = field(default=None, repr=False)
+    def __init__(self, vertices: np.ndarray, triangles: np.ndarray,
+                 boundary_loops: list, boundary_normal: np.ndarray,
+                 dist_to_boundary: np.ndarray, h: float,
+                 polar: Optional[PolarDomain] = None,
+                 _ambient: Optional[AmbientSpace] = None,
+                 _suspects: Optional[np.ndarray] = None,
+                 _edges: Optional[tuple] = None, _rings: Optional[dict] = None,
+                 _boundary: Optional[np.ndarray] = None):
+        self.vertices = vertices                 # (nv, 2) chart coordinates
+        self.triangles = triangles               # (nt, 3) positively oriented
+        self.boundary_loops = boundary_loops     # int arrays, interior on the left
+        # (nv, 2); valid rows only at boundary vertices
+        self.boundary_normal = boundary_normal
+        # (nv,) sigma-geodesic distance to the boundary
+        self.dist_to_boundary = dist_to_boundary
+        self.h = h                               # mesh size (max sigma edge length)
+        self.polar = polar                       # the preset domain's closed forms
+        self._ambient, self._suspects, self._edges = _ambient, _suspects, _edges
+        self._rings = {} if _rings is None else _rings
+        self._boundary = _boundary
 
     # -- basic derived data -------------------------------------------------
 

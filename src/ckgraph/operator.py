@@ -19,12 +19,11 @@ evaluated at the element-midpoint value of ``z``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, n, rho_t
+from .ambient import AmbientSpace, n, rho, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import (DomainMesh, _hat_gradients, _nearest, _ring_rows,
@@ -36,21 +35,17 @@ __all__ = [
 ]
 
 
-@dataclass
 class Problem:
     """A Dirichlet problem: ambient + mesh + prescribed curvature + data."""
 
-    ambient: AmbientSpace
-    mesh: DomainMesh
-    H: ScalarField
-    phi: np.ndarray          # (nv,) array; meaningful on boundary vertices
-    _assembly: Optional["_Assembly"] = field(default=None, repr=False)
-    _derived: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
+    def __init__(self, ambient: AmbientSpace, mesh: DomainMesh, H: ScalarField,
+                 phi: np.ndarray, _assembly: Optional["_Assembly"] = None,
+                 _derived: Optional[dict] = None):
+        self.ambient, self.mesh, self.H = ambient, mesh, H
         if self.H.mesh is not self.mesh:
             raise MeshError("H field bound to a different mesh")
-        self.phi = np.asarray(self.phi, dtype=float)
+        # (nv,) array; meaningful on boundary vertices
+        self.phi = np.asarray(phi, dtype=float)
         if self.phi.shape != (self.mesh.n_vertices,):
             raise MeshError("phi must be a per-vertex array (used on the boundary)")
         bvals = self.phi[self.mesh.boundary_vertices]
@@ -58,6 +53,8 @@ class Problem:
             raise ParameterError("boundary data must be finite")
         if not np.all(bvals < self.ambient.interval_end):
             raise ParameterError("boundary data must stay below the interval end")
+        self._assembly = _assembly
+        self._derived = {} if _derived is None else _derived
 
     @classmethod
     def create(cls, ambient, mesh, H, phi) -> "Problem":
@@ -95,15 +92,15 @@ class Problem:
         return self.derived("boundary_extension", build)
 
 
-@dataclass
 class SparseSystem:
     """Interior Jacobian of the weak operator; the residual at the same
     ``(z, tau)`` comes from ``_Assembly.residual``."""
 
-    jacobian: "FrontMatrix"    # (ni, ni), from ckgraph.frontal
-    # (ni,) tau-derivative of the residual along the continuation path
-    # (interior held, boundary at tau * phi); only from system(tangent=True)
-    path_rate: Optional[np.ndarray] = None
+    def __init__(self, jacobian: "FrontMatrix", path_rate: Optional[np.ndarray] = None):
+        self.jacobian = jacobian      # (ni, ni), from ckgraph.frontal
+        # (ni,) tau-derivative of the residual along the continuation path
+        # (interior held, boundary at tau * phi); only from system(tangent=True)
+        self.path_rate = path_rate
 
 
 # -- assembly ---------------------------------------------------------------
@@ -119,25 +116,18 @@ def _rows(a):
     return np.ascontiguousarray(np.moveaxis(np.asarray(a), 1, 0))
 
 
-@dataclass
 class _Evaluation:
     """The residual pass of the element kernel at one ``(z, tau)``: the
     element residual ``val`` and the intermediates its Jacobian reuses.
     Arrays are ``(nt,)`` per element or ``(3, nt)`` per local vertex or
-    quadrature point."""
+    quadrature point; ``Pc`` is ``G Sinv_c grad z`` and ``(qx, qy)`` is
+    ``Sinv_q grad z``, by component."""
 
-    tau: float
-    zmid: np.ndarray
-    lam_m: np.ndarray
-    lamt_m: np.ndarray
-    rho_m: np.ndarray
-    U_c: np.ndarray
-    Pc: np.ndarray             # G Sinv_c grad z
-    qx: np.ndarray             # Sinv_q grad z, by component
-    qy: np.ndarray
-    U_q: np.ndarray
-    P_q: np.ndarray
-    val: np.ndarray
+    def __init__(self, tau: float, zmid, lam_m, lamt_m, rho_m, U_c, Pc, qx, qy,
+                 U_q, P_q, val):
+        self.tau, self.zmid, self.lam_m, self.lamt_m = tau, zmid, lam_m, lamt_m
+        self.rho_m, self.U_c, self.Pc, self.qx, self.qy = rho_m, U_c, Pc, qx, qy
+        self.U_q, self.P_q, self.val = U_q, P_q, val
 
 
 class _Assembly:
@@ -464,10 +454,9 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     tr1 = i11 * h11 + i12 * h12 + i22 * h22 \
         - (px * px * h11 + px * py * h12 + py * py * h22) / U**2
     gz = dg[..., 0] * px + dg[..., 1] * py
-    lam = np.asarray(ambient.lam(vals))
-    rr = np.asarray(ambient.lam_t(vals)) / lam
+    rr = rho(ambient, vals)
     return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
-        - n * lam * H
+        - n * np.asarray(ambient.lam(vals)) * H
 
 
 def mean_curvature_of_graph(problem: Problem, z: ScalarField):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import List, Optional
@@ -120,13 +119,11 @@ PROBLEM_SCHEMA = {
 }
 
 
-@dataclass
 class LoadedProblem:
-    problem: Problem
-    options: SolverOptions
-    checks: List[str]
-    verify_tolerance: float
-    document: dict
+    def __init__(self, problem: Problem, options: SolverOptions, checks: List[str],
+                 verify_tolerance: float, document: dict):
+        self.problem, self.options, self.checks = problem, options, checks
+        self.verify_tolerance, self.document = verify_tolerance, document
 
     def companion(self) -> Optional[Problem]:
         """The same problem with its preset domain meshed at ``COARSE_RATIO``
@@ -380,13 +377,10 @@ def load_problem_document(doc, base_dir=".") -> LoadedProblem:
     H = _build_field(doc["H"], mesh, base_dir)
     phi_field = _build_field(doc["phi"], mesh, base_dir)
     problem = Problem(amb, mesh, H, phi_field.values)
-    options = SolverOptions()
-    if "solver" in doc:
-        # JSON Schema counts 30.0 as an integer; the solver needs an int
-        spec = PROBLEM_SCHEMA["properties"]["solver"]["properties"]
-        options = replace(options, **{
-            k: int(v) if spec[k]["type"] == "integer" else v
-            for k, v in doc["solver"].items()})
+    # JSON Schema counts 30.0 as an integer; the solver needs an int
+    spec = PROBLEM_SCHEMA["properties"]["solver"]["properties"]
+    options = SolverOptions(**{k: int(v) if spec[k]["type"] == "integer" else v
+                               for k, v in doc.get("solver", {}).items()})
     checks = doc.get("checks", ["hypotheses"])
     return LoadedProblem(problem, options, checks,
                          float(doc.get("verify_tolerance", 0.05)),

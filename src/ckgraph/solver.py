@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
 from typing import Callable, List, Optional
 
 import numpy as np
@@ -18,41 +17,46 @@ __all__ = [
 ]
 
 
-@dataclass
 class SolverOptions:
-    newton_tol: float = 1e-10
-    max_newton_iters: int = 50
-    initial_tau_step: float = 0.25
-    min_tau_step: float = 1e-4
-    damping_factor: float = 0.5
-    max_damping_halvings: int = 20
-    clamp_margin: float = 1e-6
+    def __init__(self, newton_tol: float = 1e-10, max_newton_iters: int = 50,
+                 initial_tau_step: float = 0.25, min_tau_step: float = 1e-4,
+                 damping_factor: float = 0.5, max_damping_halvings: int = 20,
+                 clamp_margin: float = 1e-6):
+        self.newton_tol, self.max_newton_iters = newton_tol, max_newton_iters
+        self.initial_tau_step, self.min_tau_step = initial_tau_step, min_tau_step
+        self.damping_factor = damping_factor
+        self.max_damping_halvings = max_damping_halvings
+        self.clamp_margin = clamp_margin
 
 
-@dataclass
 class NewtonRecord:
-    tau: float
-    iter: int
-    residual_norm: float
-    step_norm: float
-    damping_halvings: int
+    def __init__(self, tau: float, iter: int, residual_norm: float,
+                 step_norm: float, damping_halvings: int):
+        self.tau, self.iter = tau, iter
+        self.residual_norm, self.step_norm = residual_norm, step_norm
+        self.damping_halvings = damping_halvings
 
     def to_json(self):
-        return asdict(self)
+        return {"tau": self.tau, "iter": self.iter,
+                "residual_norm": self.residual_norm, "step_norm": self.step_norm,
+                "damping_halvings": self.damping_halvings}
 
 
-@dataclass
 class SolveReport:
-    status: str                               # converged | stalled | left_interval
-    solution: Optional[ScalarField]
-    tau_reached: float
-    tau_path: List[float] = field(default_factory=list)
-    grad_sup_history: List[float] = field(default_factory=list)
-    newton_history: List[NewtonRecord] = field(default_factory=list)
-    clamped: bool = False
-    message: str = ""
-    # which path produced the report (see ``continuation_solve``)
-    path: dict = field(default_factory=lambda: {"kind": "continuation"})
+    def __init__(self, status: str, solution: Optional[ScalarField],
+                 tau_reached: float, tau_path: Optional[List[float]] = None,
+                 grad_sup_history: Optional[List[float]] = None,
+                 newton_history: Optional[List[NewtonRecord]] = None,
+                 clamped: bool = False, message: str = "",
+                 path: Optional[dict] = None):
+        self.status = status              # converged | stalled | left_interval
+        self.solution, self.tau_reached = solution, tau_reached
+        self.tau_path = [] if tau_path is None else tau_path
+        self.grad_sup_history = [] if grad_sup_history is None else grad_sup_history
+        self.newton_history = [] if newton_history is None else newton_history
+        self.clamped, self.message = clamped, message
+        # which path produced the report (see ``continuation_solve``)
+        self.path = {"kind": "continuation"} if path is None else path
 
     @property
     def converged(self) -> bool:

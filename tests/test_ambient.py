@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ckgraph as ck
 from ckgraph.ambient import (fd_ambient_derivatives, leaf_mean_curvature,
-                             preset_ambient, rho_t, round_sphere_metric)
+                             preset_ambient, rho, rho_t, round_sphere_metric)
 from ckgraph.errors import DomainError, ParameterError
 
 ALL_PRESETS = ["killing_flat", "example_a", "example_b", "example_c",
@@ -58,6 +59,21 @@ def test_example_b_rho_t_closed_form():
     ts = np.linspace(-3.0, 0.9, 50)
     expected = 1.0 / (1.0 - ts) ** 2
     assert np.allclose(np.asarray(rho_t(amb, ts)), expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_rho_closed_form(name):
+    # rho = lambda_t / lambda to rounding where the quotient is defined, and
+    # finite where lambda underflows (e^t below t = -745), which the
+    # quotient of a custom ambient is not
+    amb = preset_ambient(name)
+    hi = amb.interval_end if math.isfinite(amb.interval_end) else 2.0
+    ts = np.linspace(-12.0, hi - 1e-3, 400)
+    quotient = np.asarray(amb.lam_t(ts)) / np.asarray(amb.lam(ts))
+    assert np.allclose(rho(amb, ts), quotient, rtol=1e-15, atol=0.0)
+    assert np.all(np.isfinite(rho(amb, np.array([-800.0, -2000.0]))))
+    custom = replace(amb, rho=None)
+    assert np.array_equal(rho(custom, ts), quotient)
 
 
 def test_example_c_interval_end():

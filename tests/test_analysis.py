@@ -8,12 +8,12 @@ import pytest
 import ckgraph as ck
 from ckgraph.analysis import (_distance_geometry, boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
+                              cylinder_mean_curvature,
                               cylinder_monotonicity_probe, flow_time_range,
                               height_barrier, level_curves,
                               max_principle_conditions, search_boundary_barrier,
                               search_height_barrier, sigma_diameter,
                               upper_barrier_check)
-from ckgraph.cylinder import cylinder_mean_curvature
 from ckgraph.errors import ParameterError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import closed_polyline_geometry
@@ -457,10 +457,10 @@ def test_record_json_keys(cmc_problem, cmc_solution):
 
 
 def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
-    # lambda = e^t underflows under a steep height barrier on the cap, so
-    # lambda_t/lambda is 0/0 there: the candidate is rejected for that, not
-    # for the ordering, which holds
-    amb = ck.preset_ambient("euclidean_radial")
+    # lambda = e^t underflows under a steep height barrier on the cap; an
+    # ambient without a closed-form rho takes lambda_t/lambda, 0/0 there: the
+    # candidate is rejected for that, not for the ordering, which holds
+    amb = replace(ck.preset_ambient("euclidean_radial"), rho=None)
     mesh = ck.cap_mesh(1.0, 0.05, amb)
     r = np.linalg.norm(mesh.vertices, axis=1)
     zex = -np.log(np.cos(r)) + np.log(np.cos(1.0))
@@ -472,6 +472,21 @@ def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
     checked = mesh.triangles.shape[0] - cert.skipped
     assert cert.note == f"margin not finite at {checked} of {checked} checked points"
     assert len(recwarn) == 0
+
+
+@pytest.mark.parametrize("D", [4.0, 8.0])
+def test_preset_rho_keeps_steep_height_margins_finite(D):
+    # the same cap on the preset, whose rho = lambda_t/lambda is 1 in closed
+    # form: lambda's underflow no longer makes the margin 0/0
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = ck.cap_mesh(1.0, 0.05, amb)
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    zex = -np.log(np.cos(r)) + np.log(np.cos(1.0))
+    prob = ck.Problem.create(amb, mesh, 0.0, zex)
+    B = 1.01 * sigma_diameter(mesh, amb)
+    _, cert = height_barrier(prob, D, B, ScalarField(mesh, zex))
+    assert math.isfinite(cert.min_margin) and cert.note == ""
+    assert cert.valid and cert.ordering_ok
 
 
 def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):

@@ -795,6 +795,50 @@ def test_solve_runs_without_scipy(solved_run, solved_mesh_file_run, tmp_path, ru
     assert modules == "[]"
 
 
+# a child that runs ``main`` on its arguments as many times as it is told,
+# with ``gc.freeze`` counting its calls; it prints the freeze count after
+# the commands, and an atexit hook registered before them prints the calls
+# and whether anything is frozen when it runs
+_EXIT_PROBE = (
+    "import atexit, contextlib, gc, io, sys\n"
+    "freeze = gc.freeze\n"
+    "def counted():\n"
+    "    counted.calls += 1\n"
+    "    freeze()\n"
+    "counted.calls = 0\n"
+    "gc.freeze = counted\n"
+    "atexit.register(lambda: print('at exit', counted.calls, gc.get_freeze_count() > 0))\n"
+    "from ckgraph.cli import main\n"
+    "for _ in range(int(sys.argv[1])):\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        main(sys.argv[2:])\n"
+    "print('frozen', gc.get_freeze_count())\n")
+
+
+def _exit_probe(calls, argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(
+        os.path.dirname(os.path.abspath(ck.__file__)))}
+    proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, str(calls), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()
+
+
+def test_a_command_freezes_the_collector_at_exit(solved_run):
+    # the collector's passes at exit skip what is frozen; importing the cli
+    # alone freezes nothing, and a hook registered before the command still
+    # runs, after the freeze
+    _, prob, _ = solved_run
+    assert _exit_probe(0, []) == ["frozen 0", "at exit 0 False"]
+    assert _exit_probe(1, ["check", prob]) == ["frozen 0", "at exit 1 True"]
+
+
+def test_in_process_commands_register_one_exit_freeze(solved_run):
+    # two commands in one process freeze once, at exit, and nothing before
+    _, prob, _ = solved_run
+    assert _exit_probe(2, ["check", prob]) == ["frozen 0", "at exit 1 True"]
+
+
 # -- malformed problem documents (property test) ------------------------------
 
 # Valid documents that together reach every key of the schema.

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import inf_boundary_cylinder_curvature, level_curves
-from ckgraph.cylinder import cylinder_kappa, cylinder_mean_curvature
+from ckgraph.analysis import (cylinder_kappa, cylinder_mean_curvature,
+                              inf_boundary_cylinder_curvature, level_curves)
 from ckgraph.mesh import closed_polyline_geometry, mesh_from_arrays
 
 FLAT = ck.preset_ambient("killing_flat")
