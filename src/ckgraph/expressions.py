@@ -2,8 +2,9 @@
 
 Each expression is parsed once and compiled into closures, node by node:
 binary arithmetic, powers, a fixed function table, and the variable names.
-Anything else (attributes, calls by value, subscripts, names like ``t``) is
-rejected while the closures are built, before any value is computed.
+Anything else (attributes, calls by value, subscripts, names like ``t``, a
+function called with the wrong number of arguments) is rejected while the
+closures are built, before any value is computed.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import ParameterError
 
 __all__ = ["compile_expression", "compile_univariate"]
 
+# NumPy ufuncs of ``nin`` arguments (a further one would be ``out``)
 _FUNCTIONS = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -56,6 +58,9 @@ def _compile(node, names):
         if node.keywords:
             raise ParameterError("keyword arguments not allowed")
         fn = _FUNCTIONS[node.func.id]
+        if len(node.args) != fn.nin:
+            raise ParameterError(f"{node.func.id} takes {fn.nin} argument"
+                                 f"{'s' if fn.nin > 1 else ''}, got {len(node.args)}")
         args = [_compile(arg, names) for arg in node.args]
         return lambda env: fn(*[arg(env) for arg in args])
     if isinstance(node, ast.Name):
@@ -73,7 +78,8 @@ def _compile(node, names):
     if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float)):
             raise ParameterError("only numeric constants allowed")
-        value = node.value
+        # as a float: NumPy's integer power wraps (2**70 is 0) or refuses 2**-1
+        value = float(node.value)
         return lambda env: value
     raise ParameterError(
         f"construct {type(node).__name__} not allowed in expressions")

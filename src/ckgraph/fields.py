@@ -26,7 +26,8 @@ class ScalarField:
                 f"{self.mesh.n_vertices} vertices"
             )
         if not np.all(np.isfinite(self.values)):
-            raise MeshError("scalar field contains non-finite values")
+            v = int(np.argmin(np.isfinite(self.values)))
+            raise MeshError(f"value {float(self.values[v])!r} at vertex {v} is not finite")
 
     @classmethod
     def constant(cls, mesh: DomainMesh, value: float) -> "ScalarField":

@@ -105,9 +105,7 @@ class DomainMesh:
                  dist_to_boundary: np.ndarray, h: float,
                  polar: Optional[PolarDomain] = None,
                  _ambient: Optional[AmbientSpace] = None,
-                 _suspects: Optional[np.ndarray] = None,
-                 _edges: Optional[tuple] = None, _rings: Optional[dict] = None,
-                 _boundary: Optional[np.ndarray] = None):
+                 _edges: Optional[tuple] = None):
         self.vertices = vertices                 # (nv, 2) chart coordinates
         self.triangles = triangles               # (nt, 3) positively oriented
         self.boundary_loops = boundary_loops     # int arrays, interior on the left
@@ -117,9 +115,8 @@ class DomainMesh:
         self.dist_to_boundary = dist_to_boundary
         self.h = h                               # mesh size (max sigma edge length)
         self.polar = polar                       # the preset domain's closed forms
-        self._ambient, self._suspects, self._edges = _ambient, _suspects, _edges
-        self._rings = {} if _rings is None else _rings
-        self._boundary = _boundary
+        self._ambient, self._edges = _ambient, _edges
+        self._suspects, self._rings, self._boundary = None, {}, None
 
     # -- basic derived data -------------------------------------------------
 
@@ -549,11 +546,9 @@ def _spider_web(numbers, radii, counts, first):
     return verts, tris + first, ptr + first
 
 
-def _finalize(vertices, triangles, loops, normals, dist, polar, ambient,
-              edges=None):
-    """Assemble and validate a mesh; ``edges`` is ``_sigma_edges`` when the
-    caller already has it."""
-    table, lengths = edges or _sigma_edges(vertices, triangles, ambient)
+def _finalize(vertices, triangles, loops, normals, dist, polar, ambient):
+    """Assemble and validate a mesh."""
+    table, lengths = _sigma_edges(vertices, triangles, ambient)
     mesh = DomainMesh(
         vertices=vertices, triangles=triangles, boundary_loops=loops,
         boundary_normal=normals, dist_to_boundary=dist,
@@ -626,11 +621,12 @@ def _corner_update(d_a, d_b, A, B, D, l_a, l_b):
     ``s = -sign(delta) sqrt(delta^2 D / (A - delta^2))``, where
     ``|w - theta e|_S^2 = D / (A - delta^2)``.  Otherwise, or when that
     ``theta`` lies outside [0, 1], the minimum is an endpoint value.
-    Entries with a non-finite ``d_a`` or ``d_b`` are meaningless.
+    An infinite ``d_a`` or ``d_b`` leaves the other endpoint's value, the
+    edge relaxation; both infinite leave ``inf``.
     """
-    delta = d_a - d_b
     ends = np.minimum(d_a + l_a, d_b + l_b)
     with np.errstate(divide="ignore", invalid="ignore"):
+        delta = d_a - d_b
         q = D / (A - delta**2)
         theta = (B - delta * np.sqrt(q)) / A
         inner = d_b + theta * delta + np.sqrt(q)
@@ -638,37 +634,14 @@ def _corner_update(d_a, d_b, A, B, D, l_a, l_b):
     return np.where(stationary, np.minimum(inner, ends), ends)
 
 
-def _jacobi_min(dist, update, what: str):
-    """Fixed point of ``dist <- min(dist, candidates)``, where ``update(dist)``
-    returns the vertices and candidate values of one sweep, all computed
-    from the previous field (Jacobi), so the result does not depend on the
-    vertex or triangle order.  Values only decrease; the sweeps stop when
-    one changes nothing, and MeshError is raised if ``nv`` sweeps do not get
-    there."""
-    for _ in range(len(dist)):
-        new = dist.copy()
-        np.minimum.at(new, *update(dist))
-        if np.array_equal(new, dist):
-            return dist
-        dist = new
-    raise MeshError(f"{what} did not converge in {len(dist)} sweeps")
-
-
-def _edge_relaxation(pairs, lengths, dist):
-    """Shortest edge paths from the finite entries of ``dist`` (Bellman-Ford
-    over both directions of every edge)."""
-    i, j = pairs[:, 0], pairs[:, 1]
-    to, frm = np.concatenate([j, i]), np.concatenate([i, j])
-    both = np.concatenate([lengths, lengths])
-    return _jacobi_min(dist, lambda d: (to, d[frm] + both),
-                       "shortest edge paths to the boundary")
-
-
 def _eikonal_sweep(vertices, triangles, dist, ambient):
-    """Lower the edge-path field ``dist`` to the fixed point of the triangle
-    update (straight-segment travel across each element in its centroid
-    metric, :func:`_corner_update`), updating all ``3 nt`` corners per
-    sweep.  Corners with a non-finite neighbour are skipped.
+    """Lower ``dist`` to the fixed point of the triangle update
+    (straight-segment travel across each element in its centroid metric,
+    :func:`_corner_update`), updating all ``3 nt`` corners per sweep from
+    the previous field (Jacobi), so the result does not depend on the vertex
+    or triangle order.  Values only decrease; the sweeps stop when one
+    changes nothing, and MeshError is raised if ``nv`` sweeps do not get
+    there.
     """
     S = ambient.base_metric(vertices[triangles].mean(axis=1))
     corner = np.concatenate([np.roll(triangles, -k, axis=1) for k in range(3)])
@@ -682,12 +655,13 @@ def _eikonal_sweep(vertices, triangles, dist, ambient):
     A, B = form(e, e), form(e, w)
     D = _spd_inverse(S)[1] * _cross2(e, w)**2   # A C - B^2 without cancellation
     l_a, l_b = np.sqrt(form(w - e, w - e)), np.sqrt(form(w, w))
-
-    def update(dist):
-        ok = np.isfinite(dist[a]) & np.isfinite(dist[b])
-        cand = _corner_update(dist[a], dist[b], A, B, D, l_a, l_b)
-        return c[ok], cand[ok]
-    return _jacobi_min(dist, update, "distance to the boundary")
+    for _ in range(len(dist)):
+        new = dist.copy()
+        np.minimum.at(new, c, _corner_update(dist[a], dist[b], A, B, D, l_a, l_b))
+        if np.array_equal(new, dist):
+            return dist
+        dist = new
+    raise MeshError(f"distance to the boundary did not converge in {len(dist)} sweeps")
 
 
 def _loop_orientation_area(vertices, loop):
@@ -762,17 +736,12 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace)
             raise MeshError(f"degenerate boundary tangent at vertex {loop[np.argmax(bad)]}")
         normals[loop] = nrm
 
-    # shortest edge paths in the leaf metric bound the distance from above;
-    # the triangle update lowers that bound to its fixed point
-    edges = _sigma_edges(vertices, triangles, ambient)
-    (pairs, _, _), lengths = edges
+    # the triangle update relaxes from the boundary to its fixed point
     sources = _unique(np.concatenate(loops))
     dist = np.full(len(vertices), np.inf)
     dist[sources] = 0.0
-    dist = _edge_relaxation(pairs, lengths, dist)
     dist = _eikonal_sweep(vertices, triangles, dist, ambient)
-    dist[sources] = 0.0
-    return _finalize(vertices, triangles, loops, normals, dist, None, ambient, edges)
+    return _finalize(vertices, triangles, loops, normals, dist, None, ambient)
 
 
 # -- JSON exchange ----------------------------------------------------------

@@ -39,8 +39,7 @@ class Problem:
     """A Dirichlet problem: ambient + mesh + prescribed curvature + data."""
 
     def __init__(self, ambient: AmbientSpace, mesh: DomainMesh, H: ScalarField,
-                 phi: np.ndarray, _assembly: Optional["_Assembly"] = None,
-                 _derived: Optional[dict] = None):
+                 phi: np.ndarray):
         self.ambient, self.mesh, self.H = ambient, mesh, H
         if self.H.mesh is not self.mesh:
             raise MeshError("H field bound to a different mesh")
@@ -53,8 +52,7 @@ class Problem:
             raise ParameterError("boundary data must be finite")
         if not np.all(bvals < self.ambient.interval_end):
             raise ParameterError("boundary data must stay below the interval end")
-        self._assembly = _assembly
-        self._derived = {} if _derived is None else _derived
+        self._assembly, self._derived = None, {}
 
     @classmethod
     def create(cls, ambient, mesh, H, phi) -> "Problem":

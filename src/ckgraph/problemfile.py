@@ -8,6 +8,8 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
+import numpy as np
+
 from . import ambient as ambient_mod
 from .ambient import AmbientSpace, CurvatureModel, preset_ambient, PRESET_NAMES
 from .errors import MeshError, ParameterError, SchemaError
@@ -141,8 +143,8 @@ class LoadedProblem:
             mesh = _build_mesh(doc, amb, ".", COARSE_RATIO * float(doc["resolution"]))
             if COARSE_RATIO * mesh.n_vertices > self.problem.mesh.n_vertices:
                 return None
-            return Problem(amb, mesh, _build_field(doc["H"], mesh, "."),
-                           _build_field(doc["phi"], mesh, ".").values)
+            return Problem(amb, mesh, _build_field(doc, "H", mesh, "."),
+                           _build_field(doc, "phi", mesh, ".").values)
         except (MeshError, ParameterError):
             return None
 
@@ -299,14 +301,21 @@ def validate_document(doc):
                               f"'{dom['preset']}' preset")
 
 
+def _compiled(compile, cu, key: str):
+    """``compile(cu[key])``, an error prefixed with ``$.ambient.custom.key``."""
+    try:
+        return compile(cu[key])
+    except ParameterError as exc:
+        raise ParameterError(f"$.ambient.custom.{key}: {exc}") from None
+
+
 def _build_ambient(doc) -> AmbientSpace:
     spec = doc["ambient"]
     if "preset" in spec:
         return preset_ambient(spec["preset"])
     cu = spec["custom"]
-    lam = compile_univariate(cu["lam"])
-    lam_t = compile_univariate(cu["lam_t"]) if "lam_t" in cu else None
-    lam_tt = compile_univariate(cu["lam_tt"]) if "lam_tt" in cu else None
+    lam, lam_t, lam_tt = (_compiled(compile_univariate, cu, key) if key in cu else None
+                          for key in ("lam", "lam_t", "lam_tt"))
     fd = lam_t is None or lam_tt is None
     if fd:
         d1, d2 = ambient_mod.fd_ambient_derivatives(lam)
@@ -315,7 +324,7 @@ def _build_ambient(doc) -> AmbientSpace:
     end = cu.get("interval_end", "inf")
     end = math.inf if end == "inf" else float(end)
     if "gamma" in cu:
-        gfun = compile_expression(cu["gamma"])
+        gfun = _compiled(compile_expression, cu, "gamma")
         grad_gamma = partial(ambient_mod.central_gradient, gfun, step=1e-6)
     else:
         gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
@@ -351,12 +360,20 @@ def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
         raise ParameterError(f"$.domain.params.{names[-1]}: {exc}") from None
 
 
-def _build_field(spec, mesh, base_dir: Path) -> ScalarField:
-    if "constant" in spec:
-        return ScalarField.constant(mesh, spec["constant"])
-    if "expression" in spec:
-        return ScalarField(mesh, compile_expression(spec["expression"])(mesh.vertices))
-    return ScalarField.from_csv(mesh, base_dir / spec["csv"])
+def _build_field(doc, key: str, mesh, base_dir: Path) -> ScalarField:
+    """The field ``doc[key]``; an error names its JSON path, e.g.
+    ``$.H.expression``."""
+    (kind, value), = doc[key].items()
+    try:
+        if kind == "constant":
+            return ScalarField.constant(mesh, value)
+        if kind == "expression":
+            fn = compile_expression(value)
+            with np.errstate(all="ignore"):
+                return ScalarField(mesh, fn(mesh.vertices))
+        return ScalarField.from_csv(mesh, base_dir / value)
+    except (MeshError, ParameterError) as exc:
+        raise type(exc)(f"$.{key}.{kind}: {exc}") from None
 
 
 def load_problem(path) -> LoadedProblem:
@@ -364,8 +381,9 @@ def load_problem(path) -> LoadedProblem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SchemaError(f"cannot read problem file: {exc}") from exc
+    except (OSError, ValueError) as exc:        # unreadable, not UTF-8, not JSON
+        reason = getattr(exc, "strerror", None) or exc
+        raise SchemaError(f"cannot read problem file {path}: {reason}") from exc
     return load_problem_document(doc, base_dir=path.parent)
 
 
@@ -374,8 +392,8 @@ def load_problem_document(doc, base_dir=".") -> LoadedProblem:
     base_dir = Path(base_dir)
     amb = _build_ambient(doc)
     mesh = _build_mesh(doc, amb, base_dir)
-    H = _build_field(doc["H"], mesh, base_dir)
-    phi_field = _build_field(doc["phi"], mesh, base_dir)
+    H = _build_field(doc, "H", mesh, base_dir)
+    phi_field = _build_field(doc, "phi", mesh, base_dir)
     problem = Problem(amb, mesh, H, phi_field.values)
     # JSON Schema counts 30.0 as an integer; the solver needs an int
     spec = PROBLEM_SCHEMA["properties"]["solver"]["properties"]

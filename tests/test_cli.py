@@ -564,6 +564,11 @@ _BAD_PARAMETERS = {
     "ambient_params": (_set(["ambient"], {"preset": "example_c",
                                           "params": {"b": 1.0, "c": 2.0}}),
                        "$.ambient"),
+    "H_expression_arity": (_set(["H"], {"expression": "exp(x, y)"}), "$.H.expression"),
+    "phi_not_finite": (_set(["phi"], {"expression": "log(x)"}), "$.phi.expression"),
+    "H_overflow": (_set(["H"], {"expression": "10**400"}), "$.H.expression"),
+    "custom_lam_arity": (_set(["ambient"], {"custom": {"lam": "exp(t, t)"}}),
+                         "$.ambient.custom.lam"),
 }
 
 
@@ -577,6 +582,30 @@ def test_bad_parameter_exit_1_with_path(tmp_path, capsys, command, case):
     argv = [command, prob] + (["--out", str(tmp_path / "run")]
                               if command == "solve" else [])
     _assert_clean_exit_1(argv, capsys, path + ":")
+
+
+@pytest.mark.filterwarnings("error")      # log(0) warns nothing
+def test_field_not_finite_names_the_vertex(tmp_path, capsys):
+    doc = _cap_doc(h=0.2)
+    doc["phi"] = {"expression": "log(x)"}
+    _assert_clean_exit_1(["check", _write(tmp_path, "problem.json", doc)], capsys,
+                         "$.phi.expression: value -inf at vertex 0 is not finite")
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "certify", "verify"])
+def test_problem_file_not_utf8_exit_1(tmp_path, capsys, command):
+    prob = tmp_path / "problem.json"
+    text = json.dumps(_cap_doc(h=0.2)).encode("utf-8")
+    prob.write_bytes(text.replace(b"disk", b"d\xffsk"))
+    argv = {"check": ["check", str(prob)],
+            "solve": ["solve", str(prob), "--out", str(tmp_path / "run")],
+            "certify": ["certify", str(prob), str(tmp_path / "solution.csv")],
+            "verify": ["verify", str(prob), str(tmp_path / "solution.csv")]}[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read problem file {prob}: 'utf-8' codec")
+    assert "Traceback" not in err and err.count(str(prob)) == 1
 
 
 def test_disk_and_cap_agree_on_the_round_leaf(tmp_path, capsys):

@@ -26,6 +26,9 @@ CORPUS = [
      lambda x, y: np.minimum(x, y) + np.maximum(x, -y)),
     ("abs(x - y) % 2", lambda x, y: np.abs(x - y) % 2),
     ("0.5", lambda x, y: np.full_like(x, 0.5)),
+    # integer constants compute in floating point
+    ("2**-1 + x", lambda x, y: 0.5 + x),
+    ("2**70 * x", lambda x, y: 2.0**70 * x),
 ]
 
 
@@ -50,6 +53,11 @@ def test_corpus_matches_reference(text, ref):
     "x if y else 0",
     "'str'",
     "x; y",
+    # one-argument ufuncs take a second positional argument as ``out``
+    "exp(x, y)",
+    "min(x)",
+    "exp()",
+    "atan2(x)",
 ])
 def test_rejected_constructs(bad):
     with pytest.raises(ParameterError):
@@ -78,3 +86,10 @@ def test_univariate():
     assert np.allclose(arr, [1.0, math.e])
     with pytest.raises(ParameterError):
         compile_univariate("x + t")
+
+
+def test_univariate_arity_checked():
+    t = np.array([0.1, 0.2])
+    with pytest.raises(ParameterError, match="exp takes 1 argument, got 2"):
+        compile_univariate("exp(t, t)")(t)
+    assert t.tolist() == [0.1, 0.2]

@@ -12,7 +12,7 @@ import ckgraph as ck
 from ckgraph.errors import MeshError
 from ckgraph.fields import ScalarField
 from ckgraph import mesh as mesh_module
-from ckgraph.mesh import (_chart_areas, _corner_update, _edge_relaxation,
+from ckgraph.mesh import (_chart_areas, _corner_update, _eikonal_sweep,
                           _loop_edges, _nearest, _sigma_edges, _spd_inverse,
                           _unique,
                           annulus_mesh, cap_mesh, disk_mesh, locate_points,
@@ -572,32 +572,38 @@ def test_generic_distance_independent_of_labels(spec, seed):
     assert np.abs(moved.dist_to_boundary[perm] - base.dist_to_boundary).max() <= 1e-15
 
 
+def _from_reference_start(vertices, triangles, loops, ambient):
+    """The generic distance of a mesh and the triangle update's fixed point
+    started from the shortest edge paths instead of the boundary."""
+    mesh = mesh_from_arrays(vertices, triangles, loops, ambient)
+    return mesh.dist_to_boundary, _eikonal_sweep(
+        mesh.vertices, mesh.triangles, _dijkstra(mesh, ambient), ambient)
+
+
 @settings(max_examples=15, deadline=None)
 @given(_PRESETS, st.one_of(st.none(), st.integers(0, 2**32 - 1)))
 @example(("disk", 0.4, 0.04), None)
 @example(("disk", 0.4, 0.04), 2026)        # relabelled, as the benchmark's file
 @example(("cap", 1.0, 0.05), None)
 @example(("annulus", 0.3, 0.05), None)
-def test_edge_relaxation_equals_dijkstra(spec, seed):
+def test_generic_distance_independent_of_start(spec, seed):
     mesh, amb = _preset(*spec)
+    verts, tris, loops = mesh.vertices, mesh.triangles, mesh.boundary_loops
     if seed is not None:
         _, verts, tris, loops = _relabelled(mesh, np.random.default_rng(seed))
-        mesh = mesh_from_arrays(verts, tris, loops, amb)
-    (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, amb)
-    start = np.full(mesh.n_vertices, np.inf)
-    start[mesh.boundary_vertices] = 0.0
-    assert np.array_equal(_edge_relaxation(pairs, lengths, start),
-                          _dijkstra(mesh, amb))
+    dist, ref = _from_reference_start(verts, tris, loops, amb)
+    assert np.array_equal(dist, ref)
 
 
-def test_edge_relaxation_unconverged_is_an_error():
-    mesh = disk_mesh(0.3, 0.15, FLAT)
-    (pairs, _, _), lengths = _sigma_edges(mesh.vertices, mesh.triangles, FLAT)
-    start = np.full(mesh.n_vertices, np.inf)
-    start[mesh.boundary_vertices] = 0.0
-    with pytest.raises(MeshError, match="shortest edge paths to the boundary did "
-                                        rf"not converge in {mesh.n_vertices} sweeps"):
-        _edge_relaxation(pairs, -lengths, start)      # never settles
+@pytest.mark.parametrize("kind", ["disk", "cap"])
+def test_generic_distance_independent_of_start_jittered(kind):
+    mesh, amb = _preset(kind, 0.4, 0.01)
+    rng = np.random.default_rng(5)
+    verts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    verts[inner] += rng.uniform(-0.002, 0.002, (len(inner), 2))
+    dist, ref = _from_reference_start(verts, mesh.triangles, mesh.boundary_loops, amb)
+    assert np.all(np.abs(dist - ref) <= 1e-14 * ref)
 
 
 def test_nearest_matches_kd_tree():
