@@ -10,9 +10,9 @@ if "CKG_THREADS" in _os.environ:
                "NUMEXPR_NUM_THREADS"):
         _os.environ.setdefault(_k, _v)
 
-from .ambient import (AmbientSpace, CurvatureModel, PRESET_NAMES,
-                      flat_metric, leaf_mean_curvature, preset_ambient,
-                      rho_t, round_sphere_metric)
+from .ambient import (AmbientSpace, PRESET_NAMES, flat_metric,
+                      leaf_mean_curvature, preset_ambient, rho_t,
+                      round_sphere_metric)
 from .analysis import (BarrierCertificate, HypothesisReport,
                        boundary_barrier, check_hypotheses, cylinder_kappa,
                        cylinder_mean_curvature, cylinder_monotonicity_probe,

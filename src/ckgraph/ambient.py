@@ -18,7 +18,7 @@ Sign and normalization conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DomainError, ParameterError
 
 __all__ = [
-    "CurvatureModel",
     "AmbientSpace",
     "n",
     "rho",
@@ -44,23 +43,6 @@ _SQRT2M1 = math.sqrt(2.0) - 1.0
 
 # dimension of the base leaf: every mesh is a 2-D chart
 n = 2
-
-
-@dataclass(frozen=True)
-class CurvatureModel:
-    """How the Ricci curvature of the base leaf can be evaluated.
-
-    kind is one of ``flat``, ``constant_curvature`` or ``unavailable``.
-    """
-
-    kind: str
-    kappa0: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in ("flat", "constant_curvature", "unavailable"):
-            raise ParameterError(f"unknown curvature model kind {self.kind!r}")
-        if self.kind == "constant_curvature" and self.kappa0 is None:
-            raise ParameterError("constant_curvature model needs kappa0")
 
 
 def _as_t(t):
@@ -88,7 +70,6 @@ class AmbientSpace:
     gamma: Callable
     grad_gamma: Callable
     base_metric: Callable
-    curvature_model: CurvatureModel = field(default_factory=lambda: CurvatureModel("flat"))
     fd_derivatives: bool = False
     rho: Optional[Callable] = None
 
@@ -176,6 +157,11 @@ def round_sphere_metric(u):
     return s[..., None, None] * eye + tcoef[..., None, None] * outer
 
 
+# Gaussian curvature of each leaf metric; a metric outside this table has no
+# known curvature, and the Ricci checks report it as not evaluable
+_LEAF_CURVATURE = {flat_metric: 0.0, round_sphere_metric: 1.0}
+
+
 def _ones_field(u):
     u = np.asarray(u, dtype=float)
     return np.ones(u.shape[:-1])
@@ -233,20 +219,17 @@ def _zeros(t):
     return np.zeros_like(_as_t(t))
 
 
-_FLAT = CurvatureModel("flat")
-
-# name -> (lam, lam_t, lam_tt, interval_end, base_metric, curvature_model,
+# name -> (lam, lam_t, lam_tt, interval_end, base_metric,
 # rho = lam_t / lam in closed form); every preset has gamma == 1
 _PRESETS = {
-    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _FLAT, _ones),
+    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _ones),
     "example_b": (_recip, lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
                   lambda t: 2.0 / (1.0 - _as_t(t)) ** 3,
-                  1.0, flat_metric, _FLAT, _recip),
+                  1.0, flat_metric, _recip),
     "example_c": (_sinh_lam, _sinh_lam_t, _sinh_lam_tt, math.asinh(1.0),
-                  flat_metric, _FLAT, _sinh_rho),
-    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric, _FLAT, _zeros),
-    "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric,
-                         CurvatureModel("constant_curvature", kappa0=1.0), _ones),
+                  flat_metric, _sinh_rho),
+    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric, _zeros),
+    "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric, _ones),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -256,9 +239,9 @@ def preset_ambient(name: str) -> AmbientSpace:
     fields can be swapped with ``dataclasses.replace``."""
     if name not in _PRESETS:
         raise ParameterError(f"unknown ambient preset {name!r}")
-    lam, lam_t, lam_tt, end, metric, model, closed_rho = _PRESETS[name]
+    lam, lam_t, lam_tt, end, metric, closed_rho = _PRESETS[name]
     return AmbientSpace(name, lam, lam_t, lam_tt, end, _ones_field, _zero_grad,
-                        metric, model, rho=closed_rho)
+                        metric, rho=closed_rho)
 
 
 # Steps of the finite-difference fallbacks.  A central difference with step

@@ -33,8 +33,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import (AmbientSpace, fd_rho_t_tolerance, leaf_mean_curvature, n,
-                      rho_t)
+from .ambient import (_LEAF_CURVATURE, AmbientSpace, fd_rho_t_tolerance,
+                      leaf_mean_curvature, n, rho_t)
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
@@ -182,17 +182,16 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     The ambient radial Ricci along a leaf is tied to the leaf Ricci by
     ``Ric_amb = Ric_leaf - (n k^2 - sqrt(gamma) k_t)`` (constant gamma),
     with the leaf curvature ``k = -lambda_t sqrt(gamma)/lambda^2`` and
-    ``sqrt(gamma) k_t = k^2 - gamma rho_t`` at the base leaf.  Only constant
-    base curvature gives a direction-independent radial Ricci; anything else
-    is reported as not evaluable rather than guessed.
+    ``sqrt(gamma) k_t = k^2 - gamma rho_t`` at the base leaf.  The leaf Ricci
+    is ``(n - 1)`` times the Gaussian curvature of the leaf metric; a metric
+    of unknown curvature is reported as not evaluable rather than guessed.
     """
     amb, mesh = problem.ambient, problem.mesh
-    model = amb.curvature_model
+    curvature = _LEAF_CURVATURE.get(amb.base_metric)
     gam = np.asarray(amb.gamma(mesh.vertices))
     gconst = float(gam.max() - gam.min()) <= 1e-10 * max(1.0, float(np.abs(gam).max()))
-    known = model.kind in ("flat", "constant_curvature")
-    ric_leaf = (n - 1) * model.kappa0 \
-        if model.kind == "constant_curvature" else 0.0
+    known = curvature is not None
+    ric_leaf = (n - 1) * curvature if known else 0.0
 
     rho_t0 = float(rho_t(amb, 0.0))
     k0 = float(leaf_mean_curvature(amb, mesh.vertices[0]))
@@ -200,7 +199,8 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     ric_amb = ric_leaf - x_term
 
     # why a margin is not evaluable; None where it is
-    no_model = None if known else f"curvature model '{model.kind}' has no radial Ricci"
+    no_model = None if known else \
+        "leaf metric is neither flat nor the round sphere's: its Ricci curvature is unknown"
     no_amb = no_model
     if known and not gconst:
         no_amb = "non-constant gamma: radial direction field not computable"

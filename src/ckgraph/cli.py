@@ -31,6 +31,9 @@ from .solver import continuation_solve
 
 _STATUS_EXIT = {"converged": 0, "stalled": 2, "left_interval": 3}
 
+# errors in the input files or parameters: a message and exit 1
+_INPUT_ERRORS = (SchemaError, ParameterError, MeshError, DomainError)
+
 
 def _dump_json(doc, path=None):
     text = json.dumps(doc, sort_keys=True, indent=2)
@@ -123,11 +126,10 @@ def cmd_solve(args) -> int:
     report = _report_skeleton("input_error")
     try:
         loaded = load_problem(args.problem)
-    except (SchemaError, ParameterError, MeshError, DomainError) as exc:
+    except _INPUT_ERRORS as exc:
         report["error"] = str(exc)
         _dump_json(report, out / "report.json")
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise
     problem = loaded.problem
     report["fd_derivatives"] = problem.ambient.fd_derivatives
     # --strict refuses to solve on a failed check, so it always runs it
@@ -175,12 +177,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        loaded = load_problem(args.problem)
-        hyp = check_hypotheses(loaded.problem)
-    except (SchemaError, ParameterError, MeshError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    hyp = check_hypotheses(load_problem(args.problem).problem)
     _dump_json(hyp.to_json())
     return 0 if hyp.passed else 1
 
@@ -190,28 +187,20 @@ def cmd_certify(args) -> int:
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 1
-    try:
-        loaded, z = _load_solution(args)
-    except (SchemaError, ParameterError, MeshError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    loaded, z = _load_solution(args)
     problem = loaded.problem
     report = _report_skeleton("certified")
     certs = {}
-    try:
-        if args.D is not None or args.B is not None:
-            if args.D is None or args.B is None:
-                raise ParameterError("--D and --B must be given together")
-            _, certs["height"] = height_barrier(problem, args.D, args.B, z)
-        else:
-            _, certs["height"] = search_height_barrier(problem, z)
-        _, certs["boundary_lower"] = search_boundary_barrier(
-            problem, z, eps=args.eps, upper=False)
-        _, certs["boundary_upper"] = search_boundary_barrier(
-            problem, z, eps=args.eps, upper=True)
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.D is not None or args.B is not None:
+        if args.D is None or args.B is None:
+            raise ParameterError("--D and --B must be given together")
+        _, certs["height"] = height_barrier(problem, args.D, args.B, z)
+    else:
+        _, certs["height"] = search_height_barrier(problem, z)
+    _, certs["boundary_lower"] = search_boundary_barrier(
+        problem, z, eps=args.eps, upper=False)
+    _, certs["boundary_upper"] = search_boundary_barrier(
+        problem, z, eps=args.eps, upper=True)
     slopes = boundary_normal_slope(problem, z)
     report["certificates"] = {k: c.to_json() for k, c in certs.items()}
     report["boundary_slope_range"] = [float(slopes.min()), float(slopes.max())]
@@ -232,11 +221,7 @@ def cmd_verify(args) -> int:
     if bad:
         print(f"error: {bad}", file=sys.stderr)
         return 1
-    try:
-        loaded, z = _load_solution(args)
-    except (SchemaError, ParameterError, MeshError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    loaded, z = _load_solution(args)
     problem = loaded.problem
     H_rec, conf = mean_curvature_of_graph(problem, z)
     mask = conf & ~problem.mesh.is_boundary
@@ -305,6 +290,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    except _INPUT_ERRORS as exc:
+        # every command's input and parameter errors end here; solve also
+        # records its load error in report.json first
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the reader of stdout has gone; keep the flush at shutdown quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

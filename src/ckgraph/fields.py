@@ -58,7 +58,8 @@ class ScalarField:
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise MeshError(f"cannot read {path}: {exc}") from exc
+            reason = getattr(exc, "strerror", None) or exc
+            raise MeshError(f"cannot read {path}: {reason}") from exc
         values = _parse_all(mesh, text)
         if values is None:
             # walk the rows to find the first fault and its line

@@ -765,8 +765,9 @@ def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
         try:
             with open(doc, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise MeshError(f"cannot read {where}: {exc}") from exc
+        except (OSError, ValueError) as exc:    # unreadable, not UTF-8, not JSON
+            reason = getattr(exc, "strerror", None) or exc
+            raise MeshError(f"cannot read {where}: {reason}") from exc
     try:
         if not isinstance(doc, dict):
             raise MeshError("not a JSON object")

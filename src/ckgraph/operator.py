@@ -131,25 +131,28 @@ class _Evaluation:
 class _Assembly:
     """Element kernel of the weak operator.  Per-element data is stored
     component by component, each component a contiguous row over the
-    elements, so every 2x2 metric contraction is a few vector operations."""
+    elements, so every 2x2 metric contraction is a few vector operations.
+    It keeps what it reads of the problem, not the problem, which holds it:
+    without that cycle a problem is freed by its reference count."""
 
     def __init__(self, problem: Problem):
         from .frontal import FrontTree   # here: of the ckg commands only solve needs it
-        mesh = problem.mesh
-        self.problem = problem
+        mesh = self.mesh = problem.mesh
+        self.ambient, self.phi = problem.ambient, problem.phi
         self._triT = _rows(mesh.triangles)               # (3, nt)
         self.n = n
-        self._element_data()
+        self._element_data(problem.H.values)
         self.interior = mesh.interior_vertices
         # the pattern and its elimination tree hold for every Jacobian; the
         # set-up temporaries are gone before the tree is built
         indptr, indices = self._pattern()
         self.tree = FrontTree(indptr, indices, mesh.vertices[self.interior])
 
-    def _element_data(self):
+    def _element_data(self, H):
         """Per-element metric data, quadrature weights and the
-        z-independent contractions of the kernel."""
-        amb, mesh = self.problem.ambient, self.problem.mesh
+        z-independent contractions of the kernel; ``H`` is the prescribed
+        curvature at the vertices."""
+        amb, mesh = self.ambient, self.mesh
         G, A = _hat_gradients(mesh.vertices, mesh.triangles)
         self.Gx, self.Gy = _rows(G[..., 0]), _rows(G[..., 1])
         p = mesh.vertices[mesh.triangles]
@@ -160,7 +163,7 @@ class _Assembly:
         self.Sq, det_q = _spd_inverse(_rows(amb.base_metric(qp)))
         self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
         dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
-        Hv = self.problem.H.values[self._triT]           # (3, nt)
+        Hv = H[self._triT]                               # (3, nt)
         self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
         self.w_c = A * np.sqrt(det_c)
@@ -173,7 +176,7 @@ class _Assembly:
         """CSC ``(indptr, indices)`` of the interior block, with the slot of
         every element entry in it kept for ``system``."""
         ni = len(self.interior)
-        pos = np.full(self.problem.mesh.n_vertices, -1)
+        pos = np.full(self.mesh.n_vertices, -1)
         pos[self.interior] = np.arange(ni)
         local_pos = pos[self._triT]
         nt = local_pos.shape[1]
@@ -207,7 +210,7 @@ class _Assembly:
     # -- pointwise data -----------------------------------------------------
 
     def _check_interval(self, z):
-        amb = self.problem.ambient
+        amb = self.ambient
         bad = np.nonzero(z >= amb.interval_end)[0]
         if len(bad):
             raise DomainError(
@@ -233,7 +236,7 @@ class _Assembly:
 
     def _scatter(self, val):
         return np.bincount(self._triT.ravel(), weights=val.ravel(),
-                           minlength=self.problem.mesh.n_vertices)
+                           minlength=self.mesh.n_vertices)
 
     # -- element kernel ------------------------------------------------------
 
@@ -249,7 +252,7 @@ class _Assembly:
         """Residual pass: the per-element weak residual ``(3, nt)`` with the
         intermediates that ``_local`` reuses."""
         self._check_interval(z)
-        amb = self.problem.ambient
+        amb = self.ambient
         n = self.n
         gx, gy, zmid = self._element_state(z)
         lam_m = np.asarray(amb.lam(zmid))
@@ -278,7 +281,7 @@ class _Assembly:
         terms, whose ``z`` dependence enters through ``grad z`` (rows of
         ``G``) and ``zmid`` (1/3 at every vertex), give rows times ``Gx``,
         ``Gy`` and a constant."""
-        amb = self.problem.ambient
+        amb = self.ambient
         n, tau = self.n, ev.tau
         rhot_m = rho_t(amb, ev.zmid)
         k = self.w_c / ev.U_c
@@ -332,9 +335,9 @@ class _Assembly:
         path_rate = None
         if tangent:
             # boundary data per element, zero at interior vertices
-            mesh = self.problem.mesh
+            mesh = self.mesh
             phi_b = np.zeros(mesh.n_vertices)
-            phi_b[mesh.boundary_vertices] = self.problem.phi[mesh.boundary_vertices]
+            phi_b[mesh.boundary_vertices] = self.phi[mesh.boundary_vertices]
             rate += np.einsum("abe,be->ae", local, phi_b[self._triT])
             path_rate = self._scatter(rate)[self.interior]
         return SparseSystem(J, path_rate)

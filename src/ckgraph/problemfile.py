@@ -11,7 +11,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import ambient as ambient_mod
-from .ambient import AmbientSpace, CurvatureModel, preset_ambient, PRESET_NAMES
+from .ambient import AmbientSpace, preset_ambient, PRESET_NAMES
 from .errors import MeshError, ParameterError, SchemaError
 from .expressions import compile_expression, compile_univariate
 from .fields import ScalarField
@@ -63,19 +63,6 @@ PROBLEM_SCHEMA = {
                                                    {"const": "inf"}]},
                         "gamma": {"type": "string"},
                         "base_metric": {"enum": ["flat", "round_sphere"]},
-                        "curvature": {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "properties": {
-                                "kind": {"enum": ["flat", "constant_curvature",
-                                                  "unavailable"]},
-                                "kappa0": {"type": "number"},
-                            },
-                            "if": {"properties": {
-                                "kind": {"const": "constant_curvature"}},
-                                "required": ["kind"]},
-                            "then": {"required": ["kappa0"]},
-                        },
                     },
                 },
             },
@@ -103,13 +90,16 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "newton_tol": {"type": "number"},
-                "max_newton_iters": {"type": "integer"},
-                "initial_tau_step": {"type": "number"},
-                "min_tau_step": {"type": "number"},
-                "damping_factor": {"type": "number"},
-                "max_damping_halvings": {"type": "integer"},
-                "clamp_margin": {"type": "number"},
+                # a tau step of 0 re-solves the same tau forever, and a
+                # damping factor outside (0, 1) does not shrink the step
+                "newton_tol": {"type": "number", "exclusiveMinimum": 0},
+                "max_newton_iters": {"type": "integer", "exclusiveMinimum": 0},
+                "initial_tau_step": {"type": "number", "exclusiveMinimum": 0},
+                "min_tau_step": {"type": "number", "exclusiveMinimum": 0},
+                "damping_factor": {"type": "number", "exclusiveMinimum": 0,
+                                   "exclusiveMaximum": 1},
+                "max_damping_halvings": {"type": "integer", "exclusiveMinimum": -1},
+                "clamp_margin": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "checks": {
@@ -154,13 +144,23 @@ _PRESET_PARAMS = {"disk": ("radius",), "cap": ("theta0",),
                   "annulus": ("r_in", "r_out")}
 
 
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:       # an int beyond the float range
+        return False
+
+
 # JSON Schema 2020-12 types as they appear in json.load output: a bool is
-# not a number, and a float with no fractional part is an integer
+# not a number, and a float with no fractional part is an integer.  A number
+# must also be finite as a float: json.load reads NaN and Infinity, which
+# are not JSON, and an infinite or NaN tau step never lets a solve end
 _TYPES = {
     "object": lambda v: isinstance(v, dict),
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and _finite(v),
     "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
                           or isinstance(v, float) and v.is_integer()),
 }
@@ -243,20 +243,15 @@ def _items(value, sub, schema, path):
             yield from _schema_errors(item, sub, f"{path}[{i}]")
 
 
-def _if(value, condition, schema, path):
-    if "then" in schema and not any(_schema_errors(value, condition, path)):
-        yield from _schema_errors(value, schema["then"], path)
-
-
 # keyword -> check yielding (path, message) pairs; these are all the
-# keywords PROBLEM_SCHEMA may use ("then" is read by "if")
+# keywords PROBLEM_SCHEMA may use
 _KEYWORDS = {
     "type": _type, "enum": _enum, "const": _const, "anyOf": _any_of,
     "properties": _properties, "required": _required,
     "additionalProperties": _additional_properties,
     "minProperties": _min_properties, "maxProperties": _max_properties,
     "exclusiveMinimum": _exclusive_minimum, "exclusiveMaximum": _exclusive_maximum,
-    "items": _items, "if": _if, "then": lambda *args: (),
+    "items": _items,
 }
 
 
@@ -275,10 +270,6 @@ def validate_document(doc):
     amb = doc["ambient"]
     if ("preset" in amb) == ("custom" in amb):
         raise SchemaError("$.ambient: exactly one of 'preset' or 'custom' required")
-    curv = amb.get("custom", {}).get("curvature", {})
-    if "kappa0" in curv and curv.get("kind") != "constant_curvature":
-        raise SchemaError("$.ambient.custom.curvature.kappa0: only used with "
-                          "kind 'constant_curvature'")
     dom = doc["domain"]
     if ("preset" in dom) == ("mesh" in dom):
         raise SchemaError("$.domain: exactly one of 'preset' or 'mesh' required")
@@ -330,12 +321,10 @@ def _build_ambient(doc) -> AmbientSpace:
         gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
     metric = ambient_mod.round_sphere_metric \
         if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
-    curv = cu.get("curvature", {"kind": "unavailable"})
-    model = CurvatureModel(curv.get("kind", "unavailable"), curv.get("kappa0"))
     return AmbientSpace(
         name="custom", lam=lam, lam_t=lam_t, lam_tt=lam_tt,
         interval_end=end, gamma=gfun, grad_gamma=grad_gamma,
-        base_metric=metric, curvature_model=model, fd_derivatives=fd)
+        base_metric=metric, fd_derivatives=fd)
 
 
 def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):

@@ -101,8 +101,9 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
 
     Boundary values are imposed strongly as ``tau * phi``.  Returns
     ``(z, records, clamped, evaluation)``, the last being the element pass
-    at the returned ``z``, or raises ``NewtonStallError`` with the best
-    iterate.
+    at the returned ``z``, or raises ``NewtonStallError`` with the last
+    iterate, which is also the best: a step is accepted only when the
+    residual falls.
     """
     options = options or SolverOptions()
     asm = problem.assembly()
@@ -120,7 +121,6 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         return float(np.abs(r).max()), r, ev
 
     rnorm, r, ev = res_norm(z)
-    best = (rnorm, z.copy())
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
             return z, records, clamped, ev
@@ -145,8 +145,8 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         if not trial_norm < rnorm:
             raise NewtonStallError(
                 f"Newton stalled at tau={tau} after {it} iterations "
-                f"(residual {best[0]:.3e})",
-                best_iterate=best[1], iterations=it, residual_norm=best[0])
+                f"(residual {rnorm:.3e})",
+                best_iterate=z, iterations=it, residual_norm=rnorm)
         z, rnorm, r, ev = trial, trial_norm, trial_r, trial_ev
         del trial_ev
         clamped = clamped or was_clamped
@@ -155,15 +155,13 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         records.append(rec)
         if on_iteration is not None:
             on_iteration(rec)
-        if rnorm < best[0]:
-            best = (rnorm, z.copy())
     if rnorm <= options.newton_tol:
         return z, records, clamped, ev
     raise NewtonStallError(
         f"Newton did not reach tolerance at tau={tau} "
         f"(residual {rnorm:.3e} after {options.max_newton_iters} iterations)",
-        best_iterate=best[1], iterations=options.max_newton_iters,
-        residual_norm=best[0])
+        best_iterate=z, iterations=options.max_newton_iters,
+        residual_norm=rnorm)
 
 
 def _tangent_system(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
@@ -248,9 +246,6 @@ def _companion_start(problem: Problem, companion: Problem,
     solve = _march(companion, options, None)
     summary = {"vertices": companion.mesh.n_vertices, "tau_path": solve.tau_path,
                "newton_iterations": len(solve.newton_history)}
-    # the problem and its assembly refer to each other: part them so the
-    # companion's assembly and tree are freed without the cycle collector
-    companion._assembly = None
     if not solve.converged:
         return None, summary, f"companion continuation {solve.status}"
     mesh = problem.mesh

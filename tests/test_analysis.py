@@ -17,6 +17,7 @@ from ckgraph.analysis import (_distance_geometry, boundary_barrier,
 from ckgraph.errors import ParameterError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import closed_polyline_geometry
+from ckgraph.problemfile import load_problem_document
 
 
 # -- hypothesis checker -----------------------------------------------------
@@ -88,17 +89,42 @@ def test_ricci_agreement_constant_curvature(radial_problem, cmc_problem):
         assert a.margin == pytest.approx(b.margin, abs=1e-10)
 
 
+_RICCI = ("ricci_simple", "ricci_refined", "ricci_corollary3")
+
+
 def test_ricci_not_evaluable_for_unknown_model():
+    # a leaf metric other than the flat and the round one, which only the
+    # library API can pass, has no known curvature; a polar domain refuses
+    # such a metric, so the mesh is generic
     amb = replace(ck.preset_ambient("killing_flat"),
-                  curvature_model=ck.CurvatureModel("unavailable"))
-    mesh = ck.disk_mesh(0.4, 0.08, amb)
+                  base_metric=lambda u: 0.5 * ck.flat_metric(u))
+    disk = ck.disk_mesh(0.4, 0.08, ck.preset_ambient("killing_flat"))
+    mesh = ck.mesh_from_arrays(disk.vertices, disk.triangles, disk.boundary_loops, amb)
     prob = ck.Problem.create(amb, mesh, 1.0, -0.5)
     rep = check_hypotheses(prob)
-    for name in ("ricci_simple", "ricci_refined", "ricci_corollary3"):
+    for name in _RICCI:
         cond = rep.get(name)
         assert not cond.evaluable
         assert not cond.passed      # never silently passed
+        assert "Ricci curvature is unknown" in cond.note
     assert rep.passed               # non-evaluable entries do not block
+
+
+def test_custom_ambient_takes_leaf_curvature_from_metric(radial_problem):
+    # exp(t) with exact derivatives on the round leaf is euclidean_radial,
+    # and no key declares the leaf curvature: the Ricci entries agree
+    doc = {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)",
+                                  "lam_tt": "exp(t)", "base_metric": "round_sphere"}},
+           "domain": {"preset": "cap", "params": {"theta0": 1.0}},
+           "resolution": 0.1, "H": {"constant": 0.0}, "phi": {"constant": 0.0}}
+    custom = check_hypotheses(load_problem_document(doc).problem)
+    preset = check_hypotheses(radial_problem)
+    assert custom.get("ricci_corollary3").note == "Ric_leaf_rad=1.0"
+    for name in _RICCI:
+        a, b = custom.get(name), preset.get(name)
+        assert a.evaluable and b.evaluable
+        assert a.margin == pytest.approx(b.margin, rel=0, abs=1e-12)
+        assert a.passed == b.passed
 
 
 def test_monotone_in_H():
@@ -492,7 +518,7 @@ def test_preset_rho_keeps_steep_height_margins_finite(D):
 def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
     from ckgraph.problemfile import load_problem_document
     doc = {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
-                                  "gamma": "1 + 0.2*x*x", "curvature": {"kind": "flat"}}},
+                                  "gamma": "1 + 0.2*x*x"}},
            "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
            "resolution": 0.03, "H": {"constant": 0.3},
            "phi": {"expression": "-0.5 + 0.1*x"}}

@@ -372,6 +372,7 @@ def _assert_clean_exit_1(argv, capsys, fragment):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert fragment in err
+    return err
 
 
 @pytest.mark.parametrize("command", ["certify", "verify"])
@@ -390,12 +391,14 @@ def test_malformed_solution_csv_exit_1(solved_run, tmp_path, capsys,
 def test_unreadable_solution_exit_1(solved_run, tmp_path, capsys, command):
     _, prob, _ = solved_run
     missing = tmp_path / "missing.csv"
-    _assert_clean_exit_1([command, prob, str(missing)], capsys,
-                         f"cannot read {missing}")
+    err = _assert_clean_exit_1([command, prob, str(missing)], capsys,
+                               f"cannot read {missing}: No such file or directory")
+    assert err.count(str(missing)) == 1
     binary = tmp_path / "binary.csv"
     binary.write_bytes(b"vertex,x,y,value\n\xff\xfe\n")
-    _assert_clean_exit_1([command, prob, str(binary)], capsys,
-                         f"cannot read {binary}")
+    err = _assert_clean_exit_1([command, prob, str(binary)], capsys,
+                               f"cannot read {binary}")
+    assert err.count(str(binary)) == 1
 
 
 def _mesh_file_doc():
@@ -439,7 +442,8 @@ def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
         doc = ck.mesh_to_json(ck.disk_mesh(0.4, 0.2, amb))
         edit(doc)
         _write(tmp_path, "mesh.json", doc)
-    _assert_clean_exit_1(["check", prob], capsys, str(mesh_path))
+    err = _assert_clean_exit_1(["check", prob], capsys, str(mesh_path))
+    assert err.count(str(mesh_path)) == 1
     _assert_clean_exit_1(["check", prob], capsys, fragment)
 
 
@@ -556,10 +560,10 @@ _BAD_PARAMETERS = {
                                            "params": {"radius": 0.4}}),
                          "$.domain.params"),
     "mesh_with_resolution": (_set(["domain"], {"mesh": "mesh.json"}), "$.resolution"),
-    "kappa0_without_kind": (_custom_curvature(kappa0=2.0),
-                            "$.ambient.custom.curvature.kappa0"),
+    # the leaf curvature comes from base_metric; no key declares it
+    "kappa0_without_kind": (_custom_curvature(kappa0=2.0), "$.ambient.custom"),
     "kappa0_with_flat": (_custom_curvature(kind="flat", kappa0=2.0),
-                         "$.ambient.custom.curvature.kappa0"),
+                         "$.ambient.custom"),
     # nothing read the shift parameters of example_c
     "ambient_params": (_set(["ambient"], {"preset": "example_c",
                                           "params": {"b": 1.0, "c": 2.0}}),
@@ -582,6 +586,17 @@ def test_bad_parameter_exit_1_with_path(tmp_path, capsys, command, case):
     argv = [command, prob] + (["--out", str(tmp_path / "run")]
                               if command == "solve" else [])
     _assert_clean_exit_1(argv, capsys, path + ":")
+
+
+# a zero tau step re-solves the same tau forever; the schema refuses it (all
+# bounds: test_problemfile), checked here without solving
+@pytest.mark.parametrize("key", ["initial_tau_step", "min_tau_step"])
+def test_zero_tau_step_exit_1(tmp_path, capsys, key):
+    doc = _cap_doc(h=0.2)
+    doc["solver"] = {key: 0}
+    prob = _write(tmp_path, "problem.json", doc)
+    _assert_clean_exit_1(["check", prob], capsys,
+                         f"$.solver.{key}: 0 is less than or equal to the minimum of 0")
 
 
 @pytest.mark.filterwarnings("error")      # log(0) warns nothing
@@ -886,16 +901,14 @@ _VALID_DOCS = [
      "phi": {"expression": "x**2 + y**2"}, "checks": ["monotonicity"]},
     {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
                             "interval_end": "inf", "gamma": "1 + 0*x",
-                            "base_metric": "flat", "curvature": {"kind": "flat"}}},
+                            "base_metric": "flat"}},
      "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
      "resolution": 0.15, "H": {"constant": 0.0}, "phi": {"csv": "phi.csv"}},
     {"ambient": {"preset": "example_c"},
      "domain": {"mesh": "mesh.json"}, "H": {"csv": "H.csv"},
      "phi": {"constant": -0.1}},
     {"ambient": {"custom": {"lam": "1/(1 - t)", "interval_end": 1.0,
-                            "base_metric": "round_sphere",
-                            "curvature": {"kind": "constant_curvature",
-                                          "kappa0": 1.0}}},
+                            "base_metric": "round_sphere"}},
      "domain": {"preset": "cap", "params": {"theta0": 0.8}},
      "resolution": 0.3, "H": {"constant": 0.0}, "phi": {"constant": -0.2}},
 ]
@@ -951,8 +964,6 @@ def _required(path, node, doc):
         need.add("params")
     if path in (("domain", "params"), ("H",), ("phi",)):
         need |= set(node)
-    if path[-1:] == ("curvature",) and node.get("kind") == "constant_curvature":
-        need.add("kappa0")
     return sorted(need & set(node))
 
 

@@ -65,9 +65,7 @@ def test_tau_affinity(problems):
 @pytest.fixture(scope="module")
 def affine_problems(cmc_problem, radial_problem):
     doc = {
-        "ambient": {"custom": {"lam": "cosh(t) + 0.5*t",
-                               "curvature": {"kind": "constant_curvature",
-                                             "kappa0": 0.5}}},
+        "ambient": {"custom": {"lam": "cosh(t) + 0.5*t"}},
         "domain": {"preset": "disk", "params": {"radius": 0.4}},
         "resolution": 0.1,
         "H": {"expression": "0.5 + x*y"},

@@ -64,16 +64,20 @@ def _subschemas(schema):
     yield schema
     for key, arg in schema.items():
         children = (arg.values() if key == "properties" else arg if key == "anyOf"
-                    else [arg] if key in ("items", "if", "then") else ())
+                    else [arg] if key == "items" else ())
         for child in children:
             yield from _subschemas(child)
 
 
 def test_schema_uses_only_interpreted_keywords():
-    # a keyword the validator does not interpret would be silently ignored
+    # a keyword the validator does not interpret would be silently ignored,
+    # and one the schema does not use is code that nothing exercises
+    used = set()
     for schema in _subschemas(PROBLEM_SCHEMA):
-        assert set(schema) <= set(_KEYWORDS), sorted(set(schema) - set(_KEYWORDS))
+        used |= set(schema)
         assert schema.get("additionalProperties", False) is False
+    assert used <= set(_KEYWORDS), sorted(used - set(_KEYWORDS))
+    assert set(_KEYWORDS) <= used, sorted(set(_KEYWORDS) - used)
 
 
 def test_ambient_exclusive_choice():
@@ -131,7 +135,6 @@ def test_custom_ambient_with_derivatives():
     doc = _base_doc()
     doc["ambient"] = {"custom": {
         "lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
-        "curvature": {"kind": "flat"},
     }}
     loaded = load_problem_document(doc)
     amb = loaded.problem.ambient
@@ -162,18 +165,58 @@ def test_custom_interval_end_number_or_inf(end):
         validate_document(doc)
 
 
-def test_constant_curvature_needs_kappa0():
+def test_curvature_key_rejected():
+    # the leaf curvature comes from base_metric, so a declared one could only
+    # repeat or contradict it: kappa0 = 5 on the flat disk used to pass
     doc = _base_doc()
-    doc["ambient"] = {"custom": {"lam": "exp(t)",
-                                 "curvature": {"kind": "constant_curvature"}}}
-    with pytest.raises(SchemaError,
-                       match=r"\$\.ambient\.custom\.curvature: 'kappa0'"):
+    doc["ambient"] = {"custom": {"lam": "exp(t)", "curvature": {
+        "kind": "constant_curvature", "kappa0": 5.0}}}
+    with pytest.raises(SchemaError) as info:
         validate_document(doc)
-    doc["ambient"]["custom"]["curvature"]["kappa0"] = 1.0
-    model = load_problem_document(doc).problem.ambient.curvature_model
-    assert model.kind == "constant_curvature" and model.kappa0 == 1.0
-    doc["ambient"]["custom"]["curvature"] = {"kind": "flat"}
-    validate_document(doc)
+    assert str(info.value).splitlines()[1:] == [
+        "  $.ambient.custom: Additional properties are not allowed "
+        "('curvature' was unexpected)"]
+
+
+# key -> (values out of range, values in range)
+_SOLVER_BOUNDS = {
+    "newton_tol": ([0, -1e-10], [1e-14]),
+    "max_newton_iters": ([0, -3], [1]),
+    "initial_tau_step": ([0, -0.25], [1e-3, 2.0]),
+    "min_tau_step": ([0, -1e-4], [1e-12]),
+    "damping_factor": ([0, 1, 1.5, -0.5], [1e-3, 0.999]),
+    "max_damping_halvings": ([-1], [0]),
+    "clamp_margin": ([0, -1e-6], [1e-12]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_SOLVER_BOUNDS))
+def test_solver_option_ranges(key):
+    # a zero tau step re-solves the same tau forever; every bound is checked
+    # before anything is built
+    bad, good = _SOLVER_BOUNDS[key]
+    doc = _base_doc()
+    for value in bad:
+        doc["solver"] = {key: value}
+        with pytest.raises(SchemaError, match=rf"\$\.solver\.{key}: "):
+            validate_document(doc)
+    for value in good:
+        doc["solver"] = {key: value}
+        validate_document(doc)
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+                         ids=["nan", "inf", "-inf", "int_beyond_float"])
+def test_non_finite_number_rejected(tmp_path, text):
+    # json.load reads NaN and Infinity, which are not JSON, and ints beyond
+    # the float range; an infinite or NaN tau step would never let a solve end
+    body = json.dumps(_base_doc())[:-1] + f', "solver": {{"initial_tau_step": {text}}}}}'
+    (tmp_path / "p.json").write_text(body, encoding="utf-8")
+    with pytest.raises(SchemaError) as info:
+        load_problem(tmp_path / "p.json")
+    line, = str(info.value).splitlines()[1:]
+    assert line.startswith("  $.solver.initial_tau_step: ")
+    assert line.endswith(" is not of type 'number'")
 
 
 def test_solver_overrides():

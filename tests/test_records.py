@@ -16,8 +16,7 @@ from ckgraph.analysis import (BarrierCertificate, ConditionEntry,
                               HypothesisReport, MaxPrincipleReport)
 from ckgraph.solver import NewtonRecord
 
-KEPT = {"ckgraph.ambient.AmbientSpace", "ckgraph.ambient.CurvatureModel",
-        "ckgraph.mesh.PolarDomain"}
+KEPT = {"ckgraph.ambient.AmbientSpace", "ckgraph.mesh.PolarDomain"}
 
 
 def test_only_the_replaceable_value_types_are_dataclasses():
