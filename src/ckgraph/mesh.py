@@ -117,6 +117,7 @@ class DomainMesh:
         self.polar = polar                       # the preset domain's closed forms
         self._ambient, self._edges = _ambient, _edges
         self._suspects, self._rings, self._boundary = None, {}, None
+        self._largest_ring = {}
 
     # -- basic derived data -------------------------------------------------
 
@@ -179,6 +180,17 @@ class DomainMesh:
             else:
                 self._rings[depth] = _ring_rows(self.vertex_rings(1), 0, nv, depth)
         return self._rings[depth]
+
+    def largest_ring(self, depth: int = 2) -> int:
+        """Number of vertices in the largest ``depth``-ring (the vertex not
+        counted), kept with the mesh.  The rings are expanded from the
+        1-ring 512 vertices at a time, so no whole-mesh rows are held."""
+        if depth not in self._largest_ring:
+            one_ring, nv = self.vertex_rings(1), self.n_vertices
+            self._largest_ring[depth] = max(
+                int(np.diff(_ring_rows(one_ring, start, min(start + 512, nv), depth)[0]).max())
+                for start in range(0, nv, 512))
+        return self._largest_ring[depth]
 
 
 def _ring_rows(one_ring, start: int, stop: int, depth: int):
@@ -670,25 +682,43 @@ def _loop_orientation_area(vertices, loop):
     return 0.5 * np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))
 
 
+def _holds_bool(obj) -> bool:
+    """Whether ``obj``, a value or rows of values, holds a bool: NumPy reads
+    JSON ``true`` and ``false`` as the numbers 1 and 0."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind == "b"
+    if not isinstance(obj, (list, tuple)):
+        return isinstance(obj, bool)
+    return any(type(x) is bool or isinstance(x, (list, tuple)) and bool in map(type, x)
+               for x in obj)
+
+
 def _index_array(obj, what: str, n_vertices: int) -> np.ndarray:
+    if _holds_bool(obj):
+        raise MeshError(f"{what}: vertex indices must be integers")
     try:
         a = np.asarray(obj)
     except ValueError:
         raise MeshError(f"{what}: rows of different lengths") from None
-    if a.size and a.dtype.kind not in "iu":
+    if a.dtype == object and all(type(x) is int for x in a.flat):
+        # ints beyond the int64 range, compared as Python ints
+        bad = [x for x in a.flat if not 0 <= x < n_vertices]
+    elif a.size and a.dtype.kind not in "iu":
         raise MeshError(f"{what}: vertex indices must be integers")
-    a = a.astype(int)
-    bad = (a < 0) | (a >= n_vertices)
-    if np.any(bad):
-        raise MeshError(f"{what}: vertex index {a[bad][0]} out of range "
+    else:
+        bad = a[(a < 0) | (a >= n_vertices)]
+    if len(bad):
+        raise MeshError(f"{what}: vertex index {bad[0]} out of range "
                         f"(the mesh has {n_vertices} vertices)")
-    return a
+    return a.astype(int)
 
 
 def _checked_arrays(vertices, triangles, boundary_loops):
     """Vertices as finite ``(nv, 2)`` floats, triangles as ``(nt, 3)`` and
     loops as lists of at least three vertex indices in range; MeshError
     otherwise."""
+    if _holds_bool(vertices):
+        raise MeshError("vertices must be rows of two numbers")
     try:
         vertices = np.asarray(vertices, dtype=float)
     except (TypeError, ValueError):

@@ -114,12 +114,25 @@ def _rows(a):
     return np.ascontiguousarray(np.moveaxis(np.asarray(a), 1, 0))
 
 
+def _constant(a):
+    """``a`` as one 0-d value when all its entries have the same bits, else
+    ``a`` itself.  NumPy broadcasts the value wherever ``a`` was read, with
+    the same result to the bit: each entry goes through the same operations."""
+    flat = np.asarray(a).reshape(-1)
+    if flat.size and flat.dtype == np.float64:
+        bits = flat.view(np.int64)
+        if np.all(bits == bits[0]):
+            return np.array(flat[0])
+    return a
+
+
 class _Evaluation:
     """The residual pass of the element kernel at one ``(z, tau)``: the
     element residual ``val`` and the intermediates its Jacobian reuses.
     Arrays are ``(nt,)`` per element or ``(3, nt)`` per local vertex or
-    quadrature point; ``Pc`` is ``G Sinv_c grad z`` and ``(qx, qy)`` is
-    ``Sinv_q grad z``, by component."""
+    quadrature point; a quadrature value is ``(nt,)`` when the assembly's
+    data behind it is one constant value.  ``Pc`` is ``G Sinv_c grad z`` and
+    ``(qx, qy)`` is ``Sinv_q grad z``, by component."""
 
     def __init__(self, tau: float, zmid, lam_m, lamt_m, rho_m, U_c, Pc, qx, qy,
                  U_q, P_q, val):
@@ -132,6 +145,9 @@ class _Assembly:
     """Element kernel of the weak operator.  Per-element data is stored
     component by component, each component a contiguous row over the
     elements, so every 2x2 metric contraction is a few vector operations.
+    A component that is the same everywhere is one 0-d value (``_constant``):
+    ``gamma`` and its gradient term on every preset, ``H`` when it is
+    constant, the inverse metric on a flat leaf.
     It keeps what it reads of the problem, not the problem, which holds it:
     without that cycle a problem is freed by its reference count."""
 
@@ -147,6 +163,10 @@ class _Assembly:
         # set-up temporaries are gone before the tree is built
         indptr, indices = self._pattern()
         self.tree = FrontTree(indptr, indices, mesh.vertices[self.interior])
+        # the constant fields become one value each once the set-up is done
+        for name in ("gam_c", "gam_q", "dgSx", "dgSy", "H_q"):
+            setattr(self, name, _constant(getattr(self, name)))
+        self.Sc, self.Sq = (tuple(map(_constant, S)) for S in (self.Sc, self.Sq))
 
     def _element_data(self, H):
         """Per-element metric data, quadrature weights and the
@@ -350,40 +370,42 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     """Least-squares quadratic fit over the vertex 2-ring.
 
     Returns (gradient (nv,2), covariant Hessian (nv,2,2), confident (nv,)).
-    The Hessian is corrected by the Christoffel symbols of the leaf metric.
+    The Hessian is corrected by the Christoffel symbols of the leaf metric,
+    except in a block of vertices where they are all zero (a flat metric).
     Vertices with deficient stencils or touching the boundary 1-ring are
     flagged as low confidence.
 
     The vertices are fitted in blocks of 512, each block's 2-rings expanded
     from the mesh's 1-ring (``_ring_rows``), so the work arrays do not grow
     with the mesh.  The stencils are padded with zero rows to the largest
-    2-ring of the mesh, which leaves each least-squares problem as it is,
-    and their columns are scaled to unit norm.  A stencil of at least 5
-    points is solved by its normal equations, the block's in one batched
-    solve; the scaled stencils are well conditioned (condition numbers up
-    to about 13 on the preset meshes), so this agrees with the SVD to
-    rounding.  Smaller stencils, never confident, get the minimum-norm
-    solution with the singular-value cutoff of ``np.linalg.lstsq``, as do
-    all stencils of a block in which one normal matrix is exactly singular.
+    2-ring of the mesh (``DomainMesh.largest_ring``, kept with the mesh),
+    which leaves each least-squares problem as it is, and their columns are
+    scaled to unit norm.  A stencil of at least 5 points is solved by its
+    normal equations, the block's in one batched solve; the scaled stencils
+    are well conditioned (condition numbers up to about 13 on the preset
+    meshes), so this agrees with the SVD to rounding.  Smaller stencils,
+    never confident, get the minimum-norm solution with the singular-value
+    cutoff of ``np.linalg.lstsq``, as do all stencils of a block in which
+    one normal matrix is exactly singular.
     """
     values = np.asarray(values, dtype=float)
     nv = mesh.n_vertices
     one_ring = mesh.vertex_rings(1)
     blocks = [(start, min(start + 512, nv)) for start in range(0, nv, 512)]
-    # the rounding of the batched products depends on the padded length: a
-    # first pass finds the largest 2-ring of the mesh, and every block pads
-    # to it, so no fit depends on the block it falls in
-    width = max(int(np.diff(_ring_rows(one_ring, *block, 2)[0]).max())
-                for block in blocks)
+    # the rounding of the batched products depends on the padded length:
+    # every block pads to the largest 2-ring of the mesh, so no fit depends
+    # on the block it falls in
+    width = mesh.largest_ring(2)
     grad, hess = np.empty((nv, 2)), np.empty((nv, 2, 2))
     confident = np.empty(nv, dtype=bool)
     for start, stop in blocks:
         ptr, nbr = _ring_rows(one_ring, start, stop, 2)
         coef = _quadratic_fits(mesh.vertices, values, start, ptr, nbr, width)
         grad[start:stop] = coef[:, :2]
-        Gam = christoffel_symbols(ambient, mesh.vertices[start:stop])
-        hess[start:stop] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2) \
-            - np.einsum("vkij,vk->vij", Gam, coef[:, :2])
+        hess[start:stop] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+        Gam = _constant(christoffel_symbols(ambient, mesh.vertices[start:stop]))
+        if np.ndim(Gam) or Gam != 0:     # zero on a flat leaf metric
+            hess[start:stop] -= np.einsum("vkij,vk->vij", Gam, coef[:, :2])
         confident[start:stop] = np.diff(ptr) >= 5
     # not a boundary vertex or one of its 1-ring neighbours
     edges = mesh.edge_table()[0]

@@ -90,15 +90,17 @@ PROBLEM_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                # a tau step of 0 re-solves the same tau forever, and a
-                # damping factor outside (0, 1) does not shrink the step
+                # a tau step of 0 re-solves the same tau forever, a damping
+                # factor outside (0, 1) does not shrink the step, and one
+                # near 1 would shrink it through almost endless cuts
                 "newton_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_newton_iters": {"type": "integer", "exclusiveMinimum": 0},
                 "initial_tau_step": {"type": "number", "exclusiveMinimum": 0},
                 "min_tau_step": {"type": "number", "exclusiveMinimum": 0},
                 "damping_factor": {"type": "number", "exclusiveMinimum": 0,
                                    "exclusiveMaximum": 1},
-                "max_damping_halvings": {"type": "integer", "exclusiveMinimum": -1},
+                "max_damping_halvings": {"type": "integer", "exclusiveMinimum": -1,
+                                         "exclusiveMaximum": 101},
                 "clamp_margin": {"type": "number", "exclusiveMinimum": 0},
             },
         },

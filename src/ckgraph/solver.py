@@ -133,6 +133,10 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
             trial = z.copy()
             trial[ii] += alpha * step
             trial, was_clamped = _clamp(trial, problem, options)
+            if np.array_equal(trial, z):
+                # the step no longer moves any unknown, nor can a shorter one
+                trial_norm = rnorm
+                break
             try:
                 trial_norm, trial_r, trial_ev = res_norm(trial)
             except DomainError:

@@ -427,6 +427,10 @@ _MESH_CORRUPTIONS = {
     "non_numeric_row": (_set(["vertices", 2], ["a", "b"]), "vertices must be rows"),
     "non_integer_index": (_set(["triangles", 0, 1], 1.5), "must be integers"),
     "index_out_of_range": (_set(["boundary", 0, 2], 999), "out of range"),
+    "index_beyond_int64": (_set(["triangles", 0, 1], 10**30), "out of range"),
+    "bool_index": (_set(["triangles", 0, 1], True), "must be integers"),
+    "bool_loop_entry": (_set(["boundary", 0, 2], False), "must be integers"),
+    "bool_coordinate": (_set(["vertices", 2, 0], True), "vertices must be rows"),
 }
 
 
@@ -573,6 +577,9 @@ _BAD_PARAMETERS = {
     "H_overflow": (_set(["H"], {"expression": "10**400"}), "$.H.expression"),
     "custom_lam_arity": (_set(["ambient"], {"custom": {"lam": "exp(t, t)"}}),
                          "$.ambient.custom.lam"),
+    # a damping factor near 1 would otherwise cut the step almost endlessly
+    "halvings_above_maximum": (_set(["solver"], {"max_damping_halvings": 101}),
+                               "$.solver.max_damping_halvings"),
 }
 
 

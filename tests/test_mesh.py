@@ -408,6 +408,14 @@ def _small_doc():
     (lambda d: d["triangles"].__setitem__(3, [0, 1]), "rows of different lengths"),
     (lambda d: d["triangles"][0].__setitem__(1, 1.5), "must be integers"),
     (lambda d: d["triangles"][0].__setitem__(1, 10**6), "out of range"),
+    # JSON true and false are not indices or coordinates, though NumPy
+    # reads them as 1 and 0
+    (lambda d: d["triangles"][0].__setitem__(1, True), "triangles: vertex indices must be"),
+    (lambda d: d["vertices"][2].__setitem__(0, True), "vertices must be rows"),
+    (lambda d: d["boundary"][0].__setitem__(2, False), "boundary loop 0: vertex indices must"),
+    # beyond the int64 range, which NumPy holds as Python objects
+    (lambda d: d["triangles"][0].__setitem__(1, 10**30), "vertex index 10{30} out of range"),
+    (lambda d: d["boundary"][0].__setitem__(2, -10**30), "vertex index -10{30} out of range"),
     (lambda d: d["boundary"][0].__setitem__(2, -1), "out of range"),
     (lambda d: d.__setitem__("boundary", []), "at least one boundary loop"),
     (lambda d: d.__setitem__("boundary", [[0, 1]]), "at least 3 vertex indices"),

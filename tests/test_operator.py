@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,7 @@ import ckgraph.frontal as frontal
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import mesh_from_arrays
-from ckgraph.operator import (_Assembly, christoffel_symbols,
+from ckgraph.operator import (_Assembly, _constant, christoffel_symbols,
                               mean_curvature_of_graph, recover_gradient_hessian)
 from ckgraph.problemfile import load_problem_document
 
@@ -446,3 +447,138 @@ def test_assembly_setup_peak_within_twice_kept(monkeypatch):
         tracemalloc.stop()
     kept, peak = (m - base for m in seen[0])
     assert peak <= 2 * kept
+
+
+# -- constant element data as one value ----------------------------------------
+
+# the element fields that may be kept as one 0-d value, besides the
+# components of the inverse metric Sc and Sq
+_COMPACTED = ("gam_c", "gam_q", "dgSx", "dgSy", "H_q")
+
+
+def _kept_bytes(asm):
+    """Bytes of the arrays the assembly holds of its own (the tree, the mesh
+    and the problem's boundary data are not counted)."""
+    total = 0
+    for name, value in vars(asm).items():
+        if name in ("tree", "mesh", "ambient", "phi"):
+            continue
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                total += a.nbytes
+    return total
+
+
+def _rematerialized(asm):
+    """A copy of ``asm`` with every compacted field spread to its full
+    per-element shape again: per centroid or per quadrature point."""
+    full = copy.copy(asm)
+    for name in _COMPACTED:
+        shape = asm.w_c.shape if name == "gam_c" else asm.w_q.shape
+        setattr(full, name, np.broadcast_to(getattr(asm, name), shape).copy())
+    full.Sc = tuple(np.broadcast_to(c, asm.w_c.shape).copy() for c in asm.Sc)
+    full.Sq = tuple(np.broadcast_to(c, asm.w_q.shape).copy() for c in asm.Sq)
+    return full
+
+
+def test_flat_constant_problem_keeps_constants_as_one_value():
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.05, amb)
+    asm = ck.Problem.create(amb, mesh, 1.0, -0.5).assembly()
+    for name in _COMPACTED:
+        assert np.ndim(getattr(asm, name)) == 0, name
+    for S in (asm.Sc, asm.Sq):
+        assert [np.ndim(c) for c in S] == [0, 0, 0]
+    assert [float(c) for c in asm.Sq] == [1.0, 0.0, 1.0]
+    # what varies stays per element: H from an expression, the round metric
+    x, y = mesh.vertices.T
+    asm = ck.Problem.create(amb, mesh, ScalarField(mesh, 0.5 + x * y), -0.5).assembly()
+    assert asm.H_q.shape == (3, mesh.n_triangles)
+    round_amb = ck.preset_ambient("euclidean_radial")
+    cap = ck.cap_mesh(1.0, 0.2, round_amb)
+    asm = ck.Problem.create(round_amb, cap, 1.0, -0.5).assembly()
+    assert all(c.shape == (3, cap.n_triangles) for c in asm.Sq)
+    assert np.ndim(asm.gam_q) == 0
+
+
+def test_flat_assembly_element_arrays_within_6mb():
+    # 13.2 MB when every field was stored per element
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.005, amb)
+    asm = ck.Problem.create(amb, mesh, 1.0, -math.sqrt(0.84)).assembly()
+    assert _kept_bytes(asm) <= 6e6
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+_GAMMAS = [None, "1.5", "1 + 0.3*x + 0.2*y**2"]
+_FIELDS = [{"constant": 0.7}, {"expression": "0.5 + x*y"}]
+
+
+@settings(max_examples=24, deadline=None)
+@given(ambient=st.sampled_from(["killing_flat", "example_a", "euclidean_radial",
+                                "custom"]),
+       metric=st.sampled_from(["flat", "round_sphere"]),
+       gamma=st.sampled_from(_GAMMAS), H=st.sampled_from(_FIELDS),
+       seed=st.integers(0, 2**16), tau=st.floats(0.0, 1.0))
+def test_compacted_kernel_matches_full_fields_bitwise(ambient, metric, gamma, H,
+                                                      seed, tau):
+    # one kernel path: the broadcast values give the residual, the Jacobian
+    # data and the path rate of the same assembly with full-shape fields
+    if ambient == "custom":
+        amb = {"custom": {"lam": "exp(t)", "base_metric": metric}}
+        if gamma is not None:
+            amb["custom"]["gamma"] = gamma
+    else:
+        amb = {"preset": ambient}
+    round_leaf = ambient == "euclidean_radial" or (ambient == "custom"
+                                                   and metric == "round_sphere")
+    domain = ({"preset": "cap", "params": {"theta0": 1.0}} if round_leaf
+              else {"preset": "disk", "params": {"radius": 0.4}})
+    prob = load_problem_document({"ambient": amb, "domain": domain,
+                                  "resolution": 0.15, "H": H,
+                                  "phi": {"constant": -0.3}}).problem
+    asm = prob.assembly()
+    full = _rematerialized(asm)
+    z = _random_state(prob, np.random.default_rng(seed))
+    for a, b in ((asm.residual_full(z, tau), full.residual_full(z, tau)),
+                 (asm.flux_residual_full(z), full.flux_residual_full(z))):
+        assert _bits(a) == _bits(b)
+    assert asm.grad_sup(z) == full.grad_sup(z)
+    got, ref = asm.system(z, tau, tangent=True), full.system(z, tau, tangent=True)
+    assert _bits(got.jacobian.data) == _bits(ref.jacobian.data)
+    assert _bits(got.path_rate) == _bits(ref.path_rate)
+
+
+def test_recovery_expands_the_padding_width_once_per_mesh(monkeypatch):
+    # the largest 2-ring is kept with the mesh: a second recovery on the
+    # same mesh (certify recovers the distance, then the strip data) expands
+    # each block's rings once, for its fit
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.02, amb)
+    calls, ring_rows = [], ck.mesh._ring_rows
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return ring_rows(*args)
+    for module in (ck.mesh, ck.operator):
+        monkeypatch.setattr(module, "_ring_rows", counted)
+    blocks = -(-mesh.n_vertices // 512)
+    first = recover_gradient_hessian(mesh, amb, mesh.dist_to_boundary)
+    assert len(calls) == 2 * blocks
+    del calls[:]
+    again = recover_gradient_hessian(mesh, amb, mesh.dist_to_boundary)
+    assert len(calls) == blocks
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    assert mesh.largest_ring(2) == np.diff(mesh.vertex_rings(2)[0]).max()
+
+
+def test_flat_christoffel_symbols_compact_to_zero():
+    # the recovery skips its correction where the symbols are one zero
+    pts = ck.disk_mesh(0.4, 0.1, ck.preset_ambient("killing_flat")).vertices
+    gam = _constant(christoffel_symbols(ck.preset_ambient("killing_flat"), pts))
+    assert np.ndim(gam) == 0 and gam == 0
+    gam = _constant(christoffel_symbols(ck.preset_ambient("euclidean_radial"), pts))
+    assert gam.shape == (len(pts), 2, 2, 2)

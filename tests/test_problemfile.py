@@ -185,7 +185,7 @@ _SOLVER_BOUNDS = {
     "initial_tau_step": ([0, -0.25], [1e-3, 2.0]),
     "min_tau_step": ([0, -1e-4], [1e-12]),
     "damping_factor": ([0, 1, 1.5, -0.5], [1e-3, 0.999]),
-    "max_damping_halvings": ([-1], [0]),
+    "max_damping_halvings": ([-1, 101, 10**6], [0, 100]),
     "clamp_margin": ([0, -1e-6], [1e-12]),
 }
 

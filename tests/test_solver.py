@@ -526,3 +526,33 @@ def test_no_evaluation_held_through_march_tangent(monkeypatch):
         gc.enable()
     assert rep.converged and len(rep.tau_path) > 2
     assert len(alive) > len(rep.newton_history) and alive == [0] * len(alive)
+
+
+def test_line_search_ends_when_the_step_stops_moving(monkeypatch):
+    # a tolerance below rounding stalls once the Newton step is rounding
+    # noise; the cuts then stop when the damped trial equals the iterate, so
+    # the residual passes do not grow with the halving limit
+    doc = {"ambient": {"preset": "killing_flat"},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}},
+           "resolution": 0.1, "H": {"constant": 1.0},
+           "phi": {"constant": -np.sqrt(0.84)}, "solver": {"newton_tol": 1e-300}}
+    residual = ck.operator._Assembly.residual
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return residual(self, *args, **kwargs)
+    monkeypatch.setattr(ck.operator._Assembly, "residual", counted)
+    outcomes = []
+    for limit in (20, 10**4):
+        loaded = load_problem_document(doc)
+        loaded.options.max_damping_halvings = limit
+        calls.clear()
+        rep = continuation_solve(loaded.problem, loaded.options,
+                                 companion=loaded.companion)
+        outcomes.append((rep.status, rep.message, rep.tau_reached, len(calls)))
+    (status, message, tau, passes), huge = outcomes
+    assert status == "stalled"
+    assert message.startswith("Newton stalled at tau=0.0001220703125 after ")
+    assert huge[:3] == (status, message, tau)
+    assert huge[3] <= passes < 200
