@@ -33,10 +33,10 @@ __all__ = [
     "leaf_mean_curvature",
     "preset_ambient",
     "PRESET_NAMES",
-    "fd_rho_t_tolerance",
+    "LeafMetric",
+    "LEAF_METRICS",
     "flat_metric",
     "round_sphere_metric",
-    "central_gradient",
 ]
 
 _SQRT2M1 = math.sqrt(2.0) - 1.0
@@ -55,11 +55,16 @@ class AmbientSpace:
 
     ``lam``, ``lam_t``, ``lam_tt`` are vectorized callables of the flow time,
     ``gamma``/``grad_gamma`` of chart points with shape ``(..., 2)``, and
-    ``base_metric`` returns SPD matrices with shape ``(..., 2, 2)``.  ``rho``,
-    when given, is ``lambda_t / lambda`` in closed form, a callable of the
-    flow time that stays finite where ``lambda`` underflows; without it the
-    quotient is taken (see ``rho``).  A ``dataclasses.replace`` of ``lam``
-    should pass ``rho`` as well.
+    ``base_metric`` returns SPD matrices with shape ``(..., 2, 2)``; it must
+    be one of the leaf metrics of ``LEAF_METRICS``, whose closed forms
+    (``leaf``) the curvature checks and the derivative recovery read.
+    ``rho``, when given, is ``lambda_t / lambda`` in closed form, a callable
+    of the flow time that stays finite where ``lambda`` underflows; without
+    it the quotient is taken (see ``rho``).  A ``dataclasses.replace`` of
+    ``lam`` should pass ``rho`` as well.
+
+    A construction error names the field at fault first, as in
+    ``interval_end: must be positive, got -1.0``.
     """
 
     name: str
@@ -70,22 +75,31 @@ class AmbientSpace:
     gamma: Callable
     grad_gamma: Callable
     base_metric: Callable
-    fd_derivatives: bool = False
     rho: Optional[Callable] = None
 
     def __post_init__(self):
+        if self.base_metric not in LEAF_METRICS:
+            raise ParameterError("base_metric: neither the flat nor the round sphere metric")
         if not self.interval_end > 0:
-            raise ParameterError("interval_end must be positive")
-        lam0 = float(np.asarray(self.lam(0.0)))
-        if abs(lam0 - 1.0) > 1e-12:
-            raise ParameterError(
-                f"conformal factor must satisfy lambda(0) = 1, got {lam0!r}"
-            )
+            raise ParameterError(f"interval_end: must be positive, got {self.interval_end!r}")
         hi = self.interval_end if math.isfinite(self.interval_end) else 4.0
         sample = np.linspace(hi - 8.0, hi - 1e-9 * max(1.0, abs(hi)), 17)
-        vals = np.asarray(self.lam(sample))
-        if not np.all(vals > 0):
-            raise ParameterError("conformal factor must be positive on the interval")
+        with np.errstate(all="ignore"):     # a NaN is reported below
+            lam0 = float(np.asarray(self.lam(0.0)))
+            vals = np.broadcast_to(self.lam(sample), sample.shape)
+        if not abs(lam0 - 1.0) <= 1e-12:
+            raise ParameterError(
+                f"lam: the conformal factor must satisfy lambda(0) = 1, got {lam0!r}"
+            )
+        bad = np.flatnonzero(~(vals > 0))
+        if len(bad):
+            raise ParameterError("lam: the conformal factor must be positive on the "
+                                 f"interval, got {float(vals[bad[0]])!r} at t = {float(sample[bad[0]])!r}")
+
+    @property
+    def leaf(self) -> "LeafMetric":
+        """The closed forms of the leaf metric."""
+        return LEAF_METRICS[self.base_metric]
 
     # -- interval handling -------------------------------------------------
 
@@ -157,9 +171,48 @@ def round_sphere_metric(u):
     return s[..., None, None] * eye + tcoef[..., None, None] * outer
 
 
-# Gaussian curvature of each leaf metric; a metric outside this table has no
-# known curvature, and the Ricci checks report it as not evaluable
-_LEAF_CURVATURE = {flat_metric: 0.0, round_sphere_metric: 1.0}
+def _round_christoffel(u):
+    """Christoffel symbols ``Gamma^k_ij`` ``(..., k, i, j)`` of
+    ``round_sphere_metric``.  With the unit radial vector ``r_hat = u / r``
+    and ``t_hat`` its +90 degree rotation,
+    ``Gamma(v, w) = A (v.t)(w.t) r_hat + B ((v.r)(w.t) + (v.t)(w.r)) t_hat``
+    where ``A = (2r - sin 2r) / (2 r^2)`` and ``B = cot r - 1/r``; below
+    ``r = 1e-4`` the series ``2r/3`` and ``-r/3`` replace the cancelling
+    quotients, so both are 0 at the pole."""
+    u = np.asarray(u, dtype=float)
+    r = np.sqrt(np.einsum("...i,...i->...", u, u))
+    small = r < 1e-4
+    safe = np.where(small, 1.0, r)
+    A = np.where(small, 2.0 * r / 3.0, (2.0 * safe - np.sin(2.0 * safe)) / (2.0 * safe**2))
+    B = np.where(small, -r / 3.0, 1.0 / np.tan(safe) - 1.0 / safe)
+    rhat = u / np.where(r == 0, 1.0, r)[..., None]
+    that = np.stack([-rhat[..., 1], rhat[..., 0]], axis=-1)
+    tt = np.einsum("...i,...j->...ij", that, that)
+    rt = np.einsum("...i,...j->...ij", rhat, that)
+    return (A[..., None, None, None] * rhat[..., :, None, None] * tt[..., None, :, :]
+            + B[..., None, None, None] * that[..., :, None, None]
+            * (rt + np.swapaxes(rt, -1, -2))[..., None, :, :])
+
+
+class LeafMetric:
+    """What is known of a leaf metric in closed form: its ``matrix``
+    (chart points ``(..., 2)`` to ``(..., 2, 2)``), its Christoffel symbols
+    ``christoffel`` (``(..., k, i, j)``; None where they are all zero), its
+    constant Gaussian ``curvature``, and ``circle_radius``, the radius of
+    curvature ``1/k(r)`` of the chart circle ``|u| = r``."""
+
+    def __init__(self, matrix: Callable, christoffel: Optional[Callable],
+                 curvature: float, circle_radius: Callable):
+        self.matrix, self.christoffel = matrix, christoffel
+        self.curvature, self.circle_radius = curvature, circle_radius
+
+
+# the two leaf metrics of the program, by their matrix function; an
+# AmbientSpace refuses any other
+LEAF_METRICS = {leaf.matrix: leaf for leaf in (
+    LeafMetric(flat_metric, None, 0.0, lambda r: r),
+    LeafMetric(round_sphere_metric, _round_christoffel, 1.0, np.tan),
+)}
 
 
 def _ones_field(u):
@@ -242,64 +295,3 @@ def preset_ambient(name: str) -> AmbientSpace:
     lam, lam_t, lam_tt, end, metric, closed_rho = _PRESETS[name]
     return AmbientSpace(name, lam, lam_t, lam_tt, end, _ones_field, _zero_grad,
                         metric, rho=closed_rho)
-
-
-# Steps of the finite-difference fallbacks.  A central difference with step
-# s loses about u/s (first derivative) or 4u/s^2 (second) to rounding,
-# relative to lambda (u = 2.2e-16), and gains s^2/6 or s^2/12 times a higher
-# derivative from truncation.  1e-4 balances the two for the second
-# difference; a step of 1e-6 there gives rounding errors up to 4e-4.
-_FD_STEP_T = 1e-6
-_FD_STEP_TT = 1e-4
-
-# Error bound of rho_t = lambda_tt/lambda - (lambda_t/lambda)^2 from the
-# fallbacks, relative to the largest |lambda_tt/lambda| + (lambda_t/lambda)^2
-# over the sampled flow times (rho_t is the difference of those two terms).
-# On t in [-12, 0.01] the largest errors measured are 1/13 of the bound or
-# less for exp(t), cosh(t), 1/(1 - t), exp(t - t^2/2) and 1 + t + t^2.
-FD_RHO_T_ERROR = 1e-6
-
-
-def fd_ambient_derivatives(lam):
-    """Finite-difference fallbacks for missing lambda derivatives.
-
-    Central differences with the steps ``_FD_STEP_T`` and ``_FD_STEP_TT``;
-    ambients built this way carry ``fd_derivatives=True`` so reports can flag
-    them and the ``rho_t`` checks allow for ``fd_rho_t_tolerance``.
-    """
-    def lam_t(t):
-        t = _as_t(t)
-        return (np.asarray(lam(t + _FD_STEP_T)) - np.asarray(lam(t - _FD_STEP_T))) \
-            / (2.0 * _FD_STEP_T)
-
-    def lam_tt(t):
-        t = _as_t(t)
-        return (np.asarray(lam(t + _FD_STEP_TT)) - 2.0 * np.asarray(lam(t))
-                + np.asarray(lam(t - _FD_STEP_TT))) / _FD_STEP_TT**2
-
-    return lam_t, lam_tt
-
-
-def fd_rho_t_tolerance(ambient: AmbientSpace, t) -> float:
-    """How far below 0 ``rho_t`` may fall on the flow times ``t`` and still
-    pass: ``FD_RHO_T_ERROR`` times the largest ``|lambda_tt/lambda| +
-    (lambda_t/lambda)^2`` when the derivatives come from finite differences,
-    0 when they are exact."""
-    if not ambient.fd_derivatives:
-        return 0.0
-    lam = np.asarray(ambient.lam(t))
-    scale = np.abs(np.asarray(ambient.lam_tt(t)) / lam) \
-        + (np.asarray(ambient.lam_t(t)) / lam) ** 2
-    return FD_RHO_T_ERROR * float(scale.max())
-
-
-def central_gradient(f, pts, step):
-    """Chart gradient of ``f`` (points ``(..., 2)`` to values ``(..., *s)``)
-    by central differences, shape ``(..., 2, *s)``."""
-    pts = np.asarray(pts, dtype=float)
-    parts = []
-    for i in range(pts.shape[-1]):
-        e = np.zeros(pts.shape[-1])
-        e[i] = step
-        parts.append((np.asarray(f(pts + e)) - np.asarray(f(pts - e))) / (2 * step))
-    return np.stack(parts, axis=pts.ndim - 1)

@@ -33,8 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import (_LEAF_CURVATURE, AmbientSpace, fd_rho_t_tolerance,
-                      leaf_mean_curvature, n, rho_t)
+from .ambient import AmbientSpace, leaf_mean_curvature, n, rho_t
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
@@ -44,6 +43,7 @@ from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
 __all__ = [
     "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",
     "check_hypotheses", "max_principle_conditions", "FLOW_TIME_SAMPLES",
+    "RHO_T_ROUNDING",
     "strong_form_Q", "flow_time_range", "level_curves",
     "cylinder_kappa", "cylinder_mean_curvature", "inf_boundary_cylinder_curvature",
     "height_barrier", "search_height_barrier",
@@ -108,6 +108,11 @@ class MaxPrincipleReport:
 # flow times at which the conditions on lambda are sampled
 FLOW_TIME_SAMPLES = 512
 
+# how far below 0 rho_t may fall and still pass both rho_t >= 0 checks: a
+# rounding allowance, since rho_t = lambda_tt/lambda - (lambda_t/lambda)^2
+# is a difference of equal terms on exp(c t) (-3.6e-15 for c = 3)
+RHO_T_ROUNDING = 1e-12
+
 
 def flow_time_range(problem: Problem):
     """Flow times on which the conformal-factor conditions are sampled: from
@@ -122,12 +127,12 @@ def flow_time_range(problem: Problem):
 
 def _lambda_samples(problem: Problem):
     """The ``FLOW_TIME_SAMPLES`` flow times spanning ``flow_time_range``
-    with ``lambda_t`` and ``rho_t`` there and ``fd_rho_t_tolerance`` over
-    them; sampled once per problem, read by both conformal-factor checks."""
+    with ``lambda_t`` and ``rho_t`` there; sampled once per problem, read by
+    both conformal-factor checks."""
     def build():
         amb = problem.ambient
         ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
-        return ts, np.asarray(amb.lam_t(ts)), rho_t(amb, ts), fd_rho_t_tolerance(amb, ts)
+        return ts, np.asarray(amb.lam_t(ts)), rho_t(amb, ts)
     return problem.derived("lambda_samples", build)
 
 
@@ -136,12 +141,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
     nothing raises."""
     amb, mesh = problem.ambient, problem.mesh
     phi_b = problem.phi[mesh.boundary_vertices]
-    _, lam_t, rt, fd_tol = _lambda_samples(problem)
-    rt_tol, rt_note = 1e-12, ""
-    if amb.fd_derivatives:
-        rt_tol = fd_tol
-        rt_note = (f"finite-difference lambda derivatives: passes down to "
-                   f"-{rt_tol:.3g}, their error bound")
+    _, lam_t, rt = _lambda_samples(problem)
 
     inf_hk, inf_hg = inf_boundary_cylinder_curvature(mesh, amb)
     sup_h = float(problem.H.values.max())
@@ -152,7 +152,7 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
         ConditionEntry("lambda_t_nonneg", "lambda_t >= 0",
                        float(lam_t.min()), bool(lam_t.min() >= 0)),
         ConditionEntry("rho_t_nonneg", "(lambda_t/lambda)_t >= 0",
-                       float(rt.min()), bool(rt.min() >= -rt_tol), note=rt_note),
+                       float(rt.min()), bool(rt.min() >= -RHO_T_ROUNDING)),
         ConditionEntry("phi_nonpos", "phi <= 0 on the boundary",
                        float(-phi_b.max()), bool(phi_b.max() <= 0)),
         ConditionEntry("H_nonneg", "H >= 0", min_h, bool(min_h >= 0)),
@@ -165,15 +165,14 @@ def check_hypotheses(problem: Problem) -> HypothesisReport:
 
 
 def max_principle_conditions(problem: Problem) -> MaxPrincipleReport:
-    """Check ``rho_t >= 0`` and ``lambda_t * H >= 0`` at the flow times of
-    ``check_hypotheses``; finite-difference derivatives of lambda pass
-    ``rho_t`` down to ``-fd_rho_t_tolerance``."""
-    ts, lam_t, rt, fd_tol = _lambda_samples(problem)
+    """Check ``rho_t >= 0``, down to ``-RHO_T_ROUNDING`` as in
+    ``check_hypotheses``, and ``lambda_t * H >= 0`` at its flow times."""
+    ts, lam_t, rt = _lambda_samples(problem)
     rt_min = float(rt.min())
     hmin, hmax = float(problem.H.values.min()), float(problem.H.values.max())
     prod = float(np.minimum(lam_t * hmin, lam_t * hmax).min())
     return MaxPrincipleReport(rt_min, prod, (float(ts[0]), float(ts[-1])),
-                              FLOW_TIME_SAMPLES, rt_min >= -fd_tol and prod >= 0)
+                              FLOW_TIME_SAMPLES, rt_min >= -RHO_T_ROUNDING and prod >= 0)
 
 
 def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
@@ -183,27 +182,20 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     ``Ric_amb = Ric_leaf - (n k^2 - sqrt(gamma) k_t)`` (constant gamma),
     with the leaf curvature ``k = -lambda_t sqrt(gamma)/lambda^2`` and
     ``sqrt(gamma) k_t = k^2 - gamma rho_t`` at the base leaf.  The leaf Ricci
-    is ``(n - 1)`` times the Gaussian curvature of the leaf metric; a metric
-    of unknown curvature is reported as not evaluable rather than guessed.
+    is ``(n - 1)`` times the Gaussian curvature of the leaf metric.
     """
     amb, mesh = problem.ambient, problem.mesh
-    curvature = _LEAF_CURVATURE.get(amb.base_metric)
     gam = np.asarray(amb.gamma(mesh.vertices))
     gconst = float(gam.max() - gam.min()) <= 1e-10 * max(1.0, float(np.abs(gam).max()))
-    known = curvature is not None
-    ric_leaf = (n - 1) * curvature if known else 0.0
+    ric_leaf = (n - 1) * amb.leaf.curvature
 
     rho_t0 = float(rho_t(amb, 0.0))
     k0 = float(leaf_mean_curvature(amb, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
     ric_amb = ric_leaf - x_term
 
-    # why a margin is not evaluable; None where it is
-    no_model = None if known else \
-        "leaf metric is neither flat nor the round sphere's: its Ricci curvature is unknown"
-    no_amb = no_model
-    if known and not gconst:
-        no_amb = "non-constant gamma: radial direction field not computable"
+    # why the ambient margins are not evaluable; None where they are
+    no_amb = None if gconst else "non-constant gamma: radial direction field not computable"
 
     def entry(name, inequality, margin, why, note):
         if why is not None:
@@ -218,7 +210,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
               "Ric_amb_rad + (n k^2 - sqrt(gamma) k_t) >= -n (inf H_K)^2",
               ric_amb + x_term + n * inf_hk**2, no_amb, ""),
         entry("ricci_corollary3", "n Ric_leaf_rad >= -(n-1)^2 (inf H_Gamma)^2",
-              ric_leaf + (n - 1) ** 2 / n * inf_hg**2, no_model,
+              ric_leaf + (n - 1) ** 2 / n * inf_hg**2, None,
               f"Ric_leaf_rad={ric_leaf!r}"),
     ]
 

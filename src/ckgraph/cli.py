@@ -131,7 +131,6 @@ def cmd_solve(args) -> int:
         _dump_json(report, out / "report.json")
         raise
     problem = loaded.problem
-    report["fd_derivatives"] = problem.ambient.fd_derivatives
     # --strict refuses to solve on a failed check, so it always runs it
     if args.strict or "hypotheses" in loaded.checks:
         hyp = check_hypotheses(problem)

@@ -5,6 +5,16 @@ binary arithmetic, powers, a fixed function table, and the variable names.
 Anything else (attributes, calls by value, subscripts, names like ``t``, a
 function called with the wrong number of arguments) is rejected while the
 closures are built, before any value is computed.
+
+The same closures give exact derivatives: every ufunc of the grammar acts
+on a :class:`Jet`, a value with its first and second derivative along one
+direction, by its Taylor rule (Griewank & Walther, *Evaluating
+Derivatives*, SIAM 2008, ch. 13), so a variable seeded with a unit
+derivative yields the derivatives along it.  The value part is the plain
+ufunc call, with the same bits.  At a kink the rule is one-sided: ``abs``
+takes ``sign(u)``, ``min`` and ``max`` the jet they select (the first
+argument on a tie), and ``a % b`` is ``a - b floor(a / b)`` with the floor
+held constant.
 """
 
 from __future__ import annotations
@@ -16,7 +26,8 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["compile_expression", "compile_univariate"]
+__all__ = ["Jet", "compile_expression", "compile_gradient", "compile_univariate",
+           "compile_flow_derivatives"]
 
 # NumPy ufuncs of ``nin`` arguments (a further one would be ``out``)
 _FUNCTIONS = {
@@ -33,6 +44,118 @@ _BINOPS = {
     ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply,
     ast.Div: np.divide, ast.Pow: np.power, ast.Mod: np.mod,
 }
+
+
+# -- jets -------------------------------------------------------------------
+
+# one-argument ufunc -> (f'(u), f''(u)) from the argument u and the value y
+_UNARY = {
+    np.exp: lambda u, y: (y, y),
+    np.log: lambda u, y: (1.0 / u, -1.0 / (u * u)),
+    np.sqrt: lambda u, y: (0.5 / y, -0.25 / (y * u)),
+    np.abs: lambda u, y: (np.sign(u), 0.0),
+    np.sin: lambda u, y: (np.cos(u), -y),
+    np.cos: lambda u, y: (-np.sin(u), -y),
+    np.tan: lambda u, y: (1.0 + y * y, 2.0 * y * (1.0 + y * y)),
+    np.arcsin: lambda u, y: (1.0 / np.sqrt(1.0 - u * u), u / (1.0 - u * u) ** 1.5),
+    np.arccos: lambda u, y: (-1.0 / np.sqrt(1.0 - u * u), -u / (1.0 - u * u) ** 1.5),
+    np.arctan: lambda u, y: (1.0 / (1.0 + u * u), -2.0 * u / (1.0 + u * u) ** 2),
+    np.sinh: lambda u, y: (np.cosh(u), y),
+    np.cosh: lambda u, y: (np.sinh(u), y),
+    np.tanh: lambda u, y: (1.0 - y * y, -2.0 * y * (1.0 - y * y)),
+}
+
+
+def _chain(rule):
+    def apply(a, y):
+        f1, f2 = rule(a.v, y)
+        return f1 * a.d1, f2 * a.d1 * a.d1 + f1 * a.d2
+    return apply
+
+
+def _quotient(n1, m, den, q):
+    """``d1 = n1 / den`` and ``d2 = (m - 2 d1 q) / den``, the form of both
+    ``a / b`` and ``atan2(a, b)``."""
+    d1 = n1 / den
+    return d1, (m - 2.0 * d1 * q) / den
+
+
+def _power(a, b, y):
+    """``a ** b``: a constant exponent ``c`` gives ``c a^(c-1)`` and
+    ``c (c-1) a^(c-2)``, each 0 where its factor in ``c`` is (``t**1`` and
+    ``x**2`` are finite at 0); a varying one adds the terms in ``log a``,
+    which are not finite where ``a <= 0``."""
+    c = b.v
+    p1 = np.where(c == 0, 0.0, c * a.v ** (c - 1.0))
+    p2 = np.where(c * (c - 1.0) == 0, 0.0, c * (c - 1.0) * a.v ** (c - 2.0))
+    d1, d2 = p1 * a.d1, p2 * a.d1 * a.d1 + p1 * a.d2
+    if np.any(b.d1) or np.any(b.d2):
+        L = np.log(a.v)
+        d1 = d1 + y * L * b.d1
+        d2 = d2 + y * L * (L * b.d1 * b.d1 + b.d2) \
+            + 2.0 * a.v ** (c - 1.0) * (1.0 + c * L) * a.d1 * b.d1
+    return d1, d2
+
+
+def _mod(a, b, y):
+    k = np.floor_divide(a.v, b.v)       # held constant
+    return a.d1 - k * b.d1, a.d2 - k * b.d2
+
+
+# ufunc -> (d1, d2) of its value y from the argument jets
+_RULES = {
+    np.add: lambda a, b, y: (a.d1 + b.d1, a.d2 + b.d2),
+    np.subtract: lambda a, b, y: (a.d1 - b.d1, a.d2 - b.d2),
+    np.multiply: lambda a, b, y: (a.d1 * b.v + a.v * b.d1,
+                                  a.d2 * b.v + 2.0 * a.d1 * b.d1 + a.v * b.d2),
+    np.divide: lambda a, b, y: _quotient(a.d1 - y * b.d1, a.d2 - y * b.d2, b.v, b.d1),
+    np.arctan2: lambda a, b, y: _quotient(
+        b.v * a.d1 - a.v * b.d1, b.v * a.d2 - a.v * b.d2, a.v * a.v + b.v * b.v,
+        a.v * a.d1 + b.v * b.d1),
+    np.power: _power,
+    np.mod: _mod,
+    np.minimum: lambda a, b, y: _select(a.v <= b.v, a, b),
+    np.maximum: lambda a, b, y: _select(a.v >= b.v, a, b),
+    np.negative: lambda a, y: (-a.d1, -a.d2),
+    np.positive: lambda a, y: (a.d1, a.d2),
+    **{ufunc: _chain(rule) for ufunc, rule in _UNARY.items()},
+}
+
+
+def _select(first, a, b):
+    return np.where(first, a.d1, b.d1), np.where(first, a.d2, b.d2)
+
+
+class Jet:
+    """A value ``v`` with its first and second derivative along one
+    direction, 0 for a constant.  The derivatives are not finite where a
+    rule divides by zero, with no warning."""
+
+    __slots__ = ("v", "d1", "d2")
+
+    def __init__(self, v, d1=0.0, d2=0.0):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def __neg__(self):
+        return np.negative(self)
+
+    def __pos__(self):
+        return np.positive(self)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs or ufunc not in _RULES:
+            return NotImplemented
+        args = [x if isinstance(x, Jet) else Jet(x) for x in inputs]
+        with np.errstate(all="ignore"):
+            y = ufunc(*(a.v for a in args))
+            return Jet(y, *_RULES[ufunc](*args, y))
+
+
+def _along(expr, env, name):
+    """The jet of ``expr`` along the variable ``name`` of ``env``."""
+    v = env[name]
+    out = expr({**env, name: Jet(v, np.ones_like(v), np.zeros_like(v))})
+    return out if isinstance(out, Jet) else Jet(out)
 
 
 def _compile(node, names):
@@ -106,15 +229,39 @@ def compile_expression(text: str):
     return fn
 
 
+def compile_gradient(text: str):
+    """The exact chart gradient ``(..., 2)`` at points ``(..., 2)``: one jet
+    pass seeded in ``x``, one in ``y``."""
+    expr = _parse(text, ("x", "y"))
+
+    def grad(pts):
+        pts = np.asarray(pts, dtype=float)
+        env = {"x": pts[..., 0], "y": pts[..., 1]}
+        return np.stack([np.broadcast_to(_along(expr, env, name).d1, pts.shape[:-1])
+                         for name in env], axis=-1)
+
+    return grad
+
+
+def _shaped(out, v):
+    return np.broadcast_to(np.asarray(out, dtype=float), v.shape).copy() \
+        if v.shape else float(np.asarray(out))
+
+
 def compile_univariate(text: str):
     """A variant in the flow time ``t`` alone (used for custom conformal
     factors)."""
     expr = _parse(text, ("t",))
+    return lambda v: _shaped(expr({"t": np.asarray(v, dtype=float)}), np.asarray(v))
 
-    def fn(v):
-        v = np.asarray(v, dtype=float)
-        out = expr({"t": v})
-        return np.broadcast_to(np.asarray(out, dtype=float), v.shape).copy() \
-            if v.shape else float(np.asarray(out))
 
-    return fn
+def compile_flow_derivatives(text: str):
+    """The exact first and second flow-time derivatives of
+    ``compile_univariate(text)``, each from one jet pass seeded in ``t``."""
+    expr = _parse(text, ("t",))
+
+    def jet(v):
+        return _along(expr, {"t": np.asarray(v, dtype=float)}, "t")
+
+    return (lambda v: _shaped(jet(v).d1, np.asarray(v)),
+            lambda v: _shaped(jet(v).d2, np.asarray(v)))

@@ -26,18 +26,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .ambient import (AmbientSpace, central_gradient, flat_metric,
-                      round_sphere_metric)
+from .ambient import LEAF_METRICS, AmbientSpace, round_sphere_metric
 from .errors import MeshError, ParameterError
 
 __all__ = ["DomainMesh", "PolarDomain", "disk_mesh", "annulus_mesh", "cap_mesh",
            "mesh_from_arrays", "mesh_from_json", "mesh_to_json",
-           "closed_polyline_geometry", "christoffel_symbols", "locate_points"]
-
-
-# radius of curvature 1/k(r) of the chart circle |u| = r on each leaf metric
-# a polar domain may be built with: k = 1/r (flat), cot r (round)
-_CIRCLE_RADIUS = {flat_metric: lambda r: r, round_sphere_metric: np.tan}
+           "closed_polyline_geometry", "locate_points"]
 
 
 @dataclass(frozen=True)
@@ -46,15 +40,15 @@ class PolarDomain:
     or cap) on a leaf ``metric`` whose chart radial lines are unit-speed
     geodesics, so the distance to the boundary is ``r_out - r``, or
     ``min(r - r_in, r_out - r)`` on an annulus.  A point's side ``s`` is +1
-    where the outer circle is the nearer boundary, -1 where the inner is."""
+    where the outer circle is the nearer boundary, -1 where the inner is.
+    ``metric`` is one of ``ambient.LEAF_METRICS``, whose ``circle_radius``
+    gives the circles' curvature."""
 
     r_in: float
     r_out: float
     metric: Callable
 
     def __post_init__(self):
-        if self.metric not in _CIRCLE_RADIUS:
-            raise ParameterError("a polar domain needs the flat or the round sphere metric")
         if not 0 <= self.r_in < self.r_out:
             raise ParameterError(f"chart radii need 0 <= r_in < r_out, got "
                                  f"{self.r_in!r} and {self.r_out!r}")
@@ -77,7 +71,7 @@ class PolarDomain:
     def circle_curvature(self, r, depth=0.0):
         """Geodesic curvature, toward the domain, of the circle ``depth``
         inside the boundary circle nearest each chart radius ``r``."""
-        rho = _CIRCLE_RADIUS[self.metric]
+        rho = LEAF_METRICS[self.metric].circle_radius
         outer = 1.0 / rho(self.r_out - depth)
         if self.r_in == 0:
             return np.full(np.shape(r), outer)
@@ -92,7 +86,8 @@ class PolarDomain:
         rhat = pts / r[:, None]
         minus_s = np.where(self._outer(r), -1.0, 1.0)
         proj = np.asarray(self.metric(pts)) - np.einsum("mi,mj->mij", rhat, rhat)
-        hess = minus_s[:, None, None] * proj / _CIRCLE_RADIUS[self.metric](r)[:, None, None]
+        radius = LEAF_METRICS[self.metric].circle_radius(r)
+        hess = minus_s[:, None, None] * proj / radius[:, None, None]
         usable = r > 1e-12
         if self.r_in > 0:
             usable &= np.abs(r - 0.5 * (self.r_in + self.r_out)) > 0.75 * h
@@ -301,21 +296,6 @@ def _spd_inverse(S):
     return (d / det, -b / det, a / det), det
 
 
-def christoffel_symbols(ambient: AmbientSpace, pts):
-    """Christoffel symbols of the leaf metric by central differences with
-    step 1e-5, shape (..., k, i, j) for Gamma^k_ij."""
-    pts = np.asarray(pts, dtype=float)
-    i11, i12, i22 = (c[..., None, None] for c in
-                     _spd_inverse(ambient.base_metric(pts))[0])
-    dS = central_gradient(ambient.base_metric, pts, 1e-5)  # dS[..., l, i, j] = d_l S_ij
-    # Gamma^k_ij = 1/2 Sinv^{kl} (d_i S_lj + d_j S_li - d_l S_ij)
-    term = (np.einsum("...ilj->...lij", dS)
-            + np.einsum("...jli->...lij", dS)
-            - dS)
-    t0, t1 = term[..., 0, :, :], term[..., 1, :, :]
-    return 0.5 * np.stack([i11 * t0 + i12 * t1, i12 * t0 + i22 * t1], axis=-3)
-
-
 def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
     """Edge table and the leaf-metric length of each edge (metric at the
     edge midpoint)."""
@@ -426,7 +406,7 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
     and a confidence flag (``beta < pi/2``).  The curvature is the
     turning angle ``sign * beta / ((l1 + l2) / 2)`` in the metric at the
     point, plus the connection term ``<Gamma(v, v), N> / |v|^2`` with
-    ``v = (next - prev) / 2``, which vanishes on a flat metric.
+    ``v = (next - prev) / 2``, which is 0 on the flat metric and not taken.
     """
     p = np.asarray(points, dtype=float)
     prv, nxt = np.roll(p, 1, axis=0), np.roll(p, -1, axis=0)
@@ -440,13 +420,16 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
     e1, e2 = p - prv, nxt - p
     l1, l2 = np.sqrt(form(e1, e1)), np.sqrt(form(e2, e2))
     ok = (l1 > 0) & (l2 > 0)
-    gamma_vv = np.einsum("pkij,pi,pj->pk", christoffel_symbols(ambient, p), tang, tang)
+    christoffel = ambient.leaf.christoffel
     with np.errstate(divide="ignore", invalid="ignore"):
         normal = raw / np.sqrt(form(raw, raw))[:, None]
         beta = np.arccos(np.clip(form(e1, e2) / (l1 * l2), -1.0, 1.0))
         sign = np.where(_cross2(e1, e2) >= 0, 1.0, -1.0)
-        # the connection term is quadratic over quadratic in v: tang = 2 v will do
-        geodesic = sign * beta / (0.5 * (l1 + l2)) + form(gamma_vv, normal) / form(tang, tang)
+        geodesic = sign * beta / (0.5 * (l1 + l2))
+        if christoffel is not None:
+            # quadratic over quadratic in v: tang = 2 v will do
+            gamma_vv = np.einsum("pkij,pi,pj->pk", christoffel(p), tang, tang)
+            geodesic = geodesic + form(gamma_vv, normal) / form(tang, tang)
         curvature = np.where(ok, geodesic, 0.0)
     return normal, curvature, ok & (beta < math.pi / 2)
 

@@ -26,12 +26,11 @@ import numpy as np
 from .ambient import AmbientSpace, n, rho, rho_t
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import (DomainMesh, _hat_gradients, _nearest, _ring_rows,
-                   _spd_inverse, christoffel_symbols)
+from .mesh import DomainMesh, _hat_gradients, _nearest, _ring_rows, _spd_inverse
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
-    "recover_gradient_hessian", "christoffel_symbols",
+    "recover_gradient_hessian",
 ]
 
 
@@ -370,8 +369,8 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     """Least-squares quadratic fit over the vertex 2-ring.
 
     Returns (gradient (nv,2), covariant Hessian (nv,2,2), confident (nv,)).
-    The Hessian is corrected by the Christoffel symbols of the leaf metric,
-    except in a block of vertices where they are all zero (a flat metric).
+    The Hessian is corrected by the closed-form Christoffel symbols of the
+    leaf metric; on the flat metric they are zero and nothing is evaluated.
     Vertices with deficient stencils or touching the boundary 1-ring are
     flagged as low confidence.
 
@@ -396,6 +395,7 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     # every block pads to the largest 2-ring of the mesh, so no fit depends
     # on the block it falls in
     width = mesh.largest_ring(2)
+    christoffel = ambient.leaf.christoffel
     grad, hess = np.empty((nv, 2)), np.empty((nv, 2, 2))
     confident = np.empty(nv, dtype=bool)
     for start, stop in blocks:
@@ -403,9 +403,9 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
         coef = _quadratic_fits(mesh.vertices, values, start, ptr, nbr, width)
         grad[start:stop] = coef[:, :2]
         hess[start:stop] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
-        Gam = _constant(christoffel_symbols(ambient, mesh.vertices[start:stop]))
-        if np.ndim(Gam) or Gam != 0:     # zero on a flat leaf metric
-            hess[start:stop] -= np.einsum("vkij,vk->vij", Gam, coef[:, :2])
+        if christoffel is not None:
+            hess[start:stop] -= np.einsum("vkij,vk->vij",
+                                          christoffel(mesh.vertices[start:stop]), coef[:, :2])
         confident[start:stop] = np.diff(ptr) >= 5
     # not a boundary vertex or one of its 1-ring neighbours
     edges = mesh.edge_table()[0]

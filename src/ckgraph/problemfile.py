@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import math
-from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -13,7 +12,8 @@ import numpy as np
 from . import ambient as ambient_mod
 from .ambient import AmbientSpace, preset_ambient, PRESET_NAMES
 from .errors import MeshError, ParameterError, SchemaError
-from .expressions import compile_expression, compile_univariate
+from .expressions import (compile_expression, compile_flow_derivatives,
+                          compile_gradient, compile_univariate)
 from .fields import ScalarField
 from .mesh import annulus_mesh, cap_mesh, disk_mesh, mesh_from_json
 from .operator import Problem
@@ -57,8 +57,6 @@ PROBLEM_SCHEMA = {
                     "required": ["lam"],
                     "properties": {
                         "lam": {"type": "string"},
-                        "lam_t": {"type": "string"},
-                        "lam_tt": {"type": "string"},
                         "interval_end": {"anyOf": [{"type": "number"},
                                                    {"const": "inf"}]},
                         "gamma": {"type": "string"},
@@ -126,7 +124,7 @@ class LoadedProblem:
         which have no coarser counterpart; when the companion would have
         more than 1/``COARSE_RATIO`` of the target's vertices (a target of
         few rings: the generators never make fewer than two); and when its
-        data are not admissible at its own vertices."""
+        data, or a custom ``gamma``, are not admissible at its own points."""
         doc = self.document
         if "mesh" in doc["domain"] or "csv" in doc["H"] or "csv" in doc["phi"]:
             return None
@@ -135,6 +133,7 @@ class LoadedProblem:
             mesh = _build_mesh(doc, amb, ".", COARSE_RATIO * float(doc["resolution"]))
             if COARSE_RATIO * mesh.n_vertices > self.problem.mesh.n_vertices:
                 return None
+            _check_gamma(doc, amb, mesh)
             return Problem(amb, mesh, _build_field(doc, "H", mesh, "."),
                            _build_field(doc, "phi", mesh, ".").values)
         except (MeshError, ParameterError):
@@ -303,30 +302,57 @@ def _compiled(compile, cu, key: str):
 
 
 def _build_ambient(doc) -> AmbientSpace:
+    """The document's ambient.  A custom one takes the flow-time derivatives
+    of ``lam`` and the gradient of ``gamma`` from the expressions, exactly;
+    a construction error names its key, as in ``$.ambient.custom.lam``."""
     spec = doc["ambient"]
     if "preset" in spec:
         return preset_ambient(spec["preset"])
     cu = spec["custom"]
-    lam, lam_t, lam_tt = (_compiled(compile_univariate, cu, key) if key in cu else None
-                          for key in ("lam", "lam_t", "lam_tt"))
-    fd = lam_t is None or lam_tt is None
-    if fd:
-        d1, d2 = ambient_mod.fd_ambient_derivatives(lam)
-        lam_t = lam_t or d1
-        lam_tt = lam_tt or d2
+    lam = _compiled(compile_univariate, cu, "lam")
+    lam_t, lam_tt = compile_flow_derivatives(cu["lam"])
     end = cu.get("interval_end", "inf")
     end = math.inf if end == "inf" else float(end)
     if "gamma" in cu:
         gfun = _compiled(compile_expression, cu, "gamma")
-        grad_gamma = partial(ambient_mod.central_gradient, gfun, step=1e-6)
+        grad_gamma = compile_gradient(cu["gamma"])
     else:
         gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
     metric = ambient_mod.round_sphere_metric \
         if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
-    return AmbientSpace(
-        name="custom", lam=lam, lam_t=lam_t, lam_tt=lam_tt,
-        interval_end=end, gamma=gfun, grad_gamma=grad_gamma,
-        base_metric=metric, fd_derivatives=fd)
+    try:
+        return AmbientSpace(
+            name="custom", lam=lam, lam_t=lam_t, lam_tt=lam_tt,
+            interval_end=end, gamma=gfun, grad_gamma=grad_gamma, base_metric=metric)
+    except ParameterError as exc:
+        # the message names the field at fault first
+        raise ParameterError(f"$.ambient.custom.{exc}") from None
+
+
+def _check_gamma(doc, ambient: AmbientSpace, mesh):
+    """A custom ``gamma`` must be positive and finite, with a finite
+    gradient, at every vertex, element centroid and edge midpoint: the
+    points the operator reads.  ParameterError names the first chart point
+    that fails, in that order."""
+    if "gamma" not in doc["ambient"].get("custom", {}):
+        return
+    corners = mesh.vertices[mesh.triangles]
+    edges = mesh.edge_table()[0]
+    pts = np.concatenate([mesh.vertices, corners.mean(axis=1),
+                          0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
+    with np.errstate(all="ignore"):
+        g = ambient.gamma(pts)
+    bad = np.flatnonzero(~(np.isfinite(g) & (g > 0)))
+    what = "value {} is not positive and finite"
+    if not len(bad):
+        g = ambient.grad_gamma(pts)
+        bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
+        what = "gradient {} is not finite"
+    if len(bad):
+        k = bad[0]
+        x, y = pts[k]
+        raise ParameterError(f"$.ambient.custom.gamma: {what.format(g[k].tolist())} "
+                             f"at chart point ({x:.6g}, {y:.6g})")
 
 
 def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
@@ -383,6 +409,7 @@ def load_problem_document(doc, base_dir=".") -> LoadedProblem:
     base_dir = Path(base_dir)
     amb = _build_ambient(doc)
     mesh = _build_mesh(doc, amb, base_dir)
+    _check_gamma(doc, amb, mesh)
     H = _build_field(doc, "H", mesh, base_dir)
     phi_field = _build_field(doc, "phi", mesh, base_dir)
     problem = Problem(amb, mesh, H, phi_field.values)

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.ambient import (fd_ambient_derivatives, leaf_mean_curvature,
-                             preset_ambient, rho, rho_t, round_sphere_metric)
+from ckgraph.ambient import (leaf_mean_curvature, preset_ambient, rho, rho_t,
+                             round_sphere_metric)
 from ckgraph.errors import DomainError, ParameterError
 
 ALL_PRESETS = ["killing_flat", "example_a", "example_b", "example_c",
@@ -123,8 +123,30 @@ def test_round_sphere_metric_pole_smooth():
     assert S[1, 1] == pytest.approx((math.sin(0.3) / 0.3) ** 2, rel=1e-12)
 
 
-def test_fd_fallback():
-    lam = lambda t: np.exp(np.asarray(t, dtype=float))
-    d1, d2 = fd_ambient_derivatives(lam)
-    assert float(d1(0.3)) == pytest.approx(math.exp(0.3), rel=1e-8)
-    assert float(d2(0.3)) == pytest.approx(math.exp(0.3), rel=1e-3)
+def test_other_leaf_metric_refused():
+    # only the library API could pass one; its curvature and connection
+    # would be unknown
+    with pytest.raises(ParameterError, match="^base_metric: "):
+        replace(preset_ambient("killing_flat"),
+                base_metric=lambda u: 0.5 * ck.flat_metric(u))
+
+
+def _metric_christoffel_fd(metric, pts, step=1e-5):
+    """Christoffel symbols from central differences of the metric, an
+    independent reference: Gamma^k_ij = 1/2 S^kl (d_i S_lj + d_j S_li - d_l S_ij)."""
+    dS = np.stack([(metric(pts + step * e) - metric(pts - step * e)) / (2 * step)
+                   for e in np.eye(2)], axis=1)              # dS[p, l, i, j]
+    term = np.einsum("pilj->plij", dS) + np.einsum("pjli->plij", dS) - dS
+    return 0.5 * np.einsum("pkl,plij->pkij", np.linalg.inv(metric(pts)), term)
+
+
+def test_round_christoffel_symbols_match_metric_differences():
+    rng = np.random.default_rng(5)
+    r, th = rng.uniform(0.0, 1.0, 2000), rng.uniform(0.0, 2 * math.pi, 2000)
+    pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
+    pts[:20] *= 1e-4                 # the series branch near the pole
+    symbols = preset_ambient("euclidean_radial").leaf.christoffel
+    ref = _metric_christoffel_fd(round_sphere_metric, pts)
+    # the central differences' own error is about 2.5e-11 here
+    assert np.abs(symbols(pts) - ref).max() < 1e-10
+    assert np.array_equal(symbols(np.zeros((1, 2))), np.zeros((1, 2, 2, 2)))

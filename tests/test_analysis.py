@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (_distance_geometry, boundary_barrier,
+from ckgraph.analysis import (RHO_T_ROUNDING, _distance_geometry, boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
                               cylinder_mean_curvature,
                               cylinder_monotonicity_probe, flow_time_range,
@@ -92,29 +92,10 @@ def test_ricci_agreement_constant_curvature(radial_problem, cmc_problem):
 _RICCI = ("ricci_simple", "ricci_refined", "ricci_corollary3")
 
 
-def test_ricci_not_evaluable_for_unknown_model():
-    # a leaf metric other than the flat and the round one, which only the
-    # library API can pass, has no known curvature; a polar domain refuses
-    # such a metric, so the mesh is generic
-    amb = replace(ck.preset_ambient("killing_flat"),
-                  base_metric=lambda u: 0.5 * ck.flat_metric(u))
-    disk = ck.disk_mesh(0.4, 0.08, ck.preset_ambient("killing_flat"))
-    mesh = ck.mesh_from_arrays(disk.vertices, disk.triangles, disk.boundary_loops, amb)
-    prob = ck.Problem.create(amb, mesh, 1.0, -0.5)
-    rep = check_hypotheses(prob)
-    for name in _RICCI:
-        cond = rep.get(name)
-        assert not cond.evaluable
-        assert not cond.passed      # never silently passed
-        assert "Ricci curvature is unknown" in cond.note
-    assert rep.passed               # non-evaluable entries do not block
-
-
 def test_custom_ambient_takes_leaf_curvature_from_metric(radial_problem):
-    # exp(t) with exact derivatives on the round leaf is euclidean_radial,
-    # and no key declares the leaf curvature: the Ricci entries agree
-    doc = {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)",
-                                  "lam_tt": "exp(t)", "base_metric": "round_sphere"}},
+    # exp(t) on the round leaf is euclidean_radial, and no key declares the
+    # leaf curvature: the Ricci entries agree
+    doc = {"ambient": {"custom": {"lam": "exp(t)", "base_metric": "round_sphere"}},
            "domain": {"preset": "cap", "params": {"theta0": 1.0}},
            "resolution": 0.1, "H": {"constant": 0.0}, "phi": {"constant": 0.0}}
     custom = check_hypotheses(load_problem_document(doc).problem)
@@ -517,8 +498,7 @@ def test_preset_rho_keeps_steep_height_margins_finite(D):
 
 def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
     from ckgraph.problemfile import load_problem_document
-    doc = {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
-                                  "gamma": "1 + 0.2*x*x"}},
+    doc = {"ambient": {"custom": {"lam": "exp(t)", "gamma": "1 + 0.2*x*x"}},
            "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
            "resolution": 0.03, "H": {"constant": 0.3},
            "phi": {"expression": "-0.5 + 0.1*x"}}
@@ -533,33 +513,39 @@ def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
     assert len(recwarn) == 0
 
 
-# -- finite-difference derivatives of lambda ----------------------------------------
-
-_LAMBDA_DERIVATIVES = {
-    "exp(t)": ("exp(t)", "exp(t)"),
-    "exp(t - t**2/2)": ("(1 - t)*exp(t - t**2/2)", "((1 - t)**2 - 1)*exp(t - t**2/2)"),
-}
+# -- lambda derivatives from the expression's jets ----------------------------------
 
 
-@pytest.mark.parametrize("exact", [True, False], ids=["exact", "fd"])
-@pytest.mark.parametrize("lam, passes", [("exp(t)", True), ("exp(t - t**2/2)", False)])
-def test_rho_t_checks_with_and_without_derivatives(lam, passes, exact):
-    # rho_t is 0 for exp(t) and -1 for exp(t - t^2/2); finite differences
-    # of lambda'' must neither fail the first nor pass the second
+@pytest.mark.parametrize("lam, passes", [("exp(t)", True), ("exp(t - t**2/2)", False)],
+                         ids=["exp(t)-True-exact", "exp(t - t**2/2)-False-exact"])
+def test_rho_t_checks_with_and_without_derivatives(lam, passes):
+    # rho_t is 0 for exp(t) and -1 for exp(t - t^2/2); with lam alone the
+    # exact derivatives come from its jets, and neither check fails the
+    # first or passes the second
     from ckgraph.problemfile import load_problem_document
-    custom = {"lam": lam}
-    if exact:
-        custom["lam_t"], custom["lam_tt"] = _LAMBDA_DERIVATIVES[lam]
-    doc = {"ambient": {"custom": custom},
+    doc = {"ambient": {"custom": {"lam": lam}},
            "domain": {"preset": "disk", "params": {"radius": 0.4}},
            "resolution": 0.08, "H": {"constant": 1.0}, "phi": {"constant": -0.5}}
     prob = load_problem_document(doc).problem
-    assert prob.ambient.fd_derivatives is not exact
     cond = check_hypotheses(prob).get("rho_t_nonneg")
     assert cond.passed is passes
     if passes:
-        assert abs(cond.margin) <= ck.ambient.fd_rho_t_tolerance(
-            prob.ambient, np.linspace(*flow_time_range(prob), 512))
-    assert cond.note.startswith("finite-difference") is not exact
+        assert abs(cond.margin) <= RHO_T_ROUNDING
+    assert cond.note == ""
     report = max_principle_conditions(prob)
     assert report.passed is passes
+
+
+def test_both_rho_t_checks_share_the_rounding_allowance():
+    # rho_t of exp(3 t) is 9 - 9 with rounding: -3.6e-15 at some flow
+    # times, which both checks pass, on the same margin
+    from ckgraph.problemfile import load_problem_document
+    doc = {"ambient": {"custom": {"lam": "exp(3*t)"}},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}},
+           "resolution": 0.05, "H": {"constant": 1.0}, "phi": {"constant": -0.5}}
+    prob = load_problem_document(doc).problem
+    cond = check_hypotheses(prob).get("rho_t_nonneg")
+    report = max_principle_conditions(prob)
+    assert -RHO_T_ROUNDING <= cond.margin < 0
+    assert report.rho_t_margin == cond.margin
+    assert cond.passed and report.passed

@@ -66,16 +66,28 @@ def test_report_content(solved_run):
     assert rep["tau_reached"] == 1.0
     assert rep["hypotheses"]["passed"]
     assert rep["monotonicity"]["monotone"]
-    assert rep["fd_derivatives"] is False
+    assert "fd_derivatives" not in rep
     assert "timestamp" in rep
 
 
-def test_report_flags_fd_derivatives(tmp_path):
+@pytest.mark.parametrize("preset, domain", [
+    ("example_a", {"preset": "disk", "params": {"radius": 0.4}}),
+    ("euclidean_radial", {"preset": "cap", "params": {"theta0": 1.0}}),
+], ids=["flat_disk", "round_cap"])
+def test_custom_exp_ambient_checks_as_its_preset(tmp_path, capsys, preset, domain):
+    # lam = exp(t) with no derivative keys: the jets give the preset's
+    # closed forms, and the hypothesis report is the same
     doc = _cap_doc(h=0.1, H=0.5, phi=-0.3)
-    doc["ambient"] = {"custom": {"lam": "exp(t)"}}
-    out = tmp_path / "run"
-    assert main(["solve", _write(tmp_path, "fd.json", doc), "--out", str(out)]) == 0
-    assert json.loads((out / "report.json").read_text())["fd_derivatives"] is True
+    doc["domain"] = domain
+    reports = []
+    for ambient in ({"preset": preset},
+                    {"custom": {"lam": "exp(t)", "base_metric":
+                                "round_sphere" if preset == "euclidean_radial" else "flat"}}):
+        doc["ambient"] = ambient
+        capsys.readouterr()
+        main(["check", _write(tmp_path, "problem.json", doc)])
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_log_jsonl_fields(solved_run):
@@ -577,6 +589,16 @@ _BAD_PARAMETERS = {
     "H_overflow": (_set(["H"], {"expression": "10**400"}), "$.H.expression"),
     "custom_lam_arity": (_set(["ambient"], {"custom": {"lam": "exp(t, t)"}}),
                          "$.ambient.custom.lam"),
+    # construction errors of a custom ambient name their key
+    "custom_interval_end_negative": (
+        _set(["ambient"], {"custom": {"lam": "exp(t)", "interval_end": -1}}),
+        "$.ambient.custom.interval_end"),
+    "custom_lam_not_normalized": (_set(["ambient"], {"custom": {"lam": "2*exp(t)"}}),
+                                  "$.ambient.custom.lam"),
+    # NaN below t = -1, with no warning on stderr
+    "custom_lam_not_positive": (_set(["ambient"], {"custom": {"lam": "sqrt(1 + t)",
+                                                              "interval_end": 1}}),
+                                "$.ambient.custom.lam"),
     # a damping factor near 1 would otherwise cut the step almost endlessly
     "halvings_above_maximum": (_set(["solver"], {"max_damping_halvings": 101}),
                                "$.solver.max_damping_halvings"),
@@ -593,6 +615,29 @@ def test_bad_parameter_exit_1_with_path(tmp_path, capsys, command, case):
     argv = [command, prob] + (["--out", str(tmp_path / "run")]
                               if command == "solve" else [])
     _assert_clean_exit_1(argv, capsys, path + ":")
+
+
+# gamma -> what the error says of the first chart point that fails
+_BAD_GAMMA = {
+    "x": "value 0.0 is not positive and finite at chart point (0, 0)",
+    "0*x": "value 0.0 is not positive and finite at chart point (0, 0)",
+    "x + 0.3": "is not positive and finite at chart point (-0.34641, 0.2)",
+    "1 + sqrt(x*x + y*y)": "gradient [nan, nan] is not finite at chart point (0, 0)",
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("gamma", sorted(_BAD_GAMMA))
+def test_custom_gamma_not_positive_exit_1(tmp_path, capsys, command, gamma):
+    # checked at the points the operator reads when the problem loads: no
+    # NaN reaches the solve, and no warning reaches stderr
+    doc = _cap_doc(h=0.2)
+    doc["ambient"] = {"custom": {"lam": "exp(t)", "gamma": gamma}}
+    prob = _write(tmp_path, "problem.json", doc)
+    argv = [command, prob] + (["--out", str(tmp_path / "run")]
+                              if command == "solve" else [])
+    err = _assert_clean_exit_1(argv, capsys, "error: $.ambient.custom.gamma: ")
+    assert err.endswith(_BAD_GAMMA[gamma] + "\n") and err.count("\n") == 1
 
 
 # a zero tau step re-solves the same tau forever; the schema refuses it (all
@@ -906,7 +951,7 @@ _VALID_DOCS = [
      "domain": {"preset": "cap", "params": {"theta0": 1.0}},
      "resolution": 0.3, "H": {"expression": "0*x"},
      "phi": {"expression": "x**2 + y**2"}, "checks": ["monotonicity"]},
-    {"ambient": {"custom": {"lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
+    {"ambient": {"custom": {"lam": "exp(t)",
                             "interval_end": "inf", "gamma": "1 + 0*x",
                             "base_metric": "flat"}},
      "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},

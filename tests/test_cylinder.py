@@ -82,10 +82,25 @@ def test_generic_polyline_estimate():
     assert np.abs(vals - 1.0 / 0.3).max() < 0.2
 
 
-def _turning_angle_reference(points, ambient, k, step=1e-5):
+def _metric_derivatives(ambient, p):
+    """``[d_0 S, d_1 S]`` of the leaf metric at one chart point, exact:
+    zero on the flat metric; on the round one ``S = s I + q u u^T`` with
+    ``s = (sin r / r)^2`` and ``q = (1 - s) / r^2``, differentiated in r."""
+    if ambient.base_metric is not ck.round_sphere_metric:
+        return [np.zeros((2, 2)), np.zeros((2, 2))]
+    r = math.hypot(*p)
+    s = (math.sin(r) / r) ** 2
+    ds = 2.0 * (math.sin(r) / r) * (r * math.cos(r) - math.sin(r)) / r**2
+    q = (1.0 - s) / r**2
+    dq = (-ds * r**2 - 2.0 * r * (1.0 - s)) / r**4
+    return [ds * p[l] / r * np.eye(2) + dq * p[l] / r * np.outer(p, p)
+            + q * (np.outer(e, p) + np.outer(p, e)) for l, e in enumerate(np.eye(2))]
+
+
+def _turning_angle_reference(points, ambient, k):
     """Scalar geodesic curvature and inward normal at point k: the turning
     angle plus ``<Gamma(v, v), N> / |v|^2``, ``v = p2 - p0``, with the
-    Christoffel symbols from central differences of the metric, one index
+    Christoffel symbols from the exact derivatives of the metric, one index
     at a time."""
     p0, p1, p2 = points[k - 1], points[k], points[(k + 1) % len(points)]
     S = np.asarray(ambient.base_metric(p1))
@@ -97,9 +112,7 @@ def _turning_angle_reference(points, ambient, k, step=1e-5):
     raw = np.array([-tang[1], tang[0]])
     normal = raw / math.sqrt(raw @ S @ raw)
     Sinv = np.linalg.inv(S)
-    dS = [(np.asarray(ambient.base_metric(p1 + step * e))
-           - np.asarray(ambient.base_metric(p1 - step * e))) / (2 * step)
-          for e in np.eye(2)]
+    dS = _metric_derivatives(ambient, p1)
     gvv = np.zeros(2)
     for c in range(2):
         for l in range(2):

@@ -132,26 +132,27 @@ def test_csv_field_and_mesh_file(tmp_path):
 
 
 def test_custom_ambient_with_derivatives():
+    # lam alone: its flow-time derivatives come from the expression's jets
     doc = _base_doc()
-    doc["ambient"] = {"custom": {
-        "lam": "exp(t)", "lam_t": "exp(t)", "lam_tt": "exp(t)",
-    }}
+    doc["ambient"] = {"custom": {"lam": "exp(t)"}}
     loaded = load_problem_document(doc)
     amb = loaded.problem.ambient
     assert float(np.asarray(amb.lam(0.5))) == pytest.approx(math.exp(0.5))
+    assert amb.lam_t(0.5) == amb.lam_tt(0.5) == amb.lam(0.5)
     assert math.isinf(amb.interval_end)
-    assert amb.fd_derivatives is False
 
 
-def test_custom_ambient_fd_fallback():
+@pytest.mark.parametrize("key", ["lam_t", "lam_tt"])
+def test_lambda_derivative_keys_rejected(key):
+    # the program computes both from lam, so a given one could only repeat
+    # or contradict it
     doc = _base_doc()
-    doc["ambient"] = {"custom": {"lam": "exp(t)"}}
-    amb = load_problem_document(doc).problem.ambient
-    assert float(np.asarray(amb.lam_t(0.2))) == pytest.approx(math.exp(0.2), rel=1e-8)
-    assert amb.fd_derivatives is True
-    # one missing derivative is enough to flag the ambient
-    doc["ambient"] = {"custom": {"lam": "exp(t)", "lam_t": "exp(t)"}}
-    assert load_problem_document(doc).problem.ambient.fd_derivatives is True
+    doc["ambient"] = {"custom": {"lam": "exp(t)", key: "exp(t)"}}
+    with pytest.raises(SchemaError) as info:
+        validate_document(doc)
+    assert str(info.value).splitlines()[1:] == [
+        "  $.ambient.custom: Additional properties are not allowed "
+        f"('{key}' was unexpected)"]
 
 
 @pytest.mark.parametrize("end", ["abc", "Infinity", None])
