@@ -102,6 +102,10 @@ def _mod(a, b, y):
     return a.d1 - k * b.d1, a.d2 - k * b.d2
 
 
+def _select(first, a, b):
+    return np.where(first, a.d1, b.d1), np.where(first, a.d2, b.d2)
+
+
 # ufunc -> (d1, d2) of its value y from the argument jets
 _RULES = {
     np.add: lambda a, b, y: (a.d1 + b.d1, a.d2 + b.d2),
@@ -120,10 +124,6 @@ _RULES = {
     np.positive: lambda a, y: (a.d1, a.d2),
     **{ufunc: _chain(rule) for ufunc, rule in _UNARY.items()},
 }
-
-
-def _select(first, a, b):
-    return np.where(first, a.d1, b.d1), np.where(first, a.d2, b.d2)
 
 
 class Jet:
@@ -252,7 +252,12 @@ def compile_univariate(text: str):
     """A variant in the flow time ``t`` alone (used for custom conformal
     factors)."""
     expr = _parse(text, ("t",))
-    return lambda v: _shaped(expr({"t": np.asarray(v, dtype=float)}), np.asarray(v))
+
+    def fn(v):
+        v = np.asarray(v, dtype=float)
+        return _shaped(expr({"t": v}), v)
+
+    return fn
 
 
 def compile_flow_derivatives(text: str):
@@ -260,8 +265,11 @@ def compile_flow_derivatives(text: str):
     ``compile_univariate(text)``, each from one jet pass seeded in ``t``."""
     expr = _parse(text, ("t",))
 
-    def jet(v):
-        return _along(expr, {"t": np.asarray(v, dtype=float)}, "t")
+    def derivative(order):
+        def fn(v):
+            v = np.asarray(v, dtype=float)
+            jet = _along(expr, {"t": v}, "t")
+            return _shaped(jet.d1 if order == 1 else jet.d2, v)
+        return fn
 
-    return (lambda v: _shaped(jet(v).d1, np.asarray(v)),
-            lambda v: _shaped(jet(v).d2, np.asarray(v)))
+    return derivative(1), derivative(2)
