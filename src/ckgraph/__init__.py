@@ -11,8 +11,7 @@ if "CKG_THREADS" in _os.environ:
         _os.environ.setdefault(_k, _v)
 
 from .ambient import (AmbientSpace, PRESET_NAMES, flat_metric,
-                      leaf_mean_curvature, preset_ambient, rho_t,
-                      round_sphere_metric)
+                      leaf_mean_curvature, preset_ambient, round_sphere_metric)
 from .analysis import (BarrierCertificate, HypothesisReport,
                        boundary_barrier, check_hypotheses, cylinder_kappa,
                        cylinder_mean_curvature, cylinder_monotonicity_probe,

@@ -11,8 +11,8 @@ Sign and normalization conventions:
   is the reference leaf).
 * The flow interval is ``(-inf, interval_end)``; ``interval_end`` may be
   ``+inf``.
-* Leaf mean curvature ``k = -lambda_t * sqrt(gamma) / lambda**2`` is taken
-  with respect to the unit normal ``Y/|Y|``.
+* Leaf mean curvature ``k = -rho * sqrt(gamma) / lambda`` is taken with
+  respect to the unit normal ``Y/|Y|``.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "AmbientSpace",
     "n",
-    "rho",
-    "rho_t",
     "leaf_mean_curvature",
     "preset_ambient",
     "PRESET_NAMES",
@@ -53,15 +51,17 @@ def _as_t(t):
 class AmbientSpace:
     """Conformal data of the ambient space.
 
-    ``lam``, ``lam_t``, ``lam_tt`` are vectorized callables of the flow time,
-    ``gamma``/``grad_gamma`` of chart points with shape ``(..., 2)``, and
-    ``base_metric`` returns SPD matrices with shape ``(..., 2, 2)``; it must
-    be one of the leaf metrics of ``LEAF_METRICS``, whose closed forms
-    (``leaf``) the curvature checks and the derivative recovery read.
-    ``rho``, when given, is ``lambda_t / lambda`` in closed form, a callable
-    of the flow time that stays finite where ``lambda`` underflows; without
-    it the quotient is taken (see ``rho``).  A ``dataclasses.replace`` of
-    ``lam`` should pass ``rho`` as well.
+    ``lam`` is the conformal factor, ``rho`` its log-derivative
+    ``lambda_t / lambda = (log lambda)_t`` and ``rho_t`` the flow derivative
+    of that, all vectorized callables of the flow time.  The program reads
+    the factor through these three alone (``lambda_t = lambda rho``), so
+    ``rho`` and ``rho_t`` stay finite where ``lambda`` underflows.
+    ``gamma``/``grad_gamma`` are callables of chart points with shape
+    ``(..., 2)``, and ``base_metric`` returns SPD matrices with shape
+    ``(..., 2, 2)``; it must be one of the leaf metrics of ``LEAF_METRICS``,
+    whose closed forms (``leaf``) the curvature checks and the derivative
+    recovery read.  A ``dataclasses.replace`` of ``lam`` should pass ``rho``
+    and ``rho_t`` as well.
 
     A construction error names the field at fault first, as in
     ``interval_end: must be positive, got -1.0``.
@@ -69,13 +69,12 @@ class AmbientSpace:
 
     name: str
     lam: Callable
-    lam_t: Callable
-    lam_tt: Callable
+    rho: Callable
+    rho_t: Callable
     interval_end: float
     gamma: Callable
     grad_gamma: Callable
     base_metric: Callable
-    rho: Optional[Callable] = None
 
     def __post_init__(self):
         if self.base_metric not in LEAF_METRICS:
@@ -101,43 +100,14 @@ class AmbientSpace:
         """The closed forms of the leaf metric."""
         return LEAF_METRICS[self.base_metric]
 
-    # -- interval handling -------------------------------------------------
-
-    def check_t(self, t):
-        t = _as_t(t)
-        if not np.all(t < self.interval_end):
-            bad = float(np.max(t))
-            raise DomainError(
-                f"flow time {bad} outside the interval (-inf, {self.interval_end})"
-            )
-        return t
-
-
-def rho(ambient: AmbientSpace, t):
-    """``lambda_t / lambda`` at the flow times ``t``: the ambient's closed
-    form when it has one, else the quotient, which is 0/0 once ``lambda``
-    underflows."""
-    if ambient.rho is not None:
-        return np.asarray(ambient.rho(t))
-    return np.asarray(ambient.lam_t(t)) / np.asarray(ambient.lam(t))
-
-
-def rho_t(ambient: AmbientSpace, t):
-    """Derivative of ``lambda_t / lambda``; enters the maximum principle check."""
-    t = ambient.check_t(t)
-    lam = np.asarray(ambient.lam(t))
-    lam_t = np.asarray(ambient.lam_t(t))
-    lam_tt = np.asarray(ambient.lam_tt(t))
-    return lam_tt / lam - (lam_t / lam) ** 2
-
 
 def leaf_mean_curvature(ambient: AmbientSpace, u):
     """Mean curvature of the base leaf, normal ``Y/|Y|``:
-    ``k = -lambda_t(0) sqrt(gamma)``; ``-lambda_t sqrt(gamma) / lambda**2``
-    at the leaf ``t``.
+    ``k = -rho(0) sqrt(gamma)``; ``-rho sqrt(gamma) / lambda`` at the leaf
+    ``t``.
     """
     u = np.asarray(u, dtype=float)
-    return -np.asarray(ambient.lam_t(0.0)) * np.sqrt(np.asarray(ambient.gamma(u)))
+    return -np.asarray(ambient.rho(0.0)) * np.sqrt(np.asarray(ambient.gamma(u)))
 
 
 # -- leaf metrics -----------------------------------------------------------
@@ -244,14 +214,14 @@ def _sinh_lam(t):
     return 2.0 * s / (1.0 - s**2)
 
 
-def _sinh_lam_t(t):
+def _sinh_rho(t):
     s = _s(t)
-    return 2.0 * s * (1.0 + s**2) / (1.0 - s**2) ** 2
+    return (1.0 + s**2) / (1.0 - s**2)
 
 
-def _sinh_lam_tt(t):
+def _sinh_rho_t(t):
     s = _s(t)
-    return 2.0 * s * (1.0 + 6.0 * s**2 + s**4) / (1.0 - s**2) ** 3
+    return 4.0 * s**2 / (1.0 - s**2) ** 2
 
 
 # example_b: lambda(t) = 1/(1 - t), which is also its rho
@@ -259,9 +229,8 @@ def _recip(t):
     return 1.0 / (1.0 - _as_t(t))
 
 
-def _sinh_rho(t):
-    s = _s(t)
-    return (1.0 + s**2) / (1.0 - s**2)
+def _recip_sq(t):
+    return _recip(t) ** 2
 
 
 def _ones(t):
@@ -272,17 +241,14 @@ def _zeros(t):
     return np.zeros_like(_as_t(t))
 
 
-# name -> (lam, lam_t, lam_tt, interval_end, base_metric,
-# rho = lam_t / lam in closed form); every preset has gamma == 1
+# name -> (lam, rho, rho_t, interval_end, base_metric), rho = (log lam)_t
+# in closed form; every preset has gamma == 1
 _PRESETS = {
-    "example_a": (_exp, _exp, _exp, math.inf, flat_metric, _ones),
-    "example_b": (_recip, lambda t: 1.0 / (1.0 - _as_t(t)) ** 2,
-                  lambda t: 2.0 / (1.0 - _as_t(t)) ** 3,
-                  1.0, flat_metric, _recip),
-    "example_c": (_sinh_lam, _sinh_lam_t, _sinh_lam_tt, math.asinh(1.0),
-                  flat_metric, _sinh_rho),
-    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric, _zeros),
-    "euclidean_radial": (_exp, _exp, _exp, math.inf, round_sphere_metric, _ones),
+    "example_a": (_exp, _ones, _zeros, math.inf, flat_metric),
+    "example_b": (_recip, _recip, _recip_sq, 1.0, flat_metric),
+    "example_c": (_sinh_lam, _sinh_rho, _sinh_rho_t, math.asinh(1.0), flat_metric),
+    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric),
+    "euclidean_radial": (_exp, _ones, _zeros, math.inf, round_sphere_metric),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
@@ -292,6 +258,5 @@ def preset_ambient(name: str) -> AmbientSpace:
     fields can be swapped with ``dataclasses.replace``."""
     if name not in _PRESETS:
         raise ParameterError(f"unknown ambient preset {name!r}")
-    lam, lam_t, lam_tt, end, metric, closed_rho = _PRESETS[name]
-    return AmbientSpace(name, lam, lam_t, lam_tt, end, _ones_field, _zero_grad,
-                        metric, rho=closed_rho)
+    lam, rho, rho_t, end, metric = _PRESETS[name]
+    return AmbientSpace(name, lam, rho, rho_t, end, _ones_field, _zero_grad, metric)

@@ -33,7 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, leaf_mean_curvature, n, rho_t
+from .ambient import AmbientSpace, leaf_mean_curvature, n
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, closed_polyline_geometry
@@ -109,8 +109,9 @@ class MaxPrincipleReport:
 FLOW_TIME_SAMPLES = 512
 
 # how far below 0 rho_t may fall and still pass both rho_t >= 0 checks: a
-# rounding allowance, since rho_t = lambda_tt/lambda - (lambda_t/lambda)^2
-# is a difference of equal terms on exp(c t) (-3.6e-15 for c = 3)
+# rounding allowance, since a custom ambient's rho_t, the jet of log lambda,
+# is a difference of equal terms on a product such as exp(t)*exp(2*t)
+# (-5.3e-15 on its flow times)
 RHO_T_ROUNDING = 1e-12
 
 
@@ -127,12 +128,13 @@ def flow_time_range(problem: Problem):
 
 def _lambda_samples(problem: Problem):
     """The ``FLOW_TIME_SAMPLES`` flow times spanning ``flow_time_range``
-    with ``lambda_t`` and ``rho_t`` there; sampled once per problem, read by
-    both conformal-factor checks."""
+    with ``lambda_t = lambda rho`` and ``rho_t`` there; sampled once per
+    problem, read by both conformal-factor checks."""
     def build():
         amb = problem.ambient
         ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
-        return ts, np.asarray(amb.lam_t(ts)), rho_t(amb, ts)
+        lam_t = np.asarray(amb.lam(ts)) * np.asarray(amb.rho(ts))
+        return ts, lam_t, np.asarray(amb.rho_t(ts))
     return problem.derived("lambda_samples", build)
 
 
@@ -180,7 +182,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
 
     The ambient radial Ricci along a leaf is tied to the leaf Ricci by
     ``Ric_amb = Ric_leaf - (n k^2 - sqrt(gamma) k_t)`` (constant gamma),
-    with the leaf curvature ``k = -lambda_t sqrt(gamma)/lambda^2`` and
+    with the leaf curvature ``k = -rho sqrt(gamma)/lambda`` and
     ``sqrt(gamma) k_t = k^2 - gamma rho_t`` at the base leaf.  The leaf Ricci
     is ``(n - 1)`` times the Gaussian curvature of the leaf metric.
     """
@@ -189,7 +191,7 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     gconst = float(gam.max() - gam.min()) <= 1e-10 * max(1.0, float(np.abs(gam).max()))
     ric_leaf = (n - 1) * amb.leaf.curvature
 
-    rho_t0 = float(rho_t(amb, 0.0))
+    rho_t0 = float(np.asarray(amb.rho_t(0.0)))
     k0 = float(leaf_mean_curvature(amb, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
     ric_amb = ric_leaf - x_term
@@ -275,7 +277,8 @@ def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
     """
     mesh = problem.mesh
     sign = -1.0 if kind == "boundary_upper" else 1.0
-    # lambda underflows under a steep barrier, and lambda_t/lambda is 0/0
+    # lambda underflows under a steep barrier, where a custom ambient's rho,
+    # the jet of log lambda, can be 0/0
     with np.errstate(divide="ignore", invalid="ignore"):
         margin = sign * strong_form_Q(problem.ambient, *jet)
     min_margin = float(margin.min())

@@ -24,7 +24,7 @@ from .analysis import (boundary_normal_slope, check_hypotheses,
                        search_height_barrier)
 from .errors import DomainError, MeshError, ParameterError, SchemaError
 from .fields import ScalarField
-from .mesh import DomainMesh
+from .mesh import _write_mesh_json
 from .operator import mean_curvature_of_graph
 from .problemfile import LoadedProblem, load_problem
 from .solver import continuation_solve
@@ -41,27 +41,6 @@ def _dump_json(doc, path=None):
         print(text)
     else:
         Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-def _write_mesh_json(mesh: DomainMesh, path):
-    """Write the mesh exchange document to ``path`` with the bytes of
-    ``json.dumps(mesh_to_json(mesh), sort_keys=True)`` and a newline, a
-    chunk of 64 rows at a time: neither the lists nor the text of a large
-    mesh are held at once."""
-    def rows(array, fmt):
-        for start in range(0, len(array), 64):
-            yield ", ".join(map(fmt, *array[start:start + 64].T.tolist()))
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"boundary": [')
-        fh.write(", ".join("[" + ", ".join(map(str, loop.tolist())) + "]"
-                           for loop in mesh.boundary_loops))
-        for key, array, fmt in (("triangles", mesh.triangles, "[{}, {}, {}]".format),
-                                ("vertices", mesh.vertices, "[{!r}, {!r}]".format)):
-            fh.write(f'], "{key}": [')
-            for k, chunk in enumerate(rows(array, fmt)):
-                fh.write(", " + chunk if k else chunk)
-        fh.write("]}\n")
 
 
 def _report_skeleton(status: str):

@@ -4,7 +4,8 @@ Each expression is parsed once and compiled into closures, node by node:
 binary arithmetic, powers, a fixed function table, and the variable names.
 Anything else (attributes, calls by value, subscripts, names like ``t``, a
 function called with the wrong number of arguments) is rejected while the
-closures are built, before any value is computed.
+closures are built, before any value is computed.  ``log(exp(u))``
+compiles to ``u``, which stays finite where ``exp(u)`` under- or overflows.
 
 The same closures give exact derivatives: every ufunc of the grammar acts
 on a :class:`Jet`, a value with its first and second derivative along one
@@ -184,6 +185,8 @@ def _compile(node, names):
         if len(node.args) != fn.nin:
             raise ParameterError(f"{node.func.id} takes {fn.nin} argument"
                                  f"{'s' if fn.nin > 1 else ''}, got {len(node.args)}")
+        if fn is np.log and _is_exp_call(node.args[0]):
+            return _compile(node.args[0].args[0], names)
         args = [_compile(arg, names) for arg in node.args]
         return lambda env: fn(*[arg(env) for arg in args])
     if isinstance(node, ast.Name):
@@ -206,6 +209,11 @@ def _compile(node, names):
         return lambda env: value
     raise ParameterError(
         f"construct {type(node).__name__} not allowed in expressions")
+
+
+def _is_exp_call(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "exp" and len(node.args) == 1 and not node.keywords)
 
 
 def _parse(text: str, names):

@@ -769,6 +769,27 @@ def mesh_to_json(mesh: DomainMesh) -> dict:
     }
 
 
+def _write_mesh_json(mesh: DomainMesh, path):
+    """Write the mesh exchange document to ``path`` with the bytes of
+    ``json.dumps(mesh_to_json(mesh), sort_keys=True)`` and a newline, a
+    chunk of 64 rows at a time: neither the lists nor the text of a large
+    mesh are held at once."""
+    def rows(array, fmt):
+        for start in range(0, len(array), 64):
+            yield ", ".join(map(fmt, *array[start:start + 64].T.tolist()))
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"boundary": [')
+        fh.write(", ".join("[" + ", ".join(map(str, loop.tolist())) + "]"
+                           for loop in mesh.boundary_loops))
+        for key, array, fmt in (("triangles", mesh.triangles, "[{}, {}, {}]".format),
+                                ("vertices", mesh.vertices, "[{!r}, {!r}]".format)):
+            fh.write(f'], "{key}": [')
+            for k, chunk in enumerate(rows(array, fmt)):
+                fh.write(", " + chunk if k else chunk)
+        fh.write("]}\n")
+
+
 def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
     """Mesh from an exchange document or from the path of a JSON file
     holding one; a malformed one raises MeshError naming the file."""

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, n, rho, rho_t
+from .ambient import AmbientSpace, n
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients, _nearest, _ring_rows, _spd_inverse
@@ -51,6 +51,15 @@ class Problem:
             raise ParameterError("boundary data must be finite")
         if not np.all(bvals < self.ambient.interval_end):
             raise ParameterError("boundary data must stay below the interval end")
+        with np.errstate(all="ignore"):     # a NaN is reported below
+            lam_b = np.broadcast_to(self.ambient.lam(bvals), bvals.shape)
+        bad = np.flatnonzero(~(lam_b > 0))
+        if len(bad):
+            k = bad[0]
+            raise ParameterError(
+                f"$.phi: lambda is not positive at boundary vertex "
+                f"{int(self.mesh.boundary_vertices[k])}: phi = {float(bvals[k])!r}, "
+                f"lambda = {float(lam_b[k])!r}")
         self._assembly, self._derived = None, {}
 
     @classmethod
@@ -133,10 +142,10 @@ class _Evaluation:
     data behind it is one constant value.  ``Pc`` is ``G Sinv_c grad z`` and
     ``(qx, qy)`` is ``Sinv_q grad z``, by component."""
 
-    def __init__(self, tau: float, zmid, lam_m, lamt_m, rho_m, U_c, Pc, qx, qy,
+    def __init__(self, tau: float, zmid, lam_m, rho_m, U_c, Pc, qx, qy,
                  U_q, P_q, val):
-        self.tau, self.zmid, self.lam_m, self.lamt_m = tau, zmid, lam_m, lamt_m
-        self.rho_m, self.U_c, self.Pc, self.qx, self.qy = rho_m, U_c, Pc, qx, qy
+        self.tau, self.zmid, self.lam_m, self.rho_m = tau, zmid, lam_m, rho_m
+        self.U_c, self.Pc, self.qx, self.qy = U_c, Pc, qx, qy
         self.U_q, self.P_q, self.val = U_q, P_q, val
 
 
@@ -275,8 +284,7 @@ class _Assembly:
         n = self.n
         gx, gy, zmid = self._element_state(z)
         lam_m = np.asarray(amb.lam(zmid))
-        lamt_m = np.asarray(amb.lam_t(zmid))
-        rho_m = lamt_m / lam_m
+        rho_m = np.asarray(amb.rho(zmid))
         U_c, Pc, val = self._divergence(gx, gy)
 
         q11, q12, q22 = self.Sq
@@ -287,8 +295,7 @@ class _Assembly:
             + tau * n * self.gam_q * rho_m
         L_q = P_q / U_q + tau * n * lam_m * self.H_q
         val -= _HATS @ (self.w_q * L_q)
-        return _Evaluation(tau, zmid, lam_m, lamt_m, rho_m, U_c, Pc, qx, qy,
-                           U_q, P_q, val)
+        return _Evaluation(tau, zmid, lam_m, rho_m, U_c, Pc, qx, qy, U_q, P_q, val)
 
     def _local(self, ev: _Evaluation):
         """Exact derivatives of the element residual of ``ev`` with respect
@@ -300,9 +307,8 @@ class _Assembly:
         terms, whose ``z`` dependence enters through ``grad z`` (rows of
         ``G``) and ``zmid`` (1/3 at every vertex), give rows times ``Gx``,
         ``Gy`` and a constant."""
-        amb = self.ambient
         n, tau = self.n, ev.tau
-        rhot_m = rho_t(amb, ev.zmid)
+        rhot_m = np.asarray(self.ambient.rho_t(ev.zmid))
         k = self.w_c / ev.U_c
         a1 = self.w_q / (2.0 * self.gam_q * ev.U_q)
         a2 = self.w_q * ev.P_q / ev.U_q**3
@@ -310,7 +316,7 @@ class _Assembly:
         X = _HATS @ (a1 * self.dgSx - a2 * ev.qx) + k * (self.Gx * c11 + self.Gy * c12)
         Y = _HATS @ (a1 * self.dgSy - a2 * ev.qy) + k * (self.Gx * c12 + self.Gy * c22)
         C = _HATS @ (self.w_q * (tau * n / 3.0)
-                     * (self.gam_q * rhot_m / ev.U_q + ev.lamt_m * self.H_q))
+                     * (self.gam_q * rhot_m / ev.U_q + ev.lam_m * ev.rho_m * self.H_q))
         Pk = ev.Pc * (k / ev.U_c**2)
         local = Pk[:, None] * ev.Pc[None]
         local -= X[:, None] * self.Gx[None]
@@ -477,7 +483,7 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     tr1 = i11 * h11 + i12 * h12 + i22 * h22 \
         - (px * px * h11 + px * py * h12 + py * py * h22) / U**2
     gz = dg[..., 0] * px + dg[..., 1] * py
-    rr = rho(ambient, vals)
+    rr = np.asarray(ambient.rho(vals))
     return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
         - n * np.asarray(ambient.lam(vals)) * H
 

@@ -302,15 +302,17 @@ def _compiled(compile, cu, key: str):
 
 
 def _build_ambient(doc) -> AmbientSpace:
-    """The document's ambient.  A custom one takes the flow-time derivatives
-    of ``lam`` and the gradient of ``gamma`` from the expressions, exactly;
-    a construction error names its key, as in ``$.ambient.custom.lam``."""
+    """The document's ambient.  A custom one takes ``rho`` and ``rho_t``, the
+    first and second flow-time derivatives of ``log(lam)``, and the gradient
+    of ``gamma`` from the expressions, exactly; a construction error names
+    its key, as in ``$.ambient.custom.lam``."""
     spec = doc["ambient"]
     if "preset" in spec:
         return preset_ambient(spec["preset"])
     cu = spec["custom"]
     lam = _compiled(compile_univariate, cu, "lam")
-    lam_t, lam_tt = compile_flow_derivatives(cu["lam"])
+    # the newline ends a comment in the text before the closing parenthesis
+    rho, rho_t = compile_flow_derivatives(f"log({cu['lam']}\n)")
     end = cu.get("interval_end", "inf")
     end = math.inf if end == "inf" else float(end)
     if "gamma" in cu:
@@ -322,8 +324,8 @@ def _build_ambient(doc) -> AmbientSpace:
         if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
     try:
         return AmbientSpace(
-            name="custom", lam=lam, lam_t=lam_t, lam_tt=lam_tt,
-            interval_end=end, gamma=gfun, grad_gamma=grad_gamma, base_metric=metric)
+            name="custom", lam=lam, rho=rho, rho_t=rho_t, interval_end=end,
+            gamma=gfun, grad_gamma=grad_gamma, base_metric=metric)
     except ParameterError as exc:
         # the message names the field at fault first
         raise ParameterError(f"$.ambient.custom.{exc}") from None

@@ -193,9 +193,9 @@ def test_criterion_8_geometry_identities(cap_sequence, boundary_flux):
         a = ck.preset_ambient(name)
         for t in np.linspace(-1.0, 0.4, 7):
             lam = float(np.asarray(a.lam(t)))
-            k = lambda s: -float(np.asarray(a.lam_t(s))) / float(np.asarray(a.lam(s)))**2
+            k = lambda s: -float(np.asarray(a.rho(s))) / float(np.asarray(a.lam(s)))
             fd = (k(t + 1e-6) - k(t - 1e-6)) / 2e-6
-            rho_t = float(np.asarray(ck.rho_t(a, t)))
+            rho_t = float(np.asarray(a.rho_t(t)))
             ident = lam * k(t)**2 - rho_t / lam
             worst_kt = max(worst_kt, abs(fd - ident) / max(1.0, abs(ident)))
     ok &= worst_kt < 1e-6

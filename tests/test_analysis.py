@@ -15,6 +15,7 @@ from ckgraph.analysis import (RHO_T_ROUNDING, _distance_geometry, boundary_barri
                               search_height_barrier, sigma_diameter,
                               upper_barrier_check)
 from ckgraph.errors import ParameterError
+from ckgraph.expressions import compile_flow_derivatives
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import closed_polyline_geometry
 from ckgraph.problemfile import load_problem_document
@@ -464,10 +465,11 @@ def test_record_json_keys(cmc_problem, cmc_solution):
 
 
 def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
-    # lambda = e^t underflows under a steep height barrier on the cap; an
-    # ambient without a closed-form rho takes lambda_t/lambda, 0/0 there: the
+    # lambda = e^t underflows under a steep height barrier on the cap; the
+    # jets of log(1*exp(t)), which no rewrite simplifies, are 0/0 there: the
     # candidate is rejected for that, not for the ordering, which holds
-    amb = replace(ck.preset_ambient("euclidean_radial"), rho=None)
+    rho, rho_t = compile_flow_derivatives("log(1*exp(t))")
+    amb = replace(ck.preset_ambient("euclidean_radial"), rho=rho, rho_t=rho_t)
     mesh = ck.cap_mesh(1.0, 0.05, amb)
     r = np.linalg.norm(mesh.vertices, axis=1)
     zex = -np.log(np.cos(r)) + np.log(np.cos(1.0))
@@ -496,20 +498,36 @@ def test_preset_rho_keeps_steep_height_margins_finite(D):
     assert cert.valid and cert.ordering_ok
 
 
-def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
+def _annulus_height_search_message(lam):
     from ckgraph.problemfile import load_problem_document
-    doc = {"ambient": {"custom": {"lam": "exp(t)", "gamma": "1 + 0.2*x*x"}},
+    doc = {"ambient": {"custom": {"lam": lam, "gamma": "1 + 0.2*x*x"}},
            "domain": {"preset": "annulus", "params": {"r_in": 0.2, "r_out": 0.5}},
            "resolution": 0.03, "H": {"constant": 0.3},
            "phi": {"expression": "-0.5 + 0.1*x"}}
     prob = load_problem_document(doc).problem
     with pytest.raises(ParameterError) as info:
         search_height_barrier(prob)
-    msg = str(info.value)
+    return str(info.value)
+
+
+def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
+    # lambda = 1*exp(t) underflows under the steep candidates, where the
+    # jets of log lambda are 0/0
+    msg = _annulus_height_search_message("1*exp(t)")
     assert "min_margin <= 0 [4 candidates, D = 1 .. D = 8]; margin not finite at " in msg
     assert "checked points [4 candidates, D = 16 .. D = 128]; exp(D*B)" in msg
     # the largest finite margin, D = 8's, whatever the order of the candidates
     assert msg.endswith("; largest min_margin -4.77339")
+    assert len(recwarn) == 0
+
+
+def test_custom_exp_keeps_steep_height_margins_finite(recwarn):
+    # lambda = exp(t): rho is the jet of log(exp(t)) = t, finite where
+    # lambda underflows, so every candidate up to D = 128 has a margin
+    msg = _annulus_height_search_message("exp(t)")
+    assert "min_margin <= 0 [8 candidates, D = 1 .. D = 128]; exp(D*B)" in msg
+    assert "not finite" not in msg
+    assert msg.endswith("; largest min_margin -4.77272")
     assert len(recwarn) == 0
 
 
@@ -537,10 +555,10 @@ def test_rho_t_checks_with_and_without_derivatives(lam, passes):
 
 
 def test_both_rho_t_checks_share_the_rounding_allowance():
-    # rho_t of exp(3 t) is 9 - 9 with rounding: -3.6e-15 at some flow
-    # times, which both checks pass, on the same margin
+    # rho_t, the jet of log(exp(t)*exp(2*t)), is 9 - 9 with rounding:
+    # -5.3e-15 at some flow times, which both checks pass, on the same margin
     from ckgraph.problemfile import load_problem_document
-    doc = {"ambient": {"custom": {"lam": "exp(3*t)"}},
+    doc = {"ambient": {"custom": {"lam": "exp(t)*exp(2*t)"}},
            "domain": {"preset": "disk", "params": {"radius": 0.4}},
            "resolution": 0.05, "H": {"constant": 1.0}, "phi": {"constant": -0.5}}
     prob = load_problem_document(doc).problem

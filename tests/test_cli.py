@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ckgraph as ck
-from ckgraph.cli import _write_mesh_json, main
+from ckgraph.cli import main
 from ckgraph.fields import ScalarField
+from ckgraph.mesh import _write_mesh_json
 from ckgraph.analysis import search_boundary_barrier
 from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors, load_problem
 
@@ -1092,6 +1093,25 @@ def test_malformed_problem_document_exit_1(mutation_dir, capsys, mutation):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert re.search(r"\$[.:\[]", err), (kind, err)
+
+
+@pytest.mark.parametrize("ambient, phi, lam", [
+    ({"custom": {"lam": "1 + t/10"}}, -11.0, "-0.10000000000000009"),
+    ({"preset": "euclidean_radial"}, -800.0, "0.0"),
+], ids=["negative", "underflow"])
+def test_boundary_data_where_lambda_is_not_positive_exit_1(tmp_path, capsys,
+                                                            ambient, phi, lam):
+    # lambda = 1 + t/10 is negative at t = -11 (the solve converged there),
+    # and e^t underflows to 0 at t = -800 (the solve stalled on 0/0 rates)
+    doc = _cap_doc(h=0.1, phi=phi)
+    doc["ambient"] = ambient
+    prob = _write(tmp_path, "problem.json", doc)
+    for command in (["check", prob], ["solve", prob, "--out", str(tmp_path / "run")]):
+        capsys.readouterr()
+        assert main(command) == 1
+        assert capsys.readouterr().err == (
+            "error: $.phi: lambda is not positive at boundary vertex 37: "
+            f"phi = {phi!r}, lambda = {lam}\n")
 
 
 @pytest.mark.parametrize("command", ["certify", "verify"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ckgraph as ck
 from ckgraph.errors import ParameterError
 from ckgraph.expressions import (_along, _parse, compile_expression,
                                  compile_flow_derivatives, compile_gradient,
@@ -238,15 +237,13 @@ def test_jet_values_have_the_plain_bits(text, ref):
         assert np.array_equal(value, plain)
 
 
-def test_example_c_lambda_jets_match_hand_derivatives():
-    # an independent cross-check: example_c's lambda = 2 s / (1 - s^2),
-    # s = (sqrt(2) - 1) e^t, written as an expression, against the preset's
-    # hand-derived lambda_t and lambda_tt on the sampled flow times
-    from ckgraph.ambient import _sinh_lam_t, _sinh_lam_tt
-    amb = ck.preset_ambient("example_c")
-    s = f"({math.sqrt(2.0) - 1.0!r}*exp(t))"
-    d1, d2 = compile_flow_derivatives(f"2*{s}/(1 - {s}**2)")
-    ts = np.linspace(-4.0, 0.5 * amb.interval_end, 512)
-    for got, want in ((d1(ts), _sinh_lam_t(ts)), (d2(ts), _sinh_lam_tt(ts))):
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+def test_log_of_exp_compiles_to_its_argument():
+    # log(exp(u)) is u where exp(u) underflows (t = -800) or overflows
+    # (t = 800); without the rewrite, as in log(1*exp(t)), both are lost
+    ts = np.array([-800.0, 0.5, 800.0])
+    assert np.array_equal(compile_univariate("log(exp(t))")(ts), ts)
+    d1, d2 = compile_flow_derivatives("log(exp(2*t))")
+    assert np.array_equal(d1(ts), [2.0, 2.0, 2.0]) and np.array_equal(d2(ts), [0.0] * 3)
+    assert not np.any(np.isfinite(compile_flow_derivatives("log(1*exp(t))")[0](ts[[0, 2]])))
+    with pytest.raises(ParameterError, match="exp takes 1 argument, got 2"):
+        compile_univariate("log(exp(t, t))")

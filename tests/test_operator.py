@@ -124,6 +124,22 @@ def test_interval_violation_names_vertex():
         prob.assembly().residual_full(z, 1.0)
 
 
+def test_underflowing_lambda_keeps_residual_and_jacobian_finite(recwarn):
+    # e^t underflows to 0 at t = -800; the closed-form rho = 1 and rho_t = 0
+    # leave no 0/0 there
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = ck.cap_mesh(1.0, 0.2, amb)
+    prob = ck.Problem.create(amb, mesh, 1.0, -0.5)
+    z = prob.phi.copy()
+    z[mesh.interior_vertices] = -800.0
+    asm = prob.assembly()
+    r, ev = asm.residual(z, 1.0, keep=True)
+    system = asm.system(z, 1.0, tangent=True, evaluation=ev)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(system.path_rate))
+    assert np.all(np.isfinite(system.jacobian.toarray()))
+    assert len(recwarn) == 0
+
+
 def test_jacobian_matches_finite_differences(problems):
     rng = np.random.default_rng(5)
     for prob in problems:

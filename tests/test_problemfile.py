@@ -132,13 +132,15 @@ def test_csv_field_and_mesh_file(tmp_path):
 
 
 def test_custom_ambient_with_derivatives():
-    # lam alone: its flow-time derivatives come from the expression's jets
+    # lam alone: rho and rho_t are the jets of log(lam), here of t, since
+    # log(exp(u)) compiles to u
     doc = _base_doc()
     doc["ambient"] = {"custom": {"lam": "exp(t)"}}
     loaded = load_problem_document(doc)
     amb = loaded.problem.ambient
     assert float(np.asarray(amb.lam(0.5))) == pytest.approx(math.exp(0.5))
-    assert amb.lam_t(0.5) == amb.lam_tt(0.5) == amb.lam(0.5)
+    assert amb.rho(0.5) == 1.0 and amb.rho_t(0.5) == 0.0
+    assert amb.rho(-800.0) == 1.0 and amb.rho_t(-800.0) == 0.0
     assert math.isinf(amb.interval_end)
 
 
