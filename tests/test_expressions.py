@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ckgraph as ck
 from ckgraph.errors import ParameterError
 from ckgraph.expressions import (_along, _parse, compile_expression,
                                  compile_flow_derivatives, compile_gradient,
@@ -247,3 +248,23 @@ def test_log_of_exp_compiles_to_its_argument():
     assert not np.any(np.isfinite(compile_flow_derivatives("log(1*exp(t))")[0](ts[[0, 2]])))
     with pytest.raises(ParameterError, match="exp takes 1 argument, got 2"):
         compile_univariate("log(exp(t, t))")
+
+
+def test_example_c_lambda_jets_match_hand_derivatives():
+    # an independent cross-check: example_c's lambda = 2 s / (1 - s^2),
+    # s = (sqrt(2) - 1) e^t, written as an expression, against its
+    # hand-derived lambda_t = 2 s (1 + s^2) / (1 - s^2)^2 and
+    # lambda_tt = 2 s (1 + 6 s^2 + s^4) / (1 - s^2)^3 on the sampled flow
+    # times; lambda_t / lambda is the preset's closed-form rho
+    amb = ck.preset_ambient("example_c")
+    s = f"({math.sqrt(2.0) - 1.0!r}*exp(t))"
+    d1, d2 = compile_flow_derivatives(f"2*{s}/(1 - {s}**2)")
+    ts = np.linspace(-4.0, 0.5 * amb.interval_end, 512)
+    sv = (math.sqrt(2.0) - 1.0) * np.exp(ts)
+    lam_t = 2.0 * sv * (1.0 + sv**2) / (1.0 - sv**2) ** 2
+    lam_tt = 2.0 * sv * (1.0 + 6.0 * sv**2 + sv**4) / (1.0 - sv**2) ** 3
+    for got, want in ((d1(ts), lam_t), (d2(ts), lam_tt)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    rho = np.asarray(amb.rho(ts))
+    assert np.all(np.abs(lam_t / np.asarray(amb.lam(ts)) - rho) <= 1e-12 * np.abs(rho))
