@@ -304,8 +304,7 @@ def _search(what: str, candidates, build):
     passed to ``build``, which returns ``(barrier, certificate)``.
 
     A candidate is rejected by the ParameterError it raises or by its
-    certificate's note.  A strip that no candidate can pass ends the search
-    at the first one.  An exhausted search raises one ParameterError that
+    certificate's note.  An exhausted search raises one ParameterError that
     names each distinct reason once, with the candidates it rejected, and
     the largest finite margin seen."""
     failures, margins = [], []          # (label, reason); finite margins
@@ -313,10 +312,6 @@ def _search(what: str, candidates, build):
         label = ", ".join(f"{key} = {value:g}" for key, value in params.items())
         try:
             barrier, cert = build(**params)
-        except _StripRejected as exc:
-            raise ParameterError(
-                f"{what} search stopped at its first candidate ({label}): {exc}; "
-                "this does not depend on (mu, c)") from None
         except ParameterError as exc:
             failures.append((label, str(exc)))
             continue
@@ -416,10 +411,6 @@ def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None):
                    lambda D: height_barrier(problem, D, B, z))
 
 
-class _StripRejected(ParameterError):
-    """A boundary-strip rejection that does not depend on ``(mu, c)``."""
-
-
 class _BoundaryStrip:
     """What a boundary-barrier check needs that does not depend on the
     candidate ``(mu, c)``: the strip ``d <= eps``, the extended boundary
@@ -436,15 +427,18 @@ class _BoundaryStrip:
 
 def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
     """The candidate-independent part of both boundary barriers, built once
-    per problem and strip width; _StripRejected if no candidate can pass."""
+    per problem and strip width.  The checked vertices are the interior
+    strip vertices where the recovered derivatives are confident, off the
+    suspect elements; a ParameterError names why there are none."""
     def build():
         mesh = problem.mesh
         if eps <= 0:
-            raise _StripRejected("eps must be positive")
+            raise ParameterError("eps must be positive")
         d = mesh.dist_to_boundary
         strip = d <= eps + 1e-12
-        if not np.any(strip & ~mesh.is_boundary):
-            raise _StripRejected(f"tubular strip is empty at eps = {eps}")
+        inner = strip & ~mesh.is_boundary
+        if not np.any(inner):
+            raise ParameterError(f"tubular strip is empty at eps = {eps}")
         phi_ext = problem.boundary_extension()
         gd, hd, usable = _distance_geometry(problem, elements=False)
         const_phi = float(np.ptp(problem.phi[mesh.boundary_vertices])) < 1e-14
@@ -455,11 +449,11 @@ def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
         else:
             gphi, hphi, conf_phi = recover_gradient_hessian(mesh, problem.ambient,
                                                             phi_ext)
-        check = strip & ~mesh.is_boundary & usable & conf_phi & (d > 1e-12)
+        check = inner & usable & conf_phi
         check[mesh.triangles[mesh.suspect_elements].ravel()] = False
         if not np.any(check):
-            raise _StripRejected(
-                "no checkable strip vertices; increase eps or decrease h")
+            raise ParameterError(f"no checkable strip vertices at eps = {eps}; "
+                                 "increase eps or decrease h")
         idx = np.nonzero(check)[0]
         comps = mesh.is_boundary | (strip & (d >= eps - 1.5 * mesh.h))
         return _BoundaryStrip(strip, phi_ext, idx, gd[idx],
@@ -518,8 +512,9 @@ def upper_barrier_check(problem: Problem, mu: float, c: float, eps: float,
 def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
                             eps: float = 0.05, upper: bool = False):
     """Logarithmic grid search over (mu, c); first valid certificate wins.
-    A strip that no candidate can pass (empty, or without a checkable
-    vertex) ends the search at the first candidate."""
+    The strip is built before the first candidate, so one that no (mu, c)
+    can pass (empty, or without a checkable vertex) raises its reason."""
+    _boundary_strip(problem, eps)
     span = float(np.ptp(problem.phi[problem.mesh.boundary_vertices]))
     if z is not None:
         span = max(span, float(np.ptp(z.values)))
@@ -555,7 +550,7 @@ def level_curves(mesh: DomainMesh, ambient: AmbientSpace, depth: float):
         return curves
     polylines = ([mesh.vertices[loop] for loop in mesh.boundary_loops] if depth == 0
                  else _level_polylines(mesh, depth))
-    return [(pts, *closed_polyline_geometry(pts, ambient)[:2]) for pts in polylines]
+    return [(pts, *closed_polyline_geometry(pts, ambient)) for pts in polylines]
 
 
 def _level_polylines(mesh: DomainMesh, depth: float):

@@ -201,8 +201,7 @@ def cmd_verify(args) -> int:
         return 1
     loaded, z = _load_solution(args)
     problem = loaded.problem
-    H_rec, conf = mean_curvature_of_graph(problem, z)
-    mask = conf & ~problem.mesh.is_boundary
+    H_rec, mask = mean_curvature_of_graph(problem, z)
     if not np.any(mask):
         print("error: no interior vertices with confident recovery",
               file=sys.stderr)

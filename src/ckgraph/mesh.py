@@ -401,12 +401,12 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
 
     Returns the unit normal ``N`` rotated +90 degrees from the chord of the
     two neighbours (it points into the region on the left; rows are not
-    finite where the neighbours coincide), the geodesic curvature toward
-    ``N`` (positive where the polyline turns left, 0 at a zero-length edge)
-    and a confidence flag (``beta < pi/2``).  The curvature is the
-    turning angle ``sign * beta / ((l1 + l2) / 2)`` in the metric at the
-    point, plus the connection term ``<Gamma(v, v), N> / |v|^2`` with
-    ``v = (next - prev) / 2``, which is 0 on the flat metric and not taken.
+    finite where the neighbours coincide) and the geodesic curvature toward
+    ``N`` (positive where the polyline turns left, 0 at a zero-length edge).
+    The curvature is the turning angle ``sign * beta / ((l1 + l2) / 2)`` in
+    the metric at the point, plus the connection term
+    ``<Gamma(v, v), N> / |v|^2`` with ``v = (next - prev) / 2``, which is 0
+    on the flat metric and not taken.
     """
     p = np.asarray(points, dtype=float)
     prv, nxt = np.roll(p, 1, axis=0), np.roll(p, -1, axis=0)
@@ -431,7 +431,7 @@ def closed_polyline_geometry(points, ambient: AmbientSpace):
             gamma_vv = np.einsum("pkij,pi,pj->pk", christoffel(p), tang, tang)
             geodesic = geodesic + form(gamma_vv, normal) / form(tang, tang)
         curvature = np.where(ok, geodesic, 0.0)
-    return normal, curvature, ok & (beta < math.pi / 2)
+    return normal, curvature
 
 
 def _hat_gradients(vertices, triangles):

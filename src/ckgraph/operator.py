@@ -377,8 +377,10 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     Returns (gradient (nv,2), covariant Hessian (nv,2,2), confident (nv,)).
     The Hessian is corrected by the closed-form Christoffel symbols of the
     leaf metric; on the flat metric they are zero and nothing is evaluated.
-    Vertices with deficient stencils or touching the boundary 1-ring are
-    flagged as low confidence.
+    A vertex is confident iff it is interior and its 2-ring holds at least
+    5 points; a least-squares quadratic needs a stencil that determines a
+    quadratic, not a symmetric one, so the one-sided 2-rings next to the
+    boundary count.  Callers take this flag as it is.
 
     The vertices are fitted in blocks of 512, each block's 2-rings expanded
     from the mesh's 1-ring (``_ring_rows``), so the work arrays do not grow
@@ -413,12 +415,7 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
             hess[start:stop] -= np.einsum("vkij,vk->vij",
                                           christoffel(mesh.vertices[start:stop]), coef[:, :2])
         confident[start:stop] = np.diff(ptr) >= 5
-    # not a boundary vertex or one of its 1-ring neighbours
-    edges = mesh.edge_table()[0]
-    is_b = mesh.is_boundary
-    confident[is_b] = False
-    confident[edges[is_b[edges[:, 0]], 1]] = False
-    confident[edges[is_b[edges[:, 1]], 0]] = False
+    confident[mesh.is_boundary] = False
     return grad, hess, confident
 
 

@@ -17,7 +17,6 @@ from ckgraph.analysis import (RHO_T_ROUNDING, _distance_geometry, boundary_barri
 from ckgraph.errors import ParameterError
 from ckgraph.expressions import compile_flow_derivatives
 from ckgraph.fields import ScalarField
-from ckgraph.mesh import closed_polyline_geometry
 from ckgraph.problemfile import load_problem_document
 
 
@@ -322,25 +321,55 @@ def test_search_error_names_each_reason_once(cmc_problem):
         search_boundary_barrier(cmc_problem, eps=1e-6)
     msg = str(info.value)
     assert msg.count("tubular strip is empty") == 1
-    # the strip does not depend on (mu, c): the search stops at once
-    assert "stopped at its first candidate (mu = 1, c = 0.25)" in msg
-    assert "does not depend on (mu, c)" in msg
+    assert "at eps = 1e-06" in msg
 
 
-def test_geometric_rejection_stops_after_one_candidate(generic_disk, monkeypatch):
-    # on the generic disk every strip vertex at the default width touches
-    # the boundary 1-ring, so no (mu, c) can pass
+def test_empty_strip_stops_before_any_candidate(generic_disk, monkeypatch):
+    # the strip does not depend on (mu, c): it is built before the first one
     import ckgraph.analysis as analysis
     prob, z = generic_disk
     calls, lower = [], analysis.boundary_barrier
     monkeypatch.setattr(analysis, "boundary_barrier",
                         lambda *args: calls.append(args) or lower(*args))
     with pytest.raises(ParameterError) as info:
-        search_boundary_barrier(prob, z, eps=0.05)
-    msg = str(info.value)
-    assert msg.count("no checkable strip vertices") == 1
-    assert "does not depend on (mu, c)" in msg
-    assert len(calls) == 1
+        search_boundary_barrier(prob, z, eps=1e-6)
+    assert str(info.value) == "tubular strip is empty at eps = 1e-06"
+    assert calls == []
+
+
+# problems whose boundary strip at eps = 0.05 lies in the boundary 1-ring:
+# (ambient, mesh, H, phi)
+def _disk_xy():
+    # non-constant data: the recovered derivatives of its extension count
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.disk_mesh(0.4, 0.04, amb)
+    x, y = mesh.vertices.T
+    return amb, mesh, 1.0, -0.9 + 0.2 * x * y
+
+
+def _generic_annulus():
+    amb = ck.preset_ambient("killing_flat")
+    return amb, _generic(ck.annulus_mesh(0.3, 0.7, 0.05, amb), amb), 0.0, -0.1
+
+
+def _generic_cap():
+    # the radial graph's exact data; the preset cap's lower margin is 0.192
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = _generic(ck.cap_mesh(1.0, 0.05, amb), amb)
+    r = np.hypot(*mesh.vertices.T)
+    return amb, mesh, 0.0, -np.log(np.cos(r)) + math.log(math.cos(1.0))
+
+
+@pytest.mark.parametrize("build", [_disk_xy, _generic_annulus, _generic_cap],
+                         ids=["disk_xy", "generic_annulus", "generic_cap"])
+def test_boundary_certificates_at_the_default_eps(build):
+    prob = ck.Problem.create(*build())
+    report = ck.continuation_solve(prob)
+    assert report.status == "converged"
+    # min margins, lower / upper: 0.0569 / 2.13, 0.747 / 0.747 and 0.181 / 2.42
+    for upper in (False, True):
+        _, cert = search_boundary_barrier(prob, report.solution, eps=0.05, upper=upper)
+        assert cert.valid and cert.ordering_ok
 
 
 def test_candidate_independent_work_done_once(monkeypatch):
@@ -402,7 +431,6 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
     estimate = level_curves(generic, amb, 0.0)
     for (pts, _, hg), (pts_g, _, hg_g) in zip(closed, estimate, strict=True):
         assert np.array_equal(pts, pts_g)
-        assert closed_polyline_geometry(pts_g, amb)[2].all()
         assert np.abs(hg - hg_g).max() <= 1e-3
     # parallel circle at depth 4h, a ring of the spider web, against the
     # discrete level curve (10-12% off on the annulus, whose inner circle

@@ -703,17 +703,19 @@ def test_disk_and_cap_agree_on_the_round_leaf(tmp_path, capsys):
 
 
 def test_certify_generic_disk(tmp_path, capsys):
+    # h 0.04 is the benchmark's mesh-file disk, certified at the default eps
     amb = ck.preset_ambient("killing_flat")
-    _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.06, amb)))
-    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
-    out = tmp_path / "run"
-    assert main(["solve", prob, "--out", str(out)]) == 0
-    capsys.readouterr()
-    code = main(["certify", prob, str(out / "solution.csv"), "--eps", "0.12"])
-    doc = json.loads(capsys.readouterr().out)
-    assert code == 0
-    for kind in ("height", "boundary_lower", "boundary_upper"):
-        assert doc["certificates"][kind]["valid"]
+    for h, eps in ((0.06, ["--eps", "0.12"]), (0.04, [])):
+        _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, h, amb)))
+        prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+        out = tmp_path / f"run{h}"
+        assert main(["solve", prob, "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["certify", prob, str(out / "solution.csv"), *eps])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        for kind in ("height", "boundary_lower", "boundary_upper"):
+            assert doc["certificates"][kind]["valid"]
 
 
 def _ckgraph_installed():
@@ -769,8 +771,9 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 def test_thread_cap_env(tmp_path):
     # No inherited *_NUM_THREADS, so only CKG_THREADS can set the cap;
-    # PYTHONPATH points the child at the package this test imported.
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin",
+    # PYTHONPATH points the child at the package this test imported, and
+    # the children write no bytecode beside it.
+    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": os.path.dirname(
                os.path.dirname(os.path.abspath(ck.__file__)))}
     prob = _write(tmp_path, "cap.json", _cap_doc(h=0.1))

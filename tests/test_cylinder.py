@@ -78,7 +78,6 @@ def test_generic_polyline_estimate():
     loop = generic.boundary_loops[0]
     assert np.array_equal(pts, generic.vertices[loop])
     assert np.array_equal(normal, generic.boundary_normal[loop])
-    assert closed_polyline_geometry(pts, FLAT)[2].all()
     assert np.abs(vals - 1.0 / 0.3).max() < 0.2
 
 
@@ -130,9 +129,8 @@ def test_closed_polyline_matches_scalar_reference(amb):
     ang = np.sort(rng.uniform(0, 2 * math.pi, 40))
     rad = 0.6 + 0.1 * rng.standard_normal(40)
     pts = np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=1)
-    normal, curvature, confident = closed_polyline_geometry(pts, amb)
+    normal, curvature = closed_polyline_geometry(pts, amb)
     for k in range(len(pts)):
         ref, ref_normal = _turning_angle_reference(pts, amb, k)
         assert curvature[k] == pytest.approx(ref, rel=1e-12, abs=1e-12)
         assert np.allclose(normal[k], ref_normal, rtol=0, atol=1e-14)
-    assert confident.dtype == bool

@@ -286,7 +286,6 @@ def _recovery_loop(mesh, ambient, values):
     """The former per-vertex patch recovery, kept as a reference: one
     column-scaled ``lstsq`` fit over each 2-ring."""
     rings = np.split(mesh.vertex_rings(2)[1], mesh.vertex_rings(2)[0][1:-1])
-    one_rings = np.split(mesh.vertex_rings(1)[1], mesh.vertex_rings(1)[0][1:-1])
     is_b = mesh.is_boundary
     nv = mesh.n_vertices
     grad, hess = np.zeros((nv, 2)), np.zeros((nv, 2, 2))
@@ -294,7 +293,7 @@ def _recovery_loop(mesh, ambient, values):
     Gam = christoffel_symbols(ambient, mesh.vertices)
     for v in range(nv):
         nbrs = rings[v]
-        if len(nbrs) < 5:
+        if is_b[v] or len(nbrs) < 5:
             confident[v] = False
         pts = mesh.vertices[nbrs] - mesh.vertices[v]
         rhs = values[nbrs] - values[v]
@@ -307,8 +306,6 @@ def _recovery_loop(mesh, ambient, values):
         grad[v] = coef[:2]
         Hc = np.array([[coef[2], coef[3]], [coef[3], coef[4]]])
         hess[v] = Hc - np.einsum("kij,k->ij", Gam[v], coef[:2])
-        if is_b[v] or any(is_b[w] for w in one_rings[v]):
-            confident[v] = False
     return grad, hess, confident
 
 
@@ -389,12 +386,7 @@ def _recovery_whole(mesh, ambient, values):
     Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
     Gam = christoffel_symbols(ambient, mesh.vertices)
     hess = Hc - np.einsum("vkij,vk->vij", Gam, grad)
-    edges = mesh.edge_table()[0]
-    is_b = mesh.is_boundary
-    near_b = is_b.copy()
-    near_b[edges[is_b[edges[:, 0]], 1]] = True
-    near_b[edges[is_b[edges[:, 1]], 0]] = True
-    return grad, hess, (count >= 5) & ~near_b
+    return grad, hess, (count >= 5) & ~mesh.is_boundary
 
 
 def _relabelled_disk(amb):
@@ -431,6 +423,40 @@ def test_blocked_recovery_matches_whole_mesh_fit(ambient, build):
     got = recover_gradient_hessian(mesh, amb, values)
     for new, ref in zip(got, _recovery_whole(mesh, amb, values)):
         assert np.array_equal(new, ref)
+
+
+def _generic(mesh, amb):
+    return mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.boundary_loops, amb)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a: ck.disk_mesh(0.4, 0.04, a),
+    lambda a: _generic(ck.disk_mesh(0.4, 0.04, a), a),
+    _jittered_disk,
+    lambda a: _generic(ck.annulus_mesh(0.3, 0.7, 0.05, a), a),
+    _relabelled_disk,
+], ids=["disk", "generic_disk", "jittered", "generic_annulus", "relabelled"])
+def test_confident_recovery_reaches_the_boundary_ring(build):
+    # the one-sided 2-rings next to the boundary reproduce a quadratic, so
+    # the interior vertices of the boundary 1-ring are confident
+    amb = ck.preset_ambient("killing_flat")
+    mesh = build(amb)
+    a, b, hxx, hxy, hyy = np.random.default_rng(5).uniform(-1.0, 1.0, 5)
+    x, y = mesh.vertices.T
+    values = a * x + b * y + 0.5 * hxx * x**2 + hxy * x * y + 0.5 * hyy * y**2
+    grad, hess, conf = recover_gradient_hessian(mesh, amb, values)
+    exact_grad = np.stack([a + hxx * x + hxy * y, b + hxy * x + hyy * y], axis=1)
+    exact_hess = np.array([[hxx, hxy], [hxy, hyy]])
+    assert np.abs(grad[conf] - exact_grad[conf]).max() <= 1e-9 * np.abs(exact_grad).max()
+    assert np.abs(hess[conf] - exact_hess).max() <= 1e-9 * np.abs(exact_hess).max()
+    edges = mesh.edge_table()[0]
+    is_b = mesh.is_boundary
+    ring = np.zeros(mesh.n_vertices, dtype=bool)
+    ring[edges[is_b[edges[:, 0]], 1]] = True
+    ring[edges[is_b[edges[:, 1]], 0]] = True
+    ring &= ~is_b
+    assert conf[ring].all()
+    assert not conf[is_b].any()
 
 
 def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
