@@ -356,6 +356,12 @@ def sigma_diameter(mesh: DomainMesh, ambient: AmbientSpace) -> float:
     return best
 
 
+def _diameter(problem: Problem) -> float:
+    """``sigma_diameter`` of the problem's domain, computed once."""
+    return problem.derived("sigma_diameter",
+                           lambda: sigma_diameter(problem.mesh, problem.ambient))
+
+
 def height_barrier(problem: Problem, D: float, B: float,
                    z: Optional[ScalarField] = None):
     """Exponential-in-distance lower barrier under the whole domain.
@@ -366,7 +372,7 @@ def height_barrier(problem: Problem, D: float, B: float,
     boundary sup.  Returns ``(ScalarField, BarrierCertificate)``.
     """
     amb, mesh = problem.ambient, problem.mesh
-    diam = sigma_diameter(mesh, amb)
+    diam = _diameter(problem)
     if B <= diam:
         raise ParameterError(f"B = {B} must exceed the domain diameter {diam:.6g}")
     if D <= 0:
@@ -406,7 +412,7 @@ def height_barrier(problem: Problem, D: float, B: float,
 def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None):
     """Doubling search over the exponent rate ``D = 1 .. 2^20`` at ``B``
     1.01 times the diameter; the first valid certificate wins."""
-    B = 1.01 * sigma_diameter(problem.mesh, problem.ambient)
+    B = 1.01 * _diameter(problem)
     return _search("height barrier", ({"D": 2.0**j} for j in range(21)),
                    lambda D: height_barrier(problem, D, B, z))
 
@@ -414,22 +420,23 @@ def search_height_barrier(problem: Problem, z: Optional[ScalarField] = None):
 class _BoundaryStrip:
     """What a boundary-barrier check needs that does not depend on the
     candidate ``(mu, c)``: the strip ``d <= eps``, the extended boundary
-    data, the checkable strip vertices ``idx`` with the distance gradient,
-    its square and Hessian and the recovered derivatives of the extended
-    data there, and the two strip boundary components of the ordering
-    check."""
+    data ``phi``, the checkable strip vertices ``idx`` with the distance
+    gradient, its square and Hessian and the derivatives of ``phi`` there,
+    and the two strip boundary components of the ordering check."""
 
-    def __init__(self, strip, phi_ext, idx, gd, gd2, hd, gphi, hphi, comps):
-        self.strip, self.phi_ext, self.idx = strip, phi_ext, idx
+    def __init__(self, strip, phi, idx, gd, gd2, hd, gphi, hphi, comps):
+        self.strip, self.phi, self.idx = strip, phi, idx
         self.gd, self.gd2, self.hd = gd, gd2, hd
         self.gphi, self.hphi, self.comps = gphi, hphi, comps
 
 
 def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
     """The candidate-independent part of both boundary barriers, built once
-    per problem and strip width.  The checked vertices are the interior
-    strip vertices where the recovered derivatives are confident, off the
-    suspect elements; a ParameterError names why there are none."""
+    per problem and strip width.  The data extends as ``problem.phi``, or
+    as one value with derivatives 0 where it is constant on the boundary.
+    The checked vertices are the interior strip vertices where the
+    recovered derivatives are confident, off the suspect elements; a
+    ParameterError names why there are none."""
     def build():
         mesh = problem.mesh
         if eps <= 0:
@@ -439,26 +446,25 @@ def _boundary_strip(problem: Problem, eps: float) -> _BoundaryStrip:
         inner = strip & ~mesh.is_boundary
         if not np.any(inner):
             raise ParameterError(f"tubular strip is empty at eps = {eps}")
-        phi_ext = problem.boundary_extension()
         gd, hd, usable = _distance_geometry(problem, elements=False)
-        const_phi = float(np.ptp(problem.phi[mesh.boundary_vertices])) < 1e-14
-        if const_phi:
-            gphi = np.zeros((mesh.n_vertices, 2))
-            hphi = np.zeros((mesh.n_vertices, 2, 2))
-            conf_phi = np.ones(mesh.n_vertices, dtype=bool)
-        else:
-            gphi, hphi, conf_phi = recover_gradient_hessian(mesh, problem.ambient,
-                                                            phi_ext)
-        check = inner & usable & conf_phi
+        check = inner & usable
         check[mesh.triangles[mesh.suspect_elements].ravel()] = False
+        phi_b = problem.phi[mesh.boundary_vertices]
+        if float(np.ptp(phi_b)) < 1e-14:
+            phi, gphi, hphi = float(phi_b[0]), 0.0, 0.0
+        else:
+            phi = problem.phi
+            gphi, hphi, conf_phi = recover_gradient_hessian(mesh, problem.ambient, phi)
+            check &= conf_phi
+            gphi, hphi = gphi[check], hphi[check]
         if not np.any(check):
             raise ParameterError(f"no checkable strip vertices at eps = {eps}; "
                                  "increase eps or decrease h")
         idx = np.nonzero(check)[0]
         comps = mesh.is_boundary | (strip & (d >= eps - 1.5 * mesh.h))
-        return _BoundaryStrip(strip, phi_ext, idx, gd[idx],
+        return _BoundaryStrip(strip, phi, idx, gd[idx],
                               np.einsum("mi,mj->mij", gd[idx], gd[idx]), hd[idx],
-                              gphi[idx], hphi[idx], comps)
+                              gphi, hphi, comps)
     return problem.derived(("boundary_strip", eps), build)
 
 
@@ -470,7 +476,7 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     s = _boundary_strip(problem, eps)
     d = mesh.dist_to_boundary
     mut = c / math.log1p(mu)
-    values = s.phi_ext + sign * (-mut * np.log1p(mu * d))
+    values = s.phi + sign * (-mut * np.log1p(mu * d))
     if math.isfinite(amb.interval_end) and np.any(
             values[s.strip] >= amb.interval_end):
         raise ParameterError("barrier leaves the flow interval on the strip")

@@ -306,19 +306,6 @@ def _sigma_edges(vertices, triangles, ambient: AmbientSpace):
     return table, np.sqrt(np.einsum("ei,eij,ej->e", e, S, e))
 
 
-def _nearest(points, targets):
-    """Index of the target closest to each point in the chart; a tie goes to
-    the lowest index.  About 2^14 distances are held at a time."""
-    rows = max(1, 2**14 // len(targets))
-    tx, ty = targets[:, 0], targets[:, 1]
-    out = np.empty(len(points), dtype=np.intp)
-    for s in range(0, len(points), rows):
-        dx = points[s:s + rows, 0, None] - tx
-        dy = points[s:s + rows, 1, None] - ty
-        out[s:s + rows] = np.argmin(dx * dx + dy * dy, axis=1)
-    return out
-
-
 def _barycentric(p, points):
     """Barycentric coordinates ``(..., 3)`` of chart points ``(..., 2)`` in
     the triangles with corners ``p`` ``(..., 3, 2)``, broadcast together."""

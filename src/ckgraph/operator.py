@@ -26,7 +26,7 @@ import numpy as np
 from .ambient import AmbientSpace, n
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _hat_gradients, _nearest, _ring_rows, _spd_inverse
+from .mesh import DomainMesh, _hat_gradients, _ring_rows, _spd_inverse
 
 __all__ = [
     "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
@@ -42,10 +42,10 @@ class Problem:
         self.ambient, self.mesh, self.H = ambient, mesh, H
         if self.H.mesh is not self.mesh:
             raise MeshError("H field bound to a different mesh")
-        # (nv,) array; meaningful on boundary vertices
+        # (nv,) data at every vertex; the solve reads the boundary values
         self.phi = np.asarray(phi, dtype=float)
         if self.phi.shape != (self.mesh.n_vertices,):
-            raise MeshError("phi must be a per-vertex array (used on the boundary)")
+            raise MeshError("phi must be a per-vertex array")
         bvals = self.phi[self.mesh.boundary_vertices]
         if not np.all(np.isfinite(bvals)):
             raise ParameterError("boundary data must be finite")
@@ -87,15 +87,6 @@ class Problem:
         boundary distance field (see ``recover_gradient_hessian``)."""
         return self.derived("distance_recovery", lambda: recover_gradient_hessian(
             self.mesh, self.ambient, self.mesh.dist_to_boundary))
-
-    def boundary_extension(self) -> np.ndarray:
-        """Boundary data extended into the domain, constant along the
-        distance direction: each vertex takes the value of the closest
-        boundary vertex in the chart."""
-        def build():
-            bv = self.mesh.boundary_vertices
-            return self.phi[bv][_nearest(self.mesh.vertices, self.mesh.vertices[bv])]
-        return self.derived("boundary_extension", build)
 
 
 class SparseSystem:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (RHO_T_ROUNDING, _distance_geometry, boundary_barrier,
+from ckgraph.analysis import (RHO_T_ROUNDING, _boundary_strip, _distance_geometry,
+                              boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
                               cylinder_mean_curvature,
                               cylinder_monotonicity_probe, flow_time_range,
@@ -106,6 +107,20 @@ def test_custom_ambient_takes_leaf_curvature_from_metric(radial_problem):
         assert a.evaluable and b.evaluable
         assert a.margin == pytest.approx(b.margin, rel=0, abs=1e-12)
         assert a.passed == b.passed
+
+
+def test_nonconstant_gamma_leaves_the_ambient_ricci_checks_out():
+    doc = {"ambient": {"custom": {"lam": "exp(t)", "gamma": "1 + 0.3*x"}},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}},
+           "resolution": 0.08, "H": {"constant": 0.5}, "phi": {"constant": -0.5}}
+    rep = check_hypotheses(load_problem_document(doc).problem)
+    for name in ("ricci_simple", "ricci_refined"):
+        cond = rep.get(name)
+        assert not cond.evaluable and not cond.passed and math.isnan(cond.margin)
+        assert cond.note == "non-constant gamma: radial direction field not computable"
+    assert rep.get("ricci_corollary3").evaluable
+    assert all(c.passed for c in rep.conditions if c.evaluable)
+    assert rep.passed and rep.failing() == []
 
 
 def test_monotone_in_H():
@@ -340,7 +355,7 @@ def test_empty_strip_stops_before_any_candidate(generic_disk, monkeypatch):
 # problems whose boundary strip at eps = 0.05 lies in the boundary 1-ring:
 # (ambient, mesh, H, phi)
 def _disk_xy():
-    # non-constant data: the recovered derivatives of its extension count
+    # non-constant data: its recovered derivatives count
     amb = ck.preset_ambient("killing_flat")
     mesh = ck.disk_mesh(0.4, 0.04, amb)
     x, y = mesh.vertices.T
@@ -366,10 +381,50 @@ def test_boundary_certificates_at_the_default_eps(build):
     prob = ck.Problem.create(*build())
     report = ck.continuation_solve(prob)
     assert report.status == "converged"
-    # min margins, lower / upper: 0.0569 / 2.13, 0.747 / 0.747 and 0.181 / 2.42
+    # min margins, lower / upper: 0.343 / 3.12, 0.747 / 0.747 and 0.181 / 2.42
     for upper in (False, True):
         _, cert = search_boundary_barrier(prob, report.solution, eps=0.05, upper=upper)
         assert cert.valid and cert.ordering_ok
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["disk", "generic_disk"])
+def test_strip_takes_the_derivatives_of_the_data(generic):
+    # phi = -0.9 + 0.2 x y, given at every vertex, is its own extension: the
+    # recovery reproduces a quadratic, so the strip holds its exact derivatives
+    amb, mesh, H, phi = _disk_xy()
+    if generic:
+        mesh = _generic(mesh, amb)
+    s = _boundary_strip(ck.Problem.create(amb, mesh, H, phi), 0.05)
+    x, y = mesh.vertices[s.idx].T
+    grad = 0.2 * np.stack([y, x], axis=1)
+    assert np.abs(s.gphi - grad).max() <= 1e-9 * np.abs(grad).max()
+    assert np.abs(s.hphi - [[0.0, 0.2], [0.2, 0.0]]).max() <= 1e-9 * 0.2
+    assert np.array_equal(s.phi, phi)
+
+
+def test_constant_data_strip_holds_one_value(cmc_problem):
+    s = _boundary_strip(cmc_problem, 0.05)
+    assert (s.phi, s.gphi, s.hphi) == (-math.sqrt(0.84), 0.0, 0.0)
+
+
+def test_csv_data_gives_the_expression_certificates(tmp_path):
+    doc = {"ambient": {"preset": "killing_flat"},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}},
+           "resolution": 0.04, "H": {"constant": 1.0},
+           "phi": {"expression": "-0.9 + 0.2*x*y"}}
+    expr = load_problem_document(doc).problem
+    ScalarField(expr.mesh, expr.phi).to_csv(tmp_path / "phi.csv")
+    csv = load_problem_document({**doc, "phi": {"csv": "phi.csv"}}, tmp_path).problem
+    report = ck.continuation_solve(expr)
+    assert report.status == "converged"
+
+    def certificates(prob):
+        z = ScalarField(prob.mesh, report.solution.values)
+        certs = [search_height_barrier(prob, z)[1]]
+        certs += [search_boundary_barrier(prob, z, eps=0.05, upper=upper)[1]
+                  for upper in (False, True)]
+        return [cert.to_json() for cert in certs]
+    assert certificates(csv) == certificates(expr)
 
 
 def test_candidate_independent_work_done_once(monkeypatch):
@@ -393,8 +448,7 @@ def test_candidate_independent_work_done_once(monkeypatch):
         except ParameterError:
             pass
     assert len(candidates) > 2
-    assert len(recoveries) == 1          # phi_ext's derivatives, once
-    assert prob.boundary_extension() is prob.boundary_extension()
+    assert len(recoveries) == 1          # phi's derivatives, once
 
 
 def test_max_principle_conditions():
@@ -459,6 +513,29 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
 def test_sigma_diameter_presets(cmc_problem, radial_problem):
     assert sigma_diameter(cmc_problem.mesh, cmc_problem.ambient) == 0.8
     assert sigma_diameter(radial_problem.mesh, radial_problem.ambient) == 2.0
+
+
+def test_sigma_diameter_samples_64_boundary_vertices():
+    amb = ck.preset_ambient("killing_flat")
+    mesh = _generic(ck.disk_mesh(0.4, 0.02, amb), amb)
+    assert len(mesh.boundary_vertices) == 120
+    assert sigma_diameter(mesh, amb) == pytest.approx(0.8, rel=1e-12)
+
+
+def test_height_search_computes_the_diameter_once(monkeypatch):
+    import ckgraph.analysis as analysis
+    calls, diameter = [], analysis.sigma_diameter
+    monkeypatch.setattr(analysis, "sigma_diameter",
+                        lambda *args: calls.append(1) or diameter(*args))
+    amb = ck.preset_ambient("killing_flat")
+    mesh = _generic(ck.disk_mesh(0.4, 0.08, amb), amb)
+    prob = ck.Problem.create(amb, mesh, 1.0, -0.5)
+    # above the boundary data, no height barrier brackets z: all 21 fail
+    z = ScalarField(mesh, np.full(mesh.n_vertices, 0.5))
+    with pytest.raises(ParameterError, match="after 21 candidates"):
+        search_height_barrier(prob, z)
+    height_barrier(prob, 1.0, 1.0, z)
+    assert len(calls) == 1
 
 
 # -- report records -------------------------------------------------------------

@@ -299,6 +299,13 @@ def test_certify_bad_B(solved_run):
     assert code == 1
 
 
+@pytest.mark.parametrize("options", [["--D", "2"], ["--B", "1"]], ids=["D", "B"])
+def test_certify_D_and_B_together_exit_1(solved_run, capsys, options):
+    _, prob, out = solved_run
+    _assert_clean_exit_1(["certify", prob, str(out / "solution.csv"), *options],
+                         capsys, "--D and --B must be given together")
+
+
 @pytest.mark.parametrize("options, name", [
     (["--D", "nan", "--B", "1"], "--D"),
     (["--D", "1", "--B", "nan"], "--B"),

@@ -13,7 +13,7 @@ from ckgraph.errors import MeshError
 from ckgraph.fields import ScalarField
 from ckgraph import mesh as mesh_module
 from ckgraph.mesh import (_chart_areas, _corner_update, _eikonal_sweep,
-                          _loop_edges, _nearest, _sigma_edges, _spd_inverse,
+                          _loop_edges, _sigma_edges, _spd_inverse,
                           _unique,
                           annulus_mesh, cap_mesh, disk_mesh, locate_points,
                           mesh_from_arrays, mesh_from_json, mesh_to_json)
@@ -612,20 +612,6 @@ def test_generic_distance_independent_of_start_jittered(kind):
     verts[inner] += rng.uniform(-0.002, 0.002, (len(inner), 2))
     dist, ref = _from_reference_start(verts, mesh.triangles, mesh.boundary_loops, amb)
     assert np.all(np.abs(dist - ref) <= 1e-14 * ref)
-
-
-def test_nearest_matches_kd_tree():
-    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
-    rng = np.random.default_rng(7)
-    # many chunks of 2^14 // 300 points
-    points, targets = rng.uniform(-1, 1, (8000, 2)), rng.uniform(-1, 1, (300, 2))
-    assert np.array_equal(_nearest(points, targets), cKDTree(targets).query(points)[1])
-
-
-def test_nearest_tie_goes_to_lowest_index():
-    targets = np.array([[0.0, 2.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    assert _nearest(np.zeros((1, 2)), targets).tolist() == [1]
-    assert _nearest(np.zeros((1, 2)), targets[::-1]).tolist() == [0]
 
 
 def test_generic_distance_unconverged_is_an_error(monkeypatch):
