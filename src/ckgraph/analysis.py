@@ -9,8 +9,9 @@ certificates.
 
 The hypotheses are checked at the base leaf ``t = 0``.  The conditions on
 the conformal factor, here and in ``max_principle_conditions``, read one
-sampling of ``lambda`` per problem; the boundary cylinder condition and the
-monotonicity probe read the level curves of ``level_curves``.
+sampling of ``lambda`` per problem; the boundary cylinder condition reads
+the boundary loops, and the monotonicity probe the inner distance level sets
+of ``level_curves``.
 
 The cylinder over a curve in the leaf is ruled by flow lines; its principal
 curvature along the flow direction (``cylinder_kappa``) and its inward mean
@@ -36,7 +37,7 @@ import numpy as np
 from .ambient import AmbientSpace, leaf_mean_curvature, n
 from .errors import ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, closed_polyline_geometry
+from .mesh import DomainMesh, _spd_inverse, closed_polyline_geometry, locate_points
 from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
                        _hat_gradients)
 
@@ -217,21 +218,35 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     ]
 
 
-def _distance_geometry(problem: Problem, elements: bool):
+def _distance_geometry(problem: Problem, elements: bool = False, points=None):
     """Gradient covector and covariant Hessian of the boundary distance at
-    the element centroids (``elements``) or at the vertices.  Presets use
-    closed forms; generic meshes the recovered vertex derivatives, averaged
-    over each element and usable where all three vertices are confident.
+    the element centroids (``elements``), at the vertices, or at chart
+    points ``points`` ``(m, 2)``.  Presets use closed forms; generic meshes
+    the recovered vertex derivatives, averaged over each element or
+    interpolated linearly in the element holding each point (one
+    ``locate_points`` call), usable where all three vertices are confident
+    (and the point lies inside the mesh).
 
-    Returns (grad (m,2), hess (m,2,2), usable (m,))."""
+    Returns (grad (m,2), hess (m,2,2), usable (m,)), and at ``points`` the
+    distance (m,): the closed form, or the interpolated vertex distances."""
     mesh = problem.mesh
     if mesh.polar is not None:
+        if points is not None:
+            return (*mesh.polar.distance_derivatives(points, mesh.h),
+                    mesh.polar.distance(points))
         pts = mesh.vertices[mesh.triangles].mean(axis=1) if elements else mesh.vertices
         return mesh.polar.distance_derivatives(pts, mesh.h)
     grad, hess, conf = problem.distance_recovery()
+    tri = mesh.triangles
+    if points is not None:
+        element, bary = locate_points(mesh, points)
+        tri = tri[element]
+        return (np.einsum("ma,mai->mi", bary, grad[tri]),
+                np.einsum("ma,maij->mij", bary, hess[tri]),
+                (bary.min(axis=1) >= -1e-12) & conf[tri].all(axis=1),
+                np.einsum("ma,ma->m", bary, mesh.dist_to_boundary[tri]))
     if not elements:
         return grad, hess, conf
-    tri = mesh.triangles
     return grad[tri].mean(axis=1), hess[tri].mean(axis=1), conf[tri].all(axis=1)
 
 
@@ -535,84 +550,62 @@ def search_boundary_barrier(problem: Problem, z: Optional[ScalarField] = None,
 # -- level curves of the boundary distance and probes ----------------------
 
 
-def level_curves(mesh: DomainMesh, ambient: AmbientSpace, depth: float):
-    """The level set ``d = depth`` of the boundary distance as closed
-    curves, one ``(points, inward unit normals, geodesic curvature toward
-    the normals)`` per component; depth 0 gives the boundary loops.
-
-    A preset domain moves each boundary loop inward by ``depth`` along its
-    normals (a concentric circle) and takes the closed-form curvature
-    there.  A generic mesh takes the geodesic curvature of the boundary
-    polylines, or of the discrete level curves (``_level_polylines``)."""
+def _boundary_curves(mesh: DomainMesh, ambient: AmbientSpace):
+    """The boundary loops as curves ``(points, inward unit normals,
+    geodesic curvature toward the normals)``: the ``PolarDomain``'s closed
+    forms on presets, the geodesic curvature of the boundary polylines on
+    generic meshes."""
     if mesh.polar is not None:
-        if depth >= mesh.polar.inradius:
-            raise ParameterError(f"depth reaches the inradius {mesh.polar.inradius:g}")
-        curves = []
-        for loop in mesh.boundary_loops:
-            normal = mesh.boundary_normal[loop]
-            r = np.linalg.norm(mesh.vertices[loop], axis=1)
-            curves.append((mesh.vertices[loop] + depth * normal, normal,
-                           mesh.polar.circle_curvature(r, depth)))
-        return curves
-    polylines = ([mesh.vertices[loop] for loop in mesh.boundary_loops] if depth == 0
-                 else _level_polylines(mesh, depth))
-    return [(pts, *closed_polyline_geometry(pts, ambient)) for pts in polylines]
+        return [(mesh.vertices[loop], mesh.boundary_normal[loop],
+                 mesh.polar.circle_curvature(np.linalg.norm(mesh.vertices[loop], axis=1)))
+                for loop in mesh.boundary_loops]
+    return [(mesh.vertices[loop], *closed_polyline_geometry(mesh.vertices[loop], ambient))
+            for loop in mesh.boundary_loops]
 
 
-def _level_polylines(mesh: DomainMesh, depth: float):
-    """The components of the level set ``d = depth > 0`` of a generic mesh
-    as closed chart polylines.
+def level_curves(problem: Problem, depths):
+    """The level sets ``d = depth`` of the boundary distance at positive
+    finite depths, one list of components ``(points, inward unit normals,
+    geodesic curvature toward the normals)`` per depth.
 
-    The level set crosses every edge whose ends lie on different sides of
-    ``d > depth``.  In each cut element the crossing on the edge that
-    leaves that region is followed by the one on the edge that enters it,
-    which keeps the region on the left (elements are positively oriented).
-    Crossings closer than h/4 in the chart are merged, and components left
-    with fewer than three points are dropped.
-    """
-    d = mesh.dist_to_boundary
-    edges, inverse, _ = mesh.edge_table()
-    inside = d > depth
-    cut = inside[edges[:, 0]] != inside[edges[:, 1]]
-    if np.count_nonzero(cut) < 8:
-        raise ParameterError(f"level set extraction failed at depth {depth}")
-    i, j = edges[cut, 0], edges[cut, 1]
-    s = ((d[i] - depth) / (d[i] - d[j]))[:, None]
-    cross = np.zeros((len(edges), 2))
-    cross[cut] = mesh.vertices[i] + s * (mesh.vertices[j] - mesh.vertices[i])
-    ins = inside[mesh.triangles]
-    ahead = np.roll(ins, -1, axis=1)              # far end of local edge k
-    nxt = np.full(len(edges), -1)
-    nxt[inverse[ins & ~ahead]] = inverse[~ins & ahead]
-    nxt = nxt.tolist()
-    seen = ~cut
-    polylines = []
-    for start in np.nonzero(cut)[0].tolist():
-        if seen[start]:
-            continue
-        loop, k = [], start
-        while not seen[k]:
-            seen[k] = True
-            loop.append(k)
-            k = nxt[k]      # defined: no cut edge is a boundary edge (d = 0 there)
-        pts = _merge_close(cross[loop], 0.25 * mesh.h)
-        if len(pts) >= 3:
-            polylines.append(pts)
-    if not polylines:
-        raise ParameterError(f"level set extraction failed at depth {depth}")
-    return polylines
-
-
-def _merge_close(pts, tol):
-    """Drop the points of a closed chart polyline that lie within ``tol`` of
-    the last point kept (the first point is always kept)."""
-    keep = [0]
-    for k in range(1, len(pts)):
-        if math.dist(pts[k], pts[keep[-1]]) >= tol:
-            keep.append(k)
-    if len(keep) > 1 and math.dist(pts[keep[-1]], pts[0]) < tol:
-        keep.pop()
-    return pts[keep]
+    Every boundary vertex moves inward by ``depth`` along its normal, and
+    the level set there is read from the distance derivatives at those
+    points (one ``_distance_geometry`` call for all depths): the normal
+    ``nu = grad d / |grad d|`` and the curvature
+    ``-(tr(S^-1 Hess d) - Hess d(nu, nu)) / |grad d|`` (Gilbarg & Trudinger,
+    Lemma 14.17).  A point counts where the derivatives are usable, the
+    distance there is within ``h`` of the depth and the curve is resolved,
+    ``|curvature| h <= 1``.  Each boundary loop with a point that counts
+    gives one component, so a depth where no point counts has none."""
+    mesh = problem.mesh
+    depths = [float(eps) for eps in depths]
+    for eps in depths:
+        if not (math.isfinite(eps) and eps > 0):
+            raise ParameterError(f"level set depth must be a positive finite number, "
+                                 f"got {eps!r}")
+    loops = mesh.boundary_loops
+    base = np.concatenate([mesh.vertices[loop] for loop in loops])
+    normal = np.concatenate([mesh.boundary_normal[loop] for loop in loops])
+    pts = (base + np.multiply.outer(depths, normal)).reshape(-1, 2)
+    grad, hess, usable, dist = _distance_geometry(problem, points=pts)
+    (i11, i12, i22), _ = _spd_inverse(problem.ambient.base_metric(pts))
+    gx, gy = grad[:, 0], grad[:, 1]
+    px, py = i11 * gx + i12 * gy, i12 * gx + i22 * gy      # S^-1 grad d
+    h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1] + hess[:, 1, 0], hess[:, 1, 1]
+    # |grad d| is 0 where the recovered distance is flat (the disk centre)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.sqrt(gx * px + gy * py)
+        nu = np.stack([px, py], axis=1) / norm[:, None]
+        curvature = -(i11 * h11 + i12 * h12 + i22 * h22
+                      - (px * px * h11 + px * py * h12 + py * py * h22) / norm**2) / norm
+        count = (usable & (np.abs(dist - np.repeat(depths, len(base))) <= mesh.h)
+                 & (np.abs(curvature) * mesh.h <= 1.0))
+    # one piece per boundary loop and depth, the depths in turn
+    ends = np.cumsum([len(loop) for loop in loops] * len(depths))[:-1]
+    pieces = [(p[k], n[k], c[k]) for p, n, c, k in
+              zip(*(np.split(a, ends) for a in (pts, nu, curvature, count)))]
+    return [[c for c in pieces[j:j + len(loops)] if len(c[0])]
+            for j in range(0, len(depths) * len(loops), len(loops))]
 
 
 def cylinder_kappa(ambient: AmbientSpace, u, eta):
@@ -639,35 +632,39 @@ def inf_boundary_cylinder_curvature(mesh: DomainMesh, ambient: AmbientSpace):
     """Infimum over the boundary vertices of the inward cylinder curvature
     ``H_K`` at the base leaf (``H_K / lambda(t)`` at the leaf ``t``), and of
     the boundary curvature."""
-    curves = level_curves(mesh, ambient, 0.0)
+    curves = _boundary_curves(mesh, ambient)
     hk = np.concatenate([cylinder_mean_curvature(ambient, *curve) for curve in curves])
     return float(np.min(hk)), float(np.min(np.concatenate([hg for *_, hg in curves])))
 
 
 def cylinder_monotonicity_probe(problem: Problem, depths):
-    """Curvature of the flow cylinders over inner distance level sets.
+    """Curvature of the flow cylinders over inner distance level sets
+    (``level_curves``, which refuses a depth that is not a positive finite
+    number).
 
     Returns a dict with per-depth entries and whether the probed curvatures
-    stay above the boundary value (the expected monotone behaviour); on a
-    generic mesh each entry also lists the infimum on each component.
-    """
+    stay above the boundary value (the expected monotone behaviour), None
+    when every depth is skipped; on a generic mesh each entry also lists
+    the infimum on each component, one per boundary loop that keeps a
+    point."""
     amb, mesh = problem.ambient, problem.mesh
+    depths = [float(eps) for eps in depths]
     inf_hk, _ = inf_boundary_cylinder_curvature(mesh, amb)
     rows = []
-    for eps in depths:
-        row = {"eps": float(eps), "skipped": False, "H_K": None}
-        try:
-            hks = [float(np.min(cylinder_mean_curvature(amb, *curve)))
-                   for curve in level_curves(mesh, amb, float(eps))]
+    for eps, curves in zip(depths, level_curves(problem, depths)):
+        row = {"eps": eps, "skipped": not curves, "H_K": None}
+        if curves:
+            hks = [float(np.min(cylinder_mean_curvature(amb, *curve))) for curve in curves]
             if mesh.polar is None:
                 row["components"] = hks
             row["H_K"] = min(hks)
-        except ParameterError as exc:
-            row["skipped"] = True
-            row["reason"] = str(exc)
+        else:
+            row["reason"] = (f"no point of the level set at depth {eps:g} has "
+                             "usable distance derivatives, a distance within h of the "
+                             "depth and |curvature| h <= 1")
         rows.append(row)
     vals = [r["H_K"] for r in rows if not r["skipped"]]
-    monotone = bool(vals and min(vals) >= inf_hk - 1e-9)
+    monotone = bool(min(vals) >= inf_hk - 1e-9) if vals else None
     return {"rows": rows, "inf_HK_boundary": inf_hk, "monotone": monotone}
 
 

@@ -7,7 +7,7 @@ field.  The preset domains (disk, spherical cap, annulus) are one kind of
 domain, a :class:`PolarDomain`: the chart points between two concentric
 circles, in a chart whose radial lines are unit-speed geodesics of the leaf
 metric.  It carries the closed forms of the distance, its derivatives and
-the curvature of the concentric circles, taken from the leaf metric the mesh
+the curvature of its boundary circles, taken from the leaf metric the mesh
 is built with (``1/r`` on a flat metric, ``cot r`` on a round one), not from
 the domain's name; a disk and a cap differ only in the name of their
 parameter.  Generic meshes fall back to discrete estimates.
@@ -60,22 +60,22 @@ class PolarDomain:
     def diameter(self) -> float:
         return 2.0 * self.r_out
 
-    @property
-    def inradius(self) -> float:
-        """Largest depth of a parallel circle."""
-        return self.r_out if self.r_in == 0 else 0.5 * (self.r_out - self.r_in)
-
     def _outer(self, r):
         return (self.r_in == 0) | (r > 0.5 * (self.r_in + self.r_out))
 
-    def circle_curvature(self, r, depth=0.0):
-        """Geodesic curvature, toward the domain, of the circle ``depth``
-        inside the boundary circle nearest each chart radius ``r``."""
+    def distance(self, pts):
+        """Distance to the boundary at chart points ``(m, 2)``."""
+        r = np.linalg.norm(pts, axis=1)
+        return self.r_out - r if self.r_in == 0 else np.minimum(r - self.r_in, self.r_out - r)
+
+    def circle_curvature(self, r):
+        """Geodesic curvature, toward the domain, of the boundary circle
+        nearest each chart radius ``r``."""
         rho = LEAF_METRICS[self.metric].circle_radius
-        outer = 1.0 / rho(self.r_out - depth)
+        outer = 1.0 / rho(self.r_out)
         if self.r_in == 0:
             return np.full(np.shape(r), outer)
-        return np.where(self._outer(r), outer, -1.0 / rho(self.r_in + depth))
+        return np.where(self._outer(r), outer, -1.0 / rho(self.r_in))
 
     def distance_derivatives(self, pts, h):
         """Gradient covector ``-s r_hat`` and covariant Hessian
@@ -152,9 +152,8 @@ class DomainMesh:
         return np.nonzero(~self.is_boundary)[0]
 
     def edge_table(self):
-        """Unique edges as sorted vertex pairs ``(ne, 2)``, the edge of each
-        local edge ``(a, b), (b, c), (c, a)`` of every element ``(nt, 3)``,
-        and the number of elements sharing each edge ``(ne,)``."""
+        """Unique edges as sorted vertex pairs ``(ne, 2)`` and the number of
+        elements sharing each edge ``(ne,)``."""
         if self._edges is None:
             self._edges = _edge_table(self.triangles)
         return self._edges
@@ -227,10 +226,10 @@ def _edge_table(triangles):
     pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
     # keys i nv + j sort as the pairs (i, j) do
     nv = int(triangles.max()) + 1 if triangles.size else 1
-    keys, inverse, counts = np.unique(pairs[:, 0].astype(np.int64) * nv + pairs[:, 1],
-                                      return_inverse=True, return_counts=True)
+    keys, counts = np.unique(pairs[:, 0].astype(np.int64) * nv + pairs[:, 1],
+                             return_counts=True)
     edges = np.stack(np.divmod(keys, nv), axis=1).astype(triangles.dtype, copy=False)
-    return edges, inverse.reshape(-1, 3), counts
+    return edges, counts
 
 
 def _unique(keys):
@@ -269,7 +268,7 @@ def _validate(mesh: DomainMesh):
     areas = _chart_areas(mesh.vertices, mesh.triangles)
     if not np.all(areas > 0):
         raise MeshError("triangles must be positively oriented in the chart")
-    counts = mesh.edge_table()[2]
+    counts = mesh.edge_table()[1]
     if np.any(counts > 2):
         raise MeshError("non-conforming mesh: an edge is shared by more than 2 elements")
     _, _, ids = _loop_edges(mesh)
@@ -562,7 +561,7 @@ def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> D
     else:
         loops.append(np.arange(ptr[1])[::-1].copy())
     rr = np.linalg.norm(verts, axis=1)
-    dist = r_out - rr if centre else np.minimum(rr - r_in, r_out - rr)
+    dist = polar.distance(verts)
     b = np.concatenate(loops)
     dist[b] = 0.0
     normals = np.zeros_like(verts)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (RHO_T_ROUNDING, _boundary_strip, _distance_geometry,
+from ckgraph.analysis import (RHO_T_ROUNDING, _boundary_curves, _boundary_strip,
+                              _distance_geometry,
                               boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
                               cylinder_mean_curvature,
@@ -233,7 +234,7 @@ def test_probe_flat_disk_closed_form(cmc_problem):
     assert out["monotone"]
     for row, eps in zip(out["rows"], (0.05, 0.1, 0.15)):
         assert not row["skipped"]
-        assert row["H_K"] == pytest.approx(1.0 / (2.0 * (0.4 - eps)), abs=1e-6)
+        assert row["H_K"] == pytest.approx(1.0 / (2.0 * (0.4 - eps)), rel=1e-12)
     vals = [r["H_K"] for r in out["rows"]]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
@@ -245,14 +246,14 @@ def test_probe_annulus():
     out = cylinder_monotonicity_probe(prob, [0.05, 0.1])
     assert out["monotone"]
     for row, eps in zip(out["rows"], (0.05, 0.1)):
-        assert row["H_K"] == pytest.approx(-1.0 / (2.0 * (0.3 + eps)), abs=1e-6)
+        assert row["H_K"] == pytest.approx(-1.0 / (2.0 * (0.3 + eps)), rel=1e-12)
 
 
 def test_probe_cap_constant_curvature(radial_problem):
     out = cylinder_monotonicity_probe(radial_problem, [0.1, 0.2])
     assert out["monotone"]
     for row, eps in zip(out["rows"], (0.1, 0.2)):
-        assert row["H_K"] == pytest.approx(0.5 / math.tan(1.0 - eps), abs=1e-6)
+        assert row["H_K"] == pytest.approx(0.5 / math.tan(1.0 - eps), rel=1e-12)
 
 
 def test_probe_preset_includes_flow_curvature():
@@ -279,6 +280,21 @@ def test_probe_skips_excessive_depth(cmc_problem):
     out = cylinder_monotonicity_probe(cmc_problem, [0.1, 0.9])
     assert not out["rows"][0]["skipped"]
     assert out["rows"][1]["skipped"]
+    assert out["rows"][1]["reason"].startswith("no point of the level set at depth 0.9")
+
+
+def test_probe_without_evidence_has_no_verdict(cmc_problem):
+    out = cylinder_monotonicity_probe(cmc_problem, [0.9])
+    assert out["rows"][0]["skipped"]
+    assert out["monotone"] is None
+
+
+@pytest.mark.parametrize("depth", [-0.1, math.nan, 0.0, math.inf])
+def test_probe_refuses_depth_not_positive_finite(depth):
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0, -0.5)
+    with pytest.raises(ParameterError, match=f"got {depth!r}"):
+        cylinder_monotonicity_probe(prob, [0.1, depth])
 
 
 # -- generic meshes -----------------------------------------------------------
@@ -316,10 +332,63 @@ def test_probe_generic_annulus():
     mesh = _generic(ck.annulus_mesh(0.3, 0.7, 0.05, amb), amb)
     prob = ck.Problem.create(amb, mesh, 0.0, -0.1)
     row = cylinder_monotonicity_probe(prob, [0.1])["rows"][0]
+    assert len(row["components"]) == len(mesh.boundary_loops)
     inner, outer = sorted(row["components"])
     assert inner < 0
     assert outer == pytest.approx(1.0 / (2.0 * (0.7 - 0.1)), rel=0.1)
     assert row["H_K"] == inner
+
+
+def test_probe_point_location_and_recovery_counts(monkeypatch, cmc_problem):
+    # one point location per generic probe, for all depths, and none on a
+    # preset; the distance is recovered once per problem
+    import ckgraph.analysis as analysis
+    import ckgraph.operator as operator
+    calls = {"locate": 0, "recover": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(analysis, "locate_points", counted("locate", analysis.locate_points))
+    monkeypatch.setattr(operator, "recover_gradient_hessian",
+                        counted("recover", operator.recover_gradient_hessian))
+    cylinder_monotonicity_probe(cmc_problem, [0.05, 0.1, 0.15])
+    assert calls == {"locate": 0, "recover": 0}
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, _generic(ck.disk_mesh(0.4, 0.04, amb), amb), 1.0, -0.5)
+    for _ in range(2):
+        cylinder_monotonicity_probe(prob, [0.08, 0.16, 0.24])
+    assert calls == {"locate": 2, "recover": 1}
+
+
+def test_probe_generic_fine_disk():
+    # 4921 vertices: the level curves read from the recovered distance
+    # derivatives are within 2% of the parallel circles at 2h, 4h and 6h
+    amb = ck.preset_ambient("killing_flat")
+    mesh = _generic(ck.disk_mesh(0.4, 0.01, amb), amb)
+    assert mesh.n_vertices == 4921
+    depths = [2 * mesh.h, 4 * mesh.h, 6 * mesh.h]
+    out = cylinder_monotonicity_probe(ck.Problem.create(amb, mesh, 1.0, -0.5), depths)
+    assert out["monotone"] is True
+    for row, eps in zip(out["rows"], depths):
+        assert row["H_K"] == pytest.approx(1.0 / (2.0 * (0.4 - eps)), rel=0.02)
+
+
+def test_probe_across_the_centre(generic_disk):
+    # at depth 0.4 the boundary vertices move onto the centre, where the
+    # distance has no gradient: no warning, and no point is resolved there
+    prob, _ = generic_disk
+    out = cylinder_monotonicity_probe(prob, [0.4])
+    assert out["rows"][0]["skipped"]
+    # the recovered gradient there is small, not 0; a recovery without any
+    # gradient (0 / 0 in the curvature) counts no point either
+    mesh, nv = prob.mesh, prob.mesh.n_vertices
+    flat = ck.Problem.create(prob.ambient, mesh, 0.0, 0.0)
+    flat.derived("distance_recovery", lambda: (
+        np.zeros((nv, 2)), np.zeros((nv, 2, 2)), np.ones(nv, dtype=bool)))
+    assert level_curves(flat, [0.1]) == [[]]
 
 
 def test_height_barrier_search_generic(generic_disk):
@@ -481,18 +550,19 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
     mesh = _POLAR_BUILDS[kind](h, amb)
     generic = _generic(mesh, amb)
     # boundary circles: closed form against the polyline's geodesic curvature
-    closed = level_curves(mesh, amb, 0.0)
-    estimate = level_curves(generic, amb, 0.0)
+    closed = _boundary_curves(mesh, amb)
+    estimate = _boundary_curves(generic, amb)
     for (pts, _, hg), (pts_g, _, hg_g) in zip(closed, estimate, strict=True):
         assert np.array_equal(pts, pts_g)
         assert np.abs(hg - hg_g).max() <= 1e-3
     # parallel circle at depth 4h, a ring of the spider web, against the
-    # discrete level curve (10-12% off on the annulus, whose inner circle
-    # is concave; the flat and round closed forms of the disk differ by 22%)
-    def inf_hk(curves):
+    # level curve read from the recovered distance derivatives (7% off on
+    # the annulus, whose inner circle is concave, 1% on the disk; the flat
+    # and round closed forms of the disk differ by 22%)
+    def inf_hk(m):
+        [curves] = level_curves(ck.Problem.create(amb, m, 0.0, 0.0), [4 * h])
         return min(float(np.min(cylinder_mean_curvature(amb, *curve))) for curve in curves)
-    assert inf_hk(level_curves(generic, amb, 4 * h)) == pytest.approx(
-        inf_hk(level_curves(mesh, amb, 4 * h)), rel=0.15)
+    assert inf_hk(generic) == pytest.approx(inf_hk(mesh), rel=0.15)
     # distance derivatives in the strip d < 8h the barriers use, 3h or more
     # from the cut locus, where the recovery is confident: about 6% of the
     # Hessian's size on the disk and 9% on the annulus

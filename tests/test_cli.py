@@ -725,6 +725,32 @@ def test_certify_generic_disk(tmp_path, capsys):
             assert doc["certificates"][kind]["valid"]
 
 
+def test_monotonicity_probe_generic_disk(tmp_path):
+    # the benchmark's mesh-file disk, relabelled: the probe reads the level
+    # curves at 2h and 4h, and the one at 6h, 0.012 from the centre, is
+    # not resolved
+    amb = ck.preset_ambient("killing_flat")
+    disk = ck.disk_mesh(0.4, 0.04, amb)
+    rng = np.random.default_rng(3)
+    perm = rng.permutation(disk.n_vertices)          # old label -> new label
+    verts = np.empty_like(disk.vertices)
+    verts[perm] = disk.vertices
+    _write(tmp_path, "mesh.json", {
+        "vertices": verts.tolist(),
+        "triangles": perm[disk.triangles][rng.permutation(disk.n_triangles)].tolist(),
+        "boundary": [perm[loop].tolist() for loop in disk.boundary_loops]})
+    doc = dict(_mesh_file_doc(), checks=["hypotheses", "monotonicity"])
+    prob = _write(tmp_path, "problem.json", doc)
+    assert main(["solve", prob, "--out", str(tmp_path / "run")]) == 0
+    rep = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    probe = rep["monotonicity"]
+    assert probe["monotone"] is True
+    for row in probe["rows"][:2]:
+        assert row["H_K"] == pytest.approx(1.0 / (2.0 * (0.4 - row["eps"])), rel=0.15)
+    assert probe["rows"][2]["skipped"]
+    assert probe["rows"][2]["reason"].startswith("no point of the level set at depth")
+
+
 def _ckgraph_installed():
     try:
         metadata.distribution("ckgraph")

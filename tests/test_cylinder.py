@@ -6,7 +6,7 @@ import pytest
 
 import ckgraph as ck
 from ckgraph.analysis import (cylinder_kappa, cylinder_mean_curvature,
-                              inf_boundary_cylinder_curvature, level_curves)
+                              _boundary_curves, inf_boundary_cylinder_curvature)
 from ckgraph.mesh import closed_polyline_geometry, mesh_from_arrays
 
 FLAT = ck.preset_ambient("killing_flat")
@@ -74,7 +74,7 @@ def test_generic_polyline_estimate():
     mesh = ck.disk_mesh(0.3, 0.03, FLAT)
     generic = mesh_from_arrays(mesh.vertices, mesh.triangles,
                                mesh.boundary_loops, FLAT)
-    [(pts, normal, vals)] = level_curves(generic, FLAT, 0.0)
+    [(pts, normal, vals)] = _boundary_curves(generic, FLAT)
     loop = generic.boundary_loops[0]
     assert np.array_equal(pts, generic.vertices[loop])
     assert np.array_equal(normal, generic.boundary_normal[loop])
