@@ -620,7 +620,14 @@ def _eikonal_sweep(vertices, triangles, dist, ambient):
     (straight-segment travel across each element in its centroid metric,
     :func:`_corner_update`), updating all ``3 nt`` corners per sweep from
     the previous field (Jacobi), so the result does not depend on the vertex
-    or triangle order.  Values only decrease; the sweeps stop when one
+    or triangle order.  Each sweep takes the least of the starting value and
+    the corner updates from the previous field, not of the previous value,
+    so the fixed point holds each value as the least update from its final
+    neighbours whatever the path to it, and a start above the result (the
+    boundary zeros, or edge-path lengths) reaches the same bits although
+    the rounded update is not monotone to the last ulp.  Rounding can also
+    cycle the last ulps of a few values; a field seen before ends the sweeps
+    with each value's least over one period.  The sweeps stop when one
     changes nothing, and MeshError is raised if ``nv`` sweeps do not get
     there.
     """
@@ -636,12 +643,27 @@ def _eikonal_sweep(vertices, triangles, dist, ambient):
     A, B = form(e, e), form(e, w)
     D = _spd_inverse(S)[1] * _cross2(e, w)**2   # A C - B^2 without cancellation
     l_a, l_b = np.sqrt(form(w - e, w - e)), np.sqrt(form(w, w))
-    for _ in range(len(dist)):
-        new = dist.copy()
+    start = dist
+
+    def sweep(dist):
+        new = start.copy()
         np.minimum.at(new, c, _corner_update(dist[a], dist[b], A, B, D, l_a, l_b))
+        return new
+
+    seen = {}
+    for k in range(len(dist)):
+        new = sweep(dist)
         if np.array_equal(new, dist):
             return dist
         dist = new
+        key = hash(dist.tobytes())
+        if key in seen:
+            low = dist
+            for _ in range(k - seen[key]):
+                dist = sweep(dist)
+                low = np.minimum(low, dist)
+            return low
+        seen[key] = k
     raise MeshError(f"distance to the boundary did not converge in {len(dist)} sweeps")
 
 

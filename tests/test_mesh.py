@@ -611,6 +611,18 @@ def test_generic_distance_independent_of_start_jittered(kind):
     assert np.all(np.abs(dist - ref) <= 1e-14 * ref)
 
 
+def test_generic_distance_settles_a_rounding_cycle():
+    # on this jittered annulus the rounded update cycles the last ulp of a
+    # vertex with period 4 instead of settling
+    mesh, amb = _preset("annulus", 0.3, 0.04)
+    rng = np.random.default_rng(2)
+    verts = mesh.vertices.copy()
+    inner = mesh.interior_vertices
+    verts[inner] += rng.uniform(-0.2, 0.2, (len(inner), 2)) * mesh.h
+    dist, ref = _from_reference_start(verts, mesh.triangles, mesh.boundary_loops, amb)
+    assert np.array_equal(dist, ref)
+
+
 def test_generic_distance_unconverged_is_an_error(monkeypatch):
     import ckgraph.mesh as mesh_mod
     update = mesh_mod._corner_update
