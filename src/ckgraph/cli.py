@@ -203,8 +203,8 @@ def cmd_verify(args) -> int:
     problem = loaded.problem
     H_rec, mask = mean_curvature_of_graph(problem, z)
     if not np.any(mask):
-        print("error: no interior vertices with confident recovery",
-              file=sys.stderr)
+        print("error: no vertex with confident recovery: no 2-ring determines "
+              "a quadratic", file=sys.stderr)
         return 1
     diff = np.abs(H_rec.values[mask] - problem.H.values[mask])
     tol = loaded.verify_tolerance if args.tol is None else args.tol

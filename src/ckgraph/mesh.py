@@ -704,10 +704,10 @@ def _index_array(obj, what: str, n_vertices: int) -> np.ndarray:
     return a.astype(int)
 
 
-def _checked_arrays(vertices, triangles, boundary_loops):
-    """Vertices as finite ``(nv, 2)`` floats, triangles as ``(nt, 3)`` and
-    loops as lists of at least three vertex indices in range; MeshError
-    otherwise."""
+def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
+    """Finite ``(nv, 2)`` vertices, below chart radius pi on the round sphere
+    metric, ``(nt, 3)`` triangles and loops of at least three vertex indices
+    in range, none listed twice; MeshError otherwise."""
     if _holds_bool(vertices):
         raise MeshError("vertices must be rows of two numbers")
     try:
@@ -716,6 +716,12 @@ def _checked_arrays(vertices, triangles, boundary_loops):
         raise MeshError("vertices must be rows of two numbers") from None
     if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.all(np.isfinite(vertices)):
         raise MeshError("vertices must be rows of two finite numbers")
+    if ambient.base_metric is round_sphere_metric:
+        radius = np.linalg.norm(vertices, axis=1)
+        v = int(np.argmax(radius))
+        if radius[v] >= math.pi:
+            raise MeshError(f"vertex {v} at chart radius {float(radius[v])!r} reaches the "
+                            "antipode (pi) of the round sphere metric")
     nv = len(vertices)
     triangles = _index_array(triangles, "triangles", nv)
     if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
@@ -733,6 +739,9 @@ def _checked_arrays(vertices, triangles, boundary_loops):
         if loop.ndim != 1 or len(loop) < 3:
             raise MeshError(f"boundary loop {k} must list at least 3 vertex indices")
         loops.append(loop)
+    listed, count = np.unique(np.concatenate(loops), return_counts=True)
+    if np.any(count > 1):
+        raise MeshError(f"boundary loops list vertex {listed[np.argmax(count)]} twice")
     return vertices, triangles, loops
 
 
@@ -742,7 +751,7 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace)
     Outer loops are re-ordered counterclockwise and inner loops clockwise so
     the interior is on the left everywhere.
     """
-    vertices, triangles, loops = _checked_arrays(vertices, triangles, boundary_loops)
+    vertices, triangles, loops = _checked_arrays(vertices, triangles, boundary_loops, ambient)
     areas = [_loop_orientation_area(vertices, l) for l in loops]
     outer = int(np.argmax(np.abs(areas)))
     for k, loop in enumerate(loops):

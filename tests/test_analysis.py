@@ -577,6 +577,21 @@ def test_preset_closed_forms_match_generic_estimates(kind, ambient):
     assert np.abs(hess - hess_g)[sel].max() <= 0.15 * np.abs(hess[sel]).max()
 
 
+def test_generic_level_set_one_spacing_deep_keeps_both_loops():
+    # at depth h = 0.05, the spacing the annulus is built with (its longest
+    # edge is 0.072), every level-set point lies in an element that touches
+    # the boundary; the boundary vertices' recovery is confident, so both
+    # loops keep all their points, within 10% of the preset's closed forms
+    amb = ck.preset_ambient("killing_flat")
+    mesh = ck.annulus_mesh(0.3, 0.7, 0.05, amb)
+    generic = _generic(mesh, amb)
+    [curves] = level_curves(ck.Problem.create(amb, generic, 0.0, 0.0), [0.05])
+    [closed] = level_curves(ck.Problem.create(amb, mesh, 0.0, 0.0), [0.05])
+    assert [len(c[0]) for c in curves] == [len(loop) for loop in generic.boundary_loops]
+    for (_, _, kappa), (_, _, exact) in zip(curves, closed, strict=True):
+        assert np.abs(kappa - exact).max() <= 0.1 * np.abs(exact).max()
+
+
 # -- helpers ----------------------------------------------------------------
 
 

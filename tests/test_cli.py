@@ -482,6 +482,45 @@ def test_mesh_without_interior_vertex_exit_1(tmp_path, capsys, command):
     _assert_clean_exit_1(argv, capsys, f"{mesh_path}: no interior vertex")
 
 
+def _square(half, loop):
+    """A five-vertex square of half-side ``half`` around its centre vertex."""
+    return {"vertices": [[-half, -half], [half, -half], [half, half], [-half, half], [0, 0]],
+            "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]], "boundary": [loop]}
+
+
+def test_boundary_loop_winding_twice_exit_1(tmp_path, capsys):
+    # every loop edge is one-sided and covered, but the loop lists each
+    # boundary vertex twice
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    mesh_path = _write(tmp_path, "mesh.json", _square(0.3, [0, 1, 2, 3, 0, 1, 2, 3]))
+    _assert_clean_exit_1(["solve", prob, "--out", str(tmp_path / "out")], capsys,
+                         f"{mesh_path}: boundary loops list vertex 0 twice")
+
+
+def test_verify_without_confident_vertex_exit_1(tmp_path, capsys):
+    # every 2-ring of the five-vertex square holds the other 4 vertices,
+    # too few to determine a quadratic
+    prob = _write(tmp_path, "problem.json", _mesh_file_doc())
+    _write(tmp_path, "mesh.json", _square(0.3, [0, 1, 2, 3]))
+    out = tmp_path / "out"
+    assert main(["solve", prob, "--out", str(out)]) == 0
+    _assert_clean_exit_1(["verify", prob, str(out / "solution.csv")], capsys,
+                         "no vertex with confident recovery")
+
+
+def test_mesh_beyond_the_round_chart_exit_1(tmp_path, capsys):
+    # the corners of a square of half-side 3 lie at chart radius 3 sqrt 2 > pi,
+    # where geodesic polar coordinates of the unit sphere are no chart
+    doc = dict(_mesh_file_doc(), ambient={"preset": "euclidean_radial"})
+    prob = _write(tmp_path, "problem.json", doc)
+    mesh_path = _write(tmp_path, "mesh.json", _square(3.0, [0, 1, 2, 3]))
+    _assert_clean_exit_1(["solve", prob, "--out", str(tmp_path / "out")], capsys,
+                         f"{mesh_path}: vertex 0 at chart radius {math.sqrt(18)!r} "
+                         "reaches the antipode")
+    # the same square at half-side 2, inside the chart, loads
+    ck.mesh_from_json(_square(2.0, [0, 1, 2, 3]), ck.preset_ambient("euclidean_radial"))
+
+
 def _jittered_disk():
     """A generic mesh: disk_mesh(0.4, 0.05) with every interior vertex moved
     by up to a fifth of the ring spacing, so coordinates take all 17 digits."""

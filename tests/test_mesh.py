@@ -417,6 +417,7 @@ def _small_doc():
     (lambda d: d.__setitem__("boundary", []), "at least one boundary loop"),
     (lambda d: d.__setitem__("boundary", [[0, 1]]), "at least 3 vertex indices"),
     (lambda d: d.__setitem__("boundary", 5), "at least one boundary loop"),
+    (lambda d: d["boundary"].__setitem__(0, 2 * d["boundary"][0]), "list vertex 7 twice"),
     (lambda d: d.pop("triangles"), "missing key 'triangles'"),
 ])
 def test_malformed_arrays_rejected(edit, message):

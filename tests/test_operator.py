@@ -284,24 +284,26 @@ def christoffel_symbols(ambient, pts):
 
 def _recovery_loop(mesh, ambient, values):
     """The former per-vertex patch recovery, kept as a reference: one
-    column-scaled ``lstsq`` fit over each 2-ring."""
+    column-scaled ``lstsq`` fit over each 2-ring, kept where the squared
+    singular values of the scaled stencil, the eigenvalues of its normal
+    matrix, have a product above 1e-6; zeros elsewhere."""
     rings = np.split(mesh.vertex_rings(2)[1], mesh.vertex_rings(2)[0][1:-1])
-    is_b = mesh.is_boundary
     nv = mesh.n_vertices
     grad, hess = np.zeros((nv, 2)), np.zeros((nv, 2, 2))
-    confident = np.ones(nv, dtype=bool)
+    confident = np.zeros(nv, dtype=bool)
     Gam = christoffel_symbols(ambient, mesh.vertices)
     for v in range(nv):
         nbrs = rings[v]
-        if is_b[v] or len(nbrs) < 5:
-            confident[v] = False
         pts = mesh.vertices[nbrs] - mesh.vertices[v]
         rhs = values[nbrs] - values[v]
         M = np.stack([pts[:, 0], pts[:, 1], 0.5 * pts[:, 0] ** 2,
                       pts[:, 0] * pts[:, 1], 0.5 * pts[:, 1] ** 2], axis=1)
         scale = np.linalg.norm(M, axis=0)
         scale[scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(M / scale, rhs, rcond=None)
+        coef, _, _, sv = np.linalg.lstsq(M / scale, rhs, rcond=None)
+        confident[v] = len(sv) == 5 and np.prod(sv**2) > 1e-6
+        if not confident[v]:
+            continue
         coef /= scale
         grad[v] = coef[:2]
         Hc = np.array([[coef[2], coef[3]], [coef[3], coef[4]]])
@@ -354,7 +356,8 @@ def test_batched_recovery_matches_loop(ambient, build):
 
 def _recovery_whole(mesh, ambient, values):
     """The former whole-mesh patch recovery, kept as a reference: every
-    2-ring padded to the largest one and all stencils fitted in one batch."""
+    2-ring padded to the largest one and all confident stencils fitted in
+    one batch."""
     ptr, nbr = mesh.vertex_rings(depth=2)
     count = np.diff(ptr)
     slot = np.arange(count.max())
@@ -369,24 +372,16 @@ def _recovery_whole(mesh, ambient, values):
     N, b = Mt @ M, (Mt @ rhs[..., None])[..., 0]
     scale = np.sqrt(np.diagonal(N, axis1=1, axis2=2))
     scale[scale == 0] = 1.0
-    coef = np.empty((len(count), 5))
-    full = count >= 5
-    try:
-        coef[full] = np.linalg.solve(
-            N[full] / (scale[full, :, None] * scale[full, None, :]),
-            (b[full] / scale[full])[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        full[:] = False
-    few = ~full
-    rtol = np.finfo(float).eps * np.maximum(count[few], 5)
-    coef[few] = (np.linalg.pinv(M[few] / scale[few, None], rtol=rtol)
-                 @ rhs[few, :, None])[..., 0]
+    N /= scale[:, :, None] * scale[:, None, :]
+    conf = np.linalg.det(N) > 1e-6
+    coef = np.zeros((len(count), 5))
+    coef[conf] = np.linalg.solve(N[conf], (b[conf] / scale[conf])[..., None])[..., 0]
     coef /= scale
     grad = coef[:, :2]
     Hc = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
     Gam = christoffel_symbols(ambient, mesh.vertices)
     hess = Hc - np.einsum("vkij,vk->vij", Gam, grad)
-    return grad, hess, (count >= 5) & ~mesh.is_boundary
+    return grad, hess, conf
 
 
 def _relabelled_disk(amb):
@@ -437,8 +432,8 @@ def _generic(mesh, amb):
     _relabelled_disk,
 ], ids=["disk", "generic_disk", "jittered", "generic_annulus", "relabelled"])
 def test_confident_recovery_reaches_the_boundary_ring(build):
-    # the one-sided 2-rings next to the boundary reproduce a quadratic, so
-    # the interior vertices of the boundary 1-ring are confident
+    # the one-sided 2-rings at and next to the boundary reproduce a
+    # quadratic, so every vertex is confident, boundary vertices included
     amb = ck.preset_ambient("killing_flat")
     mesh = build(amb)
     a, b, hxx, hxy, hyy = np.random.default_rng(5).uniform(-1.0, 1.0, 5)
@@ -449,14 +444,34 @@ def test_confident_recovery_reaches_the_boundary_ring(build):
     exact_hess = np.array([[hxx, hxy], [hxy, hyy]])
     assert np.abs(grad[conf] - exact_grad[conf]).max() <= 1e-9 * np.abs(exact_grad).max()
     assert np.abs(hess[conf] - exact_hess).max() <= 1e-9 * np.abs(exact_hess).max()
-    edges = mesh.edge_table()[0]
-    is_b = mesh.is_boundary
-    ring = np.zeros(mesh.n_vertices, dtype=bool)
-    ring[edges[is_b[edges[:, 0]], 1]] = True
-    ring[edges[is_b[edges[:, 1]], 0]] = True
-    ring &= ~is_b
-    assert conf[ring].all()
-    assert not conf[is_b].any()
+    assert conf.all()
+
+
+def _cross(amb):
+    """Nine vertices on the two axes, two diamonds around the origin: every
+    2-ring has 8 points on two lines, so every normal matrix is singular,
+    at the five interior vertices too."""
+    verts = [[0.0, 0.0]] + [[r * c, r * s] for r in (0.1, 0.2)
+                            for c, s in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+    tris = [[0, 1 + k, 1 + (k + 1) % 4] for k in range(4)] \
+        + [t for k in range(4) for t in ([1 + k, 5 + k, 5 + (k + 1) % 4],
+                                         [1 + k, 5 + (k + 1) % 4, 1 + (k + 1) % 4])]
+    return ck.mesh_from_arrays(np.array(verts), tris, [[5, 6, 7, 8]], amb)
+
+
+@pytest.mark.parametrize("build, vertex", [(_strip, 3), (_cross, 0)],
+                         ids=["strip", "cross"])
+def test_stencil_on_two_lines_is_not_confident(build, vertex):
+    # enough stencil points in number, but on two lines (the strip's conic
+    # y (y - 0.1) = 0, the cross's xy = 0), where a quadratic vanishes, so
+    # the stencil determines none; the cross's centre is an interior vertex
+    amb = ck.preset_ambient("killing_flat")
+    mesh = build(amb)
+    assert np.diff(mesh.vertex_rings(2)[0])[vertex] == 8
+    x, y = mesh.vertices.T
+    grad, hess, conf = recover_gradient_hessian(mesh, amb, x**2 + y)
+    assert not conf[vertex]
+    assert not grad[vertex].any() and not hess[vertex].any()
 
 
 def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
