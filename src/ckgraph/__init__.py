@@ -23,7 +23,7 @@ from .errors import (DomainError, MeshError, NewtonStallError, ParameterError,
 from .fields import ScalarField
 from .mesh import (DomainMesh, annulus_mesh, cap_mesh, disk_mesh,
                    mesh_from_arrays, mesh_from_json, mesh_to_json)
-from .operator import Problem, SparseSystem, mean_curvature_of_graph
+from .operator import Problem, mean_curvature_of_graph
 from .problemfile import LoadedProblem, load_problem
 from .solver import (NewtonRecord, SolveReport, SolverOptions,
                      continuation_solve, linear_solve, newton_solve)

@@ -527,9 +527,10 @@ def _spider_web(numbers, radii, counts, first):
     return verts, tris + first, ptr + first
 
 
-def _finalize(vertices, triangles, loops, normals, dist, polar, ambient):
-    """Assemble and validate a mesh."""
-    table, lengths = _sigma_edges(vertices, triangles, ambient)
+def _finalize(vertices, triangles, loops, normals, dist, polar, ambient, edges):
+    """Assemble and validate a mesh from its parts and its leaf-metric
+    edge table ``edges`` (``_sigma_edges``)."""
+    table, lengths = edges
     mesh = DomainMesh(
         vertices=vertices, triangles=triangles, boundary_loops=loops,
         boundary_normal=normals, dist_to_boundary=dist,
@@ -567,7 +568,8 @@ def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> D
     normals = np.zeros_like(verts)
     # radial lines are unit-speed: the chart radial direction is a unit normal
     normals[b] = np.where(polar._outer(rr[b]), -1.0, 1.0)[:, None] * verts[b] / rr[b, None]
-    return _finalize(verts, tris, loops, normals, dist, polar, ambient)
+    return _finalize(verts, tris, loops, normals, dist, polar, ambient,
+                     _sigma_edges(verts, tris, ambient))
 
 
 def disk_mesh(radius: float, h: float, ambient: AmbientSpace) -> DomainMesh:
@@ -704,10 +706,21 @@ def _index_array(obj, what: str, n_vertices: int) -> np.ndarray:
     return a.astype(int)
 
 
+# The leaf-metric edge lengths and element areas a mesh file may have: the
+# fourth powers of lengths that the relaxation (``D = A C - B^2``), the
+# operator (squared areas) and the recovery (its normal matrix) form then
+# stay within [1e-120, 1e120], far from overflow and underflow.
+_LENGTH_RANGE = (1e-30, 1e30)
+_AREA_RANGE = (1e-60, 1e60)
+
+
 def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
     """Finite ``(nv, 2)`` vertices, below chart radius pi on the round sphere
-    metric, ``(nt, 3)`` triangles and loops of at least three vertex indices
-    in range, none listed twice; MeshError otherwise."""
+    metric, ``(nt, 3)`` triangles, their edges (``_sigma_edges``) with
+    leaf-metric lengths in ``_LENGTH_RANGE`` and leaf-metric areas (metric
+    at the centroid, sign aside: that is the orientation rule's) in
+    ``_AREA_RANGE``, and loops of at least three vertex indices in range,
+    none listed twice; MeshError otherwise."""
     if _holds_bool(vertices):
         raise MeshError("vertices must be rows of two numbers")
     try:
@@ -729,6 +742,21 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
     unused = np.bincount(triangles.ravel(), minlength=nv) == 0
     if np.any(unused):
         raise MeshError(f"vertex {int(np.argmax(unused))} is in no triangle")
+    with np.errstate(all="ignore"):     # out-of-range coordinates overflow: refused below
+        edges = _sigma_edges(vertices, triangles, ambient)
+        det = _spd_inverse(ambient.base_metric(vertices[triangles].mean(axis=1)))[1]
+        areas = np.abs(_chart_areas(vertices, triangles)) * np.sqrt(det)
+    (pairs, _), lengths = edges
+    lo, hi = _LENGTH_RANGE
+    bad = np.flatnonzero(~((lengths >= lo) & (lengths <= hi)))     # NaN included
+    if len(bad):
+        raise MeshError(f"edge ({pairs[bad[0], 0]}, {pairs[bad[0], 1]}) has leaf-metric "
+                        f"length {float(lengths[bad[0]])!r}, outside [{lo:g}, {hi:g}]")
+    lo, hi = _AREA_RANGE
+    bad = np.flatnonzero(~((areas >= lo) & (areas <= hi)))
+    if len(bad):
+        raise MeshError(f"element {bad[0]} has leaf-metric area {float(areas[bad[0]])!r}, "
+                        f"outside [{lo:g}, {hi:g}]")
     if isinstance(boundary_loops, np.ndarray):
         boundary_loops = list(boundary_loops)
     if not isinstance(boundary_loops, (list, tuple)) or len(boundary_loops) == 0:
@@ -742,7 +770,7 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
     listed, count = np.unique(np.concatenate(loops), return_counts=True)
     if np.any(count > 1):
         raise MeshError(f"boundary loops list vertex {listed[np.argmax(count)]} twice")
-    return vertices, triangles, loops
+    return vertices, triangles, loops, edges
 
 
 def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace) -> DomainMesh:
@@ -751,7 +779,8 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace)
     Outer loops are re-ordered counterclockwise and inner loops clockwise so
     the interior is on the left everywhere.
     """
-    vertices, triangles, loops = _checked_arrays(vertices, triangles, boundary_loops, ambient)
+    vertices, triangles, loops, edges = _checked_arrays(vertices, triangles, boundary_loops,
+                                                        ambient)
     areas = [_loop_orientation_area(vertices, l) for l in loops]
     outer = int(np.argmax(np.abs(areas)))
     for k, loop in enumerate(loops):
@@ -771,7 +800,7 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace)
     dist = np.full(len(vertices), np.inf)
     dist[sources] = 0.0
     dist = _eikonal_sweep(vertices, triangles, dist, ambient)
-    return _finalize(vertices, triangles, loops, normals, dist, None, ambient)
+    return _finalize(vertices, triangles, loops, normals, dist, None, ambient, edges)
 
 
 # -- JSON exchange ----------------------------------------------------------

@@ -19,8 +19,6 @@ evaluated at the element-midpoint value of ``z``.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .ambient import AmbientSpace, n
@@ -29,7 +27,7 @@ from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients, _ring_rows, _spd_inverse
 
 __all__ = [
-    "Problem", "SparseSystem", "strong_form_Q", "mean_curvature_of_graph",
+    "Problem", "strong_form_Q", "mean_curvature_of_graph",
     "recover_gradient_hessian",
 ]
 
@@ -60,7 +58,7 @@ class Problem:
                 f"$.phi: lambda is not positive at boundary vertex "
                 f"{int(self.mesh.boundary_vertices[k])}: phi = {float(bvals[k])!r}, "
                 f"lambda = {float(lam_b[k])!r}")
-        self._assembly, self._derived = None, {}
+        self._derived = {}
 
     @classmethod
     def create(cls, ambient, mesh, H, phi) -> "Problem":
@@ -71,9 +69,7 @@ class Problem:
         return cls(ambient, mesh, H, np.asarray(phi, dtype=float))
 
     def assembly(self) -> "_Assembly":
-        if self._assembly is None:
-            self._assembly = _Assembly(self)
-        return self._assembly
+        return self.derived("assembly", lambda: _Assembly(self))
 
     def derived(self, key, build):
         """Data that depends on the problem alone, built once per ``key``:
@@ -87,17 +83,6 @@ class Problem:
         boundary distance field (see ``recover_gradient_hessian``)."""
         return self.derived("distance_recovery", lambda: recover_gradient_hessian(
             self.mesh, self.ambient, self.mesh.dist_to_boundary))
-
-
-class SparseSystem:
-    """Interior Jacobian of the weak operator; the residual at the same
-    ``(z, tau)`` comes from ``_Assembly.residual``."""
-
-    def __init__(self, jacobian: "FrontMatrix", path_rate: Optional[np.ndarray] = None):
-        self.jacobian = jacobian      # (ni, ni), from ckgraph.frontal
-        # (ni,) tau-derivative of the residual along the continuation path
-        # (interior held, boundary at tau * phi); only from system(tangent=True)
-        self.path_rate = path_rate
 
 
 # -- assembly ---------------------------------------------------------------
@@ -291,7 +276,7 @@ class _Assembly:
     def _local(self, ev: _Evaluation):
         """Exact derivatives of the element residual of ``ev`` with respect
         to the element values, ``local[a, b, e]`` for row vertex ``a`` and
-        column vertex ``b`` (3, 3, nt), and to ``tau`` (3, nt).
+        column vertex ``b`` (3, 3, nt).
 
         Each term is a sum of outer products over the local vertices: the
         centroid flux gives ``G Sinv_c G^T`` and ``Pc Pc^T``; the midpoint
@@ -313,9 +298,7 @@ class _Assembly:
         local -= X[:, None] * self.Gx[None]
         local -= Y[:, None] * self.Gy[None]
         local -= C[:, None]
-        # L_q is affine in tau, so this rate is exact
-        L_tau = n * (self.gam_q * ev.rho_m / ev.U_q + ev.lam_m * self.H_q)
-        return local, -(_HATS @ (self.w_q * L_tau))
+        return local
 
     # -- residual and Jacobian ---------------------------------------------
 
@@ -330,33 +313,32 @@ class _Assembly:
         gx, gy, _ = self._element_state(z)
         return self._scatter(self._divergence(gx, gy)[2])
 
-    def residual(self, z, tau: float, keep=False):
-        """Interior Newton residual; with ``keep`` also its element pass, for
-        ``system`` at the same ``(z, tau)``."""
+    def residual(self, z, tau: float):
+        """Interior Newton residual at ``(z, tau)`` and its element pass,
+        from which ``system`` builds the Newton system."""
         ev = self._evaluate(z, tau)
-        r = self._scatter(ev.val)[self.interior]
-        return (r, ev) if keep else r
+        return self._scatter(ev.val)[self.interior], ev
 
-    def system(self, z, tau: float, tangent=False,
-               evaluation: Optional[_Evaluation] = None) -> SparseSystem:
-        """Interior Jacobian; with ``tangent`` also the path rate
-        ``dR_i/dtau + J_ib phi_b`` from the same element pass.  An
-        ``evaluation`` from ``residual(z, tau, keep=True)`` spares the
-        residual pass."""
+    def system(self, ev: _Evaluation, tangent=False):
+        """Interior Jacobian ``FrontMatrix`` of the element pass ``ev`` and,
+        with ``tangent``, the path rate ``dR_i/dtau + J_ib phi_b`` (None
+        without): the tau-derivative of the residual along the continuation
+        path, interior held and boundary at ``tau * phi``."""
         from .frontal import FrontMatrix
-        ev = evaluation if evaluation is not None else self._evaluate(z, tau)
-        local, rate = self._local(ev)
+        local = self._local(ev)
         J = FrontMatrix(self.tree, np.bincount(self._slot, weights=local.ravel(),
                                                minlength=self._nnz + 1)[:-1])
-        path_rate = None
-        if tangent:
-            # boundary data per element, zero at interior vertices
-            mesh = self.mesh
-            phi_b = np.zeros(mesh.n_vertices)
-            phi_b[mesh.boundary_vertices] = self.phi[mesh.boundary_vertices]
-            rate += np.einsum("abe,be->ae", local, phi_b[self._triT])
-            path_rate = self._scatter(rate)[self.interior]
-        return SparseSystem(J, path_rate)
+        if not tangent:
+            return J, None
+        # L_q is affine in tau, so this rate is exact
+        L_tau = self.n * (self.gam_q * ev.rho_m / ev.U_q + ev.lam_m * self.H_q)
+        rate = -(_HATS @ (self.w_q * L_tau))
+        # boundary data per element, zero at interior vertices
+        mesh = self.mesh
+        phi_b = np.zeros(mesh.n_vertices)
+        phi_b[mesh.boundary_vertices] = self.phi[mesh.boundary_vertices]
+        rate += np.einsum("abe,be->ae", local, phi_b[self._triT])
+        return J, self._scatter(rate)[self.interior]
 
 
 # -- derivative recovery ----------------------------------------------------

@@ -117,14 +117,14 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     def res_norm(zz):
         # the residual and its element pass go on to the Newton step if zz
         # is accepted
-        r, ev = asm.residual(zz, tau, keep=True)
+        r, ev = asm.residual(zz, tau)
         return float(np.abs(r).max()), r, ev
 
     rnorm, r, ev = res_norm(z)
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
             return z, records, clamped, ev
-        jacobian = asm.system(z, tau, evaluation=ev).jacobian
+        jacobian, _ = asm.system(ev)
         ev = None       # the element pass is not held through the factorization
         step = linear_solve(jacobian, -r)
         del jacobian
@@ -166,28 +166,6 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         f"(residual {rnorm:.3e} after {options.max_newton_iters} iterations)",
         best_iterate=z, iterations=options.max_newton_iters,
         residual_norm=rnorm)
-
-
-def _tangent_system(problem: Problem, z: np.ndarray, tau: float, evaluation=None):
-    """The system ``J_ii dz = -(dR_i/dtau + J_ib phi_b)`` of the path
-    tangent ``dz/dtau`` at a converged ``(z, tau)``, or None when it cannot
-    be assembled.  ``evaluation`` is the element pass at ``(z, tau)`` when
-    the caller has it; drop it before ``_path_tangent`` factors the system."""
-    try:
-        return problem.assembly().system(z, tau, tangent=True, evaluation=evaluation)
-    except (SingularSystemError, DomainError):
-        return None
-
-
-def _path_tangent(system) -> Optional[np.ndarray]:
-    """Interior tangent from a ``_tangent_system``; None when there is no
-    system or it cannot be solved."""
-    if system is None:
-        return None
-    try:
-        return linear_solve(system.jacobian, -system.path_rate)
-    except SingularSystemError:
-        return None
 
 
 def continuation_solve(problem: Problem,
@@ -232,9 +210,7 @@ def continuation_solve(problem: Problem,
                 grad_sup_history=[0.0, problem.assembly().grad_sup(z)],
                 newton_history=records, clamped=clamped,
                 path={"kind": "sequenced", "companion": summary})
-            if clamped:
-                report.message = "iterates were clamped below the interval end"
-            return report
+            return _converged(report)
     report = _march(problem, options, on_iteration)
     report.path = {"kind": "continuation", "companion": summary,
                    "fallback": fallback}
@@ -282,8 +258,20 @@ def _march(problem: Problem, options: SolverOptions,
     report.grad_sup_history.append(asm.grad_sup(z))
 
     tau, step = 0.0, options.initial_tau_step
-    tangent = _path_tangent(_tangent_system(problem, z, tau))
+    # the element pass at the last accepted solution, for the next tangent
+    _, evaluation = asm.residual(z, tau)
     while tau < 1.0:
+        if evaluation is not None:
+            # the tangent solves J_ii dz = -(dR_i/dtau + J_ib phi_b); neither
+            # the element pass nor the system is held through a factorization
+            # they are not part of: peak memory
+            jacobian, rate = asm.system(evaluation, tangent=True)
+            evaluation = None
+            try:
+                tangent = linear_solve(jacobian, -rate)
+            except SingularSystemError:
+                tangent = None
+            del jacobian, rate
         target = min(1.0, tau + step)
         start = z
         if tangent is not None:
@@ -315,15 +303,14 @@ def _march(problem: Problem, options: SolverOptions,
         tau, z = target, z_new
         report.tau_path.append(tau)
         report.grad_sup_history.append(asm.grad_sup(z))
-        if tau < 1.0:
-            system = _tangent_system(problem, z, tau, evaluation)
-            # neither the element pass nor the system is held through a
-            # factorization they are not part of: peak memory
-            del evaluation
-            tangent = _path_tangent(system)
-            del system
     report.tau_reached = 1.0
     report.solution = ScalarField(mesh, z)
+    return _converged(report)
+
+
+def _converged(report: SolveReport) -> SolveReport:
+    """``report`` of a solve that reached ``tau = 1``; a clamped one says so
+    in its message."""
     if report.clamped:
         report.message = "iterates were clamped below the interval end"
     return report

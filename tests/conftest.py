@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,18 @@ import pytest
 
 import ckgraph as ck
 from ckgraph.mesh import _hat_gradients
+
+
+def child_env(base=None):
+    """Environment for a child process that runs ckgraph: ``base``
+    (default: this process's environment) with ``PYTHONPATH`` at the package
+    under test and RuntimeWarnings made errors, as the suite's
+    ``filterwarnings`` makes them in this process, so a child that warns
+    fails however it exits."""
+    env = dict(os.environ if base is None else base)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(ck.__file__)))
+    env["PYTHONWARNINGS"] = "error::RuntimeWarning"
+    return env
 
 
 @pytest.fixture(scope="session")

@@ -99,12 +99,12 @@ def test_criterion_3_continuation_fidelity(cap_sequence, radial_sequence):
         for _ in range(10):
             z = 0.3 * rng.standard_normal(prob.mesh.n_vertices)
             tau = rng.uniform(0.0, 1.0)
-            J = asm.system(z, tau).jacobian
+            J, _ = asm.system(asm.residual(z, tau)[1])
             d = rng.standard_normal(prob.mesh.n_vertices)
             d[prob.mesh.boundary_vertices] = 0.0
             eps = 1e-6
-            fd = (asm.residual(z + eps * d, tau)
-                  - asm.residual(z - eps * d, tau)) / (2 * eps)
+            fd = (asm.residual(z + eps * d, tau)[0]
+                  - asm.residual(z - eps * d, tau)[0]) / (2 * eps)
             jd = J @ d[ii]
             worst = max(worst, float(np.abs(fd - jd).max()
                                      / max(np.abs(jd).max(), 1e-12)))

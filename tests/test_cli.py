@@ -19,6 +19,7 @@ from ckgraph.fields import ScalarField
 from ckgraph.mesh import _write_mesh_json
 from ckgraph.analysis import search_boundary_barrier
 from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors, load_problem
+from conftest import child_env
 
 
 def _write(tmp_path, name, doc):
@@ -521,6 +522,23 @@ def test_mesh_beyond_the_round_chart_exit_1(tmp_path, capsys):
     ck.mesh_from_json(_square(2.0, [0, 1, 2, 3]), ck.preset_ambient("euclidean_radial"))
 
 
+@pytest.mark.parametrize("half, fragment", [
+    (1e150, "length 2e+150"), (1e308, "length nan"), (1e-150, "length 2e-150")])
+def test_mesh_out_of_scale_exit_1(tmp_path, capsys, half, fragment):
+    # fourth powers of these lengths overflow or underflow a double: the
+    # load refuses each square, naming the edge, before anything forms them
+    doc = dict(_mesh_file_doc(), H={"constant": 0.0}, phi={"constant": -0.1})
+    prob = _write(tmp_path, "problem.json", doc)
+    mesh_path = _write(tmp_path, "mesh.json", _square(half, [0, 1, 2, 3]))
+    err = _assert_clean_exit_1(["solve", prob, "--out", str(tmp_path / "out")], capsys,
+                               f"{mesh_path}: edge (0, 1) has leaf-metric {fragment}, "
+                               "outside [1e-30, 1e+30]")
+    assert err.count("\n") == 1
+    # squares well inside the range load
+    for half in (1e-12, 1e12):
+        ck.mesh_from_json(_square(half, [0, 1, 2, 3]), ck.preset_ambient("killing_flat"))
+
+
 def _jittered_disk():
     """A generic mesh: disk_mesh(0.4, 0.05) with every interior vertex moved
     by up to a fifth of the ring spacing, so coordinates take all 17 digits."""
@@ -824,8 +842,7 @@ def test_closed_stdout_exits_cleanly(solved_run, command):
     argv = [sys.executable, "-m", "ckgraph.cli", command, prob]
     if command != "check":
         argv.append(str(out / "solution.csv"))
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(
-        os.path.dirname(os.path.abspath(ck.__file__)))}
+    env = child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -845,9 +862,8 @@ def test_thread_cap_env(tmp_path):
     # No inherited *_NUM_THREADS, so only CKG_THREADS can set the cap;
     # PYTHONPATH points the child at the package this test imported, and
     # the children write no bytecode beside it.
-    env = {"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONDONTWRITEBYTECODE": "1",
-           "PYTHONPATH": os.path.dirname(
-               os.path.dirname(os.path.abspath(ck.__file__)))}
+    env = child_env({"PATH": "/usr/bin:/bin:/usr/local/bin",
+                     "PYTHONDONTWRITEBYTECODE": "1"})
     prob = _write(tmp_path, "cap.json", _cap_doc(h=0.1))
     out = tmp_path / "run"
     proc = subprocess.run(
@@ -883,10 +899,8 @@ _MODULE_PROBE = (
 
 
 def _probed_modules_after(argv):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(
-        os.path.dirname(os.path.abspath(ck.__file__)))}
     proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()
 
@@ -988,10 +1002,8 @@ _EXIT_PROBE = (
 
 
 def _exit_probe(calls, argv):
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(
-        os.path.dirname(os.path.abspath(ck.__file__)))}
     proc = subprocess.run([sys.executable, "-c", _EXIT_PROBE, str(calls), *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()
 

@@ -434,6 +434,17 @@ def test_unused_vertex_rejected():
         mesh_from_json(doc, FLAT)
 
 
+def test_element_area_out_of_range_rejected():
+    # every edge length is in range, but element 0 has area 1e-70, whose
+    # square underflows
+    doc = {"vertices": [[0, 0], [2, 0], [2, 2], [0, 2], [1, 1e-70]],
+           "triangles": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]],
+           "boundary": [[0, 1, 2, 3]]}
+    with pytest.raises(MeshError, match=r"^mesh document: element 0 has leaf-metric "
+                                        r"area 1e-70, outside \[1e-60, 1e\+60\]$"):
+        mesh_from_json(doc, FLAT)
+
+
 # -- generic distance field (closed-form corner update, Jacobi sweeps) --------
 
 

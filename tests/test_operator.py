@@ -105,13 +105,14 @@ def test_path_rate_matches_finite_differences(problems):
         def res(t):
             zt = z.copy()
             zt[bv] = t * prob.phi[bv]
-            return asm.residual(zt, t)
+            return asm.residual(zt, t)[0]
 
         z[bv] = tau * prob.phi[bv]
-        rate = asm.system(z, tau, tangent=True).path_rate
+        _, ev = asm.residual(z, tau)
+        _, rate = asm.system(ev, tangent=True)
         fd = (res(tau + eps) - res(tau - eps)) / (2 * eps)
         assert np.abs(fd - rate).max() < 1e-6 * max(np.abs(rate).max(), 1.0)
-        assert asm.system(z, tau).path_rate is None
+        assert asm.system(ev)[1] is None
 
 
 def test_interval_violation_names_vertex():
@@ -133,10 +134,10 @@ def test_underflowing_lambda_keeps_residual_and_jacobian_finite(recwarn):
     z = prob.phi.copy()
     z[mesh.interior_vertices] = -800.0
     asm = prob.assembly()
-    r, ev = asm.residual(z, 1.0, keep=True)
-    system = asm.system(z, 1.0, tangent=True, evaluation=ev)
-    assert np.all(np.isfinite(r)) and np.all(np.isfinite(system.path_rate))
-    assert np.all(np.isfinite(system.jacobian.toarray()))
+    r, ev = asm.residual(z, 1.0)
+    J, rate = asm.system(ev, tangent=True)
+    assert np.all(np.isfinite(r)) and np.all(np.isfinite(rate))
+    assert np.all(np.isfinite(J.toarray()))
     assert len(recwarn) == 0
 
 
@@ -149,13 +150,13 @@ def test_jacobian_matches_finite_differences(problems):
         for _ in range(7):
             z = _random_state(prob, rng)
             tau = rng.uniform(0.0, 1.0)
-            J = asm.system(z, tau).jacobian.toarray()
+            J = asm.system(asm.residual(z, tau)[1])[0].toarray()
             eps = 1e-6
             for j in rng.choice(ii, size=3, replace=False):
                 d = np.zeros(prob.mesh.n_vertices)
                 d[j] = 1.0
-                fd = (asm.residual(z + eps * d, tau)
-                      - asm.residual(z - eps * d, tau)) / (2 * eps)
+                fd = (asm.residual(z + eps * d, tau)[0]
+                      - asm.residual(z - eps * d, tau)[0]) / (2 * eps)
                 col = J[:, pos[int(j)]]
                 rel = np.abs(fd - col).max() / max(np.abs(col).max(), 1e-12)
                 assert rel < 1e-6
@@ -179,13 +180,14 @@ def test_jacobian_whole_matrix_matches_element_sum():
     asm = prob.assembly()
     z = _random_state(prob, rng)
     z[mesh.boundary_vertices] = 0.7 * prob.phi[mesh.boundary_vertices]
-    local, _ = asm._local(asm._evaluate(z, 0.7))
+    _, ev = asm.residual(z, 0.7)
+    local = asm._local(ev)
     dense = np.zeros((mesh.n_vertices, mesh.n_vertices))
     for a in range(3):
         for b in range(3):
             np.add.at(dense, (mesh.triangles[:, a], mesh.triangles[:, b]), local[a, b])
     ref = dense[np.ix_(asm.interior, asm.interior)]
-    J = asm.system(z, 0.7).jacobian
+    J, _ = asm.system(ev)
     assert J.format == "csc"
     assert np.abs(J.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -249,7 +251,8 @@ def front_problems():
 def test_front_solve_matches_dense_solve(front_problems, which, seed, tau):
     prob = front_problems[which]
     rng = np.random.default_rng(seed)
-    J = prob.assembly().system(_random_state(prob, rng), tau).jacobian
+    asm = prob.assembly()
+    J, _ = asm.system(asm.residual(_random_state(prob, rng), tau)[1])
     b = rng.standard_normal(J.shape[0])
     ref = np.linalg.solve(J.toarray(), b)
     x = J.factor().solve(b)
@@ -611,9 +614,10 @@ def test_compacted_kernel_matches_full_fields_bitwise(ambient, metric, gamma, H,
                  (asm.flux_residual_full(z), full.flux_residual_full(z))):
         assert _bits(a) == _bits(b)
     assert asm.grad_sup(z) == full.grad_sup(z)
-    got, ref = asm.system(z, tau, tangent=True), full.system(z, tau, tangent=True)
-    assert _bits(got.jacobian.data) == _bits(ref.jacobian.data)
-    assert _bits(got.path_rate) == _bits(ref.path_rate)
+    got = asm.system(asm.residual(z, tau)[1], tangent=True)
+    ref = full.system(full.residual(z, tau)[1], tangent=True)
+    assert _bits(got[0].data) == _bits(ref[0].data)
+    assert _bits(got[1]) == _bits(ref[1])
 
 
 def test_recovery_expands_the_padding_width_once_per_mesh(monkeypatch):

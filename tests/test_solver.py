@@ -11,8 +11,8 @@ import ckgraph.frontal as frontal
 import ckgraph.solver as solver
 from ckgraph.frontal import FrontMatrix, FrontTree
 from ckgraph.problemfile import load_problem, load_problem_document
-from ckgraph.solver import (SolverOptions, _path_tangent, _tangent_system,
-                            continuation_solve, linear_solve, newton_solve)
+from ckgraph.solver import (SolverOptions, continuation_solve, linear_solve,
+                            newton_solve)
 
 
 def _front_matrix(dense, coords):
@@ -47,6 +47,38 @@ def test_linear_solve_singular():
                                                                    [1.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         linear_solve(A, np.array([1.0, 0.0]))
+
+
+def _tridiagonal(n=5):
+    """A dense diagonally dominant tridiagonal matrix and its FrontMatrix."""
+    dense = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
+    return dense, _front_matrix(dense, coords)
+
+
+def test_linear_solve_refinement_meets_the_bound(monkeypatch):
+    # the first solve is off by 1e-6 relative, beyond the bound; the one
+    # refinement step recovers the solution, which is returned
+    dense, A = _tridiagonal()
+    b = dense @ np.arange(1.0, 6.0)
+    solve, calls = frontal.FrontFactors.solve, []
+
+    def spy(self, rhs):
+        calls.append(1)
+        x = solve(self, rhs)
+        return x * (1 + 1e-6) if len(calls) == 1 else x
+    monkeypatch.setattr(frontal.FrontFactors, "solve", spy)
+    x = linear_solve(A, b)
+    assert len(calls) == 2
+    assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_linear_solve_non_finite_is_singular(monkeypatch):
+    dense, A = _tridiagonal()
+    monkeypatch.setattr(frontal.FrontFactors, "solve",
+                        lambda self, rhs: np.full(len(rhs), np.nan))
+    with pytest.raises(SingularSystemError, match="non-finite entries"):
+        linear_solve(A, dense @ np.ones(5))
 
 
 def test_front_tree_built_once_per_solve(monkeypatch):
@@ -151,10 +183,15 @@ def test_options_respected(cmc_problem):
 def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
     # dz/dtau at a converged stage against secants of two converged solves
     ii = cmc_problem.mesh.interior_vertices
+    asm = cmc_problem.assembly()
     z_half, _, _, ev = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
-    dz = _path_tangent(_tangent_system(cmc_problem, z_half, 0.5))
+
+    def tangent(evaluation):
+        jacobian, rate = asm.system(evaluation, tangent=True)
+        return linear_solve(jacobian, -rate)
+    dz = tangent(asm.residual(z_half, 0.5)[1])
     # Newton's last element pass gives the same tangent without a new pass
-    assert np.array_equal(_path_tangent(_tangent_system(cmc_problem, z_half, 0.5, ev)), dz)
+    assert np.array_equal(tangent(ev), dz)
     errs = []
     for d in (0.04, 0.02, 0.01):
         z_d, _, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
@@ -177,8 +214,9 @@ def test_stage_count_mesh_independent(cmc_solution):
 
 
 def test_continuation_element_passes_are_line_search_residuals(monkeypatch):
-    # Newton hands its last element pass to the next Jacobian or tangent, so
-    # the only pass outside the line search is the tangent at tau = 0
+    # Newton hands its last element pass to the next Jacobian or tangent, and
+    # the tangent at tau = 0 takes its pass from a residual call, so every
+    # element pass is a residual call
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.08, amb), 1.0, -np.sqrt(0.84))
     asm = prob.assembly()
@@ -195,7 +233,7 @@ def test_continuation_element_passes_are_line_search_residuals(monkeypatch):
     counted("residual")
     rep = continuation_solve(prob)
     assert rep.status == "converged" and len(rep.tau_path) > 2
-    assert calls["_evaluate"] == calls["residual"] + 1
+    assert calls["_evaluate"] == calls["residual"]
 
 
 def _without_tangent(monkeypatch, problem):
@@ -203,10 +241,13 @@ def _without_tangent(monkeypatch, problem):
     asm = problem.assembly()
     system = asm.system
 
-    def no_tangent(z, tau, tangent=False, **kwargs):
+    def no_tangent(ev, tangent=False):
+        jacobian, rate = system(ev)
         if tangent:
-            raise SingularSystemError("tangent system unavailable")
-        return system(z, tau, **kwargs)
+            # a singular tangent system: its factorization raises
+            jacobian = FrontMatrix(jacobian.tree, np.zeros_like(jacobian.data))
+            rate = np.zeros(jacobian.shape[0])
+        return jacobian, rate
     monkeypatch.setattr(asm, "system", no_tangent)
 
 

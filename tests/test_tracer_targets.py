@@ -4,7 +4,6 @@ report that layer as not measured, so every binding it lists must resolve."""
 
 import importlib
 import json
-import os
 import subprocess
 import sys
 import types
@@ -14,6 +13,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -71,9 +71,8 @@ def test_tracer_records_the_preset_mesh_build(tmp_path, ambient, domain):
     doc = {"ambient": {"preset": ambient}, "domain": domain, "resolution": 0.2,
            "H": {"constant": 0.0}, "phi": {"constant": -0.1}}
     (tmp_path / "problem.json").write_text(json.dumps(doc), encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(TRACER), "spans.json", "0.check", "check",
-                    "problem.json"], cwd=tmp_path, env=env, capture_output=True,
+                    "problem.json"], cwd=tmp_path, env=child_env(), capture_output=True,
                    timeout=120, check=False)
     record = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
     assert record["exit"] == 0
