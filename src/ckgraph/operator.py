@@ -110,6 +110,16 @@ def _constant(a):
     return a
 
 
+def _shared_row(a):
+    """Rows ``a`` ``(3, nt)`` as a read-only broadcast of one row when the
+    three have the same bits, else ``a`` itself; like ``_constant``, each
+    entry read goes through the same operations."""
+    bits = a.view(np.int64)
+    if np.all(bits == bits[0]):
+        return np.broadcast_to(a[0].copy(), a.shape)
+    return a
+
+
 class _Evaluation:
     """The residual pass of the element kernel at one ``(z, tau)``: the
     element residual ``val`` and the intermediates its Jacobian reuses.
@@ -139,7 +149,7 @@ class _Assembly:
         from .frontal import FrontTree   # here: of the ckg commands only solve needs it
         mesh = self.mesh = problem.mesh
         self.ambient, self.phi = problem.ambient, problem.phi
-        self._triT = _rows(mesh.triangles)               # (3, nt)
+        self._triT = _rows(mesh.triangles).astype(np.int32)  # (3, nt)
         self.n = n
         self._element_data(problem.H.values)
         self.interior = mesh.interior_vertices
@@ -167,11 +177,12 @@ class _Assembly:
         self.Sq, det_q = _spd_inverse(_rows(amb.base_metric(qp)))
         self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
         dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
-        Hv = H[self._triT]                               # (3, nt)
+        Hv = H.take(self._triT)                          # (3, nt)
         self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
         self.w_c = A * np.sqrt(det_c)
-        self.w_q = (A / 3.0) * np.sqrt(det_q)
+        # one row on a flat leaf, where det_q is 1
+        self.w_q = _shared_row((A / 3.0) * np.sqrt(det_q))
         q11, q12, q22 = self.Sq
         self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
         self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
@@ -182,7 +193,7 @@ class _Assembly:
         ni = len(self.interior)
         pos = np.full(self.mesh.n_vertices, -1)
         pos[self.interior] = np.arange(ni)
-        local_pos = pos[self._triT]
+        local_pos = pos.take(self._triT)
         nt = local_pos.shape[1]
         # entry (a, b, e) couples the element's vertex a (row) to b (column)
         # under the key col ni + row, which sorts in CSC order; an entry with
@@ -224,7 +235,7 @@ class _Assembly:
 
     def _element_state(self, z):
         """Chart gradient ``(gx, gy)`` and mean value of ``z`` per element."""
-        zt = z[self._triT]
+        zt = z.take(self._triT)
         return (self.Gx * zt).sum(axis=0), (self.Gy * zt).sum(axis=0), zt.mean(axis=0)
 
     def _sharp(self, gx, gy):
@@ -337,7 +348,7 @@ class _Assembly:
         mesh = self.mesh
         phi_b = np.zeros(mesh.n_vertices)
         phi_b[mesh.boundary_vertices] = self.phi[mesh.boundary_vertices]
-        rate += np.einsum("abe,be->ae", local, phi_b[self._triT])
+        rate += np.einsum("abe,be->ae", local, phi_b.take(self._triT))
         return J, self._scatter(rate)[self.interior]
 
 

@@ -1,4 +1,5 @@
-"""Damped Newton iteration and continuation in the load parameter."""
+"""Damped Newton iteration with chord steps, and continuation in the load
+parameter."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .fields import ScalarField
 from .operator import Problem
 
 __all__ = [
-    "SolverOptions", "NewtonRecord", "SolveReport",
+    "CHORD_CONTRACTION", "SolverOptions", "NewtonRecord", "SolveReport",
     "linear_solve", "newton_solve", "continuation_solve",
 ]
 
@@ -63,15 +64,30 @@ class SolveReport:
         return self.status == "converged"
 
 
-def linear_solve(system, rhs) -> np.ndarray:
-    """Multifrontal LU solve of a ``FrontMatrix`` with a residual check of
-    1e-12 relative to the right-hand side; raises on singular or badly
-    conditioned systems."""
-    rhs = np.asarray(rhs, dtype=float)
+# Deuflhard's contraction monitor (Newton Methods for Nonlinear Problems,
+# Springer 2004, ch. 2): a chord step, solved with the factorization of the
+# last full Newton step, is kept when it cuts the max-norm residual to at
+# most this fraction of its value; otherwise the Jacobian is factored anew.
+CHORD_CONTRACTION = 0.25
+
+
+def _factor(system):
+    """Multifrontal LU of a ``FrontMatrix``, the one factorization of every
+    solve; a singular pivot block raises ``SingularSystemError``."""
     try:
-        lu = system.factor()
+        return system.factor()
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+
+
+def linear_solve(system, rhs, factors=None) -> np.ndarray:
+    """Solve the ``FrontMatrix`` ``system`` with ``factors``, its
+    factorization, or with one made here when None, and check the residual
+    against ``system`` to 1e-12 relative to the right-hand side, after one
+    refinement step if need be; raises on singular or badly conditioned
+    systems."""
+    rhs = np.asarray(rhs, dtype=float)
+    lu = _factor(system) if factors is None else factors
     x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite entries")
@@ -97,13 +113,23 @@ def _clamp(z, problem: Problem, options: SolverOptions):
 def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
                  options: Optional[SolverOptions] = None,
                  on_iteration: Optional[Callable] = None):
-    """Damped Newton iteration at fixed ``tau``.
+    """Damped Newton iteration at fixed ``tau``, with chord steps.
 
-    Boundary values are imposed strongly as ``tau * phi``.  Returns
-    ``(z, records, clamped, evaluation)``, the last being the element pass
-    at the returned ``z``, or raises ``NewtonStallError`` with the last
-    iterate, which is also the best: a step is accepted only when the
-    residual falls.
+    Boundary values are imposed strongly as ``tau * phi``.  A full step
+    factors the Jacobian at the iterate and backtracks until the residual
+    falls.  When no cut was needed, that factorization is kept, and the
+    next iterations try chord steps with it: a chord step is kept when it
+    cuts the residual to at most ``CHORD_CONTRACTION`` times its value;
+    otherwise it is discarded, with the kept factorization, and a full step
+    is taken at the same iterate.  Each kept step is one iteration and one
+    record; a chord step's ``damping_halvings`` is 0.
+
+    Returns ``(z, records, clamped, evaluation, factorization)``: the
+    element pass at the returned ``z`` and the ``(matrix, factors)`` kept
+    for chord steps (None if none is kept).  Raises ``NewtonStallError``
+    with the last iterate, which is also the best: a step is accepted only
+    when the residual falls.  The factors and one element pass are the
+    most that is held at once.
     """
     options = options or SolverOptions()
     asm = problem.assembly()
@@ -114,45 +140,60 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     ii = asm.interior
     records = []
 
-    def res_norm(zz):
-        # the residual and its element pass go on to the Newton step if zz
-        # is accepted
-        r, ev = asm.residual(zz, tau)
-        return float(np.abs(r).max()), r, ev
+    def attempt(alpha, step):
+        """The trial ``z + alpha * step``, clamped, whether it was clamped,
+        and its residual norm, residual and element pass.  The trial is None
+        when it equals ``z``, its norm then that of ``z``; outside the
+        interval the norm is inf, with no residual or pass."""
+        trial = z.copy()
+        trial[ii] += alpha * step
+        trial, was_clamped = _clamp(trial, problem, options)
+        if np.array_equal(trial, z):
+            # the step no longer moves any unknown, nor can a shorter one
+            return None, was_clamped, rnorm, None, None
+        try:
+            r, ev = asm.residual(trial, tau)
+        except DomainError:
+            return trial, was_clamped, math.inf, None, None
+        return trial, was_clamped, float(np.abs(r).max()), r, ev
 
-    rnorm, r, ev = res_norm(z)
+    r, ev = asm.residual(z, tau)
+    rnorm = float(np.abs(r).max())
+    kept = None
     for it in range(1, options.max_newton_iters + 1):
         if rnorm <= options.newton_tol:
-            return z, records, clamped, ev
-        jacobian, _ = asm.system(ev)
-        ev = None       # the element pass is not held through the factorization
-        step = linear_solve(jacobian, -r)
-        del jacobian
+            return z, records, clamped, ev, kept
         alpha, halvings = 1.0, 0
-        while True:
-            trial = z.copy()
-            trial[ii] += alpha * step
-            trial, was_clamped = _clamp(trial, problem, options)
-            if np.array_equal(trial, z):
-                # the step no longer moves any unknown, nor can a shorter one
-                trial_norm = rnorm
-                break
-            try:
-                trial_norm, trial_r, trial_ev = res_norm(trial)
-            except DomainError:
-                trial_norm, trial_r, trial_ev = math.inf, None, None
-                was_clamped = False
-            if trial_norm < rnorm or halvings >= options.max_damping_halvings:
-                break
-            alpha *= options.damping_factor
-            halvings += 1
-        if not trial_norm < rnorm:
-            raise NewtonStallError(
-                f"Newton stalled at tau={tau} after {it} iterations "
-                f"(residual {rnorm:.3e})",
-                best_iterate=z, iterations=it, residual_norm=rnorm)
+        if kept is not None:
+            ev = None       # the trial's element pass is the one held
+            step = linear_solve(kept[0], -r, kept[1])
+            trial, was_clamped, trial_norm, trial_r, trial_ev = attempt(alpha, step)
+            if trial_norm > CHORD_CONTRACTION * rnorm:
+                # too little contraction: a full step at the same iterate
+                kept = trial_r = trial_ev = None
+                r, ev = asm.residual(z, tau)
+        if kept is None:
+            jacobian, _ = asm.system(ev)
+            ev = None       # the element pass is not held through the factorization
+            kept = jacobian, _factor(jacobian)
+            del jacobian
+            step = linear_solve(kept[0], -r, kept[1])
+            while True:
+                trial, was_clamped, trial_norm, trial_r, trial_ev = attempt(alpha, step)
+                if trial is None or trial_norm < rnorm \
+                        or halvings >= options.max_damping_halvings:
+                    break
+                # a damped step keeps no factorization
+                kept = trial_r = trial_ev = None
+                alpha *= options.damping_factor
+                halvings += 1
+            if not trial_norm < rnorm:
+                raise NewtonStallError(
+                    f"Newton stalled at tau={tau} after {it} iterations "
+                    f"(residual {rnorm:.3e})",
+                    best_iterate=z, iterations=it, residual_norm=rnorm)
         z, rnorm, r, ev = trial, trial_norm, trial_r, trial_ev
-        del trial_ev
+        del trial_r, trial_ev
         clamped = clamped or was_clamped
         rec = NewtonRecord(tau, it, rnorm, float(alpha * np.abs(step).max()),
                            halvings)
@@ -160,7 +201,7 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         if on_iteration is not None:
             on_iteration(rec)
     if rnorm <= options.newton_tol:
-        return z, records, clamped, ev
+        return z, records, clamped, ev, kept
     raise NewtonStallError(
         f"Newton did not reach tolerance at tau={tau} "
         f"(residual {rnorm:.3e} after {options.max_newton_iters} iterations)",
@@ -198,8 +239,8 @@ def continuation_solve(problem: Problem,
     del built           # the companion's mesh, assembly and tree go here
     if start is not None:
         try:
-            z, records, clamped, _ = newton_solve(problem, 1.0, start, options,
-                                                  on_iteration)
+            z, records, clamped, _, _ = newton_solve(problem, 1.0, start,
+                                                     options, on_iteration)
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             fallback = str(exc)
         else:
@@ -242,11 +283,11 @@ def _march(problem: Problem, options: SolverOptions,
     ``z = 0`` solves the ``tau = 0`` problem exactly, so the march starts
     there.  Each stage starts Newton from the Euler predictor
     ``z + dtau * dz/dtau``, with the tangent computed once at the last
-    accepted solution; it starts from that solution itself when the tangent
-    is unavailable or the guess would reach the clamp level, so a guess
-    never clamps.  The step never grows back; statuses are ``converged``,
-    ``stalled`` (step underflow) and ``left_interval`` (iterates pushed to
-    the interval end).
+    accepted solution, from the factorization its Newton solve kept; it
+    starts from that solution itself when the tangent is unavailable or the
+    guess would reach the clamp level, so a guess never clamps.  The step
+    never grows back; statuses are ``converged``, ``stalled`` (step
+    underflow) and ``left_interval`` (iterates pushed to the interval end).
     """
     asm = problem.assembly()
     mesh = problem.mesh
@@ -258,20 +299,25 @@ def _march(problem: Problem, options: SolverOptions,
     report.grad_sup_history.append(asm.grad_sup(z))
 
     tau, step = 0.0, options.initial_tau_step
-    # the element pass at the last accepted solution, for the next tangent
+    # the element pass at the last accepted solution and the factorization
+    # Newton kept there, for the next tangent
     _, evaluation = asm.residual(z, tau)
+    factorization = None
     while tau < 1.0:
         if evaluation is not None:
-            # the tangent solves J_ii dz = -(dR_i/dtau + J_ib phi_b); neither
-            # the element pass nor the system is held through a factorization
-            # they are not part of: peak memory
+            # the tangent solves J_ii dz = -(dR_i/dtau + J_ib phi_b), with
+            # Newton's last factorization, as it is a predictor only; its own
+            # matrix is factored at tau = 0 and when Newton kept none.
+            # Neither the element pass nor a factorization is held past the
+            # tangent: peak memory
             jacobian, rate = asm.system(evaluation, tangent=True)
-            evaluation = None
+            jacobian, factors = factorization or (jacobian, None)
+            evaluation = factorization = None
             try:
-                tangent = linear_solve(jacobian, -rate)
+                tangent = linear_solve(jacobian, -rate, factors)
             except SingularSystemError:
                 tangent = None
-            del jacobian, rate
+            del jacobian, rate, factors
         target = min(1.0, tau + step)
         start = z
         if tangent is not None:
@@ -280,7 +326,7 @@ def _march(problem: Problem, options: SolverOptions,
             if not np.any(guess[ii] >= clamp_level):
                 start = guess
         try:
-            z_new, records, clamped, evaluation = newton_solve(
+            z_new, records, clamped, evaluation, factorization = newton_solve(
                 problem, target, start, options, on_iteration)
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             step *= 0.5

@@ -87,8 +87,8 @@ def test_criterion_3_continuation_fidelity(cap_sequence, radial_sequence):
     for _, _, _, reports in (cap_sequence, radial_sequence):
         for prob, rep in reports:
             path_ok &= rep.tau_path[-1] == 1.0
-            _, records, _, _ = newton_solve(prob, 0.0,
-                                         np.zeros(prob.mesh.n_vertices))
+            _, records, _, _, _ = newton_solve(prob, 0.0,
+                                               np.zeros(prob.mesh.n_vertices))
             path_ok &= len(records) <= 1
     # Jacobian against directional finite differences on random states
     rng = np.random.default_rng(42)
@@ -135,8 +135,8 @@ def test_criterion_5_comparison_shadow(cap_sequence):
     worst = float(min((rep2.solution.values - rep.solution.values).min(), 0.0))
     ordered = worst >= -10.0 * mesh.h**2
     barrier, _ = search_height_barrier(prob)
-    za, _, _, _ = newton_solve(prob, 1.0, prob.phi.copy())
-    zb, _, _, _ = newton_solve(prob, 1.0, barrier.values.copy())
+    za, *_ = newton_solve(prob, 1.0, prob.phi.copy())
+    zb, *_ = newton_solve(prob, 1.0, barrier.values.copy())
     agree = float(np.abs(za - zb).max())
     ok = ordered and agree <= 1e-8
     _verdict(5, ok, f"shifted data ordered (z1 <= z2 + 10 h^2, worst violation "

@@ -1,5 +1,8 @@
+import inspect
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from ckgraph.fields import ScalarField
 from ckgraph.mesh import PolarDomain
 from ckgraph.problemfile import (PROBLEM_SCHEMA, _KEYWORDS, load_problem,
                                  load_problem_document, validate_document)
+from ckgraph.solver import SolverOptions
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _base_doc():
@@ -191,6 +197,20 @@ _SOLVER_BOUNDS = {
     "max_damping_halvings": ([-1, 101, 10**6], [0, 100]),
     "clamp_margin": ([0, -1e-6], [1e-12]),
 }
+
+
+def test_solver_options_are_documented_everywhere():
+    # README's options table, the schema and SolverOptions name the same
+    # seven options, so no knob is added in one place only
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| key | default | range | meaning |"):]
+    table = table[:table.index("\n\n")]
+    documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    schema = PROBLEM_SCHEMA["properties"]["solver"]["properties"]
+    params = list(inspect.signature(SolverOptions).parameters)
+    assert len(documented) == 7
+    assert sorted(documented) == sorted(schema) == sorted(params) \
+        == sorted(_SOLVER_BOUNDS)
 
 
 @pytest.mark.parametrize("key", sorted(_SOLVER_BOUNDS))

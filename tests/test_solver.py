@@ -40,6 +40,11 @@ def test_linear_solve_contract():
     assert np.abs(A @ x - b).max() <= 1e-13 * np.abs(b).max()
     sol = linear_solve(A, b)
     assert np.linalg.norm(dense @ sol - b) <= 1e-12 * np.linalg.norm(b)
+    # a factorization handed in is the one used, checked against its matrix
+    assert np.array_equal(linear_solve(A, b, A.factor()), sol)
+    other = _front_matrix(dense + np.eye(200), coords)
+    with pytest.raises(SingularSystemError, match="linear residual"):
+        linear_solve(other, b, A.factor())
 
 
 def test_linear_solve_singular():
@@ -90,9 +95,9 @@ def test_front_tree_built_once_per_solve(monkeypatch):
     monkeypatch.setattr(frontal, "FrontTree", counted)
     solves = []
 
-    def counted_solve(system, rhs):
+    def counted_solve(system, rhs, factors=None):
         solves.append(system.tree)
-        return linear_solve(system, rhs)
+        return linear_solve(system, rhs, factors)
     monkeypatch.setattr(solver, "linear_solve", counted_solve)
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.08, amb), 1.0, -np.sqrt(0.84))
@@ -105,8 +110,8 @@ def test_front_tree_built_once_per_solve(monkeypatch):
 def test_trivial_stage_needs_no_iteration(cmc_problem, radial_problem):
     # z = 0 solves the tau = 0 problem exactly
     for prob in (cmc_problem, radial_problem):
-        z, records, clamped, _ = newton_solve(prob, 0.0,
-                                           np.zeros(prob.mesh.n_vertices))
+        z, records, clamped, _, _ = newton_solve(prob, 0.0,
+                                                 np.zeros(prob.mesh.n_vertices))
         assert len(records) <= 1
         assert not clamped
         assert np.abs(z[prob.mesh.interior_vertices]).max() == 0.0
@@ -142,8 +147,8 @@ def test_uniqueness_two_initializations(cmc_problem):
     from ckgraph.analysis import search_height_barrier
     phi_ext = cmc_problem.phi.copy()
     barrier, _ = search_height_barrier(cmc_problem)
-    za, _, _, _ = newton_solve(cmc_problem, 1.0, phi_ext)
-    zb, _, _, _ = newton_solve(cmc_problem, 1.0, barrier.values.copy())
+    za, *_ = newton_solve(cmc_problem, 1.0, phi_ext)
+    zb, *_ = newton_solve(cmc_problem, 1.0, barrier.values.copy())
     assert np.abs(za - zb).max() < 1e-8
 
 
@@ -157,6 +162,79 @@ def test_stall_reports_best_iterate():
     err = info.value
     assert err.best_iterate.shape == (mesh.n_vertices,)
     assert np.isfinite(err.residual_norm)
+
+
+def test_chord_step_that_contracts_too_little_is_discarded(monkeypatch, cmc_exact):
+    # with the contraction factor at 0 no chord step is kept: each one is
+    # discarded, and a full Newton step at the same iterate follows
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
+                             -np.sqrt(0.84))
+    asm = prob.assembly()
+    residual, factor, solve, events = asm.residual, solver._factor, \
+        solver.linear_solve, []
+
+    def traced_residual(z, tau):
+        events.append(("residual", z.copy()))
+        return residual(z, tau)
+
+    def traced_factor(system):
+        events.append(("factor", None))
+        return factor(system)
+
+    def traced_solve(system, rhs, factors=None):
+        events.append(("solve", None))
+        return solve(system, rhs, factors)
+    monkeypatch.setattr(asm, "residual", traced_residual)
+    monkeypatch.setattr(solver, "_factor", traced_factor)
+    monkeypatch.setattr(solver, "linear_solve", traced_solve)
+    z_chord, records, *_ = newton_solve(prob, 1.0, cmc_exact)
+    # the default factor keeps chord steps here
+    assert [k for k, _ in events].count("factor") < len(records)
+    events.clear()
+    monkeypatch.setattr(solver, "CHORD_CONTRACTION", 0.0)
+    z, records, *_ = newton_solve(prob, 1.0, cmc_exact)
+    kinds = [k for k, _ in events]
+    # after the first full step, each iteration solves a chord step,
+    # evaluates its trial, then the iterate again, and factors there
+    assert len(records) >= 2
+    assert kinds == ["residual", "factor", "solve", "residual"] + [
+        "solve", "residual", "residual", "factor", "solve", "residual"
+    ] * (len(records) - 1)
+    for j in range(4, len(events), 6):
+        iterate, trial, again = (events[i][1] for i in (j - 1, j + 1, j + 2))
+        assert not np.array_equal(trial, iterate)
+        assert np.array_equal(again, iterate)
+    assert all(r.damping_halvings == 0 for r in records)
+    assert records[-1].residual_norm <= 1e-10
+    assert np.abs(z - z_chord).max() <= 1e-9
+
+
+def test_damped_step_keeps_no_factorization(monkeypatch, cmc_exact):
+    # from 1.05 times the cap the first step is cut once; the next
+    # iteration factors again before any chord step
+    amb = ck.preset_ambient("killing_flat")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
+                             -np.sqrt(0.84))
+    factor, solve, events = solver._factor, solver.linear_solve, []
+
+    def traced_factor(system):
+        events.append("factor")
+        return factor(system)
+
+    def traced_solve(system, rhs, factors=None):
+        events.append("solve")
+        return solve(system, rhs, factors)
+    monkeypatch.setattr(solver, "_factor", traced_factor)
+    monkeypatch.setattr(solver, "linear_solve", traced_solve)
+    _, records, *_ = newton_solve(
+        prob, 1.0, 1.05 * cmc_exact,
+        on_iteration=lambda rec: events.append(rec.damping_halvings))
+    halvings = [r.damping_halvings for r in records]
+    assert halvings[0] > 0 and not any(halvings[1:]) and len(records) > 3
+    assert events[:6] == ["factor", "solve", halvings[0], "factor", "solve", 0]
+    # then chord steps on the second factorization
+    assert events.count("factor") == 2
 
 
 def test_forced_failure_statuses():
@@ -184,7 +262,7 @@ def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
     # dz/dtau at a converged stage against secants of two converged solves
     ii = cmc_problem.mesh.interior_vertices
     asm = cmc_problem.assembly()
-    z_half, _, _, ev = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
+    z_half, _, _, ev, _ = newton_solve(cmc_problem, 0.5, 0.5 * cmc_exact)
 
     def tangent(evaluation):
         jacobian, rate = asm.system(evaluation, tangent=True)
@@ -194,7 +272,7 @@ def test_path_tangent_matches_secant(cmc_problem, cmc_exact):
     assert np.array_equal(tangent(ev), dz)
     errs = []
     for d in (0.04, 0.02, 0.01):
-        z_d, _, _, _ = newton_solve(cmc_problem, 0.5 + d, z_half)
+        z_d, *_ = newton_solve(cmc_problem, 0.5 + d, z_half)
         errs.append(np.abs((z_d[ii] - z_half[ii]) / d - dz).max())
     assert errs[0] < 1e-3 * np.abs(dz).max()
     # first order in d: halving d halves the secant error
@@ -237,32 +315,48 @@ def test_continuation_element_passes_are_line_search_residuals(monkeypatch):
 
 
 def _without_tangent(monkeypatch, problem):
-    """Make the tangent system of ``problem`` fail to solve."""
+    """Make the tangent system of ``problem`` fail to solve, through
+    whichever factorization solves it."""
     asm = problem.assembly()
     system = asm.system
 
     def no_tangent(ev, tangent=False):
-        jacobian, rate = system(ev)
+        jacobian, rate = system(ev, tangent)
         if tangent:
-            # a singular tangent system: its factorization raises
-            jacobian = FrontMatrix(jacobian.tree, np.zeros_like(jacobian.data))
-            rate = np.zeros(jacobian.shape[0])
+            # a NaN rate: the solve gives non-finite entries and raises
+            rate = np.full(jacobian.shape[0], np.nan)
         return jacobian, rate
     monkeypatch.setattr(asm, "system", no_tangent)
 
 
+def _counted_factorizations(monkeypatch):
+    """Count the factorizations of the solver by system size."""
+    sizes, factor = [], solver._factor
+
+    def counted(system):
+        sizes.append(system.shape[0])
+        return factor(system)
+    monkeypatch.setattr(solver, "_factor", counted)
+    return sizes
+
+
 def test_tangent_failure_starts_from_previous_solution(monkeypatch):
     # without a tangent every stage starts from the last accepted solution,
-    # which on this mesh takes 16 stages, 91 Newton iterations, 41 halvings
+    # which on this mesh takes 16 stages, 151 Newton iterations, 28 halvings
+    # and 53 factorizations (91, 41 and 111 without chord steps); the
+    # tangents after tau = 0 fail in the solve with Newton's last
+    # factorization, which makes none
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
                              -np.sqrt(0.84))
     _without_tangent(monkeypatch, prob)
+    factored = _counted_factorizations(monkeypatch)
     rep = continuation_solve(prob)
     assert rep.status == "converged"
     assert len(rep.tau_path) - 1 == 16
-    assert len(rep.newton_history) == 91
-    assert sum(r.damping_halvings for r in rep.newton_history) == 41
+    assert len(rep.newton_history) == 151
+    assert sum(r.damping_halvings for r in rep.newton_history) == 28
+    assert len(factored) == 53
 
 
 @pytest.mark.parametrize("step", [0.25, 1.0])
@@ -368,9 +462,9 @@ def plain_solutions():
 def _fine_linear_solves(monkeypatch, n_interior):
     sizes = []
 
-    def counted(system, rhs):
+    def counted(system, rhs, factors=None):
         sizes.append(len(rhs))
-        return linear_solve(system, rhs)
+        return linear_solve(system, rhs, factors)
     monkeypatch.setattr(solver, "linear_solve", counted)
     return lambda: sum(n == n_interior for n in sizes)
 
@@ -393,9 +487,26 @@ def test_sequenced_matches_continuation(name, plain_solutions, monkeypatch):
     assert rep.tau_path == [0.0, 1.0] and len(rep.grad_sup_history) == 2
     assert seen == rep.newton_history and all(r.tau == 1.0 for r in seen)
     assert rep.newton_history[-1].residual_norm <= 1e-10
-    if name != "annulus":
-        # today 12 (cap) and 15 (radial_sphere) target-mesh linear solves
-        assert fine() <= 5
+    # one linear solve per Newton step: no tangent is solved on the target
+    assert fine() == len(rep.newton_history)
+
+
+@pytest.mark.parametrize("name", ["cap", "radial_sphere"])
+def test_sequenced_path_factors_the_target_once(name, monkeypatch):
+    # one full Newton step from the interpolated companion solution, then
+    # chord steps on its factorization; the plain march factored the target
+    # 12 (cap) and 15 (radial_sphere) times before chord steps
+    loaded = _loaded(name)
+    factored = _counted_factorizations(monkeypatch)
+    rep = continuation_solve(loaded.problem, loaded.options,
+                             companion=loaded.companion)
+    assert rep.converged and rep.path["kind"] == "sequenced"
+    n_target = len(loaded.problem.mesh.interior_vertices)
+    assert factored.count(n_target) == 1
+    assert len(rep.newton_history) > 1
+    # the companion's march: the tau = 0 tangent and one per Newton solve
+    stages = len(rep.path["companion"]["tau_path"]) - 1
+    assert len(factored) - 1 == 1 + stages
 
 
 def _log(records):
@@ -526,16 +637,24 @@ def test_no_evaluation_held_through_linear_solve(monkeypatch):
         refs.append(weakref.ref(ev))
         return ev
 
-    def spy(system, rhs):
+    def spy(system, rhs, factors=None):
         alive.append(sum(r() is not None for r in refs))
-        return linear_solve(system, rhs)
+        return linear_solve(system, rhs, factors)
+    factor, factored = solver._factor, []
+
+    def spy_factor(system):
+        factored.append(sum(r() is not None for r in refs))
+        return factor(system)
     monkeypatch.setattr(asm, "_evaluate", kept)
     monkeypatch.setattr(solver, "linear_solve", spy)
+    monkeypatch.setattr(solver, "_factor", spy_factor)
     gc.disable()            # freed by reference counts, not the collector
     try:
-        *_, ev = newton_solve(problem, 1.0, start, loaded.options)
+        *_, ev, _ = newton_solve(problem, 1.0, start, loaded.options)
     finally:
         gc.enable()
+    # one factorization, then chord steps, none with an element pass held
+    assert factored == [0]
     assert len(alive) >= 2 and alive == [0] * len(alive)
     # the final element pass is still returned, for the path tangent
     assert refs[-1]() is ev
@@ -543,7 +662,7 @@ def test_no_evaluation_held_through_linear_solve(monkeypatch):
 
 def test_no_evaluation_held_through_march_tangent(monkeypatch):
     # the plain march: each path tangent is assembled from Newton's last
-    # element pass, which is dropped before the tangent is factored
+    # element pass, which is dropped before the tangent is solved
     amb = ck.preset_ambient("killing_flat")
     problem = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
                                 -np.sqrt(0.84))
@@ -555,9 +674,9 @@ def test_no_evaluation_held_through_march_tangent(monkeypatch):
         refs.append(weakref.ref(ev))
         return ev
 
-    def spy(system, rhs):
+    def spy(system, rhs, factors=None):
         alive.append(sum(r() is not None for r in refs))
-        return linear_solve(system, rhs)
+        return linear_solve(system, rhs, factors)
     monkeypatch.setattr(asm, "_evaluate", kept)
     monkeypatch.setattr(solver, "linear_solve", spy)
     gc.disable()            # freed by reference counts, not the collector
