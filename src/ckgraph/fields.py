@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
+from itertools import zip_longest
 
 import numpy as np
 
@@ -51,101 +51,100 @@ class ScalarField:
 
     @classmethod
     def from_csv(cls, mesh: DomainMesh, path) -> "ScalarField":
-        """Read the ``to_csv`` format: one row per mesh vertex, with ``x,y``
-        matching that vertex.  Anything else raises ``MeshError`` naming
-        the file and line."""
+        """Read one row per mesh vertex, with ``x,y`` matching that vertex, in any
+        layout ``csv.reader`` reads: rows and columns in any order, extra columns, CRLF,
+        quoted cells, blank rows.  Every layout gets the same checks; a fault raises
+        ``MeshError`` naming the file and the line its row ends on."""
         try:
             with open(path, "r", newline="", encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             reason = getattr(exc, "strerror", None) or exc
             raise MeshError(f"cannot read {path}: {reason}") from exc
-        values = _parse_all(mesh, text)
-        if values is None:
-            # walk the rows to find the first fault and its line
-            values = _walk_rows(mesh, text, path)
-        return cls(mesh, values)
+        return cls(mesh, _checked_values(mesh, path, *_tokens(text)))
 
 
 def _vertex_tolerance(mesh: DomainMesh) -> float:
     return 1e-9 * max(1.0, float(np.abs(mesh.vertices).max()))
 
 
-def _parse_all(mesh: DomainMesh, text: str):
-    """The values of a file written as ``to_csv`` writes it, parsed at
-    once; None when the layout differs or any row would fail a check of
-    ``_walk_rows``, which parses each cell the same way."""
-    header, _, body = text.partition("\n")
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    if header != ",".join(_CSV_COLUMNS) or '"' in text or "\r" in text \
-            or len(lines) != mesh.n_vertices or any(l.count(",") != 3 for l in lines):
-        return None
-    cells = ",".join(lines).split(",")
+def _tokens(text: str):
+    """The cells of each column by header name as ``csv.DictReader`` maps them (a name's
+    last column, None in a short row; None for all if the read stopped at the header), the
+    line each non-blank row ends on and the ``csv.Error`` that stopped the read, if any.
+    Text as ``to_csv`` writes it (no quote, CR or NUL, rows as wide as the header, so no
+    blank row) is split faster by ``str.split``."""
+    head, *rows = text.split("\n")
+    if rows[-1:] == [""]:
+        rows.pop()
+    limit = csv.field_size_limit()      # csv.reader refuses a longer cell
+    if not any(c in text for c in '"\r\0') and max(len(head), *map(len, rows)) <= limit:
+        k, n = head.count(",") + 2, len(rows)      # a row's cells and the "\n" cell after it
+        flat = ",\n,".join(rows).split(",")
+        if len(flat) == k * n - 1 and flat[k - 1::k].count("\n") == n - 1:     # as wide as head
+            return {h: flat[j::k] for j, h in enumerate(head.split(","))}, range(2, n + 2), None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header, rows, lines, error = None, [], [], None
     try:
-        vertex = np.array(list(map(int, cells[0::4])), dtype=np.int64)
-        x, y, v = (np.array(list(map(float, cells[k::4]))) for k in (1, 2, 3))
-    except (ValueError, OverflowError):
-        return None
-    nv = mesh.n_vertices
-    if np.any((vertex < 0) | (vertex >= nv)) \
-            or not np.all(np.bincount(vertex, minlength=nv) == 1):
-        return None
-    vx, vy = mesh.vertices[vertex].T
-    tol = _vertex_tolerance(mesh)
-    if not (np.all(np.abs(x - vx) <= tol) and np.all(np.abs(y - vy) <= tol)
-            and np.all(np.isfinite(v))):
-        return None
-    values = np.empty(nv)
-    values[vertex] = v
-    return values
-
-
-def _walk_rows(mesh: DomainMesh, text: str, path) -> np.ndarray:
-    """Parse and check ``text`` row by row; the first fault raises
-    ``MeshError`` naming the file and line."""
-    nv = mesh.n_vertices
-    verts = mesh.vertices.tolist()
-    tol = _vertex_tolerance(mesh)
-    values = np.full(nv, np.nan)
-    seen = np.zeros(nv, dtype=bool)
-    try:
-        reader = csv.DictReader(io.StringIO(text, newline=""))
-        missing = [c for c in _CSV_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise MeshError(f"{path}:1: missing column "
-                            + ", ".join(repr(c) for c in missing))
+        header = next(reader, [])
         for row in reader:
-            where = f"{path}:{reader.line_num}"
-            v = _parse(row, "vertex", int, where)
-            if not 0 <= v < nv:
-                raise MeshError(f"{where}: vertex {v} outside 0..{nv - 1}")
-            if seen[v]:
-                raise MeshError(f"{where}: vertex {v} appears twice")
-            x, y = (_parse(row, k, float, where) for k in ("x", "y"))
-            vx, vy = verts[v]
-            if not (abs(x - vx) <= tol and abs(y - vy) <= tol):
-                raise MeshError(f"{where}: x,y = {x!r},{y!r} do not match "
-                                f"mesh vertex {v} at {vx!r},{vy!r}")
-            values[v] = _parse(row, "value", float, where)
-            seen[v] = True
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     except csv.Error as exc:
-        raise MeshError(f"cannot read {path}: {exc}") from exc
-    if not seen.all():
-        raise MeshError(f"{path}: no row for vertex {int(np.argmin(seen))} "
-                        f"({nv - int(seen.sum())} of {nv} vertices missing)")
+        error = exc
+    return None if header is None else {c[0]: c[1:] for c in zip_longest(header, *rows)}, \
+        lines, error
+
+
+def _checked_values(mesh: DomainMesh, path, cells, lines, error) -> np.ndarray:
+    """The per-vertex values, or ``MeshError`` for the first of: a read error at the header,
+    a missing column, the first faulty row (its first fault in the order of ``faults``), a read
+    error, a vertex with no row."""
+    if cells is None:
+        raise MeshError(f"cannot read {path}: {error}")
+    missing = [c for c in _CSV_COLUMNS if c not in cells]
+    if missing:
+        raise MeshError(f"{path}:1: missing column " + ", ".join(repr(c) for c in missing))
+    nv = mesh.n_vertices
+    ints = _parsed(cells["vertex"], int)
+    try:
+        vertex = np.clip(np.array(ints, dtype=np.int64), -1, nv)
+    except (TypeError, OverflowError):      # no integer (held as -2), or one beyond int64
+        vertex = np.array([-2 if v is None else min(max(v, -1), nv) for v in ints])
+    twice = np.ones(len(ints), dtype=bool)      # an earlier row has the same vertex
+    twice[np.unique(vertex, return_index=True)[1]] = False
+    x, y, value = (np.array(_parsed(cells[c], float), dtype=float) for c in ("x", "y", "value"))
+    vx, vy = mesh.vertices[np.clip(vertex, 0, nv - 1)].T
+    faults = (
+        (vertex == -2, "vertex {vertex!r} is not an integer"),
+        ((vertex == -1) | (vertex == nv), "vertex {v} outside 0..{last}"),
+        (twice, "vertex {v} appears twice"),
+        (~np.isfinite(x), "x {x!r} is not a finite number"),
+        (~np.isfinite(y), "y {y!r} is not a finite number"),
+        (np.maximum(np.abs(x - vx), np.abs(y - vy)) > _vertex_tolerance(mesh),
+         "x,y = {fx!r},{fy!r} do not match mesh vertex {v} at {vx!r},{vy!r}"),
+        (~np.isfinite(value), "value {value!r} is not a finite number"),
+    )
+    flags = np.array([mask for mask, _ in faults]).T.ravel()    # row by row
+    if flags.any():
+        r, k = divmod(int(np.argmax(flags)), len(faults))
+        raise MeshError(f"{path}:{lines[r]}: " + faults[k][1].format(
+            v=ints[r], last=nv - 1, fx=float(x[r]), fy=float(y[r]), vx=float(vx[r]),
+            vy=float(vy[r]), **{c: cells[c][r] for c in _CSV_COLUMNS}))
+    if error is not None:
+        raise MeshError(f"cannot read {path}: {error}")
+    values = np.full(nv, np.nan)
+    values[vertex] = value
+    if len(vertex) < nv:        # the rows name distinct vertices
+        raise MeshError(f"{path}: no row for vertex {int(np.argmax(np.isnan(values)))} "
+                        f"({nv - len(vertex)} of {nv} vertices missing)")
     return values
 
 
-def _parse(row, key, kind, where):
-    """``kind(row[key])``, finite, or a ``MeshError`` naming the line."""
+def _parsed(cells, kind) -> list:
+    """``kind(cell)`` for each cell, None where that raises."""
     try:
-        out = kind(row[key])
-        if kind is int or math.isfinite(out):
-            return out
-    except (TypeError, ValueError):
-        pass
-    noun = "an integer" if kind is int else "a finite number"
-    raise MeshError(f"{where}: {key} {row[key]!r} is not {noun}")
-
+        return list(map(kind, cells))
+    except (TypeError, ValueError):     # cell by cell: a single cell that fails is None
+        return [None] if len(cells) == 1 else [_parsed((c,), kind)[0] for c in cells]

@@ -461,6 +461,13 @@ _MESH_CORRUPTIONS = {
     "bool_index": (_set(["triangles", 0, 1], True), "must be integers"),
     "bool_loop_entry": (_set(["boundary", 0, 2], False), "must be integers"),
     "bool_coordinate": (_set(["vertices", 2, 0], True), "vertices must be rows"),
+    "nan_coordinate": (_set(["vertices", 2, 0], math.nan), "rows of two finite numbers"),
+    "four_index_rows": (lambda d: [t.append(t[0]) for t in d["triangles"]],
+                        "triangles must be rows of three vertex indices"),
+    "clockwise_triangle": (lambda d: d["triangles"][0].reverse(),
+                           "triangles must be positively oriented"),
+    "edge_in_three_elements": (lambda d: d["triangles"].append(list(d["triangles"][0])),
+                               "an edge is shared by more than 2 elements"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,25 +46,33 @@ def test_corpus_matches_reference(text, ref):
     assert np.abs(got - want).max() <= 1e-14 * max(1.0, np.abs(want).max())
 
 
-@pytest.mark.parametrize("bad", [
-    "t + 1",                      # flow time is not a data coordinate
-    "z",
-    "__import__('os')",
-    "x.real",
-    "x[0]",
-    "lambda x: x",
-    "open('f')",
-    "x if y else 0",
-    "'str'",
-    "x; y",
+# refused expression -> its message
+_REJECTED = {
+    "t + 1": "flow-time dependence is not part of the data model",  # not a data coordinate
+    "z": "unknown name 'z'",
+    "__import__('os')": "unknown function",
+    "x.real": "construct Attribute not allowed",
+    "x[0]": "construct Subscript not allowed",
+    "lambda x: x": "construct Lambda not allowed",
+    "open('f')": "unknown function",
+    "x if y else 0": "construct IfExp not allowed",
+    "'str'": "only numeric constants allowed",
+    "x; y": "bad expression",
     # one-argument ufuncs take a second positional argument as ``out``
-    "exp(x, y)",
-    "min(x)",
-    "exp()",
-    "atan2(x)",
-])
+    "exp(x, y)": "exp takes 1 argument, got 2",
+    "min(x)": "min takes 2 arguments, got 1",
+    "exp()": "exp takes 1 argument, got 0",
+    "atan2(x)": "atan2 takes 2 arguments, got 1",
+    "x // y": "operator FloorDiv not allowed",
+    "~x": "only unary +/- allowed",
+    "not x": "only unary +/- allowed",
+    "exp(x=1)": "keyword arguments not allowed",
+}
+
+
+@pytest.mark.parametrize("bad", list(_REJECTED))
 def test_rejected_constructs(bad):
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=re.escape(_REJECTED[bad])):
         compile_expression(bad)
 
 
