@@ -392,6 +392,8 @@ _CSV_CORRUPTIONS = {
                           ":6: value 'abc' is not a finite number"),
     "xy_other_mesh": (lambda L: _with_cell(L, 5, 1, "0.123"), ":6: x,y"),
     "missing_rows": (lambda L: L[:7] + L[9:], ": no row for vertex 6"),
+    "header_only": (lambda L: L[:1], ": no row for vertex 0"),
+    "empty": (lambda L: [], ":1: missing column"),
 }
 
 

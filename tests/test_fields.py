@@ -171,18 +171,25 @@ _CELL_FAULTS = {
 }
 _LAYOUTS = ["to_csv", "shuffled", "crlf", "columns", "quoted", "quoted_newline", "blank",
             "extra_column"]
-_ROW_FAULTS = ["short_row", "extra_row", "missing_rows"]
+_ROW_FAULTS = ["short_row", "extra_row", "missing_rows", "no_rows"]
+# whole files with no row: empty, blank, or the header alone with no line end
+_NO_ROWS = ["", "\n", "\r\n", ",".join(_CSV_COLUMNS)]
 
 
 @st.composite
 def _csv_files(draw):
     """A layout of the rows ``to_csv`` writes for ``_VALUES`` and up to
-    three corruptions, often on the same few rows: the text of the file."""
+    three corruptions, often on the same few rows: the text of the file.
+    Now and then a file with no row at all."""
+    if draw(st.integers(0, 19)) == 0:
+        return draw(st.sampled_from(_NO_ROWS))
     rows = [[str(v), repr(x), repr(y), repr(val)]
             for v, ((x, y), val) in enumerate(zip(_MESH.vertices.tolist(), _VALUES.tolist()))]
     short = []
     where = st.one_of(st.integers(0, 2), st.integers(0, _NV - 1))
     for fault in draw(st.lists(st.sampled_from([*_CELL_FAULTS, *_ROW_FAULTS]), max_size=3)):
+        if not rows:
+            break
         r = min(draw(where), len(rows) - 1)
         if fault in _CELL_FAULTS:
             rows[r] = _CELL_FAULTS[fault](rows[r], draw)
@@ -190,8 +197,10 @@ def _csv_files(draw):
             short.append((rows[r], draw(st.integers(1, 3))))
         elif fault == "extra_row":
             rows.insert(draw(st.integers(0, len(rows))), list(rows[r]))
-        else:
+        elif fault == "missing_rows":
             del rows[r:r + draw(st.integers(1, 3))]
+        else:
+            rows.clear()
     layout = draw(st.sampled_from(_LAYOUTS))
     header = list(_CSV_COLUMNS)
     if layout == "shuffled":
