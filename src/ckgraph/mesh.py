@@ -22,6 +22,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,8 +97,7 @@ class PolarDomain:
 
 class DomainMesh:
     def __init__(self, vertices: np.ndarray, triangles: np.ndarray,
-                 boundary_loops: list, boundary_normal: np.ndarray,
-                 dist_to_boundary: np.ndarray, h: float,
+                 boundary_loops: list, boundary_normal: np.ndarray, h: float,
                  polar: Optional[PolarDomain] = None,
                  _ambient: Optional[AmbientSpace] = None,
                  _edges: Optional[tuple] = None):
@@ -106,15 +106,13 @@ class DomainMesh:
         self.boundary_loops = boundary_loops     # int arrays, interior on the left
         # (nv, 2); valid rows only at boundary vertices
         self.boundary_normal = boundary_normal
-        # (nv,) sigma-geodesic distance to the boundary
-        self.dist_to_boundary = dist_to_boundary
         self.h = h                               # mesh size (max sigma edge length)
         self.polar = polar                       # the preset domain's closed forms
         self._ambient, self._edges = _ambient, _edges
-        self._suspects, self._rings, self._boundary = None, {}, None
-        self._largest_ring = {}
+        self._where = ""                         # "<file>: " for a mesh read from one
+        self._rings, self._largest_ring = {}, {}
 
-    # -- basic derived data -------------------------------------------------
+    # -- basic derived data, built on first read and read-only --------------
 
     @property
     def n_vertices(self) -> int:
@@ -124,32 +122,45 @@ class DomainMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
-    @property
+    @cached_property
     def boundary_vertices(self) -> np.ndarray:
-        """Sorted vertices of all boundary loops (read-only, built once)."""
-        if self._boundary is None:
-            self._boundary = _unique(np.concatenate(
-                [np.asarray(l) for l in self.boundary_loops]))
-            self._boundary.flags.writeable = False
-        return self._boundary
+        """Sorted vertices of all boundary loops."""
+        return _read_only(_unique(np.concatenate([np.asarray(l) for l in self.boundary_loops])))
 
-    @property
+    @cached_property
     def suspect_elements(self) -> np.ndarray:
-        """Cut-locus suspects ``(nt,)`` bool (see ``_suspect_elements``),
-        built on first read: only the barrier searches use them."""
-        if self._suspects is None:
-            self._suspects = _suspect_elements(self, self._ambient)
-        return self._suspects
+        """Cut-locus suspects ``(nt,)`` bool (see ``_suspect_elements``):
+        only the barrier searches use them."""
+        return _read_only(_suspect_elements(self, self._ambient))
 
-    @property
+    @cached_property
     def is_boundary(self) -> np.ndarray:
         mask = np.zeros(self.n_vertices, dtype=bool)
         mask[self.boundary_vertices] = True
-        return mask
+        return _read_only(mask)
 
-    @property
+    @cached_property
     def interior_vertices(self) -> np.ndarray:
-        return np.nonzero(~self.is_boundary)[0]
+        return _read_only(np.nonzero(~self.is_boundary)[0])
+
+    @cached_property
+    def dist_to_boundary(self) -> np.ndarray:
+        """(nv,) sigma-geodesic distance to the boundary, made here alone: the
+        :class:`PolarDomain` closed form, or the triangle update relaxed from
+        the boundary (:func:`_eikonal_sweep`); MeshErrors name the mesh file."""
+        b, polar = self.boundary_vertices, self.polar
+        d = np.full(self.n_vertices, np.inf) if polar is None else polar.distance(self.vertices)
+        d[b] = 0.0
+        try:
+            if polar is None:
+                d = _eikonal_sweep(self.vertices, self.triangles, d, self._ambient)
+            if np.any(d[b] != 0.0):
+                raise MeshError("boundary vertices must have distance 0")
+            if np.any(d[self.interior_vertices] <= 0.0):
+                raise MeshError("interior vertices must have positive distance")
+        except MeshError as exc:
+            raise MeshError(f"{self._where}{exc}") from exc
+        return _read_only(d)
 
     def edge_table(self):
         """Unique edges as sorted vertex pairs ``(ne, 2)`` and the number of
@@ -185,6 +196,11 @@ class DomainMesh:
                 int(np.diff(_ring_rows(one_ring, start, min(start + 512, nv), depth)[0]).max())
                 for start in range(0, nv, 512))
         return self._largest_ring[depth]
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _ring_rows(one_ring, start: int, stop: int, depth: int):
@@ -262,24 +278,6 @@ def _loop_edges(mesh: DomainMesh):
     want = np.minimum(i, j) * nv + np.maximum(i, j)
     pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
     return i, j, np.where(keys[pos] == want, pos, -1)
-
-
-def _validate(mesh: DomainMesh):
-    areas = _chart_areas(mesh.vertices, mesh.triangles)
-    if not np.all(areas > 0):
-        raise MeshError("triangles must be positively oriented in the chart")
-    counts = mesh.edge_table()[1]
-    if np.any(counts > 2):
-        raise MeshError("non-conforming mesh: an edge is shared by more than 2 elements")
-    _, _, ids = _loop_edges(mesh)
-    if np.any(ids < 0) or np.any(counts[ids] != 1) \
-            or len(_unique(ids)) != np.count_nonzero(counts == 1):
-        raise MeshError("boundary loops do not cover the one-sided edges exactly")
-    d = mesh.dist_to_boundary
-    if np.any(d[mesh.boundary_vertices] != 0.0):
-        raise MeshError("boundary vertices must have distance 0")
-    if np.any(d[mesh.interior_vertices] <= 0.0):
-        raise MeshError("interior vertices must have positive distance")
 
 
 # -- sigma-aware helpers ----------------------------------------------------
@@ -527,24 +525,29 @@ def _spider_web(numbers, radii, counts, first):
     return verts, tris + first, ptr + first
 
 
-def _finalize(vertices, triangles, loops, normals, dist, polar, ambient, edges):
-    """Assemble and validate a mesh from its parts and its leaf-metric
-    edge table ``edges`` (``_sigma_edges``)."""
+def _finalize(vertices, triangles, loops, normals, polar, ambient, edges):
+    """Assemble a mesh from its parts and its leaf-metric edge table
+    ``edges`` (``_sigma_edges``), and check its orientation and topology."""
     table, lengths = edges
-    mesh = DomainMesh(
-        vertices=vertices, triangles=triangles, boundary_loops=loops,
-        boundary_normal=normals, dist_to_boundary=dist,
-        h=float(lengths.max()), polar=polar, _ambient=ambient, _edges=table,
-    )
-    _validate(mesh)
+    mesh = DomainMesh(vertices, triangles, loops, normals, float(lengths.max()), polar,
+                      _ambient=ambient, _edges=table)
+    if not np.all(_chart_areas(vertices, triangles) > 0):
+        raise MeshError("triangles must be positively oriented in the chart")
+    counts = mesh.edge_table()[1]
+    if np.any(counts > 2):
+        raise MeshError("non-conforming mesh: an edge is shared by more than 2 elements")
+    _, _, ids = _loop_edges(mesh)
+    if np.any(ids < 0) or np.any(counts[ids] != 1) \
+            or len(_unique(ids)) != np.count_nonzero(counts == 1):
+        raise MeshError("boundary loops do not cover the one-sided edges exactly")
     return mesh
 
 
 def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> DomainMesh:
     """Spider-web mesh of a :class:`PolarDomain` on the ambient's leaf
-    metric, with closed-form normals and distance: around a centre vertex,
-    ring i holds 6 i vertices; on an annulus, a ring holds about 2 pi r / h
-    and the inner loop runs clockwise, so the interior is on the left."""
+    metric, with closed-form normals: around a centre vertex, ring i holds
+    6 i vertices; on an annulus, a ring holds about 2 pi r / h and the inner
+    loop runs clockwise, so the interior is on the left."""
     polar = PolarDomain(r_in, r_out, ambient.base_metric)
     if not h > 0:
         raise ParameterError("a polar mesh needs a positive mesh size")
@@ -561,14 +564,11 @@ def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> D
         verts, tris = np.concatenate([[[0.0, 0.0]], verts]), np.concatenate([fan, tris])
     else:
         loops.append(np.arange(ptr[1])[::-1].copy())
-    rr = np.linalg.norm(verts, axis=1)
-    dist = polar.distance(verts)
     b = np.concatenate(loops)
-    dist[b] = 0.0
     normals = np.zeros_like(verts)
-    # radial lines are unit-speed: the chart radial direction is a unit normal
-    normals[b] = np.where(polar._outer(rr[b]), -1.0, 1.0)[:, None] * verts[b] / rr[b, None]
-    return _finalize(verts, tris, loops, normals, dist, polar, ambient,
+    # radial lines are unit-speed: the distance gradient is the inward unit normal
+    normals[b] = polar.distance_derivatives(verts[b], h)[0]
+    return _finalize(verts, tris, loops, normals, polar, ambient,
                      _sigma_edges(verts, tris, ambient))
 
 
@@ -774,7 +774,8 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
 
 
 def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace) -> DomainMesh:
-    """Build a mesh from raw arrays, computing normals and boundary distance.
+    """Build a mesh from raw arrays and its boundary normals; the distance
+    to the boundary is relaxed on its first read (``dist_to_boundary``).
 
     Outer loops are re-ordered counterclockwise and inner loops clockwise so
     the interior is on the left everywhere.
@@ -794,13 +795,7 @@ def mesh_from_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace)
         if np.any(bad):
             raise MeshError(f"degenerate boundary tangent at vertex {loop[np.argmax(bad)]}")
         normals[loop] = nrm
-
-    # the triangle update relaxes from the boundary to its fixed point
-    sources = _unique(np.concatenate(loops))
-    dist = np.full(len(vertices), np.inf)
-    dist[sources] = 0.0
-    dist = _eikonal_sweep(vertices, triangles, dist, ambient)
-    return _finalize(vertices, triangles, loops, normals, dist, None, ambient, edges)
+    return _finalize(vertices, triangles, loops, normals, None, ambient, edges)
 
 
 # -- JSON exchange ----------------------------------------------------------
@@ -854,7 +849,9 @@ def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
         for key in ("vertices", "triangles", "boundary"):
             if key not in doc:
                 raise MeshError(f"missing key {key!r}")
-        return mesh_from_arrays(doc["vertices"], doc["triangles"], doc["boundary"],
+        mesh = mesh_from_arrays(doc["vertices"], doc["triangles"], doc["boundary"],
                                 ambient)
     except MeshError as exc:
         raise MeshError(f"{where}: {exc}") from exc
+    mesh._where = f"{where}: "
+    return mesh

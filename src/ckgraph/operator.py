@@ -270,7 +270,13 @@ class _Assembly:
         amb = self.ambient
         n = self.n
         gx, gy, zmid = self._element_state(z)
-        lam_m = np.asarray(amb.lam(zmid))
+        with np.errstate(over="ignore"):     # an overflow is refused below
+            lam_m = np.asarray(amb.lam(zmid))
+        bad = np.flatnonzero(~np.isfinite(lam_m))
+        if len(bad):
+            e = int(bad[0])
+            raise DomainError(f"lambda is not finite at element {e}, graph value "
+                              f"{float(zmid[e])!r}")
         rho_m = np.asarray(amb.rho(zmid))
         U_c, Pc, val = self._divergence(gx, gy)
 

@@ -826,6 +826,77 @@ def test_monotonicity_probe_generic_disk(tmp_path):
     assert probe["rows"][2]["reason"].startswith("no point of the level set at depth")
 
 
+def _mesh_file_runs(tmp_path, doc):
+    """The commands on ``doc`` (its mesh ``mesh.json`` in ``tmp_path``) by
+    name: solve with its checks, verify, certify, and solve with the
+    monotonicity probe."""
+    prob = _write(tmp_path, "problem.json", doc)
+    probe = _write(tmp_path, "probe.json", dict(doc, checks=["hypotheses", "monotonicity"]))
+    solution = str(tmp_path / "run" / "solution.csv")
+    return {"solve": ["solve", prob, "--out", str(tmp_path / "run")],
+            "verify": ["verify", prob, solution],
+            "certify": ["certify", prob, solution],
+            "probe": ["solve", probe, "--out", str(tmp_path / "probe_run")]}
+
+
+@pytest.mark.parametrize("domain", ["mesh_file", "preset"])
+def test_distance_relaxed_only_where_read(tmp_path, monkeypatch, capsys, domain):
+    # only certify's barriers and the monotonicity probe read the distance;
+    # a preset has it in closed form
+    from ckgraph import mesh as mesh_module
+    sweeps, sweep = [], mesh_module._eikonal_sweep
+    monkeypatch.setattr(mesh_module, "_eikonal_sweep",
+                        lambda *args: sweeps.append(1) or sweep(*args))
+    amb = ck.preset_ambient("killing_flat")
+    _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.04, amb)))
+    doc = _mesh_file_doc() if domain == "mesh_file" else dict(_cap_doc(), checks=["hypotheses"])
+    counts = {}
+    for name, argv in _mesh_file_runs(tmp_path, doc).items():
+        sweeps.clear()
+        assert main(argv) == 0
+        counts[name] = len(sweeps)
+    relaxed = int(domain == "mesh_file")
+    assert counts == {"solve": 0, "verify": 0, "certify": relaxed, "probe": relaxed}
+
+
+def test_unconverged_distance_exits_1_naming_the_mesh_file(tmp_path, monkeypatch, capsys):
+    # the load no longer relaxes the distance: its error reaches the command
+    # that reads it, located as the load's errors are
+    from ckgraph import mesh as mesh_module
+    update = mesh_module._corner_update
+    monkeypatch.setattr(mesh_module, "_corner_update",
+                        lambda *args: update(*args) - 1.0)   # never settles
+    mesh = ck.disk_mesh(0.4, 0.1, ck.preset_ambient("killing_flat"))
+    mesh_path = _write(tmp_path, "mesh.json", ck.mesh_to_json(mesh))
+    runs = _mesh_file_runs(tmp_path, _mesh_file_doc())
+    assert main(runs["solve"]) == 0
+    fragment = (f"error: {mesh_path}: distance to the boundary did not converge in "
+                f"{mesh.n_vertices} sweeps")
+    for name in ("certify", "probe"):
+        err = _assert_clean_exit_1(runs[name], capsys, fragment)
+        assert err.count("\n") == 1
+
+
+def test_lambda_overflow_in_a_trial_warns_nothing(tmp_path):
+    # on this scaled annulus the line search tries graphs where example_a's
+    # lambda = e^t overflows: each such trial is refused as one that leaves
+    # the flow interval is, and the child, where RuntimeWarnings are errors,
+    # stalls as before
+    amb = ck.preset_ambient("example_a")
+    mesh = ck.annulus_mesh(0.2, 0.6, 0.1, amb)
+    _write(tmp_path, "mesh.json", dict(ck.mesh_to_json(mesh),
+                                       vertices=(869 * mesh.vertices).tolist()))
+    prob = _write(tmp_path, "problem.json",
+                  dict(_mesh_file_doc(), ambient={"preset": "example_a"},
+                       H={"constant": 0.0}, phi={"constant": -0.1}))
+    proc = subprocess.run([sys.executable, "-m", "ckgraph.cli", "solve", prob,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.stderr == "warning: failing conditions: H_below_inf_HK, ricci_simple\n"
+    assert proc.stdout.startswith("stalled: tau = ")
+    assert proc.returncode == 2
+
+
 def _ckgraph_installed():
     try:
         metadata.distribution("ckgraph")

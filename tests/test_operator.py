@@ -141,6 +141,20 @@ def test_underflowing_lambda_keeps_residual_and_jacobian_finite(recwarn):
     assert len(recwarn) == 0
 
 
+def test_overflowing_lambda_is_a_domain_error():
+    # e^t overflows past t = 709.78: the residual refuses the graph, naming
+    # the first such element and its mean value, as it refuses one that
+    # reaches the interval end, and warns nothing
+    amb = ck.preset_ambient("example_a")
+    mesh = ck.disk_mesh(0.3, 0.1, amb)
+    prob = ck.Problem.create(amb, mesh, 0.0, -0.1)
+    z = prob.phi.copy()
+    z[0] = 2400.0           # the centre: the mean over its fan is 799.93
+    with pytest.raises(DomainError, match=r"^lambda is not finite at element 0, graph value "
+                                          r"799\.93"):
+        prob.assembly().residual(z, 1.0)
+
+
 def test_jacobian_matches_finite_differences(problems):
     rng = np.random.default_rng(5)
     for prob in problems:
