@@ -840,16 +840,19 @@ def _mesh_file_runs(tmp_path, doc):
 
 
 @pytest.mark.parametrize("domain", ["mesh_file", "preset"])
-def test_distance_relaxed_only_where_read(tmp_path, monkeypatch, capsys, domain):
+def test_distance_relaxed_only_where_read(tmp_path, monkeypatch, domain):
     # only certify's barriers and the monotonicity probe read the distance;
     # a preset has it in closed form
     from ckgraph import mesh as mesh_module
     sweeps, sweep = [], mesh_module._eikonal_sweep
     monkeypatch.setattr(mesh_module, "_eikonal_sweep",
                         lambda *args: sweeps.append(1) or sweep(*args))
-    amb = ck.preset_ambient("killing_flat")
-    _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.04, amb)))
-    doc = _mesh_file_doc() if domain == "mesh_file" else dict(_cap_doc(), checks=["hypotheses"])
+    if domain == "mesh_file":
+        amb = ck.preset_ambient("killing_flat")
+        _write(tmp_path, "mesh.json", ck.mesh_to_json(ck.disk_mesh(0.4, 0.04, amb)))
+        doc = _mesh_file_doc()
+    else:
+        doc = dict(_cap_doc(), checks=["hypotheses"])
     counts = {}
     for name, argv in _mesh_file_runs(tmp_path, doc).items():
         sweeps.clear()
