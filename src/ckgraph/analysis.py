@@ -37,9 +37,9 @@ import numpy as np
 from .ambient import AmbientSpace, leaf_mean_curvature, n
 from .errors import ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _spd_inverse, closed_polyline_geometry, locate_points
-from .operator import (Problem, recover_gradient_hessian, strong_form_Q,
-                       _hat_gradients)
+from .mesh import (DomainMesh, _hat_gradients, _spd_inverse, closed_polyline_geometry,
+                   locate_points)
+from .operator import Problem, recover_gradient_hessian, strong_form_Q
 
 __all__ = [
     "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",

@@ -43,6 +43,12 @@ def _dump_json(doc, path=None):
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _dump_input_error(report: dict, path, exc):
+    """Write ``report`` as an input error with the message of ``exc``."""
+    report["status"], report["error"] = "input_error", str(exc)
+    _dump_json(report, path)
+
+
 def _report_skeleton(status: str):
     return {
         "status": status,
@@ -106,8 +112,7 @@ def cmd_solve(args) -> int:
     try:
         loaded = load_problem(args.problem)
     except _INPUT_ERRORS as exc:
-        report["error"] = str(exc)
-        _dump_json(report, out / "report.json")
+        _dump_input_error(report, out / "report.json", exc)
         raise
     problem = loaded.problem
     # --strict refuses to solve on a failed check, so it always runs it
@@ -146,7 +151,11 @@ def cmd_solve(args) -> int:
         solve.solution.to_csv(out / "solution.csv")
         report["solution_range"] = [float(solve.solution.values.min()),
                                     float(solve.solution.values.max())]
-    _run_checks(loaded, report)
+    try:
+        _run_checks(loaded, report)
+    except _INPUT_ERRORS as exc:
+        _dump_input_error(report, out / "report.json", exc)
+        raise
     _dump_json(report, out / "report.json")
     code = _STATUS_EXIT[solve.status]
     print(f"{solve.status}: tau = {solve.tau_reached}, "

@@ -110,7 +110,6 @@ class DomainMesh:
         self.polar = polar                       # the preset domain's closed forms
         self._ambient, self._edges = _ambient, _edges
         self._where = ""                         # "<file>: " for a mesh read from one
-        self._rings, self._largest_ring = {}, {}
 
     # -- basic derived data, built on first read and read-only --------------
 
@@ -169,33 +168,24 @@ class DomainMesh:
             self._edges = _edge_table(self.triangles)
         return self._edges
 
-    def vertex_rings(self, depth: int = 2):
-        """Vertex neighbourhoods up to ``depth`` edge hops as CSR rows
-        ``(indptr, indices)``: the neighbours of ``v``, in ascending order
-        and without ``v`` itself, are ``indices[indptr[v]:indptr[v + 1]]``.
-        Deeper rings are expanded from the 1-ring by ``_ring_rows``."""
-        if depth not in self._rings:
-            nv = self.n_vertices
-            if depth == 1:
-                edges = self.edge_table()[0]
-                # pairs (v, w) as keys v nv + w, ascending: one hop either way
-                v, w = np.divmod(_unique(np.concatenate([edges @ [nv, 1],
-                                                         edges @ [1, nv]])), nv)
-                self._rings[1] = _csr(v, w, nv)
-            else:
-                self._rings[depth] = _ring_rows(self.vertex_rings(1), 0, nv, depth)
-        return self._rings[depth]
-
-    def largest_ring(self, depth: int = 2) -> int:
-        """Number of vertices in the largest ``depth``-ring (the vertex not
-        counted), kept with the mesh.  The rings are expanded from the
-        1-ring 512 vertices at a time, so no whole-mesh rows are held."""
-        if depth not in self._largest_ring:
-            one_ring, nv = self.vertex_rings(1), self.n_vertices
-            self._largest_ring[depth] = max(
-                int(np.diff(_ring_rows(one_ring, start, min(start + 512, nv), depth)[0]).max())
-                for start in range(0, nv, 512))
-        return self._largest_ring[depth]
+    @cached_property
+    def two_ring(self) -> np.ndarray:
+        """(nv, width) vertex 2-rings: row ``v`` holds the vertices within two
+        edge hops of ``v``, in ascending order and without ``v`` itself,
+        padded with ``v`` up to the largest 2-ring of the mesh.  Expanded
+        once, 512 vertices at a time (``_ring_rows``), from the 1-ring of
+        the edge table, which is not kept."""
+        nv = self.n_vertices
+        edges = self.edge_table()[0]
+        # pairs (v, w) as keys v nv + w, ascending: one hop either way
+        v, w = np.divmod(_unique(np.concatenate([edges @ [nv, 1], edges @ [1, nv]])), nv)
+        one_ring = _csr(v, w, nv)
+        blocks = [_ring_rows(one_ring, start, min(start + 512, nv))
+                  for start in range(0, nv, 512)]
+        ring = np.repeat(np.arange(nv)[:, None], max(b.shape[1] for b in blocks), axis=1)
+        for start, block in zip(range(0, nv, 512), blocks):
+            ring[start:start + len(block), :block.shape[1]] = block
+        return _read_only(ring)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -203,27 +193,29 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ring_rows(one_ring, start: int, stop: int, depth: int):
-    """CSR rows ``(indptr, indices)`` of the vertices ``start`` to
-    ``stop - 1`` out to ``depth`` edge hops, expanded from the 1-ring rows
-    ``one_ring`` of the whole mesh: row ``i`` is the ring of vertex
-    ``start + i`` as ``vertex_rings(depth)`` gives it.  Only the block's
+def _ring_rows(one_ring, start: int, stop: int):
+    """The 2-rings of the vertices ``start`` to ``stop - 1``, one hop added
+    to the 1-ring CSR rows ``one_ring`` of the whole mesh: row ``i`` holds
+    the 2-ring of vertex ``start + i`` as ``DomainMesh.two_ring`` gives it,
+    padded with the vertex to the block's largest 2-ring.  Only the block's
     pairs are held, so a caller can walk the mesh a block at a time."""
     ptr, one = one_ring
     nv = len(ptr) - 1
-    # pairs (i, w) as keys i nv + w, ascending: each further hop adds the
-    # 1-ring of every w reached
+    # pairs (i, w) as keys i nv + w, ascending: the hop adds the 1-ring of
+    # every w reached
     count = np.diff(ptr[start:stop + 1])
     keys = np.repeat(np.arange(stop - start) * nv, count) + one[ptr[start]:ptr[stop]]
-    for _ in range(depth - 1):
-        i, w = np.divmod(keys, nv)
-        count = ptr[w + 1] - ptr[w]
-        first = np.repeat(ptr[w] - np.cumsum(count) + count, count)
-        far = one[np.arange(len(first)) + first]
-        keys = _unique(np.concatenate([keys, np.repeat(i, count) * nv + far]))
     i, w = np.divmod(keys, nv)
+    count = ptr[w + 1] - ptr[w]
+    first = np.repeat(ptr[w] - np.cumsum(count) + count, count)
+    far = one[np.arange(len(first)) + first]
+    i, w = np.divmod(_unique(np.concatenate([keys, np.repeat(i, count) * nv + far])), nv)
     keep = i + start != w
-    return _csr(i[keep], w[keep], stop - start)
+    i, w = i[keep], w[keep]
+    count = np.bincount(i, minlength=stop - start)
+    rows = np.repeat(np.arange(start, stop)[:, None], count.max(), axis=1)
+    rows[i, np.arange(len(i)) - np.repeat(np.cumsum(count) - count, count)] = w
+    return rows
 
 
 # -- validation -------------------------------------------------------------

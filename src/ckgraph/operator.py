@@ -24,7 +24,7 @@ import numpy as np
 from .ambient import AmbientSpace, n
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
-from .mesh import DomainMesh, _hat_gradients, _ring_rows, _spd_inverse
+from .mesh import DomainMesh, _hat_gradients, _spd_inverse
 
 __all__ = [
     "Problem", "strong_form_Q", "mean_curvature_of_graph",
@@ -374,53 +374,44 @@ def recover_gradient_hessian(mesh: DomainMesh, ambient: AmbientSpace, values):
     points or on two lines.  The flag reads the mesh only, and callers take
     it as it is; gradient and Hessian are 0 where it is False.
 
-    The vertices are fitted in blocks of 512, each block's 2-rings expanded
-    from the mesh's 1-ring (``_ring_rows``), so the work arrays do not grow
-    with the mesh.  The stencils are padded with zero rows to the largest
-    2-ring of the mesh (``DomainMesh.largest_ring``, kept with the mesh),
-    which leaves each least-squares problem as it is.  A block's confident
-    stencils are solved by their scaled normal equations in one batched
-    solve, which agrees with the SVD to rounding: the condition numbers
-    reach about 25 inside and 160 at the boundary.
+    The vertices are fitted in blocks of 512, so the work arrays do not
+    grow with the mesh.  Each block's stencils are its rows of the mesh's
+    2-rings (``DomainMesh.two_ring``, expanded once and kept with the
+    mesh), padded with the vertex itself to the largest 2-ring: a pad
+    entry gives a zero row, which leaves each least-squares problem as it
+    is.  A block's confident stencils are solved by their scaled normal
+    equations in one batched solve, which agrees with the SVD to rounding:
+    the condition numbers reach about 25 inside and 160 at the boundary.
     """
     values = np.asarray(values, dtype=float)
-    nv = mesh.n_vertices
-    one_ring = mesh.vertex_rings(1)
-    blocks = [(start, min(start + 512, nv)) for start in range(0, nv, 512)]
-    # the rounding of the batched products depends on the padded length:
-    # every block pads to the largest 2-ring of the mesh, so no fit depends
-    # on the block it falls in
-    width = mesh.largest_ring(2)
+    nv, ring = mesh.n_vertices, mesh.two_ring
     christoffel = ambient.leaf.christoffel
     grad, hess = np.empty((nv, 2)), np.empty((nv, 2, 2))
     confident = np.empty(nv, dtype=bool)
-    for start, stop in blocks:
-        ptr, nbr = _ring_rows(one_ring, start, stop, 2)
-        coef, confident[start:stop] = _quadratic_fits(mesh.vertices, values, start,
-                                                       ptr, nbr, width)
-        grad[start:stop] = coef[:, :2]
-        hess[start:stop] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+    # the rounding of the batched products depends on the padded length:
+    # every block has the width of the largest 2-ring of the mesh, so no
+    # fit depends on the block it falls in
+    for start in range(0, nv, 512):
+        block = slice(start, start + 512)
+        coef, confident[block] = _quadratic_fits(mesh.vertices, values, block, ring[block])
+        grad[block] = coef[:, :2]
+        hess[block] = coef[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
         if christoffel is not None:
-            hess[start:stop] -= np.einsum("vkij,vk->vij",
-                                          christoffel(mesh.vertices[start:stop]), coef[:, :2])
+            hess[block] -= np.einsum("vkij,vk->vij",
+                                     christoffel(mesh.vertices[block]), coef[:, :2])
     return grad, hess, confident
 
 
-def _quadratic_fits(vertices, values, start, ptr, nbr, width):
+def _quadratic_fits(vertices, values, centre, stencil):
     """Coefficients ``(k, 5)`` of ``x, y, x^2/2, x y, y^2/2`` fitted to
-    ``values`` over the CSR stencils ``(ptr, nbr)`` of the vertices from
-    ``start`` on, relative to each vertex, each stencil padded to ``width``
-    points, and the confidence flags ``(k,)``; the coefficients are 0 where
-    the flag is False (see ``recover_gradient_hessian``)."""
-    count = np.diff(ptr)
-    centre = slice(start, start + len(count))
-    slot = np.arange(width)
-    used = slot < count[:, None]                              # (k, width)
-    idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
+    ``values`` over the padded stencils ``(k, width)`` of the vertices
+    ``centre`` (a slice), relative to each vertex, and the confidence flags
+    ``(k,)``; the coefficients are 0 where the flag is False (see
+    ``recover_gradient_hessian``)."""
     vx, vy = vertices.T
-    x = np.where(used, vx[idx] - vx[centre, None], 0.0)
-    y = np.where(used, vy[idx] - vy[centre, None], 0.0)
-    rhs = np.where(used, values[idx] - values[centre, None], 0.0)
+    x = vx[stencil] - vx[centre, None]
+    y = vy[stencil] - vy[centre, None]
+    rhs = values[stencil] - values[centre, None]
     M = np.stack([x, y, 0.5 * x**2, x * y, 0.5 * y**2], axis=2)
     Mt = M.transpose(0, 2, 1)
     N, b = Mt @ M, (Mt @ rhs[..., None])[..., 0]
@@ -429,7 +420,7 @@ def _quadratic_fits(vertices, values, start, ptr, nbr, width):
     scale[scale == 0] = 1.0
     N /= scale[:, :, None] * scale[:, None, :]
     confident = np.linalg.det(N) > 1e-6
-    coef = np.zeros((len(count), 5))
+    coef = np.zeros((len(stencil), 5))
     coef[confident] = np.linalg.solve(
         N[confident], (b[confident] / scale[confident])[..., None])[..., 0]
     return coef / scale, confident

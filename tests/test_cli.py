@@ -878,6 +878,11 @@ def test_unconverged_distance_exits_1_naming_the_mesh_file(tmp_path, monkeypatch
     for name in ("certify", "probe"):
         err = _assert_clean_exit_1(runs[name], capsys, fragment)
         assert err.count("\n") == 1
+    # the probe's report records the error, the solve's own keys kept
+    report = json.loads((tmp_path / "probe_run" / "report.json").read_text(encoding="utf-8"))
+    assert report["status"] == "input_error"
+    assert report["error"] == fragment[len("error: "):]
+    assert report["tau_reached"] == 1.0
 
 
 def test_lambda_overflow_in_a_trial_warns_nothing(tmp_path):

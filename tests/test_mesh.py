@@ -171,22 +171,6 @@ def test_spd_inverse_matches_linalg(name):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
 
 
-def _rows(csr):
-    """CSR rows ``(indptr, indices)`` as lists of ints."""
-    ptr, idx = csr
-    return [idx[a:b].tolist() for a, b in zip(ptr[:-1], ptr[1:])]
-
-
-def test_vertex_rings():
-    mesh = disk_mesh(0.3, 0.1, FLAT)
-    one = _rows(mesh.vertex_rings(depth=1))
-    two = _rows(mesh.vertex_rings(depth=2))
-    for v in range(mesh.n_vertices):
-        assert v not in one[v] and v not in two[v]
-        assert set(one[v]) <= set(two[v])
-        assert len(two[v]) >= 5 or v in mesh.boundary_vertices
-
-
 # -- edge table (property tests against a brute-force reference) -----------
 
 
@@ -352,8 +336,6 @@ def _brute_force(mesh):
         adj[b].add(a)
     two = [sorted(adj[v].union(*(adj[w] for w in adj[v])) - {v})
            for v in range(mesh.n_vertices)]
-    three = [sorted(set(two[v]).union(*(adj[w] for w in two[v])) - {v})
-             for v in range(mesh.n_vertices)]
     bedges = []
     for loop in mesh.boundary_loops:
         loop = [int(v) for v in loop]
@@ -361,23 +343,46 @@ def _brute_force(mesh):
             owners = [e for e, t in enumerate(mesh.triangles.tolist())
                       if i in t and j in t]
             bedges.append((i, j, owners))
-    return counts, [sorted(s) for s in adj], two, three, bedges
+    return counts, two, bedges
 
 
 @settings(max_examples=25, deadline=None)
-@given(_PRESETS)
-def test_edge_table_matches_brute_force(spec):
-    mesh, _ = _preset(*spec)
-    counts, one, two, three, bedges = _brute_force(mesh)
+@given(_PRESETS, st.one_of(st.none(), st.integers(0, 2**32 - 1)))
+@example(("annulus", 0.3, 0.1), 0)
+def test_edge_table_matches_brute_force(spec, seed):
+    # a preset, or a relabelled mesh-file copy of it
+    mesh, amb = _preset(*spec)
+    if seed is not None:
+        mesh = mesh_from_arrays(*_relabelled(mesh, np.random.default_rng(seed))[1:], amb)
+    counts, two, bedges = _brute_force(mesh)
     edges, ecounts = mesh.edge_table()
     assert dict(zip(map(tuple, edges.tolist()), ecounts.tolist())) == counts
-    assert _rows(mesh.vertex_rings(1)) == one
-    assert _rows(mesh.vertex_rings(2)) == two
-    assert _rows(mesh.vertex_rings(3)) == three
+    # the kept stencil: each 2-ring padded with its own vertex to the largest
+    ring = mesh.two_ring
+    width = max(map(len, two))
+    assert ring.shape == (mesh.n_vertices, width)
+    for v, row in enumerate(ring.tolist()):
+        assert row == two[v] + [v] * (width - len(two[v]))
+        assert len(two[v]) >= 5 or mesh.is_boundary[v]
     i, j, ids = _loop_edges(mesh)
     assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in bedges]
     assert np.array_equal(edges[ids], np.sort(np.stack([i, j], axis=1), axis=1))
     assert all(len(o) == 1 for _, _, o in bedges)
+
+
+@pytest.mark.parametrize("mesh_file", [False, True], ids=["preset", "mesh_file"])
+def test_cached_arrays_are_read_only(mesh_file):
+    # each is built once and shared by every later read: a caller writing
+    # into one (the fits' stencil, say) would corrupt all that follow
+    mesh = annulus_mesh(0.3, 0.6, 0.1, FLAT)
+    if mesh_file:
+        mesh = mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.boundary_loops, FLAT)
+    for name in ("boundary_vertices", "is_boundary", "interior_vertices",
+                 "dist_to_boundary", "suspect_elements", "two_ring"):
+        a = getattr(mesh, name)
+        assert getattr(mesh, name) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 @settings(max_examples=8, deadline=None)

@@ -299,12 +299,23 @@ def christoffel_symbols(ambient, pts):
     return np.zeros(pts.shape + (2, 2)) if symbols is None else symbols(pts)
 
 
+def _two_rings(mesh):
+    """Each vertex's 2-ring, ascending and without the vertex, built from
+    the edge table alone, apart from the stencil the recovery keeps."""
+    adj = [set() for _ in range(mesh.n_vertices)]
+    for a, b in mesh.edge_table()[0].tolist():
+        adj[a].add(b)
+        adj[b].add(a)
+    return [np.array(sorted(adj[v].union(*(adj[w] for w in adj[v])) - {v}))
+            for v in range(mesh.n_vertices)]
+
+
 def _recovery_loop(mesh, ambient, values):
     """The former per-vertex patch recovery, kept as a reference: one
     column-scaled ``lstsq`` fit over each 2-ring, kept where the squared
     singular values of the scaled stencil, the eigenvalues of its normal
     matrix, have a product above 1e-6; zeros elsewhere."""
-    rings = np.split(mesh.vertex_rings(2)[1], mesh.vertex_rings(2)[0][1:-1])
+    rings = _two_rings(mesh)
     nv = mesh.n_vertices
     grad, hess = np.zeros((nv, 2)), np.zeros((nv, 2, 2))
     confident = np.zeros(nv, dtype=bool)
@@ -375,8 +386,9 @@ def _recovery_whole(mesh, ambient, values):
     """The former whole-mesh patch recovery, kept as a reference: every
     2-ring padded to the largest one and all confident stencils fitted in
     one batch."""
-    ptr, nbr = mesh.vertex_rings(depth=2)
-    count = np.diff(ptr)
+    rings = _two_rings(mesh)
+    count = np.array([len(r) for r in rings])
+    ptr, nbr = np.concatenate([[0], np.cumsum(count)]), np.concatenate(rings)
     slot = np.arange(count.max())
     used = slot < count[:, None]
     idx = nbr[np.minimum(ptr[:-1, None] + slot, len(nbr) - 1)]
@@ -484,7 +496,7 @@ def test_stencil_on_two_lines_is_not_confident(build, vertex):
     # the stencil determines none; the cross's centre is an interior vertex
     amb = ck.preset_ambient("killing_flat")
     mesh = build(amb)
-    assert np.diff(mesh.vertex_rings(2)[0])[vertex] == 8
+    assert np.count_nonzero(mesh.two_ring[vertex] != vertex) == 8
     x, y = mesh.vertices.T
     grad, hess, conf = recover_gradient_hessian(mesh, amb, x**2 + y)
     assert not conf[vertex]
@@ -498,7 +510,7 @@ def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
     above = []
     for h in (0.025, 0.0125):
         mesh = ck.cap_mesh(1.0, h, amb)
-        mesh.vertex_rings(1)                 # mesh data, cached with the mesh
+        mesh.two_ring                        # mesh data, cached with the mesh
         x, y = mesh.vertices.T
         out, peak = traced_peak(recover_gradient_hessian, mesh, amb,
                                 np.cos(3 * x) + y**3)
@@ -643,9 +655,9 @@ def test_compacted_kernel_matches_full_fields_bitwise(ambient, metric, gamma, H,
 
 
 def test_recovery_expands_the_padding_width_once_per_mesh(monkeypatch):
-    # the largest 2-ring is kept with the mesh: a second recovery on the
-    # same mesh (certify recovers the distance, then the strip data) expands
-    # each block's rings once, for its fit
+    # the padded 2-rings are kept with the mesh: the first recovery expands
+    # each block's rings once, and a second one on the same mesh (certify
+    # recovers the distance, then the strip data) expands none
     amb = ck.preset_ambient("killing_flat")
     mesh = ck.disk_mesh(0.4, 0.02, amb)
     calls, ring_rows = [], ck.mesh._ring_rows
@@ -653,16 +665,14 @@ def test_recovery_expands_the_padding_width_once_per_mesh(monkeypatch):
     def counted(*args):
         calls.append(args[1:3])
         return ring_rows(*args)
-    for module in (ck.mesh, ck.operator):
-        monkeypatch.setattr(module, "_ring_rows", counted)
+    monkeypatch.setattr(ck.mesh, "_ring_rows", counted)
     blocks = -(-mesh.n_vertices // 512)
     first = recover_gradient_hessian(mesh, amb, mesh.dist_to_boundary)
-    assert len(calls) == 2 * blocks
+    assert len(calls) == blocks
     del calls[:]
     again = recover_gradient_hessian(mesh, amb, mesh.dist_to_boundary)
-    assert len(calls) == blocks
+    assert not calls
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
-    assert mesh.largest_ring(2) == np.diff(mesh.vertex_rings(2)[0]).max()
 
 
 def test_flat_christoffel_symbols_compact_to_zero():
