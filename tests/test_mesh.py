@@ -171,6 +171,20 @@ def test_spd_inverse_matches_linalg(name):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
 
 
+def test_vertex_rings():
+    mesh = disk_mesh(0.3, 0.1, FLAT)
+    one = [set() for _ in range(mesh.n_vertices)]
+    for a, b in mesh.edge_table()[0].tolist():
+        one[a].add(b)
+        one[b].add(a)
+    # a row of the stencil past its 2-ring is padding with the vertex itself
+    for v, row in enumerate(mesh.two_ring.tolist()):
+        two = [w for w in row if w != v]
+        assert row[len(two):] == [v] * (len(row) - len(two))
+        assert one[v] <= set(two)
+        assert len(two) >= 5 or v in mesh.boundary_vertices
+
+
 # -- edge table (property tests against a brute-force reference) -----------
 
 
