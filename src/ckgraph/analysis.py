@@ -64,9 +64,7 @@ class ConditionEntry:
         self.passed, self.evaluable, self.note = passed, evaluable, note
 
     def to_json(self):
-        return {"name": self.name, "inequality": self.inequality,
-                "margin": self.margin, "passed": self.passed,
-                "evaluable": self.evaluable, "note": self.note}
+        return dict(vars(self))
 
 
 class HypothesisReport:
@@ -100,10 +98,7 @@ class MaxPrincipleReport:
         self.t_range, self.samples, self.passed = t_range, samples, passed
 
     def to_json(self):
-        return {"rho_t_margin": self.rho_t_margin,
-                "lambda_t_H_margin": self.lambda_t_H_margin,
-                "t_range": self.t_range, "samples": self.samples,
-                "passed": self.passed}
+        return dict(vars(self))
 
 
 # flow times at which the conditions on lambda are sampled
@@ -266,14 +261,15 @@ class BarrierCertificate:
         self.skipped, self.valid = skipped, valid
         self.gradient_bound, self.note = gradient_bound, note
 
+    @classmethod
+    def failed(cls, kind: str, note: str) -> "BarrierCertificate":
+        """The entry of a search that found no certificate, ``note`` its
+        reason: not valid, and None for each value it has not got."""
+        return cls(kind, None, None, None, None, None, None, False, note=note)
+
     def to_json(self):
-        return {"kind": self.kind, "params": dict(self.params),
-                "min_margin": self.min_margin,
-                "margin_location": self.margin_location,
-                "ordering_ok": self.ordering_ok,
-                "worst_ordering_violation": self.worst_ordering_violation,
-                "skipped": self.skipped, "valid": self.valid,
-                "gradient_bound": self.gradient_bound, "note": self.note}
+        params = None if self.params is None else dict(self.params)
+        return {**vars(self), "params": params}
 
 
 def _certificate(problem: Problem, kind: str, params: dict, where, jet, gap,
@@ -674,11 +670,12 @@ def boundary_normal_slope(problem: Problem, z: ScalarField) -> np.ndarray:
     mesh = problem.mesh
     G, A = _hat_gradients(mesh.vertices, mesh.triangles)
     gz = np.einsum("eai,ea->ei", G, z.values[mesh.triangles])
-    acc = np.zeros((mesh.n_vertices, 2))
-    wsum = np.zeros(mesh.n_vertices)
-    for a in range(3):
-        np.add.at(acc, mesh.triangles[:, a], gz * A[:, None])
-        np.add.at(wsum, mesh.triangles[:, a], A)
-    grad = acc / wsum[:, None]
+    # area-weighted gradients and areas, summed into 3 v + column corner by
+    # corner, the order of ``_Assembly._scatter``
+    corner = np.tile(np.column_stack([gz * A[:, None], A]), (3, 1))
+    keys = 3 * mesh.triangles.T.reshape(-1, 1) + np.arange(3)
+    sums = np.bincount(keys.ravel(), weights=corner.ravel(),
+                       minlength=3 * mesh.n_vertices).reshape(-1, 3)
+    grad = sums[:, :2] / sums[:, 2:]
     bv = mesh.boundary_vertices
     return np.einsum("bi,bi->b", grad[bv], mesh.boundary_normal[bv])

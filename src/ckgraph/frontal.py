@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import _unique
+from .mesh import _offsets, _unique
 
 __all__ = ["LEAF_SIZE", "FrontTree", "FrontMatrix", "FrontFactors"]
 
@@ -112,10 +112,6 @@ def _dissect(coords, ei, ej):
         depth.append(np.full(hi - lo, level))
         todo = v
     return owner, np.concatenate(parent), np.concatenate(depth)
-
-
-def _offsets(counts):
-    return np.concatenate([[0], np.cumsum(counts)])
 
 
 def _grouped(key, bound):

@@ -170,19 +170,20 @@ class DomainMesh:
 
     @cached_property
     def two_ring(self) -> np.ndarray:
-        """(nv, width) vertex 2-rings: row ``v`` holds the vertices within two
-        edge hops of ``v``, in ascending order and without ``v`` itself,
-        padded with ``v`` up to the largest 2-ring of the mesh.  Expanded
-        once, 512 vertices at a time (``_ring_rows``), from the 1-ring of
-        the edge table, which is not kept."""
+        """(nv, width) int32 vertex 2-rings: row ``v`` holds the vertices
+        within two edge hops of ``v``, in ascending order and without ``v``
+        itself, padded with ``v`` up to the largest 2-ring of the mesh.
+        Expanded once, 512 vertices at a time (``_ring_rows``), from the
+        1-ring of the edge table, which is not kept."""
         nv = self.n_vertices
         edges = self.edge_table()[0]
         # pairs (v, w) as keys v nv + w, ascending: one hop either way
         v, w = np.divmod(_unique(np.concatenate([edges @ [nv, 1], edges @ [1, nv]])), nv)
-        one_ring = _csr(v, w, nv)
+        one_ring = _offsets(np.bincount(v, minlength=nv)), w
         blocks = [_ring_rows(one_ring, start, min(start + 512, nv))
                   for start in range(0, nv, 512)]
-        ring = np.repeat(np.arange(nv)[:, None], max(b.shape[1] for b in blocks), axis=1)
+        ring = np.repeat(np.arange(nv, dtype=np.int32)[:, None],
+                         max(b.shape[1] for b in blocks), axis=1)
         for start, block in zip(range(0, nv, 512), blocks):
             ring[start:start + len(block), :block.shape[1]] = block
         return _read_only(ring)
@@ -252,10 +253,10 @@ def _unique(keys):
     return keys[new]
 
 
-def _csr(v, w, rows):
-    """CSR rows ``(indptr, indices)`` of the pairs ``(v, w)``, sorted by
-    ``v``, with ``rows`` rows."""
-    return np.concatenate([[0], np.cumsum(np.bincount(v, minlength=rows))]), w
+def _offsets(counts):
+    """Where each run starts, and the end of the last: 0 and the cumulative
+    sums of ``counts``, the ``indptr`` of CSR rows of those lengths."""
+    return np.concatenate([[0], np.cumsum(counts)])
 
 
 def _loop_edges(mesh: DomainMesh):
@@ -340,7 +341,7 @@ def locate_points(mesh: DomainMesh, points):
     keys = (c0[elem, 0] + k % span[elem, 0]) * shape[1] + c0[elem, 1] + k // span[elem, 0]
     order = np.argsort(keys, kind="stable")
     listed = elem[order]
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(keys, minlength=shape.prod()))])
+    ptr = _offsets(np.bincount(keys, minlength=shape.prod()))
 
     pc = cell(points)
     key = pc[:, 0] * shape[1] + pc[:, 1]
@@ -467,7 +468,7 @@ def _spider_web(numbers, radii, counts, first):
     two_pi = 2 * math.pi
     counts = np.asarray(counts)
     nb = len(counts) - 1
-    ptr = np.concatenate([[0], np.cumsum(counts)])
+    ptr = _offsets(counts)
     ring = np.repeat(np.arange(len(counts)), counts)
     local = np.arange(ptr[-1]) - ptr[ring]
     ang = two_pi * (local + 0.5 * (np.asarray(numbers)[ring] % 2)) / counts[ring]
@@ -508,7 +509,7 @@ def _spider_web(numbers, radii, counts, first):
                         band))
     inner = order < len(band_a)
     band = band[order]
-    start = np.concatenate([[0], np.cumsum(p + q)[:-1]])
+    start = _offsets(p + q)[:-1]
     i = _segment_cumsum(inner.astype(np.intp), start, band) - inner
     j = j0[band] + np.arange(len(band)) - start[band] - i
     pb, qb, lo, hi = p[band], q[band], ptr[band], ptr[band + 1]

@@ -118,26 +118,24 @@ class LoadedProblem:
         self.verify_tolerance, self.document = verify_tolerance, document
 
     def companion(self) -> Optional[Problem]:
-        """The same problem with its preset domain meshed at ``COARSE_RATIO``
-        times the resolution, for the sequenced solve of
-        ``continuation_solve``.  None for a ``mesh`` domain or ``csv`` data,
-        which have no coarser counterpart; when the companion would have
-        more than 1/``COARSE_RATIO`` of the target's vertices (a target of
-        few rings: the generators never make fewer than two); and when its
-        data, or a custom ``gamma``, are not admissible at its own points."""
+        """The same document built at ``COARSE_RATIO`` times the resolution,
+        for the sequenced solve of ``continuation_solve``.  None for a
+        ``mesh`` domain or ``csv`` data, which have no coarser counterpart;
+        when the companion keeps more than 1/``COARSE_RATIO`` of the
+        target's vertices (a target of few rings: the generators never make
+        fewer than two); and when its data, or a custom ``gamma``, are not
+        admissible at its own points."""
         doc = self.document
         if "mesh" in doc["domain"] or "csv" in doc["H"] or "csv" in doc["phi"]:
             return None
-        amb = self.problem.ambient
         try:
-            mesh = _build_mesh(doc, amb, ".", COARSE_RATIO * float(doc["resolution"]))
-            if COARSE_RATIO * mesh.n_vertices > self.problem.mesh.n_vertices:
-                return None
-            _check_gamma(doc, amb, mesh)
-            return Problem(amb, mesh, _build_field(doc, "H", mesh, "."),
-                           _build_field(doc, "phi", mesh, ".").values)
+            coarse = _build_problem(doc, self.problem.ambient, Path("."),
+                                    COARSE_RATIO * float(doc["resolution"]))
         except (MeshError, ParameterError):
             return None
+        if COARSE_RATIO * coarse.mesh.n_vertices > self.problem.mesh.n_vertices:
+            return None
+        return coarse
 
 
 # the parameters each preset domain takes
@@ -395,6 +393,16 @@ def _build_field(doc, key: str, mesh, base_dir: Path) -> ScalarField:
         raise type(exc)(f"$.{key}.{kind}: {exc}") from None
 
 
+def _build_problem(doc, ambient, base_dir: Path, h: Optional[float] = None) -> Problem:
+    """The document's problem, its preset domain meshed at ``h`` (by
+    default the document's resolution): the mesh, the check of a custom
+    ``gamma`` at its points, and the fields ``H`` and ``phi``."""
+    mesh = _build_mesh(doc, ambient, base_dir, h)
+    _check_gamma(doc, ambient, mesh)
+    return Problem(ambient, mesh, _build_field(doc, "H", mesh, base_dir),
+                   _build_field(doc, "phi", mesh, base_dir).values)
+
+
 def load_problem(path) -> LoadedProblem:
     path = Path(path)
     try:
@@ -408,13 +416,7 @@ def load_problem(path) -> LoadedProblem:
 
 def load_problem_document(doc, base_dir=".") -> LoadedProblem:
     validate_document(doc)
-    base_dir = Path(base_dir)
-    amb = _build_ambient(doc)
-    mesh = _build_mesh(doc, amb, base_dir)
-    _check_gamma(doc, amb, mesh)
-    H = _build_field(doc, "H", mesh, base_dir)
-    phi_field = _build_field(doc, "phi", mesh, base_dir)
-    problem = Problem(amb, mesh, H, phi_field.values)
+    problem = _build_problem(doc, _build_ambient(doc), Path(base_dir))
     # JSON Schema counts 30.0 as an integer; the solver needs an int
     spec = PROBLEM_SCHEMA["properties"]["solver"]["properties"]
     options = SolverOptions(**{k: int(v) if spec[k]["type"] == "integer" else v

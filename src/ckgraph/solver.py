@@ -38,9 +38,7 @@ class NewtonRecord:
         self.damping_halvings = damping_halvings
 
     def to_json(self):
-        return {"tau": self.tau, "iter": self.iter,
-                "residual_norm": self.residual_norm, "step_norm": self.step_norm,
-                "damping_halvings": self.damping_halvings}
+        return dict(vars(self))
 
 
 class SolveReport:

@@ -19,6 +19,7 @@ from ckgraph.analysis import (RHO_T_ROUNDING, _boundary_curves, _boundary_strip,
 from ckgraph.errors import ParameterError
 from ckgraph.expressions import compile_flow_derivatives
 from ckgraph.fields import ScalarField
+from ckgraph.mesh import _hat_gradients
 from ckgraph.problemfile import load_problem_document
 
 
@@ -757,3 +758,37 @@ def test_both_rho_t_checks_share_the_rounding_allowance():
     assert -RHO_T_ROUNDING <= cond.margin < 0
     assert report.rho_t_margin == cond.margin
     assert cond.passed and report.passed
+
+
+def _slope_by_add_at(problem, z):
+    # the per-corner accumulation boundary_normal_slope made before it took
+    # one bincount; the bincount adds in the same order, corner by corner
+    mesh = problem.mesh
+    G, A = _hat_gradients(mesh.vertices, mesh.triangles)
+    gz = np.einsum("eai,ea->ei", G, z.values[mesh.triangles])
+    acc, wsum = np.zeros((mesh.n_vertices, 2)), np.zeros(mesh.n_vertices)
+    for a in range(3):
+        np.add.at(acc, mesh.triangles[:, a], gz * A[:, None])
+        np.add.at(wsum, mesh.triangles[:, a], A)
+    grad = acc / wsum[:, None]
+    bv = mesh.boundary_vertices
+    return np.einsum("bi,bi->b", grad[bv], mesh.boundary_normal[bv])
+
+
+@pytest.mark.parametrize("mesh_file", [False, True], ids=["preset", "mesh_file"])
+def test_boundary_normal_slope_is_the_add_at_sum(cmc_problem, mesh_file):
+    amb, mesh = cmc_problem.ambient, cmc_problem.mesh
+    if mesh_file:
+        # relabelled vertices, shuffled triangles with rotated corners
+        rng = np.random.default_rng(3)
+        perm = rng.permutation(mesh.n_vertices)
+        verts = np.empty_like(mesh.vertices)
+        verts[perm] = mesh.vertices
+        tris = perm[mesh.triangles][rng.permutation(mesh.n_triangles)]
+        tris = np.roll(tris, 1, axis=1)
+        mesh = ck.mesh_from_arrays(verts, tris, [perm[l] for l in mesh.boundary_loops], amb)
+    prob = ck.Problem.create(amb, mesh, 1.0, 0.0)
+    x, y = mesh.vertices.T
+    z = ScalarField(mesh, np.sin(3 * x) + y**2 + 0.01 * np.cos(17 * x * y))
+    got, ref = boundary_normal_slope(prob, z), _slope_by_add_at(prob, z)
+    assert got.tobytes() == ref.tobytes()

@@ -1313,3 +1313,89 @@ def test_solution_beyond_interval_end_exit_1(tmp_path, capsys, command):
     assert main([command, prob, str(bad)]) == 1
     assert capsys.readouterr().err == (
         f"error: {bad}: vertex 0 value 2.0 reaches the interval end 1.0\n")
+
+
+def _lowered(prob, solution, tmp_path):
+    # on killing_flat a vertical shift is an isometry: the lowered graph has
+    # the mean curvature of the solution, and only the boundary data differ
+    z = ScalarField.from_csv(load_problem(prob).problem.mesh, solution)
+    z.values -= 0.3
+    lowered = tmp_path / "lowered.csv"
+    z.to_csv(lowered)
+    return str(lowered)
+
+
+def test_verify_checks_the_boundary_data(solved_mesh_file_run, tmp_path, capsys):
+    prob, solution = solved_mesh_file_run
+    lowered = _lowered(prob, solution, tmp_path)
+    capsys.readouterr()
+    # the solver imposes the data exactly and writes them back losslessly
+    assert main(["verify", prob, solution]) == 0
+    own = json.loads(capsys.readouterr().out)
+    assert own["boundary_max_discrepancy"] == 0.0 and own["passed"]
+    assert main(["verify", prob, lowered]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert not doc["passed"]
+    assert doc["boundary_max_discrepancy"] == pytest.approx(0.3)
+    assert doc["mean_discrepancy"] == pytest.approx(own["mean_discrepancy"], abs=1e-9)
+    vertex = doc["boundary_max_discrepancy_vertex"]
+    assert vertex in load_problem(prob).problem.mesh.boundary_vertices
+    assert err == ("error: the solution misses the boundary data by 0.3 at vertex "
+                   f"{vertex}, more than 1e-09\n")
+
+
+def test_certify_exhausted_search_writes_failed_entries(solved_mesh_file_run, tmp_path,
+                                                        capsys):
+    # 0.3 below the solution, no height or lower boundary barrier is under
+    # it; every search still runs, and each failed one leaves its entry
+    prob, solution = solved_mesh_file_run
+    lowered = _lowered(prob, solution, tmp_path)
+    cert = tmp_path / "cert.json"
+    capsys.readouterr()
+    assert main(["certify", prob, lowered, "--out", str(cert)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    doc = json.loads(cert.read_text())
+    assert doc["status"] == "certificate_failed"
+    entries = doc["certificates"]
+    assert entries["boundary_upper"]["valid"]
+    failed = [entries[kind] for kind in ("height", "boundary_lower")]
+    assert err == "".join(f"error: {entry['note']}\n" for entry in failed)
+    assert failed[0]["note"].startswith(
+        "height barrier search exhausted after 21 candidates: solution not "
+        "ordered with the barrier [8 candidates, D = 1 .. D = 128]; exp(D*B) "
+        "overflows: D*B > 200 [13 candidates, D = 256 .. D = 1.04858e+06]; "
+        "largest min_margin ")
+    assert failed[1]["note"].startswith("boundary barrier search exhausted after 35")
+    for entry in failed:
+        assert set(entry) == set(entries["boundary_upper"])
+        assert not entry["valid"]
+        assert {k for k, v in entry.items() if v is None} == set(entry) - {
+            "kind", "valid", "note"}
+
+
+def test_certify_empty_strip_is_a_failed_entry(solved_run, capsys):
+    _, prob, out = solved_run
+    capsys.readouterr()
+    argv = ["certify", prob, str(out / "solution.csv"), "--eps", "1e-6"]
+    assert main(argv) == 1
+    stdout, err = capsys.readouterr()
+    doc = json.loads(stdout)
+    assert doc["status"] == "certificate_failed"
+    assert doc["certificates"]["height"]["valid"]
+    note = "tubular strip is empty at eps = 1e-06"
+    for kind in ("boundary_lower", "boundary_upper"):
+        assert doc["certificates"][kind]["note"] == note
+    assert err == f"error: {note}\n" * 2
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.05"])
+def test_certify_nonpositive_eps_exit_1(solved_run, tmp_path, capsys, eps):
+    # a strip width that is not positive is an input error, not a failed
+    # certificate: nothing is written
+    _, prob, out = solved_run
+    cert = tmp_path / "cert.json"
+    _assert_clean_exit_1(["certify", prob, str(out / "solution.csv"), f"--eps={eps}",
+                          "--out", str(cert)], capsys, "--eps must be positive")
+    assert not cert.exists()

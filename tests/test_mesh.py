@@ -391,10 +391,15 @@ def test_cached_arrays_are_read_only(mesh_file):
     mesh = annulus_mesh(0.3, 0.6, 0.1, FLAT)
     if mesh_file:
         mesh = mesh_from_arrays(mesh.vertices, mesh.triangles, mesh.boundary_loops, FLAT)
-    for name in ("boundary_vertices", "is_boundary", "interior_vertices",
-                 "dist_to_boundary", "suspect_elements", "two_ring"):
+    # the 2-ring stencil, kept for the life of the mesh, is int32: half the
+    # bytes of int64 indices
+    dtypes = {"boundary_vertices": np.intp, "is_boundary": bool,
+              "interior_vertices": np.intp, "dist_to_boundary": float,
+              "suspect_elements": bool, "two_ring": np.int32}
+    for name, dtype in dtypes.items():
         a = getattr(mesh, name)
         assert getattr(mesh, name) is a
+        assert a.dtype == dtype, name
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
 

@@ -81,3 +81,21 @@ def test_record_json_is_the_former_asdict(name):
 def test_certificate_json_copies_its_params():
     cert = _RECORDS["barrier"][0]
     assert cert.to_json()["params"] is not cert.params
+
+
+@pytest.mark.parametrize("record", [
+    _RECORDS["condition"][0], _RECORDS["max_principle"][0], _RECORDS["barrier"][0],
+    BarrierCertificate.failed("height", "height barrier search exhausted"),
+    _RECORDS["newton"][0]], ids=["condition", "max_principle", "barrier",
+                                 "failed_barrier", "newton"])
+def test_record_json_keys_are_its_constructor_parameters(record):
+    # each record lists its fields once, in its constructor: no attribute
+    # set elsewhere reaches report.json, log.jsonl or the certify JSON
+    params = list(inspect.signature(type(record)).parameters)
+    assert list(record.to_json()) == params
+
+
+def test_failed_certificate_has_the_certificate_keys_with_nulls():
+    got = BarrierCertificate.failed("boundary_upper", "tubular strip is empty").to_json()
+    assert got == dict.fromkeys(_RECORDS["barrier"][1], None) | {
+        "kind": "boundary_upper", "valid": False, "note": "tubular strip is empty"}
