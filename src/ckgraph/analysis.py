@@ -106,8 +106,8 @@ FLOW_TIME_SAMPLES = 512
 
 # how far below 0 rho_t may fall and still pass both rho_t >= 0 checks: a
 # rounding allowance, since a custom ambient's rho_t, the jet of log lambda,
-# is a difference of equal terms on a product such as exp(t)*exp(2*t)
-# (-5.3e-15 on its flow times)
+# is a difference of equal terms on a sum such as exp(t)*exp(2*t) + 0
+# (-5.3e-15 on its flow times; a product alone is split into exact terms)
 RHO_T_ROUNDING = 1e-12
 
 

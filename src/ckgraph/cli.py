@@ -26,7 +26,7 @@ from .errors import DomainError, MeshError, ParameterError, SchemaError
 from .fields import ScalarField
 from .mesh import _write_mesh_json
 from .operator import mean_curvature_of_graph
-from .problemfile import LoadedProblem, load_problem
+from .problemfile import load_problem
 from .solver import continuation_solve
 
 _STATUS_EXIT = {"converged": 0, "stalled": 2, "left_interval": 3}
@@ -48,12 +48,6 @@ def _dump_json(doc, path=None):
         Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _dump_input_error(report: dict, path, exc):
-    """Write ``report`` as an input error with the message of ``exc``."""
-    report["status"], report["error"] = "input_error", str(exc)
-    _dump_json(report, path)
-
-
 def _report_skeleton(status: str):
     return {
         "status": status,
@@ -61,31 +55,17 @@ def _report_skeleton(status: str):
     }
 
 
-def _option_error(args, names, nonnegative=False):
-    """The message for the first of the numeric options ``names`` that is
-    given but not finite (or, with ``nonnegative``, negative); None when all
-    are usable."""
+def _check_options(args, names, nonnegative=False):
+    """ParameterError for the first of the numeric options ``names`` that
+    is given but not finite (or, with ``nonnegative``, negative)."""
     for name in names:
         value = getattr(args, name)
         if value is None:
             continue
         if not math.isfinite(value):
-            return f"--{name} must be a finite number, got {value}"
+            raise ParameterError(f"--{name} must be a finite number, got {value}")
         if nonnegative and value < 0:
-            return f"--{name} must not be negative, got {value}"
-    return None
-
-
-def _run_checks(loaded: LoadedProblem, report: dict):
-    """The post-solve checks; the hypothesis check, when asked for, ran
-    before the solve."""
-    problem = loaded.problem
-    if "max_principle" in loaded.checks:
-        report["max_principle"] = max_principle_conditions(problem).to_json()
-    if "monotonicity" in loaded.checks:
-        h = problem.mesh.h
-        depths = [2 * h, 4 * h, 6 * h]
-        report["monotonicity"] = cylinder_monotonicity_probe(problem, depths)
+            raise ParameterError(f"--{name} must not be negative, got {value}")
 
 
 def _load_solution(args):
@@ -116,56 +96,58 @@ def cmd_solve(args) -> int:
     report = _report_skeleton("input_error")
     try:
         loaded = load_problem(args.problem)
+        problem = loaded.problem
+        # --strict refuses to solve on a failed check, so it always runs it
+        if args.strict or "hypotheses" in loaded.checks:
+            hyp = check_hypotheses(problem)
+            report["hypotheses"] = hyp.to_json()
+            if not hyp.passed:
+                names = ", ".join(hyp.failing())
+                if args.strict:
+                    report["status"] = "hypotheses_failed"
+                    report["error"] = f"failing conditions: {names}"
+                    _dump_json(report, out / "report.json")
+                    print(f"error: hypothesis check failed ({names})", file=sys.stderr)
+                    return 1
+                print(f"warning: failing conditions: {names}", file=sys.stderr)
+
+        _write_mesh_json(problem.mesh, out / "mesh.json")
+        log_path = out / "log.jsonl"
+        with open(log_path, "w", encoding="utf-8") as log:
+            def on_iteration(rec):
+                log.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
+
+            solve = continuation_solve(problem, loaded.options, on_iteration,
+                                       companion=loaded.companion)
+
+        report["status"] = solve.status
+        report["path"] = solve.path
+        report["tau_reached"] = solve.tau_reached
+        report["tau_path"] = solve.tau_path
+        report["grad_sup_history"] = solve.grad_sup_history
+        report["newton_iterations"] = len(solve.newton_history)
+        report["clamped"] = solve.clamped
+        if solve.message:
+            report["message"] = solve.message
+        if solve.solution is not None:
+            solve.solution.to_csv(out / "solution.csv")
+            report["solution_range"] = [float(solve.solution.values.min()),
+                                        float(solve.solution.values.max())]
+        # the post-solve checks; the hypothesis check ran before the solve
+        if "max_principle" in loaded.checks:
+            report["max_principle"] = max_principle_conditions(problem).to_json()
+        if "monotonicity" in loaded.checks:
+            h = problem.mesh.h
+            report["monotonicity"] = cylinder_monotonicity_probe(problem, [2 * h, 4 * h, 6 * h])
+        _dump_json(report, out / "report.json")
+        print(f"{solve.status}: tau = {solve.tau_reached}, "
+              f"{len(solve.newton_history)} Newton iterations")
+        return _STATUS_EXIT[solve.status]
     except _INPUT_ERRORS as exc:
-        _dump_input_error(report, out / "report.json", exc)
+        # recorded here, printed by main
+        report["status"], report["error"] = "input_error", str(exc)
+        _dump_json(report, out / "report.json")
         raise
-    problem = loaded.problem
-    # --strict refuses to solve on a failed check, so it always runs it
-    if args.strict or "hypotheses" in loaded.checks:
-        hyp = check_hypotheses(problem)
-        report["hypotheses"] = hyp.to_json()
-        if not hyp.passed:
-            names = ", ".join(hyp.failing())
-            if args.strict:
-                report["status"] = "hypotheses_failed"
-                report["error"] = f"failing conditions: {names}"
-                _dump_json(report, out / "report.json")
-                print(f"error: hypothesis check failed ({names})", file=sys.stderr)
-                return 1
-            print(f"warning: failing conditions: {names}", file=sys.stderr)
-
-    _write_mesh_json(problem.mesh, out / "mesh.json")
-    log_path = out / "log.jsonl"
-    with open(log_path, "w", encoding="utf-8") as log:
-        def on_iteration(rec):
-            log.write(json.dumps(rec.to_json(), sort_keys=True) + "\n")
-
-        solve = continuation_solve(problem, loaded.options, on_iteration,
-                                   companion=loaded.companion)
-
-    report["status"] = solve.status
-    report["path"] = solve.path
-    report["tau_reached"] = solve.tau_reached
-    report["tau_path"] = solve.tau_path
-    report["grad_sup_history"] = solve.grad_sup_history
-    report["newton_iterations"] = len(solve.newton_history)
-    report["clamped"] = solve.clamped
-    if solve.message:
-        report["message"] = solve.message
-    if solve.solution is not None:
-        solve.solution.to_csv(out / "solution.csv")
-        report["solution_range"] = [float(solve.solution.values.min()),
-                                    float(solve.solution.values.max())]
-    try:
-        _run_checks(loaded, report)
-    except _INPUT_ERRORS as exc:
-        _dump_input_error(report, out / "report.json", exc)
-        raise
-    _dump_json(report, out / "report.json")
-    code = _STATUS_EXIT[solve.status]
-    print(f"{solve.status}: tau = {solve.tau_reached}, "
-          f"{len(solve.newton_history)} Newton iterations")
-    return code
 
 
 def cmd_check(args) -> int:
@@ -185,12 +167,9 @@ def _searched(kind: str, search) -> BarrierCertificate:
 
 
 def cmd_certify(args) -> int:
-    bad = _option_error(args, ("D", "B", "eps"))
-    if bad is None and args.eps <= 0:
-        bad = f"--eps must be positive, got {args.eps}"
-    if bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return 1
+    _check_options(args, ("D", "B", "eps"))
+    if args.eps <= 0:
+        raise ParameterError(f"--eps must be positive, got {args.eps}")
     loaded, z = _load_solution(args)
     problem = loaded.problem
     report = _report_skeleton("certified")
@@ -220,17 +199,13 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    bad = _option_error(args, ("tol",), nonnegative=True)
-    if bad:
-        print(f"error: {bad}", file=sys.stderr)
-        return 1
+    _check_options(args, ("tol",), nonnegative=True)
     loaded, z = _load_solution(args)
     problem = loaded.problem
     H_rec, mask = mean_curvature_of_graph(problem, z)
     if not np.any(mask):
-        print("error: no vertex with confident recovery: no 2-ring determines "
-              "a quadratic", file=sys.stderr)
-        return 1
+        raise ParameterError("no vertex with confident recovery: no 2-ring "
+                             "determines a quadratic")
     diff = np.abs(H_rec.values[mask] - problem.H.values[mask])
     tol = loaded.verify_tolerance if args.tol is None else args.tol
     bv = problem.mesh.boundary_vertices
@@ -302,8 +277,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except _INPUT_ERRORS as exc:
-        # every command's input and parameter errors end here; solve also
-        # records its load error in report.json first
+        # every command's input and parameter errors end here, and only
+        # here; solve records its input error in report.json first
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

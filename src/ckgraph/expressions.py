@@ -4,8 +4,9 @@ Each expression is parsed once and compiled into closures, node by node:
 binary arithmetic, powers, a fixed function table, and the variable names.
 Anything else (attributes, calls by value, subscripts, names like ``t``, a
 function called with the wrong number of arguments) is rejected while the
-closures are built, before any value is computed.  ``log(exp(u))``
-compiles to ``u``, which stays finite where ``exp(u)`` under- or overflows.
+closures are built, before any value is computed, and so is an expression
+that nests more than ``MAX_DEPTH`` levels.  ``log(exp(u))`` compiles
+to ``u``, which stays finite where ``exp(u)`` under- or overflows.
 
 The same closures give exact derivatives: every ufunc of the grammar acts
 on a :class:`Jet`, a value with its first and second derivative along one
@@ -27,8 +28,14 @@ import numpy as np
 
 from .errors import ParameterError
 
-__all__ = ["Jet", "compile_expression", "compile_gradient", "compile_univariate",
-           "compile_flow_derivatives"]
+__all__ = ["Jet", "MAX_DEPTH", "compile_expression", "compile_gradient",
+           "compile_univariate", "compile_flow_derivatives"]
+
+# The most levels an expression may nest, a call counting two: compiling and
+# evaluating it take a frame per level, and Python's recursion limit of 1000
+# frames also holds the callers'.  The parser itself fails near 3000 levels.
+MAX_DEPTH = 900
+_TOO_DEEP = f"bad expression: more than {MAX_DEPTH} nested levels"
 
 # NumPy ufuncs of ``nin`` arguments (a further one would be ``out``)
 _FUNCTIONS = {
@@ -159,20 +166,23 @@ def _along(expr, env, name):
     return out if isinstance(out, Jet) else Jet(out)
 
 
-def _compile(node, names):
+def _compile(node, names, depth=0):
     """A closure of the variable environment (a dict over ``names``) that
-    evaluates ``node``; ParameterError for any construct outside the
-    grammar."""
+    evaluates ``node``, found ``depth`` levels down; ParameterError for any
+    construct outside the grammar, or nested deeper than ``MAX_DEPTH``."""
+    if depth > MAX_DEPTH:
+        raise ParameterError(_TOO_DEEP)
     if isinstance(node, ast.BinOp):
         if type(node.op) not in _BINOPS:
             raise ParameterError(f"operator {type(node.op).__name__} not allowed")
         op = _BINOPS[type(node.op)]
-        left, right = _compile(node.left, names), _compile(node.right, names)
+        left, right = (_compile(node.left, names, depth + 1),
+                       _compile(node.right, names, depth + 1))
         return lambda env: op(left(env), right(env))
     if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.UAdd, ast.USub)):
             raise ParameterError("only unary +/- allowed")
-        operand = _compile(node.operand, names)
+        operand = _compile(node.operand, names, depth + 1)
         if isinstance(node.op, ast.USub):
             return lambda env: -operand(env)
         return lambda env: +operand(env)
@@ -185,9 +195,10 @@ def _compile(node, names):
         if len(node.args) != fn.nin:
             raise ParameterError(f"{node.func.id} takes {fn.nin} argument"
                                  f"{'s' if fn.nin > 1 else ''}, got {len(node.args)}")
-        if fn is np.log and _is_exp_call(node.args[0]):
-            return _compile(node.args[0].args[0], names)
-        args = [_compile(arg, names) for arg in node.args]
+        if fn is np.log and _is_call(node.args[0], "exp"):
+            return _compile(node.args[0].args[0], names, depth + 1)
+        # two levels: the comprehensions take a frame each
+        args = [_compile(arg, names, depth + 2) for arg in node.args]
         return lambda env: fn(*[arg(env) for arg in args])
     if isinstance(node, ast.Name):
         name = node.id
@@ -205,23 +216,37 @@ def _compile(node, names):
         if not isinstance(node.value, (int, float)):
             raise ParameterError("only numeric constants allowed")
         # as a float: NumPy's integer power wraps (2**70 is 0) or refuses 2**-1
-        value = float(node.value)
+        value = float(node.value)       # OverflowError beyond the float range
         return lambda env: value
     raise ParameterError(
         f"construct {type(node).__name__} not allowed in expressions")
 
 
-def _is_exp_call(node):
+def _is_call(node, name):
+    """Whether ``node`` calls the function ``name`` on one argument."""
     return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id == "exp" and len(node.args) == 1 and not node.keywords)
+            and node.func.id == name and len(node.args) == 1 and not node.keywords)
 
 
-def _parse(text: str, names):
+def _split_log(node):
+    """``log(a * b)`` as ``log(a) + log(b)``, ``log(a / b)`` as ``log(a) -
+    log(b)``, recursively: the same derivatives, exact where a factor is
+    negative or under- or overflows (``1*exp(t)``), but not the same values."""
+    arg = node.args[0] if _is_call(node, "log") else None
+    if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Mult, ast.Div))):
+        return node
+    left = _split_log(ast.Call(node.func, [arg.left], []))
+    right = _split_log(ast.Call(node.func, [arg.right], []))
+    return ast.BinOp(left, ast.Add() if isinstance(arg.op, ast.Mult) else ast.Sub(), right)
+
+
+def _parse(text: str, names, rewrite=lambda node: node):
     try:
-        tree = ast.parse(text, mode="eval")
-    except SyntaxError as exc:
+        return _compile(rewrite(ast.parse(text, mode="eval").body), names)
+    except (SyntaxError, OverflowError) as exc:
         raise ParameterError(f"bad expression: {exc}") from exc
-    return _compile(tree.body, names)
+    except (RecursionError, MemoryError):     # nested beyond the parser's limits
+        raise ParameterError(_TOO_DEEP) from None
 
 
 def compile_expression(text: str):
@@ -270,8 +295,9 @@ def compile_univariate(text: str):
 
 def compile_flow_derivatives(text: str):
     """The exact first and second flow-time derivatives of
-    ``compile_univariate(text)``, each from one jet pass seeded in ``t``."""
-    expr = _parse(text, ("t",))
+    ``compile_univariate(text)``, each from one jet pass seeded in ``t``;
+    ``log`` of a product or quotient is split first (``_split_log``)."""
+    expr = _parse(text, ("t",), _split_log)
 
     def derivative(order):
         def fn(v):

@@ -8,7 +8,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import MeshError
+from .errors import MeshError, read_input
 from .mesh import DomainMesh, locate_points
 
 __all__ = ["ScalarField"]
@@ -56,12 +56,7 @@ class ScalarField:
         extra columns, CRLF, quoted cells, blank rows.  Every layout gets
         the same checks; a fault raises ``MeshError`` naming the file and
         the line its row ends on."""
-        try:
-            with open(path, "r", newline="", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            reason = getattr(exc, "strerror", None) or exc
-            raise MeshError(f"cannot read {path}: {reason}") from exc
+        text = read_input(path, MeshError)
         return cls(mesh, _checked_values(mesh, path, *_tokens(text)))
 
 

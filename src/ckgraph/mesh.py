@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .ambient import LEAF_METRICS, AmbientSpace, round_sphere_metric
-from .errors import MeshError, ParameterError
+from .errors import MeshError, ParameterError, prefixed, read_input
 
 __all__ = ["DomainMesh", "PolarDomain", "disk_mesh", "annulus_mesh", "cap_mesh",
            "mesh_from_arrays", "mesh_from_json", "mesh_to_json",
@@ -150,15 +150,13 @@ class DomainMesh:
         b, polar = self.boundary_vertices, self.polar
         d = np.full(self.n_vertices, np.inf) if polar is None else polar.distance(self.vertices)
         d[b] = 0.0
-        try:
+        with prefixed(self._where, MeshError):
             if polar is None:
                 d = _eikonal_sweep(self.vertices, self.triangles, d, self._ambient)
             if np.any(d[b] != 0.0):
                 raise MeshError("boundary vertices must have distance 0")
             if np.any(d[self.interior_vertices] <= 0.0):
                 raise MeshError("interior vertices must have positive distance")
-        except MeshError as exc:
-            raise MeshError(f"{self._where}{exc}") from exc
         return _read_only(d)
 
     def edge_table(self):
@@ -720,6 +718,8 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
         vertices = np.asarray(vertices, dtype=float)
     except (TypeError, ValueError):
         raise MeshError("vertices must be rows of two numbers") from None
+    except OverflowError:       # an int beyond the float range
+        raise MeshError("vertices must be rows of two finite numbers") from None
     if vertices.ndim != 2 or vertices.shape[1] != 2 or not np.all(np.isfinite(vertices)):
         raise MeshError("vertices must be rows of two finite numbers")
     if ambient.base_metric is round_sphere_metric:
@@ -830,13 +830,8 @@ def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
     where = "mesh document"
     if isinstance(doc, (str, os.PathLike)):
         where = str(doc)
-        try:
-            with open(doc, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:    # unreadable, not UTF-8, not JSON
-            reason = getattr(exc, "strerror", None) or exc
-            raise MeshError(f"cannot read {where}: {reason}") from exc
-    try:
+        doc = read_input(doc, MeshError, parse=json.loads)
+    with prefixed(f"{where}: ", MeshError):
         if not isinstance(doc, dict):
             raise MeshError("not a JSON object")
         for key in ("vertices", "triangles", "boundary"):
@@ -844,7 +839,5 @@ def mesh_from_json(doc, ambient: AmbientSpace) -> DomainMesh:
                 raise MeshError(f"missing key {key!r}")
         mesh = mesh_from_arrays(doc["vertices"], doc["triangles"], doc["boundary"],
                                 ambient)
-    except MeshError as exc:
-        raise MeshError(f"{where}: {exc}") from exc
     mesh._where = f"{where}: "
     return mesh

@@ -55,7 +55,7 @@ class Problem:
         if len(bad):
             k = bad[0]
             raise ParameterError(
-                f"$.phi: lambda is not positive at boundary vertex "
+                "lambda is not positive at boundary vertex "
                 f"{int(self.mesh.boundary_vertices[k])}: phi = {float(bvals[k])!r}, "
                 f"lambda = {float(lam_b[k])!r}")
         self._derived = {}

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import ambient as ambient_mod
 from .ambient import AmbientSpace, preset_ambient, PRESET_NAMES
-from .errors import MeshError, ParameterError, SchemaError
+from .errors import MeshError, ParameterError, SchemaError, prefixed, read_input
 from .expressions import (compile_expression, compile_flow_derivatives,
                           compile_gradient, compile_univariate)
 from .fields import ScalarField
@@ -291,14 +291,6 @@ def validate_document(doc):
                               f"'{dom['preset']}' preset")
 
 
-def _compiled(compile, cu, key: str):
-    """``compile(cu[key])``, an error prefixed with ``$.ambient.custom.key``."""
-    try:
-        return compile(cu[key])
-    except ParameterError as exc:
-        raise ParameterError(f"$.ambient.custom.{key}: {exc}") from None
-
-
 def _build_ambient(doc) -> AmbientSpace:
     """The document's ambient.  A custom one takes ``rho`` and ``rho_t``, the
     first and second flow-time derivatives of ``log(lam)``, and the gradient
@@ -308,25 +300,24 @@ def _build_ambient(doc) -> AmbientSpace:
     if "preset" in spec:
         return preset_ambient(spec["preset"])
     cu = spec["custom"]
-    lam = _compiled(compile_univariate, cu, "lam")
-    # the newline ends a comment in the text before the closing parenthesis
-    rho, rho_t = compile_flow_derivatives(f"log({cu['lam']}\n)")
+    with prefixed("$.ambient.custom.lam: ", ParameterError):
+        lam = compile_univariate(cu["lam"])
+        # the newline ends a comment in the text before the closing parenthesis
+        rho, rho_t = compile_flow_derivatives(f"log({cu['lam']}\n)")
     end = cu.get("interval_end", "inf")
     end = math.inf if end == "inf" else float(end)
     if "gamma" in cu:
-        gfun = _compiled(compile_expression, cu, "gamma")
-        grad_gamma = compile_gradient(cu["gamma"])
+        with prefixed("$.ambient.custom.gamma: ", ParameterError):
+            gfun, grad_gamma = compile_expression(cu["gamma"]), compile_gradient(cu["gamma"])
     else:
         gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
     metric = ambient_mod.round_sphere_metric \
         if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
-    try:
+    # the message names the field at fault first
+    with prefixed("$.ambient.custom.", ParameterError):
         return AmbientSpace(
             name="custom", lam=lam, rho=rho, rho_t=rho_t, interval_end=end,
             gamma=gfun, grad_gamma=grad_gamma, base_metric=metric)
-    except ParameterError as exc:
-        # the message names the field at fault first
-        raise ParameterError(f"$.ambient.custom.{exc}") from None
 
 
 def _check_gamma(doc, ambient: AmbientSpace, mesh):
@@ -370,18 +361,16 @@ def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
     names = _PRESET_PARAMS[dom["preset"]]
     # the module's builder names, read at each call
     build = {"disk": disk_mesh, "cap": cap_mesh, "annulus": annulus_mesh}[dom["preset"]]
-    try:
+    # the outer radius, or r_in >= r_out: the last parameter is at fault
+    with prefixed(f"$.domain.params.{names[-1]}: ", ParameterError):
         return build(*(dom["params"][key] for key in names), h, ambient)
-    except ParameterError as exc:
-        # the outer radius, or r_in >= r_out: the last parameter is at fault
-        raise ParameterError(f"$.domain.params.{names[-1]}: {exc}") from None
 
 
 def _build_field(doc, key: str, mesh, base_dir: Path) -> ScalarField:
     """The field ``doc[key]``; an error names its JSON path, e.g.
     ``$.H.expression``."""
     (kind, value), = doc[key].items()
-    try:
+    with prefixed(f"$.{key}.{kind}: ", MeshError, ParameterError):
         if kind == "constant":
             return ScalarField.constant(mesh, value)
         if kind == "expression":
@@ -389,8 +378,6 @@ def _build_field(doc, key: str, mesh, base_dir: Path) -> ScalarField:
             with np.errstate(all="ignore"):
                 return ScalarField(mesh, fn(mesh.vertices))
         return ScalarField.from_csv(mesh, base_dir / value)
-    except (MeshError, ParameterError) as exc:
-        raise type(exc)(f"$.{key}.{kind}: {exc}") from None
 
 
 def _build_problem(doc, ambient, base_dir: Path, h: Optional[float] = None) -> Problem:
@@ -399,18 +386,15 @@ def _build_problem(doc, ambient, base_dir: Path, h: Optional[float] = None) -> P
     ``gamma`` at its points, and the fields ``H`` and ``phi``."""
     mesh = _build_mesh(doc, ambient, base_dir, h)
     _check_gamma(doc, ambient, mesh)
-    return Problem(ambient, mesh, _build_field(doc, "H", mesh, base_dir),
-                   _build_field(doc, "phi", mesh, base_dir).values)
+    H = _build_field(doc, "H", mesh, base_dir)
+    phi = _build_field(doc, "phi", mesh, base_dir)
+    with prefixed("$.phi: ", ParameterError):
+        return Problem(ambient, mesh, H, phi.values)
 
 
 def load_problem(path) -> LoadedProblem:
     path = Path(path)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:        # unreadable, not UTF-8, not JSON
-        reason = getattr(exc, "strerror", None) or exc
-        raise SchemaError(f"cannot read problem file {path}: {reason}") from exc
+    doc = read_input(path, SchemaError, "problem file ", json.loads)
     return load_problem_document(doc, base_dir=path.parent)
 
 

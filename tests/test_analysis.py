@@ -657,9 +657,9 @@ def test_record_json_keys(cmc_problem, cmc_solution):
 
 def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
     # lambda = e^t underflows under a steep height barrier on the cap; the
-    # jets of log(1*exp(t)), which no rewrite simplifies, are 0/0 there: the
-    # candidate is rejected for that, not for the ordering, which holds
-    rho, rho_t = compile_flow_derivatives("log(1*exp(t))")
+    # jets of log(1*exp(t) + 0), which no rewrite simplifies, are 0/0 there:
+    # the candidate is rejected for that, not for the ordering, which holds
+    rho, rho_t = compile_flow_derivatives("log(1*exp(t) + 0)")
     amb = replace(ck.preset_ambient("euclidean_radial"), rho=rho, rho_t=rho_t)
     mesh = ck.cap_mesh(1.0, 0.05, amb)
     r = np.linalg.norm(mesh.vertices, axis=1)
@@ -702,9 +702,9 @@ def _annulus_height_search_message(lam):
 
 
 def test_exhausted_search_leaves_nonfinite_margins_out(recwarn):
-    # lambda = 1*exp(t) underflows under the steep candidates, where the
+    # lambda = 1*exp(t) + 0 underflows under the steep candidates, where the
     # jets of log lambda are 0/0
-    msg = _annulus_height_search_message("1*exp(t)")
+    msg = _annulus_height_search_message("1*exp(t) + 0")
     assert "min_margin <= 0 [4 candidates, D = 1 .. D = 8]; margin not finite at " in msg
     assert "checked points [4 candidates, D = 16 .. D = 128]; exp(D*B)" in msg
     # the largest finite margin, D = 8's, whatever the order of the candidates
@@ -719,6 +719,14 @@ def test_custom_exp_keeps_steep_height_margins_finite(recwarn):
     assert "min_margin <= 0 [8 candidates, D = 1 .. D = 128]; exp(D*B)" in msg
     assert "not finite" not in msg
     assert msg.endswith("; largest min_margin -4.77272")
+    assert len(recwarn) == 0
+
+
+def test_log_split_over_a_product_keeps_steep_height_margins_finite(recwarn):
+    # log(1*exp(t)) is split into log(1) + t for its derivatives: exactly
+    # the jets of exp(t), so the same candidates, margins and message
+    assert _annulus_height_search_message("1*exp(t)") \
+        == _annulus_height_search_message("exp(t)")
     assert len(recwarn) == 0
 
 
@@ -746,10 +754,11 @@ def test_rho_t_checks_with_and_without_derivatives(lam, passes):
 
 
 def test_both_rho_t_checks_share_the_rounding_allowance():
-    # rho_t, the jet of log(exp(t)*exp(2*t)), is 9 - 9 with rounding:
+    # rho_t, the jet of log(exp(t)*exp(2*t) + 0), is 9 - 9 with rounding:
     # -5.3e-15 at some flow times, which both checks pass, on the same margin
+    # (the sum is not split as the product alone is)
     from ckgraph.problemfile import load_problem_document
-    doc = {"ambient": {"custom": {"lam": "exp(t)*exp(2*t)"}},
+    doc = {"ambient": {"custom": {"lam": "exp(t)*exp(2*t) + 0"}},
            "domain": {"preset": "disk", "params": {"radius": 0.4}},
            "resolution": 0.05, "H": {"constant": 1.0}, "phi": {"constant": -0.5}}
     prob = load_problem_document(doc).problem

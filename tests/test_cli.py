@@ -470,12 +470,16 @@ _MESH_CORRUPTIONS = {
                            "triangles must be positively oriented"),
     "edge_in_three_elements": (lambda d: d["triangles"].append(list(d["triangles"][0])),
                                "an edge is shared by more than 2 elements"),
+    "nested_too_deeply": ("[" * 100000 + "]" * 100000, "cannot read"),
+    "coordinate_beyond_float": (_set(["vertices", 2, 0], 10**400),
+                                "rows of two finite numbers"),
 }
 
 
-@pytest.mark.parametrize("corruption", sorted(_MESH_CORRUPTIONS))
-def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
-    edit, fragment = _MESH_CORRUPTIONS[corruption]
+def _corrupt_mesh_file(tmp_path, corruption):
+    """The problem file naming ``mesh.json`` with ``corruption``, and the
+    mesh file's path."""
+    edit, _ = _MESH_CORRUPTIONS[corruption]
     prob = _write(tmp_path, "problem.json", _mesh_file_doc())
     mesh_path = tmp_path / "mesh.json"
     if isinstance(edit, str):
@@ -485,9 +489,26 @@ def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
         doc = ck.mesh_to_json(ck.disk_mesh(0.4, 0.2, amb))
         edit(doc)
         _write(tmp_path, "mesh.json", doc)
+    return prob, mesh_path
+
+
+@pytest.mark.parametrize("corruption", sorted(_MESH_CORRUPTIONS))
+def test_malformed_mesh_file_exit_1(tmp_path, capsys, corruption):
+    prob, mesh_path = _corrupt_mesh_file(tmp_path, corruption)
     err = _assert_clean_exit_1(["check", prob], capsys, str(mesh_path))
     assert err.count(str(mesh_path)) == 1
-    _assert_clean_exit_1(["check", prob], capsys, fragment)
+    _assert_clean_exit_1(["check", prob], capsys, _MESH_CORRUPTIONS[corruption][1])
+
+
+@pytest.mark.parametrize("corruption", ["nested_too_deeply", "coordinate_beyond_float"])
+def test_malformed_mesh_file_exit_1_in_a_child(tmp_path, corruption):
+    # a child has its own stack and its own exit: still one line, exit 1
+    prob, mesh_path = _corrupt_mesh_file(tmp_path, corruption)
+    proc = subprocess.run([sys.executable, "-m", "ckgraph.cli", "check", prob],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 1 and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: ") and str(mesh_path) in proc.stderr
+    assert _MESH_CORRUPTIONS[corruption][1] in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
@@ -1277,6 +1298,78 @@ def test_malformed_problem_document_exit_1(mutation_dir, capsys, mutation):
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert re.search(r"\$[.:\[]", err), (kind, err)
+
+
+# name -> (the problem file: a cap document with these keys, or raw text;
+# the start of its one error line, which names the file or JSON path)
+_MALFORMED_PROBLEMS = {
+    "integer_beyond_float": ({"H": {"expression": "1" * 400}},
+                             "error: $.H.expression: bad expression: int too large"),
+    "nested_past_the_limit": ({"H": {"expression": "x" + "+x" * 2000}},
+                              "error: $.H.expression: bad expression: more than 900"),
+    "nested_past_the_parser": ({"H": {"expression": "x" + "+x" * 20000}},
+                               "error: $.H.expression: bad expression: more than 900"),
+    "parser_out_of_memory": ({"H": {"expression": "-" * 10000 + "x"}},
+                             "error: $.H.expression: bad expression: more than 900"),
+    "lam_nested_past_the_parser": (
+        {"ambient": {"custom": {"lam": "t" + "+t" * 20000}}},
+        "error: $.ambient.custom.lam: bad expression: more than 900"),
+    "json_nested_too_deeply": ("[" * 100000 + "]" * 100000,
+                               "error: cannot read problem file "),
+    "phi_at_the_interval_end": (
+        {"ambient": {"preset": "example_b"}, "phi": {"constant": 1.5}},
+        "error: $.phi: boundary data must stay below the interval end"),
+    "phi_beyond_a_custom_end": (
+        {"ambient": {"custom": {"lam": "1/(1-t)", "interval_end": 1}},
+         "phi": {"constant": 2}},
+        "error: $.phi: boundary data must stay below the interval end"),
+}
+
+
+def _malformed_problem(tmp_path, case):
+    keys, start = _MALFORMED_PROBLEMS[case]
+    if isinstance(keys, str):
+        path = tmp_path / "problem.json"
+        path.write_text(keys, encoding="utf-8")
+        return str(path), start
+    return _write(tmp_path, "problem.json", {**_cap_doc(h=0.1), **keys}), start
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PROBLEMS))
+def test_malformed_problem_input_exit_1(tmp_path, capsys, case):
+    # one error line naming the file or JSON path, never a traceback; solve
+    # also records the message in report.json
+    prob, start = _malformed_problem(tmp_path, case)
+    out = tmp_path / "run"
+    for argv in (["check", prob], ["solve", prob, "--out", str(out)]):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1, err[:200]
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert report["status"] == "input_error" and f"error: {report['error']}\n" == err
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_PROBLEMS))
+def test_malformed_problem_input_exit_1_in_a_child(tmp_path, case):
+    # a child has its own stack and its own exit: still one line, exit 1
+    prob, start = _malformed_problem(tmp_path, case)
+    proc = subprocess.run([sys.executable, "-m", "ckgraph.cli", "check", prob],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1, proc.stderr[:200]
+
+
+def test_expressions_nested_to_the_limit_solve(tmp_path, capsys):
+    # MAX_DEPTH levels compile and evaluate, in H and in a custom lam whose
+    # jets run deep in the solve; one level more is refused
+    doc = dict(_cap_doc(h=0.1), checks=[], H={"expression": "-" * 900 + "1"},
+               ambient={"custom": {"lam": "-" * 896 + "exp(t)"}})
+    assert main(["solve", _write(tmp_path, "deep.json", doc),
+                 "--out", str(tmp_path / "run")]) == 0
+    doc["H"] = {"expression": "-" * 901 + "1"}
+    _assert_clean_exit_1(["check", _write(tmp_path, "deeper.json", doc)], capsys,
+                         "$.H.expression: bad expression: more than 900 nested levels")
 
 
 @pytest.mark.parametrize("ambient, phi, lam", [

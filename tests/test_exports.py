@@ -1,6 +1,7 @@
 """Every name a module lists in ``__all__`` must resolve: a definition moved
 to another module but left in the old ``__all__`` breaks ``import *``.  And
-every module-level definition must be named somewhere else in the package."""
+every module-level definition must be named somewhere else in the package,
+and every method or property somewhere else in the package or its tests."""
 
 import ast
 import importlib
@@ -39,13 +40,27 @@ def _names(node):
                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
 
 
+def _trees(folder):
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(Path(folder).glob("*.py"))]
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def test_every_definition_is_named_elsewhere():
     # a module-level function or class that no code of the package names
-    # outside its own definition is dead
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(Path(ckgraph.__file__).parent.glob("*.py"))]
+    # outside its own definition is dead; so is a method or property
+    # (dunders aside) that neither the package nor the tests name outside it
+    trees = _trees(Path(ckgraph.__file__).parent)
     named = Counter(name for tree in trees for name in _names(tree))
     dead = [node.name for tree in trees for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            if isinstance(node, _DEFINITIONS)
             and named[node.name] == Counter(_names(node))[node.name]]
+    named += Counter(name for tree in _trees(Path(__file__).parent)
+                     for name in _names(tree))
+    dead += [f"{cls.name}.{node.name}" for tree in trees for cls in tree.body
+             if isinstance(cls, ast.ClassDef) for node in cls.body
+             if isinstance(node, _DEFINITIONS) and not node.name.startswith("__")
+             and named[node.name] == Counter(_names(node))[node.name]]
     assert dead == []
