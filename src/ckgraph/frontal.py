@@ -32,17 +32,18 @@ O(nnz + sum of k U) indices, not one per Schur block entry, and a
 factorization holds its factor blocks, one class's fronts and the Schur
 blocks still waiting for their parents, not the fronts of the whole tree.
 The elimination pivots only inside a node's pivot block, which suits the
-elliptic linearizations this package solves; a singular pivot block raises
-``numpy.linalg.LinAlgError``.
+elliptic linearizations this package solves; a :class:`FrontMatrix` is
+factored on its first solve and keeps its factors.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import SingularSystemError
 from .mesh import _offsets, _unique
 
-__all__ = ["LEAF_SIZE", "FrontTree", "FrontMatrix", "FrontFactors"]
+__all__ = ["LEAF_SIZE", "FrontTree", "FrontMatrix"]
 
 # largest leaf of the dissection; every vertex of a leaf is a pivot
 LEAF_SIZE = 32
@@ -281,10 +282,11 @@ class FrontTree:
                     runs[pclass[mine[a]]].append((c, a, b))
                 drops[pclass[mine[-1]]].append(c)
 
-    def factor(self, data) -> "FrontFactors":
-        """Eliminate every front of the matrix with CSC values ``data``, one
-        shape class at a time: only that class's fronts and the Schur
-        blocks still waiting for their parents are held."""
+    def factor(self, data) -> list:
+        """Block LU of the matrix with CSC values ``data``, per shape class
+        the inverse pivot blocks and the blocks below and (times the
+        inverses) right of them.  One class is eliminated at a time: only
+        its fronts and the Schur blocks waiting for their parents are held."""
         data = np.asarray(data)
         blocks, schur = [], {}
         for c, g in enumerate(self.classes):
@@ -315,45 +317,17 @@ class FrontTree:
             # Schur block go with its dict entry
             del buf, F, S
             blocks.append((inv, lower, upper))
-        return FrontFactors(self, blocks)
-
-
-class FrontFactors:
-    """Block LU of a :class:`FrontTree` matrix: per shape class the inverse
-    pivot blocks, the blocks below them and the blocks right of them
-    multiplied by the inverses."""
-
-    def __init__(self, tree: FrontTree, blocks):
-        self.tree = tree
-        self.blocks = blocks
-
-    def solve(self, rhs) -> np.ndarray:
-        n = self.tree.n
-        x = np.zeros(n + 1)                     # slot n: padding, kept 0
-        x[:n] = rhs
-        ws = []
-        for g, (inv, lower, _) in zip(self.tree.classes, self.blocks):
-            w = (inv @ x[g.pivots][..., None])[..., 0]
-            x -= np.bincount(g.updates.ravel(), weights=(lower @ w[..., None]).ravel(),
-                             minlength=n + 1)
-            x[n] = 0.0
-            ws.append(w)
-        for g, (_, _, upper), w in zip(reversed(self.tree.classes),
-                                       reversed(self.blocks), reversed(ws)):
-            x[g.pivots] = w - (upper @ x[g.updates][..., None])[..., 0]
-            x[n] = 0.0
-        return x[:n]
+        return blocks
 
 
 class FrontMatrix:
     """A matrix on the fixed CSC pattern of a :class:`FrontTree`:
     ``data`` holds the values in CSC order."""
 
-    format = "csc"
-
     def __init__(self, tree: FrontTree, data):
         self.tree = tree
         self.data = np.asarray(data, dtype=float)
+        self._blocks = None
 
     @property
     def shape(self):
@@ -369,5 +343,28 @@ class FrontMatrix:
         out[self.tree.indices, self.tree.cols] = self.data
         return out
 
-    def factor(self) -> FrontFactors:
-        return self.tree.factor(self.data)
+    def solve(self, rhs) -> np.ndarray:
+        """``A^-1 rhs``.  The first solve factors the matrix and makes
+        ``data`` read-only, so the kept factors cannot go stale; a singular
+        pivot block raises ``SingularSystemError`` on every solve."""
+        if self._blocks is None:
+            try:
+                self._blocks = self.tree.factor(self.data)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
+            self.data.flags.writeable = False
+        n = self.tree.n
+        x = np.zeros(n + 1)                     # slot n: padding, kept 0
+        x[:n] = rhs
+        ws = []
+        for g, (inv, lower, _) in zip(self.tree.classes, self._blocks):
+            w = (inv @ x[g.pivots][..., None])[..., 0]
+            x -= np.bincount(g.updates.ravel(), weights=(lower @ w[..., None]).ravel(),
+                             minlength=n + 1)
+            x[n] = 0.0
+            ws.append(w)
+        for g, (_, _, upper), w in zip(reversed(self.tree.classes),
+                                       reversed(self._blocks), reversed(ws)):
+            x[g.pivots] = w - (upper @ x[g.updates][..., None])[..., 0]
+            x[n] = 0.0
+        return x[:n]

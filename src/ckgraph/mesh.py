@@ -677,13 +677,17 @@ def _holds_bool(obj) -> bool:
                for x in obj)
 
 
-def _index_array(obj, what: str, n_vertices: int) -> np.ndarray:
+def _index_array(obj, what: str, n_vertices: int, ndim: int) -> np.ndarray:
     if _holds_bool(obj):
         raise MeshError(f"{what}: vertex indices must be integers")
     try:
         a = np.asarray(obj)
-    except ValueError:
-        raise MeshError(f"{what}: rows of different lengths") from None
+    except ValueError:      # ragged rows, or nesting beyond NumPy's dimension limit
+        depth, x = 0, obj
+        while isinstance(x, (list, tuple)):
+            depth, x = depth + 1, x[0] if len(x) else None
+        raise MeshError(f"{what}: lists nested {depth} levels deep, not {ndim}" if depth > ndim
+                        else f"{what}: rows of different lengths") from None
     if a.dtype == object and all(type(x) is int for x in a.flat):
         # ints beyond the int64 range, compared as Python ints
         bad = [x for x in a.flat if not 0 <= x < n_vertices]
@@ -729,7 +733,7 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
             raise MeshError(f"vertex {v} at chart radius {float(radius[v])!r} reaches the "
                             "antipode (pi) of the round sphere metric")
     nv = len(vertices)
-    triangles = _index_array(triangles, "triangles", nv)
+    triangles = _index_array(triangles, "triangles", nv, 2)
     if triangles.ndim != 2 or triangles.shape[1] != 3 or len(triangles) == 0:
         raise MeshError("triangles must be rows of three vertex indices")
     unused = np.bincount(triangles.ravel(), minlength=nv) == 0
@@ -756,8 +760,10 @@ def _checked_arrays(vertices, triangles, boundary_loops, ambient: AmbientSpace):
         raise MeshError("mesh needs at least one boundary loop")
     loops = []
     for k, loop in enumerate(boundary_loops):
-        loop = _index_array(loop, f"boundary loop {k}", nv)
-        if loop.ndim != 1 or len(loop) < 3:
+        loop = _index_array(loop, f"boundary loop {k}", nv, 1)
+        if loop.ndim != 1:
+            raise MeshError(f"boundary loop {k} must be a list of vertex indices")
+        if len(loop) < 3:
             raise MeshError(f"boundary loop {k} must list at least 3 vertex indices")
         loops.append(loop)
     listed, count = np.unique(np.concatenate(loops), return_counts=True)

@@ -40,6 +40,8 @@ class Problem:
         self.ambient, self.mesh, self.H = ambient, mesh, H
         if self.H.mesh is not self.mesh:
             raise MeshError("H field bound to a different mesh")
+        if mesh._ambient.base_metric is not ambient.base_metric:
+            raise ParameterError("the mesh is built on another leaf metric than the ambient's")
         # (nv,) data at every vertex; the solve reads the boundary values
         self.phi = np.asarray(phi, dtype=float)
         if self.phi.shape != (self.mesh.n_vertices,):

@@ -63,37 +63,26 @@ class SolveReport:
 
 
 # Deuflhard's contraction monitor (Newton Methods for Nonlinear Problems,
-# Springer 2004, ch. 2): a chord step, solved with the factorization of the
-# last full Newton step, is kept when it cuts the max-norm residual to at
-# most this fraction of its value; otherwise the Jacobian is factored anew.
+# Springer 2004, ch. 2): a chord step, solved with the Jacobian of the last
+# full Newton step, is kept when it cuts the max-norm residual to at most
+# this fraction of its value; otherwise the Jacobian is factored anew.
 CHORD_CONTRACTION = 0.25
 
 
-def _factor(system):
-    """Multifrontal LU of a ``FrontMatrix``, the one factorization of every
-    solve; a singular pivot block raises ``SingularSystemError``."""
-    try:
-        return system.factor()
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
-
-
-def linear_solve(system, rhs, factors=None) -> np.ndarray:
-    """Solve the ``FrontMatrix`` ``system`` with ``factors``, its
-    factorization, or with one made here when None, and check the residual
-    against ``system`` to 1e-12 relative to the right-hand side, after one
-    refinement step if need be; raises on singular or badly conditioned
-    systems."""
+def linear_solve(system, rhs) -> np.ndarray:
+    """Solve the ``FrontMatrix`` ``system``, factored on its first solve,
+    and check the residual to 1e-12 relative to the right-hand side, after
+    one refinement step if need be; raises ``SingularSystemError`` on
+    singular or badly conditioned systems."""
     rhs = np.asarray(rhs, dtype=float)
-    lu = _factor(system) if factors is None else factors
-    x = lu.solve(rhs)
+    x = system.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("linear solve produced non-finite entries")
     res = np.linalg.norm(system @ x - rhs)
     bound = 1e-12 * max(np.linalg.norm(rhs), 1.0)
     if res > bound:
         # one step of iterative refinement before giving up
-        x = x + lu.solve(rhs - system @ x)
+        x = x + system.solve(rhs - system @ x)
         res = np.linalg.norm(system @ x - rhs)
         if res > bound:
             raise SingularSystemError(
@@ -114,19 +103,20 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
     """Damped Newton iteration at fixed ``tau``, with chord steps.
 
     Boundary values are imposed strongly as ``tau * phi``.  A full step
-    factors the Jacobian at the iterate and backtracks until the residual
-    falls.  When no cut was needed, that factorization is kept, and the
-    next iterations try chord steps with it: a chord step is kept when it
-    cuts the residual to at most ``CHORD_CONTRACTION`` times its value;
-    otherwise it is discarded, with the kept factorization, and a full step
-    is taken at the same iterate.  Each kept step is one iteration and one
-    record; a chord step's ``damping_halvings`` is 0.
+    solves with the Jacobian at the iterate, factored by that solve, and
+    backtracks until the residual falls.  When no cut was needed, that
+    Jacobian is kept, and the next iterations try chord steps with it: a
+    chord step is kept when it cuts the residual to at most
+    ``CHORD_CONTRACTION`` times its value; otherwise it is discarded, with
+    the kept Jacobian, and a full step is taken at the same iterate.  Each
+    kept step is one iteration and one record; a chord step's
+    ``damping_halvings`` is 0.
 
-    Returns ``(z, records, clamped, evaluation, factorization)``: the
-    element pass at the returned ``z`` and the ``(matrix, factors)`` kept
-    for chord steps (None if none is kept).  Raises ``NewtonStallError``
-    with the last iterate, which is also the best: a step is accepted only
-    when the residual falls.  The factors and one element pass are the
+    Returns ``(z, records, clamped, evaluation, jacobian)``: the element
+    pass at the returned ``z`` and the factored Jacobian kept for chord
+    steps (None if none is kept).  Raises ``NewtonStallError`` with the
+    last iterate, which is also the best: a step is accepted only when the
+    residual falls.  One factored Jacobian and one element pass are the
     most that is held at once.
     """
     options = options or SolverOptions()
@@ -164,18 +154,16 @@ def newton_solve(problem: Problem, tau: float, z0: np.ndarray,
         alpha, halvings = 1.0, 0
         if kept is not None:
             ev = None       # the trial's element pass is the one held
-            step = linear_solve(kept[0], -r, kept[1])
+            step = linear_solve(kept, -r)
             trial, was_clamped, trial_norm, trial_r, trial_ev = attempt(alpha, step)
             if trial_norm > CHORD_CONTRACTION * rnorm:
                 # too little contraction: a full step at the same iterate
                 kept = trial_r = trial_ev = None
                 r, ev = asm.residual(z, tau)
         if kept is None:
-            jacobian, _ = asm.system(ev)
+            kept, _ = asm.system(ev)
             ev = None       # the element pass is not held through the factorization
-            kept = jacobian, _factor(jacobian)
-            del jacobian
-            step = linear_solve(kept[0], -r, kept[1])
+            step = linear_solve(kept, -r)
             while True:
                 trial, was_clamped, trial_norm, trial_r, trial_ev = attempt(alpha, step)
                 if trial is None or trial_norm < rnorm \
@@ -281,7 +269,7 @@ def _march(problem: Problem, options: SolverOptions,
     ``z = 0`` solves the ``tau = 0`` problem exactly, so the march starts
     there.  Each stage starts Newton from the Euler predictor
     ``z + dtau * dz/dtau``, with the tangent computed once at the last
-    accepted solution, from the factorization its Newton solve kept; it
+    accepted solution, with the Jacobian its Newton solve kept; it
     starts from that solution itself when the tangent is unavailable or the
     guess would reach the clamp level, so a guess never clamps.  The step
     never grows back; statuses are ``converged``, ``stalled`` (step
@@ -297,25 +285,25 @@ def _march(problem: Problem, options: SolverOptions,
     report.grad_sup_history.append(asm.grad_sup(z))
 
     tau, step = 0.0, options.initial_tau_step
-    # the element pass at the last accepted solution and the factorization
-    # Newton kept there, for the next tangent
+    # the element pass at the last accepted solution and the factored
+    # Jacobian Newton kept there, for the next tangent
     _, evaluation = asm.residual(z, tau)
-    factorization = None
+    kept = None
     while tau < 1.0:
         if evaluation is not None:
             # the tangent solves J_ii dz = -(dR_i/dtau + J_ib phi_b), with
-            # Newton's last factorization, as it is a predictor only; its own
-            # matrix is factored at tau = 0 and when Newton kept none.
+            # Newton's last factored Jacobian, as it is a predictor only; its
+            # own matrix is factored at tau = 0 and when Newton kept none.
             # Neither the element pass nor a factorization is held past the
             # tangent: peak memory
             jacobian, rate = asm.system(evaluation, tangent=True)
-            jacobian, factors = factorization or (jacobian, None)
-            evaluation = factorization = None
+            jacobian = kept or jacobian
+            evaluation = kept = None
             try:
-                tangent = linear_solve(jacobian, -rate, factors)
+                tangent = linear_solve(jacobian, -rate)
             except SingularSystemError:
                 tangent = None
-            del jacobian, rate, factors
+            del jacobian, rate
         target = min(1.0, tau + step)
         start = z
         if tangent is not None:
@@ -324,7 +312,7 @@ def _march(problem: Problem, options: SolverOptions,
             if not np.any(guess[ii] >= clamp_level):
                 start = guess
         try:
-            z_new, records, clamped, evaluation, factorization = newton_solve(
+            z_new, records, clamped, evaluation, kept = newton_solve(
                 problem, target, start, options, on_iteration)
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             step *= 0.5

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
+from ckgraph.frontal import FrontTree
 from ckgraph.mesh import _hat_gradients
 
 
@@ -139,3 +140,20 @@ def traced_peak():
     """``traced_peak(fn, *args)``: the result of the call and its peak of
     traced memory in bytes."""
     return _traced_peak
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """``factorizations(note=None)``: from the call on, every multifrontal
+    factorization (``FrontTree.factor``, the one a ``FrontMatrix`` makes on
+    its first solve) appends to the returned list the size of the factored
+    system, or the value of ``note()`` if given."""
+    def count(note=None):
+        made, factor = [], FrontTree.factor
+
+        def counted(tree, data):
+            made.append(tree.n if note is None else note())
+            return factor(tree, data)
+        monkeypatch.setattr(FrontTree, "factor", counted)
+        return made
+    return count

@@ -473,6 +473,12 @@ _MESH_CORRUPTIONS = {
     "nested_too_deeply": ("[" * 100000 + "]" * 100000, "cannot read"),
     "coordinate_beyond_float": (_set(["vertices", 2, 0], 10**400),
                                 "rows of two finite numbers"),
+    # deeper than NumPy's dimension limit, which NumPy refuses like ragged rows
+    "triangles_nested_500_deep": (lambda d: d.__setitem__(
+        "triangles", json.loads("[" * 500 + "]" * 500)),
+        "triangles: lists nested 500 levels deep, not 2"),
+    "flat_boundary_list": (lambda d: d.__setitem__("boundary", d["boundary"][0]),
+                           "boundary loop 0 must be a list of vertex indices"),
 }
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.frontal import LEAF_SIZE, FrontFactors, FrontTree, _dissect
+from ckgraph.frontal import LEAF_SIZE, FrontMatrix, FrontTree, _dissect
 from ckgraph.mesh import _unique
 
 
@@ -130,7 +130,7 @@ class SingleBufferTree:
                 pivots=piv, updates=upd, extend=extend))
         self._pad = np.concatenate(pad)
 
-    def factor(self, data) -> FrontFactors:
+    def factor(self, data) -> list:
         buf = np.zeros(self.size)
         buf[self._pad] = 1.0
         buf[self._entries] = data
@@ -145,7 +145,7 @@ class SingleBufferTree:
             for source, target in g.extend:
                 buf[target] += schur[source]
             blocks.append((inv, lower, upper))
-        return FrontFactors(self, blocks)
+        return blocks
 
 
 def _csc(dense):
@@ -237,13 +237,12 @@ def test_factor_matches_single_buffer_reference(name):
         assert len(tree.classes) == 1 and tree.classes[0].k == 1
     elif name in ("random_200", "radial_sphere", "two_row_strip", "one_sided"):
         assert len({g.height for g in tree.classes}) > 2
-    got, want = tree.factor(data), ref.factor(data)
-    for mine, theirs in zip(got.blocks, want.blocks):
+    for mine, theirs in zip(tree.factor(data), ref.factor(data)):
         for a, b in zip(mine, theirs):
             assert a.shape == b.shape and np.array_equal(a, b)
     rhs = np.random.default_rng(5).standard_normal(tree.n)
-    x = got.solve(rhs)
-    assert np.array_equal(x, want.solve(rhs))
+    x = FrontMatrix(tree, data).solve(rhs)
+    assert np.array_equal(x, FrontMatrix(ref, data).solve(rhs))
     A = np.zeros((tree.n, tree.n))
     A[rows, tree.cols] = data
     assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
@@ -274,7 +273,7 @@ def test_class_without_pivots():
     assert [tree.classes[c].height for c in empty] == [2]
     g = tree.classes[empty[0]]
     assert g.k > 0 and g.U > 0
-    inv, lower, upper = tree.factor(data).blocks[empty[0]]
+    inv, lower, upper = tree.factor(data)[empty[0]]
     assert inv.shape == (g.k, 0, 0) and lower.shape == (g.k, g.U, 0) \
         and upper.shape == (g.k, 0, g.U)
 
@@ -327,3 +326,31 @@ def test_factor_peak_bounded_by_tree_sizes(traced_peak):
     ref = SingleBufferTree(indptr, rows, coords)
     _, ref_peak = traced_peak(ref.factor, data)
     assert peak <= bound < ref_peak
+
+
+def test_matrix_solved_twice_is_factored_once(factorizations):
+    # the factors are made on the first solve and kept with the matrix,
+    # whose values can no longer change under them
+    indptr, rows, coords, data = _case("random_200")
+    A = FrontMatrix(FrontTree(indptr, rows, coords), data.copy())
+    made = factorizations()
+    A.data[0] = data[0]             # writable before the first solve
+    rhs = np.random.default_rng(7).standard_normal(A.tree.n)
+    x = A.solve(rhs)
+    assert np.array_equal(A.solve(rhs), x) and made == [A.tree.n]
+    with pytest.raises(ValueError, match="read-only"):
+        A.data[0] = 0.0
+    assert np.array_equal(A.data, data)
+
+
+def test_singular_matrix_raises_on_every_solve(factorizations):
+    # a singular pivot block keeps no factors: each solve tries again and
+    # raises again
+    tree = FrontTree(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+                     np.array([[0.0, 0.0], [1.0, 0.0]]))
+    A = FrontMatrix(tree, np.ones(4))
+    made = factorizations()
+    for tries in (1, 2):
+        with pytest.raises(ck.SingularSystemError, match="sparse factorization failed"):
+            A.solve(np.array([1.0, 0.0]))
+        assert len(made) == tries

@@ -202,7 +202,6 @@ def test_jacobian_whole_matrix_matches_element_sum():
             np.add.at(dense, (mesh.triangles[:, a], mesh.triangles[:, b]), local[a, b])
     ref = dense[np.ix_(asm.interior, asm.interior)]
     J, _ = asm.system(ev)
-    assert J.format == "csc"
     assert np.abs(J.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
@@ -269,7 +268,7 @@ def test_front_solve_matches_dense_solve(front_problems, which, seed, tau):
     J, _ = asm.system(asm.residual(_random_state(prob, rng), tau)[1])
     b = rng.standard_normal(J.shape[0])
     ref = np.linalg.solve(J.toarray(), b)
-    x = J.factor().solve(b)
+    x = J.solve(b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -683,3 +682,16 @@ def test_flat_christoffel_symbols_compact_to_zero():
     gam = christoffel_symbols(ck.preset_ambient("euclidean_radial"), pts)
     assert gam.shape == (len(pts), 2, 2, 2)
     assert np.all(np.abs(gam[1:]).max(axis=(1, 2, 3)) > 0)
+
+
+def test_problem_refuses_a_mesh_on_another_leaf_metric():
+    # a flat-leaf mesh under the round-leaf ambient has the flat mesh size
+    # (0.1615, not 0.1606) and would relax its distance in the wrong metric
+    radial, flat = ck.preset_ambient("euclidean_radial"), ck.preset_ambient("killing_flat")
+    with pytest.raises(ck.ParameterError, match="another leaf metric"):
+        ck.Problem.create(radial, ck.disk_mesh(0.8, 0.1, flat), 0.0, -0.1)
+    with pytest.raises(ck.ParameterError, match="another leaf metric"):
+        ck.Problem.create(flat, ck.disk_mesh(0.8, 0.1, radial), 0.0, -0.1)
+    # another ambient on the same leaf metric is the same mesh
+    ck.Problem.create(ck.preset_ambient("example_a"), ck.disk_mesh(0.4, 0.1, flat), 0.0, -0.1)
+    ck.Problem.create(radial, ck.disk_mesh(0.8, 0.1, radial), 0.0, -0.1)

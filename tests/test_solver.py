@@ -40,11 +40,8 @@ def test_linear_solve_contract():
     assert np.abs(A @ x - b).max() <= 1e-13 * np.abs(b).max()
     sol = linear_solve(A, b)
     assert np.linalg.norm(dense @ sol - b) <= 1e-12 * np.linalg.norm(b)
-    # a factorization handed in is the one used, checked against its matrix
-    assert np.array_equal(linear_solve(A, b, A.factor()), sol)
-    other = _front_matrix(dense + np.eye(200), coords)
-    with pytest.raises(SingularSystemError, match="linear residual"):
-        linear_solve(other, b, A.factor())
+    # a second solve uses the factors the first one made
+    assert np.array_equal(linear_solve(A, b), sol)
 
 
 def test_linear_solve_singular():
@@ -66,13 +63,13 @@ def test_linear_solve_refinement_meets_the_bound(monkeypatch):
     # refinement step recovers the solution, which is returned
     dense, A = _tridiagonal()
     b = dense @ np.arange(1.0, 6.0)
-    solve, calls = frontal.FrontFactors.solve, []
+    solve, calls = frontal.FrontMatrix.solve, []
 
     def spy(self, rhs):
         calls.append(1)
         x = solve(self, rhs)
         return x * (1 + 1e-6) if len(calls) == 1 else x
-    monkeypatch.setattr(frontal.FrontFactors, "solve", spy)
+    monkeypatch.setattr(frontal.FrontMatrix, "solve", spy)
     x = linear_solve(A, b)
     assert len(calls) == 2
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -80,7 +77,7 @@ def test_linear_solve_refinement_meets_the_bound(monkeypatch):
 
 def test_linear_solve_non_finite_is_singular(monkeypatch):
     dense, A = _tridiagonal()
-    monkeypatch.setattr(frontal.FrontFactors, "solve",
+    monkeypatch.setattr(frontal.FrontMatrix, "solve",
                         lambda self, rhs: np.full(len(rhs), np.nan))
     with pytest.raises(SingularSystemError, match="non-finite entries"):
         linear_solve(A, dense @ np.ones(5))
@@ -95,9 +92,9 @@ def test_front_tree_built_once_per_solve(monkeypatch):
     monkeypatch.setattr(frontal, "FrontTree", counted)
     solves = []
 
-    def counted_solve(system, rhs, factors=None):
+    def counted_solve(system, rhs):
         solves.append(system.tree)
-        return linear_solve(system, rhs, factors)
+        return linear_solve(system, rhs)
     monkeypatch.setattr(solver, "linear_solve", counted_solve)
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.08, amb), 1.0, -np.sqrt(0.84))
@@ -164,29 +161,27 @@ def test_stall_reports_best_iterate():
     assert np.isfinite(err.residual_norm)
 
 
-def test_chord_step_that_contracts_too_little_is_discarded(monkeypatch, cmc_exact):
+def test_chord_step_that_contracts_too_little_is_discarded(monkeypatch, cmc_exact,
+                                                           factorizations):
     # with the contraction factor at 0 no chord step is kept: each one is
     # discarded, and a full Newton step at the same iterate follows
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
                              -np.sqrt(0.84))
     asm = prob.assembly()
-    residual, factor, solve, events = asm.residual, solver._factor, \
-        solver.linear_solve, []
+    residual, solve, events = asm.residual, solver.linear_solve, []
 
     def traced_residual(z, tau):
         events.append(("residual", z.copy()))
         return residual(z, tau)
 
-    def traced_factor(system):
-        events.append(("factor", None))
-        return factor(system)
-
-    def traced_solve(system, rhs, factors=None):
+    def traced_solve(system, rhs):
+        # recorded when it returns, after the factorization it made
+        x = solve(system, rhs)
         events.append(("solve", None))
-        return solve(system, rhs, factors)
+        return x
     monkeypatch.setattr(asm, "residual", traced_residual)
-    monkeypatch.setattr(solver, "_factor", traced_factor)
+    factorizations(lambda: events.append(("factor", None)))
     monkeypatch.setattr(solver, "linear_solve", traced_solve)
     z_chord, records, *_ = newton_solve(prob, 1.0, cmc_exact)
     # the default factor keeps chord steps here
@@ -210,22 +205,20 @@ def test_chord_step_that_contracts_too_little_is_discarded(monkeypatch, cmc_exac
     assert np.abs(z - z_chord).max() <= 1e-9
 
 
-def test_damped_step_keeps_no_factorization(monkeypatch, cmc_exact):
+def test_damped_step_keeps_no_factorization(monkeypatch, cmc_exact, factorizations):
     # from 1.05 times the cap the first step is cut once; the next
     # iteration factors again before any chord step
     amb = ck.preset_ambient("killing_flat")
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
                              -np.sqrt(0.84))
-    factor, solve, events = solver._factor, solver.linear_solve, []
+    solve, events = solver.linear_solve, []
 
-    def traced_factor(system):
-        events.append("factor")
-        return factor(system)
-
-    def traced_solve(system, rhs, factors=None):
+    def traced_solve(system, rhs):
+        # recorded when it returns, after the factorization it made
+        x = solve(system, rhs)
         events.append("solve")
-        return solve(system, rhs, factors)
-    monkeypatch.setattr(solver, "_factor", traced_factor)
+        return x
+    factorizations(lambda: events.append("factor"))
     monkeypatch.setattr(solver, "linear_solve", traced_solve)
     _, records, *_ = newton_solve(
         prob, 1.0, 1.05 * cmc_exact,
@@ -329,18 +322,7 @@ def _without_tangent(monkeypatch, problem):
     monkeypatch.setattr(asm, "system", no_tangent)
 
 
-def _counted_factorizations(monkeypatch):
-    """Count the factorizations of the solver by system size."""
-    sizes, factor = [], solver._factor
-
-    def counted(system):
-        sizes.append(system.shape[0])
-        return factor(system)
-    monkeypatch.setattr(solver, "_factor", counted)
-    return sizes
-
-
-def test_tangent_failure_starts_from_previous_solution(monkeypatch):
+def test_tangent_failure_starts_from_previous_solution(monkeypatch, factorizations):
     # without a tangent every stage starts from the last accepted solution,
     # which on this mesh takes 16 stages, 151 Newton iterations, 28 halvings
     # and 53 factorizations (91, 41 and 111 without chord steps); the
@@ -350,7 +332,7 @@ def test_tangent_failure_starts_from_previous_solution(monkeypatch):
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.04, amb), 1.0,
                              -np.sqrt(0.84))
     _without_tangent(monkeypatch, prob)
-    factored = _counted_factorizations(monkeypatch)
+    factored = factorizations()
     rep = continuation_solve(prob)
     assert rep.status == "converged"
     assert len(rep.tau_path) - 1 == 16
@@ -462,9 +444,9 @@ def plain_solutions():
 def _fine_linear_solves(monkeypatch, n_interior):
     sizes = []
 
-    def counted(system, rhs, factors=None):
+    def counted(system, rhs):
         sizes.append(len(rhs))
-        return linear_solve(system, rhs, factors)
+        return linear_solve(system, rhs)
     monkeypatch.setattr(solver, "linear_solve", counted)
     return lambda: sum(n == n_interior for n in sizes)
 
@@ -492,12 +474,12 @@ def test_sequenced_matches_continuation(name, plain_solutions, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["cap", "radial_sphere"])
-def test_sequenced_path_factors_the_target_once(name, monkeypatch):
+def test_sequenced_path_factors_the_target_once(name, factorizations):
     # one full Newton step from the interpolated companion solution, then
     # chord steps on its factorization; the plain march factored the target
     # 12 (cap) and 15 (radial_sphere) times before chord steps
     loaded = _loaded(name)
-    factored = _counted_factorizations(monkeypatch)
+    factored = factorizations()
     rep = continuation_solve(loaded.problem, loaded.options,
                              companion=loaded.companion)
     assert rep.converged and rep.path["kind"] == "sequenced"
@@ -621,7 +603,7 @@ def test_companion_freed_before_target_newton(monkeypatch):
     assert alive == [[False, False]]
 
 
-def test_no_evaluation_held_through_linear_solve(monkeypatch):
+def test_no_evaluation_held_through_linear_solve(monkeypatch, factorizations):
     # the target Newton of the sequenced path, from the interpolated
     # companion solution; each factorization starts without an element pass
     loaded = load_problem_document(dict(_SEQUENCED["cap"], resolution=0.04))
@@ -637,17 +619,12 @@ def test_no_evaluation_held_through_linear_solve(monkeypatch):
         refs.append(weakref.ref(ev))
         return ev
 
-    def spy(system, rhs, factors=None):
+    def spy(system, rhs):
         alive.append(sum(r() is not None for r in refs))
-        return linear_solve(system, rhs, factors)
-    factor, factored = solver._factor, []
-
-    def spy_factor(system):
-        factored.append(sum(r() is not None for r in refs))
-        return factor(system)
+        return linear_solve(system, rhs)
     monkeypatch.setattr(asm, "_evaluate", kept)
     monkeypatch.setattr(solver, "linear_solve", spy)
-    monkeypatch.setattr(solver, "_factor", spy_factor)
+    factored = factorizations(lambda: sum(r() is not None for r in refs))
     gc.disable()            # freed by reference counts, not the collector
     try:
         *_, ev, _ = newton_solve(problem, 1.0, start, loaded.options)
@@ -674,9 +651,9 @@ def test_no_evaluation_held_through_march_tangent(monkeypatch):
         refs.append(weakref.ref(ev))
         return ev
 
-    def spy(system, rhs, factors=None):
+    def spy(system, rhs):
         alive.append(sum(r() is not None for r in refs))
-        return linear_solve(system, rhs, factors)
+        return linear_solve(system, rhs)
     monkeypatch.setattr(asm, "_evaluate", kept)
     monkeypatch.setattr(solver, "linear_solve", spy)
     gc.disable()            # freed by reference counts, not the collector

@@ -79,3 +79,24 @@ def test_tracer_records_the_preset_mesh_build(tmp_path, ambient, domain):
     assert "mesh.build" not in record["missing"]
     builds = [span for span in record["spans"] if span["name"] == "mesh.build"]
     assert len(builds) == 1 and builds[0]["ok"]
+
+
+def test_tracer_records_the_solve_layers(tmp_path):
+    # a traced solve binds every layer, and times the linear solves (with
+    # the factorization each Jacobian makes on its first solve) inside the
+    # Newton solves
+    doc = {"ambient": {"preset": "killing_flat"},
+           "domain": {"preset": "disk", "params": {"radius": 0.4}}, "resolution": 0.1,
+           "H": {"constant": 1.0}, "phi": {"constant": -float(np.sqrt(0.84))}}
+    (tmp_path / "problem.json").write_text(json.dumps(doc), encoding="utf-8")
+    subprocess.run([sys.executable, str(TRACER), "spans.json", "0.solve", "solve",
+                    "problem.json", "--out", "out"], cwd=tmp_path, env=child_env(),
+                   capture_output=True, timeout=120, check=False)
+    record = json.loads((tmp_path / "spans.json").read_text(encoding="utf-8"))
+    assert record["exit"] == 0 and record["missing"] == []
+    spans = record["spans"]
+    newton = [k for k, span in enumerate(spans) if span["name"] == "solver.newton"]
+    solves = [span for span in spans if span["name"] == "solver.linear_solve"]
+    assert newton and all(spans[k]["ok"] for k in newton)
+    assert solves and all(span["ok"] for span in solves)
+    assert any(span["parent"] in newton for span in solves)
