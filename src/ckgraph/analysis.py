@@ -37,9 +37,8 @@ import numpy as np
 from .ambient import AmbientSpace, leaf_mean_curvature, n
 from .errors import ParameterError
 from .fields import ScalarField
-from .mesh import (DomainMesh, _hat_gradients, _spd_inverse, closed_polyline_geometry,
-                   locate_points)
-from .operator import Problem, recover_gradient_hessian, strong_form_Q
+from .mesh import DomainMesh, _hat_gradients, closed_polyline_geometry, locate_points
+from .operator import Problem, _projected_trace, recover_gradient_hessian, strong_form_Q
 
 __all__ = [
     "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",
@@ -584,16 +583,11 @@ def level_curves(problem: Problem, depths):
     normal = np.concatenate([mesh.boundary_normal[loop] for loop in loops])
     pts = (base + np.multiply.outer(depths, normal)).reshape(-1, 2)
     grad, hess, usable, dist = _distance_geometry(problem, points=pts)
-    (i11, i12, i22), _ = _spd_inverse(problem.ambient.base_metric(pts))
-    gx, gy = grad[:, 0], grad[:, 1]
-    px, py = i11 * gx + i12 * gy, i12 * gx + i22 * gy      # S^-1 grad d
-    h11, h12, h22 = hess[:, 0, 0], hess[:, 0, 1] + hess[:, 1, 0], hess[:, 1, 1]
     # |grad d| is 0 where the recovered distance is flat (the disk centre)
     with np.errstate(divide="ignore", invalid="ignore"):
-        norm = np.sqrt(gx * px + gy * py)
+        px, py, norm, trace = _projected_trace(problem.ambient.base_metric(pts), grad, hess)
         nu = np.stack([px, py], axis=1) / norm[:, None]
-        curvature = -(i11 * h11 + i12 * h12 + i22 * h22
-                      - (px * px * h11 + px * py * h12 + py * py * h22) / norm**2) / norm
+        curvature = -trace / norm
         count = (usable & (np.abs(dist - np.repeat(depths, len(base))) <= mesh.h)
                  & (np.abs(curvature) * mesh.h <= 1.0))
     # one piece per boundary loop and depth, the depths in turn

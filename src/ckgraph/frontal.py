@@ -1,13 +1,14 @@
 """Sparse LU of the interior Newton system on NumPy alone.
 
 The interior Jacobian of a problem keeps one sparsity pattern for the whole
-solve, so its elimination tree is built once.  :class:`FrontTree` orders the
-unknowns by nested dissection (George, 1973) on the chart coordinates: the
-vertices of a node are split at the median of their wider coordinate, the
-vertices of one side that have a neighbour on the other side become the
-node's pivots (the separator), and the two remaining parts become its
-children, down to leaves of at most ``LEAF_SIZE`` vertices, which are all
-pivots.  Children are eliminated before their parent.
+solve, so its elimination tree is built once.  :class:`FrontTree` takes it
+as (row, column) pairs, one per matrix entry, lays it out in CSC order and
+orders the unknowns by nested dissection (George, 1973) on the chart
+coordinates: the vertices of a node are split at the median of their wider
+coordinate, the vertices of one side that have a neighbour on the other side
+become the node's pivots (the separator), and the two remaining parts become
+its children, down to leaves of at most ``LEAF_SIZE`` vertices, which are
+all pivots.  Children are eliminated before their parent.
 
 Each matrix on the pattern is then factored by the multifrontal method (Duff
 & Reid, 1983).  The front of a node holds its pivots and its update set: the
@@ -28,7 +29,7 @@ class that reads it is assembled.  The extend-add uses relative indices
 starts in the parent's buffer and which column each update is there, two
 ``int32`` arrays of shape (k, U), and expands them into the positions of
 the Schur block entries when the parent is assembled.  The tree thus keeps
-O(nnz + sum of k U) indices, not one per Schur block entry, and a
+O(pairs + sum of k U) indices, not one per Schur block entry, and a
 factorization holds its factor blocks, one class's fronts and the Schur
 blocks still waiting for their parents, not the fronts of the whole tree.
 The elimination pivots only inside a node's pivot block, which suits the
@@ -146,17 +147,32 @@ class _Class:
 
 
 class FrontTree:
-    """Nested-dissection tree of a square CSC pattern with the index maps
-    of its fronts.  ``coords`` (n, 2) places the unknowns in the plane; the
-    dissection uses the pattern of ``A + A^T``, so any square pattern is
-    handled."""
+    """Nested-dissection tree of a pattern with the index maps of its fronts.
+    ``rows`` and ``cols``, integer arrays of one shape, hold one (row,
+    column) pair per matrix entry, -1 in either for a pair to drop; the tree
+    keeps the CSC pattern (``indptr``, ``indices``) and each pair's ``slot``
+    in it, ``len(indices)`` if dropped.  ``coords`` (n, 2) places the
+    unknowns in the plane; the dissection uses the pattern of ``A + A^T``,
+    so any square pattern is handled."""
 
-    def __init__(self, indptr, indices, coords):
-        self.indices = np.asarray(indices)
-        n = self.n = len(indptr) - 1
-        self.cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-        rows = self.indices.astype(np.intp)
-        cols = self.cols.astype(np.intp)
+    def __init__(self, rows, cols, coords):
+        n = self.n = len(coords)
+        # the key col n + row sorts in CSC order, a dropped pair's key n^2
+        # after every kept one; a pair's slot is the rank of its key
+        keys = np.multiply(cols, n, dtype=np.int64)
+        keys += rows
+        keys[(rows < 0) | (cols < 0)] = n * n
+        keys = keys.ravel()
+        order = np.argsort(keys, kind="stable")   # faster than quicksort here
+        keys = keys[order]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))
+        self.slot = np.empty(len(order), dtype=np.int32)
+        self.slot[order] = np.cumsum(new, dtype=np.int32) - 1
+        keys = keys[new]
+        cols, rows = np.divmod(keys[keys < n * n], n)
+        del order, new, keys
+        self.indptr = np.searchsorted(cols, np.arange(n + 1)).astype(np.int32)
+        self.indices = rows.astype(np.int32)
         # the edges of A + A^T, each once
         off = rows != cols
         ei, ej = np.divmod(_unique(np.minimum(rows, cols)[off] * n
@@ -221,7 +237,8 @@ class FrontTree:
         np.maximum.at(U_c, klass, u_count)
         M_c = P_c + U_c
         size = k_c * M_c * M_c                    # the spare slot of each class's buffer
-        # int32 index maps; row_at + col_at reaches twice the spare slot
+        # int32 index maps; slots reach the pattern's size, row_at + col_at
+        # twice the spare slot
         if max(2 * int(size.max()), len(rows)) >= 2**31:
             raise MemoryError("the pattern or one class's fronts exceed 2**30 entries")
         M = M_c[klass]
@@ -321,12 +338,14 @@ class FrontTree:
 
 
 class FrontMatrix:
-    """A matrix on the fixed CSC pattern of a :class:`FrontTree`:
-    ``data`` holds the values in CSC order."""
+    """A matrix on the pattern of a :class:`FrontTree`, given one value per
+    pair of the tree: ``data`` holds its entries in CSC order, the values of
+    each entry's pairs summed in pair order."""
 
-    def __init__(self, tree: FrontTree, data):
+    def __init__(self, tree: FrontTree, values):
         self.tree = tree
-        self.data = np.asarray(data, dtype=float)
+        self.data = np.bincount(tree.slot, weights=np.ravel(values),
+                                minlength=len(tree.indices) + 1)[:-1]
         self._blocks = None
 
     @property
@@ -334,13 +353,13 @@ class FrontMatrix:
         return (self.tree.n, self.tree.n)
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.bincount(self.tree.indices, weights=self.data * x[self.tree.cols],
-                           minlength=self.tree.n)
+        x = np.repeat(np.asarray(x, dtype=float), np.diff(self.tree.indptr))
+        return np.bincount(self.tree.indices, weights=self.data * x, minlength=self.tree.n)
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
-        out[self.tree.indices, self.tree.cols] = self.data
+        cols = np.repeat(np.arange(self.tree.n), np.diff(self.tree.indptr))
+        out[self.tree.indices, cols] = self.data
         return out
 
     def solve(self, rhs) -> np.ndarray:

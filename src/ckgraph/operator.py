@@ -156,9 +156,14 @@ class _Assembly:
         self._element_data(problem.H.values)
         self.interior = mesh.interior_vertices
         # the pattern and its elimination tree hold for every Jacobian; the
-        # set-up temporaries are gone before the tree is built
-        indptr, indices = self._pattern()
-        self.tree = FrontTree(indptr, indices, mesh.vertices[self.interior])
+        # tree takes entry (a, b, e) of ``_local`` as the pair (row a, column
+        # b), broadcast views of ``tri`` with boundary vertices at -1
+        pos = np.full(mesh.n_vertices, -1, dtype=np.int32)
+        pos[self.interior] = np.arange(len(self.interior))
+        tri = pos.take(self._triT)
+        del pos
+        rows, cols = np.broadcast_arrays(tri[:, None], tri[None])
+        self.tree = FrontTree(rows, cols, mesh.vertices[self.interior])
         # the constant fields become one value each once the set-up is done
         for name in ("gam_c", "gam_q", "dgSx", "dgSy", "H_q"):
             setattr(self, name, _constant(getattr(self, name)))
@@ -188,41 +193,6 @@ class _Assembly:
         q11, q12, q22 = self.Sq
         self.dgSx = dgam_q[..., 0] * q11 + dgam_q[..., 1] * q12   # grad gamma Sinv_q
         self.dgSy = dgam_q[..., 0] * q12 + dgam_q[..., 1] * q22
-
-    def _pattern(self):
-        """CSC ``(indptr, indices)`` of the interior block, with the slot of
-        every element entry in it kept for ``system``."""
-        ni = len(self.interior)
-        pos = np.full(self.mesh.n_vertices, -1)
-        pos[self.interior] = np.arange(ni)
-        local_pos = pos.take(self._triT)
-        nt = local_pos.shape[1]
-        # entry (a, b, e) couples the element's vertex a (row) to b (column)
-        # under the key col ni + row, which sorts in CSC order; an entry with
-        # a boundary vertex gets the key ni^2, after every interior one
-        keys = np.empty((3, 3, nt), dtype=np.int64)
-        for a in range(3):
-            for b in range(3):
-                key = keys[a, b]
-                np.multiply(local_pos[b], ni, out=key)
-                key += local_pos[a]
-                key[(local_pos[a] < 0) | (local_pos[b] < 0)] = ni * ni
-        keys = keys.ravel()
-        order = np.argsort(keys, kind="stable")   # faster than quicksort here
-        keys = keys[order]
-        new = np.empty(len(keys), dtype=bool)
-        new[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=new[1:])
-        keys = keys[new]
-        # an entry's slot is the rank of its key: the boundary entries share
-        # the spare slot nnz
-        self._nnz = len(keys) - int(keys[-1] == ni * ni)
-        index = np.int32 if max(ni, self._nnz) < 2**31 else np.int64
-        self._slot = np.empty(len(order), dtype=index)
-        self._slot[order] = np.cumsum(new, dtype=index) - 1
-        keys = keys[:self._nnz]
-        return (np.searchsorted(keys, np.arange(ni + 1) * ni).astype(index),
-                (keys % ni).astype(index))
 
     # -- pointwise data -----------------------------------------------------
 
@@ -345,8 +315,7 @@ class _Assembly:
         path, interior held and boundary at ``tau * phi``."""
         from .frontal import FrontMatrix
         local = self._local(ev)
-        J = FrontMatrix(self.tree, np.bincount(self._slot, weights=local.ravel(),
-                                               minlength=self._nnz + 1)[:-1])
+        J = FrontMatrix(self.tree, local)
         if not tangent:
             return J, None
         # L_q is affine in tau, so this rate is exact
@@ -431,6 +400,20 @@ def _quadratic_fits(vertices, values, centre, stencil):
 # -- strong form ------------------------------------------------------------
 
 
+def _projected_trace(metric, grads, hess, base=0.0):
+    """``S^-1 grad u`` by components ``(px, py)``, ``U = sqrt(base + <grad u,
+    S^-1 grad u>)`` and ``tr(S^-1 Hess u) - Hess u(p, p) / U^2`` for the leaf
+    metric ``S`` given as ``metric`` and the gradients and Hessians of u."""
+    (i11, i12, i22), _ = _spd_inverse(metric)
+    gx, gy = grads[..., 0], grads[..., 1]
+    px, py = i11 * gx + i12 * gy, i12 * gx + i22 * gy
+    U = np.sqrt(base + gx * px + gy * py)
+    h11, h12, h22 = hess[..., 0, 0], hess[..., 0, 1] + hess[..., 1, 0], hess[..., 1, 1]
+    trace = i11 * h11 + i12 * h12 + i22 * h22 \
+        - (px * px * h11 + px * py * h12 + py * py * h22) / U**2
+    return px, py, U, trace
+
+
 def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     """Strong-form operator value from pointwise derivatives, vectorized.
 
@@ -443,15 +426,10 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     H = np.asarray(H, dtype=float)
     g = np.asarray(ambient.gamma(pts))
     dg = np.asarray(ambient.grad_gamma(pts))
-    (i11, i12, i22), _ = _spd_inverse(ambient.base_metric(pts))
-    gx, gy = grads[..., 0], grads[..., 1]
-    px, py = i11 * gx + i12 * gy, i12 * gx + i22 * gy      # z^i
-    U = np.sqrt(g + gx * px + gy * py)    # U = lambda W
+    # z^i = (px, py) and U = lambda W; the operator is
     # (sigma^{ij} - z^i z^j / U^2) z_{j;i} / U - gamma_i z^i / (2 U^3)
     #   - (gamma_i z^i / (2 gamma) + n gamma rho) / U - n lambda H
-    h11, h12, h22 = hess[..., 0, 0], hess[..., 0, 1] + hess[..., 1, 0], hess[..., 1, 1]
-    tr1 = i11 * h11 + i12 * h12 + i22 * h22 \
-        - (px * px * h11 + px * py * h12 + py * py * h22) / U**2
+    px, py, U, tr1 = _projected_trace(ambient.base_metric(pts), grads, hess, g)
     gz = dg[..., 0] * px + dg[..., 1] * py
     rr = np.asarray(ambient.rho(vals))
     return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \

@@ -90,9 +90,16 @@ def linear_solve(system, rhs) -> np.ndarray:
     return x
 
 
+def _clamp_level(problem: Problem, options: SolverOptions, margins=1) -> float:
+    """``interval_end`` less ``margins`` clamp margins, the level iterates
+    are clamped to; inf, which no iterate exceeds, where it is not finite."""
+    level = problem.ambient.interval_end - margins * options.clamp_margin
+    return level if math.isfinite(level) else math.inf
+
+
 def _clamp(z, problem: Problem, options: SolverOptions):
-    cap = problem.ambient.interval_end - options.clamp_margin
-    if math.isfinite(cap) and np.any(z > cap):
+    cap = _clamp_level(problem, options)
+    if np.any(z > cap):
         return np.minimum(z, cap), True
     return z, False
 
@@ -278,7 +285,7 @@ def _march(problem: Problem, options: SolverOptions,
     asm = problem.assembly()
     mesh = problem.mesh
     ii = asm.interior
-    clamp_level = problem.ambient.interval_end - options.clamp_margin
+    clamp_level = _clamp_level(problem, options)
     z = np.zeros(mesh.n_vertices)
     report = SolveReport(status="converged", solution=None, tau_reached=0.0)
     report.tau_path.append(0.0)
@@ -317,13 +324,9 @@ def _march(problem: Problem, options: SolverOptions,
         except (NewtonStallError, SingularSystemError, DomainError) as exc:
             step *= 0.5
             if step < options.min_tau_step:
-                hit_end = False
-                if isinstance(exc, NewtonStallError):
-                    cap = problem.ambient.interval_end - 10 * options.clamp_margin
-                    hit_end = math.isfinite(cap) and bool(
-                        np.any(exc.best_iterate > cap))
-                if isinstance(exc, DomainError):
-                    hit_end = True
+                hit_end = isinstance(exc, DomainError) or (
+                    isinstance(exc, NewtonStallError)
+                    and bool(np.any(exc.best_iterate > _clamp_level(problem, options, 10))))
                 report.status = "left_interval" if hit_end else "stalled"
                 report.tau_reached = tau
                 report.solution = ScalarField(mesh, z)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.frontal import FrontTree
+from ckgraph.frontal import FrontMatrix, FrontTree
 from ckgraph.mesh import _hat_gradients
 
 
@@ -20,6 +20,14 @@ def child_env(base=None):
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(ck.__file__)))
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return env
+
+
+def front_matrix(dense, coords):
+    """``dense`` on its own nonzeros as a ``FrontMatrix`` on the points
+    ``coords``: one (row, column) pair per nonzero, in CSC order, so the
+    matrix's ``data`` is its values in pair order."""
+    cols, rows = np.nonzero(dense.T)
+    return FrontMatrix(FrontTree(rows, cols, coords), dense[rows, cols])
 
 
 @pytest.fixture(scope="session")

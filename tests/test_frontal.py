@@ -19,19 +19,21 @@ import pytest
 import ckgraph as ck
 from ckgraph.frontal import LEAF_SIZE, FrontMatrix, FrontTree, _dissect
 from ckgraph.mesh import _unique
+from conftest import front_matrix
 
 
 class SingleBufferTree:
     """The reference layout: ``FrontTree``'s classes with the fronts of all
-    classes in one buffer of ``size`` slots."""
+    classes in one buffer of ``size`` slots.  Its subject is the buffer
+    layout, so it takes its pattern from the ``FrontTree`` under test."""
 
-    def __init__(self, indptr, indices, coords):
-        self.indices = np.asarray(indices)
-        n = self.n = len(indptr) - 1
-        self.cols = np.repeat(np.arange(n), np.diff(indptr))
+    def __init__(self, tree, coords):
+        n, self.indices, self.slot = tree.n, tree.indices, tree.slot
+        self.n = n
         rows = self.indices.astype(np.intp)
-        off = rows != self.cols
-        ei, ej = rows[off], self.cols[off]
+        cols = np.repeat(np.arange(n), np.diff(tree.indptr))
+        off = rows != cols
+        ei, ej = rows[off], cols[off]
         owner, parent, depth = _dissect(np.asarray(coords, dtype=float), ei, ej)
         nodes = len(parent)
         height = np.zeros(nodes, dtype=np.intp)
@@ -96,7 +98,7 @@ class SingleBufferTree:
             out[up] = P_c[klass[f[up]]] + urank[at]
             return out
 
-        r, c = rows, self.cols
+        r, c = rows, cols
         f = np.where(depth[owner[c]] >= depth[owner[r]], owner[c], owner[r])
         self._entries = front[f] + local(f, r) * M[f] + local(f, c)
         up_pos = local(parent[unode], uvert)
@@ -148,12 +150,6 @@ class SingleBufferTree:
         return blocks
 
 
-def _csc(dense):
-    """CSC arrays ``(indptr, rows, data)`` of ``dense`` on its nonzeros."""
-    cols, rows = np.nonzero(dense.T)
-    return np.searchsorted(cols, np.arange(len(dense) + 1)), rows, dense[rows, cols]
-
-
 def _near_pattern(coords, rng):
     """Each point coupled to its six nearest neighbours, nonsymmetric
     values drawn from ``rng``, a dominant diagonal."""
@@ -201,24 +197,32 @@ def _one_unknown():
 
 
 @functools.lru_cache(maxsize=None)
+def _radial_sphere():
+    """The benchmark's radial oracle, a round cap of radius 1 at h = 0.025:
+    its Jacobian at ``phi``, on the tree the assembly keeps, its number of
+    elements and its interior coordinates."""
+    amb = ck.preset_ambient("euclidean_radial")
+    mesh = ck.cap_mesh(1.0, 0.025, amb)
+    r = np.linalg.norm(mesh.vertices, axis=1)
+    prob = ck.Problem.create(amb, mesh, 0.0, -np.log(np.cos(r)) + np.log(np.cos(1.0)))
+    asm = prob.assembly()
+    J, _ = asm.system(asm.residual(prob.phi, 1.0)[1])
+    return J, mesh.n_triangles, mesh.vertices[asm.interior]
+
+
+@functools.lru_cache(maxsize=None)
 def _case(name):
-    """``(indptr, rows, coords, data)`` of a named test matrix."""
+    """``(tree, coords, data)`` of a named test matrix, its tree built from
+    one pair per entry in CSC order, so ``data`` is the matrix's values."""
     if name == "radial_sphere":
-        # the benchmark's radial oracle: a round cap of radius 1, h = 0.025
-        amb = ck.preset_ambient("euclidean_radial")
-        mesh = ck.cap_mesh(1.0, 0.025, amb)
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        prob = ck.Problem.create(amb, mesh, 0.0, -np.log(np.cos(r)) + np.log(np.cos(1.0)))
-        asm = prob.assembly()
-        J, _ = asm.system(asm.residual(prob.phi, 1.0)[1])
-        t = J.tree
-        indptr = np.searchsorted(t.cols, np.arange(t.n + 1))
-        return indptr, t.indices, mesh.vertices[asm.interior], J.data
+        J, _, coords = _radial_sphere()
+        cols = np.repeat(np.arange(J.tree.n), np.diff(J.tree.indptr))
+        return FrontTree(J.tree.indices, cols, coords), coords, J.data
     coords, dense = {"random_200": _random_200, "two_row_strip": _two_row_strip,
                      "one_sided": _one_sided, "single_leaf": _single_leaf,
                      "one_unknown": _one_unknown}[name]()
-    indptr, rows, data = _csc(dense)
-    return indptr, rows, coords, data
+    A = front_matrix(dense, coords)
+    return A.tree, coords, A.data
 
 
 CASES = ["random_200", "radial_sphere", "two_row_strip", "one_sided", "one_unknown",
@@ -227,8 +231,8 @@ CASES = ["random_200", "radial_sphere", "two_row_strip", "one_sided", "one_unkno
 
 @pytest.mark.parametrize("name", CASES)
 def test_factor_matches_single_buffer_reference(name):
-    indptr, rows, coords, data = _case(name)
-    tree, ref = FrontTree(indptr, rows, coords), SingleBufferTree(indptr, rows, coords)
+    tree, coords, data = _case(name)
+    ref = SingleBufferTree(tree, coords)
     assert [(g.height, g.k, g.P, g.U) for g in tree.classes] == \
         [(g.height, g.k, g.P, g.U) for g in ref.classes]
     for g, h in zip(tree.classes, ref.classes):
@@ -241,18 +245,16 @@ def test_factor_matches_single_buffer_reference(name):
         for a, b in zip(mine, theirs):
             assert a.shape == b.shape and np.array_equal(a, b)
     rhs = np.random.default_rng(5).standard_normal(tree.n)
-    x = FrontMatrix(tree, data).solve(rhs)
+    A = FrontMatrix(tree, data)
+    x = A.solve(rhs)
     assert np.array_equal(x, FrontMatrix(ref, data).solve(rhs))
-    A = np.zeros((tree.n, tree.n))
-    A[rows, tree.cols] = data
     assert np.linalg.norm(A @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
 
 def test_classes_pad_to_their_own_fronts():
     # every class is padded to its largest pivot and update counts, and a
     # class spans one pivot band of one height
-    indptr, rows, coords, _ = _case("radial_sphere")
-    tree = FrontTree(indptr, rows, coords)
+    tree, _, _ = _case("radial_sphere")
     width = LEAF_SIZE // 4
     for g in tree.classes:
         p = (g.pivots < tree.n).sum(axis=1)
@@ -267,8 +269,7 @@ def test_class_without_pivots():
     # height 2 of the radial_sphere tree has nodes with an empty separator:
     # their class has no pivot block and passes its assembled fronts on as
     # Schur blocks
-    indptr, rows, coords, data = _case("radial_sphere")
-    tree = FrontTree(indptr, rows, coords)
+    tree, _, data = _case("radial_sphere")
     empty = [c for c, g in enumerate(tree.classes) if g.P == 0]
     assert [tree.classes[c].height for c in empty] == [2]
     g = tree.classes[empty[0]]
@@ -293,10 +294,20 @@ def test_index_maps_linear_in_front_sizes():
     # entry: on radial_sphere the former layout, fronts padded per height
     # and two positions per Schur block entry, kept 827k entries against a
     # bound of 204k
-    indptr, rows, coords, _ = _case("radial_sphere")
-    tree = FrontTree(indptr, rows, coords)
+    tree, _, _ = _case("radial_sphere")
     fronts = sum(g.k * (g.P + g.U) for g in tree.classes)
-    assert _index_entries(tree) <= 4 * (len(rows) + fronts)
+    assert _index_entries(tree) <= 4 * (len(tree.indices) + fronts)
+
+
+def test_assembly_tree_keeps_one_slot_per_element_pair():
+    # the tree the assembly keeps has the index maps of the tree above and,
+    # in place of its slot per entry, an int32 slot per element pair: on
+    # radial_sphere 86400 for 32293 entries, so it keeps 226099 index
+    # entries, above the rebuilt tree's bound of 193484
+    J, nt, _ = _radial_sphere()
+    kept, tree = J.tree, _case("radial_sphere")[0]
+    assert kept.slot.dtype == np.int32 and kept.slot.shape == (9 * nt,)
+    assert _index_entries(kept) - kept.slot.size == _index_entries(tree) - tree.slot.size
 
 
 def _held_bytes(tree):
@@ -319,20 +330,96 @@ def _held_bytes(tree):
 
 
 def test_factor_peak_bounded_by_tree_sizes(traced_peak):
-    indptr, rows, coords, data = _case("radial_sphere")
-    tree = FrontTree(indptr, rows, coords)
+    tree, coords, data = _case("radial_sphere")
     bound = _held_bytes(tree) + 2**20           # slack: index gathers, small objects
     _, peak = traced_peak(tree.factor, data)
-    ref = SingleBufferTree(indptr, rows, coords)
+    ref = SingleBufferTree(tree, coords)
     _, ref_peak = traced_peak(ref.factor, data)
     assert peak <= bound < ref_peak
+
+
+def _assert_pattern(tree, rows, cols):
+    """The CSC pattern and the pair slots of ``tree`` against a dense brute
+    force over the pairs ``(rows, cols)`` it was built from, -1 marking a
+    dropped pair."""
+    n, kept = tree.n, (rows >= 0) & (cols >= 0)
+    dense = np.zeros((n, n), dtype=bool)
+    for r, c in zip(rows[kept].tolist(), cols[kept].tolist()):
+        dense[r, c] = True
+    col_of, row_of = np.nonzero(dense.T)        # column by column, rows ascending
+    assert tree.indptr.dtype == tree.indices.dtype == tree.slot.dtype == np.int32
+    assert np.array_equal(tree.indptr, np.searchsorted(col_of, np.arange(n + 1)))
+    assert np.array_equal(tree.indices, row_of)
+    assert tree.slot.shape == rows.shape
+    assert np.array_equal(row_of[tree.slot[kept]], rows[kept])
+    assert np.array_equal(col_of[tree.slot[kept]], cols[kept])
+    assert np.all(tree.slot[~kept] == len(row_of))
+
+
+def _shuffled_pairs(dense, rng):
+    """The nonzeros of ``dense`` as pairs in row order, then twice as many
+    again drawn from them, shuffled; a fifth of the draws dropped, the row
+    or the column marked -1."""
+    rows, cols = np.nonzero(dense)
+    pick = rng.integers(len(rows), size=2 * len(rows))
+    rows = np.concatenate([rows, rows[pick]])
+    cols = np.concatenate([cols, cols[pick]])
+    drop = np.zeros(len(rows), dtype=bool)
+    drop[-len(pick):] = rng.random(len(pick)) < 0.2
+    half = rng.random(len(rows)) < 0.5
+    rows[drop & half], cols[drop & ~half] = -1, -1
+    order = rng.permutation(len(rows))
+    return rows[order], cols[order]
+
+
+def _mesh_file_pairs():
+    """The assembly's tree on a relabelled mesh-file disk and the element
+    pairs it was built from: row vertex a, column vertex b, element e, in
+    that order, boundary vertices at -1."""
+    amb = ck.preset_ambient("killing_flat")
+    disk = ck.disk_mesh(0.4, 0.04, amb)
+    rng = np.random.default_rng(9)
+    perm = rng.permutation(disk.n_vertices)          # old label -> new label
+    verts = np.empty_like(disk.vertices)
+    verts[perm] = disk.vertices
+    tris = perm[disk.triangles][rng.permutation(disk.n_triangles)]
+    mesh = ck.mesh_from_arrays(verts, tris, [perm[l] for l in disk.boundary_loops], amb)
+    asm = ck.Problem.create(amb, mesh, 1.0, -np.sqrt(0.84)).assembly()
+    pos = np.full(mesh.n_vertices, -1)
+    pos[asm.interior] = np.arange(len(asm.interior))
+    tri = pos[mesh.triangles].T                       # (3, nt)
+    return asm.tree, np.repeat(tri, 3, axis=0).ravel(), np.tile(tri, (3, 1)).ravel()
+
+
+def test_pattern_matches_dense_brute_force():
+    _assert_pattern(*_mesh_file_pairs())
+    coords, dense = _one_sided()
+    rows, cols = _shuffled_pairs(dense, np.random.default_rng(10))
+    _assert_pattern(FrontTree(rows, cols, coords), rows, cols)
+
+
+def test_repeated_pairs_sum_in_pair_order():
+    # values of mixed magnitude, so another order of the sums rounds
+    # differently; marked pairs add nothing
+    coords, dense = _one_sided()
+    rng = np.random.default_rng(11)
+    rows, cols = _shuffled_pairs(dense, rng)
+    values = rng.standard_normal(len(rows)) * 10.0 ** rng.integers(-8, 9, len(rows))
+    A = FrontMatrix(FrontTree(rows, cols, coords), values)
+    want = np.zeros(dense.shape)
+    for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
+        if r >= 0 and c >= 0:
+            want[r, c] += v
+    assert np.array_equal(A.toarray(), want)
+    back = FrontMatrix(FrontTree(rows[::-1], cols[::-1], coords), values[::-1])
+    assert not np.array_equal(back.data, A.data)
 
 
 def test_matrix_solved_twice_is_factored_once(factorizations):
     # the factors are made on the first solve and kept with the matrix,
     # whose values can no longer change under them
-    indptr, rows, coords, data = _case("random_200")
-    A = FrontMatrix(FrontTree(indptr, rows, coords), data.copy())
+    tree, _, data = _case("random_200")
+    A = FrontMatrix(tree, data)
     made = factorizations()
     A.data[0] = data[0]             # writable before the first solve
     rhs = np.random.default_rng(7).standard_normal(A.tree.n)
@@ -346,7 +433,7 @@ def test_matrix_solved_twice_is_factored_once(factorizations):
 def test_singular_matrix_raises_on_every_solve(factorizations):
     # a singular pivot block keeps no factors: each solve tries again and
     # raises again
-    tree = FrontTree(np.array([0, 2, 4]), np.array([0, 1, 0, 1]),
+    tree = FrontTree(np.array([0, 1, 0, 1]), np.array([0, 0, 1, 1]),
                      np.array([[0.0, 0.0], [1.0, 0.0]]))
     A = FrontMatrix(tree, np.ones(4))
     made = factorizations()

@@ -518,15 +518,23 @@ def test_recovery_peak_does_not_grow_with_the_mesh(traced_peak):
 
 
 def test_assembly_setup_peak_within_twice_kept(monkeypatch):
-    # element data and interior pattern, up to the tree build: the pattern's
-    # keys come one local pair at a time, without broadcast row and column
-    # copies, so the set-up never holds more than twice what it keeps (the
-    # broadcast keys and np.unique peaked at 2.25 times)
+    # element data and the tree's pattern, through the CSC key build: the
+    # pairs are broadcast views of each element's interior positions, not
+    # copies, so the set-up never holds more than twice what it keeps, the
+    # element data and the tree's pattern and pair slots (broadcast keys and
+    # np.unique peaked at 2.25 times)
     seen = []
+    build, dissect = frontal.FrontTree, frontal._dissect
 
-    def tree(indptr, indices, coords):
-        seen.append(tracemalloc.get_traced_memory())
+    def tree(rows, cols, coords):
+        seen.append(tracemalloc.get_traced_memory()[0])
+        return build(rows, cols, coords)
+
+    def dissected(coords, ei, ej):
+        seen.append(tracemalloc.get_traced_memory()[1])
+        return dissect(coords, ei, ej)
     monkeypatch.setattr(frontal, "FrontTree", tree)
+    monkeypatch.setattr(frontal, "_dissect", dissected)
     amb = ck.preset_ambient("killing_flat")
     mesh = ck.disk_mesh(0.4, 0.005, amb)
     problem = ck.Problem.create(amb, mesh, 1.0, -math.sqrt(0.84))
@@ -534,11 +542,11 @@ def test_assembly_setup_peak_within_twice_kept(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _Assembly(problem)
+        t = _Assembly(problem).tree
     finally:
         tracemalloc.stop()
-    kept, peak = (m - base for m in seen[0])
-    assert peak <= 2 * kept
+    kept = seen[0] - base + t.slot.nbytes + t.indptr.nbytes + t.indices.nbytes
+    assert seen[1] - base <= 2 * kept
 
 
 # -- constant element data as one value ----------------------------------------

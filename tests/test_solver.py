@@ -9,17 +9,11 @@ import ckgraph as ck
 from ckgraph.errors import NewtonStallError, SingularSystemError
 import ckgraph.frontal as frontal
 import ckgraph.solver as solver
-from ckgraph.frontal import FrontMatrix, FrontTree
+from ckgraph.frontal import FrontTree
 from ckgraph.problemfile import load_problem, load_problem_document
 from ckgraph.solver import (SolverOptions, continuation_solve, linear_solve,
                             newton_solve)
-
-
-def _front_matrix(dense, coords):
-    """``dense`` on its own nonzero pattern (CSC order), as a FrontMatrix."""
-    cols, rows = np.nonzero(dense.T)
-    indptr = np.searchsorted(cols, np.arange(len(dense) + 1))
-    return FrontMatrix(FrontTree(indptr, rows, coords), dense[rows, cols])
+from conftest import front_matrix
 
 
 def test_linear_solve_contract():
@@ -33,7 +27,7 @@ def test_linear_solve_contract():
     dense[np.arange(200)[:, None], near] = rng.standard_normal(near.shape)
     dense[near, np.arange(200)[:, None]] += rng.standard_normal(near.shape)
     dense += 10 * np.eye(200)
-    A = _front_matrix(dense, coords)
+    A = front_matrix(dense, coords)
     assert len({g.height for g in A.tree.classes}) > 2
     x = rng.standard_normal(200)
     b = dense @ x
@@ -45,7 +39,7 @@ def test_linear_solve_contract():
 
 
 def test_linear_solve_singular():
-    A = _front_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.0],
+    A = front_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[0.0, 0.0],
                                                                    [1.0, 0.0]]))
     with pytest.raises(SingularSystemError):
         linear_solve(A, np.array([1.0, 0.0]))
@@ -55,7 +49,7 @@ def _tridiagonal(n=5):
     """A dense diagonally dominant tridiagonal matrix and its FrontMatrix."""
     dense = 4 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
     coords = np.stack([np.arange(n, dtype=float), np.zeros(n)], axis=1)
-    return dense, _front_matrix(dense, coords)
+    return dense, front_matrix(dense, coords)
 
 
 def test_linear_solve_refinement_meets_the_bound(monkeypatch):
