@@ -17,16 +17,20 @@ Sign and normalization conventions:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, prefixed
+from .expressions import (compile_expression, compile_flow_derivatives,
+                          compile_gradient, compile_univariate)
 
 __all__ = [
     "AmbientSpace",
+    "expression_ambient",
     "n",
     "leaf_mean_curvature",
     "preset_ambient",
@@ -37,14 +41,8 @@ __all__ = [
     "round_sphere_metric",
 ]
 
-_SQRT2M1 = math.sqrt(2.0) - 1.0
-
 # dimension of the base leaf: every mesh is a 2-D chart
 n = 2
-
-
-def _as_t(t):
-    return np.asarray(t, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -55,7 +53,10 @@ class AmbientSpace:
     ``lambda_t / lambda = (log lambda)_t`` and ``rho_t`` the flow derivative
     of that, all vectorized callables of the flow time.  The program reads
     the factor through these three alone (``lambda_t = lambda rho``), so
-    ``rho`` and ``rho_t`` stay finite where ``lambda`` underflows.
+    ``rho`` and ``rho_t`` stay finite where ``lambda`` underflows.  Every
+    ambient of the program, each preset included, comes from
+    ``expression_ambient``, whose ``rho`` and ``rho_t`` are the exact jets
+    of ``log(lam)``.
     ``gamma``/``grad_gamma`` are callables of chart points with shape
     ``(..., 2)``, and ``base_metric`` returns SPD matrices with shape
     ``(..., 2, 2)``; it must be one of the leaf metrics of ``LEAF_METRICS``,
@@ -195,68 +196,52 @@ def _zero_grad(u):
     return np.zeros(u.shape)
 
 
-# -- presets ----------------------------------------------------------------
+# -- ambients from expressions ---------------------------------------------
 
 
-def _exp(t):
-    return np.exp(_as_t(t))
+def expression_ambient(name: str, lam: str, interval_end: float = math.inf,
+                       gamma: Optional[str] = None,
+                       base_metric: Callable = flat_metric) -> AmbientSpace:
+    """The ambient of the expression ``lam`` in the flow time ``t`` and, if
+    given, ``gamma`` in the chart coordinates (1 otherwise).  ``rho`` and
+    ``rho_t`` are the exact jets of ``log(lam)``, and ``grad_gamma`` that of
+    ``gamma``; an error names its field first, as in ``lam: unknown name
+    'x' in expression``."""
+    with prefixed("lam: ", ParameterError):
+        lam_fn = compile_univariate(lam)
+        # the newline ends a comment in the text before the closing parenthesis
+        rho, rho_t = compile_flow_derivatives(f"log({lam}\n)")
+    gfun, grad_gamma = _ones_field, _zero_grad
+    if gamma is not None:
+        with prefixed("gamma: ", ParameterError):
+            gfun, grad_gamma = compile_expression(gamma), compile_gradient(gamma)
+    return AmbientSpace(name, lam_fn, rho, rho_t, interval_end, gfun, grad_gamma,
+                        base_metric)
 
 
 # example_c: lambda(t) = sinh(2 artanh(s)) with s = (sqrt(2)-1) e^t; the flow
 # coordinate is shifted so that lambda(0) = 1, which fixes the interval end
 # at log(1 + sqrt(2)) = arcsinh(1).
-def _s(t):
-    return _SQRT2M1 * np.exp(_as_t(t))
+_S = f"({math.sqrt(2.0) - 1.0!r}*exp(t))"
 
-
-def _sinh_lam(t):
-    s = _s(t)
-    return 2.0 * s / (1.0 - s**2)
-
-
-def _sinh_rho(t):
-    s = _s(t)
-    return (1.0 + s**2) / (1.0 - s**2)
-
-
-def _sinh_rho_t(t):
-    s = _s(t)
-    return 4.0 * s**2 / (1.0 - s**2) ** 2
-
-
-# example_b: lambda(t) = 1/(1 - t), which is also its rho
-def _recip(t):
-    return 1.0 / (1.0 - _as_t(t))
-
-
-def _recip_sq(t):
-    return _recip(t) ** 2
-
-
-def _ones(t):
-    return np.ones_like(_as_t(t))
-
-
-def _zeros(t):
-    return np.zeros_like(_as_t(t))
-
-
-# name -> (lam, rho, rho_t, interval_end, base_metric), rho = (log lam)_t
-# in closed form; every preset has gamma == 1
+# name -> (lam as an expression in t, interval_end, base_metric); every
+# preset has gamma == 1
 _PRESETS = {
-    "example_a": (_exp, _ones, _zeros, math.inf, flat_metric),
-    "example_b": (_recip, _recip, _recip_sq, 1.0, flat_metric),
-    "example_c": (_sinh_lam, _sinh_rho, _sinh_rho_t, math.asinh(1.0), flat_metric),
-    "killing_flat": (_ones, _zeros, _zeros, math.inf, flat_metric),
-    "euclidean_radial": (_exp, _ones, _zeros, math.inf, round_sphere_metric),
+    "example_a": ("exp(t)", math.inf, flat_metric),
+    "example_b": ("1/(1 - t)", 1.0, flat_metric),
+    "example_c": (f"2*{_S}/(1 - {_S}**2)", math.asinh(1.0), flat_metric),
+    "killing_flat": ("1", math.inf, flat_metric),
+    "euclidean_radial": ("exp(t)", math.inf, round_sphere_metric),
 }
 PRESET_NAMES = tuple(_PRESETS)
 
 
+@functools.cache
 def preset_ambient(name: str) -> AmbientSpace:
-    """Build one of the documented ambient presets (``gamma == 1``); other
-    fields can be swapped with ``dataclasses.replace``."""
+    """One of the documented ambient presets (``gamma == 1``), built once,
+    so two of one name are the same object; other fields can be swapped
+    with ``dataclasses.replace``."""
     if name not in _PRESETS:
         raise ParameterError(f"unknown ambient preset {name!r}")
-    lam, rho, rho_t, end, metric = _PRESETS[name]
-    return AmbientSpace(name, lam, rho, rho_t, end, _ones_field, _zero_grad, metric)
+    lam, end, metric = _PRESETS[name]
+    return expression_ambient(name, lam, end, base_metric=metric)

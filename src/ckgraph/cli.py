@@ -55,17 +55,17 @@ def _report_skeleton(status: str):
     }
 
 
-def _check_options(args, names, nonnegative=False):
-    """ParameterError for the first of the numeric options ``names`` that
-    is given but not finite (or, with ``nonnegative``, negative)."""
-    for name in names:
+def _check_options(args, finite=(), positive=()):
+    """ParameterError for the first numeric option, of ``finite`` and then
+    ``positive``, that is given but not finite, or not positive."""
+    for name in (*finite, *positive):
         value = getattr(args, name)
         if value is None:
             continue
         if not math.isfinite(value):
             raise ParameterError(f"--{name} must be a finite number, got {value}")
-        if nonnegative and value < 0:
-            raise ParameterError(f"--{name} must not be negative, got {value}")
+        if name in positive and not value > 0:
+            raise ParameterError(f"--{name} must be positive, got {value}")
 
 
 def _load_solution(args):
@@ -167,9 +167,7 @@ def _searched(kind: str, search) -> BarrierCertificate:
 
 
 def cmd_certify(args) -> int:
-    _check_options(args, ("D", "B", "eps"))
-    if args.eps <= 0:
-        raise ParameterError(f"--eps must be positive, got {args.eps}")
+    _check_options(args, ("D", "B"), positive=("eps",))
     loaded, z = _load_solution(args)
     problem = loaded.problem
     report = _report_skeleton("certified")
@@ -199,7 +197,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_options(args, ("tol",), nonnegative=True)
+    _check_options(args, positive=("tol",))
     loaded, z = _load_solution(args)
     problem = loaded.problem
     H_rec, mask = mean_curvature_of_graph(problem, z)

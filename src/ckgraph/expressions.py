@@ -213,7 +213,7 @@ def _compile(node, names, depth=0):
         value = _CONSTANTS[name]
         return lambda env: value
     if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float)):
+        if type(node.value) not in (int, float):     # bool is a subclass of int
             raise ParameterError("only numeric constants allowed")
         # as a float: NumPy's integer power wraps (2**70 is 0) or refuses 2**-1
         value = float(node.value)       # OverflowError beyond the float range

@@ -543,7 +543,13 @@ def _polar_mesh(r_in: float, r_out: float, h: float, ambient: AmbientSpace) -> D
     if not h > 0:
         raise ParameterError("a polar mesh needs a positive mesh size")
     centre = int(r_in == 0)
-    m = max(2, int(math.ceil((r_out - r_in) / h)))
+    m = (r_out - r_in) / h                  # inf where it overflows
+    m = max(2, math.ceil(m)) if m < 2**31 else m
+    # the vertex count before any array is built: the indices are int32
+    size = 1 + 3 * m * (m + 1) if centre else (m + 1) * max(8, math.pi * (r_in + r_out) / h)
+    if size > 2**31 - 1:
+        raise ParameterError(f"a polar mesh to radius {r_out!r} at mesh size {h!r} has "
+                             f"{size:.3g} vertices, more than int32 indices reach (2**31 - 1)")
     rings = np.arange(centre, m + 1)
     radii = r_in + (r_out - r_in) * rings / m
     counts = 6 * rings if centre else np.maximum(8, np.rint(2 * math.pi * radii / h).astype(int))

@@ -9,11 +9,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import ambient as ambient_mod
-from .ambient import AmbientSpace, preset_ambient, PRESET_NAMES
+from .ambient import (AmbientSpace, PRESET_NAMES, expression_ambient, flat_metric,
+                      preset_ambient, round_sphere_metric)
 from .errors import MeshError, ParameterError, SchemaError, prefixed, read_input
-from .expressions import (compile_expression, compile_flow_derivatives,
-                          compile_gradient, compile_univariate)
+from .expressions import compile_expression
 from .fields import ScalarField
 from .mesh import annulus_mesh, cap_mesh, disk_mesh, mesh_from_json
 from .operator import Problem
@@ -292,32 +291,17 @@ def validate_document(doc):
 
 
 def _build_ambient(doc) -> AmbientSpace:
-    """The document's ambient.  A custom one takes ``rho`` and ``rho_t``, the
-    first and second flow-time derivatives of ``log(lam)``, and the gradient
-    of ``gamma`` from the expressions, exactly; a construction error names
-    its key, as in ``$.ambient.custom.lam``."""
+    """The document's ambient (``expression_ambient``); an error names its
+    key, as in ``$.ambient.custom.lam``."""
     spec = doc["ambient"]
     if "preset" in spec:
         return preset_ambient(spec["preset"])
     cu = spec["custom"]
-    with prefixed("$.ambient.custom.lam: ", ParameterError):
-        lam = compile_univariate(cu["lam"])
-        # the newline ends a comment in the text before the closing parenthesis
-        rho, rho_t = compile_flow_derivatives(f"log({cu['lam']}\n)")
     end = cu.get("interval_end", "inf")
-    end = math.inf if end == "inf" else float(end)
-    if "gamma" in cu:
-        with prefixed("$.ambient.custom.gamma: ", ParameterError):
-            gfun, grad_gamma = compile_expression(cu["gamma"]), compile_gradient(cu["gamma"])
-    else:
-        gfun, grad_gamma = ambient_mod._ones_field, ambient_mod._zero_grad
-    metric = ambient_mod.round_sphere_metric \
-        if cu.get("base_metric") == "round_sphere" else ambient_mod.flat_metric
-    # the message names the field at fault first
+    metric = round_sphere_metric if cu.get("base_metric") == "round_sphere" else flat_metric
     with prefixed("$.ambient.custom.", ParameterError):
-        return AmbientSpace(
-            name="custom", lam=lam, rho=rho, rho_t=rho_t, interval_end=end,
-            gamma=gfun, grad_gamma=grad_gamma, base_metric=metric)
+        return expression_ambient("custom", cu["lam"], math.inf if end == "inf" else float(end),
+                                  cu.get("gamma"), metric)
 
 
 def _check_gamma(doc, ambient: AmbientSpace, mesh):

@@ -22,6 +22,12 @@ def child_env(base=None):
     return env
 
 
+def central_difference(f, x, step, direction=1):
+    """The central difference of ``f`` at ``x`` along ``direction``,
+    ``(f(x + step d) - f(x - step d)) / (2 step)``."""
+    return (f(x + step * direction) - f(x - step * direction)) / (2 * step)
+
+
 def front_matrix(dense, coords):
     """``dense`` on its own nonzeros as a ``FrontMatrix`` on the points
     ``coords``: one (row, column) pair per nonzero, in CSC order, so the

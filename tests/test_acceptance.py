@@ -11,6 +11,7 @@ import ckgraph as ck
 from ckgraph.analysis import (check_hypotheses, cylinder_monotonicity_probe,
                               search_boundary_barrier, search_height_barrier)
 from ckgraph.solver import newton_solve
+from conftest import central_difference
 
 
 def _verdict(num, ok, detail):
@@ -103,8 +104,7 @@ def test_criterion_3_continuation_fidelity(cap_sequence, radial_sequence):
             d = rng.standard_normal(prob.mesh.n_vertices)
             d[prob.mesh.boundary_vertices] = 0.0
             eps = 1e-6
-            fd = (asm.residual(z + eps * d, tau)[0]
-                  - asm.residual(z - eps * d, tau)[0]) / (2 * eps)
+            fd = central_difference(lambda v: asm.residual(v, tau)[0], z, eps, d)
             jd = J @ d[ii]
             worst = max(worst, float(np.abs(fd - jd).max()
                                      / max(np.abs(jd).max(), 1e-12)))
@@ -194,7 +194,7 @@ def test_criterion_8_geometry_identities(cap_sequence, boundary_flux):
         for t in np.linspace(-1.0, 0.4, 7):
             lam = float(np.asarray(a.lam(t)))
             k = lambda s: -float(np.asarray(a.rho(s))) / float(np.asarray(a.lam(s)))
-            fd = (k(t + 1e-6) - k(t - 1e-6)) / 2e-6
+            fd = central_difference(k, t, 1e-6)
             rho_t = float(np.asarray(a.rho_t(t)))
             ident = lam * k(t)**2 - rho_t / lam
             worst_kt = max(worst_kt, abs(fd - ident) / max(1.0, abs(ident)))

@@ -7,7 +7,7 @@ import pytest
 import ckgraph as ck
 from ckgraph.ambient import leaf_mean_curvature, preset_ambient, round_sphere_metric
 from ckgraph.errors import DomainError, ParameterError
-from ckgraph.expressions import compile_flow_derivatives
+from conftest import central_difference
 
 ALL_PRESETS = ["killing_flat", "example_a", "example_b", "example_c",
                "euclidean_radial"]
@@ -45,10 +45,8 @@ def test_derivatives_match_finite_differences(name):
     amb = preset_ambient(name)
     hi = min(0.5, amb.interval_end - 0.3) if math.isfinite(amb.interval_end) else 0.5
     ts = np.linspace(-2.0, hi, 41)
-    step = 1e-6
     log_lam = lambda t: np.log(np.asarray(amb.lam(t)))
-    fd1 = (log_lam(ts + step) - log_lam(ts - step)) / (2 * step)
-    fd2 = (np.asarray(amb.rho(ts + step)) - np.asarray(amb.rho(ts - step))) / (2 * step)
+    fd1, fd2 = central_difference(log_lam, ts, 1e-6), central_difference(amb.rho, ts, 1e-6)
     rho, rho_t = np.asarray(amb.rho(ts)), np.asarray(amb.rho_t(ts))
     assert (np.abs(fd1 - rho) / np.maximum(1.0, np.abs(rho))).max() < 1e-6
     assert (np.abs(fd2 - rho_t) / np.maximum(1.0, np.abs(rho_t))).max() < 1e-6
@@ -61,29 +59,52 @@ def test_example_b_rho_t_closed_form():
     assert np.allclose(np.asarray(amb.rho_t(ts)), expected, atol=1e-9)
 
 
-_S = f"({math.sqrt(2.0) - 1.0!r}*exp(t))"
-# each preset's lambda written as an expression in t
-_LAM_EXPRESSIONS = {"killing_flat": "1", "example_a": "exp(t)",
-                    "euclidean_radial": "exp(t)", "example_b": "1/(1 - t)",
-                    "example_c": f"2*{_S}/(1 - {_S}**2)"}
+def _sinh_forms(t):
+    s2 = ((math.sqrt(2.0) - 1.0) * np.exp(t)) ** 2
+    return (1.0 + s2) / (1.0 - s2), 4.0 * s2 / (1.0 - s2) ** 2
+
+
+# each preset's rho and rho_t, derived by hand: lambda is e^t, 1, 1/(1 - t),
+# and 2 s / (1 - s^2) with s = (sqrt(2) - 1) e^t
+_CLOSED_FORMS = {
+    "killing_flat": lambda t: (np.zeros_like(t), np.zeros_like(t)),
+    "example_a": lambda t: (np.ones_like(t), np.zeros_like(t)),
+    "euclidean_radial": lambda t: (np.ones_like(t), np.zeros_like(t)),
+    "example_b": lambda t: (1.0 / (1.0 - t), 1.0 / (1.0 - t) ** 2),
+    "example_c": _sinh_forms,
+}
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_preset_rho_closed_form(name):
-    # an independent cross-check of the hand-derived closed forms: rho and
-    # rho_t are the jets of log(lambda), lambda written as an expression.
-    # On example_c the jets' rho_t is a difference of near-equal terms
-    # (4 s^2 against terms of about 1), which loses 1e-12 below t = -3.  The
-    # closed forms stay finite where lambda underflows (e^t below t = -745)
+    # the jets of log(lambda) against the hand-derived forms, and finite
+    # where lambda underflows (e^t below t = -745)
     amb = preset_ambient(name)
-    d1, d2 = compile_flow_derivatives(f"log({_LAM_EXPRESSIONS[name]})")
     hi = amb.interval_end if math.isfinite(amb.interval_end) else 2.0
-    ts = np.linspace(-12.0, hi - 1e-3, 400)
-    assert np.allclose(amb.rho(ts), d1(ts), rtol=1e-15, atol=0.0)
-    ts = ts[ts >= -3.0]
-    assert np.all(np.abs(d2(ts) - amb.rho_t(ts)) <= 1e-12 * np.abs(amb.rho_t(ts)))
+    ts = np.linspace(-40.0, hi - 1e-3, 400)
+    rho, rho_t = _CLOSED_FORMS[name](ts)
+    assert np.all(np.abs(amb.rho(ts) - rho) <= 1e-15 * np.abs(rho))
+    assert np.all(np.abs(amb.rho_t(ts) - rho_t) <= 1e-12 * np.abs(rho_t))
     far = np.array([-800.0, -2000.0])
     assert np.all(np.isfinite(amb.rho(far))) and np.all(np.isfinite(amb.rho_t(far)))
+
+
+@pytest.mark.parametrize("name, lam", [("killing_flat", np.ones_like),
+                                       ("example_a", np.exp), ("euclidean_radial", np.exp)])
+def test_preset_factor_bits(name, lam):
+    # the ambients of the benchmark's workloads keep the closed forms' bits
+    amb = preset_ambient(name)
+    ts = np.linspace(-40.0, 2.0, 400)
+    rho, rho_t = _CLOSED_FORMS[name](ts)
+    assert np.array_equal(amb.lam(ts), lam(ts))
+    assert np.array_equal(amb.rho(ts), rho) and np.array_equal(amb.rho_t(ts), rho_t)
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_presets_compare_by_value(name):
+    # a preset is built once: two of one name are equal and hash equal
+    assert preset_ambient(name) == preset_ambient(name)
+    assert hash(preset_ambient(name)) == hash(preset_ambient(name))
 
 
 def test_example_c_interval_end():
@@ -148,7 +169,7 @@ def test_other_leaf_metric_refused():
 def _metric_christoffel_fd(metric, pts, step=1e-5):
     """Christoffel symbols from central differences of the metric, an
     independent reference: Gamma^k_ij = 1/2 S^kl (d_i S_lj + d_j S_li - d_l S_ij)."""
-    dS = np.stack([(metric(pts + step * e) - metric(pts - step * e)) / (2 * step)
+    dS = np.stack([central_difference(metric, pts, step, e)
                    for e in np.eye(2)], axis=1)              # dS[p, l, i, j]
     term = np.einsum("pilj->plij", dS) + np.einsum("pjli->plij", dS) - dS
     return 0.5 * np.einsum("pkl,plij->pkij", np.linalg.inv(metric(pts)), term)

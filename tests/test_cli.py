@@ -332,12 +332,22 @@ def test_certify_non_finite_option_exit_1(solved_run, capsys, options, name):
 
 @pytest.mark.parametrize("value, fragment", [
     ("nan", "must be a finite number"), ("inf", "must be a finite number"),
-    ("-1", "must not be negative"),
+    ("-1", "must be positive"), ("0", "must be positive"),
 ])
 def test_verify_bad_tolerance_exit_1(solved_run, capsys, value, fragment):
     _, prob, out = solved_run
     _assert_clean_exit_1(["verify", prob, str(out / "solution.csv"), "--tol", value],
                          capsys, f"--tol {fragment}")
+
+
+def test_verify_zero_tolerance_exit_1_in_a_child(solved_run):
+    # a zero tolerance would fail every verify, so it is refused up front
+    _, prob, out = solved_run
+    proc = subprocess.run([sys.executable, "-m", "ckgraph.cli", "verify", prob,
+                           str(out / "solution.csv"), "--tol", "0"],
+                          capture_output=True, text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: --tol must be positive, got 0.0\n"
 
 
 def test_suspect_flags_built_only_by_certify(tmp_path, monkeypatch, former_suspects):
@@ -1317,6 +1327,15 @@ _MALFORMED_PROBLEMS = {
                                "error: $.H.expression: bad expression: more than 900"),
     "parser_out_of_memory": ({"H": {"expression": "-" * 10000 + "x"}},
                              "error: $.H.expression: bad expression: more than 900"),
+    "boolean_constant": ({"H": {"expression": "True"}},
+                         "error: $.H.expression: only numeric constants allowed"),
+    # more vertices than int32 indices reach, refused before any array
+    "rings_beyond_int32": ({"resolution": 1e-300},
+                           "error: $.domain.params.radius: a polar mesh to radius 0.4 at"),
+    "radius_beyond_int32": ({"domain": {"preset": "disk", "params": {"radius": 1e300}}},
+                            "error: $.domain.params.radius: a polar mesh to radius 1e+300"),
+    "resolution_subnormal": ({"resolution": 1e-320},
+                             "error: $.domain.params.radius: a polar mesh to radius 0.4 at"),
     "lam_nested_past_the_parser": (
         {"ambient": {"custom": {"lam": "t" + "+t" * 20000}}},
         "error: $.ambient.custom.lam: bad expression: more than 900"),

@@ -11,6 +11,7 @@ from ckgraph.errors import ParameterError
 from ckgraph.expressions import (_along, _parse, compile_expression,
                                  compile_flow_derivatives, compile_gradient,
                                  compile_univariate)
+from conftest import central_difference
 
 # expression corpus with independent reference evaluations
 CORPUS = [
@@ -57,6 +58,8 @@ _REJECTED = {
     "open('f')": "unknown function",
     "x if y else 0": "construct IfExp not allowed",
     "'str'": "only numeric constants allowed",
+    "True": "only numeric constants allowed",
+    "x*False": "only numeric constants allowed",
     "x; y": "bad expression",
     # one-argument ufuncs take a second positional argument as ``out``
     "exp(x, y)": "exp takes 1 argument, got 2",
@@ -230,8 +233,7 @@ def test_gradient_agrees_with_central_differences(gamma):
     rng = np.random.default_rng(4)
     pts = rng.uniform(-0.5, 0.5, (200, 2))
     fn, step = compile_expression(gamma), 1e-6
-    fd = np.stack([(fn(pts + step * e) - fn(pts - step * e)) / (2 * step)
-                   for e in np.eye(2)], axis=1)
+    fd = np.stack([central_difference(fn, pts, step, e) for e in np.eye(2)], axis=1)
     assert np.abs(compile_gradient(gamma)(pts) - fd).max() < 1e-8
 
 

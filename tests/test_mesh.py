@@ -688,6 +688,16 @@ def test_boundary_vertices_built_once():
         bv[0] = 1
 
 
+@pytest.mark.parametrize("build, args", [
+    (disk_mesh, (0.4, 1e-320)), (disk_mesh, (1e300, 0.1)), (disk_mesh, (0.4, 1e-5)),
+    (annulus_mesh, (0.1, 1e300, 0.1)), (annulus_mesh, (0.1, 0.4, 1e-6)),
+])
+def test_polar_mesh_beyond_int32_refused(build, args):
+    # the vertex count is found before any array is built
+    with pytest.raises(ck.ParameterError, match=r"vertices, more than int32 indices reach"):
+        build(*args, FLAT)
+
+
 
 # -- point location (against an all-elements search) ------------------------
 

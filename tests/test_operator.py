@@ -15,6 +15,7 @@ from ckgraph.mesh import mesh_from_arrays
 from ckgraph.operator import (_Assembly, mean_curvature_of_graph,
                               recover_gradient_hessian)
 from ckgraph.problemfile import load_problem_document
+from conftest import central_difference
 
 
 def _random_state(problem, rng, scale=0.3):
@@ -110,7 +111,7 @@ def test_path_rate_matches_finite_differences(problems):
         z[bv] = tau * prob.phi[bv]
         _, ev = asm.residual(z, tau)
         _, rate = asm.system(ev, tangent=True)
-        fd = (res(tau + eps) - res(tau - eps)) / (2 * eps)
+        fd = central_difference(res, tau, eps)
         assert np.abs(fd - rate).max() < 1e-6 * max(np.abs(rate).max(), 1.0)
         assert asm.system(ev)[1] is None
 
@@ -169,8 +170,7 @@ def test_jacobian_matches_finite_differences(problems):
             for j in rng.choice(ii, size=3, replace=False):
                 d = np.zeros(prob.mesh.n_vertices)
                 d[j] = 1.0
-                fd = (asm.residual(z + eps * d, tau)[0]
-                      - asm.residual(z - eps * d, tau)[0]) / (2 * eps)
+                fd = central_difference(lambda v: asm.residual(v, tau)[0], z, eps, d)
                 col = J[:, pos[int(j)]]
                 rel = np.abs(fd - col).max() / max(np.abs(col).max(), 1e-12)
                 assert rel < 1e-6
