@@ -25,12 +25,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ParameterError, prefixed
-from .expressions import (compile_expression, compile_flow_derivatives,
-                          compile_gradient, compile_univariate)
+from .expressions import compile_flow_derivatives, compile_gradient, compile_univariate
 
 __all__ = [
     "AmbientSpace",
     "expression_ambient",
+    "lambda_fault",
     "n",
     "leaf_mean_curvature",
     "preset_ambient",
@@ -47,34 +47,26 @@ n = 2
 
 @dataclass(frozen=True)
 class AmbientSpace:
-    """Conformal data of the ambient space.
+    """Conformal data of the ambient space, one callable per variable.
 
-    ``lam`` is the conformal factor, ``rho`` its log-derivative
-    ``lambda_t / lambda = (log lambda)_t`` and ``rho_t`` the flow derivative
-    of that, all vectorized callables of the flow time.  The program reads
-    the factor through these three alone (``lambda_t = lambda rho``), so
-    ``rho`` and ``rho_t`` stay finite where ``lambda`` underflows.  Every
-    ambient of the program, each preset included, comes from
-    ``expression_ambient``, whose ``rho`` and ``rho_t`` are the exact jets
-    of ``log(lam)``.
-    ``gamma``/``grad_gamma`` are callables of chart points with shape
-    ``(..., 2)``, and ``base_metric`` returns SPD matrices with shape
-    ``(..., 2, 2)``; it must be one of the leaf metrics of ``LEAF_METRICS``,
-    whose closed forms (``leaf``) the curvature checks and the derivative
-    recovery read.  A ``dataclasses.replace`` of ``lam`` should pass ``rho``
-    and ``rho_t`` as well.
+    ``flow(t)`` gives the conformal factor ``lambda``, its log-derivative
+    ``rho = lambda_t / lambda`` and ``rho_t`` at flow times ``t``: the
+    program reads the factor through these alone, finite where ``lambda``
+    underflows.  ``gamma(u)`` gives ``gamma`` ``(...)`` and its gradient
+    ``(..., 2)`` at chart points ``(..., 2)``, so a ``dataclasses.replace``
+    swaps a value with its derivatives.  Every ambient of the program comes
+    from ``expression_ambient``.  ``base_metric`` returns SPD matrices
+    ``(..., 2, 2)``; it must be one of ``LEAF_METRICS``, whose closed forms
+    (``leaf``) the curvature checks and the derivative recovery read.
 
     A construction error names the field at fault first, as in
     ``interval_end: must be positive, got -1.0``.
     """
 
     name: str
-    lam: Callable
-    rho: Callable
-    rho_t: Callable
+    flow: Callable
     interval_end: float
     gamma: Callable
-    grad_gamma: Callable
     base_metric: Callable
 
     def __post_init__(self):
@@ -85,16 +77,15 @@ class AmbientSpace:
         hi = self.interval_end if math.isfinite(self.interval_end) else 4.0
         sample = np.linspace(hi - 8.0, hi - 1e-9 * max(1.0, abs(hi)), 17)
         with np.errstate(all="ignore"):     # a NaN is reported below
-            lam0 = float(np.asarray(self.lam(0.0)))
-            vals = np.broadcast_to(self.lam(sample), sample.shape)
+            lam0 = float(np.asarray(self.flow(0.0)[0]))
         if not abs(lam0 - 1.0) <= 1e-12:
             raise ParameterError(
                 f"lam: the conformal factor must satisfy lambda(0) = 1, got {lam0!r}"
             )
-        bad = np.flatnonzero(~(vals > 0))
-        if len(bad):
+        fault = lambda_fault(self, sample, admit_zero=False)
+        if fault is not None:
             raise ParameterError("lam: the conformal factor must be positive on the "
-                                 f"interval, got {float(vals[bad[0]])!r} at t = {float(sample[bad[0]])!r}")
+                                 f"interval, got {fault[1]!r} at t = {float(sample[fault[0]])!r}")
 
     @property
     def leaf(self) -> "LeafMetric":
@@ -108,7 +99,17 @@ def leaf_mean_curvature(ambient: AmbientSpace, u):
     ``t``.
     """
     u = np.asarray(u, dtype=float)
-    return -np.asarray(ambient.rho(0.0)) * np.sqrt(np.asarray(ambient.gamma(u)))
+    return -np.asarray(ambient.flow(0.0)[1]) * np.sqrt(np.asarray(ambient.gamma(u)[0]))
+
+
+def lambda_fault(ambient: AmbientSpace, t, admit_zero=True):
+    """The first of the flow times ``t`` ``(m,)`` where ``lambda`` is
+    negative or NaN, or 0 unless ``admit_zero`` (as where ``e^t``
+    underflows), as ``(index, lambda)``; None where there is none."""
+    with np.errstate(all="ignore"):     # a NaN is refused
+        lam = np.broadcast_to(ambient.flow(t)[0], np.shape(t))
+    bad = np.flatnonzero(~(lam >= 0 if admit_zero else lam > 0))
+    return (int(bad[0]), float(lam[bad[0]])) if len(bad) else None
 
 
 # -- leaf metrics -----------------------------------------------------------
@@ -186,14 +187,9 @@ LEAF_METRICS = {leaf.matrix: leaf for leaf in (
 )}
 
 
-def _ones_field(u):
+def _unit_field(u):
     u = np.asarray(u, dtype=float)
-    return np.ones(u.shape[:-1])
-
-
-def _zero_grad(u):
-    u = np.asarray(u, dtype=float)
-    return np.zeros(u.shape)
+    return np.ones(u.shape[:-1]), np.zeros(u.shape)
 
 
 # -- ambients from expressions ---------------------------------------------
@@ -203,19 +199,19 @@ def expression_ambient(name: str, lam: str, interval_end: float = math.inf,
                        gamma: Optional[str] = None,
                        base_metric: Callable = flat_metric) -> AmbientSpace:
     """The ambient of the expression ``lam`` in the flow time ``t`` and, if
-    given, ``gamma`` in the chart coordinates (1 otherwise).  ``rho`` and
-    ``rho_t`` are the exact jets of ``log(lam)``, and ``grad_gamma`` that of
-    ``gamma``; an error names its field first, as in ``lam: unknown name
-    'x' in expression``."""
+    given, ``gamma`` in the chart coordinates (1 otherwise): ``lambda`` is
+    a plain pass of ``lam``, ``rho`` and ``rho_t`` one jet pass of
+    ``log(lam)``.  An error names its field first, as in ``lam: unknown
+    name 'x' in expression``."""
     with prefixed("lam: ", ParameterError):
         lam_fn = compile_univariate(lam)
         # the newline ends a comment in the text before the closing parenthesis
-        rho, rho_t = compile_flow_derivatives(f"log({lam}\n)")
-    gfun, grad_gamma = _ones_field, _zero_grad
+        rates = compile_flow_derivatives(f"log({lam}\n)")
+    gfun = _unit_field
     if gamma is not None:
         with prefixed("gamma: ", ParameterError):
-            gfun, grad_gamma = compile_expression(gamma), compile_gradient(gamma)
-    return AmbientSpace(name, lam_fn, rho, rho_t, interval_end, gfun, grad_gamma,
+            gfun = compile_gradient(gamma)
+    return AmbientSpace(name, lambda t: (lam_fn(t), *rates(t)), interval_end, gfun,
                         base_metric)
 
 

@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .ambient import AmbientSpace, leaf_mean_curvature, n
+from .ambient import AmbientSpace, lambda_fault, leaf_mean_curvature, n
 from .errors import ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients, closed_polyline_geometry, locate_points
@@ -43,7 +43,7 @@ from .operator import Problem, _projected_trace, recover_gradient_hessian, stron
 __all__ = [
     "ConditionEntry", "HypothesisReport", "MaxPrincipleReport", "BarrierCertificate",
     "check_hypotheses", "max_principle_conditions", "FLOW_TIME_SAMPLES",
-    "RHO_T_ROUNDING",
+    "RHO_T_ROUNDING", "NEGATIVE_LAMBDA",
     "strong_form_Q", "flow_time_range", "level_curves",
     "cylinder_kappa", "cylinder_mean_curvature", "inf_boundary_cylinder_curvature",
     "height_barrier", "search_height_barrier",
@@ -100,6 +100,9 @@ class MaxPrincipleReport:
         return dict(vars(self))
 
 
+# one reason for every such barrier candidate, which ``_search`` groups
+NEGATIVE_LAMBDA = "barrier reaches a flow time where lambda is negative or NaN"
+
 # flow times at which the conditions on lambda are sampled
 FLOW_TIME_SAMPLES = 512
 
@@ -126,10 +129,9 @@ def _lambda_samples(problem: Problem):
     with ``lambda_t = lambda rho`` and ``rho_t`` there; sampled once per
     problem, read by both conformal-factor checks."""
     def build():
-        amb = problem.ambient
         ts = np.linspace(*flow_time_range(problem), FLOW_TIME_SAMPLES)
-        lam_t = np.asarray(amb.lam(ts)) * np.asarray(amb.rho(ts))
-        return ts, lam_t, np.asarray(amb.rho_t(ts))
+        lam, rho, rho_t = map(np.asarray, problem.ambient.flow(ts))
+        return ts, lam * rho, rho_t
     return problem.derived("lambda_samples", build)
 
 
@@ -182,11 +184,11 @@ def _ricci_conditions(problem: Problem, inf_hk: float, inf_hg: float):
     is ``(n - 1)`` times the Gaussian curvature of the leaf metric.
     """
     amb, mesh = problem.ambient, problem.mesh
-    gam = np.asarray(amb.gamma(mesh.vertices))
+    gam = np.asarray(amb.gamma(mesh.vertices)[0])
     gconst = float(gam.max() - gam.min()) <= 1e-10 * max(1.0, float(np.abs(gam).max()))
     ric_leaf = (n - 1) * amb.leaf.curvature
 
-    rho_t0 = float(np.asarray(amb.rho_t(0.0)))
+    rho_t0 = float(np.asarray(amb.flow(0.0)[2]))
     k0 = float(leaf_mean_curvature(amb, mesh.vertices[0]))
     x_term = n * k0**2 - (k0**2 - float(gam[0]) * rho_t0)
     ric_amb = ric_leaf - x_term
@@ -397,6 +399,8 @@ def height_barrier(problem: Problem, D: float, B: float,
         return (math.exp(D * B) / D) * (np.exp(-D * dd) - 1.0)
 
     barrier = ScalarField(mesh, phi_inf + f(d))
+    if lambda_fault(amb, barrier.values) is not None:
+        raise ParameterError(NEGATIVE_LAMBDA)
 
     gd, hd, usable = _distance_geometry(problem, elements=True)
     keep = usable.copy()
@@ -487,9 +491,10 @@ def _boundary_barrier_cert(problem: Problem, mu, c, eps, z, sign):
     d = mesh.dist_to_boundary
     mut = c / math.log1p(mu)
     values = s.phi + sign * (-mut * np.log1p(mu * d))
-    if math.isfinite(amb.interval_end) and np.any(
-            values[s.strip] >= amb.interval_end):
+    if np.any(values[s.strip] >= amb.interval_end):
         raise ParameterError("barrier leaves the flow interval on the strip")
+    if lambda_fault(amb, values[s.strip]) is not None:
+        raise ParameterError(NEGATIVE_LAMBDA)
     barrier = ScalarField(mesh, values)
 
     idx, di = s.idx, d[s.idx]
@@ -606,8 +611,7 @@ def cylinder_kappa(ambient: AmbientSpace, u, eta):
     """
     u = np.asarray(u, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    g = np.asarray(ambient.gamma(u))
-    dg = np.asarray(ambient.grad_gamma(u))
+    g, dg = map(np.asarray, ambient.gamma(u))
     return np.einsum("...i,...i->...", dg, eta) / (2.0 * g)
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .ambient import lambda_fault
 from .analysis import (BarrierCertificate, boundary_normal_slope, check_hypotheses,
                        cylinder_monotonicity_probe, height_barrier,
                        max_principle_conditions, search_boundary_barrier,
@@ -70,15 +71,17 @@ def _check_options(args, finite=(), positive=()):
 
 def _load_solution(args):
     """The problem and the solution CSV that certify and verify read; a
-    value at or above the end of the flow interval is refused."""
+    value past the flow interval or where lambda is negative or NaN is refused."""
     loaded = load_problem(args.problem)
     z = ScalarField.from_csv(loaded.problem.mesh, args.solution)
     end = loaded.problem.ambient.interval_end
-    bad = np.nonzero(z.values >= end)[0]
+    bad, why = np.nonzero(z.values >= end)[0], f"reaches the interval end {end}"
+    fault = None if len(bad) else lambda_fault(loaded.problem.ambient, z.values)
+    if fault is not None:
+        bad, why = [fault[0]], f"has lambda = {fault[1]}, negative or NaN"
     if len(bad):
         v = int(bad[0])
-        raise DomainError(f"{args.solution}: vertex {v} value {float(z.values[v])} "
-                          f"reaches the interval end {end}")
+        raise DomainError(f"{args.solution}: vertex {v} value {float(z.values[v])} {why}")
     return loaded, z
 
 

@@ -263,17 +263,20 @@ def compile_expression(text: str):
 
 
 def compile_gradient(text: str):
-    """The exact chart gradient ``(..., 2)`` at points ``(..., 2)``: one jet
-    pass seeded in ``x``, one in ``y``."""
+    """The value and the exact chart gradient ``(..., 2)`` at points
+    ``(..., 2)``: one jet pass seeded in ``x``, one in ``y``, the value
+    taken from the ``x`` pass, with the bits of ``compile_expression``."""
     expr = _parse(text, ("x", "y"))
 
-    def grad(pts):
+    def fn(pts):
         pts = np.asarray(pts, dtype=float)
         env = {"x": pts[..., 0], "y": pts[..., 1]}
-        return np.stack([np.broadcast_to(_along(expr, env, name).d1, pts.shape[:-1])
-                         for name in env], axis=-1)
+        jx, jy = (_along(expr, env, name) for name in env)
+        shape = pts.shape[:-1]
+        return (np.broadcast_to(np.asarray(jx.v, dtype=float), shape).copy(),
+                np.stack([np.broadcast_to(j.d1, shape) for j in (jx, jy)], axis=-1))
 
-    return grad
+    return fn
 
 
 def _shaped(out, v):
@@ -295,15 +298,13 @@ def compile_univariate(text: str):
 
 def compile_flow_derivatives(text: str):
     """The exact first and second flow-time derivatives of
-    ``compile_univariate(text)``, each from one jet pass seeded in ``t``;
+    ``compile_univariate(text)``, both from one jet pass seeded in ``t``;
     ``log`` of a product or quotient is split first (``_split_log``)."""
     expr = _parse(text, ("t",), _split_log)
 
-    def derivative(order):
-        def fn(v):
-            v = np.asarray(v, dtype=float)
-            jet = _along(expr, {"t": v}, "t")
-            return _shaped(jet.d1 if order == 1 else jet.d2, v)
-        return fn
+    def fn(v):
+        v = np.asarray(v, dtype=float)
+        jet = _along(expr, {"t": v}, "t")
+        return _shaped(jet.d1, v), _shaped(jet.d2, v)
 
-    return derivative(1), derivative(2)
+    return fn

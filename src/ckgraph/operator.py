@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ambient import AmbientSpace, n
+from .ambient import AmbientSpace, lambda_fault, n
 from .errors import DomainError, MeshError, ParameterError
 from .fields import ScalarField
 from .mesh import DomainMesh, _hat_gradients, _spd_inverse
@@ -51,15 +51,13 @@ class Problem:
             raise ParameterError("boundary data must be finite")
         if not np.all(bvals < self.ambient.interval_end):
             raise ParameterError("boundary data must stay below the interval end")
-        with np.errstate(all="ignore"):     # a NaN is reported below
-            lam_b = np.broadcast_to(self.ambient.lam(bvals), bvals.shape)
-        bad = np.flatnonzero(~(lam_b > 0))
-        if len(bad):
-            k = bad[0]
+        fault = lambda_fault(self.ambient, bvals, admit_zero=False)
+        if fault is not None:
+            k, lam = fault
             raise ParameterError(
                 "lambda is not positive at boundary vertex "
                 f"{int(self.mesh.boundary_vertices[k])}: phi = {float(bvals[k])!r}, "
-                f"lambda = {float(lam_b[k])!r}")
+                f"lambda = {lam!r}")
         self._derived = {}
 
     @classmethod
@@ -128,11 +126,12 @@ class _Evaluation:
     Arrays are ``(nt,)`` per element or ``(3, nt)`` per local vertex or
     quadrature point; a quadrature value is ``(nt,)`` when the assembly's
     data behind it is one constant value.  ``Pc`` is ``G Sinv_c grad z`` and
-    ``(qx, qy)`` is ``Sinv_q grad z``, by component."""
+    ``(qx, qy)`` is ``Sinv_q grad z``, by component; ``lam_m``, ``rho_m``
+    and ``rhot_m`` are the ambient's ``flow`` at the element means."""
 
-    def __init__(self, tau: float, zmid, lam_m, rho_m, U_c, Pc, qx, qy,
+    def __init__(self, tau: float, lam_m, rho_m, rhot_m, U_c, Pc, qx, qy,
                  U_q, P_q, val):
-        self.tau, self.zmid, self.lam_m, self.rho_m = tau, zmid, lam_m, rho_m
+        self.tau, self.lam_m, self.rho_m, self.rhot_m = tau, lam_m, rho_m, rhot_m
         self.U_c, self.Pc, self.qx, self.qy = U_c, Pc, qx, qy
         self.U_q, self.P_q, self.val = U_q, P_q, val
 
@@ -152,7 +151,6 @@ class _Assembly:
         mesh = self.mesh = problem.mesh
         self.ambient, self.phi = problem.ambient, problem.phi
         self._triT = _rows(mesh.triangles).astype(np.int32)  # (3, nt)
-        self.n = n
         self._element_data(problem.H.values)
         self.interior = mesh.interior_vertices
         # the pattern and its elimination tree hold for every Jacobian; the
@@ -179,11 +177,10 @@ class _Assembly:
         p = mesh.vertices[mesh.triangles]
         cent = p.mean(axis=1)
         self.Sc, det_c = _spd_inverse(amb.base_metric(cent))
-        self.gam_c = np.asarray(amb.gamma(cent))
+        self.gam_c = np.asarray(amb.gamma(cent)[0])
         qp = 0.5 * (p[:, [1, 2, 0]] + p[:, [2, 0, 1]])  # midpoint opposite 0,1,2
         self.Sq, det_q = _spd_inverse(_rows(amb.base_metric(qp)))
-        self.gam_q = _rows(np.broadcast_to(amb.gamma(qp), qp.shape[:-1]))
-        dgam_q = _rows(np.broadcast_to(amb.grad_gamma(qp), qp.shape))
+        self.gam_q, dgam_q = map(_rows, amb.gamma(qp))
         Hv = H.take(self._triT)                          # (3, nt)
         self.H_q = _HATS @ Hv
         # quadrature weights and the z-independent contractions
@@ -240,16 +237,14 @@ class _Assembly:
         intermediates that ``_local`` reuses."""
         self._check_interval(z)
         amb = self.ambient
-        n = self.n
         gx, gy, zmid = self._element_state(z)
         with np.errstate(over="ignore"):     # an overflow is refused below
-            lam_m = np.asarray(amb.lam(zmid))
+            lam_m, rho_m, rhot_m = map(np.asarray, amb.flow(zmid))
         bad = np.flatnonzero(~np.isfinite(lam_m))
         if len(bad):
             e = int(bad[0])
             raise DomainError(f"lambda is not finite at element {e}, graph value "
                               f"{float(zmid[e])!r}")
-        rho_m = np.asarray(amb.rho(zmid))
         U_c, Pc, val = self._divergence(gx, gy)
 
         q11, q12, q22 = self.Sq
@@ -260,7 +255,7 @@ class _Assembly:
             + tau * n * self.gam_q * rho_m
         L_q = P_q / U_q + tau * n * lam_m * self.H_q
         val -= _HATS @ (self.w_q * L_q)
-        return _Evaluation(tau, zmid, lam_m, rho_m, U_c, Pc, qx, qy, U_q, P_q, val)
+        return _Evaluation(tau, lam_m, rho_m, rhot_m, U_c, Pc, qx, qy, U_q, P_q, val)
 
     def _local(self, ev: _Evaluation):
         """Exact derivatives of the element residual of ``ev`` with respect
@@ -272,8 +267,7 @@ class _Assembly:
         terms, whose ``z`` dependence enters through ``grad z`` (rows of
         ``G``) and ``zmid`` (1/3 at every vertex), give rows times ``Gx``,
         ``Gy`` and a constant."""
-        n, tau = self.n, ev.tau
-        rhot_m = np.asarray(self.ambient.rho_t(ev.zmid))
+        tau = ev.tau
         k = self.w_c / ev.U_c
         a1 = self.w_q / (2.0 * self.gam_q * ev.U_q)
         a2 = self.w_q * ev.P_q / ev.U_q**3
@@ -281,7 +275,7 @@ class _Assembly:
         X = _HATS @ (a1 * self.dgSx - a2 * ev.qx) + k * (self.Gx * c11 + self.Gy * c12)
         Y = _HATS @ (a1 * self.dgSy - a2 * ev.qy) + k * (self.Gx * c12 + self.Gy * c22)
         C = _HATS @ (self.w_q * (tau * n / 3.0)
-                     * (self.gam_q * rhot_m / ev.U_q + ev.lam_m * ev.rho_m * self.H_q))
+                     * (self.gam_q * ev.rhot_m / ev.U_q + ev.lam_m * ev.rho_m * self.H_q))
         Pk = ev.Pc * (k / ev.U_c**2)
         local = Pk[:, None] * ev.Pc[None]
         local -= X[:, None] * self.Gx[None]
@@ -319,7 +313,7 @@ class _Assembly:
         if not tangent:
             return J, None
         # L_q is affine in tau, so this rate is exact
-        L_tau = self.n * (self.gam_q * ev.rho_m / ev.U_q + ev.lam_m * self.H_q)
+        L_tau = n * (self.gam_q * ev.rho_m / ev.U_q + ev.lam_m * self.H_q)
         rate = -(_HATS @ (self.w_q * L_tau))
         # boundary data per element, zero at interior vertices
         mesh = self.mesh
@@ -424,16 +418,14 @@ def strong_form_Q(ambient: AmbientSpace, pts, vals, grads, hess, H):
     grads = np.asarray(grads, dtype=float)
     hess = np.asarray(hess, dtype=float)
     H = np.asarray(H, dtype=float)
-    g = np.asarray(ambient.gamma(pts))
-    dg = np.asarray(ambient.grad_gamma(pts))
+    g, dg = map(np.asarray, ambient.gamma(pts))
     # z^i = (px, py) and U = lambda W; the operator is
     # (sigma^{ij} - z^i z^j / U^2) z_{j;i} / U - gamma_i z^i / (2 U^3)
     #   - (gamma_i z^i / (2 gamma) + n gamma rho) / U - n lambda H
     px, py, U, tr1 = _projected_trace(ambient.base_metric(pts), grads, hess, g)
     gz = dg[..., 0] * px + dg[..., 1] * py
-    rr = np.asarray(ambient.rho(vals))
-    return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U \
-        - n * np.asarray(ambient.lam(vals)) * H
+    lam, rr, _ = map(np.asarray, ambient.flow(vals))
+    return tr1 / U - gz / (2 * U**3) - (gz / (2 * g) + n * g * rr) / U - n * lam * H
 
 
 def mean_curvature_of_graph(problem: Problem, z: ScalarField):
@@ -444,5 +436,5 @@ def mean_curvature_of_graph(problem: Problem, z: ScalarField):
     amb, mesh = problem.ambient, problem.mesh
     grad, hess, conf = recover_gradient_hessian(mesh, amb, z.values)
     nlamH = strong_form_Q(amb, mesh.vertices, z.values, grad, hess, 0.0)
-    H = nlamH / (n * np.asarray(amb.lam(z.values)))
+    H = nlamH / (n * np.asarray(amb.flow(z.values)[0]))
     return ScalarField(mesh, H), conf

@@ -14,7 +14,7 @@ from .ambient import (AmbientSpace, PRESET_NAMES, expression_ambient, flat_metri
 from .errors import MeshError, ParameterError, SchemaError, prefixed, read_input
 from .expressions import compile_expression
 from .fields import ScalarField
-from .mesh import annulus_mesh, cap_mesh, disk_mesh, mesh_from_json
+from .mesh import PolarDomain, annulus_mesh, cap_mesh, disk_mesh, mesh_from_json
 from .operator import Problem
 from .solver import SolverOptions
 
@@ -316,13 +316,12 @@ def _check_gamma(doc, ambient: AmbientSpace, mesh):
     pts = np.concatenate([mesh.vertices, corners.mean(axis=1),
                           0.5 * (mesh.vertices[edges[:, 0]] + mesh.vertices[edges[:, 1]])])
     with np.errstate(all="ignore"):
-        g = ambient.gamma(pts)
+        g, grad = ambient.gamma(pts)
     bad = np.flatnonzero(~(np.isfinite(g) & (g > 0)))
     what = "value {} is not positive and finite"
     if not len(bad):
-        g = ambient.grad_gamma(pts)
+        g, what = grad, "gradient {} is not finite"
         bad = np.flatnonzero(~np.isfinite(g).all(axis=1))
-        what = "gradient {} is not finite"
     if len(bad):
         k = bad[0]
         x, y = pts[k]
@@ -343,11 +342,15 @@ def _build_mesh(doc, ambient, base_dir: Path, h: Optional[float] = None):
         return mesh
     h = float(doc["resolution"]) if h is None else h
     names = _PRESET_PARAMS[dom["preset"]]
-    # the module's builder names, read at each call
-    build = {"disk": disk_mesh, "cap": cap_mesh, "annulus": annulus_mesh}[dom["preset"]]
+    radii = [dom["params"][key] for key in names]
     # the outer radius, or r_in >= r_out: the last parameter is at fault
     with prefixed(f"$.domain.params.{names[-1]}: ", ParameterError):
-        return build(*(dom["params"][key] for key in names), h, ambient)
+        PolarDomain(*([0.0] + radii)[-2:], ambient.base_metric)
+    # the module's builder names, read at each call
+    build = {"disk": disk_mesh, "cap": cap_mesh, "annulus": annulus_mesh}[dom["preset"]]
+    # the radii are in range: the builder refuses the mesh size alone
+    with prefixed("$.resolution: ", ParameterError):
+        return build(*radii, h, ambient)
 
 
 def _build_field(doc, key: str, mesh, base_dir: Path) -> ScalarField:

@@ -104,7 +104,7 @@ def _boundary_flux(problem, z):
         Sinv = np.linalg.inv(S)
         sd = math.sqrt(np.linalg.det(S))
         gz = sum(zv[tri[a]] * G[e, a] for a in range(3))
-        U = math.sqrt(float(amb.gamma(cent)) + gz @ Sinv @ gz)
+        U = math.sqrt(float(amb.gamma(cent)[0]) + gz @ Sinv @ gz)
         for a in range(3):
             if is_b[tri[a]]:
                 total += A[e] * sd * (G[e, a] @ Sinv @ gz) / U

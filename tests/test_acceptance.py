@@ -183,7 +183,7 @@ def test_criterion_8_geometry_identities(cap_sequence, boundary_flux):
     ok, notes = True, []
 
     # normalization of the conformal factor at the base leaf
-    ok &= all(abs(float(np.asarray(ck.preset_ambient(n).lam(0.0))) - 1.0) <= 1e-12
+    ok &= all(abs(float(np.asarray(ck.preset_ambient(n).flow(0.0)[0])) - 1.0) <= 1e-12
               for n in ck.PRESET_NAMES)
 
     # two-path agreement for the leaf-curvature rate: finite differences of
@@ -192,10 +192,9 @@ def test_criterion_8_geometry_identities(cap_sequence, boundary_flux):
     for name in ("example_a", "example_b", "example_c"):
         a = ck.preset_ambient(name)
         for t in np.linspace(-1.0, 0.4, 7):
-            lam = float(np.asarray(a.lam(t)))
-            k = lambda s: -float(np.asarray(a.rho(s))) / float(np.asarray(a.lam(s)))
+            lam, _, rho_t = map(float, a.flow(t))
+            k = lambda s: -float(a.flow(s)[1]) / float(a.flow(s)[0])
             fd = central_difference(k, t, 1e-6)
-            rho_t = float(np.asarray(a.rho_t(t)))
             ident = lam * k(t)**2 - rho_t / lam
             worst_kt = max(worst_kt, abs(fd - ident) / max(1.0, abs(ident)))
     ok &= worst_kt < 1e-6

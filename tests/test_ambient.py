@@ -1,11 +1,14 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.ambient import leaf_mean_curvature, preset_ambient, round_sphere_metric
+import ckgraph.expressions as expressions
+from ckgraph.ambient import (expression_ambient, leaf_mean_curvature, preset_ambient,
+                             round_sphere_metric)
 from ckgraph.errors import DomainError, ParameterError
 from conftest import central_difference
 
@@ -16,7 +19,7 @@ ALL_PRESETS = ["killing_flat", "example_a", "example_b", "example_c",
 @pytest.mark.parametrize("name", ALL_PRESETS)
 def test_normalization(name):
     amb = preset_ambient(name)
-    assert abs(float(np.asarray(amb.lam(0.0))) - 1.0) <= 1e-12
+    assert abs(float(np.asarray(amb.flow(0.0)[0])) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -24,18 +27,18 @@ def test_positivity(name):
     amb = preset_ambient(name)
     hi = amb.interval_end if math.isfinite(amb.interval_end) else 2.0
     ts = np.linspace(hi - 6.0, hi - 1e-6, 200)
-    assert np.all(np.asarray(amb.lam(ts)) > 0)
+    assert np.all(np.asarray(amb.flow(ts)[0]) > 0)
 
 
 def test_unnormalized_factor_rejected():
     with pytest.raises(ParameterError):
         ck.AmbientSpace(
-            name="bad", lam=lambda t: 2.0 * np.exp(np.asarray(t)),
-            rho=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            rho_t=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            name="bad",
+            flow=lambda t: (2.0 * np.exp(np.asarray(t)),
+                            np.ones_like(np.asarray(t, dtype=float)),
+                            np.zeros_like(np.asarray(t, dtype=float))),
             interval_end=math.inf,
-            gamma=lambda u: np.ones(np.asarray(u).shape[:-1]),
-            grad_gamma=lambda u: np.zeros(np.asarray(u).shape),
+            gamma=lambda u: (np.ones(np.asarray(u).shape[:-1]), np.zeros(np.asarray(u).shape)),
             base_metric=ck.flat_metric)
 
 
@@ -45,9 +48,10 @@ def test_derivatives_match_finite_differences(name):
     amb = preset_ambient(name)
     hi = min(0.5, amb.interval_end - 0.3) if math.isfinite(amb.interval_end) else 0.5
     ts = np.linspace(-2.0, hi, 41)
-    log_lam = lambda t: np.log(np.asarray(amb.lam(t)))
-    fd1, fd2 = central_difference(log_lam, ts, 1e-6), central_difference(amb.rho, ts, 1e-6)
-    rho, rho_t = np.asarray(amb.rho(ts)), np.asarray(amb.rho_t(ts))
+    log_lam = lambda t: np.log(np.asarray(amb.flow(t)[0]))
+    fd1 = central_difference(log_lam, ts, 1e-6)
+    fd2 = central_difference(lambda t: amb.flow(t)[1], ts, 1e-6)
+    _, rho, rho_t = amb.flow(ts)
     assert (np.abs(fd1 - rho) / np.maximum(1.0, np.abs(rho))).max() < 1e-6
     assert (np.abs(fd2 - rho_t) / np.maximum(1.0, np.abs(rho_t))).max() < 1e-6
 
@@ -56,7 +60,7 @@ def test_example_b_rho_t_closed_form():
     amb = preset_ambient("example_b")
     ts = np.linspace(-3.0, 0.9, 50)
     expected = 1.0 / (1.0 - ts) ** 2
-    assert np.allclose(np.asarray(amb.rho_t(ts)), expected, atol=1e-9)
+    assert np.allclose(np.asarray(amb.flow(ts)[2]), expected, atol=1e-9)
 
 
 def _sinh_forms(t):
@@ -83,10 +87,10 @@ def test_preset_rho_closed_form(name):
     hi = amb.interval_end if math.isfinite(amb.interval_end) else 2.0
     ts = np.linspace(-40.0, hi - 1e-3, 400)
     rho, rho_t = _CLOSED_FORMS[name](ts)
-    assert np.all(np.abs(amb.rho(ts) - rho) <= 1e-15 * np.abs(rho))
-    assert np.all(np.abs(amb.rho_t(ts) - rho_t) <= 1e-12 * np.abs(rho_t))
-    far = np.array([-800.0, -2000.0])
-    assert np.all(np.isfinite(amb.rho(far))) and np.all(np.isfinite(amb.rho_t(far)))
+    _, got, got_t = amb.flow(ts)
+    assert np.all(np.abs(got - rho) <= 1e-15 * np.abs(rho))
+    assert np.all(np.abs(got_t - rho_t) <= 1e-12 * np.abs(rho_t))
+    assert np.all(np.isfinite(amb.flow(np.array([-800.0, -2000.0]))[1:]))
 
 
 @pytest.mark.parametrize("name, lam", [("killing_flat", np.ones_like),
@@ -95,9 +99,47 @@ def test_preset_factor_bits(name, lam):
     # the ambients of the benchmark's workloads keep the closed forms' bits
     amb = preset_ambient(name)
     ts = np.linspace(-40.0, 2.0, 400)
+    got_lam, got, got_t = amb.flow(ts)
     rho, rho_t = _CLOSED_FORMS[name](ts)
-    assert np.array_equal(amb.lam(ts), lam(ts))
-    assert np.array_equal(amb.rho(ts), rho) and np.array_equal(amb.rho_t(ts), rho_t)
+    assert np.array_equal(got_lam, lam(ts))
+    assert np.array_equal(got, rho) and np.array_equal(got_t, rho_t)
+
+
+def test_one_jet_pass_per_flow_call_two_per_gamma_call(monkeypatch):
+    # flow: the plain pass of lam and one jet pass of log(lam) for both
+    # derivatives; gamma: one jet pass per chart coordinate, the value taken
+    # from the x pass.  ``evaluations`` counts whole-expression passes by
+    # their variables, jets and plain passes alike.
+    passes, evaluations = Counter(), Counter()
+    along, compile_node = expressions._along, expressions._compile
+
+    def counted_along(expr, env, name):
+        passes[name] += 1
+        return along(expr, env, name)
+
+    def counted_compile(node, names, depth=0):
+        fn = compile_node(node, names, depth)
+        if depth:
+            return fn
+
+        def whole(env):
+            evaluations[names] += 1
+            return fn(env)
+        return whole
+
+    monkeypatch.setattr(expressions, "_along", counted_along)
+    monkeypatch.setattr(expressions, "_compile", counted_compile)
+    def counts(fn, arg):
+        passes.clear()
+        evaluations.clear()
+        fn(arg)
+        return passes, evaluations
+
+    amb = expression_ambient("counted", "exp(t) + t*t", gamma="1 + 0.2*x*x + 0.1*sin(3*y)")
+    for t in (np.linspace(-1.0, 0.5, 7), 0.25):
+        assert counts(amb.flow, t) == (Counter(t=1), Counter({("t",): 2}))
+    for u in (np.zeros((5, 2)), np.zeros((3, 5, 2))):
+        assert counts(amb.gamma, u) == (Counter(x=1, y=1), Counter({("x", "y"): 2}))
 
 
 @pytest.mark.parametrize("name", ALL_PRESETS)
@@ -112,8 +154,9 @@ def test_example_c_interval_end():
     assert amb.interval_end == pytest.approx(math.asinh(1.0), abs=1e-15)
     # rate conditions hold up to the end
     ts = np.linspace(-4.0, amb.interval_end - 1e-6, 300)
-    assert np.all(np.asarray(amb.lam(ts)) * np.asarray(amb.rho(ts)) > 0)
-    assert np.all(np.asarray(amb.rho_t(ts)) > 0)
+    lam, rho, rho_t = amb.flow(ts)
+    assert np.all(lam * rho > 0)
+    assert np.all(rho_t > 0)
 
 
 def test_interval_enforced():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import ckgraph as ck
-from ckgraph.analysis import (RHO_T_ROUNDING, _boundary_curves, _boundary_strip,
+from ckgraph.ambient import expression_ambient
+from ckgraph.analysis import (NEGATIVE_LAMBDA, RHO_T_ROUNDING, _boundary_curves,
+                              _boundary_strip,
                               _distance_geometry,
                               boundary_barrier,
                               boundary_normal_slope, check_hypotheses,
@@ -262,10 +264,9 @@ def test_probe_preset_includes_flow_curvature():
     # goes to 0 the probe tends to the boundary infimum, which includes it
     amb = replace(
         ck.preset_ambient("killing_flat"),
-        gamma=lambda u: 1.0 + 0.8 * np.asarray(u, dtype=float)[..., 0],
-        grad_gamma=lambda u: np.stack(
+        gamma=lambda u: (1.0 + 0.8 * np.asarray(u, dtype=float)[..., 0], np.stack(
             [np.full(np.asarray(u).shape[:-1], 0.8),
-             np.zeros(np.asarray(u).shape[:-1])], axis=-1))
+             np.zeros(np.asarray(u).shape[:-1])], axis=-1)))
     prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.02, amb), 0.5, -0.5)
     depths = [1e-2, 1e-3, 1e-4, 1e-6]
     out = cylinder_monotonicity_probe(prob, depths)
@@ -659,8 +660,9 @@ def test_nonfinite_margin_rejected_with_its_own_reason(recwarn):
     # lambda = e^t underflows under a steep height barrier on the cap; the
     # jets of log(1*exp(t) + 0), which no rewrite simplifies, are 0/0 there:
     # the candidate is rejected for that, not for the ordering, which holds
-    rho, rho_t = compile_flow_derivatives("log(1*exp(t) + 0)")
-    amb = replace(ck.preset_ambient("euclidean_radial"), rho=rho, rho_t=rho_t)
+    rates = compile_flow_derivatives("log(1*exp(t) + 0)")
+    base = ck.preset_ambient("euclidean_radial")
+    amb = replace(base, flow=lambda t: (base.flow(t)[0], *rates(t)))
     mesh = ck.cap_mesh(1.0, 0.05, amb)
     r = np.linalg.norm(mesh.vertices, axis=1)
     zex = -np.log(np.cos(r)) + np.log(np.cos(1.0))
@@ -687,6 +689,23 @@ def test_preset_rho_keeps_steep_height_margins_finite(D):
     _, cert = height_barrier(prob, D, B, ScalarField(mesh, zex))
     assert math.isfinite(cert.min_margin) and cert.note == ""
     assert cert.valid and cert.ordering_ok
+
+
+def test_barrier_refused_where_lambda_is_negative():
+    # lambda = 1 + t/10 is 0.07 on the boundary at phi = -9.3, but negative
+    # below t = -10: a height barrier reaching there (-10.04 at the centre
+    # for D = 1) and a lower strip barrier (-10.71 at eps for mu = 1, c = 20)
+    # are no certificates; the upper strip barrier, which rises, is checked
+    amb = expression_ambient("linear", "1 + t/10")
+    prob = ck.Problem.create(amb, ck.disk_mesh(0.4, 0.05, amb), 0.0, -9.3)
+    with pytest.raises(ParameterError, match=f"^{NEGATIVE_LAMBDA}$"):
+        height_barrier(prob, 1.0, 1.01 * sigma_diameter(prob.mesh, amb))
+    with pytest.raises(ParameterError, match=f"^{NEGATIVE_LAMBDA}$"):
+        boundary_barrier(prob, 1.0, 20.0, 0.05)
+    assert upper_barrier_check(prob, 1.0, 20.0, 0.05)[1].valid
+    with pytest.raises(ParameterError) as info:
+        search_height_barrier(prob)
+    assert f"{NEGATIVE_LAMBDA} [8 candidates, D = 1 .. D = 128]" in str(info.value)
 
 
 def _annulus_height_search_message(lam):

@@ -17,7 +17,7 @@ import ckgraph as ck
 from ckgraph.cli import main
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import _write_mesh_json
-from ckgraph.analysis import search_boundary_barrier
+from ckgraph.analysis import NEGATIVE_LAMBDA, search_boundary_barrier
 from ckgraph.problemfile import PROBLEM_SCHEMA, _schema_errors, load_problem
 from ckgraph.solver import CHORD_CONTRACTION
 from conftest import child_env
@@ -942,6 +942,52 @@ def test_lambda_overflow_in_a_trial_warns_nothing(tmp_path):
     assert proc.returncode == 2
 
 
+# lambda = 1 + t/10 is negative below t = -10, where it makes no metric for a
+# graph, barrier or solution; the boundary data keep it positive
+def _linear_lambda_doc(h, phi):
+    return dict(_cap_doc(h=h, H=0.0, phi=phi), ambient={"custom": {"lam": "1 + t/10"}})
+
+
+def _command(argv, capsys, in_child):
+    """Exit code, stdout and stderr of ``ckg argv``, run by ``main`` or in a
+    child."""
+    if in_child:
+        proc = subprocess.run([sys.executable, "-m", "ckgraph.cli", *argv],
+                              capture_output=True, text=True, env=child_env(), timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr
+    capsys.readouterr()
+    code = main(argv)
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("in_child", [False, True], ids=["in_process", "in_a_child"])
+def test_certify_refuses_height_barriers_where_lambda_is_negative(tmp_path, capsys,
+                                                                   in_child):
+    # every height barrier short of overflow reaches below t = -10 under the
+    # disk at phi = -9.3 (the one at D = 4 reaches -14.35)
+    prob = _write(tmp_path, "problem.json", _linear_lambda_doc(0.05, -9.3))
+    assert main(["solve", prob, "--out", str(tmp_path / "run")]) == 0
+    code, out, err = _command(["certify", prob, str(tmp_path / "run" / "solution.csv")],
+                              capsys, in_child)
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith("error: height barrier search exhausted after 21 candidates: "
+                          f"{NEGATIVE_LAMBDA} [8 candidates, D = 1 .. D = 128]; ")
+    height = json.loads(out)["certificates"]["height"]
+    assert not height["valid"] and NEGATIVE_LAMBDA in height["note"]
+
+
+@pytest.mark.parametrize("in_child", [False, True], ids=["in_process", "in_a_child"])
+@pytest.mark.parametrize("command", ["certify", "verify"])
+def test_solution_where_lambda_is_negative_exit_1(tmp_path, capsys, command, in_child):
+    prob = _write(tmp_path, "problem.json", _linear_lambda_doc(0.1, -0.5))
+    mesh = load_problem(prob).problem.mesh
+    low = tmp_path / "low.csv"
+    ScalarField(mesh, np.where(mesh.is_boundary, -0.5, -20.0)).to_csv(low)
+    v = int(np.flatnonzero(~mesh.is_boundary)[0])
+    assert _command([command, prob, str(low)], capsys, in_child) == (
+        1, "", f"error: {low}: vertex {v} value -20.0 has lambda = -1.0, negative or NaN\n")
+
+
 def _ckgraph_installed():
     try:
         metadata.distribution("ckgraph")
@@ -1331,11 +1377,11 @@ _MALFORMED_PROBLEMS = {
                          "error: $.H.expression: only numeric constants allowed"),
     # more vertices than int32 indices reach, refused before any array
     "rings_beyond_int32": ({"resolution": 1e-300},
-                           "error: $.domain.params.radius: a polar mesh to radius 0.4 at"),
+                           "error: $.resolution: a polar mesh to radius 0.4 at"),
     "radius_beyond_int32": ({"domain": {"preset": "disk", "params": {"radius": 1e300}}},
-                            "error: $.domain.params.radius: a polar mesh to radius 1e+300"),
+                            "error: $.resolution: a polar mesh to radius 1e+300"),
     "resolution_subnormal": ({"resolution": 1e-320},
-                             "error: $.domain.params.radius: a polar mesh to radius 0.4 at"),
+                             "error: $.resolution: a polar mesh to radius 0.4 at"),
     "lam_nested_past_the_parser": (
         {"ambient": {"custom": {"lam": "t" + "+t" * 20000}}},
         "error: $.ambient.custom.lam: bad expression: more than 900"),

@@ -45,10 +45,9 @@ def test_kappa_directional_derivative():
     # gamma = 1 + x: eta(log sqrt(gamma)) = eta_x / (2(1+x))
     amb = replace(
         ck.preset_ambient("killing_flat"),
-        gamma=lambda u: 1.0 + np.asarray(u, dtype=float)[..., 0],
-        grad_gamma=lambda u: np.stack(
+        gamma=lambda u: (1.0 + np.asarray(u, dtype=float)[..., 0], np.stack(
             [np.ones(np.asarray(u).shape[:-1]),
-             np.zeros(np.asarray(u).shape[:-1])], axis=-1))
+             np.zeros(np.asarray(u).shape[:-1])], axis=-1)))
     u = np.array([0.5, 0.0])
     eta = np.array([1.0, 0.0])
     val = float(np.asarray(cylinder_kappa(amb, u, eta)))
@@ -60,10 +59,9 @@ def test_cylinder_mean_curvature_combination():
     # does elsewhere; kappa = 1/3 for gamma = 1 + x at x = 0.5
     amb = replace(
         ck.preset_ambient("example_a"),     # lambda = e^t
-        gamma=lambda u: 1.0 + np.asarray(u, dtype=float)[..., 0],
-        grad_gamma=lambda u: np.stack(
+        gamma=lambda u: (1.0 + np.asarray(u, dtype=float)[..., 0], np.stack(
             [np.ones(np.asarray(u).shape[:-1]),
-             np.zeros(np.asarray(u).shape[:-1])], axis=-1))
+             np.zeros(np.asarray(u).shape[:-1])], axis=-1)))
     u = np.array([0.5, 0.0])
     eta = np.array([1.0, 0.0])
     hk = float(np.asarray(cylinder_mean_curvature(amb, u, eta, 2.5)))

@@ -64,3 +64,22 @@ def test_every_definition_is_named_elsewhere():
              if isinstance(node, _DEFINITIONS) and not node.name.startswith("__")
              and named[node.name] == Counter(_names(node))[node.name]]
     assert dead == []
+
+
+def test_every_import_is_read():
+    # a name a module imports at module level is read in that module or
+    # listed in its ``__all__``; the package's ``__init__`` only re-exports
+    unread = []
+    for path in sorted(Path(ckgraph.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [(alias.asname or alias.name).partition(".")[0]
+                    for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"ckgraph.{path.stem}"), "__all__", []))
+        unread += [f"{path.stem}: {name}" for name in imported
+                   if name not in read | exported]
+    assert unread == []

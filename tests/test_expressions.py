@@ -149,10 +149,10 @@ def test_function_jets_match_closed_forms(name, where, t0, u1, u2):
     (lo, hi), f1, f2 = _FUNCTION_DERIVATIVES[name]
     u0 = lo + where * (hi - lo)
     text = f"{name}({u0!r} + {u1!r}*(t - {t0!r}) + {u2 / 2!r}*(t - {t0!r})**2)"
-    d1, d2 = compile_flow_derivatives(text)
+    d1, d2 = compile_flow_derivatives(text)(t0)
     a, b = float(f1(u0)), float(f2(u0))
-    assert _close(d1(t0), a * u1, abs(a * u1))
-    assert _close(d2(t0), b * u1**2 + a * u2, abs(b) * u1**2 + abs(a * u2))
+    assert _close(d1, a * u1, abs(a * u1))
+    assert _close(d2, b * u1**2 + a * u2, abs(b) * u1**2 + abs(a * u2))
 
 
 # expression -> (t domain, first and second derivative in closed form)
@@ -191,10 +191,10 @@ _OPERATOR_DERIVATIVES = {
 def test_operator_jets_match_closed_forms(text, where):
     (lo, hi), f1, f2 = _OPERATOR_DERIVATIVES[text]
     t = np.array([lo + where * (hi - lo)])
-    d1, d2 = compile_flow_derivatives(text)
+    d1, d2 = compile_flow_derivatives(text)(t)
     want1, want2 = f1(t), f2(t)
-    assert np.all(np.abs(d1(t) - want1) <= 1e-12 * np.maximum(np.abs(want1), 1.0))
-    assert np.all(np.abs(d2(t) - want2) <= 1e-12 * np.maximum(np.abs(want2), 1.0))
+    assert np.all(np.abs(d1 - want1) <= 1e-12 * np.maximum(np.abs(want1), 1.0))
+    assert np.all(np.abs(d2 - want2) <= 1e-12 * np.maximum(np.abs(want2), 1.0))
 
 
 @pytest.mark.parametrize("text, t, d1, d2", [
@@ -209,21 +209,23 @@ def test_operator_jets_match_closed_forms(text, where):
     ("3", 0.2, 0.0, 0.0),
 ])
 def test_jets_at_kinks_and_zero(text, t, d1, d2):
-    first, second = compile_flow_derivatives(text)
-    assert (first(t), second(t)) == (d1, d2)
-    arr = np.array([t, t])
-    assert first(arr).tolist() == [d1, d1] and second(arr).tolist() == [d2, d2]
+    rates = compile_flow_derivatives(text)
+    assert rates(t) == (d1, d2)
+    first, second = rates(np.array([t, t]))
+    assert first.tolist() == [d1, d1] and second.tolist() == [d2, d2]
 
 
 def test_gradient_exact_and_finite_at_zero():
-    grad = compile_gradient("x**2 + x*y + sin(y)*exp(x)")
+    fn = compile_gradient("x**2 + x*y + sin(y)*exp(x)")
     pts = np.array([[0.0, 0.0], [0.3, -0.7], [-1.1, 2.0]])
     x, y = pts.T
     want = np.stack([2 * x + y + np.sin(y) * np.exp(x), x + np.cos(y) * np.exp(x)], axis=1)
-    assert np.abs(grad(pts) - want).max() <= 1e-15 * np.abs(want).max()
-    assert grad(np.zeros((3, 4, 2))).shape == (3, 4, 2)
-    assert np.array_equal(compile_gradient("y")(pts), np.tile([0.0, 1.0], (3, 1)))
-    assert np.array_equal(compile_gradient("2.5")(pts), np.zeros((3, 2)))
+    assert np.abs(fn(pts)[1] - want).max() <= 1e-15 * np.abs(want).max()
+    value, grad = fn(np.zeros((3, 4, 2)))
+    assert value.shape == (3, 4) and grad.shape == (3, 4, 2)
+    assert np.array_equal(compile_gradient("y")(pts)[1], np.tile([0.0, 1.0], (3, 1)))
+    value, grad = compile_gradient("2.5")(pts)
+    assert np.array_equal(value, np.full(3, 2.5)) and np.array_equal(grad, np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("gamma", ["1 + 0.2*x*x", "exp(x - y**2)", "1 + 0.3*x + 0.2*y**2",
@@ -234,7 +236,7 @@ def test_gradient_agrees_with_central_differences(gamma):
     pts = rng.uniform(-0.5, 0.5, (200, 2))
     fn, step = compile_expression(gamma), 1e-6
     fd = np.stack([central_difference(fn, pts, step, e) for e in np.eye(2)], axis=1)
-    assert np.abs(compile_gradient(gamma)(pts) - fd).max() < 1e-8
+    assert np.abs(compile_gradient(gamma)(pts)[1] - fd).max() < 1e-8
 
 
 @pytest.mark.parametrize("text,ref", CORPUS, ids=[c[0] for c in CORPUS])
@@ -247,6 +249,7 @@ def test_jet_values_have_the_plain_bits(text, ref):
     for name in env:
         value = np.broadcast_to(_along(expr, env, name).v, plain.shape)
         assert np.array_equal(value, plain)
+    assert np.array_equal(compile_gradient(text)(pts)[0], plain)
 
 
 def test_log_of_exp_compiles_to_its_argument():
@@ -254,9 +257,9 @@ def test_log_of_exp_compiles_to_its_argument():
     # (t = 800); without the rewrite, as in log(1*exp(t) + 0), both are lost
     ts = np.array([-800.0, 0.5, 800.0])
     assert np.array_equal(compile_univariate("log(exp(t))")(ts), ts)
-    d1, d2 = compile_flow_derivatives("log(exp(2*t))")
-    assert np.array_equal(d1(ts), [2.0, 2.0, 2.0]) and np.array_equal(d2(ts), [0.0] * 3)
-    assert not np.any(np.isfinite(compile_flow_derivatives("log(1*exp(t) + 0)")[0](ts[[0, 2]])))
+    d1, d2 = compile_flow_derivatives("log(exp(2*t))")(ts)
+    assert np.array_equal(d1, [2.0, 2.0, 2.0]) and np.array_equal(d2, [0.0] * 3)
+    assert not np.any(np.isfinite(compile_flow_derivatives("log(1*exp(t) + 0)")(ts[[0, 2]])[0]))
     with pytest.raises(ParameterError, match="exp takes 1 argument, got 2"):
         compile_univariate("log(exp(t, t))")
 
@@ -269,13 +272,13 @@ def test_example_c_lambda_jets_match_hand_derivatives():
     # times; lambda_t / lambda is the preset's closed-form rho
     amb = ck.preset_ambient("example_c")
     s = f"({math.sqrt(2.0) - 1.0!r}*exp(t))"
-    d1, d2 = compile_flow_derivatives(f"2*{s}/(1 - {s}**2)")
     ts = np.linspace(-4.0, 0.5 * amb.interval_end, 512)
+    d1, d2 = compile_flow_derivatives(f"2*{s}/(1 - {s}**2)")(ts)
     sv = (math.sqrt(2.0) - 1.0) * np.exp(ts)
     lam_t = 2.0 * sv * (1.0 + sv**2) / (1.0 - sv**2) ** 2
     lam_tt = 2.0 * sv * (1.0 + 6.0 * sv**2 + sv**4) / (1.0 - sv**2) ** 3
-    for got, want in ((d1(ts), lam_t), (d2(ts), lam_tt)):
+    for got, want in ((d1, lam_t), (d2, lam_tt)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
-    rho = np.asarray(amb.rho(ts))
-    assert np.all(np.abs(lam_t / np.asarray(amb.lam(ts)) - rho) <= 1e-12 * np.abs(rho))
+    lam, rho, _ = amb.flow(ts)
+    assert np.all(np.abs(lam_t / lam - rho) <= 1e-12 * np.abs(rho))

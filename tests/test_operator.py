@@ -1,6 +1,7 @@
 import copy
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ckgraph as ck
 import ckgraph.frontal as frontal
+from ckgraph.analysis import _lambda_samples, max_principle_conditions
 from ckgraph.errors import DomainError
 from ckgraph.fields import ScalarField
 from ckgraph.mesh import mesh_from_arrays
@@ -27,12 +29,8 @@ def _random_state(problem, rng, scale=0.3):
 
 def _gamma(u):
     u = np.asarray(u, dtype=float)
-    return 1.0 + 0.3 * u[..., 0] + 0.2 * u[..., 1] ** 2
-
-
-def _grad_gamma(u):
-    u = np.asarray(u, dtype=float)
-    return np.stack([np.full(u.shape[:-1], 0.3), 0.4 * u[..., 1]], axis=-1)
+    return (1.0 + 0.3 * u[..., 0] + 0.2 * u[..., 1] ** 2,
+            np.stack([np.full(u.shape[:-1], 0.3), 0.4 * u[..., 1]], axis=-1))
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +42,7 @@ def problems():
             (ck.preset_ambient("example_a"), lambda a: ck.disk_mesh(0.4, 0.1, a)),
             # non-constant gamma with its exact gradient on the round-sphere
             # metric: the only fixture whose grad-gamma terms are not zero
-            (replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma,
-                     grad_gamma=_grad_gamma),
+            (replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma),
              lambda a: ck.cap_mesh(1.0, 0.15, a))]:
         mesh = builder(amb)
         out.append(ck.Problem.create(amb, mesh, 0.7, -0.3))
@@ -243,8 +240,7 @@ def test_weak_residual_consistency_at_exact():
 def front_problems():
     # the non-constant-gamma ambient over each kind of mesh, one of them
     # read back from a relabelled mesh.json document
-    amb = replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma,
-                  grad_gamma=_grad_gamma)
+    amb = replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma)
     disk = ck.disk_mesh(0.4, 0.05, amb)
     rng = np.random.default_rng(8)
     perm = rng.permutation(disk.n_vertices)          # old label -> new label
@@ -703,3 +699,38 @@ def test_problem_refuses_a_mesh_on_another_leaf_metric():
     # another ambient on the same leaf metric is the same mesh
     ck.Problem.create(ck.preset_ambient("example_a"), ck.disk_mesh(0.4, 0.1, flat), 0.0, -0.1)
     ck.Problem.create(radial, ck.disk_mesh(0.8, 0.1, radial), 0.0, -0.1)
+
+
+def _counted(amb, calls):
+    """``amb`` with each call of its ``flow`` and ``gamma`` counted in
+    ``calls``."""
+    def counted(name):
+        fn = getattr(amb, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    return replace(amb, flow=counted("flow"), gamma=counted("gamma"))
+
+
+def test_ambient_read_once_per_residual_and_never_by_a_system():
+    # a residual reads lambda, rho and rho_t in one flow call, which its
+    # element pass carries to every Jacobian and tangent rate
+    calls = Counter()
+    amb = _counted(replace(ck.preset_ambient("euclidean_radial"), gamma=_gamma), calls)
+    prob = ck.Problem.create(amb, ck.cap_mesh(1.0, 0.15, amb), 0.5, -0.3)
+    assembly = prob.assembly()
+    z = _random_state(prob, np.random.default_rng(11), scale=0.1)
+    calls.clear()
+    for k in (1, 2):
+        _, ev = assembly.residual(z, 0.7)
+        assert calls == Counter(flow=k)
+        assembly.system(ev)
+        assembly.system(ev, tangent=True)
+        assert calls == Counter(flow=k)
+    calls.clear()
+    _lambda_samples(prob)
+    max_principle_conditions(prob)
+    assert calls == Counter(flow=1)
+

@@ -144,9 +144,10 @@ def test_custom_ambient_with_derivatives():
     doc["ambient"] = {"custom": {"lam": "exp(t)"}}
     loaded = load_problem_document(doc)
     amb = loaded.problem.ambient
-    assert float(np.asarray(amb.lam(0.5))) == pytest.approx(math.exp(0.5))
-    assert amb.rho(0.5) == 1.0 and amb.rho_t(0.5) == 0.0
-    assert amb.rho(-800.0) == 1.0 and amb.rho_t(-800.0) == 0.0
+    lam, rho, rho_t = amb.flow(0.5)
+    assert float(np.asarray(lam)) == pytest.approx(math.exp(0.5))
+    assert rho == 1.0 and rho_t == 0.0
+    assert amb.flow(-800.0)[1:] == (1.0, 0.0)
     assert math.isinf(amb.interval_end)
 
 
